@@ -38,10 +38,30 @@
 //! meets `len(shortest route)` at `c*`, and never dips below it
 //! because every `d_c` is a real walk length (`d_c ≥ true distance`,
 //! then the triangle inequality). Disconnected pairs share no hub.
-//! Exact distances are what let `HubIndex::next_hop`
-//! reproduce the canonical dense rule bit-for-bit: scan `s`'s CSR row
-//! (ascending slot order) and return the first neighbor `u` with
+//! Exact distances are what let `HubIndex::walk` reproduce the
+//! canonical dense rule bit-for-bit: at every hop, scan `s`'s CSR row
+//! (ascending slot order) and take the first neighbor `u` with
 //! `w(s, u) + dist(u, t) = dist(s, t)`.
+//!
+//! # Serving: one target-row expansion per walk
+//!
+//! A walk toward `t` writes `row(t)` once into a hub-indexed buffer
+//! (`buf[c] = d_c(t)`, FAR elsewhere), reads `dt = dist(s, t)` off one
+//! scan of `row(s)`, and from then on carries `dt −= w` hop by hop
+//! instead of re-merging. Testing a neighbor `u` is one scan of
+//! `row(u)` for an entry `(c, d)` with `d + buf[c] = dt − w`, and the
+//! scan may **stop at the first match**: every sum `d + buf[c]` is a
+//! real `u ⇝ t` walk length, so each is `≥ dist(u, t) ≥ dt − w` (the
+//! triangle inequality through `s`), and a sum equal to `dt − w` pins
+//! `dist(u, t) = dt − w` exactly. No sum can undershoot, so no later
+//! entry can change the verdict.
+//!
+//! The buffer is a per-thread `thread_local!` that grows to the
+//! largest `h` served on the thread. **Invariant: it is all-FAR
+//! between walks.** Only `row(t)`'s hubs are ever written, and a drop
+//! guard resets exactly those on every exit path (reached, unreachable,
+//! unwinding), so walks over different plans — of any `h` — on one
+//! thread never see each other's entries.
 //!
 //! # Why repair is possible at all
 //!
@@ -67,8 +87,9 @@
 //! recomputing it (the order reads only the link *adjacency*, so
 //! weight-only churn always takes the cheap path).
 
-use super::inter::{CsrView, InterScratch, FAR, NO_HOP};
+use super::inter::{CsrView, InterScratch, FAR};
 use adhoc_graph::par;
+use std::cell::Cell;
 
 /// Dirty-hub fraction above which `HubIndex::repair` declines and
 /// the caller rebuilds from scratch — same 50% knee as the label
@@ -336,7 +357,10 @@ impl HubIndex {
 
     /// Exact backbone distance between heads `u` and `v` ([`FAR`] when
     /// the backbone does not connect them): a two-pointer merge of the
-    /// two label rows over their common hubs.
+    /// two label rows over their common hubs. The distance oracle the
+    /// tests check the labels against; serving goes through
+    /// [`Self::walk`].
+    #[cfg(test)]
     pub(crate) fn dist(&self, u: usize, v: usize) -> u32 {
         if u == v {
             return 0;
@@ -359,29 +383,48 @@ impl HubIndex {
         best
     }
 
-    /// The canonical first hop from `s` toward `t`: the smallest-slot
-    /// neighbor of `s` beginning a shortest route. Because label
-    /// distances are exact and the CSR row is slot-ascending, this is
-    /// bit-identical to the dense table's answer.
-    pub(crate) fn next_hop(&self, s: usize, t: usize, csr: CsrView<'_>) -> u32 {
+    /// Walks the canonical route `s ⇝ t`, calling `hop(i)` with the CSR
+    /// position of every link taken; `false` (no hop taken) when the
+    /// backbone does not connect them.
+    ///
+    /// `row(t)` is expanded once into the thread's [`TargetRow`] buffer
+    /// and `dt = dist(s, t)` read off one scan of `row(s)`. Each hop
+    /// then scans `s`'s CSR row in ascending slot order and takes the
+    /// first neighbor `u` (with `w(s, u) ≤ dt`) whose label row holds
+    /// an entry meeting the buffer at exactly `dt − w`, and carries
+    /// `dt −= w`. Because label distances are exact and the CSR row is
+    /// slot-ascending, every hop is the dense table's, bit for bit.
+    pub(crate) fn walk(
+        &self,
+        s: usize,
+        t: usize,
+        csr: CsrView<'_>,
+        mut hop: impl FnMut(usize),
+    ) -> bool {
         if s == t {
-            return s as u32;
+            return true;
         }
-        let dt = self.dist(s, t);
+        let target = TargetRow::expand(self, t);
+        let mut dt = target.dist(s);
         if dt == FAR {
-            return NO_HOP;
+            return false;
         }
-        for (u, w) in csr.row(s) {
-            if w > dt {
-                continue;
-            }
-            let du = self.dist(u as usize, t);
-            if du != FAR && w + du == dt {
-                return u;
-            }
+        let mut s = s;
+        while s != t {
+            let (lo, hi) = (csr.off[s] as usize, csr.off[s + 1] as usize);
+            let next = (lo..hi).find(|&i| {
+                let w = csr.hops[i];
+                w <= dt && target.meets(csr.to[i] as usize, dt - w)
+            });
+            let Some(i) = next else {
+                debug_assert!(false, "reachable target must have a first-hop witness");
+                return false;
+            };
+            hop(i);
+            dt -= csr.hops[i];
+            s = csr.to[i] as usize;
         }
-        debug_assert!(false, "reachable target must have a first-hop witness");
-        NO_HOP
+        true
     }
 
     /// Incremental repair after the backbone changed: `changed` holds
@@ -510,9 +553,70 @@ impl HubIndex {
     }
 }
 
-/// One rank-restricted sweep from hub `c`, appending its `(node, hub,
-/// dist)` entries: every reached head ranking below `c`, plus the zero
-/// self-entry.
+thread_local! {
+    /// Hub-indexed `d_c(t)` buffer behind [`TargetRow`], one per
+    /// thread: all-[`FAR`] between walks, grown on demand to the
+    /// largest `h` served on the thread.
+    static TARGET_ROW: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
+
+/// The walk target's label row expanded into the thread's buffer:
+/// `buf[c] = d_c(t)` for every hub `c` in `row(t)`, [`FAR`] elsewhere.
+/// Dropping it resets exactly those hubs and hands the buffer back, so
+/// the buffer is all-FAR again on every exit path, unwinding included.
+/// It is per-query scratch, not index memory.
+struct TargetRow<'a> {
+    index: &'a HubIndex,
+    hubs: &'a [u32],
+    buf: Vec<u32>,
+}
+
+impl<'a> TargetRow<'a> {
+    fn expand(index: &'a HubIndex, t: usize) -> Self {
+        let mut buf = TARGET_ROW.take();
+        if buf.len() < index.h {
+            buf.resize(index.h, FAR);
+        }
+        let (lo, hi) = index.row(t);
+        let hubs = &index.label_hub[lo..hi];
+        for (&c, &d) in hubs.iter().zip(&index.label_dist[lo..hi]) {
+            buf[c as usize] = d;
+        }
+        TargetRow { index, hubs, buf }
+    }
+
+    /// `v`'s label entries summed against the target's (`FAR` for hubs
+    /// the target row lacks): each sum is a real `v ⇝ t` walk length.
+    fn sums(&self, v: usize) -> impl Iterator<Item = u32> + '_ {
+        let (lo, hi) = self.index.row(v);
+        self.index.label_hub[lo..hi]
+            .iter()
+            .zip(&self.index.label_dist[lo..hi])
+            .map(|(&c, &d)| d.saturating_add(self.buf[c as usize]))
+    }
+
+    /// Exact `dist(v, t)` ([`FAR`] when disconnected).
+    fn dist(&self, v: usize) -> u32 {
+        self.sums(v).min().unwrap_or(FAR)
+    }
+
+    /// Whether `dist(v, t) == want`, given `dist(v, t) ≥ want`: every
+    /// sum is at least `dist(v, t)`, so the first sum equal to `want`
+    /// settles it and the scan stops there.
+    fn meets(&self, v: usize, want: u32) -> bool {
+        self.sums(v).any(|d| d == want)
+    }
+}
+
+impl Drop for TargetRow<'_> {
+    fn drop(&mut self) {
+        for &c in self.hubs {
+            self.buf[c as usize] = FAR;
+        }
+        TARGET_ROW.set(std::mem::take(&mut self.buf));
+    }
+}
+
 /// Sweeps every hub in `hubs` and returns the combined entry list,
 /// sorted by `(node, hub)` — ready for [`HubIndex::fill_arena`] or the
 /// repair splice. At 1 worker (or a single hub) the caller's warm
@@ -551,6 +655,9 @@ fn sweep_hubs(
     entries
 }
 
+/// One rank-restricted sweep from hub `c`, appending its `(node, hub,
+/// dist)` entries: every reached head ranking below `c`, plus the zero
+/// self-entry.
 fn sweep_hub(
     csr: CsrView<'_>,
     c: u32,
@@ -779,6 +886,26 @@ mod tests {
         assert_eq!(hub, before);
     }
 
+    /// The heads a hub walk visits after `s`, or `None` when it
+    /// reports `s ⇝ t` unreachable (which must take no hop).
+    fn walk_heads(hub: &HubIndex, s: usize, t: usize, csr: CsrView<'_>) -> Option<Vec<u32>> {
+        let mut heads = Vec::new();
+        let reached = hub.walk(s, t, csr, |i| heads.push(csr.to[i]));
+        if reached {
+            Some(heads)
+        } else {
+            assert!(heads.is_empty(), "unreachable walk {s} -> {t} took hops");
+            None
+        }
+    }
+
+    fn target_row_is_all_far() -> bool {
+        let buf = TARGET_ROW.take();
+        let clean = buf.iter().all(|&d| d == FAR);
+        TARGET_ROW.set(buf);
+        clean
+    }
+
     #[test]
     fn disconnected_pairs_share_no_hub() {
         // Two components: {0, 1} and {2}.
@@ -786,8 +913,37 @@ mod tests {
         let hub = HubIndex::build(bb.csr(), &mut InterScratch::new());
         assert_eq!(hub.dist(0, 1), 3);
         assert_eq!(hub.dist(0, 2), FAR);
-        assert_eq!(hub.next_hop(0, 2, bb.csr()), NO_HOP);
-        assert_eq!(hub.next_hop(2, 2, bb.csr()), 2);
+        assert_eq!(walk_heads(&hub, 0, 2, bb.csr()), None);
+        assert_eq!(walk_heads(&hub, 2, 2, bb.csr()), Some(vec![]));
+        assert_eq!(walk_heads(&hub, 0, 1, bb.csr()), Some(vec![1]));
+    }
+
+    /// The thread's target buffer is all-FAR after every exit path:
+    /// reached, unreachable, `s == t`, and a hop callback that panics
+    /// mid-walk.
+    #[test]
+    fn target_row_resets_on_every_exit() {
+        // Path 0-1-2-3 plus an isolated head 4.
+        let bb = Backbone::from_adj(vec![
+            vec![(1, 1)],
+            vec![(0, 1), (2, 2)],
+            vec![(1, 2), (3, 1)],
+            vec![(2, 1)],
+            vec![],
+        ]);
+        let hub = HubIndex::build(bb.csr(), &mut InterScratch::new());
+        assert_eq!(walk_heads(&hub, 0, 3, bb.csr()), Some(vec![1, 2, 3]));
+        assert!(target_row_is_all_far());
+        assert_eq!(walk_heads(&hub, 0, 4, bb.csr()), None);
+        assert!(target_row_is_all_far());
+        assert_eq!(walk_heads(&hub, 3, 3, bb.csr()), Some(vec![]));
+        assert!(target_row_is_all_far());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            hub.walk(0, 3, bb.csr(), |_| panic!("hop callback fails"));
+        }));
+        assert!(unwound.is_err());
+        assert!(target_row_is_all_far());
+        assert_eq!(walk_heads(&hub, 3, 0, bb.csr()), Some(vec![2, 1, 0]));
     }
 
     #[test]

@@ -22,12 +22,13 @@
 //! bit-identically: the dense table derives it per source with one
 //! Dijkstra plus a settled-order DP (the first hops of `s ⇝ t` are the
 //! union over shortest predecessors `p` of `t` of the first hops of
-//! `s ⇝ p`, so the minimum propagates), while the hub index answers
-//! `dist(·, t)` queries by label merge and scans `s`'s CSR row — which
-//! is stored in ascending slot order — for the first qualifying
-//! neighbor. Every consumer (the compiled plan, the legacy per-query
-//! router, incremental repairs versus full recompiles) therefore
-//! agrees on every route by construction.
+//! `s ⇝ p`, so the minimum propagates), while the hub index expands
+//! `t`'s label row once per walk and scans `s`'s CSR row — which is
+//! stored in ascending slot order — for the first neighbor whose label
+//! row meets it at the remaining distance. Every consumer (the
+//! compiled plan, the legacy per-query router, incremental repairs
+//! versus full recompiles) therefore agrees on every route by
+//! construction.
 //!
 //! Queries that *walk* (`s ← next_hop(s, t)` until `s = t`) terminate
 //! and realize a shortest backbone route for any mix of sources: each
@@ -319,8 +320,9 @@ pub enum InterTable {
     /// Row-major `h × h` first-hop matrix — `O(1)` lookups, `O(h²)`
     /// memory, full recompute on any backbone weight change.
     Dense { h: usize, next_hop: Vec<u32> },
-    /// Hub-label (2-level landmark) index — `O(label merge · degree)`
-    /// lookups, empirically sub-quadratic memory, dirty-hub repair.
+    /// Hub-label (2-level landmark) index — one target-row expansion
+    /// per walk plus one row scan per probed neighbor, empirically
+    /// sub-quadratic memory, dirty-hub repair.
     Hub(HubIndex),
 }
 
@@ -352,13 +354,42 @@ impl InterTable {
         }
     }
 
-    /// The canonical first hop from `s` toward `t` ([`NO_HOP`] when the
-    /// backbone does not connect them; `s` itself for `t == s`).
+    /// Walks the canonical route `s ⇝ t`, calling `hop(i)` with the CSR
+    /// position `i` of every link taken, in walk order (`csr.to[i]` is
+    /// the head the hop lands on). Returns `false`, without calling
+    /// `hop`, when the backbone does not connect `s` and `t`; `s == t`
+    /// is the empty walk.
+    ///
+    /// Dense: one table lookup plus one binary search of `s`'s CSR row
+    /// per hop. Hub: one target-row expansion per walk, then one label
+    /// row scan per probed neighbor (see [`HubIndex::walk`]).
     #[inline]
-    pub(crate) fn next_hop(&self, s: usize, t: usize, csr: CsrView<'_>) -> u32 {
+    pub(crate) fn walk(
+        &self,
+        s: usize,
+        t: usize,
+        csr: CsrView<'_>,
+        mut hop: impl FnMut(usize),
+    ) -> bool {
         match self {
-            InterTable::Dense { h, next_hop } => next_hop[s * h + t],
-            InterTable::Hub(hub) => hub.next_hop(s, t, csr),
+            InterTable::Dense { h, next_hop } => {
+                let mut s = s;
+                while s != t {
+                    let nh = next_hop[s * h + t];
+                    if nh == NO_HOP {
+                        return false;
+                    }
+                    let (lo, hi) = (csr.off[s] as usize, csr.off[s + 1] as usize);
+                    let i = lo
+                        + csr.to[lo..hi]
+                            .binary_search(&nh)
+                            .expect("next hop uses existing links");
+                    hop(i);
+                    s = nh as usize;
+                }
+                true
+            }
+            InterTable::Hub(hub) => hub.walk(s, t, csr, hop),
         }
     }
 
@@ -478,12 +509,15 @@ mod tests {
         (off, to, hops)
     }
 
-    fn random_adj(rng: &mut impl rand::Rng, h: usize, p: f64) -> Vec<Vec<(u32, u32)>> {
+    /// Random backbone with link weights in `1..=max_w`: small weights
+    /// make equal-length routes (ties) common, small `p` leaves
+    /// disconnected pairs.
+    fn random_adj(rng: &mut impl rand::Rng, h: usize, p: f64, max_w: u32) -> Vec<Vec<(u32, u32)>> {
         let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); h];
         for a in 0..h {
             for b in a + 1..h {
                 if rng.gen_bool(p) {
-                    let w = rng.gen_range(1..6u32);
+                    let w = rng.gen_range(1..=max_w);
                     adj[a].push((b as u32, w));
                     adj[b].push((a as u32, w));
                 }
@@ -499,7 +533,7 @@ mod tests {
         let mut scratch = InterScratch::new();
         for _ in 0..30 {
             let h = rng.gen_range(2..14usize);
-            let adj = random_adj(&mut rng, h, 0.4);
+            let adj = random_adj(&mut rng, h, 0.4, 5);
             let (off, to, hops) = to_csr(&adj);
             let csr = CsrView {
                 off: &off,
@@ -514,34 +548,122 @@ mod tests {
         }
     }
 
-    /// The hub index must reproduce the dense rows **exactly** — the
-    /// bit-identity the route-equivalence suites rest on — including
-    /// across reused scratch.
+    /// The heads visited after `s` by following the raw dense table
+    /// from [`all_pairs_next_hops`], or `None` when `t` is unreachable.
+    fn table_walk(table: &[u32], h: usize, s: usize, t: usize) -> Option<Vec<u32>> {
+        let mut heads = Vec::new();
+        let mut at = s;
+        while at != t {
+            let nh = table[at * h + t];
+            if nh == NO_HOP {
+                return None;
+            }
+            heads.push(nh);
+            at = nh as usize;
+        }
+        Some(heads)
+    }
+
+    /// The heads [`InterTable::walk`] visits after `s`, or `None` when
+    /// it reports `t` unreachable (having taken no hop).
+    fn facade_walk(inter: &InterTable, s: usize, t: usize, csr: CsrView<'_>) -> Option<Vec<u32>> {
+        let mut heads = Vec::new();
+        let reached = inter.walk(s, t, csr, |i| heads.push(csr.to[i]));
+        assert!(
+            reached || heads.is_empty(),
+            "unreachable walk {s} -> {t} took hops"
+        );
+        reached.then_some(heads)
+    }
+
+    /// Both layouts must walk **exactly** the dense table's routes —
+    /// the bit-identity the route-equivalence suites rest on — for
+    /// every `(s, t)`, including `s == t`, disconnected pairs, and
+    /// tie-heavy unit/two-weight backbones, across reused scratch.
     #[test]
     fn hub_table_matches_dense_table() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(4242);
         let mut scratch = InterScratch::new();
-        for round in 0..25 {
-            let h = rng.gen_range(2..20usize);
-            let adj = random_adj(&mut rng, h, 0.3);
+        let mut unreachable = 0usize;
+        for round in 0..40 {
+            let h = rng.gen_range(2..24usize);
+            let p = [0.08, 0.15, 0.3][round % 3];
+            let max_w = [1, 2, 5][round % 3];
+            let adj = random_adj(&mut rng, h, p, max_w);
             let (off, to, hops) = to_csr(&adj);
             let csr = CsrView {
                 off: &off,
                 to: &to,
                 hops: &hops,
             };
+            let table = all_pairs_next_hops(csr, &mut scratch);
             let dense = InterTable::build(InterMode::Dense, csr, &mut scratch);
             let hub = InterTable::build(InterMode::Hub, csr, &mut scratch);
             for s in 0..h {
                 for t in 0..h {
+                    let want = table_walk(&table, h, s, t);
+                    unreachable += usize::from(want.is_none());
                     assert_eq!(
-                        dense.next_hop(s, t, csr),
-                        hub.next_hop(s, t, csr),
-                        "round {round}: first hop diverged at {s} -> {t}"
+                        facade_walk(&dense, s, t, csr),
+                        want,
+                        "round {round}: dense {s} -> {t}"
+                    );
+                    assert_eq!(
+                        facade_walk(&hub, s, t, csr),
+                        want,
+                        "round {round}: hub {s} -> {t}"
                     );
                 }
             }
+        }
+        assert!(unreachable > 0, "the sweep must cover disconnected pairs");
+    }
+
+    /// Hub walks share one per-thread target buffer across plans.
+    /// Interleaving walks on one thread over a small and a larger hub
+    /// plan — with an unreachable pair between them — must still match
+    /// the dense table every time: no walk sees another's entries.
+    #[test]
+    fn interleaved_hub_plans_share_no_walk_state() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut scratch = InterScratch::new();
+        let small = random_adj(&mut rng, 9, 0.3, 2);
+        let mut large = random_adj(&mut rng, 40, 0.12, 3);
+        // Head 39 is isolated in the large plan: every pair into it is
+        // unreachable.
+        for nbrs in &mut large {
+            nbrs.retain(|&(b, _)| b != 39);
+        }
+        large[39].clear();
+        let csrs = [to_csr(&small), to_csr(&large)];
+        let plans: Vec<_> = csrs
+            .iter()
+            .map(|(off, to, hops)| {
+                let csr = CsrView { off, to, hops };
+                let table = all_pairs_next_hops(csr, &mut scratch);
+                let hub = InterTable::build(InterMode::Hub, csr, &mut scratch);
+                (csr, table, hub)
+            })
+            .collect();
+        for round in 0..200usize {
+            let (csr, table, hub) = &plans[round % 2];
+            let h = csr.head_count();
+            let (s, t) = if round % 6 == 3 {
+                (round % (h - 1), h - 1)
+            } else {
+                (round * 7 % h, round * 13 % h)
+            };
+            let want = table_walk(table, h, s, t);
+            if round % 6 == 3 {
+                assert_eq!(want, None, "head {t} is isolated");
+            }
+            assert_eq!(
+                facade_walk(hub, s, t, *csr),
+                want,
+                "round {round}: {s} -> {t} (h = {h})"
+            );
         }
     }
 

@@ -16,7 +16,8 @@
 //! └─ inter — inter-head first hops, one of two layouts
 //!      Dense: h × h first-hop matrix (O(1) lookups, O(h²) bytes)
 //!      Hub:   hub-label arena — per-head (hub, dist) rows, CSR-packed
-//!             (label-merge lookups, empirically sub-quadratic bytes)
+//!             (one target-row expansion per walk, empirically
+//!             sub-quadratic bytes)
 //! ```
 //!
 //! [`InterMode::Auto`] (the [`RoutePlan::compile`] default) picks the
@@ -26,8 +27,8 @@
 //! (see the crate-private `inter` module), so the choice never changes a single route.
 //!
 //! A query `u ⇝ v` copies `u`'s precompiled ascent, crosses the
-//! backbone by `next_hop` lookups (appending precomputed oriented path
-//! slices), appends `v`'s ascent reversed, and applies the
+//! backbone by one inter-table walk (appending precomputed oriented
+//! path slices), appends `v`'s ascent reversed, and applies the
 //! first-pass-through-`v` shortcut — `O(route length)` work, **zero
 //! BFS, zero allocation** (into a caller-reused buffer), and no access
 //! to the graph or the label store at serve time. Ascents are stored
@@ -51,7 +52,7 @@
 
 use crate::clustering::Clustering;
 use crate::routing::inter::{
-    self, CsrView, InterMode, InterRepair, InterScratch, InterTable, NO_HOP,
+    self, CsrView, InterMode, InterRepair, InterScratch, InterTable,
 };
 use crate::virtual_graph::LinkRef;
 use adhoc_graph::bfs::{self, Adjacency, DistLabels, UNREACHED};
@@ -667,24 +668,15 @@ impl RoutePlan {
         }
         // Ascend: u's precompiled canonical path to its head.
         out.extend_from_slice(self.ascent(u));
-        // Across: inter-head table lookups, appending oriented paths.
-        let csr = self.csr();
-        let mut s = su as usize;
-        let t = sv as usize;
-        while s != t {
-            let nh = self.inter.next_hop(s, t, csr);
-            if nh == NO_HOP {
-                return None;
-            }
-            let (lo, hi) = (self.link_off[s] as usize, self.link_off[s + 1] as usize);
-            let i = lo
-                + self.link_to[lo..hi]
-                    .binary_search(&nh)
-                    .expect("next-hop uses existing links");
+        // Across: the inter-head walk hands back each link's CSR
+        // position; append that link's oriented path.
+        let reached = self.inter.walk(su as usize, sv as usize, self.csr(), |i| {
             let off = self.link_path_off[i] as usize;
             let len = self.link_path_len[i] as usize;
             out.extend_from_slice(&self.path_arena[off + 1..off + len]);
-            s = nh as usize;
+        });
+        if !reached {
+            return None;
         }
         // Descend: v's ascent, reversed (its head is already at the
         // walk's tail).

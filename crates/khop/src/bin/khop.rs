@@ -958,15 +958,14 @@ fn cmd_route(args: &Args) {
     let mut rng = StdRng::seed_from_u64(seed);
     let pairs = workload.generate(&plan, mix, queries, &mut rng);
 
-    // Both compiled serving arms share the sink's registry, so
-    // `query.*` covers every served query (2x the batch when metrics
-    // are on — and the q/s numbers then include the per-query clock
-    // reads; run without `--metrics` for clean timings).
+    // Only the x1 arm reports into the sink, so `query.count` equals
+    // `--queries` (its q/s then includes the per-query clock reads;
+    // run without `--metrics` for clean timings).
     let t = Instant::now();
     let single = QueryEngine::with_metrics(&plan, 1, &metrics).route_many(&pairs);
     let single_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let multi = QueryEngine::with_metrics(&plan, workers, &metrics).route_many(&pairs);
+    let multi = QueryEngine::with_workers(&plan, workers).route_many(&pairs);
     let multi_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let mut legacy_scratch = LegacyScratch::new();

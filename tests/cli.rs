@@ -102,6 +102,29 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn route_metrics_count_each_query_once() {
+    let dir = std::env::temp_dir().join(format!("khop-cli-route-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("route-metrics.json");
+    let flag = format!("--metrics={}", file.display());
+    let out = khop(&[
+        "route", "--n", "150", "--d", "8", "--seed", "4", "--k", "2", "--queries", "300",
+        "--workers", "2", &flag,
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let snap: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&file).unwrap()).expect("valid JSON");
+    let count = snap["counters"]
+        .as_array()
+        .expect("counters array")
+        .iter()
+        .find(|c| c["name"] == "query.count")
+        .expect("query.count counter");
+    assert_eq!(count["value"], 300, "query.count must equal --queries");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn dist_rejects_gmst() {
     let out = khop(&["dist", "--n", "50", "--alg", "g-mst"]);
     assert!(!out.status.success());
