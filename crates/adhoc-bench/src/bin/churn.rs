@@ -12,15 +12,18 @@
 //!   head-space tail (`pipeline::update_all` under the `RepairLevel`
 //!   policy);
 //! * **rebuild** — every step rebuilds the topology with
-//!   [`gen::unit_disk_graph`], rebuilds all head labels, and re-runs the full
-//!   `pipeline::run_all` evaluation on the *same clustering sequence*
-//!   the incremental arm maintained (recorded in an untimed pass — the
+//!   [`gen::unit_disk_graph`], rebuilds all head labels, and re-runs
+//!   `pipeline::run_all_with` on the *same clustering sequence* the
+//!   incremental arm maintained (recorded in an untimed pass — the
 //!   baseline is not even charged for re-election).
 //!
-//! Both arms checksum the structures they produce each step
-//! (clusterheads, gateways, CDS sizes, link counts for all five
-//! algorithms); the checksums must match exactly — that is the
-//! delta-equivalence contract, enforced here on every timed run.
+//! Both arms evaluate the one algorithm the engine maintains (AC-LMST):
+//! the rebuild arm's scratch is scoped to it exactly as the engine's
+//! is, so neither arm pays for selections the other skips. Both
+//! checksum the structures they produce each step (clusterheads, NC and
+//! AC link counts, AC-LMST's gateways, links and CDS size); the
+//! checksums must match exactly — that is the delta-equivalence
+//! contract, enforced here on every timed run.
 //!
 //! Sizes follow the scalability convention (`D = 6`, `k = 2`, area side
 //! scaled with `sqrt(N)` so density stays fixed). Steps are *beacon
@@ -41,7 +44,7 @@
 
 use adhoc_bench::{probe, quick_mode, results_dir, run_mode};
 use adhoc_cluster::clustering::Clustering;
-use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch, EvaluationOutput};
+use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet, EvalScratch, EvaluationOutput};
 use adhoc_graph::gen::{self, GeometricConfig, SpatialGrid};
 use adhoc_graph::geom::Point;
 use adhoc_sim::churn::ChurnEngine;
@@ -56,6 +59,9 @@ use serde_json::{json, Value};
 use std::time::Instant;
 
 const K: u32 = 2;
+
+/// The algorithm both arms evaluate.
+const ALG: Algorithm = Algorithm::AcLmst;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Model {
@@ -185,16 +191,14 @@ fn checksum_eval(acc: &mut u64, eval: &EvaluationOutput) {
     }
     mix(eval.nc_graph.link_count() as u64);
     mix(eval.ac_graph.link_count() as u64);
-    for alg in Algorithm::ALL {
-        let out = eval.of(alg);
-        for gw in &out.selection.gateways {
-            mix(u64::from(gw.0));
-        }
-        for &(a, b) in &out.selection.links_used {
-            mix(u64::from(a.0) << 32 | u64::from(b.0));
-        }
-        mix(out.cds.size() as u64);
+    let out = eval.of(ALG);
+    for gw in &out.selection.gateways {
+        mix(u64::from(gw.0));
     }
+    for &(a, b) in &out.selection.links_used {
+        mix(u64::from(a.0) << 32 | u64::from(b.0));
+    }
+    mix(out.cds.size() as u64);
 }
 
 struct CellResult {
@@ -217,10 +221,7 @@ fn run_incremental(
     // the bench measures steady-state churn maintenance, not the
     // re-election policy, and a strict rule would trigger global
     // rebuilds every few beacons under continuous drift.
-    let mut engine = ChurnEngine::build(
-        grid.graph(),
-        MovementConfig::tolerant(K, Algorithm::AcLmst, 1),
-    );
+    let mut engine = ChurnEngine::build(grid.graph(), MovementConfig::tolerant(K, ALG, 1));
     let mut recorded = record;
     let mut checksum = 0u64;
     let mut churn_edges = 0usize;
@@ -247,11 +248,12 @@ fn run_incremental(
     }
 }
 
-/// Rebuild arm: from-scratch topology + labels + `run_all` per step on
-/// the recorded clustering sequence (re-election cost not even
-/// charged).
+/// Rebuild arm: from-scratch topology + labels + [`ALG`]'s evaluation
+/// per step on the recorded clustering sequence (re-election cost not
+/// even charged).
 fn run_rebuild(traj: &[Vec<Point>], range: f64, clusterings: &[Clustering]) -> CellResult {
     let mut scratch = EvalScratch::new();
+    scratch.set_algorithms(AlgorithmSet::only(ALG));
     let mut checksum = 0u64;
     let t = Instant::now();
     for (snapshot, clustering) in traj[1..].iter().zip(clusterings) {

@@ -15,9 +15,10 @@
 
 use crate::clustering::Clustering;
 use adhoc_graph::bfs::Adjacency;
+use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::labels::{HeadLabels, LabelStore};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 /// Which neighbor clusterhead selection rule to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,12 +35,40 @@ pub enum NeighborRule {
 /// The relation is symmetric for both rules: `v ∈ set(u)` iff
 /// `u ∈ set(v)` (A-NCR "all the remaining connections between
 /// clusterheads are symmetric", and hop distance is symmetric for NC).
+///
+/// Stored flat: the sorted row of head `heads[i]` is
+/// `nbrs[off[i]..off[i + 1]]`, so copying or patching a relation is a
+/// few slice copies rather than one allocation per head.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NeighborSets {
-    sets: BTreeMap<NodeId, Vec<NodeId>>,
+    heads: Vec<NodeId>,
+    off: Vec<u32>,
+    nbrs: Vec<NodeId>,
 }
 
 impl NeighborSets {
+    /// The sets over `heads` (ascending) whose slot-`i` row is `row(i)`
+    /// (sorted, duplicate-free).
+    fn from_rows<R: AsRef<[NodeId]>>(heads: &[NodeId], mut row: impl FnMut(usize) -> R) -> Self {
+        let mut off = Vec::with_capacity(heads.len() + 1);
+        let mut nbrs = Vec::new();
+        off.push(0);
+        for i in 0..heads.len() {
+            nbrs.extend_from_slice(row(i).as_ref());
+            off.push(nbrs.len() as u32);
+        }
+        NeighborSets {
+            heads: heads.to_vec(),
+            off,
+            nbrs,
+        }
+    }
+
+    /// The row of head slot `slot`.
+    fn row(&self, slot: usize) -> &[NodeId] {
+        &self.nbrs[self.off[slot] as usize..self.off[slot + 1] as usize]
+    }
+
     /// Builds the symmetric relation holding exactly `pairs` over the
     /// given head set (heads with no selected partner get an empty
     /// row). This is how a *selection*'s realized links — e.g. one
@@ -52,20 +81,20 @@ impl NeighborSets {
         heads: &[NodeId],
         pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> NeighborSets {
-        let mut sets: BTreeMap<NodeId, Vec<NodeId>> =
-            heads.iter().map(|&h| (h, Vec::new())).collect();
+        let mut rows: Vec<Vec<NodeId>> = vec![Vec::new(); heads.len()];
         for (a, b) in pairs {
             for (x, y) in [(a, b), (b, a)] {
-                sets.get_mut(&x)
-                    .unwrap_or_else(|| panic!("{x:?} is not a head"))
-                    .push(y);
+                let slot = heads
+                    .binary_search(&x)
+                    .unwrap_or_else(|_| panic!("{x:?} is not a head"));
+                rows[slot].push(y);
             }
         }
-        for row in sets.values_mut() {
+        for row in &mut rows {
             row.sort_unstable();
             row.dedup();
         }
-        NeighborSets { sets }
+        NeighborSets::from_rows(heads, |i| &rows[i])
     }
 
     /// The sorted neighbor clusterheads of `head`.
@@ -74,42 +103,44 @@ impl NeighborSets {
     /// Panics if `head` is not a clusterhead of the clustering the sets
     /// were built from.
     pub fn of(&self, head: NodeId) -> &[NodeId] {
-        self.sets
-            .get(&head)
-            .unwrap_or_else(|| panic!("{head:?} is not a clusterhead"))
+        let slot = self
+            .heads
+            .binary_search(&head)
+            .unwrap_or_else(|_| panic!("{head:?} is not a clusterhead"));
+        self.row(slot)
     }
 
     /// Iterates `(head, neighbor heads)` in ascending head order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[NodeId])> {
-        self.sets.iter().map(|(&h, v)| (h, v.as_slice()))
+        self.heads
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (h, self.row(i)))
     }
 
     /// All unordered selected pairs `(u, v)` with `u < v`.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
-        for (&u, vs) in &self.sets {
-            for &v in vs {
-                if u < v {
-                    out.push((u, v));
-                }
-            }
+        for (u, vs) in self.iter() {
+            out.extend(vs.iter().filter(|&&v| u < v).map(|&v| (u, v)));
         }
         out
     }
 
     /// Total number of unordered pairs.
     pub fn pair_count(&self) -> usize {
-        self.sets.values().map(Vec::len).sum::<usize>() / 2
+        self.nbrs.len() / 2
     }
 
     /// Verifies symmetry of the relation (used by tests).
     pub fn check_symmetric(&self) -> Result<(), String> {
-        for (&u, vs) in &self.sets {
+        for (u, vs) in self.iter() {
             for &v in vs {
                 let back = self
-                    .sets
-                    .get(&v)
-                    .ok_or_else(|| format!("{v:?} missing from sets"))?;
+                    .heads
+                    .binary_search(&v)
+                    .map(|slot| self.row(slot))
+                    .map_err(|_| format!("{v:?} missing from sets"))?;
                 if back.binary_search(&u).is_err() {
                     return Err(format!("{u:?} -> {v:?} not mirrored"));
                 }
@@ -155,12 +186,8 @@ pub fn nc_from_labels(clustering: &Clustering, labels: &LabelStore) -> NeighborS
         labels.bound()
     );
     assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
-    let mut sets: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-    for (slot, &h) in clustering.heads.iter().enumerate() {
-        // `heads` is ascending, so both layouts yield sorted rows.
-        sets.insert(h, labels.heads_within(slot, bound));
-    }
-    NeighborSets { sets }
+    // `heads` is ascending, so both layouts yield sorted rows.
+    NeighborSets::from_rows(&clustering.heads, |slot| labels.heads_within(slot, bound))
 }
 
 /// NC relation *patched* after an incremental label update: the rows of
@@ -188,20 +215,20 @@ pub fn nc_from_labels_patched(
     );
     assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
     assert_eq!(
-        prev.sets.len(),
-        clustering.heads.len(),
+        prev.heads, clustering.heads,
         "previous relation covers a different head set"
     );
-    let mut sets = prev.sets.clone();
     // Dirty heads recompute their own row; additionally a dirty head
     // may have entered/left a *clean* head's row — but then the pair
     // distance changed, which dirties both ends, so clean rows really
     // are stable and only dirty ones need touching.
-    for &slot in dirty {
-        let h = clustering.heads[slot];
-        sets.insert(h, labels.heads_within(slot, bound));
-    }
-    NeighborSets { sets }
+    NeighborSets::from_rows(&clustering.heads, |slot| {
+        if dirty.binary_search(&slot).is_ok() {
+            Cow::Owned(labels.heads_within(slot, bound))
+        } else {
+            Cow::Borrowed(prev.row(slot))
+        }
+    })
 }
 
 /// A-NCR: two clusters are adjacent iff some edge of `G` crosses them
@@ -243,16 +270,111 @@ fn adjacent_heads<G: Adjacency>(g: &G, clustering: &Clustering) -> NeighborSets 
             }
         }
     }
-    let sets = heads
-        .iter()
-        .zip(partners)
-        .map(|(&h, mut p)| {
+    for p in &mut partners {
+        p.sort_unstable();
+        p.dedup();
+    }
+    NeighborSets::from_rows(heads, |i| &partners[i])
+}
+
+/// A-NCR relation *patched* after an edge `delta` and member
+/// re-affiliations, for an unchanged head set. `g` and `clustering` are
+/// the post-step graph and clustering; `prev` is the relation before
+/// the step and `prev_head_of` the affiliations it was computed from.
+///
+/// A head's row changes only when a crossing edge of its cluster
+/// appears or disappears: the edge itself changed (it is in `delta`),
+/// or one endpoint changed cluster. So the rows that can change are
+/// those of the heads of `delta`'s endpoints, of both the old and the
+/// new head of every re-affiliated node, and of the heads of its
+/// neighbors. Only those rows are rescanned from their members' edges;
+/// every other row is copied from `prev`. Produces exactly what
+/// [`neighbor_clusterheads`] with [`NeighborRule::Adjacent`] would
+/// (pinned by tests), in `O(n + touched clusters' edges)` instead of
+/// `O(n + m)` with a sort per head.
+///
+/// Returns the relation and the ascending slots of the rescanned heads
+/// (a superset of the rows that changed).
+///
+/// # Panics
+/// Panics if `prev` or `prev_head_of` covers a different head or node
+/// set, or an affiliation names a node that is not a head.
+pub fn adjacent_heads_patched<G: Adjacency>(
+    g: &G,
+    clustering: &Clustering,
+    prev: &NeighborSets,
+    prev_head_of: &[NodeId],
+    delta: &TopologyDelta,
+) -> (NeighborSets, Vec<usize>) {
+    let heads = &clustering.heads;
+    let n = g.node_count();
+    assert_eq!(
+        &prev.heads, heads,
+        "previous relation covers another head set"
+    );
+    assert_eq!(
+        prev_head_of.len(),
+        n,
+        "previous affiliations cover another node set"
+    );
+    let mut slot_of = vec![u32::MAX; n];
+    for (i, &h) in heads.iter().enumerate() {
+        slot_of[h.index()] = i as u32;
+    }
+    // The cluster slot of `h`, or `None` for the unaffiliated sentinel.
+    let slot = |h: NodeId| -> Option<usize> {
+        let s = *slot_of.get(h.index())?;
+        assert_ne!(s, u32::MAX, "{h:?} is not a head");
+        Some(s as usize)
+    };
+    let mut touched = vec![false; heads.len()];
+    let mut touch = |h: NodeId| {
+        if let Some(s) = slot(h) {
+            touched[s] = true;
+        }
+    };
+    for v in delta.endpoints() {
+        touch(clustering.head_of(v));
+    }
+    for v in (0..n as u32).map(NodeId) {
+        let (old, new) = (prev_head_of[v.index()], clustering.head_of(v));
+        if old != new {
+            touch(old);
+            touch(new);
+            for &w in g.adj(v) {
+                touch(clustering.head_of(w));
+            }
+        }
+    }
+    let mut partners: Vec<Vec<NodeId>> = vec![Vec::new(); heads.len()];
+    for u in (0..n as u32).map(NodeId) {
+        let hu = clustering.head_of(u);
+        let Some(su) = slot(hu).filter(|&s| touched[s]) else {
+            continue;
+        };
+        for &v in g.adj(u) {
+            let hv = clustering.head_of(v);
+            if hv != hu && slot(hv).is_some() {
+                partners[su].push(hv);
+            }
+        }
+    }
+    let mut rescanned = Vec::new();
+    for (s, p) in partners.iter_mut().enumerate() {
+        if touched[s] {
             p.sort_unstable();
             p.dedup();
-            (h, p)
-        })
-        .collect();
-    NeighborSets { sets }
+            rescanned.push(s);
+        }
+    }
+    let sets = NeighborSets::from_rows(heads, |s| {
+        if touched[s] {
+            &partners[s][..]
+        } else {
+            prev.row(s)
+        }
+    });
+    (sets, rescanned)
 }
 
 #[cfg(test)]
@@ -288,8 +410,8 @@ mod tests {
         let (g, c) = cluster_path9_k1();
         let ac = neighbor_clusterheads(&g, &c, NeighborRule::Adjacent);
         let nc = neighbor_clusterheads(&g, &c, NeighborRule::All2kPlus1);
-        for &h in ac.sets.keys() {
-            assert_eq!(ac.of(h), nc.of(h));
+        for (h, row) in ac.iter() {
+            assert_eq!(row, nc.of(h));
         }
     }
 
@@ -368,7 +490,7 @@ mod tests {
             let c = cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
             let ac = neighbor_clusterheads(&net.graph, &c, NeighborRule::Adjacent);
             // Build G'' as an index graph over heads.
-            let idx: BTreeMap<NodeId, u32> = c
+            let idx: std::collections::BTreeMap<NodeId, u32> = c
                 .heads
                 .iter()
                 .enumerate()

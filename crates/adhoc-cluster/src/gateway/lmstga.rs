@@ -22,12 +22,11 @@ pub fn lmstga(vg: &VirtualGraph, clustering: &Clustering) -> GatewaySelection {
 
 /// Reusable buffers for [`lmstga_with`]: the Monte-Carlo engine calls
 /// the LMST rule twice per replicate (NC and AC graphs), so the local
-/// MST scratch and the kept-pair accumulator persist per worker.
+/// MST scratch persists per worker.
 #[derive(Clone, Debug, Default)]
 pub struct LmstgaScratch {
     lmst: lmst::LmstScratch<TieWeight<u32>>,
     on_tree: Vec<NodeId>,
-    kept: Vec<(NodeId, NodeId)>,
 }
 
 /// As [`lmstga`], reusing `scratch` across calls.
@@ -36,32 +35,89 @@ pub fn lmstga_with(
     vg: &VirtualGraph,
     clustering: &Clustering,
 ) -> GatewaySelection {
-    scratch.kept.clear();
-    for (u, partners) in vg.neighbor_sets.iter() {
-        if partners.is_empty() {
-            continue;
-        }
-        lmst::on_tree_neighbors_into(
-            &mut scratch.lmst,
-            u,
-            partners,
-            |a, b| vg.weight(a, b),
-            &mut scratch.on_tree,
-        );
-        for &v in &scratch.on_tree {
-            scratch.kept.push(if u < v { (u, v) } else { (v, u) });
-        }
+    lmstga_rows(scratch, vg, clustering, None).0
+}
+
+/// Every head's on-tree neighbors from one LMSTGA run, in head-slot
+/// order: head slot `i` kept the links to `row(i)`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct LmstRows {
+    off: Vec<u32>,
+    nbrs: Vec<NodeId>,
+}
+
+impl LmstRows {
+    /// Number of heads covered.
+    fn len(&self) -> usize {
+        self.off.len().saturating_sub(1)
     }
-    // A link realized by both endpoints appears twice; sort+dedup gives
-    // the same ascending unique pair sequence the old set-based
-    // accumulator produced.
-    scratch.kept.sort_unstable();
-    scratch.kept.dedup();
-    let links = scratch
-        .kept
-        .iter()
-        .map(|&(a, b)| vg.link(a, b).expect("kept link exists in the relation"));
-    GatewaySelection::from_links(links, clustering)
+
+    /// The on-tree neighbors head slot `slot` kept, ascending.
+    fn row(&self, slot: usize) -> &[NodeId] {
+        &self.nbrs[self.off[slot] as usize..self.off[slot + 1] as usize]
+    }
+}
+
+/// LMSTGA that also returns every head's on-tree list, and may reuse a
+/// previous run's lists: with `reuse = Some((prev, rerun))` only heads
+/// whose slot is flagged in `rerun` run the local MST, and every other
+/// head copies `prev`'s row. That is exact whenever an unflagged head's
+/// closed one-hop neighborhood in `vg` — its neighbor set, its
+/// neighbors' sets, and the hop counts of their links — is what it was
+/// when `prev` was computed: the Li/Hou/Sha rule is a function of that
+/// neighborhood alone.
+///
+/// Returns the selection, the rows, and how many heads ran the local
+/// MST.
+///
+/// # Panics
+/// Panics if `prev` or `rerun` covers a different number of heads than
+/// `vg`.
+pub(crate) fn lmstga_rows(
+    scratch: &mut LmstgaScratch,
+    vg: &VirtualGraph,
+    clustering: &Clustering,
+    reuse: Option<(&LmstRows, &[bool])>,
+) -> (GatewaySelection, LmstRows, usize) {
+    let heads = vg.heads.len();
+    if let Some((prev, rerun)) = reuse {
+        assert_eq!(prev.len(), heads, "previous rows cover another head set");
+        assert_eq!(rerun.len(), heads, "rerun mask covers another head set");
+    }
+    let mut rows = LmstRows {
+        off: Vec::with_capacity(heads + 1),
+        nbrs: Vec::new(),
+    };
+    rows.off.push(0);
+    let mut reruns = 0usize;
+    for (slot, (u, partners)) in vg.neighbor_sets.iter().enumerate() {
+        match reuse {
+            Some((prev, rerun)) if !rerun[slot] => rows.nbrs.extend_from_slice(prev.row(slot)),
+            _ if partners.is_empty() => {}
+            _ => {
+                reruns += 1;
+                lmst::on_tree_neighbors_into(
+                    &mut scratch.lmst,
+                    u,
+                    partners,
+                    |a, b| vg.weight(a, b),
+                    &mut scratch.on_tree,
+                );
+                rows.nbrs.extend_from_slice(&scratch.on_tree);
+            }
+        }
+        rows.off.push(rows.nbrs.len() as u32);
+    }
+    // A link is realized when either endpoint keeps it. Walking the
+    // relation's links in their ascending `(a, b)` order yields the
+    // realized ones sorted, unique, and with their paths at hand.
+    let slot = |h: NodeId| vg.heads.binary_search(&h).expect("link endpoints are heads");
+    let kept = |a: NodeId, b: NodeId| rows.row(slot(a)).binary_search(&b).is_ok();
+    let selection = GatewaySelection::from_links(
+        vg.links().filter(|l| kept(l.a, l.b) || kept(l.b, l.a)),
+        clustering,
+    );
+    (selection, rows, reruns)
 }
 
 #[cfg(test)]

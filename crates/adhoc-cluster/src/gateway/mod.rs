@@ -20,6 +20,7 @@ mod mesh;
 mod weighted;
 
 pub use gmst::{gmst, gmst_from_labels, gmst_via_nc};
+pub(crate) use lmstga::{lmstga_rows, LmstRows};
 pub use lmstga::{lmstga, lmstga_with, LmstgaScratch};
 pub use mesh::mesh;
 pub use weighted::{lmstga_weighted, selection_relay_cost};

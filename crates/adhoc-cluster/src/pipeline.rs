@@ -21,6 +21,13 @@
 //!   falling back to [`run_all`] past a dirty-fraction threshold.
 //!   Output is bit-for-bit identical to a from-scratch [`run_all`] on
 //!   the new graph (enforced by the `update_all_equivalence` proptest).
+//!
+//! Both engines evaluate the [`EvalScratch`]'s [`AlgorithmSet`]: all
+//! five by default, or — for a caller that consumes one algorithm, like
+//! the churn engine — only that one, skipping every tail stage it does
+//! not read. Each evaluated algorithm's output is bit-identical to its
+//! entry in an all-five evaluation (pinned by the `scoped_equivalence`
+//! proptest).
 
 use crate::adjacency::{self, NeighborRule};
 use crate::cds::Cds;
@@ -94,6 +101,61 @@ impl Algorithm {
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// The algorithms an evaluation computes. Every stage of the eval tail
+/// runs only if a member needs it: the A-NCR relation and the AC graph
+/// for the AC algorithms, the meshes for the mesh algorithms, the
+/// global MST for G-MST. The default is [`AlgorithmSet::ALL`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct AlgorithmSet(u8);
+
+impl AlgorithmSet {
+    /// All five algorithms.
+    pub const ALL: AlgorithmSet = AlgorithmSet(0b1_1111);
+
+    /// The set holding only `algorithm`.
+    pub const fn only(algorithm: Algorithm) -> Self {
+        AlgorithmSet(1 << algorithm as u8)
+    }
+
+    /// Whether `algorithm` is in the set.
+    pub fn contains(self, algorithm: Algorithm) -> bool {
+        self.0 & AlgorithmSet::only(algorithm).0 != 0
+    }
+
+    /// The members, in the paper's legend order ([`Algorithm::ALL`]).
+    pub fn iter(self) -> impl Iterator<Item = Algorithm> {
+        Algorithm::ALL
+            .into_iter()
+            .filter(move |&a| self.contains(a))
+    }
+
+    /// Whether a member reads the A-NCR relation.
+    fn needs_ac(self) -> bool {
+        self.contains(Algorithm::AcMesh) || self.contains(Algorithm::AcLmst)
+    }
+}
+
+impl Default for AlgorithmSet {
+    fn default() -> Self {
+        AlgorithmSet::ALL
+    }
+}
+
+impl FromIterator<Algorithm> for AlgorithmSet {
+    fn from_iter<I: IntoIterator<Item = Algorithm>>(iter: I) -> Self {
+        AlgorithmSet(
+            iter.into_iter()
+                .fold(0, |bits, a| bits | AlgorithmSet::only(a).0),
+        )
+    }
+}
+
+impl std::fmt::Debug for AlgorithmSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -214,11 +276,17 @@ pub fn run_on_with<G: Adjacency + Sync>(
 /// where `O(h · n)` memory, not time, caps scale). Every product is
 /// bit-for-bit identical across layouts (pinned by the
 /// `label_equivalence` proptests).
+///
+/// The scratch also carries the [`AlgorithmSet`] its evaluations
+/// compute: all five unless [`set_algorithms`](EvalScratch::set_algorithms)
+/// narrowed it (the churn engine maintains one algorithm and asks for
+/// that one only).
 #[derive(Clone, Debug, Default)]
 pub struct EvalScratch {
     labels: LabelStore,
     mode: LabelMode,
     par: Parallelism,
+    algorithms: AlgorithmSet,
     lmstga: gateway::LmstgaScratch,
     metrics: Metrics,
 }
@@ -244,6 +312,7 @@ impl EvalScratch {
             labels: LabelStore::for_mode(mode, 0, 0),
             mode,
             par,
+            algorithms: AlgorithmSet::ALL,
             lmstga: gateway::LmstgaScratch::default(),
             metrics: Metrics::disabled(),
         }
@@ -264,6 +333,15 @@ impl EvalScratch {
     /// worker count (pinned by the `parallel_equivalence` suite).
     pub fn set_workers(&mut self, par: Parallelism) {
         self.par = par;
+    }
+
+    /// Restricts subsequent evaluations — [`run_all_with`],
+    /// [`update_all_after`] and [`update_all_after_headset`] — to
+    /// `algorithms`: stages no member needs are skipped, and the output
+    /// holds only the members' selections. Every member's output stays
+    /// bit-identical to its entry in an all-five evaluation.
+    pub fn set_algorithms(&mut self, algorithms: AlgorithmSet) {
+        self.algorithms = algorithms;
     }
 
     /// The head-label arena of the last [`run_all_with`] /
@@ -313,20 +391,27 @@ pub struct AlgorithmOutput {
     pub selection: GatewaySelection,
     /// The final k-hop CDS.
     pub cds: Cds,
+    /// Every head's local-MST choice (the LMST algorithms only), so the
+    /// next incremental refresh re-runs only the heads whose
+    /// neighborhood changed.
+    lmst_rows: Option<gateway::LmstRows>,
 }
 
-/// Everything [`run_all`] produced: all five algorithms evaluated from
-/// one shared label sweep.
+/// Everything [`run_all`] produced: the algorithms of the scratch's
+/// [`AlgorithmSet`] (all five by default) evaluated from one shared
+/// label sweep.
 #[derive(Clone, Debug)]
 pub struct EvaluationOutput {
     /// The shared k-hop clustering.
     pub clustering: Clustering,
-    /// The NC (`2k+1`-hop) virtual graph, shared by NC-Mesh / NC-LMST.
+    /// The NC (`2k+1`-hop) virtual graph, shared by NC-Mesh / NC-LMST
+    /// and G-MST, and the source of the AC graph.
     pub nc_graph: VirtualGraph,
     /// The AC (A-NCR) virtual graph — the NC graph restricted to
-    /// adjacent pairs — shared by AC-Mesh / AC-LMST.
+    /// adjacent pairs — shared by AC-Mesh / AC-LMST. Empty (no heads,
+    /// no links) when no AC algorithm was evaluated.
     pub ac_graph: VirtualGraph,
-    /// Per-algorithm selections and CDSs (all five present).
+    /// Per-algorithm selections and CDSs, one per evaluated algorithm.
     pub outputs: BTreeMap<Algorithm, AlgorithmOutput>,
 }
 
@@ -334,9 +419,25 @@ impl EvaluationOutput {
     /// The output of `algorithm`.
     ///
     /// # Panics
-    /// Never in practice: [`run_all`] populates all five algorithms.
+    /// Panics if `algorithm` was not evaluated; [`Self::get`] is the
+    /// non-panicking form.
     pub fn of(&self, algorithm: Algorithm) -> &AlgorithmOutput {
-        &self.outputs[&algorithm]
+        self.get(algorithm).unwrap_or_else(|| {
+            panic!(
+                "{algorithm} was not evaluated (this evaluation holds {:?})",
+                self.algorithms()
+            )
+        })
+    }
+
+    /// The output of `algorithm`, or `None` if it was not evaluated.
+    pub fn get(&self, algorithm: Algorithm) -> Option<&AlgorithmOutput> {
+        self.outputs.get(&algorithm)
+    }
+
+    /// The evaluated algorithms.
+    pub fn algorithms(&self) -> AlgorithmSet {
+        self.outputs.keys().copied().collect()
     }
 
     /// The realized backbone of `algorithm` as path-carrying link
@@ -348,11 +449,12 @@ impl EvaluationOutput {
     /// actually realizes.
     ///
     /// # Panics
-    /// Panics if a selected link has no path in the evaluation's
-    /// graphs. The localized algorithms select subsets of their own
-    /// graph, so this concerns only G-MST's degraded-clustering
-    /// fallback, where a link may exceed the `2k+1` label bound —
-    /// such backbones are not servable from localized state.
+    /// Panics if `algorithm` was not evaluated, or if a selected link
+    /// has no path in the evaluation's graphs. The localized algorithms
+    /// select subsets of their own graph, so the latter concerns only
+    /// G-MST's degraded-clustering fallback, where a link may exceed
+    /// the `2k+1` label bound — such backbones are not servable from
+    /// localized state.
     pub fn selected_links(&self, algorithm: Algorithm) -> Vec<crate::virtual_graph::LinkRef<'_>> {
         let graph = match algorithm {
             Algorithm::AcMesh | Algorithm::AcLmst => &self.ac_graph,
@@ -379,7 +481,9 @@ pub fn run_all<G: Adjacency + Sync>(g: &G, clustering: &Clustering) -> Evaluatio
 }
 
 /// As [`run_all`], reusing `scratch` across calls (the Monte-Carlo
-/// harness keeps one per worker thread).
+/// harness keeps one per worker thread). Evaluates the scratch's
+/// [`AlgorithmSet`]: all five unless
+/// [`EvalScratch::set_algorithms`] narrowed it.
 pub fn run_all_with<G: Adjacency + Sync>(
     g: &G,
     clustering: &Clustering,
@@ -407,71 +511,160 @@ pub fn run_all_with<G: Adjacency + Sync>(
     let nc_sets = adjacency::nc_from_labels(clustering, labels);
     let nc_graph = VirtualGraph::from_labels(g, clustering, nc_sets, labels);
     let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
-    eval_from_nc(g, clustering, labels, nc_graph, &mut scratch.lmstga)
+    eval_from_nc(g, clustering, nc_graph, scratch, None)
 }
 
-/// Shared tail of [`run_all_with`] and [`update_all`]: everything
-/// downstream of the NC virtual graph (AC restriction, the four
-/// localized selections, G-MST, CDS assembly). All inputs here live in
-/// head space, so this stage costs `O(h · local degree²)` — negligible
-/// next to the label sweeps and path walks that produced `nc_graph`.
+/// What an incremental refresh knows about its step, which lets the
+/// eval tail patch state instead of recomputing it.
+struct Step<'a> {
+    /// The evaluation being refreshed; it has the current head set.
+    prev: &'a EvaluationOutput,
+    /// The edge delta applied to the graph since `prev`.
+    delta: &'a TopologyDelta,
+    /// The label-dirty slots, or `None` when the labels were rebuilt.
+    dirty: Option<&'a [usize]>,
+}
+
+/// Shared tail of [`run_all_with`] and the incremental updates:
+/// everything downstream of the NC virtual graph (A-NCR relation, AC
+/// restriction, the selections of the scratch's [`AlgorithmSet`], CDS
+/// assembly). Stages no requested algorithm needs are skipped. With a
+/// `step`, the A-NCR relation is patched from the delta and the
+/// affiliation changes, and the LMST selections re-run the local MST
+/// only at heads within one virtual hop of a changed row or link.
 fn eval_from_nc<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
-    labels: &LabelStore,
     nc_graph: VirtualGraph,
-    lmstga: &mut gateway::LmstgaScratch,
+    scratch: &mut EvalScratch,
+    step: Option<Step<'_>>,
 ) -> EvaluationOutput {
-    let ac_sets = adjacency::neighbor_clusterheads(g, clustering, NeighborRule::Adjacent);
-    #[cfg(debug_assertions)]
-    for (u, v) in ac_sets.pairs() {
-        let d = labels.head_dist(u, v);
-        // Theorem 1's upper bound. (The k+1 lower bound holds for fresh
-        // elections but not for *maintained* clusterings, whose heads
-        // may legally drift within k hops between re-elections.)
-        debug_assert!(
-            d <= 2 * clustering.k + 1,
-            "A-NCR pair {u:?},{v:?} at distance {d} contradicts Theorem 1 (k={})",
-            clustering.k
-        );
-    }
+    let EvalScratch {
+        labels,
+        algorithms,
+        lmstga,
+        metrics,
+        ..
+    } = scratch;
+    let wants = |a: Algorithm| algorithms.contains(a);
+
+    // Slots whose A-NCR row was rescanned from the delta, when the
+    // relation was patched rather than scanned in full.
+    let mut ac_rescanned = None;
+    let (ac_graph, ac_is_nc) = if algorithms.needs_ac() {
+        let _span = metrics.span("pipeline.ac_relation_ns");
+        let ac_sets = match &step {
+            Some(s) if s.prev.algorithms().needs_ac() => {
+                let (sets, rescanned) = adjacency::adjacent_heads_patched(
+                    g,
+                    clustering,
+                    &s.prev.ac_graph.neighbor_sets,
+                    &s.prev.clustering.head_of,
+                    s.delta,
+                );
+                ac_rescanned = Some(rescanned);
+                sets
+            }
+            _ => adjacency::neighbor_clusterheads(g, clustering, NeighborRule::Adjacent),
+        };
+        #[cfg(debug_assertions)]
+        for (u, v) in ac_sets.pairs() {
+            let d = labels.head_dist(u, v);
+            // Theorem 1's upper bound. (The k+1 lower bound holds for
+            // fresh elections but not for *maintained* clusterings,
+            // whose heads may legally drift within k hops between
+            // re-elections.)
+            debug_assert!(
+                d <= 2 * clustering.k + 1,
+                "A-NCR pair {u:?},{v:?} at distance {d} contradicts Theorem 1 (k={})",
+                clustering.k
+            );
+        }
+        // On dense deployments every pair of nearby clusters often
+        // touches, making the AC relation literally equal to NC — then
+        // the AC graph and both AC selections are the NC ones and need
+        // no recomputation.
+        let ac_is_nc = ac_sets == nc_graph.neighbor_sets;
+        let ac_graph = if ac_is_nc {
+            nc_graph.clone()
+        } else {
+            nc_graph.restricted_to(ac_sets)
+        };
+        (ac_graph, ac_is_nc)
+    } else {
+        (VirtualGraph::default(), false)
+    };
     #[cfg(not(debug_assertions))]
     let _ = labels;
 
-    // On dense deployments every pair of nearby clusters often touches,
-    // making the AC relation literally equal to NC — then the AC graph
-    // and both AC selections are the NC ones and need no recomputation.
-    let ac_is_nc = ac_sets == nc_graph.neighbor_sets;
-    let ac_graph = if ac_is_nc {
-        nc_graph.clone()
-    } else {
-        nc_graph.restricted_to(ac_sets)
+    let _select = metrics.span("pipeline.select_ns");
+    // A clean NC row or link implies a clean label row, so only the
+    // label-dirty slots can change NC-LMST; AC rows also change with
+    // the A-NCR rescans. `None` asks for a comparison at every head.
+    let nc_candidates = step.as_ref().and_then(|s| s.dirty);
+    let ac_candidates = step
+        .as_ref()
+        .and_then(|s| s.dirty.zip(ac_rescanned.as_deref()))
+        .map(|(dirty, rescanned)| {
+            let mut slots = [dirty, rescanned].concat();
+            slots.sort_unstable();
+            slots.dedup();
+            slots
+        });
+    let mut lmst = |alg: Algorithm, graph: &VirtualGraph, candidates: Option<&[usize]>| {
+        let reuse = step.as_ref().and_then(|s| {
+            let rows = s.prev.get(alg)?.lmst_rows.as_ref()?;
+            let prev_graph = match alg {
+                Algorithm::AcLmst => &s.prev.ac_graph,
+                _ => &s.prev.nc_graph,
+            };
+            Some((
+                rows,
+                lmst_rerun_mask(prev_graph, graph, candidates),
+            ))
+        });
+        let (selection, rows, reruns) = gateway::lmstga_rows(
+            lmstga,
+            graph,
+            clustering,
+            reuse.as_ref().map(|(rows, mask)| (*rows, &mask[..])),
+        );
+        metrics.add("pipeline.lmst_heads_rerun", reruns as u64);
+        (selection, Some(rows))
     };
-
-    let nc_mesh = gateway::mesh(&nc_graph, clustering);
-    let ac_mesh = if ac_is_nc {
-        nc_mesh.clone()
-    } else {
-        gateway::mesh(&ac_graph, clustering)
-    };
-    let nc_lmst = gateway::lmstga_with(lmstga, &nc_graph, clustering);
-    let ac_lmst = if ac_is_nc {
-        nc_lmst.clone()
-    } else {
-        gateway::lmstga_with(lmstga, &ac_graph, clustering)
-    };
-    let g_mst = gateway::gmst_via_nc(g, &nc_graph, clustering);
+    let nc_mesh = wants(Algorithm::NcMesh).then(|| (gateway::mesh(&nc_graph, clustering), None));
+    let ac_mesh = wants(Algorithm::AcMesh).then(|| match &nc_mesh {
+        Some(nc) if ac_is_nc => nc.clone(),
+        _ => (gateway::mesh(&ac_graph, clustering), None),
+    });
+    let nc_lmst =
+        wants(Algorithm::NcLmst).then(|| lmst(Algorithm::NcLmst, &nc_graph, nc_candidates));
+    let ac_lmst = wants(Algorithm::AcLmst).then(|| match &nc_lmst {
+        Some(nc) if ac_is_nc => nc.clone(),
+        _ => lmst(Algorithm::AcLmst, &ac_graph, ac_candidates.as_deref()),
+    });
+    let g_mst =
+        wants(Algorithm::GMst).then(|| (gateway::gmst_via_nc(g, &nc_graph, clustering), None));
 
     let mut outputs = BTreeMap::new();
-    for (alg, selection) in [
+    for (alg, selected) in [
         (Algorithm::NcMesh, nc_mesh),
         (Algorithm::AcMesh, ac_mesh),
         (Algorithm::NcLmst, nc_lmst),
         (Algorithm::AcLmst, ac_lmst),
         (Algorithm::GMst, g_mst),
     ] {
-        let cds = Cds::assemble(clustering, &selection);
-        outputs.insert(alg, AlgorithmOutput { selection, cds });
+        if let Some((selection, lmst_rows)) = selected {
+            let cds = Cds::assemble(clustering, &selection);
+            outputs.insert(
+                alg,
+                AlgorithmOutput {
+                    selection,
+                    cds,
+                    lmst_rows,
+                },
+            );
+        }
     }
     EvaluationOutput {
         clustering: clustering.clone(),
@@ -479,6 +672,43 @@ fn eval_from_nc<G: Adjacency>(
         ac_graph,
         outputs,
     }
+}
+
+/// Head slots whose local MST can differ between `prev` and `next`
+/// (two virtual graphs over the same head set). A head's LMST choice is
+/// a function of its closed one-hop neighborhood: its neighbor set, its
+/// neighbors' sets, and the hop counts of the links among them. So a
+/// head is *changed* when its row or the hop count of an incident link
+/// differs, and every changed head and each of its old and new
+/// neighbors must re-run. Only `candidates` are compared (`None`
+/// compares every head); they must include every head whose row or
+/// incident link hops can have changed.
+fn lmst_rerun_mask(
+    prev: &VirtualGraph,
+    next: &VirtualGraph,
+    candidates: Option<&[usize]>,
+) -> Vec<bool> {
+    let heads = &next.heads;
+    let mut mask = vec![false; heads.len()];
+    let mut mark = |x: usize| {
+        let hx = heads[x];
+        let (old, new) = (prev.neighbor_sets.of(hx), next.neighbor_sets.of(hx));
+        if old != new
+            || new
+                .iter()
+                .any(|&y| prev.weight(hx, y) != next.weight(hx, y))
+        {
+            mask[x] = true;
+            for y in old.iter().chain(new) {
+                mask[heads.binary_search(y).expect("neighbors are heads")] = true;
+            }
+        }
+    };
+    match candidates {
+        Some(slots) => slots.iter().for_each(|&x| mark(x)),
+        None => (0..heads.len()).for_each(mark),
+    }
+    mask
 }
 
 /// Dirty fraction above which [`update_all`] stops being incremental:
@@ -593,16 +823,21 @@ pub fn advance_labels<G: Adjacency + Sync>(
     LabelAdvance::Incremental { dirty }
 }
 
-/// Phase 2 of [`update_all`]: derives the full five-algorithm
-/// evaluation from labels already advanced by [`advance_labels`].
+/// Phase 2 of [`update_all`]: derives the evaluation of the scratch's
+/// [`AlgorithmSet`] from labels already advanced by [`advance_labels`].
 /// `clustering` must keep the head set the labels were advanced for,
-/// but may carry repaired member affiliations (they only feed the A-NCR
-/// edge scan, which is recomputed every time). `prev` must be the
-/// evaluation of the pre-delta graph on the same head set — its NC rows
-/// and canonical paths are reused for every clean head.
+/// but may carry repaired member affiliations (they feed only the A-NCR
+/// relation, whose rows are rescanned for every re-affiliated node).
+/// `prev` must be the evaluation of the pre-delta graph, and `delta`
+/// the edge change since then. On the same head set, `prev`'s NC rows
+/// and canonical paths are reused for every clean head, its A-NCR rows
+/// for every cluster the delta and the re-affiliations left alone, and
+/// its local-MST choices for every head whose one-hop neighborhood kept
+/// its rows and hop counts.
 pub fn update_all_after<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
+    delta: &TopologyDelta,
     advance: &LabelAdvance,
     prev: &EvaluationOutput,
     scratch: &mut EvalScratch,
@@ -615,10 +850,9 @@ pub fn update_all_after<G: Adjacency>(
     );
     scratch.metrics.inc("pipeline.update_all");
     let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
+    let same_heads = prev.clustering.heads == clustering.heads;
     let incremental = match advance {
-        LabelAdvance::Incremental { dirty } if prev.clustering.heads == clustering.heads => {
-            Some(dirty)
-        }
+        LabelAdvance::Incremental { dirty } if same_heads => Some(dirty),
         _ => None,
     };
     let labels = &scratch.labels;
@@ -660,7 +894,12 @@ pub fn update_all_after<G: Adjacency>(
             (nc_graph, report)
         }
     };
-    let out = eval_from_nc(g, clustering, labels, nc_graph, &mut scratch.lmstga);
+    let step = same_heads.then_some(Step {
+        prev,
+        delta,
+        dirty: incremental.map(Vec::as_slice),
+    });
+    let out = eval_from_nc(g, clustering, nc_graph, scratch, step);
     (out, report)
 }
 
@@ -772,9 +1011,9 @@ pub fn advance_labels_headset<G: Adjacency + Sync>(
     LabelAdvance::Incremental { dirty }
 }
 
-/// Phase 2 after [`advance_labels_headset`]: derives the full
-/// five-algorithm evaluation from labels already spliced to the new
-/// head set. The NC relation and virtual graphs are re-derived in full
+/// Phase 2 after [`advance_labels_headset`]: derives the evaluation of
+/// the scratch's [`AlgorithmSet`] from labels already spliced to the
+/// new head set. The NC relation and virtual graphs are re-derived in full
 /// — a head-set change renumbers every slot, so the patched-row reuse
 /// of [`update_all_after`] does not apply — but that stage lives in
 /// head space and is cheap; the label arena itself was spliced, not
@@ -803,7 +1042,7 @@ pub fn update_all_after_headset<G: Adjacency>(
         head_count: clustering.heads.len(),
         rebuilt: matches!(advance, LabelAdvance::Rebuilt),
     };
-    let out = eval_from_nc(g, clustering, labels, nc_graph, &mut scratch.lmstga);
+    let out = eval_from_nc(g, clustering, nc_graph, scratch, None);
     (out, report)
 }
 
@@ -823,8 +1062,11 @@ pub fn update_all_after_headset<G: Adjacency>(
 /// 3. NC links — canonical paths re-walked only for pairs owned by a
 ///    dirty head, copied otherwise
 ///    ([`VirtualGraph::from_labels_patched`]);
-/// 4. the head-space tail (AC restriction, selections, CDS) is shared
-///    verbatim with [`run_all_with`] and is cheap.
+/// 4. A-NCR relation — rows rescanned only for clusters the delta or a
+///    re-affiliation touched ([`adjacency::adjacent_heads_patched`]);
+/// 5. LMST selections — the local MST re-run only at heads within one
+///    virtual hop of a changed row or link hop count;
+///    the rest of the head-space tail is shared with [`run_all_with`].
 ///
 /// When the dirty fraction crosses [`DIRTY_FRACTION_FALLBACK`], or the
 /// head set / node count changed, it falls back to a full rebuild.
@@ -849,7 +1091,7 @@ pub fn update_all<G: Adjacency + Sync>(
             .rebuild_with(g, &clustering.heads, bound, scratch.par);
         LabelAdvance::Rebuilt
     };
-    update_all_after(g, clustering, &advance, prev, scratch)
+    update_all_after(g, clustering, delta, &advance, prev, scratch)
 }
 
 #[cfg(test)]

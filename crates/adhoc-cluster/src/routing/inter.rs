@@ -20,15 +20,15 @@
 //! The rule is a pure function of exact backbone distances, which is
 //! precisely what lets two very different representations serve it
 //! bit-identically: the dense table derives it per source with one
-//! Dijkstra plus a settled-order DP (the first hops of `s ⇝ t` are the
-//! union over shortest predecessors `p` of `t` of the first hops of
-//! `s ⇝ p`, so the minimum propagates), while the hub index expands
-//! `t`'s label row once per walk and scans `s`'s CSR row — which is
-//! stored in ascending slot order — for the first neighbor whose label
-//! row meets it at the remaining distance. Every consumer (the
-//! compiled plan, the legacy per-query router, incremental repairs
-//! versus full recompiles) therefore agrees on every route by
-//! construction.
+//! bucket-queue Dijkstra that folds the rule into relaxation (the first
+//! hops of `s ⇝ t` are the union over shortest predecessors `p` of `t`
+//! of the first hops of `s ⇝ p`, so the minimum propagates), while the
+//! hub index expands `t`'s label row once per walk and scans `s`'s CSR
+//! row — which is stored in ascending slot order — for the first
+//! neighbor whose label row meets it at the remaining distance. Every
+//! consumer (the compiled plan, the legacy per-query router,
+//! incremental repairs versus full recompiles) therefore agrees on
+//! every route by construction.
 //!
 //! Queries that *walk* (`s ← next_hop(s, t)` until `s = t`) terminate
 //! and realize a shortest backbone route for any mix of sources: each
@@ -44,6 +44,9 @@ pub(crate) const NO_HOP: u32 = u32::MAX;
 
 /// "Not reached" backbone distance.
 pub(crate) const FAR: u32 = u32::MAX;
+
+/// "No offer yet" in [`next_hop_row`]'s packed `dist << 32 | hop` keys.
+const UNSEEN: u64 = u64::MAX;
 
 /// A borrowed CSR view of the backbone: `off` has `h + 1` entries,
 /// `to`/`hops` hold each head's neighbors in **ascending slot order**
@@ -77,12 +80,17 @@ impl<'a> CsrView<'a> {
     pub fn degree(&self, s: usize) -> usize {
         (self.off[s + 1] - self.off[s]) as usize
     }
+
+    /// The largest link weight (0 for a backbone without links).
+    pub fn max_weight(&self) -> u32 {
+        self.hops.iter().copied().max().unwrap_or(0)
+    }
 }
 
 /// Reusable per-source sweep state shared by the dense all-pairs build
 /// and the hub index's pruned sweeps — hoisted out of the per-source
-/// loop so neither allocates a heap, a distance array, or a settled
-/// list per source (they used to, once per `next_hop_row` call).
+/// loop so neither allocates a queue, a distance array, or a settled
+/// list per source.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct InterScratch {
     dist: Vec<u32>,
@@ -93,6 +101,11 @@ pub(crate) struct InterScratch {
     /// Settled nodes in nondecreasing-distance order.
     settled: Vec<u32>,
     heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// [`next_hop_row`]'s best offer per node, `dist << 32 | first hop`.
+    best: Vec<u64>,
+    /// The bucket ring of [`next_hop_row`]'s queue; every bucket is
+    /// empty between sweeps.
+    buckets: Vec<Vec<u32>>,
 }
 
 impl InterScratch {
@@ -161,35 +174,84 @@ impl InterScratch {
 /// Computes `s`'s next-hop row under the canonical rule: `row[t]` is
 /// the smallest-slot first hop of a shortest `s ⇝ t` backbone route
 /// (`s` itself for `t == s`, [`NO_HOP`] if `t` is unreachable).
+/// `max_w` must be at least the CSR's largest weight
+/// ([`CsrView::max_weight`]).
 ///
-/// One binary-heap Dijkstra plus a settled-order DP — the set of first
-/// hops of `s ⇝ t` is the union over shortest predecessors `p` of `t`
-/// of the first hops of `s ⇝ p` (plus `t` itself when `(s, t)` is an
-/// edge on a shortest route), so the minimum propagates along settled
-/// order. `O(m log h)` per source with `m` directed links.
-pub(crate) fn next_hop_row(csr: CsrView<'_>, s: usize, row: &mut [u32], scratch: &mut InterScratch) {
-    debug_assert_eq!(row.len(), csr.head_count());
-    scratch.sweep(csr, s, None);
-    row.fill(NO_HOP);
-    for &t in scratch.settled() {
-        let ti = t as usize;
-        if ti == s {
-            row[ti] = s as u32;
-            continue;
-        }
-        let dt = scratch.dist(ti);
-        let mut best = NO_HOP;
-        for (p, w) in csr.row(ti) {
-            let pi = p as usize;
-            if scratch.dist(pi) != FAR && scratch.dist(pi) + w == dt {
-                // `p` is a shortest predecessor of `t`; it settled at a
-                // strictly smaller distance, so `row[p]` is final.
-                let candidate = if pi == s { t } else { row[pi] };
-                best = best.min(candidate);
+/// Weights are integer hop counts, so the sweep runs on a bucket queue:
+/// every queued distance lies within `max_w` of the one being settled,
+/// so a ring of `max_w + 1` buckets holds them all. The first-hop rule
+/// is folded into relaxation — the first hops of `s ⇝ t` are the union
+/// over shortest predecessors `p` of `t` of the first hops of `s ⇝ p`
+/// (or `t` itself when `p = s`); each such `p` settles strictly before
+/// `t` (weights are ≥ 1) with its first hop final, and relaxing
+/// `p → t` offers `(dist(p) + w, first hop of p)`. Each node keeps the
+/// lexicographically smallest offer, packed as `dist << 32 | hop` so
+/// one comparison decides both: the shortest distance and, among its
+/// offers, the smallest first hop. `O(m + h + D)` per source with `m`
+/// directed links and `D` the largest distance.
+pub(crate) fn next_hop_row(
+    csr: CsrView<'_>,
+    s: usize,
+    max_w: u32,
+    row: &mut [u32],
+    scratch: &mut InterScratch,
+) {
+    let h = csr.head_count();
+    debug_assert_eq!(row.len(), h);
+    let ring = max_w as usize + 1;
+    if scratch.buckets.len() < ring {
+        scratch.buckets.resize_with(ring, Vec::new);
+    }
+    let InterScratch { best, buckets, .. } = scratch;
+    best.clear();
+    best.resize(h, UNSEEN);
+    best[s] = s as u64;
+    let mut queued = 0usize;
+    // Offers `(d + w, hop)` to `t`, where `b` is the bucket of
+    // distance `d`; queues `t` (and says so) when its distance fell.
+    let relax =
+        |best: &mut [u64], buckets: &mut [Vec<u32>], d: u32, b: usize, t: u32, w: u32, hop: u64| {
+            debug_assert!((1..=max_w).contains(&w), "weight {w} outside 1..={max_w}");
+            let nd = d + w;
+            let offer = u64::from(nd) << 32 | hop;
+            let old = best[t as usize];
+            if offer >= old {
+                return false;
+            }
+            best[t as usize] = offer;
+            let fell = old >> 32 > u64::from(nd);
+            if fell {
+                let slot = b + w as usize;
+                buckets[if slot >= ring { slot - ring } else { slot }].push(t);
+            }
+            fell
+        };
+    // The source offers every neighbor itself as the first hop.
+    for (t, w) in csr.row(s) {
+        queued += usize::from(relax(best, buckets, 0, 0, t, w, u64::from(t)));
+    }
+    let (mut d, mut b) = (1u32, 1 % ring);
+    while queued > 0 {
+        // Relaxations from distance `d` land `1..=max_w` buckets ahead,
+        // never in this one, so it can be taken out while it drains.
+        let mut bucket = std::mem::take(&mut buckets[b]);
+        queued -= bucket.len();
+        for &u in &bucket {
+            let key = best[u as usize];
+            if key >> 32 != u64::from(d) {
+                continue; // superseded by a shorter distance
+            }
+            for (t, w) in csr.row(u as usize) {
+                queued += usize::from(relax(best, buckets, d, b, t, w, key & u64::from(u32::MAX)));
             }
         }
-        debug_assert_ne!(best, NO_HOP, "settled node must have a shortest predecessor");
-        row[ti] = best;
+        bucket.clear();
+        buckets[b] = bucket;
+        d += 1;
+        b = if b + 1 == ring { 0 } else { b + 1 };
+    }
+    for (r, &key) in row.iter_mut().zip(best.iter()) {
+        *r = if key == UNSEEN { NO_HOP } else { key as u32 };
     }
 }
 
@@ -209,10 +271,11 @@ pub(crate) fn all_pairs_next_hops_with(
     workers: usize,
 ) -> Vec<u32> {
     let h = csr.head_count();
+    let max_w = csr.max_weight();
     let mut table = vec![NO_HOP; h * h];
     if workers <= 1 || h < 2 {
         for s in 0..h {
-            next_hop_row(csr, s, &mut table[s * h..(s + 1) * h], scratch);
+            next_hop_row(csr, s, max_w, &mut table[s * h..(s + 1) * h], scratch);
         }
     } else {
         par::scoped_chunks(
@@ -222,7 +285,13 @@ pub(crate) fn all_pairs_next_hops_with(
             |off, take, chunk: Strided<&mut [u32]>| {
                 let mut local = InterScratch::new();
                 for i in 0..take {
-                    next_hop_row(csr, off + i, &mut chunk.data[i * h..(i + 1) * h], &mut local);
+                    next_hop_row(
+                        csr,
+                        off + i,
+                        max_w,
+                        &mut chunk.data[i * h..(i + 1) * h],
+                        &mut local,
+                    );
                 }
             },
         );
@@ -542,7 +611,7 @@ mod tests {
             };
             for s in 0..h {
                 let mut row = vec![0u32; h];
-                next_hop_row(csr, s, &mut row, &mut scratch);
+                next_hop_row(csr, s, csr.max_weight(), &mut row, &mut scratch);
                 assert_eq!(row, reference_row(&adj, s), "source {s}");
             }
         }
@@ -700,7 +769,7 @@ mod tests {
             hops: &hops,
         };
         let mut row = vec![0u32; 4];
-        next_hop_row(csr, 0, &mut row, &mut InterScratch::new());
+        next_hop_row(csr, 0, csr.max_weight(), &mut row, &mut InterScratch::new());
         assert_eq!(row[3], 1);
     }
 
@@ -726,7 +795,7 @@ mod tests {
             hops: &hops,
         };
         let mut row = vec![0u32; 6];
-        next_hop_row(csr, 0, &mut row, &mut InterScratch::new());
+        next_hop_row(csr, 0, csr.max_weight(), &mut row, &mut InterScratch::new());
         assert_eq!(row[4], 1);
     }
 

@@ -203,8 +203,9 @@ impl LinkStore {
     }
 }
 
-/// The virtual graph over clusterheads under a neighbor rule.
-#[derive(Clone, Debug)]
+/// The virtual graph over clusterheads under a neighbor rule. The
+/// default is the empty graph (no heads, no links).
+#[derive(Clone, Debug, Default)]
 pub struct VirtualGraph {
     /// Clusterheads, ascending.
     pub heads: Vec<NodeId>,

@@ -135,7 +135,7 @@ proptest! {
             } else {
                 delta.normalize();
                 let advance = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-                let (next, _) = pipeline::update_all_after(&g, &c, &advance, &eval, &mut scratch);
+                let (next, _) = pipeline::update_all_after(&g, &c, &delta, &advance, &eval, &mut scratch);
                 eval = next;
                 match &advance {
                     pipeline::LabelAdvance::Incremental { dirty } => dirty.clone(),

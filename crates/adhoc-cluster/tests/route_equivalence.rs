@@ -108,7 +108,7 @@ proptest! {
             // Advance labels + evaluation the way the churn engine does,
             // then repair the plan off the dirty slots.
             let advance = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-            let (next, _) = pipeline::update_all_after(&g, &c, &advance, &eval, &mut scratch);
+            let (next, _) = pipeline::update_all_after(&g, &c, &delta, &advance, &eval, &mut scratch);
             eval = next;
             let dirty: Vec<usize> = match &advance {
                 pipeline::LabelAdvance::Incremental { dirty } => dirty.clone(),

@@ -83,7 +83,7 @@ use crate::stats::Phase;
 use crate::trace::{Trace, TraceEvent};
 use adhoc_cluster::cds::Cds;
 use adhoc_cluster::clustering::{cluster, Clustering, MemberPolicy};
-use adhoc_cluster::pipeline::{self, EvalScratch, EvaluationOutput, LabelAdvance};
+use adhoc_cluster::pipeline::{self, AlgorithmSet, EvalScratch, EvaluationOutput, LabelAdvance};
 use adhoc_cluster::priority::LowestId;
 use adhoc_cluster::routing::{InterMode, RoutePlan};
 use adhoc_graph::bfs::BfsScratch;
@@ -242,8 +242,8 @@ enum RepairOutcome {
     },
 }
 
-/// A connected k-hop clustering, its gateway CDS, and the full
-/// five-algorithm evaluation, kept alive under topology churn at
+/// A connected k-hop clustering, its gateway CDS, and the evaluation of
+/// the configured algorithm, kept alive under topology churn at
 /// incremental cost.
 ///
 /// The engine owns its view of the topology. Reconcile it with
@@ -326,6 +326,10 @@ impl ChurnEngine {
     pub fn build_with_labels(g: &Graph, cfg: MovementConfig, labels: LabelMode) -> Self {
         let clustering = cluster(g, cfg.k, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::with_mode(labels);
+        // The engine publishes one algorithm; every evaluation path
+        // (build, patch, head-set splice, full rebuild) goes through
+        // this scratch and computes only that one.
+        scratch.set_algorithms(AlgorithmSet::only(cfg.algorithm));
         let eval = pipeline::run_all_with(g, &clustering, &mut scratch);
         let cds = eval.of(cfg.algorithm).cds.clone();
         let mut engine = ChurnEngine {
@@ -494,9 +498,11 @@ impl ChurnEngine {
         &self.graph
     }
 
-    /// The maintained five-algorithm evaluation — always bit-for-bit
-    /// what `pipeline::run_all` would compute on the current graph and
-    /// clustering.
+    /// The maintained evaluation of the configured algorithm (the only
+    /// entry of its `outputs`; the AC graph is empty unless that
+    /// algorithm is an AC one) — always bit-for-bit that algorithm's
+    /// entry, and the graphs it reads, of what `pipeline::run_all`
+    /// computes on the current graph and clustering.
     pub fn evaluation(&self) -> &EvaluationOutput {
         &self.eval
     }
@@ -850,9 +856,10 @@ impl ChurnEngine {
         // last step's end state: none (every step ends with all alive
         // members within k of their head and no merged pair, or it
         // escalated to a full rebuild that restored both). The whole
-        // detection pass is skipped; the evaluation still refreshes
-        // in publish because the global G-MST baseline can read
-        // component structure outside the balls.
+        // detection pass is skipped; the evaluation still refreshes in
+        // publish because an engine maintaining the global G-MST
+        // baseline reads component structure outside the balls (the
+        // localized algorithms' refresh re-runs no head then).
         if !advance.untouched() {
             // Policy detection off the labels: orphaned members (lost
             // their ≤k-hop head path) and merged head pairs. These
@@ -1238,6 +1245,7 @@ impl ChurnEngine {
             let (eval, _) = pipeline::update_all_after(
                 &self.graph,
                 &self.clustering,
+                delta,
                 &advance,
                 &self.eval,
                 &mut self.scratch,
@@ -1458,10 +1466,12 @@ impl ChurnEngine {
         // capped engine knowingly strands members, so it always pays
         // the sweep and reports the damage honestly.
         if self.cds.heads == self.clustering.heads && self.cfg.max_level == RepairLevel::Full {
-            invariants::soft_check(
-                self.dominated_sweep(),
-                "a reconciled step must leave every alive node within k of a head",
-            );
+            if cfg!(debug_assertions) {
+                invariants::soft_check(
+                    self.dominated_sweep(),
+                    "a reconciled step must leave every alive node within k of a head",
+                );
+            }
             return true;
         }
         self.dominated_sweep()
@@ -1642,7 +1652,8 @@ mod tests {
     }
 
     /// The engine's maintained evaluation equals a from-scratch
-    /// `run_all` on the current graph after every kind of event.
+    /// `run_all` on the current graph after every kind of event, for
+    /// the engine's algorithm.
     fn assert_engine_consistent(engine: &ChurnEngine, ctx: &str) {
         let fresh = pipeline::run_all(engine.graph(), &engine.clustering);
         let a = engine.evaluation();
@@ -1653,9 +1664,9 @@ mod tests {
         for (l, r) in a.nc_graph.links().zip(fresh.nc_graph.links()) {
             assert_eq!(l.path, r.path, "{ctx}: nc path");
         }
-        for alg in Algorithm::ALL {
-            assert_eq!(a.of(alg).selection, fresh.of(alg).selection, "{ctx}: {alg}");
-        }
+        let alg = engine.config().algorithm;
+        assert_eq!(a.algorithms(), AlgorithmSet::only(alg), "{ctx}: scope");
+        assert_eq!(a.of(alg).selection, fresh.of(alg).selection, "{ctx}: {alg}");
     }
 
     /// A metered engine reports per-phase reconcile metrics and

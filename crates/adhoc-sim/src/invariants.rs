@@ -6,10 +6,11 @@
 //! they hold exactly as much as an external observer could demand):
 //!
 //! * **I1 — equivalence** ([`check_equivalence`]): the maintained
-//!   labels, evaluation (NC graph, virtual links, all five
-//!   selections), and compiled route plan are bit-for-bit what a cold
-//!   rebuild on the current graph and clustering produces. Incremental
-//!   maintenance is an optimization, never an approximation.
+//!   labels, evaluation (the NC graph, the AC graph when the maintained
+//!   algorithm reads it, and that algorithm's selection and CDS), and
+//!   compiled route plan are bit-for-bit what a cold rebuild on the
+//!   current graph and clustering produces. Incremental maintenance is
+//!   an optimization, never an approximation.
 //! * **I2 — convergence** ([`check_convergence`]): the engine's
 //!   validity verdict equals what direct verification of the
 //!   maintained CDS says; invalidity only ever persists while the
@@ -48,7 +49,8 @@ use std::fmt;
 
 use crate::churn::ChurnEngine;
 use crate::movement::{RepairLevel, StepReport};
-use adhoc_cluster::pipeline::{self, Algorithm};
+use adhoc_cluster::adjacency::NeighborRule;
+use adhoc_cluster::pipeline;
 use adhoc_cluster::routing::{self, RoutePlan};
 use adhoc_graph::connectivity;
 use adhoc_graph::delta::TopologyDelta;
@@ -212,24 +214,53 @@ pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
         out.push(Violation::new("I1", why));
     }
 
-    // Evaluation ≡ cold run_all.
+    // Evaluation ≡ cold run_all, for the maintained algorithm and the
+    // graphs it reads.
+    let alg = engine.config().algorithm;
     let fresh_eval = pipeline::run_all(g, clustering);
     let eval = engine.evaluation();
-    if eval.nc_graph.neighbor_sets != fresh_eval.nc_graph.neighbor_sets {
-        out.push(Violation::new("I1", "NC neighbor sets diverged from run_all"));
+    let mut graphs = vec![("NC", &eval.nc_graph, &fresh_eval.nc_graph)];
+    if alg.neighbor_rule() == Some(NeighborRule::Adjacent) {
+        graphs.push(("AC", &eval.ac_graph, &fresh_eval.ac_graph));
     }
-    for (l, r) in eval.nc_graph.links().zip(fresh_eval.nc_graph.links()) {
-        if l.path != r.path {
-            out.push(Violation::new("I1", "NC virtual-link path diverged from run_all"));
-            break;
-        }
-    }
-    for alg in Algorithm::ALL {
-        if eval.of(alg).selection != fresh_eval.of(alg).selection {
+    for (name, ours, cold) in graphs {
+        if ours.neighbor_sets != cold.neighbor_sets {
             out.push(Violation::new(
                 "I1",
-                format!("{alg} selection diverged from run_all"),
+                format!("{name} neighbor sets diverged from run_all"),
             ));
+        }
+        if ours.link_count() != cold.link_count()
+            || ours
+                .links()
+                .zip(cold.links())
+                .any(|(l, r)| (l.a, l.b) != (r.a, r.b) || l.path != r.path)
+        {
+            out.push(Violation::new(
+                "I1",
+                format!("{name} virtual links diverged from run_all"),
+            ));
+        }
+    }
+    match eval.get(alg) {
+        None => out.push(Violation::new(
+            "I1",
+            format!("the evaluation lacks the maintained {alg}"),
+        )),
+        Some(ours) => {
+            let cold = fresh_eval.of(alg);
+            if ours.selection != cold.selection {
+                out.push(Violation::new(
+                    "I1",
+                    format!("{alg} selection diverged from run_all"),
+                ));
+            }
+            if ours.cds != cold.cds {
+                out.push(Violation::new(
+                    "I1",
+                    format!("{alg} CDS diverged from run_all"),
+                ));
+            }
         }
     }
 
@@ -424,6 +455,7 @@ mod tests {
     use super::*;
     use crate::churn::ChurnEngine;
     use crate::movement::MovementConfig;
+    use adhoc_cluster::pipeline::Algorithm;
     use adhoc_graph::gen;
 
     #[test]

@@ -5,17 +5,19 @@
 //! Two property families:
 //!
 //! * Mixed arrival/departure/mobility sequences, `k` 1..=4, both label
-//!   layouts: after every reconcile the engine's labels, NC/AC
-//!   relations, all five selections/CDSs, and the compiled route plan
-//!   equal a cold `pipeline::run_all` (+ `RoutePlan::compile`) on the
-//!   live graph and clustering.
+//!   layouts, any maintained algorithm: after every reconcile the
+//!   engine's labels, the relations its algorithm reads, that
+//!   algorithm's selection/CDS, and the compiled route plan equal a
+//!   cold `pipeline::run_all` (+ `RoutePlan::compile`) on the live
+//!   graph and clustering.
 //! * Head gain/loss chains on a path: dense and sparse layouts stay
 //!   identical row for row, both equal a cold `HeadLabels::build`, and
 //!   `rebuild_count` never moves — a single head gained or lost is a
 //!   row splice, not an arena rebuild.
 
+use adhoc_cluster::adjacency::NeighborRule;
 use adhoc_cluster::clustering::Clustering;
-use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch, LabelMode};
+use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet, EvalScratch, LabelMode};
 use adhoc_cluster::routing::RoutePlan;
 use adhoc_graph::geom::Point;
 use adhoc_graph::graph::NodeId;
@@ -30,8 +32,9 @@ use rand::SeedableRng;
 /// Full cold-equality check including the compiled route plan: the
 /// engine's incrementally maintained state must match a from-scratch
 /// evaluation *in the engine's own label layout* — labels row by row,
-/// NC/AC relations and paths, every selection and CDS, and the walk
-/// the route plan emits for every ordered pair.
+/// the NC relation and paths (plus the AC ones for an AC algorithm),
+/// the maintained algorithm's selection and CDS, and the walk the route
+/// plan emits for every ordered pair.
 fn assert_engine_equals_cold(engine: &ChurnEngine, mode: LabelMode, ctx: &str) {
     let g = engine.graph();
     let clustering: &Clustering = &engine.clustering;
@@ -57,32 +60,31 @@ fn assert_engine_equals_cold(engine: &ChurnEngine, mode: LabelMode, ctx: &str) {
     }
 
     let eval = engine.evaluation();
-    assert_eq!(
-        eval.nc_graph.neighbor_sets, cold.nc_graph.neighbor_sets,
-        "{ctx}: NC relation"
-    );
-    assert_eq!(
-        eval.ac_graph.neighbor_sets, cold.ac_graph.neighbor_sets,
-        "{ctx}: AC relation"
-    );
-    for alg in Algorithm::ALL {
-        assert_eq!(
-            eval.of(alg).selection,
-            cold.of(alg).selection,
-            "{ctx}: {alg} selection"
-        );
-        assert_eq!(eval.of(alg).cds, cold.of(alg).cds, "{ctx}: {alg} cds");
+    let alg = engine.config().algorithm;
+    assert_eq!(eval.algorithms(), AlgorithmSet::only(alg), "{ctx}: scope");
+    let mut graphs = vec![("NC", &eval.nc_graph, &cold.nc_graph)];
+    if alg.neighbor_rule() == Some(NeighborRule::Adjacent) {
+        graphs.push(("AC", &eval.ac_graph, &cold.ac_graph));
     }
+    for (name, a, b) in graphs {
+        assert_eq!(a.neighbor_sets, b.neighbor_sets, "{ctx}: {name} relation");
+        assert_eq!(a.link_count(), b.link_count(), "{ctx}: {name} link count");
+        for (l, r) in a.links().zip(b.links()) {
+            assert_eq!((l.a, l.b), (r.a, r.b), "{ctx}: {name} pair");
+            assert_eq!(l.path, r.path, "{ctx}: {name} path {:?}-{:?}", l.a, l.b);
+        }
+    }
+    assert_eq!(
+        eval.of(alg).selection,
+        cold.of(alg).selection,
+        "{ctx}: {alg} selection"
+    );
+    assert_eq!(eval.of(alg).cds, cold.of(alg).cds, "{ctx}: {alg} cds");
 
     // Route plan: the maintained plan must route every ordered pair
     // exactly like one compiled cold from the same structures (epochs
     // aside — those count publications, not content).
-    let cold_plan = RoutePlan::compile(
-        g,
-        clustering,
-        scratch.labels(),
-        cold.selected_links(Algorithm::AcLmst),
-    );
+    let cold_plan = RoutePlan::compile(g, clustering, scratch.labels(), cold.selected_links(alg));
     let warm_plan = engine.route_plan().expect("routing enabled");
     for u in g.nodes() {
         for v in g.nodes() {
@@ -120,8 +122,9 @@ proptest! {
 
     /// §3.3 arrivals interleaved with departures and mobility steps:
     /// the engine stays bit-for-bit equal to a cold run — labels,
-    /// NC/AC, all five selections, and the compiled route plan — in
-    /// whichever label layout it was built with. Departed nodes park
+    /// relations, the maintained algorithm's selection, and the
+    /// compiled route plan — in whichever label layout it was built
+    /// with. Departed nodes park
     /// far outside the field (radio off); a returnee reappears at its
     /// pre-departure position and arrives with exactly the radio links
     /// the spatial grid sees, so engine and grid stay in lock-step.
@@ -131,7 +134,9 @@ proptest! {
         k in 1u32..=4,
         layout in 0u32..2,
         ops in proptest::collection::vec((0u32..3, 0u32..64), 4..10),
+        alg in 0usize..5,
     ) {
+        let alg = Algorithm::ALL[alg];
         let n = 45usize;
         let mode = if layout == 0 { LabelMode::Dense } else { LabelMode::Sparse };
         let mut rng = StdRng::seed_from_u64(seed);
@@ -146,11 +151,8 @@ proptest! {
         );
         let park = |u: NodeId| Point::new(10_000.0 + 1_000.0 * u.index() as f64, 10_000.0);
         let mut grid = adhoc_graph::gen::SpatialGrid::build(&net.positions, net.range);
-        let mut engine = ChurnEngine::build_with_labels(
-            grid.graph(),
-            MovementConfig::strict(k, Algorithm::AcLmst),
-            mode,
-        );
+        let mut engine =
+            ChurnEngine::build_with_labels(grid.graph(), MovementConfig::strict(k, alg), mode);
         engine.enable_routing();
         let mut pos = net.positions.clone();
         let mut home = net.positions.clone();
@@ -194,7 +196,7 @@ proptest! {
                 grid.graph().edges().collect::<Vec<_>>(),
                 "engine and grid topology in lock-step"
             );
-            assert_engine_equals_cold(&engine, mode, &format!("k={k} op {i}"));
+            assert_engine_equals_cold(&engine, mode, &format!("{alg} k={k} op {i}"));
         }
     }
 

@@ -4,16 +4,20 @@
 //! After any generated sequence of topology deltas — mobility steps
 //! under all three models, node departures, or raw edge flips — the
 //! incrementally maintained state must equal a cold
-//! `pipeline::run_all` on the final graph and clustering:
+//! `pipeline::run_all` on the final graph and clustering. The engine's
+//! algorithm is drawn from all five; it evaluates only that one, so
+//! the comparison covers:
 //!
 //! * head labels (distance rows *and* ball lists),
-//! * NC/AC neighbor relations and canonical link paths,
-//! * all five gateway selections and CDSs.
+//! * the NC relation and canonical link paths, plus the AC ones when
+//!   the algorithm reads them,
+//! * the algorithm's gateway selection and CDS.
 //!
 //! This is the contract that lets the churn bench compare incremental
 //! steps against rebuild-every-step on checksummed-equal structures.
 
-use adhoc_cluster::pipeline::{self, Algorithm};
+use adhoc_cluster::adjacency::NeighborRule;
+use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet};
 use adhoc_cluster::clustering::Clustering;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::labels::HeadLabels;
@@ -27,8 +31,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Alive-node clustering invariants plus full evaluation equality
-/// against a cold run on the engine's current graph.
+/// Label equality plus evaluation equality, for the engine's algorithm
+/// and the graphs it reads, against a cold run on the engine's current
+/// graph.
 fn assert_engine_equals_cold(engine: &ChurnEngine, ctx: &str) {
     let g = engine.graph();
     let clustering: &Clustering = &engine.clustering;
@@ -52,35 +57,29 @@ fn assert_engine_equals_cold(engine: &ChurnEngine, ctx: &str) {
         }
     }
 
-    // Evaluation: relations, canonical paths, selections, CDSs.
+    // Evaluation: relations, canonical paths, the selection and CDS.
     let cold = pipeline::run_all(g, clustering);
     let eval = engine.evaluation();
-    assert_eq!(
-        eval.nc_graph.neighbor_sets, cold.nc_graph.neighbor_sets,
-        "{ctx}: NC relation"
-    );
-    assert_eq!(
-        eval.ac_graph.neighbor_sets, cold.ac_graph.neighbor_sets,
-        "{ctx}: AC relation"
-    );
-    for (name, a, b) in [
-        ("nc", &eval.nc_graph, &cold.nc_graph),
-        ("ac", &eval.ac_graph, &cold.ac_graph),
-    ] {
+    let alg = engine.config().algorithm;
+    assert_eq!(eval.algorithms(), AlgorithmSet::only(alg), "{ctx}: scope");
+    let mut graphs = vec![("nc", &eval.nc_graph, &cold.nc_graph)];
+    if alg.neighbor_rule() == Some(NeighborRule::Adjacent) {
+        graphs.push(("ac", &eval.ac_graph, &cold.ac_graph));
+    }
+    for (name, a, b) in graphs {
+        assert_eq!(a.neighbor_sets, b.neighbor_sets, "{ctx}: {name} relation");
         assert_eq!(a.link_count(), b.link_count(), "{ctx}: {name} link count");
         for (l, r) in a.links().zip(b.links()) {
             assert_eq!((l.a, l.b), (r.a, r.b), "{ctx}: {name} pair");
             assert_eq!(l.path, r.path, "{ctx}: {name} path {:?}-{:?}", l.a, l.b);
         }
     }
-    for alg in Algorithm::ALL {
-        assert_eq!(
-            eval.of(alg).selection,
-            cold.of(alg).selection,
-            "{ctx}: {alg} selection"
-        );
-        assert_eq!(eval.of(alg).cds, cold.of(alg).cds, "{ctx}: {alg} cds");
-    }
+    assert_eq!(
+        eval.of(alg).selection,
+        cold.of(alg).selection,
+        "{ctx}: {alg} selection"
+    );
+    assert_eq!(eval.of(alg).cds, cold.of(alg).cds, "{ctx}: {alg} cds");
 }
 
 /// A type-erased mobility advance: `(positions, dt, rng)`.
@@ -116,15 +115,18 @@ fn advance_model(which: usize, n: usize, side: f64, rng: &mut StdRng) -> Advance
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Mobility-delta sequences under all three models, k 1..=4: the
-    /// engine's incremental state tracks a cold `run_all` exactly.
+    /// Mobility-delta sequences under all three models, k 1..=4, any
+    /// maintained algorithm: the engine's incremental state tracks a
+    /// cold `run_all` exactly.
     #[test]
     fn mobility_deltas_match_cold_run_all(
         seed in 0u64..10_000,
         k in 1u32..=4,
         model in 0usize..3,
         steps in 3usize..8,
+        alg in 0usize..5,
     ) {
+        let alg = Algorithm::ALL[alg];
         let n = 45;
         let side = 100.0;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -134,16 +136,13 @@ proptest! {
         let range = 22.0;
         let mut grid = adhoc_graph::gen::SpatialGrid::build(&positions, range);
         let mut advance = advance_model(model, n, side, &mut rng);
-        let mut engine = ChurnEngine::build(
-            grid.graph(),
-            MovementConfig::strict(k, Algorithm::AcLmst),
-        );
+        let mut engine = ChurnEngine::build(grid.graph(), MovementConfig::strict(k, alg));
         let mut pos = positions;
         for step in 0..steps {
             advance(&mut pos, 1.0, &mut rng);
             let delta = grid.update(&pos);
             engine.step_delta(&delta);
-            assert_engine_equals_cold(&engine, &format!("model {model} k={k} step {step}"));
+            assert_engine_equals_cold(&engine, &format!("{alg} model {model} k={k} step {step}"));
         }
     }
 
@@ -155,23 +154,22 @@ proptest! {
         seed in 0u64..10_000,
         k in 1u32..=4,
         departures in proptest::collection::vec(0u32..40, 1..6),
+        alg in 0usize..5,
     ) {
+        let alg = Algorithm::ALL[alg];
         let mut rng = StdRng::seed_from_u64(seed);
         let net = adhoc_graph::gen::geometric(
             &adhoc_graph::gen::GeometricConfig::new(40, 100.0, 7.0),
             &mut rng,
         );
-        let mut engine = ChurnEngine::build(
-            &net.graph,
-            MovementConfig::strict(k, Algorithm::AcLmst),
-        );
+        let mut engine = ChurnEngine::build(&net.graph, MovementConfig::strict(k, alg));
         for (i, &uid) in departures.iter().enumerate() {
             let u = NodeId(uid);
             if engine.is_departed(u) {
                 continue;
             }
             engine.depart(u);
-            assert_engine_equals_cold(&engine, &format!("k={k} departure {i} of {u:?}"));
+            assert_engine_equals_cold(&engine, &format!("{alg} k={k} departure {i} of {u:?}"));
         }
     }
 
@@ -182,17 +180,16 @@ proptest! {
         seed in 0u64..10_000,
         k in 1u32..=3,
         flips in proptest::collection::vec((0u32..30, 0u32..30), 1..20),
+        alg in 0usize..5,
     ) {
+        let alg = Algorithm::ALL[alg];
         let mut rng = StdRng::seed_from_u64(seed);
         let net = adhoc_graph::gen::geometric(
             &adhoc_graph::gen::GeometricConfig::new(30, 100.0, 6.0),
             &mut rng,
         );
         let mut g = net.graph.clone();
-        let mut engine = ChurnEngine::build(
-            &g,
-            MovementConfig::strict(k, Algorithm::AcLmst),
-        );
+        let mut engine = ChurnEngine::build(&g, MovementConfig::strict(k, alg));
         for (i, &(a, b)) in flips.iter().enumerate() {
             let (a, b) = (NodeId(a), NodeId(b));
             if a == b {
@@ -204,67 +201,67 @@ proptest! {
                 g.add_edge(a, b);
             }
             engine.step(&g);
-            assert_engine_equals_cold(&engine, &format!("k={k} flip {i}"));
+            assert_engine_equals_cold(&engine, &format!("{alg} k={k} flip {i}"));
         }
     }
 }
 
 /// The mixed workload: drift punctuated by departures — the scenario
-/// the churn bench sweeps — in one deterministic integration test.
-/// Departed nodes are parked far outside the area (their real radio is
-/// off) and pinned there, so the grid topology and the engine's view
-/// stay in lock-step.
+/// the churn bench sweeps — in one deterministic integration test, once
+/// per maintained algorithm on the same inputs. Departed nodes are
+/// parked far outside the area (their real radio is off) and pinned
+/// there, so the grid topology and the engine's view stay in lock-step.
 #[test]
 fn mixed_churn_workload_stays_exact() {
-    let mut rng = StdRng::seed_from_u64(2024);
-    let net = adhoc_graph::gen::geometric(
-        &adhoc_graph::gen::GeometricConfig::new(70, 100.0, 8.0),
-        &mut rng,
-    );
-    let mut model = RandomWaypoint::new(
-        70,
-        WaypointConfig {
-            side: 100.0,
-            min_speed: 0.3,
-            max_speed: 2.0,
-            pause: 1.0,
-        },
-        &mut rng,
-    );
-    let park = |u: NodeId| adhoc_graph::Point::new(10_000.0 + 1_000.0 * u.index() as f64, 10_000.0);
-    let mut grid = adhoc_graph::gen::SpatialGrid::build(&net.positions, net.range);
-    let mut engine = ChurnEngine::build(
-        grid.graph(),
-        MovementConfig::strict(2, Algorithm::AcLmst),
-    );
-    let mut pos = net.positions.clone();
-    let mut gone: Vec<NodeId> = Vec::new();
-    for round in 0..12 {
-        model.advance(&mut pos, 1.0, &mut rng);
-        for &u in &gone {
-            pos[u.index()] = park(u); // switched-off radios do not move
-        }
-        let delta = grid.update(&pos);
-        engine.step_delta(&delta);
-        assert_engine_equals_cold(&engine, &format!("round {round} move"));
-        if round % 4 == 3 {
-            let u = NodeId(rng.gen_range(0..70u32));
-            if !engine.is_departed(u) {
-                pos[u.index()] = park(u);
-                let park_delta = grid.update(&pos);
-                assert!(park_delta.added.is_empty(), "parking only cuts links");
-                // Route the same edge removals through depart() so the
-                // engine applies the §3.3 role rules.
-                engine.depart(u);
-                gone.push(u);
-                assert_eq!(
-                    engine.graph().edges().collect::<Vec<_>>(),
-                    grid.graph().edges().collect::<Vec<_>>(),
-                    "engine and grid topology in lock-step"
-                );
-                assert_engine_equals_cold(&engine, &format!("round {round} departure"));
+    for alg in Algorithm::ALL {
+        let mut rng = StdRng::seed_from_u64(2024);
+        let net = adhoc_graph::gen::geometric(
+            &adhoc_graph::gen::GeometricConfig::new(70, 100.0, 8.0),
+            &mut rng,
+        );
+        let mut model = RandomWaypoint::new(
+            70,
+            WaypointConfig {
+                side: 100.0,
+                min_speed: 0.3,
+                max_speed: 2.0,
+                pause: 1.0,
+            },
+            &mut rng,
+        );
+        let park =
+            |u: NodeId| adhoc_graph::Point::new(10_000.0 + 1_000.0 * u.index() as f64, 10_000.0);
+        let mut grid = adhoc_graph::gen::SpatialGrid::build(&net.positions, net.range);
+        let mut engine = ChurnEngine::build(grid.graph(), MovementConfig::strict(2, alg));
+        let mut pos = net.positions.clone();
+        let mut gone: Vec<NodeId> = Vec::new();
+        for round in 0..12 {
+            model.advance(&mut pos, 1.0, &mut rng);
+            for &u in &gone {
+                pos[u.index()] = park(u); // switched-off radios do not move
+            }
+            let delta = grid.update(&pos);
+            engine.step_delta(&delta);
+            assert_engine_equals_cold(&engine, &format!("{alg} round {round} move"));
+            if round % 4 == 3 {
+                let u = NodeId(rng.gen_range(0..70u32));
+                if !engine.is_departed(u) {
+                    pos[u.index()] = park(u);
+                    let park_delta = grid.update(&pos);
+                    assert!(park_delta.added.is_empty(), "parking only cuts links");
+                    // Route the same edge removals through depart() so
+                    // the engine applies the §3.3 role rules.
+                    engine.depart(u);
+                    gone.push(u);
+                    assert_eq!(
+                        engine.graph().edges().collect::<Vec<_>>(),
+                        grid.graph().edges().collect::<Vec<_>>(),
+                        "engine and grid topology in lock-step"
+                    );
+                    assert_engine_equals_cold(&engine, &format!("{alg} round {round} departure"));
+                }
             }
         }
+        assert!(!gone.is_empty());
     }
-    assert!(!gone.is_empty());
 }

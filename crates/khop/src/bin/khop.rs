@@ -583,8 +583,10 @@ fn cmd_churn(args: &Args) {
     );
 
     // Rebuild-every-step arm on the same clustering sequence, under
-    // the same label layout policy and worker-pool width.
+    // the same label layout policy, worker-pool width and algorithm
+    // scope as the engine.
     let mut scratch = EvalScratch::with_tuning(labels, par);
+    scratch.set_algorithms(AlgorithmSet::only(Algorithm::AcLmst));
     let t = Instant::now();
     for (snapshot, clustering) in snapshots[1..].iter().zip(&clusterings) {
         let g = gen::unit_disk_graph(snapshot, base.range);

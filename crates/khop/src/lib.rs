@@ -33,7 +33,8 @@ pub mod prelude {
     pub use adhoc_cluster::hierarchy::{self, Hierarchy};
     pub use adhoc_cluster::maxmin;
     pub use adhoc_cluster::pipeline::{
-        self, Algorithm, EvalScratch, EvaluationOutput, LabelMode, LabelStore, PipelineConfig,
+        self, Algorithm, AlgorithmSet, EvalScratch, EvaluationOutput, LabelMode, LabelStore,
+        PipelineConfig,
     };
     pub use adhoc_cluster::priority::{
         HighestDegree, KhopDegree, LowestId, LowestSpeed, Priority, PriorityKey,
