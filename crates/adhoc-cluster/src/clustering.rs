@@ -9,6 +9,31 @@
 //! joined. Because covered nodes drop out of later contests, the
 //! resulting clusterheads are pairwise **more than k hops apart**
 //! (k-hop independent) while still k-hop dominating the network.
+//!
+//! # The witness contest
+//!
+//! A node loses its round-`r` contest iff some *other* node that is
+//! uncovered at the start of round `r` lies within `k` hops and has a key
+//! no greater than its own. [`cluster`] therefore does not sweep the
+//! whole k-ball of every contestant: its bounded BFS stops at the first
+//! such node and records it as the contestant's **witness**. In a later
+//! round the contestant loses again, without any BFS, for as long as its
+//! witness is still uncovered; only once the witness has joined a cluster
+//! is the contest re-run. This is exact, not a heuristic:
+//!
+//! * within one [`cluster`] call the graph and the keys are fixed, so a
+//!   witness stays within `k` hops and keeps its smaller-or-equal key;
+//! * every contest of round `r` reads `covered` as it stood at the start
+//!   of round `r` (declarations and joins are applied after the whole
+//!   contest pass), and `covered` only ever grows;
+//! * so an uncovered witness is precisely a node that makes the
+//!   contestant lose, and a contestant whose witness is covered is
+//!   re-judged from scratch.
+//!
+//! The declaration flood, the member joins and the round count behave
+//! exactly as with a full-ball contest, so every [`MemberPolicy`] and
+//! every [`Priority`] yields the same clustering (pinned against a
+//! reference implementation by the unit proptest below).
 
 use crate::priority::Priority;
 use adhoc_graph::bfs::{Adjacency, BfsScratch};
@@ -192,6 +217,8 @@ impl Clustering {
 /// This is the centralized emulation of the distributed rounds: it
 /// computes exactly the structure the message-passing protocol in
 /// `adhoc-sim` converges to (the simulator's tests assert equality).
+/// Contests run through the early-exit witness BFS described in the
+/// module docs.
 ///
 /// # Panics
 /// Panics if `k == 0` or the graph is empty.
@@ -209,13 +236,13 @@ where
     let mut covered = vec![false; n];
     let mut remaining = n;
     let mut heads: Vec<NodeId> = Vec::new();
-    let mut scratch = BfsScratch::new(n);
+    let mut contest = WitnessContest::new(n);
     let mut rounds = 0u32;
 
     // Per-round storage, reused.
     let mut new_heads: Vec<NodeId> = Vec::new();
-    // For each undecided node: (head, hops) candidates heard this round.
-    let mut heard: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); n];
+    // (undecided node, head, hops): every declaration heard this round.
+    let mut heard: Vec<(NodeId, NodeId, u32)> = Vec::new();
     let mut cluster_size: Vec<usize> = vec![0; n]; // indexed by head ID
 
     while remaining > 0 {
@@ -226,16 +253,7 @@ where
         // uncovered node in its k-hop neighborhood.
         new_heads.clear();
         for u in (0..n as u32).map(NodeId) {
-            if covered[u.index()] {
-                continue;
-            }
-            let my_key = priority.key(u);
-            scratch.run(g, u, k);
-            let wins = scratch
-                .visited()
-                .iter()
-                .all(|&v| v == u || covered[v.index()] || priority.key(v) > my_key);
-            if wins {
+            if !covered[u.index()] && contest.wins(g, u, k, priority, &covered) {
                 new_heads.push(u);
             }
         }
@@ -254,48 +272,40 @@ where
             cluster_size[h.index()] = 1;
             remaining -= 1;
             heads.push(h);
-            scratch.run(g, h, k);
-            for &v in scratch.visited() {
-                if v != h && !covered[v.index()] {
-                    heard[v.index()].push((h, scratch.dist(v)));
+            contest.ball.sweep(g, h, k, |v, hops| {
+                if !covered[v.index()] {
+                    heard.push((v, h, hops));
                 }
-            }
+                false
+            });
         }
 
         // Joins, in ID order (so SizeBased sees deterministic sizes).
-        for v in (0..n as u32).map(NodeId) {
-            if covered[v.index()] || heard[v.index()].is_empty() {
-                heard[v.index()].clear();
+        // Sorting groups each node's candidates; the choice is a minimum
+        // over them with the head ID in every key, so their order within
+        // a group does not matter.
+        heard.sort_unstable();
+        for group in heard.chunk_by(|a, b| a.0 == b.0) {
+            let v = group[0].0;
+            if covered[v.index()] {
                 continue;
             }
-            let choice = {
-                let candidates = &heard[v.index()];
-                match policy {
-                    MemberPolicy::IdBased => candidates
-                        .iter()
-                        .copied()
-                        .min_by_key(|&(h, _)| h)
-                        .expect("nonempty"),
-                    MemberPolicy::DistanceBased => candidates
-                        .iter()
-                        .copied()
-                        .min_by_key(|&(h, d)| (d, h))
-                        .expect("nonempty"),
-                    MemberPolicy::SizeBased => candidates
-                        .iter()
-                        .copied()
-                        .min_by_key(|&(h, d)| (cluster_size[h.index()], d, h))
-                        .expect("nonempty"),
+            let candidates = group.iter().map(|&(_, h, d)| (h, d));
+            let choice = match policy {
+                MemberPolicy::IdBased => candidates.min_by_key(|&(h, _)| h),
+                MemberPolicy::DistanceBased => candidates.min_by_key(|&(h, d)| (d, h)),
+                MemberPolicy::SizeBased => {
+                    candidates.min_by_key(|&(h, d)| (cluster_size[h.index()], d, h))
                 }
             };
-            let (h, d) = choice;
+            let (h, d) = choice.expect("groups are nonempty");
             covered[v.index()] = true;
             head_of[v.index()] = h;
             dist_to_head[v.index()] = d;
             cluster_size[h.index()] += 1;
             remaining -= 1;
-            heard[v.index()].clear();
         }
+        heard.clear();
     }
 
     heads.sort_unstable();
@@ -308,12 +318,353 @@ where
     }
 }
 
+/// Per-call state of the early-exit contest.
+struct WitnessContest {
+    /// For every node, the uncovered node that beat it in its last
+    /// contest (`NONE` if it has not lost one yet).
+    witness: Vec<NodeId>,
+    ball: Ball,
+}
+
+impl WitnessContest {
+    fn new(n: usize) -> Self {
+        WitnessContest {
+            witness: vec![NONE; n],
+            ball: Ball::new(n),
+        }
+    }
+
+    /// Whether uncovered `u` wins this round's contest, `covered` being
+    /// the coverage at the start of the round.
+    fn wins<G: Adjacency, P: Priority>(
+        &mut self,
+        g: &G,
+        u: NodeId,
+        k: u32,
+        priority: &P,
+        covered: &[bool],
+    ) -> bool {
+        let w = self.witness[u.index()];
+        if w != NONE && !covered[w.index()] {
+            return false;
+        }
+        let my_key = priority.key(u);
+        let beaten_by = self.ball.sweep(g, u, k, |v, _| {
+            !covered[v.index()] && priority.key(v) <= my_key
+        });
+        match beaten_by {
+            Some(w) => {
+                self.witness[u.index()] = w;
+                false
+            }
+            None => true,
+        }
+    }
+}
+
+/// Bounded BFS with an epoch-stamped visited set, so no run resets
+/// anything.
+struct Ball {
+    /// `seen[v] == epoch` iff the current run has reached `v`.
+    seen: Vec<u32>,
+    /// Runs so far.
+    epoch: u32,
+    /// BFS queue; hop levels are contiguous runs of it.
+    queue: Vec<NodeId>,
+}
+
+impl Ball {
+    fn new(n: usize) -> Self {
+        Ball {
+            seen: vec![0; n],
+            epoch: 0,
+            queue: Vec::new(),
+        }
+    }
+
+    /// Calls `stop(v, hops)` for every node `v != src` within `k` hops
+    /// of `src`, in BFS discovery order, and returns the first `v` for
+    /// which it returns `true` (the rest of the ball is not explored).
+    fn sweep<G: Adjacency>(
+        &mut self,
+        g: &G,
+        src: NodeId,
+        k: u32,
+        mut stop: impl FnMut(NodeId, u32) -> bool,
+    ) -> Option<NodeId> {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.queue.clear();
+        self.queue.push(src);
+        self.seen[src.index()] = epoch;
+        let mut level = 0..1;
+        for hops in 1..=k {
+            if level.is_empty() {
+                break;
+            }
+            for i in level.clone() {
+                let x = self.queue[i];
+                for &v in g.adj(x) {
+                    if self.seen[v.index()] == epoch {
+                        continue;
+                    }
+                    self.seen[v.index()] = epoch;
+                    if stop(v, hops) {
+                        return Some(v);
+                    }
+                    self.queue.push(v);
+                }
+            }
+            level = level.end..self.queue.len();
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::priority::{HighestDegree, LowestId};
+    use crate::priority::{
+        HighestDegree, KhopDegree, LowestId, LowestSpeed, RandomTimer, ResidualEnergy,
+        SumOfDistances,
+    };
     use adhoc_graph::gen;
     use adhoc_graph::graph::Graph;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Reference implementation: every contestant sweeps its whole
+    /// k-ball, the flood runs on `BfsScratch`, and joins read per-node
+    /// candidate lists.
+    fn cluster_reference<G, P>(g: &G, k: u32, priority: &P, policy: MemberPolicy) -> Clustering
+    where
+        G: Adjacency,
+        P: Priority,
+    {
+        assert!(k >= 1, "k must be at least 1");
+        let n = g.node_count();
+        assert!(n > 0, "graph must be non-empty");
+
+        let mut head_of = vec![NONE; n];
+        let mut dist_to_head = vec![0u32; n];
+        let mut covered = vec![false; n];
+        let mut remaining = n;
+        let mut heads: Vec<NodeId> = Vec::new();
+        let mut scratch = BfsScratch::new(n);
+        let mut rounds = 0u32;
+
+        // Per-round storage, reused.
+        let mut new_heads: Vec<NodeId> = Vec::new();
+        // For each undecided node: (head, hops) candidates heard this round.
+        let mut heard: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); n];
+        let mut cluster_size: Vec<usize> = vec![0; n]; // indexed by head ID
+
+        while remaining > 0 {
+            rounds += 1;
+            debug_assert!(rounds <= n as u32 + 1, "clustering failed to converge");
+
+            // Contest: an uncovered node declares iff its key beats every
+            // uncovered node in its k-hop neighborhood.
+            new_heads.clear();
+            for u in (0..n as u32).map(NodeId) {
+                if covered[u.index()] {
+                    continue;
+                }
+                let my_key = priority.key(u);
+                scratch.run(g, u, k);
+                let wins = scratch
+                    .visited()
+                    .iter()
+                    .all(|&v| v == u || covered[v.index()] || priority.key(v) > my_key);
+                if wins {
+                    new_heads.push(u);
+                }
+            }
+            assert!(
+                !new_heads.is_empty(),
+                "no progress: the uncovered node with the globally best \
+                 priority must always win its contest"
+            );
+
+            // Declarations flood k hops: record what each undecided node
+            // hears.
+            for &h in &new_heads {
+                covered[h.index()] = true;
+                head_of[h.index()] = h;
+                dist_to_head[h.index()] = 0;
+                cluster_size[h.index()] = 1;
+                remaining -= 1;
+                heads.push(h);
+                scratch.run(g, h, k);
+                for &v in scratch.visited() {
+                    if v != h && !covered[v.index()] {
+                        heard[v.index()].push((h, scratch.dist(v)));
+                    }
+                }
+            }
+
+            // Joins, in ID order (so SizeBased sees deterministic sizes).
+            for v in (0..n as u32).map(NodeId) {
+                if covered[v.index()] || heard[v.index()].is_empty() {
+                    heard[v.index()].clear();
+                    continue;
+                }
+                let choice = {
+                    let candidates = &heard[v.index()];
+                    match policy {
+                        MemberPolicy::IdBased => candidates
+                            .iter()
+                            .copied()
+                            .min_by_key(|&(h, _)| h)
+                            .expect("nonempty"),
+                        MemberPolicy::DistanceBased => candidates
+                            .iter()
+                            .copied()
+                            .min_by_key(|&(h, d)| (d, h))
+                            .expect("nonempty"),
+                        MemberPolicy::SizeBased => candidates
+                            .iter()
+                            .copied()
+                            .min_by_key(|&(h, d)| (cluster_size[h.index()], d, h))
+                            .expect("nonempty"),
+                    }
+                };
+                let (h, d) = choice;
+                covered[v.index()] = true;
+                head_of[v.index()] = h;
+                dist_to_head[v.index()] = d;
+                cluster_size[h.index()] += 1;
+                remaining -= 1;
+                heard[v.index()].clear();
+            }
+        }
+
+        heads.sort_unstable();
+        Clustering {
+            k,
+            heads,
+            head_of,
+            dist_to_head,
+            rounds,
+        }
+    }
+
+    fn assert_matches_reference<P: Priority>(g: &Graph, k: u32, p: &P, name: &str) {
+        for policy in [
+            MemberPolicy::IdBased,
+            MemberPolicy::DistanceBased,
+            MemberPolicy::SizeBased,
+        ] {
+            let got = cluster(g, k, p, policy);
+            let want = cluster_reference(g, k, p, policy);
+            let ctx = format!("{name} {policy:?} k={k} n={}", g.len());
+            assert_eq!(got.heads, want.heads, "heads: {ctx}");
+            assert_eq!(got.head_of, want.head_of, "head_of: {ctx}");
+            assert_eq!(got.dist_to_head, want.dist_to_head, "dist_to_head: {ctx}");
+            assert_eq!(got.rounds, want.rounds, "rounds: {ctx}");
+        }
+    }
+
+    /// Every priority in `priority.rs` × every member policy.
+    fn assert_all_priorities_match(g: &Graph, k: u32, seed: u64) {
+        let n = g.len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        assert_matches_reference(g, k, &LowestId, "LowestId");
+        assert_matches_reference(g, k, &HighestDegree::from_graph(g), "HighestDegree");
+        // Few distinct levels, so the ID tie-break decides often.
+        let levels = (0..n).map(|_| rng.gen_range(0..4u64)).collect();
+        assert_matches_reference(g, k, &ResidualEnergy::new(levels), "ResidualEnergy");
+        let timer = RandomTimer::sample(n, &mut rng);
+        assert_matches_reference(g, k, &timer, "RandomTimer");
+        let speeds: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..3u32))).collect();
+        assert_matches_reference(g, k, &LowestSpeed::new(&speeds), "LowestSpeed");
+        let positions: Vec<adhoc_graph::Point> = (0..n)
+            .map(|_| adhoc_graph::Point::new(rng.gen::<f64>() * 50.0, rng.gen::<f64>() * 50.0))
+            .collect();
+        let sod = SumOfDistances::from_positions(g, &positions);
+        assert_matches_reference(g, k, &sod, "SumOfDistances");
+        assert_matches_reference(g, k, &KhopDegree::from_graph(g, k), "KhopDegree");
+    }
+
+    /// Random graphs of three shapes: `shape 0` is connected (random
+    /// tree plus extra edges), `1` drops about a third of the tree edges
+    /// (several components, some isolated nodes), `2` has only the
+    /// extra edges (mostly isolated nodes).
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (1usize..=40, 0u32..3)
+            .prop_flat_map(|(n, shape)| {
+                let parents: Vec<_> = (1..n).map(|i| (0..i as u32, 0u32..3)).collect();
+                let extra = (0..n as u32, 0..n as u32);
+                (
+                    Just(n),
+                    Just(shape),
+                    parents,
+                    proptest::collection::vec(extra, 0..n),
+                )
+            })
+            .prop_map(|(n, shape, parents, extra)| {
+                let mut g = Graph::new(n);
+                for (i, (p, keep)) in parents.into_iter().enumerate() {
+                    if shape == 0 || (shape == 1 && keep != 0) {
+                        g.add_edge(NodeId((i + 1) as u32), NodeId(p));
+                    }
+                }
+                for (a, b) in extra {
+                    if a != b && !g.has_edge(NodeId(a), NodeId(b)) {
+                        g.add_edge(NodeId(a), NodeId(b));
+                    }
+                }
+                g
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn witness_contest_matches_full_ball_reference(g in arb_graph(), seed in 0u64..1000) {
+            for k in 1..=4 {
+                assert_all_priorities_match(&g, k, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn witness_skip_is_exact_over_many_rounds() {
+        // On a lowest-ID path each node's first witness is its left
+        // neighbor, which stays uncovered for several rounds: the skip
+        // fires, and a skip that ignored the witness's coverage would
+        // never let node 2 (or any later head) win.
+        let g = gen::path(12);
+        let c = cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        assert!(c.rounds >= 3, "rounds = {}", c.rounds);
+        for k in 1..=4 {
+            assert_all_priorities_match(&g, k, 7);
+        }
+
+        // Drive the contest directly: node 3 loses to node 2 and then
+        // loses again without a BFS while node 2 is uncovered.
+        let mut contest = WitnessContest::new(g.len());
+        let mut covered = vec![false; g.len()];
+        assert!(!contest.wins(&g, NodeId(3), 1, &LowestId, &covered));
+        assert_eq!(contest.witness[3], NodeId(2));
+        let bfs_runs = contest.ball.epoch;
+        covered[0] = true;
+        covered[1] = true;
+        assert!(!contest.wins(&g, NodeId(3), 1, &LowestId, &covered));
+        assert_eq!(
+            contest.ball.epoch, bfs_runs,
+            "the witness skip must not run a BFS"
+        );
+        // Once the witness is covered the contest is re-run.
+        covered[2] = true;
+        assert!(contest.wins(&g, NodeId(3), 1, &LowestId, &covered));
+        assert_eq!(contest.ball.epoch, bfs_runs + 1);
+    }
 
     #[test]
     fn single_node_is_its_own_head() {

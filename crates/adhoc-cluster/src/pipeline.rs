@@ -239,11 +239,16 @@ pub fn run_on_with<G: Adjacency + Sync>(
                 .metrics
                 .add("labels.rows_swept", clustering.heads.len() as u64);
             let rule = algorithm.neighbor_rule().expect("localized algorithm");
-            let sets = match rule {
-                NeighborRule::All2kPlus1 => adjacency::nc_from_labels(clustering, &scratch.labels),
-                NeighborRule::Adjacent => adjacency::neighbor_clusterheads(g, clustering, rule),
+            let vg = {
+                let _nc = scratch.metrics.span("pipeline.nc_graph_ns");
+                let sets = match rule {
+                    NeighborRule::All2kPlus1 => {
+                        adjacency::nc_from_labels(clustering, &scratch.labels)
+                    }
+                    NeighborRule::Adjacent => adjacency::neighbor_clusterheads(g, clustering, rule),
+                };
+                VirtualGraph::from_labels(g, clustering, sets, &scratch.labels)
             };
-            let vg = VirtualGraph::from_labels(g, clustering, sets, &scratch.labels);
             let sel = match algorithm {
                 Algorithm::NcMesh | Algorithm::AcMesh => gateway::mesh(&vg, clustering),
                 Algorithm::NcLmst | Algorithm::AcLmst => {
@@ -506,10 +511,12 @@ pub fn run_all_with<G: Adjacency + Sync>(
     scratch
         .metrics
         .add("labels.rows_swept", clustering.heads.len() as u64);
-    let labels = &scratch.labels;
-
-    let nc_sets = adjacency::nc_from_labels(clustering, labels);
-    let nc_graph = VirtualGraph::from_labels(g, clustering, nc_sets, labels);
+    let nc_graph = {
+        let _nc = scratch.metrics.span("pipeline.nc_graph_ns");
+        let labels = &scratch.labels;
+        let nc_sets = adjacency::nc_from_labels(clustering, labels);
+        VirtualGraph::from_labels(g, clustering, nc_sets, labels)
+    };
     let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
     eval_from_nc(g, clustering, nc_graph, scratch, None)
 }
@@ -856,6 +863,7 @@ pub fn update_all_after<G: Adjacency>(
         _ => None,
     };
     let labels = &scratch.labels;
+    let nc_span = scratch.metrics.span("pipeline.nc_graph_ns");
     let (nc_graph, report) = match incremental {
         Some(dirty) => {
             let nc_sets = adjacency::nc_from_labels_patched(
@@ -894,6 +902,7 @@ pub fn update_all_after<G: Adjacency>(
             (nc_graph, report)
         }
     };
+    drop(nc_span);
     let step = same_heads.then_some(Step {
         prev,
         delta,
@@ -1034,9 +1043,12 @@ pub fn update_all_after_headset<G: Adjacency>(
     );
     scratch.metrics.inc("pipeline.update_all");
     let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
-    let labels = &scratch.labels;
-    let nc_sets = adjacency::nc_from_labels(clustering, labels);
-    let nc_graph = VirtualGraph::from_labels(g, clustering, nc_sets, labels);
+    let nc_graph = {
+        let _nc = scratch.metrics.span("pipeline.nc_graph_ns");
+        let labels = &scratch.labels;
+        let nc_sets = adjacency::nc_from_labels(clustering, labels);
+        VirtualGraph::from_labels(g, clustering, nc_sets, labels)
+    };
     let report = UpdateReport {
         dirty_heads: advance.dirty_count(clustering.heads.len()),
         head_count: clustering.heads.len(),
@@ -1274,6 +1286,39 @@ mod tests {
         assert!(report.rebuilt);
         assert_eq!(report.dirty_fraction(), 1.0);
         assert_evals_equal(&next, &run_all(&g, &clustering), "fallback");
+    }
+
+    /// Every evaluation times its NC stage once: the cold build, a
+    /// patched update and a rebuilt one.
+    #[test]
+    fn nc_stage_is_spanned_once_per_evaluation() {
+        use adhoc_graph::graph::NodeId;
+        let g0 = gen::path(20);
+        let clustering = crate::clustering::cluster(&g0, 1, &LowestId, MemberPolicy::IdBased);
+        let metrics = Metrics::enabled();
+        let mut scratch = EvalScratch::new();
+        scratch.set_metrics(metrics.clone());
+        let prev = run_all_with(&g0, &clustering, &mut scratch);
+        let mut g = g0.clone();
+        let mut delta = adhoc_graph::delta::TopologyDelta::new();
+        g.add_edge(NodeId(1), NodeId(3));
+        delta.push_added(NodeId(1), NodeId(3));
+        delta.normalize();
+        let (prev, patched) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
+        assert!(!patched.rebuilt);
+        let mut hub = adhoc_graph::delta::TopologyDelta::new();
+        for v in 3..20u32 {
+            g.add_edge(NodeId(0), NodeId(v));
+            hub.push_added(NodeId(0), NodeId(v));
+        }
+        hub.normalize();
+        let (_, rebuilt) = update_all(&g, &clustering, &hub, &prev, &mut scratch);
+        assert!(rebuilt.rebuilt);
+        let snap = metrics.snapshot();
+        let span = snap
+            .histogram("pipeline.nc_graph_ns")
+            .expect("NC stage spanned");
+        assert_eq!(span.count, 3);
     }
 
     /// The auto heuristic picks sparse above the projected-bytes

@@ -217,3 +217,50 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The cells above are below the label rebuild's fan-out gate
+    /// (`Parallelism::for_work`), where every worker count runs the
+    /// sweep inline. These cells sit above it, so the multi-worker
+    /// arms really fan the rebuild out, on both layouts.
+    #[test]
+    fn fanned_out_label_rebuilds_are_worker_count_invariant(
+        seed in 0u64..1_000_000,
+        n in 600usize..=800,
+        sparse in 0u32..2,
+    ) {
+        // k = 1 keeps the head count (the rows swept) high.
+        let k = 1;
+        let mode = if sparse == 1 { LabelMode::Sparse } else { LabelMode::Dense };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
+        let c = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
+        let work = c.heads.len() * n;
+        for w in WORKER_GRID {
+            prop_assert_eq!(
+                Parallelism::new(w).for_work(work).workers(),
+                w,
+                "{} heads x {} nodes must be above the fan-out gate",
+                c.heads.len(),
+                n
+            );
+        }
+
+        let mut serial = EvalScratch::with_tuning(mode, Parallelism::serial());
+        let base = pipeline::run_all_with(&net.graph, &c, &mut serial);
+        let base_rows = label_rows(serial.labels());
+        for w in WORKER_GRID {
+            let mut scratch = EvalScratch::with_tuning(mode, Parallelism::new(w));
+            let eval = pipeline::run_all_with(&net.graph, &c, &mut scratch);
+            assert_evals_equal(&eval, &base, &format!("{w} workers"));
+            prop_assert_eq!(
+                label_rows(scratch.labels()),
+                base_rows.clone(),
+                "{} workers: label arena diverged",
+                w
+            );
+        }
+    }
+}

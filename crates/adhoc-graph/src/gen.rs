@@ -338,6 +338,45 @@ pub fn unit_disk_graph_naive(positions: &[Point], r: f64) -> Graph {
     g
 }
 
+/// Why [`try_geometric`] could not sample a network.
+#[derive(Clone, Debug, PartialEq)]
+pub enum GenError {
+    /// Fewer than two nodes were requested.
+    TooFewNodes(usize),
+    /// The target degree is not a positive number.
+    BadDegree(f64),
+    /// Connectivity was required, and `attempts` consecutive samples
+    /// were disconnected.
+    TooSparse {
+        /// Samples drawn before giving up (`cfg.max_attempts`).
+        attempts: usize,
+        /// Requested node count.
+        n: usize,
+        /// Requested average degree.
+        target_degree: f64,
+    },
+}
+
+impl std::fmt::Display for GenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GenError::TooFewNodes(n) => write!(f, "need at least two nodes (got {n})"),
+            GenError::BadDegree(d) => write!(f, "target degree must be positive (got {d})"),
+            GenError::TooSparse {
+                attempts,
+                n,
+                target_degree,
+            } => write!(
+                f,
+                "exceeded {attempts} attempts without a connected instance \
+                 (n={n}, D={target_degree}): the configuration is too sparse"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GenError {}
+
 /// Samples a random geometric network per `cfg`.
 ///
 /// The transmission range starts at the analytic estimate
@@ -348,11 +387,20 @@ pub fn unit_disk_graph_naive(positions: &[Point], r: f64) -> Graph {
 /// *same* positions. After calibration, if connectivity is required and
 /// the instance is disconnected, fresh positions are drawn.
 ///
-/// # Panics
-/// Panics if `cfg.max_attempts` consecutive instances are disconnected,
-/// or on degenerate configurations (`n < 2`, nonpositive degree).
-pub fn geometric<R: Rng + ?Sized>(cfg: &GeometricConfig, rng: &mut R) -> GeometricNetwork {
-    assert!(cfg.n >= 2, "need at least two nodes");
+/// # Errors
+/// [`GenError::TooSparse`] if `cfg.max_attempts` consecutive instances
+/// are disconnected; [`GenError::TooFewNodes`] / [`GenError::BadDegree`]
+/// on degenerate configurations (`n < 2`, nonpositive degree).
+pub fn try_geometric<R: Rng + ?Sized>(
+    cfg: &GeometricConfig,
+    rng: &mut R,
+) -> Result<GeometricNetwork, GenError> {
+    if cfg.n < 2 {
+        return Err(GenError::TooFewNodes(cfg.n));
+    }
+    if cfg.target_degree.is_nan() || cfg.target_degree <= 0.0 {
+        return Err(GenError::BadDegree(cfg.target_degree));
+    }
     let mut rejected = 0usize;
     loop {
         let positions: Vec<Point> = (0..cfg.n)
@@ -374,23 +422,32 @@ pub fn geometric<R: Rng + ?Sized>(cfg: &GeometricConfig, rng: &mut R) -> Geometr
         }
         if cfg.require_connected && !connectivity::is_connected(&graph) {
             rejected += 1;
-            assert!(
-                rejected < cfg.max_attempts,
-                "exceeded {} attempts without a connected instance \
-                 (n={}, D={}): the configuration is too sparse",
-                cfg.max_attempts,
-                cfg.n,
-                cfg.target_degree
-            );
+            if rejected >= cfg.max_attempts {
+                return Err(GenError::TooSparse {
+                    attempts: cfg.max_attempts,
+                    n: cfg.n,
+                    target_degree: cfg.target_degree,
+                });
+            }
             continue;
         }
-        return GeometricNetwork {
+        return Ok(GeometricNetwork {
             positions,
             range: r,
             graph,
             rejected,
-        };
+        });
     }
+}
+
+/// [`try_geometric`] for configurations known to be satisfiable (the
+/// paper's workloads, tests, benches).
+///
+/// # Panics
+/// Panics with the [`GenError`] message where [`try_geometric`] would
+/// return it.
+pub fn geometric<R: Rng + ?Sized>(cfg: &GeometricConfig, rng: &mut R) -> GeometricNetwork {
+    try_geometric(cfg, rng).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Quasi-unit-disk parameters: links are certain up to `inner`,
@@ -636,6 +693,43 @@ mod tests {
     fn geometric_rejects_tiny_n() {
         let mut rng = StdRng::seed_from_u64(0);
         geometric(&GeometricConfig::new(1, 100.0, 6.0), &mut rng);
+    }
+
+    #[test]
+    fn try_geometric_reports_typed_errors() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let cfg = GeometricConfig::new(1, 100.0, 6.0);
+        assert_eq!(
+            try_geometric(&cfg, &mut rng).unwrap_err(),
+            GenError::TooFewNodes(1)
+        );
+        let cfg = GeometricConfig::new(10, 100.0, f64::NAN);
+        assert!(matches!(
+            try_geometric(&cfg, &mut rng),
+            Err(GenError::BadDegree(_))
+        ));
+        // Degree 0.2 on 40 nodes is essentially never connected.
+        let mut cfg = GeometricConfig::new(40, 100.0, 0.2);
+        cfg.max_attempts = 5;
+        let err = try_geometric(&cfg, &mut rng).unwrap_err();
+        assert!(matches!(
+            err,
+            GenError::TooSparse {
+                attempts: 5,
+                n: 40,
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("too sparse"), "{err}");
+        // Satisfiable configurations sample exactly what `geometric` does.
+        let cfg = GeometricConfig::new(50, 100.0, 6.0);
+        let a = try_geometric(&cfg, &mut StdRng::seed_from_u64(9)).unwrap();
+        let b = geometric(&cfg, &mut StdRng::seed_from_u64(9));
+        assert_eq!(a.range, b.range);
+        assert_eq!(
+            a.graph.edges().collect::<Vec<_>>(),
+            b.graph.edges().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -173,6 +173,9 @@ impl HeadLabels {
     /// resulting arenas are **bit-identical** to a serial rebuild for
     /// every worker count (pinned by tests). At one worker this *is*
     /// the serial rebuild (same code path, warm allocations intact).
+    /// Builds below one thread spawn's worth of `heads × n` work
+    /// ([`Parallelism::for_work`]) run the chunked sweep on one worker,
+    /// inline.
     pub fn rebuild_with<G: Adjacency + Sync>(
         &mut self,
         g: &G,
@@ -184,12 +187,13 @@ impl HeadLabels {
             self.rebuild_inner(g, heads, bound, false);
             return;
         }
+        let workers = par.for_work(heads.len() * g.node_count()).workers();
         self.prepare_rebuild(g.node_count(), heads, bound, false);
         let n = self.n;
         let rows = self.heads.len();
         let heads_list: &[NodeId] = &self.heads;
         let frags = par::scoped_chunks(
-            par.workers(),
+            workers,
             rows,
             Strided::new(&mut self.dist[..rows * n], n),
             |off, take, chunk: Strided<&mut [u32]>| {
@@ -943,7 +947,10 @@ impl SparseHeadLabels {
     /// fragments, concatenated in slot order. Each row's open-addressed
     /// table depends only on the row's ball and distances (insertion in
     /// discovery order), so the merged arenas are **bit-identical** to
-    /// a serial rebuild for every worker count (pinned by tests).
+    /// a serial rebuild for every worker count (pinned by tests). Builds
+    /// below one thread spawn's worth of `heads × n` work
+    /// ([`Parallelism::for_work`]) run the chunked sweep on one worker,
+    /// inline.
     pub fn rebuild_with<G: Adjacency + Sync>(
         &mut self,
         g: &G,
@@ -955,11 +962,12 @@ impl SparseHeadLabels {
             self.rebuild(g, heads, bound);
             return;
         }
+        let workers = par.for_work(heads.len() * g.node_count()).workers();
         self.prepare_rebuild(g.node_count(), heads, bound);
         let n = self.n;
         let rows = self.heads.len();
         let heads_list: &[NodeId] = &self.heads;
-        let frags = par::scoped_chunks(par.workers(), rows, (), |off, take, ()| {
+        let frags = par::scoped_chunks(workers, rows, (), |off, take, ()| {
             let mut scratch = vec![UNREACHED; n];
             let mut balls = Vec::new();
             let mut bo = Vec::with_capacity(take + 1);

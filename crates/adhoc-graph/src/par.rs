@@ -8,7 +8,8 @@
 //!    chunks;
 //! 2. split the payload ([`Split`]) along the same boundaries, so each
 //!    worker owns a **disjoint** slice of every input and output;
-//! 3. run one scoped thread per chunk, each with its own scratch;
+//! 3. run chunk 0 on the caller's thread and one scoped thread per
+//!    further chunk, each with its own scratch;
 //! 4. join in chunk order and hand the per-chunk results back as a
 //!    `Vec` in that same order.
 //!
@@ -21,7 +22,9 @@
 //!
 //! Worker counts come from [`Parallelism`]: explicit (`--workers` on
 //! the CLIs), the `KHOP_WORKERS` environment variable, or the
-//! machine's available cores.
+//! machine's available cores. Label rebuilds additionally gate on their
+//! input size ([`Parallelism::for_work`]): below one thread spawn's
+//! worth of work they run the same chunked code on one worker, inline.
 
 /// A worker-count policy. `workers == 1` means "run inline on the
 /// caller's thread" — every parallel path in the workspace degrades to
@@ -168,9 +171,12 @@ impl<A: Split, B: Split, C: Split> Split for (A, B, C) {
 ///
 /// `f(offset, take, chunk)` processes units `offset..offset + take`
 /// with `chunk` holding exactly that range's share of the payload.
-/// With an effective worker count of 1 (one worker, zero or one
-/// units), `f` runs inline on the caller's thread — no threads are
-/// spawned and the call is exactly the serial loop.
+/// The caller's thread runs chunk 0 itself and only chunks `1..` are
+/// spawned, so `w` effective workers cost `w - 1` spawns; with an
+/// effective worker count of 1 (one worker, zero or one units) the
+/// call is exactly the serial loop. A panic in any chunk, the
+/// caller's included, propagates to the caller once every spawned
+/// chunk has finished.
 ///
 /// Determinism: chunk boundaries depend only on `(workers, units)`,
 /// each worker writes only its own disjoint payload share, and results
@@ -191,9 +197,9 @@ where
     let chunk = units.div_ceil(workers);
     std::thread::scope(|scope| {
         let f = &f;
-        let mut handles = Vec::with_capacity(workers);
-        let mut rest = data;
-        let mut offset = 0usize;
+        let (first, mut rest) = data.split(chunk);
+        let mut handles = Vec::with_capacity(workers - 1);
+        let mut offset = chunk;
         while offset < units {
             let take = chunk.min(units - offset);
             let (head, tail) = rest.split(take);
@@ -202,11 +208,54 @@ where
             handles.push(scope.spawn(move || f(off, take, head)));
             offset += take;
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
-            .collect()
+        // Chunk 0 runs on the caller's thread while the spawned chunks
+        // run. If it panics, the scope still joins every spawned thread
+        // before the panic continues.
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(f(0, chunk, first));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        out
     })
+}
+
+/// `heads × n` below which a label rebuild runs its chunked sweep on
+/// one worker, inline, instead of fanning out.
+///
+/// Measured on a 2-vCPU x86-64 host (fat-LTO release; geometric graphs
+/// at D = 6, lowest-ID heads at `k = 2`, label bound `2k + 1`):
+///
+/// * a 2-worker [`scoped_chunks`] call with an empty body (one spawn)
+///   costs 19–52 µs;
+/// * the inline dense rebuild costs ~2 ns per unit of `heads × n`:
+///   5 µs at 1.3k, 12 µs at 5.2k, 19 µs at 11k, 42 µs at 19k, 55 µs at
+///   29k, 142 µs at 64k (sparse: 1.2–1.6× that);
+/// * an ideal 2-way split therefore first repays one spawn (half the
+///   sweep ≥ ~30 µs) at `heads × n` ≈ 30k, hence 2¹⁵.
+///
+/// Below it the measured 2-worker rebuild ran at 0.12–0.54× of inline.
+/// Above it that host showed no gain either (0.8–1.2× up to 51M, since
+/// its second vCPU did not speed up even 4 ms compute-only chunks), so
+/// the constant rests on the spawn cost, not on that host's scaling.
+/// The paper's grid (N ≤ 200) needs at most ~12k and stays inline; a
+/// full rebuild at N = 2000 (~520k) fans out.
+const FAN_OUT_MIN_WORK: usize = 32_768;
+
+impl Parallelism {
+    /// The worker count worth using for a job of `work` units of
+    /// `heads × n` label work: `self` from 2¹⁵ units up, one worker
+    /// below, where a spawned thread costs more than it saves. Output
+    /// never depends on the choice (see [`scoped_chunks`]).
+    pub fn for_work(self, work: usize) -> Parallelism {
+        if work < FAN_OUT_MIN_WORK {
+            Parallelism::serial()
+        } else {
+            self
+        }
+    }
 }
 
 #[cfg(test)]
@@ -294,6 +343,61 @@ mod tests {
                     .collect();
             assert_eq!(par, serial, "{workers} workers");
         }
+    }
+
+    /// Runs a 3-worker, 9-unit pool whose chunk at offset `bad` panics
+    /// and returns the propagated panic message.
+    fn panic_message(bad: usize) -> String {
+        let err = std::panic::catch_unwind(|| {
+            scoped_chunks(3, 9, (), |off, _, ()| {
+                if off == bad {
+                    panic!("chunk at {off} failed");
+                }
+                off
+            })
+        })
+        .expect_err("the chunk's panic must reach the caller");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn panic_in_callers_chunk_propagates() {
+        assert_eq!(panic_message(0), "chunk at 0 failed");
+    }
+
+    #[test]
+    fn panic_in_spawned_chunk_propagates() {
+        assert_eq!(panic_message(3), "chunk at 3 failed");
+        assert_eq!(panic_message(6), "chunk at 6 failed");
+    }
+
+    #[test]
+    fn results_come_back_in_chunk_order() {
+        // Chunk 0 (the caller's) finishes only after every spawned chunk
+        // has, yet stays first.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = std::sync::Mutex::new(rx);
+        let offsets = scoped_chunks(4, 8, (), |off, _, ()| {
+            if off == 0 {
+                let rx = rx.lock().expect("no chunk panics");
+                for _ in 0..3 {
+                    rx.recv().expect("every spawned chunk reports");
+                }
+            } else {
+                tx.send(off).expect("the caller's chunk is listening");
+            }
+            off
+        });
+        assert_eq!(offsets, vec![0, 2, 4, 6]);
+    }
+
+    #[test]
+    fn fan_out_gate_keeps_small_jobs_inline() {
+        let par = Parallelism::new(4);
+        assert_eq!(par.for_work(0).workers(), 1);
+        assert_eq!(par.for_work(FAN_OUT_MIN_WORK - 1).workers(), 1);
+        assert_eq!(par.for_work(FAN_OUT_MIN_WORK).workers(), 4);
+        assert_eq!(Parallelism::serial().for_work(usize::MAX).workers(), 1);
     }
 
     #[test]

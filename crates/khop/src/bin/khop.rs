@@ -92,6 +92,16 @@ fn die(msg: &str) -> ! {
     exit(2)
 }
 
+/// Samples the generated network, or ends the command with the
+/// generator's one-line error and exit code 2 when `cfg` cannot be
+/// satisfied (e.g. `--n 1`, or too sparse to sample connected).
+fn generate(cfg: &gen::GeometricConfig, rng: &mut StdRng) -> gen::GeometricNetwork {
+    gen::try_geometric(cfg, rng).unwrap_or_else(|e| {
+        eprintln!("khop: cannot generate network: {e}");
+        exit(2)
+    })
+}
+
 fn parse_alg(s: &str) -> Algorithm {
     match s.to_ascii_lowercase().as_str() {
         "nc-mesh" => Algorithm::NcMesh,
@@ -114,7 +124,7 @@ fn obtain_graph(args: &Args) -> Graph {
         let d: f64 = args.get("d", 6.0);
         let seed: u64 = args.get("seed", 1);
         let mut rng = StdRng::seed_from_u64(seed);
-        gen::geometric(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng).graph
+        generate(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng).graph
     }
 }
 
@@ -124,7 +134,7 @@ fn cmd_gen(args: &Args) {
     let seed: u64 = args.get("seed", 1);
     let out = args.opt("out").unwrap_or("network.txt");
     let mut rng = StdRng::seed_from_u64(seed);
-    let net = gen::geometric(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng);
+    let net = generate(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng);
     adhoc_graph::io::save(&PathBuf::from(out), &net.graph, Some(&net.positions))
         .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     println!(
@@ -452,7 +462,7 @@ fn cmd_maintain(args: &Args) {
     let steps: usize = args.get("steps", 50);
     let speed: f64 = args.get("speed", 1.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = gen::geometric(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
+    let base = generate(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
     let wp = WaypointConfig {
         side: 100.0,
         min_speed: (speed * 0.2).max(1e-6),
@@ -516,7 +526,7 @@ fn cmd_churn(args: &Args) {
         die(&format!("--speed must be a positive number (got {speed})"));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = gen::geometric(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
+    let base = generate(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
 
     // Trajectory: `movers` random-waypoint nodes over a static field.
     let mut model = mobility::RandomWaypoint::new(
@@ -755,7 +765,7 @@ fn cmd_resilience(args: &Args) {
     // this command always generates its own geometry — `--input` files
     // carry no coordinates the engine could target.
     let mut rng = StdRng::seed_from_u64(seed);
-    let net = gen::geometric(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng);
+    let net = generate(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng);
     let policy = MovementConfig::strict(k, Algorithm::AcLmst).capped(level);
     let mut engine = ChurnEngine::build_with_labels(&net.graph, policy, labels);
     engine.set_workers(par);

@@ -102,6 +102,26 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn unsatisfiable_generator_config_exits_2_without_panicking() {
+    // Too sparse to ever sample connected (the `churn --n 2000` failure,
+    // at a size that gives up quickly), and too few nodes.
+    for args in [
+        &["churn", "--n", "40", "--d", "0.2"][..],
+        &["gen", "--n", "1", "--out", "/dev/null"][..],
+    ] {
+        let out = khop(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(
+            err.starts_with("khop: cannot generate network"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn route_metrics_count_each_query_once() {
     let dir = std::env::temp_dir().join(format!("khop-cli-route-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
