@@ -1,16 +1,15 @@
-//! Dynamics benchmarks: §3.3 repair cost by role, node arrival cost,
-//! hierarchy construction, and mobility stepping. These quantify the
-//! paper's locality argument — a bystander repair should be orders of
-//! magnitude cheaper than re-running the pipeline.
+//! Dynamics benchmarks: §3.3 departure cost by role through the churn
+//! engine, hierarchy construction, and mobility stepping. These
+//! quantify the paper's locality argument — a bystander repair should
+//! be orders of magnitude cheaper than re-running the pipeline.
 
-use adhoc_cluster::clustering::{cluster, MemberPolicy};
+use adhoc_cluster::clustering::MemberPolicy;
 use adhoc_cluster::hierarchy::Hierarchy;
-use adhoc_cluster::pipeline::{run, run_on, Algorithm, PipelineConfig};
-use adhoc_cluster::priority::LowestId;
+use adhoc_cluster::pipeline::{run, Algorithm, PipelineConfig};
 use adhoc_graph::gen::{self, GeometricConfig};
-use adhoc_graph::graph::NodeId;
-use adhoc_sim::maintenance::{self, Role};
+use adhoc_sim::churn::ChurnEngine;
 use adhoc_sim::mobility::{MobileNetwork, WaypointConfig};
+use adhoc_sim::movement::MovementConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,48 +19,37 @@ fn bench_repairs(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(404);
     let net = gen::geometric(&GeometricConfig::new(100, 100.0, 8.0), &mut rng);
     let k = 2;
-    let clustering = cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-    let out = run_on(&net.graph, Algorithm::AcLmst, &clustering);
+    let engine = ChurnEngine::build(&net.graph, MovementConfig::strict(k, Algorithm::AcLmst));
 
-    // Find one representative node of each role.
+    // Find one representative node of each §3.3 role.
     let mut by_role = std::collections::BTreeMap::new();
-    for uid in 0..net.graph.len() as u32 {
-        let u = NodeId(uid);
-        let role = maintenance::classify(&clustering, &out.selection, u);
-        by_role.entry(format!("{role:?}")).or_insert(u);
+    for u in net.graph.nodes() {
+        let role = if engine.clustering.is_head(u) {
+            "Clusterhead"
+        } else if engine.cds.gateways.contains(&u) {
+            "Gateway"
+        } else {
+            "Bystander"
+        };
+        by_role.entry(role).or_insert(u);
     }
 
     let mut group = c.benchmark_group("maintenance_N100_k2");
+    // Each departure runs on a fresh clone of the built engine; this
+    // arm times the clone alone so its cost can be subtracted.
+    group.bench_function("engine_clone", |b| {
+        b.iter(|| black_box(engine.clone()));
+    });
     for (role, u) in by_role {
         group.bench_function(format!("departure_{role}"), |b| {
             b.iter(|| {
-                black_box(maintenance::handle_departure(
-                    &net.graph,
-                    &clustering,
-                    &out.selection,
-                    Algorithm::AcLmst,
-                    u,
-                ))
+                let mut e = engine.clone();
+                black_box(e.depart(u))
             });
         });
     }
     group.bench_function("full_pipeline_rerun_for_scale", |b| {
         b.iter(|| black_box(run(&net.graph, Algorithm::AcLmst, &PipelineConfig::new(k))));
-    });
-    // Classification helper appears in every repair; keep a floor
-    // measurement so regressions show.
-    let bystander = (0..net.graph.len() as u32)
-        .map(NodeId)
-        .find(|&u| maintenance::classify(&clustering, &out.selection, u) == Role::Bystander)
-        .expect("a bystander exists");
-    group.bench_function("classify", |b| {
-        b.iter(|| {
-            black_box(maintenance::classify(
-                &clustering,
-                &out.selection,
-                bystander,
-            ))
-        });
     });
     group.finish();
 }

@@ -56,7 +56,8 @@ fn bench_models(c: &mut Criterion) {
 
 fn bench_maintenance_policy(c: &mut Criterion) {
     use adhoc_cluster::pipeline::Algorithm;
-    use adhoc_sim::movement::{MaintainedCds, MovementConfig};
+    use adhoc_sim::churn::ChurnEngine;
+    use adhoc_sim::movement::MovementConfig;
 
     let n = 100usize;
     let mut rng = StdRng::seed_from_u64(0x30C);
@@ -72,7 +73,7 @@ fn bench_maintenance_policy(c: &mut Criterion) {
     group.bench_function("sensitive_step", |b| {
         let model = RandomWaypoint::new(n, wp, &mut rng);
         let mut net = MobileNetwork::with_model(base.positions.clone(), base.range, model);
-        let mut m = MaintainedCds::build(net.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
+        let mut m = ChurnEngine::build(net.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
         b.iter(|| {
             // The policy consumes the exact delta the mobile grid
             // reports; cloning + re-diffing the snapshot would bill the
@@ -87,7 +88,7 @@ fn bench_maintenance_policy(c: &mut Criterion) {
         let cfg = MovementConfig::strict(2, Algorithm::AcLmst);
         b.iter(|| {
             net.step(1.0, &mut rng);
-            black_box(MaintainedCds::build(net.graph(), cfg).cds.size())
+            black_box(ChurnEngine::build(net.graph(), cfg).cds.size())
         });
     });
     group.finish();

@@ -25,9 +25,10 @@ use adhoc_graph::connectivity;
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::NodeId;
 use adhoc_sim::broadcast::Strategy;
+use adhoc_sim::churn::ChurnEngine;
 use adhoc_sim::mac::{simulate_with_mac, MacConfig};
 use adhoc_sim::mobility::{MobileNetwork, RandomWaypoint, WaypointConfig};
-use adhoc_sim::movement::{MaintainedCds, MovementConfig};
+use adhoc_sim::movement::MovementConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -161,7 +162,7 @@ fn main() {
         let model = RandomWaypoint::new(100, wp, &mut rng);
         let mut net = MobileNetwork::with_model(base.positions.clone(), base.range, model);
         let mut m =
-            MaintainedCds::build(net.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
+            ChurnEngine::build(net.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
         let mut policy_cost = 0usize;
         let mut rebuild_cost = 0usize;
         let mut always_valid = true;

@@ -24,8 +24,9 @@ use adhoc_cluster::pipeline::Algorithm;
 use adhoc_graph::connectivity;
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::NodeId;
+use adhoc_sim::churn::ChurnEngine;
 use adhoc_sim::mobility::{MobileNetwork, RandomWaypoint, WaypointConfig};
-use adhoc_sim::movement::{MaintainedCds, MovementConfig, RepairLevel};
+use adhoc_sim::movement::{MovementConfig, RepairLevel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,7 +49,7 @@ fn drive(cfg: MovementConfig, steps: usize, seed: u64) -> PolicyOutcome {
     };
     let model = RandomWaypoint::new(n, wp, &mut rng);
     let mut mobile = MobileNetwork::with_model(base.positions.clone(), base.range, model);
-    let mut m = MaintainedCds::build(mobile.graph(), cfg);
+    let mut m = ChurnEngine::build(mobile.graph(), cfg);
     let mut cost = 0usize;
     let mut levels = [0usize; 4];
     let mut churn = 0usize;
@@ -93,7 +94,7 @@ fn drive(cfg: MovementConfig, steps: usize, seed: u64) -> PolicyOutcome {
 
 fn rebuild_baseline(steps: usize, seed: u64) -> PolicyOutcome {
     // Rebuild-every-step expressed through the same machinery: a
-    // MaintainedCds whose caller force-rebuilds by constructing anew,
+    // ChurnEngine whose caller force-rebuilds by constructing anew,
     // charged at rebuild_cost.
     let n = 100usize;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -107,7 +108,7 @@ fn rebuild_baseline(steps: usize, seed: u64) -> PolicyOutcome {
     let model = RandomWaypoint::new(n, wp, &mut rng);
     let mut mobile = MobileNetwork::with_model(base.positions.clone(), base.range, model);
     let cfg = MovementConfig::strict(2, Algorithm::AcLmst);
-    let mut m = MaintainedCds::build(mobile.graph(), cfg);
+    let mut m = ChurnEngine::build(mobile.graph(), cfg);
     let mut cost = 0usize;
     let mut churn = 0usize;
     let mut valid = 0usize;
@@ -116,7 +117,7 @@ fn rebuild_baseline(steps: usize, seed: u64) -> PolicyOutcome {
     for _ in 0..steps {
         mobile.step(1.0, &mut rng);
         cost += m.rebuild_cost(mobile.graph());
-        m = MaintainedCds::build(mobile.graph(), cfg);
+        m = ChurnEngine::build(mobile.graph(), cfg);
         churn += m
             .clustering
             .heads

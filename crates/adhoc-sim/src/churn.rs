@@ -1,12 +1,11 @@
 //! The unified incremental maintenance engine ("churn engine").
 //!
-//! Before this module, the stack had **two parallel repair
-//! implementations that shared no code**: `maintenance` re-ran whole
-//! pipeline phases after a single §3.3 departure, and `movement`
-//! re-swept every clusterhead's neighborhood every step to reconcile
-//! with continuous drift. Both paid full price for local damage.
-//!
-//! [`ChurnEngine`] collapses them onto one incremental stack:
+//! [`ChurnEngine`] is the stack's one implementation of the paper's
+//! §3.3 maintenance rules — a departing bystander costs nothing, a
+//! departing gateway re-runs only the gateway selection, a departing
+//! clusterhead's members re-join or re-elect — and of the
+//! movement-sensitive policy of [`crate::movement`]. All of them run
+//! on one incremental stack:
 //!
 //! * a **departure** is just a [`TopologyDelta`] removing one node's
 //!   edges ([`ChurnEngine::depart`]);
@@ -70,11 +69,11 @@
 //! I1 in [`crate::invariants`]), while the existing [`RepairLevel`]
 //! policy and node-round cost accounting ride on top unchanged.
 //!
-//! The `movement::MaintainedCds` name remains as an alias of this
-//! engine; `maintenance::handle_departure` and
-//! `maintenance::handle_arrival` stay as the stateless §3.3 reference
-//! implementations, built from the same crate-private repair
-//! primitives (`rejoin_one`, `elect_orphans`, `broken_mates`).
+//! The repair itself is built from three private primitives at the
+//! bottom of this module: `broken_mates` (members whose ≤k-hop
+//! head path a departure broke), `rejoin_one` (join the nearest
+//! surviving head) and `elect_orphans` (local lowest-ID election among
+//! orphans with no head in range).
 
 use crate::invariants;
 use crate::message::MessageKind;
@@ -95,7 +94,7 @@ use adhoc_graph::obs::Metrics;
 use adhoc_graph::par::Parallelism;
 
 /// Sentinel head for a node that is not in any cluster (departed).
-pub(crate) const GONE: NodeId = NodeId(u32::MAX);
+const GONE: NodeId = NodeId(u32::MAX);
 
 /// One operation of a [`ChurnEngine::reconcile_batch`] — a multi-node
 /// delta expressed as the ordered list of departures and arrivals it
@@ -252,9 +251,7 @@ enum RepairOutcome {
 /// [`SpatialGrid`](adhoc_graph::gen::SpatialGrid)), remove a node
 /// with [`Self::depart`], or bring a departed node back with
 /// [`Self::arrive`] — arrivals are first-class reconciles that flow
-/// through the same observe/repair/publish machine (the stateless
-/// one-shot `maintenance::handle_arrival` remains as the §3.3
-/// reference implementation).
+/// through the same observe/repair/publish machine.
 ///
 /// All of those are convenience drivers over the explicit state
 /// machine ([`Self::begin_delta`], [`Self::begin_depart`],
@@ -1489,8 +1486,8 @@ impl ChurnEngine {
 }
 
 // ---------------------------------------------------------------------
-// Shared repair primitives — used by the engine above and by the
-// stateless §3.3 implementation in `maintenance`.
+// Repair primitives — the §3.3 building blocks the engine's repair
+// phase composes.
 // ---------------------------------------------------------------------
 
 /// Re-joins orphan `v` to the nearest surviving clusterhead within `k`
@@ -1498,7 +1495,7 @@ impl ChurnEngine {
 /// clustering itself uses), recording the exact distance. Returns the
 /// size of the k-ball probe (the charged node-rounds) and whether a
 /// head was found.
-pub(crate) fn rejoin_one(
+fn rejoin_one(
     g: &Graph,
     clustering: &mut Clustering,
     v: NodeId,
@@ -1526,7 +1523,7 @@ pub(crate) fn rejoin_one(
 /// hops elect heads among themselves with iterative lowest-ID contests
 /// restricted to the undecided set. Returns the elected heads and the
 /// total k-ball probe size (charged node-rounds).
-pub(crate) fn elect_orphans(
+fn elect_orphans(
     g: &Graph,
     clustering: &mut Clustering,
     mut undecided: Vec<NodeId>,
@@ -1597,7 +1594,7 @@ pub(crate) fn elect_orphans(
 /// BFS from `former_neighbors` (`departed`'s neighbors before the
 /// isolating delta) bounded at `k − 1` hops enumerates exactly the old
 /// ball.
-pub(crate) fn broken_mates(
+fn broken_mates(
     residual: &Graph,
     former_neighbors: &[NodeId],
     clustering: &Clustering,
@@ -1774,6 +1771,44 @@ mod tests {
             let r = e.depart(NodeId(uid));
             assert!(r.valid || !e.alive_connected());
             assert_engine_consistent(&e, &format!("chain departure {uid}"));
+        }
+    }
+
+    #[test]
+    fn bystander_departure_escalates_when_mate_path_breaks() {
+        // k=2, one cluster at head 0. Member 2 reaches 0 only through
+        // bystander 1 (2-1-0); its other route 2-5-6-0 is 3 hops. When
+        // 1 departs, 2 has no head within k and elects itself.
+        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 5), (5, 6), (6, 0), (0, 4), (4, 3)]);
+        let mut e = ChurnEngine::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
+        assert_eq!(e.clustering.heads, vec![NodeId(0)]);
+        assert!(e.cds.gateways.is_empty(), "1 is a bystander");
+        let r = e.depart(NodeId(1));
+        assert_eq!(r.orphans, 1);
+        // A local election grows the head set: the full evaluation.
+        assert_eq!(r.level, RepairLevel::Full);
+        assert!(r.cost > 0);
+        assert_eq!(e.clustering.heads, vec![NodeId(0), NodeId(2)]);
+        assert!(r.valid);
+        assert_engine_consistent(&e, "bystander escalation");
+    }
+
+    #[test]
+    fn independent_departures_valid_on_random_networks() {
+        // One network per k, drawn in turn from the same stream.
+        let mut rng = StdRng::seed_from_u64(55);
+        for k in 1..=2u32 {
+            let net = gen::geometric(&GeometricConfig::new(60, 100.0, 8.0), &mut rng);
+            let base = ChurnEngine::build(&net.graph, MovementConfig::strict(k, Algorithm::AcLmst));
+            for uid in [5u32, 20, 40] {
+                let mut e = base.clone();
+                let r = e.depart(NodeId(uid));
+                // Survivors stay k-dominated even when they split; only
+                // backbone connectivity is forgiven then.
+                assert!(e.dominated_sweep(), "k={k}: departure of {uid} strands a node");
+                assert!(r.valid || !e.alive_connected(), "k={k}: departure of {uid}");
+                assert_engine_consistent(&e, &format!("k={k}: departure of {uid}"));
+            }
         }
     }
 

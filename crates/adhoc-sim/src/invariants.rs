@@ -264,16 +264,18 @@ pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
         }
     }
 
-    // Served plan ≡ fresh compile (content equality; epoch excluded).
+    // Served plan ≡ fresh compile (content equality; epoch excluded)
+    // under the inter-head layout policy the plan was compiled with.
     // Skipped mid-flight: publish has not run, so the served plan is
     // deliberately the pre-step one (that is I3's business).
     if engine.in_flight().is_none() {
         if let Some(plan) = engine.route_plan() {
-            let fresh_plan = RoutePlan::compile(
+            let fresh_plan = RoutePlan::compile_with(
                 g,
                 clustering,
                 engine.labels(),
                 eval.selected_links(engine.config().algorithm),
+                plan.inter_mode(),
             );
             if *plan != fresh_plan {
                 out.push(Violation::new("I1", "served route plan != fresh compile"));

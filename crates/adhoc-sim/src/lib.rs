@@ -19,11 +19,13 @@
 //! * [`mobility`] — mobility models (random waypoint, random
 //!   direction, Gauss-Markov) over an incrementally maintained
 //!   spatial-grid topology that reports per-step edge deltas.
-//! * [`churn`] — the unified incremental maintenance engine: topology
-//!   deltas flow through an explicit observe/repair/publish state
-//!   machine (suspendable and crash-injectable at every phase
-//!   boundary), with departures, arrivals, and movement steps as
-//!   three faces of the same delta workload.
+//! * [`churn`] — the unified incremental maintenance engine and the
+//!   stack's one implementation of the §3.3 rules for node departure
+//!   and arrival: topology deltas flow through an explicit
+//!   observe/repair/publish state machine (suspendable and
+//!   crash-injectable at every phase boundary), with departures,
+//!   arrivals, and movement steps as three faces of the same delta
+//!   workload.
 //! * [`adversary`] — attack and recovery workload generators over the
 //!   engine: targeted head/hub removal, correlated regional outages,
 //!   mass partition, and flash-crowd arrival bursts, for the
@@ -37,13 +39,9 @@
 //!   every delta interleaving × every crash point over tiny graphs,
 //!   all four invariants checked at every reachable state, with
 //!   replayable counterexample scripts.
-//! * [`maintenance`] — the stateless §3.3 local-fix rules for node
-//!   disappearance and arrival (nothing / local gateway re-selection /
-//!   cluster re-election / join-or-elect), built on the shared repair
-//!   primitives of [`churn`].
 //! * [`movement`] — the movement-sensitive maintenance policy of the
-//!   paper's §5 future work: cheapest-sufficient repairs under motion
-//!   (the [`churn::ChurnEngine`] behind its historical name).
+//!   paper's §5 future work: the configuration, repair levels, and
+//!   step report that [`churn::ChurnEngine`] runs under.
 //! * [`energy`] — a transmission energy model and clusterhead rotation
 //!   with residual-energy priority.
 //!
@@ -70,7 +68,8 @@ pub mod energy;
 pub mod engine;
 pub mod invariants;
 pub mod mac;
-pub mod maintenance;
+#[cfg(test)]
+mod maintenance;
 pub mod modelcheck;
 pub mod message;
 pub mod mobility;

@@ -1,513 +1,48 @@
-//! Dynamic maintenance: the §3.3 local-fix rules for a disappearing
-//! node.
-//!
-//! The paper's discussion section prescribes, for a node that
-//! "disappears" (switch-off, crash, or moving out of range):
-//!
-//! * **non-clusterhead, non-gateway** — nothing needs to be done;
-//! * **gateway** — only the corresponding clusterhead(s) re-run the
-//!   gateway selection process (a *local fix*);
-//! * **clusterhead** — the clusterhead selection process is re-applied
-//!   (to the orphaned cluster).
-//!
-//! This module implements those rules over the centralized structures
-//! and *measures their locality*: how many nodes the repair had to
-//! touch, compared with the full re-run a naive implementation would
-//! do. One honest extension beyond the paper: a departing node can
-//! silently break another member's only ≤k-hop path to that member's
-//! head — and property testing showed the broken member can belong to
-//! a *different* cluster than the departed node (affiliation is by
-//! distance, not geodesic ownership). All repair rules therefore
-//! re-check the departed node's pre-departure k-ball (still a local
-//! operation) and escalate to re-affiliation when needed
-//! (`RepairReport::escalated`).
-//!
-//! This module is the **stateless** §3.3 reference implementation; its
-//! repair primitives (orphan re-join, local lowest-ID election, broken
-//! mate detection) are shared with — and live in — the stateful
-//! incremental engine of [`crate::churn`], where a departure is
-//! processed as just another topology delta with warm label state.
+//! The paper's §3.3 maintenance scenarios, one per rule, replayed on
+//! [`ChurnEngine`](crate::churn::ChurnEngine): a bystander leaving
+//! changes nothing, a gateway leaving re-selects gateways only, a
+//! clusterhead leaving re-affiliates or elects, and a node switching
+//! on joins the nearest head within k or becomes a head. Each scenario
+//! also runs the full invariant battery (`invariants::check_all`).
 
-use crate::churn;
-use adhoc_cluster::cds::Cds;
-use adhoc_cluster::clustering::Clustering;
-use adhoc_cluster::gateway::GatewaySelection;
-use adhoc_cluster::pipeline::{self, Algorithm};
-use adhoc_graph::bfs::BfsScratch;
-use adhoc_graph::connectivity;
-use adhoc_graph::graph::{Graph, NodeId};
-
-/// The role a node played before departing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Role {
-    /// Plain member: neither clusterhead nor gateway.
-    Bystander,
-    /// A marked gateway node.
-    Gateway,
-    /// A clusterhead.
-    Clusterhead,
-}
-
-/// Classifies `u` against the current structures.
-pub fn classify(clustering: &Clustering, selection: &GatewaySelection, u: NodeId) -> Role {
-    if clustering.is_head(u) {
-        Role::Clusterhead
-    } else if selection.gateways.binary_search(&u).is_ok() {
-        Role::Gateway
-    } else {
-        Role::Bystander
-    }
-}
-
-/// What a repair did and what it cost.
-#[derive(Clone, Debug)]
-pub struct RepairReport {
-    /// The departed node's former role.
-    pub role: Role,
-    /// Nodes the repair had to involve (election contests, gateway
-    /// re-selection balls, re-affiliating members). Bystander repairs
-    /// touch nobody.
-    pub touched: Vec<NodeId>,
-    /// Whether the optimistic paper rule had to be escalated because a
-    /// cluster-mate lost its ≤k-hop connection to its head.
-    pub escalated: bool,
-    /// Repaired clustering (the departed node is excluded: its
-    /// `head_of` entry is a sentinel and it is in no cluster).
-    pub clustering: Clustering,
-    /// Repaired gateway selection.
-    pub selection: GatewaySelection,
-    /// Repaired CDS.
-    pub cds: Cds,
-    /// Whether the residual network is still connected (if not, no
-    /// repair can restore a single CDS and the structures cover the
-    /// departed node's component-wise best effort).
-    pub residual_connected: bool,
-}
-
-use crate::churn::GONE;
-
-/// Applies the §3.3 rule for the departure of `u`.
-///
-/// `g` must be the topology *before* departure; the function isolates
-/// `u` internally. `algorithm` selects which gateway pipeline the
-/// repair re-runs where required (G-MST is allowed: its "local fix" is
-/// by definition a global recomputation, which the report's `touched`
-/// honestly shows).
-///
-/// # Panics
-/// Panics if `u` departed already (no edges and not in any cluster).
-pub fn handle_departure(
-    g: &Graph,
-    clustering: &Clustering,
-    selection: &GatewaySelection,
-    algorithm: Algorithm,
-    u: NodeId,
-) -> RepairReport {
-    let role = classify(clustering, selection, u);
-    let mut residual = g.clone();
-    residual.isolate(u);
-    let residual_connected = alive_connected(&residual, clustering, u);
-
-    match role {
-        Role::Bystander => repair_bystander(
-            g,
-            &residual,
-            clustering,
-            selection,
-            algorithm,
-            u,
-            residual_connected,
-        ),
-        Role::Gateway => repair_gateway(
-            g,
-            &residual,
-            clustering,
-            selection,
-            algorithm,
-            u,
-            residual_connected,
-        ),
-        Role::Clusterhead => {
-            repair_clusterhead(g, &residual, clustering, algorithm, u, residual_connected)
-        }
-    }
-}
-
-/// Connectivity of the graph ignoring the departing node and any node
-/// that already departed earlier (recorded by the `GONE` sentinel in
-/// the clustering), so failure-injection chains compose.
-fn alive_connected(residual: &Graph, clustering: &Clustering, departed: NodeId) -> bool {
-    let alive: Vec<NodeId> = residual
-        .nodes()
-        .filter(|&v| v != departed && clustering.head_of[v.index()] != GONE)
-        .collect();
-    connectivity::is_subset_connected(residual, &alive)
-}
-
-/// Members whose ≤k-hop head path broke when `departed` left — the
-/// shared k-ball-local detection of [`crate::churn::broken_mates`]
-/// (which recovers the pre-departure k-ball from the departed node's
-/// former neighbor list, so only the residual graph is probed).
-fn broken_mates(
-    old_graph: &Graph,
-    residual: &Graph,
-    clustering: &Clustering,
-    departed: NodeId,
-) -> Vec<NodeId> {
-    churn::broken_mates(residual, old_graph.neighbors(departed), clustering, departed)
-}
-
-fn strip_departed(clustering: &Clustering, departed: NodeId) -> Clustering {
-    let mut c = clustering.clone();
-    c.head_of[departed.index()] = GONE;
-    c.dist_to_head[departed.index()] = 0;
-    c
-}
-
-/// Re-affiliates `orphans` (members that lost their head or their
-/// ≤k-hop path): each joins the nearest surviving head within k hops
-/// (ID tie-break, [`churn::rejoin_one`]); those with none elect heads
-/// among themselves with iterative lowest-ID contests restricted to
-/// orphans ([`churn::elect_orphans`]).
-///
-/// Returns the set of nodes whose state changed.
-fn reaffiliate(residual: &Graph, clustering: &mut Clustering, orphans: &[NodeId]) -> Vec<NodeId> {
-    let mut touched: Vec<NodeId> = orphans.to_vec();
-    let mut undecided: Vec<NodeId> = Vec::new();
-    let mut scratch = BfsScratch::new(residual.len());
-
-    // Try joining surviving clusters first (the cheap path).
-    for &v in orphans {
-        let (_, joined) = churn::rejoin_one(residual, clustering, v, &mut scratch);
-        if !joined {
-            undecided.push(v);
-        }
-    }
-    // Remaining orphans: local lowest-ID election among themselves.
-    let (winners, _) = churn::elect_orphans(residual, clustering, undecided, &mut scratch);
-    touched.extend(winners);
-    touched.sort_unstable();
-    touched.dedup();
-    touched
-}
-
-/// Re-runs the gateway phase on the residual graph for the (possibly
-/// repaired) clustering, excluding the departed node from any path.
-/// One `pipeline::run_on` call — the same entry point every other
-/// consumer uses (the per-algorithm dispatch used to be duplicated
-/// here).
-fn rerun_gateways(
-    residual: &Graph,
-    clustering: &Clustering,
-    algorithm: Algorithm,
-    departed: NodeId,
-) -> GatewaySelection {
-    // The departed node is isolated, so no shortest path can use it;
-    // the standard pipeline applies, on a clustering that no longer
-    // contains it.
-    let pruned = prune_clustering_for_pipeline(clustering, departed);
-    pipeline::run_on(residual, algorithm, &pruned).selection
-}
-
-/// The pipeline helpers iterate `head_of` densely, so give the
-/// departed node a harmless self-mapping that cannot create adjacency
-/// (it has no edges) and is not a head.
-fn prune_clustering_for_pipeline(clustering: &Clustering, departed: NodeId) -> Clustering {
-    let mut c = clustering.clone();
-    if departed.index() < c.head_of.len() && c.head_of[departed.index()] == GONE {
-        // Point it at an arbitrary existing head; with zero edges it
-        // can neither become a border node nor appear on any path.
-        c.head_of[departed.index()] = c.heads[0];
-    }
-    c
-}
-
-#[allow(clippy::too_many_arguments)]
-fn repair_bystander(
-    old_graph: &Graph,
-    residual: &Graph,
-    clustering: &Clustering,
-    selection: &GatewaySelection,
-    algorithm: Algorithm,
-    u: NodeId,
-    residual_connected: bool,
-) -> RepairReport {
-    let broken = broken_mates(old_graph, residual, clustering, u);
-    let mut new_clustering = strip_departed(clustering, u);
-    if broken.is_empty() {
-        // The paper's rule verbatim: nothing to do.
-        let cds = Cds {
-            heads: new_clustering.heads.clone(),
-            gateways: selection.gateways.clone(),
-        };
-        return RepairReport {
-            role: Role::Bystander,
-            touched: Vec::new(),
-            escalated: false,
-            clustering: new_clustering,
-            selection: selection.clone(),
-            cds,
-            residual_connected,
-        };
-    }
-    // Escalation: some mates lost their head; re-affiliate them and
-    // re-run gateways (their cluster boundaries changed).
-    let mut touched = reaffiliate(residual, &mut new_clustering, &broken);
-    let new_selection = rerun_gateways(residual, &new_clustering, algorithm, u);
-    touched.extend(new_clustering.heads.iter().copied());
-    touched.sort_unstable();
-    touched.dedup();
-    let cds = Cds {
-        heads: new_clustering.heads.clone(),
-        gateways: new_selection.gateways.clone(),
-    };
-    RepairReport {
-        role: Role::Bystander,
-        touched,
-        escalated: true,
-        clustering: new_clustering,
-        selection: new_selection,
-        cds,
-        residual_connected,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn repair_gateway(
-    old_graph: &Graph,
-    residual: &Graph,
-    clustering: &Clustering,
-    selection: &GatewaySelection,
-    algorithm: Algorithm,
-    u: NodeId,
-    residual_connected: bool,
-) -> RepairReport {
-    let broken = broken_mates(old_graph, residual, clustering, u);
-    let escalated = !broken.is_empty();
-    let mut new_clustering = strip_departed(clustering, u);
-    let mut touched = if escalated {
-        reaffiliate(residual, &mut new_clustering, &broken)
-    } else {
-        Vec::new()
-    };
-    // §3.3: "only the corresponding clusterhead needs to re-run the
-    // gateway selection process". The epicenter is the endpoint pair
-    // of every realized link whose canonical path ran through `u`;
-    // links are realized along canonical shortest paths, so we can
-    // re-derive each path on the pre-departure graph.
-    let affected_heads: Vec<NodeId> = selection
-        .links_used
-        .iter()
-        .filter(|&&(a, b)| {
-            let path = adhoc_graph::bfs::lexico_shortest_path(old_graph, a, b, u32::MAX)
-                .expect("realized links connect their endpoints");
-            adhoc_graph::paths::interior(&path).contains(&u)
-        })
-        .flat_map(|&(a, b)| [a, b])
-        .collect();
-    let new_selection = rerun_gateways(residual, &new_clustering, algorithm, u);
-    touched.extend(affected_heads);
-    touched.extend(new_selection.gateways.iter().copied());
-    touched.sort_unstable();
-    touched.dedup();
-    let cds = Cds {
-        heads: new_clustering.heads.clone(),
-        gateways: new_selection.gateways.clone(),
-    };
-    RepairReport {
-        role: Role::Gateway,
-        touched,
-        escalated,
-        clustering: new_clustering,
-        selection: new_selection,
-        cds,
-        residual_connected,
-    }
-}
-
-fn repair_clusterhead(
-    old_graph: &Graph,
-    residual: &Graph,
-    clustering: &Clustering,
-    algorithm: Algorithm,
-    u: NodeId,
-    residual_connected: bool,
-) -> RepairReport {
-    // Orphans: the departed head's whole cluster, plus any *other*
-    // cluster's member whose ≤k head-path ran through the departed
-    // node (same locality argument as `broken_mates`).
-    let mut orphans: Vec<NodeId> = clustering
-        .cluster_of(u)
-        .into_iter()
-        .filter(|&v| v != u)
-        .collect();
-    orphans.extend(broken_mates(old_graph, residual, clustering, u));
-    orphans.sort_unstable();
-    orphans.dedup();
-    let mut new_clustering = strip_departed(clustering, u);
-    // Remove u from the head list.
-    let pos = new_clustering.heads.binary_search(&u).expect("was a head");
-    new_clustering.heads.remove(pos);
-    let mut touched = reaffiliate(residual, &mut new_clustering, &orphans);
-    let new_selection = rerun_gateways(residual, &new_clustering, algorithm, u);
-    touched.extend(new_clustering.heads.iter().copied());
-    touched.sort_unstable();
-    touched.dedup();
-    let cds = Cds {
-        heads: new_clustering.heads.clone(),
-        gateways: new_selection.gateways.clone(),
-    };
-    RepairReport {
-        role: Role::Clusterhead,
-        touched,
-        escalated: false,
-        clustering: new_clustering,
-        selection: new_selection,
-        cds,
-        residual_connected,
-    }
-}
-
-/// How an arriving node was absorbed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArrivalOutcome {
-    /// Joined an existing cluster at the given head and distance.
-    Joined {
-        /// The adopting clusterhead.
-        head: NodeId,
-        /// Hop distance to it.
-        dist: u32,
-    },
-    /// No head within `k` hops: the newcomer became its own head.
-    BecameHead,
-}
-
-/// §3.3's dual of a departure: a node switches **on**. `g_after` must
-/// already contain `u`'s new radio links; `clustering`/`selection`
-/// describe the structure built before `u` appeared (any stale entry
-/// for `u` itself is overwritten). The newcomer joins the nearest
-/// clusterhead within `k` hops (ID tie-break) or, if none is in
-/// range, declares itself a head — then the gateway phase re-runs,
-/// since new links can create new adjacent cluster pairs.
-///
-/// This is the **stateless one-shot** reference; the incremental
-/// engine applies the same rule statefully via
-/// [`ChurnEngine::arrive`](crate::churn::ChurnEngine::arrive), where
-/// the arrival delta flows through observe/repair/publish and a head
-/// election splices (not rebuilds) the label arena.
-pub fn handle_arrival(
-    g_after: &Graph,
-    clustering: &Clustering,
-    algorithm: Algorithm,
-    u: NodeId,
-) -> (ArrivalOutcome, RepairReport) {
-    let mut new_clustering = clustering.clone();
-    // Drop any stale head role the newcomer held.
-    if let Ok(pos) = new_clustering.heads.binary_search(&u) {
-        new_clustering.heads.remove(pos);
-    }
-    new_clustering.head_of[u.index()] = GONE;
-    let touched = reaffiliate(g_after, &mut new_clustering, &[u]);
-    let outcome = if new_clustering.head_of[u.index()] == u {
-        ArrivalOutcome::BecameHead
-    } else {
-        ArrivalOutcome::Joined {
-            head: new_clustering.head_of[u.index()],
-            dist: new_clustering.dist_to_head[u.index()],
-        }
-    };
-    let new_selection = rerun_gateways(g_after, &new_clustering, algorithm, GONE_PLACEHOLDER);
-    let cds = Cds {
-        heads: new_clustering.heads.clone(),
-        gateways: new_selection.gateways.clone(),
-    };
-    let alive: Vec<NodeId> = g_after.nodes().collect();
-    let residual_connected = connectivity::is_subset_connected(g_after, &alive);
-    let report = RepairReport {
-        role: Role::Bystander,
-        touched,
-        escalated: false,
-        clustering: new_clustering,
-        selection: new_selection,
-        cds,
-        residual_connected,
-    };
-    (outcome, report)
-}
-
-/// A node ID that never exists, for the "no departed node" case of
-/// [`rerun_gateways`] during arrivals.
-const GONE_PLACEHOLDER: NodeId = NodeId(u32::MAX - 1);
-
-/// Validates repaired structures on the residual graph, skipping the
-/// departed node(s): heads k-hop-dominate every surviving node and the
-/// CDS induces a connected subgraph (when the residual graph is
-/// connected). Accepts a slice so failure-injection chains can skip
-/// every node that has departed so far.
-pub fn repaired_structures_valid(
-    residual_graph: &Graph,
-    report: &RepairReport,
-    departed: &[NodeId],
-) -> bool {
-    let k = report.clustering.k;
-    let dist = connectivity::distance_to_set(residual_graph, &report.cds.heads);
-    for v in residual_graph.nodes() {
-        if departed.contains(&v) {
-            continue;
-        }
-        if dist[v.index()] > k {
-            return false;
-        }
-    }
-    if report.residual_connected {
-        let nodes = report.cds.nodes();
-        if !connectivity::is_subset_connected(residual_graph, &nodes) {
-            return false;
-        }
-    }
-    true
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use adhoc_cluster::clustering::{cluster, MemberPolicy};
-    use adhoc_cluster::pipeline::{run_on, Algorithm};
-    use adhoc_cluster::priority::LowestId;
+    use crate::churn::ChurnEngine;
+    use crate::invariants;
+    use crate::movement::{MovementConfig, RepairLevel};
+    use adhoc_cluster::pipeline::Algorithm;
     use adhoc_graph::gen;
+    use adhoc_graph::graph::{Graph, NodeId};
 
-    fn setup(g: &Graph, k: u32, algorithm: Algorithm) -> (Clustering, GatewaySelection) {
-        let c = cluster(g, k, &LowestId, MemberPolicy::IdBased);
-        let out = run_on(g, algorithm, &c);
-        (c, out.selection)
+    fn engine(g: &Graph, algorithm: Algorithm) -> ChurnEngine {
+        ChurnEngine::build(g, MovementConfig::strict(1, algorithm))
     }
 
-    #[test]
-    fn classify_roles() {
-        let g = gen::path(9);
-        let (c, sel) = setup(&g, 1, Algorithm::AcLmst);
-        assert_eq!(classify(&c, &sel, NodeId(0)), Role::Clusterhead);
-        assert_eq!(classify(&c, &sel, NodeId(1)), Role::Gateway);
-        // On path(9) k=1 every odd node is a gateway; build a richer
-        // graph for a true bystander below.
-        let g2 = gen::star(5);
-        let (c2, sel2) = setup(&g2, 1, Algorithm::AcLmst);
-        assert_eq!(classify(&c2, &sel2, NodeId(3)), Role::Bystander);
+    fn assert_invariants(e: &ChurnEngine, ctx: &str) {
+        assert_eq!(invariants::check_all(e), vec![], "{ctx}");
     }
 
     #[test]
     fn bystander_departure_touches_nobody() {
         // Star with head 0: leaf 3 leaves, nothing should change.
         let g = gen::star(5);
-        let (c, sel) = setup(&g, 1, Algorithm::AcLmst);
-        let r = handle_departure(&g, &c, &sel, Algorithm::AcLmst, NodeId(3));
-        assert_eq!(r.role, Role::Bystander);
-        assert!(!r.escalated);
-        assert!(r.touched.is_empty());
-        assert!(r.residual_connected);
-        let mut residual = g.clone();
-        residual.isolate(NodeId(3));
-        assert!(repaired_structures_valid(&residual, &r, &[NodeId(3)]));
+        let mut e = engine(&g, Algorithm::AcLmst);
+        let (clustering, cds) = (e.clustering.clone(), e.cds.clone());
+        let r = e.depart(NodeId(3));
+        assert_eq!(r.level, RepairLevel::None);
+        assert_eq!((r.cost, r.orphans), (0, 0));
+        assert!(e.alive_connected());
+        assert!(r.valid);
+        assert_eq!(e.clustering.heads, clustering.heads);
+        for v in [0u32, 1, 2, 4] {
+            let v = NodeId(v);
+            assert_eq!(e.clustering.head_of(v), clustering.head_of(v));
+            assert_eq!(
+                e.clustering.dist_to_head[v.index()],
+                clustering.dist_to_head[v.index()]
+            );
+        }
+        assert_eq!(e.cds.gateways, cds.gateways);
+        assert_invariants(&e, "bystander departure");
     }
 
     #[test]
@@ -516,14 +51,16 @@ mod tests {
         // one gateway must switch to the other bridge.
         //   head 0 - 2 - 1 head   and   0 - 3 - 1.
         let g = Graph::from_edges(4, &[(0, 2), (2, 1), (0, 3), (3, 1)]);
-        let (c, sel) = setup(&g, 1, Algorithm::AcMesh);
-        assert_eq!(sel.gateways, vec![NodeId(2)]); // canonical path picks 2
-        let r = handle_departure(&g, &c, &sel, Algorithm::AcMesh, NodeId(2));
-        assert_eq!(r.role, Role::Gateway);
-        assert_eq!(r.selection.gateways, vec![NodeId(3)]);
-        let mut residual = g.clone();
-        residual.isolate(NodeId(2));
-        assert!(repaired_structures_valid(&residual, &r, &[NodeId(2)]));
+        let mut e = engine(&g, Algorithm::AcMesh);
+        assert_eq!(e.cds.gateways, vec![NodeId(2)]); // canonical path picks 2
+        let heads = e.clustering.heads.clone();
+        let r = e.depart(NodeId(2));
+        assert_eq!(r.level, RepairLevel::Gateways);
+        assert_eq!(r.orphans, 0);
+        assert_eq!(e.clustering.heads, heads, "no re-election");
+        assert_eq!(e.cds.gateways, vec![NodeId(3)]);
+        assert!(r.valid);
+        assert_invariants(&e, "gateway departure");
     }
 
     #[test]
@@ -531,17 +68,16 @@ mod tests {
         // Path 0-1-2-3-4, k=1: heads 0,2,4. Remove head 2; members
         // {1,3} must re-affiliate (1 joins 0, 3 joins 4).
         let g = gen::path(5);
-        let (c, sel) = setup(&g, 1, Algorithm::AcLmst);
-        let r = handle_departure(&g, &c, &sel, Algorithm::AcLmst, NodeId(2));
-        assert_eq!(r.role, Role::Clusterhead);
-        assert!(!r.clustering.heads.contains(&NodeId(2)));
-        assert_eq!(r.clustering.head_of(NodeId(1)), NodeId(0));
-        assert_eq!(r.clustering.head_of(NodeId(3)), NodeId(4));
+        let mut e = engine(&g, Algorithm::AcLmst);
+        let r = e.depart(NodeId(2));
+        assert_eq!(r.level, RepairLevel::Full);
+        assert!(!e.clustering.heads.contains(&NodeId(2)));
+        assert_eq!(e.clustering.head_of(NodeId(1)), NodeId(0));
+        assert_eq!(e.clustering.head_of(NodeId(3)), NodeId(4));
         // Removing the middle of a path disconnects it.
-        assert!(!r.residual_connected);
-        let mut residual = g.clone();
-        residual.isolate(NodeId(2));
-        assert!(repaired_structures_valid(&residual, &r, &[NodeId(2)]));
+        assert!(!e.alive_connected());
+        assert!(!r.valid);
+        assert_invariants(&e, "clusterhead departure");
     }
 
     #[test]
@@ -552,122 +88,58 @@ mod tests {
         // disconnected (four isolated leaves), so each leaf becomes
         // its own head.
         let g = gen::star(5);
-        let (c, sel) = setup(&g, 1, Algorithm::AcLmst);
-        let r = handle_departure(&g, &c, &sel, Algorithm::AcLmst, NodeId(0));
-        assert_eq!(r.role, Role::Clusterhead);
-        assert!(!r.residual_connected);
+        let mut e = engine(&g, Algorithm::AcLmst);
+        let r = e.depart(NodeId(0));
+        assert_eq!(r.level, RepairLevel::Full);
+        assert_eq!(r.orphans, 4);
+        assert!(!e.alive_connected());
         assert_eq!(
-            r.clustering.heads,
+            e.clustering.heads,
             vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
         );
-    }
-
-    #[test]
-    fn bystander_escalation_when_mate_path_breaks() {
-        // k=2 cluster: head 0 - 1 - 2 (member 2 reaches head only
-        // through 1). A second branch 0 - 3 keeps things connected...
-        // but 2's only path to 0 runs through 1, and 2-3 edge gives an
-        // alternative that is 3 hops (too far for k=2? 2-3-0 is 2
-        // hops). Use: 0-1, 1-2, 2-3, 3-0? Then removing 1 leaves
-        // 2-3-0 (2 hops, fine, no escalation). For a real break:
-        //   0-1, 1-2 and 2-5, 5-6, 6-0: alt path is 3 hops > k=2.
-        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 5), (5, 6), (6, 0), (0, 4), (4, 3)]);
-        let c = cluster(&g, 2, &LowestId, MemberPolicy::IdBased);
-        // All nodes within 2 hops of 0? 3 is at 2 via 4. 5 is at 2 via
-        // 6? d(5,0)=2 (5-6-0). So single cluster, head 0.
-        assert_eq!(c.heads, vec![NodeId(0)]);
-        let out = run_on(&g, Algorithm::AcLmst, &c);
-        // Node 1 is a bystander (no other cluster => no gateways).
-        assert!(out.selection.gateways.is_empty());
-        let r = handle_departure(&g, &c, &out.selection, Algorithm::AcLmst, NodeId(1));
-        assert_eq!(r.role, Role::Bystander);
-        // 2's shortest path to 0 is now 3 hops: escalation.
-        assert!(r.escalated);
-        assert!(r.touched.contains(&NodeId(2)));
-        let mut residual = g.clone();
-        residual.isolate(NodeId(1));
-        assert!(repaired_structures_valid(&residual, &r, &[NodeId(1)]));
+        for leaf in 1..5 {
+            assert_eq!(e.clustering.head_of(NodeId(leaf)), NodeId(leaf));
+        }
+        assert_invariants(&e, "clusterhead departure with election");
     }
 
     #[test]
     fn arrival_joins_nearest_head() {
-        // Path 0-1-2-3-4 (k=1, heads 0,2,4) plus a new node 5 that
-        // switches on adjacent to 1: it must join head 0 at 2 hops?
-        // No — k=1, d(5,0)=2 > 1, d(5,2)=2 > 1: no head in range, so
-        // it becomes a head itself. Attach it to 2's neighbor instead:
-        // adjacent to 2 -> joins 2 at distance 1.
-        let g0 = gen::path(5);
-        let (c, _sel) = setup(&g0, 1, Algorithm::AcLmst);
-        let mut g = g0.clone();
-        let u = g.add_node();
-        g.add_edge(u, NodeId(2));
-        let (outcome, report) = handle_arrival_with_extended(&g, &c, u);
-        assert_eq!(
-            outcome,
-            ArrivalOutcome::Joined {
-                head: NodeId(2),
-                dist: 1
-            }
-        );
-        assert!(report.touched.contains(&u));
-        assert!(repaired_structures_valid(&g, &report, &[GONE_PLACEHOLDER]));
+        // Path 0-1-2-3-4 (k=1, heads 0,2,4) plus node 5, which starts
+        // switched off and then switches on adjacent to head 2: it
+        // joins 2 at distance 1 and leaves the head set alone.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let mut e = engine(&g, Algorithm::AcLmst);
+        let u = NodeId(5);
+        e.depart(u);
+        assert_eq!(e.clustering.heads, vec![NodeId(0), NodeId(2), NodeId(4)]);
+        let r = e.arrive(u, &[NodeId(2)]);
+        assert_eq!(e.clustering.head_of(u), NodeId(2));
+        assert_eq!(e.clustering.dist_to_head[u.index()], 1);
+        assert_eq!(e.clustering.heads, vec![NodeId(0), NodeId(2), NodeId(4)]);
+        assert!(r.valid);
+        assert_invariants(&e, "arrival join");
     }
 
     #[test]
     fn arrival_without_reachable_head_becomes_head() {
-        let g0 = gen::path(3); // heads {0, 2} at k=1
-        let (c, _sel) = setup(&g0, 1, Algorithm::AcLmst);
+        // Path 0-1-2 (heads {0, 2} at k=1) plus nodes 3 and 4, both
+        // switched off at the start.
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2)]);
+        let mut e = engine(&g, Algorithm::AcLmst);
+        let (u, v) = (NodeId(3), NodeId(4));
+        e.depart(u);
+        e.depart(v);
         // First arrival: u attaches to head 2 and joins it.
-        let mut g1 = g0.clone();
-        let u = g1.add_node();
-        g1.add_edge(NodeId(2), u);
-        let (o1, r1) = handle_arrival_with_extended(&g1, &c, u);
-        assert!(matches!(o1, ArrivalOutcome::Joined { head, .. } if head == NodeId(2)));
+        e.arrive(u, &[NodeId(2)]);
+        assert_eq!(e.clustering.head_of(u), NodeId(2));
         // Second arrival: v hangs off u; nearest head is 2 hops away,
         // beyond k=1, so v must become a head itself.
-        let mut g2 = g1.clone();
-        let v = g2.add_node();
-        g2.add_edge(u, v);
-        let (o2, r2) = handle_arrival_with_extended(&g2, &r1.clustering, v);
-        assert_eq!(o2, ArrivalOutcome::BecameHead);
-        assert!(r2.clustering.heads.contains(&v));
-        assert!(repaired_structures_valid(&g2, &r2, &[GONE_PLACEHOLDER]));
-    }
-
-    /// Extends the old clustering's arrays to the grown graph before
-    /// delegating to [`handle_arrival`] (test helper for add_node
-    /// scenarios).
-    fn handle_arrival_with_extended(
-        g_after: &Graph,
-        old: &Clustering,
-        u: NodeId,
-    ) -> (ArrivalOutcome, RepairReport) {
-        let mut c = old.clone();
-        while c.head_of.len() < g_after.len() {
-            c.head_of.push(NodeId(u32::MAX));
-            c.dist_to_head.push(0);
-        }
-        handle_arrival(g_after, &c, Algorithm::AcLmst, u)
-    }
-
-    #[test]
-    fn repairs_valid_on_random_networks() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(55);
-        for k in 1..=2u32 {
-            let net = gen::geometric(&gen::GeometricConfig::new(60, 100.0, 8.0), &mut rng);
-            let (c, sel) = setup(&net.graph, k, Algorithm::AcLmst);
-            for uid in [5u32, 20, 40] {
-                let u = NodeId(uid);
-                let r = handle_departure(&net.graph, &c, &sel, Algorithm::AcLmst, u);
-                let mut residual = net.graph.clone();
-                residual.isolate(u);
-                assert!(
-                    repaired_structures_valid(&residual, &r, &[u]),
-                    "repair after {u:?} (role {:?}) invalid",
-                    r.role
-                );
-            }
-        }
+        let r = e.arrive(v, &[u]);
+        assert_eq!(r.level, RepairLevel::Full);
+        assert!(e.clustering.heads.contains(&v));
+        assert_eq!(e.clustering.head_of(v), v);
+        assert!(r.valid);
+        assert_invariants(&e, "arrival election");
     }
 }

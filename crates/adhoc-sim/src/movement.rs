@@ -35,16 +35,18 @@
 //! [`TopologyDelta`](adhoc_graph::delta::TopologyDelta), only the
 //! clusterheads whose `2k+1` ball the delta touched are re-swept, and
 //! the evaluation refresh reuses every clean head's labels and
-//! canonical paths (`pipeline::update_all`). [`MaintainedCds`] is that
-//! engine under its historical name.
+//! canonical paths (`pipeline::update_all`). This module holds the
+//! policy's configuration, levels, and report; the engine itself is
+//! [`ChurnEngine`](crate::churn::ChurnEngine).
 //!
 //! ```
-//! use adhoc_sim::movement::{MaintainedCds, MovementConfig, RepairLevel};
+//! use adhoc_sim::churn::ChurnEngine;
+//! use adhoc_sim::movement::{MovementConfig, RepairLevel};
 //! use adhoc_cluster::pipeline::Algorithm;
 //! use adhoc_graph::gen;
 //!
 //! let g = gen::grid(4, 6);
-//! let mut m = MaintainedCds::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
+//! let mut m = ChurnEngine::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
 //! // Nothing moved: the policy verifies and does nothing.
 //! let report = m.step(&g);
 //! assert_eq!(report.level, RepairLevel::None);
@@ -52,11 +54,6 @@
 //! ```
 
 use adhoc_cluster::pipeline::Algorithm;
-
-/// The movement-sensitive maintenance engine — the
-/// [`ChurnEngine`](crate::churn::ChurnEngine) under the name this
-/// module has always exported.
-pub use crate::churn::ChurnEngine as MaintainedCds;
 
 /// Tuning knobs of the movement-sensitive policy.
 #[derive(Clone, Copy, Debug)]
@@ -179,6 +176,7 @@ pub struct StepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::ChurnEngine;
     use crate::mobility::{MobileNetwork, WaypointConfig};
     use adhoc_graph::connectivity;
     use adhoc_graph::gen::{self, GeometricConfig};
@@ -194,7 +192,7 @@ mod tests {
     #[test]
     fn no_change_means_no_repair() {
         let net = geometric(1, 80, 8.0);
-        let mut m = MaintainedCds::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
+        let mut m = ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
         let r = m.step(&net.graph);
         assert_eq!(r.level, RepairLevel::None);
         assert_eq!(r.cost, 0);
@@ -215,7 +213,7 @@ mod tests {
         let model = crate::mobility::RandomWaypoint::new(100, cfg, &mut rng);
         let mut mobile = MobileNetwork::with_model(net.positions.clone(), net.range, model);
         let mut m =
-            MaintainedCds::build(mobile.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
+            ChurnEngine::build(mobile.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
         let mut seen_nontrivial = false;
         for _ in 0..40 {
             mobile.step(1.0, &mut rng);
@@ -241,7 +239,7 @@ mod tests {
         // alone repairs the structure — no re-election, no gateway
         // change.
         let mut g = Graph::from_edges(6, &[(0, 2), (0, 3), (3, 1), (1, 4), (4, 5)]);
-        let mut m = MaintainedCds::build(&g, MovementConfig::strict(1, Algorithm::AcLmst));
+        let mut m = ChurnEngine::build(&g, MovementConfig::strict(1, Algorithm::AcLmst));
         assert_eq!(m.clustering.heads, vec![NodeId(0), NodeId(1), NodeId(5)]);
         assert_eq!(m.clustering.head_of(NodeId(2)), NodeId(0));
         g.remove_edge(NodeId(0), NodeId(2));
@@ -260,7 +258,7 @@ mod tests {
         // disconnects, so only the gateway phase re-runs.
         //   0-1-2-3  and 0-4-5-3 (k=1 heads: 0 and 3)
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3)]);
-        let mut m = MaintainedCds::build(&g, MovementConfig::strict(1, Algorithm::AcLmst));
+        let mut m = ChurnEngine::build(&g, MovementConfig::strict(1, Algorithm::AcLmst));
         let heads = m.clustering.heads.clone();
         let gw_before: Vec<NodeId> = m.cds.gateways.clone();
         assert!(!gw_before.is_empty());
@@ -288,7 +286,7 @@ mod tests {
         // Two k=2 clusters far apart, then a shortcut edge brings the
         // heads within 2 hops: strict policy must re-elect.
         let g = gen::path(12);
-        let mut m = MaintainedCds::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
+        let mut m = ChurnEngine::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
         let heads = m.clustering.heads.clone();
         assert!(heads.len() >= 2);
         let mut g2 = g.clone();
@@ -304,14 +302,14 @@ mod tests {
     #[test]
     fn tolerant_policy_defers_merges() {
         let g = gen::path(12);
-        let strict = MaintainedCds::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
+        let strict = ChurnEngine::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
         let heads = strict.clustering.heads.clone();
         let mut g2 = g.clone();
         g2.add_edge(heads[0], heads[1]);
         // merge_distance = 0 never fires on distance-1 adjacency? No:
         // distance 1 > 0, so the tolerant policy accepts it.
         let mut tolerant =
-            MaintainedCds::build(&g, MovementConfig::tolerant(2, Algorithm::AcLmst, 0));
+            ChurnEngine::build(&g, MovementConfig::tolerant(2, Algorithm::AcLmst, 0));
         let r = tolerant.step(&g2);
         assert_ne!(r.level, RepairLevel::Full);
         assert!(r.valid, "structure must still verify as a 2-hop CDS");
@@ -336,7 +334,7 @@ mod tests {
         let model = crate::mobility::RandomWaypoint::new(100, cfg, &mut rng);
         let mut mobile = MobileNetwork::with_model(net.positions.clone(), net.range, model);
         let mut m =
-            MaintainedCds::build(mobile.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
+            ChurnEngine::build(mobile.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
         let mut policy_cost = 0usize;
         let mut rebuild_cost = 0usize;
         for _ in 0..30 {

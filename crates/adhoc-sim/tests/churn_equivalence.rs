@@ -19,9 +19,11 @@
 use adhoc_cluster::adjacency::NeighborRule;
 use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet};
 use adhoc_cluster::clustering::Clustering;
+use adhoc_cluster::routing::InterMode;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::labels::HeadLabels;
 use adhoc_sim::churn::ChurnEngine;
+use adhoc_sim::invariants;
 use adhoc_sim::mobility::{
     DirectionConfig, GaussMarkov, GaussMarkovConfig, Mobility, RandomDirection, RandomWaypoint,
     WaypointConfig,
@@ -263,5 +265,32 @@ fn mixed_churn_workload_stays_exact() {
             }
         }
         assert!(!gone.is_empty());
+    }
+}
+
+/// I1 under a pinned inter-head layout: an engine forced onto hub
+/// labels below the `Auto` threshold checks its served plan against a
+/// fresh compile under the same policy, so every mode checks clean.
+#[test]
+fn pinned_inter_layout_passes_equivalence() {
+    let mut rng = StdRng::seed_from_u64(120);
+    let net = adhoc_graph::gen::geometric(
+        &adhoc_graph::gen::GeometricConfig::new(120, 100.0, 8.0),
+        &mut rng,
+    );
+    for (mode, layout) in [
+        (InterMode::Auto, "dense"),
+        (InterMode::Dense, "dense"),
+        (InterMode::Hub, "hub"),
+    ] {
+        let mut engine =
+            ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
+        engine.enable_routing_with_inter(mode);
+        for uid in [7u32, 31, 64] {
+            engine.depart(NodeId(uid));
+            assert_eq!(engine.route_plan().unwrap().inter_layout(), layout, "{mode:?}");
+            let violations = invariants::check_equivalence(&engine);
+            assert!(violations.is_empty(), "{mode:?} after departing {uid}: {violations:?}");
+        }
     }
 }

@@ -8,12 +8,13 @@ use adhoc_graph::gen;
 use adhoc_graph::geom::Point;
 use adhoc_graph::graph::{Graph, NodeId};
 use adhoc_sim::broadcast::Strategy as FwdStrategy;
+use adhoc_sim::churn::ChurnEngine;
 use adhoc_sim::mac::{simulate_with_mac, MacConfig};
 use adhoc_sim::mobility::{
     DirectionConfig, GaussMarkov, GaussMarkovConfig, Mobility, RandomDirection, RandomWaypoint,
     WaypointConfig,
 };
-use adhoc_sim::movement::{MaintainedCds, MovementConfig, RepairLevel};
+use adhoc_sim::movement::{MovementConfig, RepairLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,7 +79,7 @@ proptest! {
         batches in 1usize..4,
     ) {
         let mut g = g;
-        let mut m = MaintainedCds::build(&g, MovementConfig::strict(k, Algorithm::AcLmst));
+        let mut m = ChurnEngine::build(&g, MovementConfig::strict(k, Algorithm::AcLmst));
         let chunk = flips.len().div_ceil(batches);
         for batch in flips.chunks(chunk) {
             apply_flips(&mut g, batch);
@@ -93,7 +94,7 @@ proptest! {
     /// stepping twice in a row with no topology change does nothing.
     #[test]
     fn maintenance_is_idempotent(g in arb_connected_graph(25), k in 1u32..3) {
-        let mut m = MaintainedCds::build(&g, MovementConfig::strict(k, Algorithm::AcLmst));
+        let mut m = ChurnEngine::build(&g, MovementConfig::strict(k, Algorithm::AcLmst));
         let heads = m.clustering.heads.clone();
         let cds = m.cds.clone();
         for _ in 0..2 {

@@ -76,19 +76,87 @@ impl Args {
     fn has(&self, name: &str) -> bool {
         self.bools.iter().any(|b| b == name)
     }
+
+    /// Rejects every flag outside `allowed` (the flags the subcommand
+    /// reads), a value flag given bare, a switch given a value, and a
+    /// `--k` below 1 — so no flag is ever silently ignored.
+    fn check(&self, allowed: &[&str]) {
+        for name in self.flags.keys().chain(&self.bools) {
+            if !allowed.contains(&name.as_str()) {
+                die(&format!("unknown flag --{name} for this command"));
+            }
+        }
+        for name in &self.bools {
+            if !SWITCHES.contains(&name.as_str()) && name != "metrics" {
+                die(&format!("--{name} needs a value"));
+            }
+        }
+        for name in SWITCHES {
+            if self.flags.contains_key(name) {
+                die(&format!("--{name} takes no value"));
+            }
+        }
+        if self.get::<u32>("k", 1) == 0 {
+            die("--k must be at least 1");
+        }
+    }
 }
+
+/// Flags that take no value. `--metrics` takes an optional one.
+const SWITCHES: [&str; 2] = ["json", "verbose"];
+
+/// A subcommand: its name, its entry point, and the flags it reads
+/// (including through `obtain_graph` and the `parse_*` helpers).
+type Command = (&'static str, fn(&Args), &'static [&'static str]);
+
+/// Every subcommand; `main` dispatches through this table.
+const COMMANDS: &[Command] = &[
+    ("gen", cmd_gen, &["n", "d", "seed", "out"]),
+    (
+        "run",
+        cmd_run,
+        &["input", "n", "d", "seed", "k", "alg", "labels", "workers", "metrics", "json"],
+    ),
+    ("dist", cmd_dist, &["input", "n", "d", "seed", "k", "alg"]),
+    ("info", cmd_info, &["input", "n", "d", "seed"]),
+    ("exact", cmd_exact, &["input", "n", "d", "seed", "k", "budget"]),
+    ("maintain", cmd_maintain, &["n", "d", "seed", "k", "steps", "speed", "verbose"]),
+    (
+        "churn",
+        cmd_churn,
+        &["n", "d", "seed", "k", "steps", "movers", "speed", "labels", "workers", "metrics"],
+    ),
+    (
+        "route",
+        cmd_route,
+        &[
+            "input", "n", "d", "seed", "k", "alg", "queries", "workers", "labels", "inter", "mix",
+            "metrics", "json",
+        ],
+    ),
+    (
+        "resilience",
+        cmd_resilience,
+        &[
+            "n", "d", "seed", "k", "fraction", "pairs", "attack", "repair-level", "labels",
+            "workers", "metrics", "json",
+        ],
+    ),
+    ("mac", cmd_mac, &["input", "n", "d", "seed", "k", "cw"]),
+];
 
 fn die(msg: &str) -> ! {
     eprintln!("khop: {msg}");
     eprintln!("usage: khop <gen|run|dist|info|exact|maintain|churn|route|resilience|mac>");
-    eprintln!("            [--n N] [--d D] [--k K] [--seed S] [--steps T] [--cw W]");
+    eprintln!("            [--n N] [--d D] [--k K>=1] [--seed S] [--steps T] [--cw W]");
     eprintln!("            [--movers M] [--speed V] [--queries Q] [--workers W]");
     eprintln!("            [--mix uniform|hotspot|local]");
     eprintln!("            [--attack heads|degree|regional|partition] [--fraction F] [--pairs P]");
     eprintln!("            [--repair-level none|reaffiliate|gateways|full]");
     eprintln!("            [--alg nc-mesh|ac-mesh|nc-lmst|ac-lmst|g-mst|all]");
     eprintln!("            [--labels dense|sparse|auto] [--inter dense|hub|auto]");
-    eprintln!("            [--input FILE] [--out FILE] [--json] [--metrics[=FILE]]");
+    eprintln!("            [--input FILE] [--out FILE] [--budget B] [--json] [--verbose]");
+    eprintln!("            [--metrics[=FILE]]   (each command accepts only the flags it reads)");
     exit(2)
 }
 
@@ -471,7 +539,7 @@ fn cmd_maintain(args: &Args) {
     };
     let model = mobility::RandomWaypoint::new(n, wp, &mut rng);
     let mut mobile = MobileNetwork::with_model(base.positions.clone(), base.range, model);
-    let mut m = MaintainedCds::build(mobile.graph(), MovementConfig::strict(k, Algorithm::AcLmst));
+    let mut m = ChurnEngine::build(mobile.graph(), MovementConfig::strict(k, Algorithm::AcLmst));
     println!("step | level       | orphans | cost | CDS | valid");
     let mut total_cost = 0usize;
     let mut total_rebuild = 0usize;
@@ -516,9 +584,6 @@ fn cmd_churn(args: &Args) {
     let labels = parse_labels(args);
     let par = parse_workers(args);
     let sink = parse_metrics(args);
-    if k == 0 {
-        die("--k must be at least 1");
-    }
     if movers == 0 || movers > n {
         die(&format!("--movers must be in 1..={n} (got {movers})"));
     }
@@ -751,9 +816,6 @@ fn cmd_resilience(args: &Args) {
         Some(s) => RepairLevel::parse(s)
             .unwrap_or_else(|| die(&format!("unknown repair level {s} (none|reaffiliate|gateways|full)"))),
     };
-    if k == 0 {
-        die("--k must be at least 1");
-    }
     if !(fraction > 0.0 && fraction < 1.0) {
         die(&format!("--fraction must be in (0, 1) (got {fraction})"));
     }
@@ -936,9 +998,6 @@ fn cmd_route(args: &Args) {
         die("route serves one backbone; pick a single algorithm");
     }
     let alg = parse_alg(alg_name);
-    if k == 0 {
-        die("--k must be at least 1");
-    }
     if queries == 0 {
         die("--queries must be at least 1");
     }
@@ -1082,6 +1141,9 @@ fn cmd_mac(args: &Args) {
     let k: u32 = args.get("k", 1);
     let cw: u32 = args.get("cw", 8);
     let seed: u64 = args.get("seed", 1);
+    if cw == 0 {
+        die("--cw must be at least 1");
+    }
     let out = pipeline::run(&g, Algorithm::AcLmst, &PipelineConfig::new(k));
     let mut rng = StdRng::seed_from_u64(seed);
     println!(
@@ -1116,18 +1178,10 @@ fn main() {
     let Some((cmd, rest)) = raw.split_first() else {
         die("missing command");
     };
+    let Some(&(_, command, allowed)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        die(&format!("unknown command {cmd}"));
+    };
     let args = Args::parse(rest);
-    match cmd.as_str() {
-        "gen" => cmd_gen(&args),
-        "run" => cmd_run(&args),
-        "dist" => cmd_dist(&args),
-        "info" => cmd_info(&args),
-        "exact" => cmd_exact(&args),
-        "maintain" => cmd_maintain(&args),
-        "churn" => cmd_churn(&args),
-        "route" => cmd_route(&args),
-        "resilience" => cmd_resilience(&args),
-        "mac" => cmd_mac(&args),
-        other => die(&format!("unknown command {other}")),
-    }
+    args.check(allowed);
+    command(&args);
 }

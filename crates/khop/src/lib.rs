@@ -60,12 +60,11 @@ pub mod prelude {
     pub use adhoc_sim::churn::{self, ChurnEngine};
     pub use adhoc_sim::energy::{self, EnergyModel, RotationPolicy};
     pub use adhoc_sim::mac::{self, MacConfig, MacReport};
-    pub use adhoc_sim::maintenance::{self, RepairReport, Role};
     pub use adhoc_sim::mobility::{
         self, DirectionConfig, GaussMarkov, GaussMarkovConfig, MobileNetwork, Mobility,
         RandomDirection, RandomWaypoint, WaypointConfig,
     };
-    pub use adhoc_sim::movement::{MaintainedCds, MovementConfig, RepairLevel, StepReport};
+    pub use adhoc_sim::movement::{MovementConfig, RepairLevel, StepReport};
     pub use adhoc_sim::protocol::{run_protocol, DistributedRun, ProtocolConfig};
     pub use adhoc_sim::stats::{Phase, Stats};
     pub use adhoc_sim::trace::{Trace, TraceEvent};

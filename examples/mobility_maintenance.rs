@@ -1,6 +1,6 @@
 //! Dynamic scenario: nodes move (random waypoint) and occasionally
-//! switch off; the §3.3 maintenance rules repair the structure locally
-//! instead of re-running everything.
+//! switch off; the churn engine applies the §3.3 maintenance rules and
+//! repairs the structure locally instead of re-running everything.
 //!
 //! Run with: `cargo run --example mobility_maintenance`
 
@@ -29,36 +29,36 @@ fn main() {
             );
             continue;
         }
-        let out = pipeline::run(mobile.graph(), Algorithm::AcLmst, &PipelineConfig::new(k));
-        out.cds.verify(mobile.graph(), k).expect("valid CDS");
+        let mut engine =
+            ChurnEngine::build(mobile.graph(), MovementConfig::strict(k, Algorithm::AcLmst));
+        engine.cds.verify(mobile.graph(), k).expect("valid CDS");
         println!(
             "{epoch:>5} | {:>5} | {:>5} | {:>8} | {:>3} | rebuilt after movement",
             delta.churn(),
-            out.clustering.head_count(),
-            out.selection.gateways.len(),
-            out.cds.size()
+            engine.clustering.head_count(),
+            engine.cds.gateways.len(),
+            engine.cds.size()
         );
 
         // A random node switches off: apply the paper's local fix and
-        // report how local it actually was.
+        // report what it cost against a full rebuild.
         let victim = NodeId(rng.gen_range(0..mobile.graph().len() as u32));
-        let report = maintenance::handle_departure(
-            mobile.graph(),
-            &out.clustering,
-            &out.selection,
-            Algorithm::AcLmst,
-            victim,
-        );
-        let mut residual = mobile.graph().clone();
-        residual.isolate(victim);
-        let ok = maintenance::repaired_structures_valid(&residual, &report, &[victim]);
+        let role = if engine.clustering.is_head(victim) {
+            "clusterhead"
+        } else if engine.cds.gateways.contains(&victim) {
+            "gateway"
+        } else {
+            "bystander"
+        };
+        let rebuild = engine.rebuild_cost(mobile.graph());
+        let r = engine.depart(victim);
         println!(
-            "      |       | node {victim} ({:?}) left: touched {} of {} nodes, escalated={}, valid={}",
-            report.role,
-            report.touched.len(),
-            mobile.graph().len(),
-            report.escalated,
-            ok,
+            "      |       | node {victim} ({role}) left: repair {}, cost {} node-rounds \
+             (rebuild {rebuild}), valid={} (survivors connected: {})",
+            r.level.name(),
+            r.cost,
+            r.valid,
+            engine.alive_connected(),
         );
     }
 }

@@ -22,7 +22,7 @@ fn main() {
     let model = mobility::RandomWaypoint::new(n, wp, &mut rng);
     let mut mobile = MobileNetwork::with_model(base.positions.clone(), base.range, model);
     let mut maintained =
-        MaintainedCds::build(mobile.graph(), MovementConfig::strict(k, Algorithm::AcLmst));
+        ChurnEngine::build(mobile.graph(), MovementConfig::strict(k, Algorithm::AcLmst));
     println!(
         "initial structure: {} heads + {} gateways = CDS {}\n",
         maintained.cds.heads.len(),

@@ -150,3 +150,30 @@ fn dist_rejects_gmst() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("centralized"));
 }
+
+#[test]
+fn bad_flags_exit_2_without_panicking() {
+    // Out-of-range `--k` or `--cw`, flags a subcommand does not read,
+    // a value flag given bare and a switch given a value: each is
+    // refused with usage, never a panic or a silently ignored flag.
+    for args in [
+        &["run", "--n", "60", "--k", "0"][..],
+        &["maintain", "--k", "0"][..],
+        &["dist", "--n", "40", "--k", "0"][..],
+        &["exact", "--n", "12", "--k", "0"][..],
+        &["mac", "--n", "40", "--k", "0"][..],
+        &["mac", "--n", "40", "--cw", "0"][..],
+        &["run", "--n", "60", "--bogus", "1"][..],
+        &["churn", "--alg", "bogus"][..],
+        &["info", "--n", "40", "--k", "2"][..],
+        &["gen", "--n", "40", "--json"][..],
+        &["run", "--n", "60", "--k"][..],
+        &["run", "--n", "60", "--json", "yes"][..],
+    ] {
+        let out = khop(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}

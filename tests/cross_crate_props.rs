@@ -1,6 +1,6 @@
 //! Cross-crate property tests: random connected topologies through the
 //! full stack (centralized pipeline + distributed protocol +
-//! maintenance), asserting the paper's theorems end to end.
+//! churn-engine maintenance), asserting the paper's theorems end to end.
 
 use khop::prelude::*;
 use proptest::prelude::*;
@@ -50,14 +50,12 @@ proptest! {
     #[test]
     fn departure_repair_always_validates(g in arb_connected_graph(25), k in 1u32..3, victim_raw in 0u32..25) {
         let victim = NodeId(victim_raw % g.len() as u32);
-        let clustering = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-        let out = pipeline::run_on(&g, Algorithm::AcLmst, &clustering);
-        let report = maintenance::handle_departure(
-            &g, &clustering, &out.selection, Algorithm::AcLmst, victim,
-        );
-        let mut residual = g.clone();
-        residual.isolate(victim);
-        prop_assert!(maintenance::repaired_structures_valid(&residual, &report, &[victim]));
+        let mut engine = ChurnEngine::build(&g, MovementConfig::strict(k, Algorithm::AcLmst));
+        let r = engine.depart(victim);
+        // Heads still k-dominate every survivor, split network or not.
+        let dist = connectivity::distance_to_set(engine.graph(), &engine.cds.heads);
+        prop_assert!(g.nodes().filter(|&v| v != victim).all(|v| dist[v.index()] <= k));
+        prop_assert!(r.valid || !engine.alive_connected());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cross-crate end-to-end tests through the `khop` umbrella: from
 //! network generation to verified CDS, distributed execution,
-//! maintenance, and energy rotation chained together.
+//! churn-engine maintenance, and energy rotation chained together.
 
 use khop::prelude::*;
 use rand::rngs::StdRng;
@@ -35,29 +35,30 @@ fn distributed_then_repair_chain() {
     let k = 2;
     let run = run_protocol(&net.graph, &ProtocolConfig::new(k, Algorithm::AcLmst));
 
-    // Reassemble centralized-style structures from the distributed
-    // outcome (they are identical by the equivalence tests).
-    let clustering = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-    let out = pipeline::run_on(&net.graph, Algorithm::AcLmst, &clustering);
-    assert_eq!(run.gateways, out.selection.gateways);
+    // The engine builds the centralized structures, which equal the
+    // distributed outcome (pinned by the equivalence tests).
+    let engine = ChurnEngine::build(&net.graph, MovementConfig::strict(k, Algorithm::AcLmst));
+    assert_eq!(run.heads, engine.clustering.heads);
+    assert_eq!(run.gateways, engine.cds.gateways);
 
     for _ in 0..10 {
         let victim = NodeId(rng.gen_range(0..net.graph.len() as u32));
-        let report = maintenance::handle_departure(
-            &net.graph,
-            &clustering,
-            &out.selection,
-            Algorithm::AcLmst,
-            victim,
-        );
-        let mut residual = net.graph.clone();
-        residual.isolate(victim);
+        let mut e = engine.clone();
+        let r = e.depart(victim);
         assert!(
-            maintenance::repaired_structures_valid(&residual, &report, &[victim]),
+            survivors_dominated(&e, k) && (r.valid || !e.alive_connected()),
             "repair after {victim:?} ({:?}) invalid",
-            report.role
+            r.level
         );
     }
+}
+
+/// Every surviving node is within `k` hops of a head of the engine's
+/// CDS — required even after the survivors split, when only backbone
+/// connectivity is forgiven.
+fn survivors_dominated(e: &ChurnEngine, k: u32) -> bool {
+    let dist = connectivity::distance_to_set(e.graph(), &e.cds.heads);
+    e.graph().nodes().all(|v| e.is_departed(v) || dist[v.index()] <= k)
 }
 
 #[test]
@@ -65,27 +66,21 @@ fn bystander_repairs_are_free_gateway_repairs_are_local() {
     let mut rng = StdRng::seed_from_u64(31);
     let net = gen::geometric(&gen::GeometricConfig::new(100, 100.0, 8.0), &mut rng);
     let k = 2;
-    let clustering = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-    let out = pipeline::run_on(&net.graph, Algorithm::AcLmst, &clustering);
+    let engine = ChurnEngine::build(&net.graph, MovementConfig::strict(k, Algorithm::AcLmst));
 
     let mut saw_bystander = false;
-    for uid in 0..net.graph.len() as u32 {
-        let u = NodeId(uid);
-        let role = maintenance::classify(&clustering, &out.selection, u);
-        if role != Role::Bystander {
+    for u in net.graph.nodes() {
+        if engine.clustering.is_head(u) || engine.cds.gateways.contains(&u) {
             continue;
         }
-        let report = maintenance::handle_departure(
-            &net.graph,
-            &clustering,
-            &out.selection,
-            Algorithm::AcLmst,
-            u,
-        );
-        if !report.escalated {
+        let mut e = engine.clone();
+        let r = e.depart(u);
+        // No orphaned cluster-mate: the bystander rule did not escalate.
+        if r.orphans == 0 {
             saw_bystander = true;
-            assert!(report.touched.is_empty(), "paper rule: nothing to do");
-            assert_eq!(report.selection.gateways, out.selection.gateways);
+            assert_eq!(r.level, RepairLevel::None, "paper rule: nothing to do");
+            assert_eq!(r.cost, 0);
+            assert_eq!(e.cds.gateways, engine.cds.gateways);
         }
     }
     assert!(saw_bystander, "workload should contain plain members");
@@ -179,43 +174,26 @@ fn sequential_departure_chain_stays_valid() {
     let mut rng = StdRng::seed_from_u64(909);
     let net = gen::geometric(&gen::GeometricConfig::new(90, 100.0, 9.0), &mut rng);
     let k = 2;
-    let mut graph = net.graph.clone();
-    let mut clustering = clustering::cluster(&graph, k, &LowestId, MemberPolicy::IdBased);
-    let mut selection = pipeline::run_on(&graph, Algorithm::AcLmst, &clustering).selection;
-    let mut gone: Vec<NodeId> = Vec::new();
+    let mut engine = ChurnEngine::build(&net.graph, MovementConfig::strict(k, Algorithm::AcLmst));
 
     for round in 0..5 {
         // Pick an alive victim deterministically.
-        let victim = graph
+        let victim = net
+            .graph
             .nodes()
-            .find(|v| !gone.contains(v) && (v.0 as usize + round).is_multiple_of(3))
+            .find(|&v| !engine.is_departed(v) && (v.0 as usize + round).is_multiple_of(3))
             .expect("alive victim");
-        let report = maintenance::handle_departure(
-            &graph,
-            &clustering,
-            &selection,
-            Algorithm::AcLmst,
-            victim,
-        );
-        graph.isolate(victim);
-        gone.push(victim);
-        let mut residual = graph.clone();
-        let _ = &mut residual;
+        let r = engine.depart(victim);
+        let connected = engine.alive_connected();
         assert!(
-            maintenance::repaired_structures_valid(&graph, &report, &gone),
+            survivors_dominated(&engine, k) && (r.valid || !connected),
             "round {round}: repair after {victim:?} invalid"
         );
-        clustering = report.clustering;
-        selection = report.selection;
-        // The stored clustering still covers all previously departed
-        // nodes with the GONE sentinel; make sure none resurfaced.
-        for g in &gone[..gone.len() - 1] {
-            assert!(
-                !clustering.heads.contains(g),
-                "departed {g:?} is a head again"
-            );
-        }
-        if !report.residual_connected {
+        assert!(
+            engine.clustering.heads.iter().all(|&h| !engine.is_departed(h)),
+            "round {round}: a departed node is a head"
+        );
+        if !connected {
             break; // network split: chain ends, best-effort structures
         }
     }
@@ -228,27 +206,18 @@ fn departure_then_arrival_round_trip() {
     let mut rng = StdRng::seed_from_u64(404);
     let net = gen::geometric(&gen::GeometricConfig::new(70, 100.0, 9.0), &mut rng);
     let k = 2;
-    let clustering = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-    let selection = pipeline::run_on(&net.graph, Algorithm::AcLmst, &clustering).selection;
+    let mut engine = ChurnEngine::build(&net.graph, MovementConfig::strict(k, Algorithm::AcLmst));
     let victim = NodeId(33);
-    let dep = maintenance::handle_departure(
-        &net.graph,
-        &clustering,
-        &selection,
-        Algorithm::AcLmst,
-        victim,
-    );
-    if !dep.residual_connected {
+    engine.depart(victim);
+    if !engine.alive_connected() {
         return; // unlucky articulation point; covered by other tests
     }
-    // The node switches back on with its original links.
-    let (outcome, arr) =
-        maintenance::handle_arrival(&net.graph, &dep.clustering, Algorithm::AcLmst, victim);
-    match outcome {
-        maintenance::ArrivalOutcome::Joined { dist, .. } => assert!(dist <= k),
-        maintenance::ArrivalOutcome::BecameHead => {}
-    }
-    assert!(arr.cds.verify(&net.graph, k).is_ok());
+    // The node switches back on with its original links: it joins a
+    // head within k hops or becomes one (distance 0).
+    let r = engine.arrive(victim, net.graph.neighbors(victim));
+    assert!(engine.clustering.dist_to_head[victim.index()] <= k);
+    assert!(r.valid);
+    assert!(engine.cds.verify(&net.graph, k).is_ok());
 }
 
 #[test]
@@ -292,10 +261,8 @@ fn movement_policy_matches_scratch_rebuild_quality() {
     };
     let model = mobility::RandomWaypoint::new(90, wp, &mut rng);
     let mut mobile = MobileNetwork::with_model(base.positions.clone(), base.range, model);
-    let mut maintained = MaintainedCds::build(
-        mobile.graph(),
-        MovementConfig::strict(2, Algorithm::AcLmst),
-    );
+    let mut maintained =
+        ChurnEngine::build(mobile.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
     for _ in 0..25 {
         mobile.step(1.0, &mut rng);
         maintained.step(mobile.graph());
@@ -342,7 +309,7 @@ fn prelude_exposes_the_whole_stack() {
     );
     assert!(r.delivered > 0);
 
-    let mut m = MaintainedCds::build(&net.graph, MovementConfig::strict(k, Algorithm::AcLmst));
+    let mut m = ChurnEngine::build(&net.graph, MovementConfig::strict(k, Algorithm::AcLmst));
     assert_eq!(m.step(&net.graph).level, RepairLevel::None);
 
     let p = KhopDegree::from_graph(&net.graph, k);
