@@ -5,7 +5,7 @@
 //! pre-generated inputs:
 //!
 //! * **seed** — a faithful reimplementation of the pre-refactor
-//!   dataflow this PR replaced (per-algorithm `BTreeMap` virtual
+//!   dataflow the engine replaced (per-algorithm `BTreeMap` virtual
 //!   graphs, one BFS sweep for the NC relation plus another for the
 //!   canonical paths, a heap `Vec` per link path, heap-based local
 //!   MSTs, complete-link G-MST) — the "before" of the before/after
@@ -13,45 +13,36 @@
 //! * **run_on** — five independent `pipeline::run_on` calls through
 //!   today's label-backed builders (the compatibility wrapper);
 //! * **engine** — one `pipeline::run_all_with` call with a warm
-//!   per-thread scratch on **dense** labels (the flat `h × n` arena);
-//!   and
-//! * **engine-sparse** — the same call on the **sparse ball-indexed**
-//!   label layout, recorded alongside so the dense-vs-sparse tradeoff
-//!   (time *and* `memory_bytes`) is a committed measurement per cell;
-//!   and
-//! * **engine-par** — the dense engine again over the shared worker
-//!   pool (`max(2, host cores)` workers): its metrics checksum must
-//!   equal the serial arm's bit-for-bit (the determinism contract's
-//!   in-bench guard), and the recorded `parallel_scaling` is the
+//!   per-thread scratch on one worker; and
+//! * **engine-par** — the engine again over the shared worker pool
+//!   (`max(2, host cores)` workers): its metrics checksum must equal
+//!   the serial arm's bit-for-bit (the determinism contract's in-bench
+//!   guard), and the recorded `parallel_scaling` is the
 //!   serial-vs-parallel trajectory (≤ 1× on one-core hosts is warned
 //!   about, not failed).
 //!
 //! All arms must produce identical metrics (checksummed), so the seed
-//! arm doubles as a behavioral regression check of the refactor and
-//! the sparse arm as one of the layout.
+//! arm doubles as a behavioral regression check of the refactor. On
+//! the largest cell a metered engine arm (an enabled [`Metrics`]
+//! registry) must stay within 3% of a metrics-off reference.
 //!
 //! `--large` extends the grid with engine-only cells at
 //! `N ∈ {10⁴, 5·10⁴, 10⁵}` (fixed density, one replicate; the seed
 //! and `run_on` arms would take hours there and measure nothing new).
-//! These are the scales where the dense arena hits gigabytes and the
-//! sparse layout is mandatory — the record closes the ROADMAP's
-//! dense-vs-sparse decision with data.
 //!
 //! Writes `results/BENCH_pipeline.json` (override the directory with
 //! `KHOP_RESULTS_DIR`) with per-cell wall-clock, replicates/sec,
-//! speedups, and both layouts' label-arena heap footprints, stamped
-//! with `git describe`, then reads the file back and re-parses it so
-//! CI catches a malformed dump immediately. The run **fails** if the
-//! sparse footprint is not strictly below the dense one on the largest
-//! cell that measured both — the memory-regression guard CI rides on.
+//! speedups, and the label arena's heap footprint, stamped with
+//! `git describe`, then reads the file back and re-parses it so CI
+//! catches a malformed dump immediately.
 //!
 //! `--quick` shrinks the grid to seconds for CI (one full-arms cell
-//! plus one engine-only cell big enough for the memory guard to bite).
+//! plus one engine-only cell that carries the metered-overhead arm).
 
 use adhoc_bench::harness::CellConfig;
 use adhoc_bench::{probe, quick_mode, results_dir, run_mode};
 use adhoc_cluster::clustering::{self, Clustering, MemberPolicy};
-use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch, LabelMode};
+use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch};
 use adhoc_cluster::priority::LowestId;
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::obs::Metrics;
@@ -272,9 +263,8 @@ struct Cell {
     reps: usize,
     /// Timed rounds after the warmup pass (min is reported).
     rounds: u32,
-    /// Whether the seed and `run_on` arms run (the `--large` cells are
-    /// engine-only: both legacy arms are quadratic-plus at those sizes
-    /// and the dense-vs-sparse question is about the engine).
+    /// Whether the seed and `run_on` arms run (the engine-only cells
+    /// are the large ones, where both legacy arms are quadratic-plus).
     full_arms: bool,
 }
 
@@ -282,8 +272,7 @@ impl Cell {
     fn full(n: usize, d: f64, k: u32, reps: usize) -> Cell {
         // 11 timed rounds: these cells finish a pass in single-digit
         // milliseconds, so the min-estimator needs a few more samples
-        // than the big cells to shake scheduler noise out of the
-        // dense-vs-sparse ratio.
+        // than the big cells to shake scheduler noise out.
         Cell {
             n,
             d,
@@ -314,9 +303,8 @@ fn large_mode() -> bool {
 
 fn grid() -> Vec<Cell> {
     let mut cells = if quick_mode() {
-        // The engine-only n = 2000 cell exists so the sparse-below-
-        // dense memory guard runs on a size where sparse actually wins
-        // (tiny graphs favor the flat arena).
+        // The engine-only n = 2000 cell is the largest, so it carries
+        // the metered-overhead arm on passes long enough to time.
         vec![
             Cell::full(60, 6.0, 2, 4),
             Cell::engine_only(2000, 6.0, 2, 2, 2),
@@ -422,94 +410,32 @@ fn engine_arm(
         }
         sum
     });
-    // Scratch is dropped here: the 10⁵ dense arena is gigabytes.
     (secs, sum, scratch.labels_memory_bytes())
-}
-
-/// Ceiling on the projected dense arena (`h·n·4` bytes) above which
-/// the dense arm is skipped instead of risking an OOM kill before the
-/// sparse measurement runs. 8 GiB covers the committed `--large` grid
-/// (≈ 5.1 GB at `N = 10⁵`); override with `KHOP_DENSE_BYTES_CAP`.
-fn dense_bytes_cap() -> usize {
-    std::env::var("KHOP_DENSE_BYTES_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8 << 30)
 }
 
 fn main() {
     let mut cells = Vec::new();
-    // Largest cell with both layouts measured drives the memory guard.
-    let mut guard: Option<(usize, usize, usize)> = None; // (n, dense, sparse)
     // Largest grid cell drives the metrics-on overhead guard.
     let largest_n = grid().iter().map(|c| c.n).max().expect("non-empty grid");
     let mut metrics_overhead: Option<Value> = None;
     for cell in grid() {
         let inputs = make_inputs(&cell);
         let total_reps = cell.reps as f64;
-        let max_heads = inputs
-            .iter()
-            .map(|(_, c)| c.head_count())
-            .max()
-            .unwrap_or(0);
-        let projected_dense = max_heads * cell.n * 4;
-        if projected_dense > dense_bytes_cap() {
-            println!(
-                "n={:<6} d={:<4} k={}  dense arm skipped: projected arena {projected_dense} B over the {} B cap (KHOP_DENSE_BYTES_CAP)",
-                cell.n,
-                cell.d,
-                cell.k,
-                dense_bytes_cap(),
-            );
-            let (engine_sparse_secs, _, sparse_labels_memory_bytes) = engine_arm(
-                &inputs,
-                cell.rounds,
-                EvalScratch::with_tuning(LabelMode::Sparse, Parallelism::serial()),
-            );
-            cells.push(json!({
-                "n": cell.n,
-                "d": cell.d,
-                "k": cell.k,
-                "reps": cell.reps,
-                "engine_sparse_secs": engine_sparse_secs,
-                "sparse_labels_memory_bytes": sparse_labels_memory_bytes,
-                "dense_projected_bytes": projected_dense,
-            }));
-            continue;
-        }
 
-        // Single-sweep engine with a warm scratch — dense layout,
-        // then the same engine on the sparse ball-indexed layout.
-        // Both are pinned to one worker: they are the serial reference
-        // the multi-worker arm below is compared (and checksummed)
-        // against.
-        let (engine_secs, engine_sum, labels_memory_bytes) = engine_arm(
-            &inputs,
-            cell.rounds,
-            EvalScratch::with_tuning(LabelMode::Dense, Parallelism::serial()),
-        );
-        let (engine_sparse_secs, sparse_sum, sparse_labels_memory_bytes) = engine_arm(
-            &inputs,
-            cell.rounds,
-            EvalScratch::with_tuning(LabelMode::Sparse, Parallelism::serial()),
-        );
-        assert_eq!(
-            sparse_sum, engine_sum,
-            "sparse and dense layouts diverged on n={} d={} k={}",
-            cell.n, cell.d, cell.k
-        );
+        // Single-sweep engine with a warm scratch, pinned to one
+        // worker: the serial reference the multi-worker arm below is
+        // compared (and checksummed) against.
+        let (engine_secs, engine_sum, labels_memory_bytes) =
+            engine_arm(&inputs, cell.rounds, EvalScratch::with_workers(Parallelism::new(1)));
 
-        // Multi-worker engine arm (dense layout, shared worker pool):
-        // the order-sensitive metrics checksum must equal the serial
-        // arm's bit-for-bit — the determinism contract's in-bench
-        // guard. Scaling ≤ 1x is reported, not failed: on a one-core
+        // Multi-worker engine arm (shared worker pool): the
+        // order-sensitive metrics checksum must equal the serial arm's
+        // bit-for-bit — the determinism contract's in-bench guard.
+        // Scaling ≤ 1x is reported, not failed: on a one-core
         // container the pool legitimately cannot win.
         let par_workers = Parallelism::available().workers().max(2);
-        let (engine_par_secs, par_sum, _) = engine_arm(
-            &inputs,
-            cell.rounds,
-            EvalScratch::with_tuning(LabelMode::Dense, Parallelism::new(par_workers)),
-        );
+        let (engine_par_secs, par_sum, _) =
+            engine_arm(&inputs, cell.rounds, EvalScratch::with_workers(Parallelism::new(par_workers)));
         assert_eq!(
             par_sum, engine_sum,
             "multi-worker engine diverged from serial on n={} d={} k={}",
@@ -523,25 +449,17 @@ fn main() {
                 cell.n
             );
         }
-        guard = match guard {
-            Some((n, _, _)) if n >= cell.n => guard,
-            _ => Some((cell.n, labels_memory_bytes, sparse_labels_memory_bytes)),
-        };
 
         // Metrics-on overhead arm (largest grid cell only): the same
-        // serial dense engine with an enabled registry, interleaved
-        // with a fresh metrics-off reference so both mins see the same
+        // serial engine with an enabled registry, interleaved with a
+        // fresh metrics-off reference so both mins see the same
         // machine state. The disabled path is one predictable branch
         // per site; anything near the 3% acceptance bound means a hot
         // loop started touching the registry.
         if cell.n == largest_n {
             let rounds = cell.rounds.max(3);
-            let (off_secs, off_sum, _) = engine_arm(
-                &inputs,
-                rounds,
-                EvalScratch::with_tuning(LabelMode::Dense, Parallelism::serial()),
-            );
-            let mut metered = EvalScratch::with_tuning(LabelMode::Dense, Parallelism::serial());
+            let (off_secs, off_sum, _) = engine_arm(&inputs, rounds, EvalScratch::with_workers(Parallelism::new(1)));
+            let mut metered = EvalScratch::with_workers(Parallelism::new(1));
             metered.set_metrics(Metrics::enabled());
             let (on_secs, on_sum, _) = engine_arm(&inputs, rounds, metered);
             assert_eq!(
@@ -568,7 +486,7 @@ fn main() {
         }
 
         // Legacy arms: the pre-refactor dataflow and the per-algorithm
-        // wrapper (skipped on the `--large` scaling cells).
+        // wrapper (skipped on the engine-only cells).
         let legacy = cell.full_arms.then(|| {
             let (seed_secs, seed_sum) = time_arm(cell.rounds, || {
                 let mut sum = 0u64;
@@ -609,30 +527,22 @@ fn main() {
             (seed_secs, run_on_secs)
         });
 
-        let sparse_over_dense_time = engine_sparse_secs / engine_secs.max(1e-12);
-        let sparse_over_dense_memory =
-            sparse_labels_memory_bytes as f64 / labels_memory_bytes.max(1) as f64;
         let mut row = json!({
             "n": cell.n,
             "d": cell.d,
             "k": cell.k,
             "reps": cell.reps,
             "engine_secs": engine_secs,
-            "engine_sparse_secs": engine_sparse_secs,
             "engine_par_secs": engine_par_secs,
             "engine_par_workers": par_workers,
             "parallel_scaling": parallel_scaling,
             "engine_replicates_per_sec": total_reps / engine_secs,
-            "engine_sparse_replicates_per_sec": total_reps / engine_sparse_secs,
-            "sparse_over_dense_time": sparse_over_dense_time,
             "labels_memory_bytes": labels_memory_bytes,
-            "sparse_labels_memory_bytes": sparse_labels_memory_bytes,
-            "sparse_over_dense_memory": sparse_over_dense_memory,
         });
         if let Some((seed_secs, run_on_secs)) = legacy {
             let speedup = seed_secs / engine_secs.max(1e-12);
             println!(
-                "n={:<6} d={:<4} k={}  reps={:<3} seed {:>8.0} rps | run_on {:>8.0} rps | engine {:>8.0} rps | {:>5.2}x vs seed | sparse {:.2}x time, {:.1}% mem",
+                "n={:<6} d={:<4} k={}  reps={:<3} seed {:>8.0} rps | run_on {:>8.0} rps | engine {:>8.0} rps | {:>5.2}x vs seed | labels {} B",
                 cell.n,
                 cell.d,
                 cell.k,
@@ -641,8 +551,7 @@ fn main() {
                 total_reps / run_on_secs,
                 total_reps / engine_secs,
                 speedup,
-                sparse_over_dense_time,
-                100.0 * sparse_over_dense_memory,
+                labels_memory_bytes,
             );
             let extra = json!({
                 "seed_secs": seed_secs,
@@ -657,73 +566,20 @@ fn main() {
             }
         } else {
             println!(
-                "n={:<6} d={:<4} k={}  reps={:<3} engine dense {:>8.3}s ({} B) | sparse {:>8.3}s ({} B) | sparse {:.2}x time, {:.1}% mem",
-                cell.n,
-                cell.d,
-                cell.k,
-                cell.reps,
-                engine_secs,
-                labels_memory_bytes,
-                engine_sparse_secs,
-                sparse_labels_memory_bytes,
-                sparse_over_dense_time,
-                100.0 * sparse_over_dense_memory,
+                "n={:<6} d={:<4} k={}  reps={:<3} engine {:>8.3}s | labels {} B",
+                cell.n, cell.d, cell.k, cell.reps, engine_secs, labels_memory_bytes,
             );
         }
         cells.push(row);
     }
 
-    let geomean_of = |values: Vec<f64>| -> Option<f64> {
-        if values.is_empty() {
-            None
-        } else {
-            Some((values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp())
-        }
-    };
-    let geomean = geomean_of(
-        cells
-            .iter()
-            .filter_map(|c| c["speedup_vs_seed"].as_f64())
-            .collect(),
-    )
-    .expect("at least one full-arms cell");
+    let speedups: Vec<f64> = cells
+        .iter()
+        .filter_map(|c| c["speedup_vs_seed"].as_f64())
+        .collect();
+    assert!(!speedups.is_empty(), "at least one full-arms cell");
+    let geomean = (speedups.iter().map(|v| v.ln()).sum::<f64>() / speedups.len() as f64).exp();
     println!("geometric-mean evaluation speedup vs seed: {geomean:.2}x");
-    // Paper-scale cells only (N ≤ 2000): the acceptance bound on the
-    // sparse layout's wall-clock overhead where dense is the right
-    // default.
-    let geomean_sparse = geomean_of(
-        cells
-            .iter()
-            .filter(|c| c["n"].as_u64().expect("n") <= 2000)
-            .filter_map(|c| c["sparse_over_dense_time"].as_f64())
-            .collect(),
-    )
-    .expect("at least one small cell");
-    println!(
-        "geometric-mean sparse/dense engine time on N <= 2000 cells: {geomean_sparse:.3}x"
-    );
-
-    // Memory-regression guard (CI rides on the --quick run): on the
-    // largest dual-measured cell, the sparse layout must be strictly
-    // smaller than the dense arena, or the layout has regressed to
-    // pointlessness. Tiny cells are exempt — the flat arena is
-    // legitimately smaller below ~1000 nodes, which is the auto
-    // heuristic's whole point — so the guard only bites when a cell
-    // at scale measured both layouts (always true for the standard
-    // grids; only a pathological KHOP_DENSE_BYTES_CAP removes them).
-    match guard {
-        Some((guard_n, guard_dense, guard_sparse)) if guard_n >= 1000 => {
-            assert!(
-                guard_sparse < guard_dense,
-                "sparse labels ({guard_sparse} B) not strictly below dense ({guard_dense} B) on the largest cell (n={guard_n})"
-            );
-            println!(
-                "memory guard: n={guard_n} sparse {guard_sparse} B < dense {guard_dense} B ({:.1}%)",
-                100.0 * guard_sparse as f64 / guard_dense as f64
-            );
-        }
-        _ => println!("memory guard: skipped (no dual-measured cell with n >= 1000)"),
-    }
 
     // The grid actually run, compactly, so a record can never claim
     // more scope than it measured (mode "quick" + its two tiny cells
@@ -733,7 +589,7 @@ fn main() {
         .map(|c| json!({"n": c.n, "d": c.d, "k": c.k, "reps": c.reps}))
         .collect();
     let doc = json!({
-        "schema": "khop-perf-baseline/v2",
+        "schema": "khop-perf-baseline/v3",
         "git": git_describe(),
         "mode": run_mode(),
         "quick": quick_mode(),
@@ -741,7 +597,6 @@ fn main() {
         "grid": grid_run,
         "host_cores": Parallelism::available().workers(),
         "geomean_speedup_vs_seed": geomean,
-        "geomean_sparse_over_dense_time_small_n": geomean_sparse,
         "metrics_overhead": metrics_overhead.unwrap_or(Value::Null),
         "metrics": probe::reference_metrics_section(),
         "cells": cells,
@@ -762,7 +617,7 @@ fn main() {
     // serialization bug fails loudly (this is the CI check).
     let raw = std::fs::read_to_string(&path).expect("read back BENCH_pipeline.json");
     let parsed: Value = serde_json::from_str(&raw).expect("BENCH_pipeline.json must parse");
-    assert_eq!(parsed["schema"], "khop-perf-baseline/v2");
+    assert_eq!(parsed["schema"], "khop-perf-baseline/v3");
     assert!(
         !parsed["cells"].as_array().expect("cells array").is_empty(),
         "baseline must contain at least one cell"

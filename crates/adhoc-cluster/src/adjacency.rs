@@ -17,7 +17,7 @@ use crate::clustering::Clustering;
 use adhoc_graph::bfs::Adjacency;
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::NodeId;
-use adhoc_graph::labels::{HeadLabels, LabelStore};
+use adhoc_graph::labels::HeadLabels;
 use std::borrow::Cow;
 
 /// Which neighbor clusterhead selection rule to apply.
@@ -159,7 +159,7 @@ pub fn neighbor_clusterheads<G: Adjacency>(
     match rule {
         NeighborRule::All2kPlus1 => {
             let bound = 2 * clustering.k + 1;
-            let labels = LabelStore::Dense(HeadLabels::build(g, &clustering.heads, bound));
+            let labels = HeadLabels::build(g, &clustering.heads, bound);
             nc_from_labels(clustering, &labels)
         }
         NeighborRule::Adjacent => adjacent_heads(g, clustering),
@@ -168,17 +168,15 @@ pub fn neighbor_clusterheads<G: Adjacency>(
 
 /// NC rule read off precomputed head labels: head `o` is selected by
 /// `h` iff `dist(h, o) <= 2k+1`. No graph traversal happens here — the
-/// evaluation engine shares one [`LabelStore`] build across the NC
+/// evaluation engine shares one [`HeadLabels`] build across the NC
 /// relation, both virtual graphs, and G-MST. Each row comes from
-/// [`LabelStore::heads_within`], which the dense layout answers by
-/// probing every head (`O(h)` per row) and the sparse layout by
-/// scanning the head's ball (`O(ball)` per row — asymptotically
-/// cheaper at scale).
+/// [`HeadLabels::heads_within`], a scan of the head's ball (`O(ball)`
+/// per row).
 ///
 /// # Panics
 /// Panics if `labels` was built from a different head set or with a
 /// bound below `2k+1`.
-pub fn nc_from_labels(clustering: &Clustering, labels: &LabelStore) -> NeighborSets {
+pub fn nc_from_labels(clustering: &Clustering, labels: &HeadLabels) -> NeighborSets {
     let bound = 2 * clustering.k + 1;
     assert!(
         labels.bound() >= bound,
@@ -186,7 +184,6 @@ pub fn nc_from_labels(clustering: &Clustering, labels: &LabelStore) -> NeighborS
         labels.bound()
     );
     assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
-    // `heads` is ascending, so both layouts yield sorted rows.
     NeighborSets::from_rows(&clustering.heads, |slot| labels.heads_within(slot, bound))
 }
 
@@ -203,7 +200,7 @@ pub fn nc_from_labels(clustering: &Clustering, labels: &LabelStore) -> NeighborS
 /// head set.
 pub fn nc_from_labels_patched(
     clustering: &Clustering,
-    labels: &LabelStore,
+    labels: &HeadLabels,
     prev: &NeighborSets,
     dirty: &[usize],
 ) -> NeighborSets {

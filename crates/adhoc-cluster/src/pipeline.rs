@@ -6,7 +6,7 @@
 //! * [`run_on`] — evaluate **one** algorithm on a shared clustering
 //!   (the original API, kept as a thin compatible wrapper).
 //! * [`run_all`] — the single-sweep evaluation engine: evaluate **all
-//!   five** algorithms from one [`LabelStore`] build (one BFS per
+//!   five** algorithms from one [`HeadLabels`] build (one BFS per
 //!   clusterhead) and one NC virtual graph; the AC graph is derived by
 //!   filtering NC links against the adjacency relation (A-NCR ⊆ NC,
 //!   Theorem 1), and G-MST reads the same unbounded labels. This is
@@ -42,7 +42,7 @@ use adhoc_graph::obs::Metrics;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-pub use adhoc_graph::labels::{LabelMode, LabelStore};
+pub use adhoc_graph::labels::{HeadLabels, LabelMode};
 pub use adhoc_graph::par::Parallelism;
 
 /// The five gateway-construction algorithms compared in §4.
@@ -207,16 +207,12 @@ pub fn run_on<G: Adjacency + Sync>(
     algorithm: Algorithm,
     clustering: &Clustering,
 ) -> PipelineOutput {
-    run_on_with(g, algorithm, clustering, &mut EvalScratch::with_mode(LabelMode::Dense))
+    run_on_with(g, algorithm, clustering, &mut EvalScratch::new())
 }
 
-/// As [`run_on`], reusing `scratch` — and with it the scratch's label
-/// layout policy, which is how `khop run --labels …` evaluates a
-/// single algorithm under the sparse layout without paying for the
-/// other four. Output is bit-identical across layouts (pinned by the
-/// `label_equivalence` proptests). G-MST ignores the scratch: the
-/// centralized baseline reads unbounded head-to-head distances, not
-/// the localized `2k+1` store.
+/// As [`run_on`], reusing `scratch` (its label arena and worker
+/// count). G-MST ignores the scratch: the centralized baseline reads
+/// unbounded head-to-head distances, not the localized `2k+1` labels.
 pub fn run_on_with<G: Adjacency + Sync>(
     g: &G,
     algorithm: Algorithm,
@@ -227,7 +223,6 @@ pub fn run_on_with<G: Adjacency + Sync>(
         Algorithm::GMst => (None, gateway::gmst(g, clustering)),
         _ => {
             let bound = 2 * clustering.k + 1;
-            scratch.ensure_layout(g.node_count(), clustering.heads.len());
             {
                 let _sweep = scratch.metrics.span("labels.sweep_ns");
                 scratch
@@ -269,18 +264,9 @@ pub fn run_on_with<G: Adjacency + Sync>(
 }
 
 /// Reusable per-worker state of the evaluation engine: the head-label
-/// arena persists across replicates within a thread, so a warm worker
-/// pays no per-replicate allocation for the label sweep.
-///
-/// The arena lives behind a [`LabelStore`] in one of two layouts — the
-/// dense `heads × n` distance matrix or the sparse ball-indexed rows —
-/// selected by the scratch's [`LabelMode`]. The default `Auto` mode
-/// keeps paper-scale grids on the dense layout and switches to sparse
-/// once the projected flat arena would exceed
-/// [`adhoc_graph::labels::AUTO_SPARSE_THRESHOLD_BYTES`] (the regime
-/// where `O(h · n)` memory, not time, caps scale). Every product is
-/// bit-for-bit identical across layouts (pinned by the
-/// `label_equivalence` proptests).
+/// arena ([`HeadLabels`]) persists across replicates within a thread,
+/// so a warm worker pays no per-replicate allocation for the label
+/// sweep.
 ///
 /// The scratch also carries the [`AlgorithmSet`] its evaluations
 /// compute: all five unless [`set_algorithms`](EvalScratch::set_algorithms)
@@ -288,8 +274,7 @@ pub fn run_on_with<G: Adjacency + Sync>(
 /// that one only).
 #[derive(Clone, Debug, Default)]
 pub struct EvalScratch {
-    labels: LabelStore,
-    mode: LabelMode,
+    labels: HeadLabels,
     par: Parallelism,
     algorithms: AlgorithmSet,
     lmstga: gateway::LmstgaScratch,
@@ -297,35 +282,25 @@ pub struct EvalScratch {
 }
 
 impl EvalScratch {
-    /// Fresh scratch in [`LabelMode::Auto`]; buffers grow on first use
-    /// and are then reused. The worker count for label builds/repairs
-    /// defaults to [`Parallelism::from_env`] (`KHOP_WORKERS`, else
-    /// available cores) — output is bit-identical at any count.
+    /// Fresh scratch; buffers grow on first use and are then reused.
+    /// The worker count for label builds/repairs defaults to
+    /// [`Parallelism::from_env`] (`KHOP_WORKERS`, else available
+    /// cores) — output is bit-identical at any count.
     pub fn new() -> Self {
         EvalScratch::default()
     }
 
-    /// Fresh scratch with an explicit label layout policy.
-    pub fn with_mode(mode: LabelMode) -> Self {
-        EvalScratch::with_tuning(mode, Parallelism::default())
+    /// [`Self::new`] with `par` workers for label builds/repairs.
+    pub fn with_workers(par: Parallelism) -> Self {
+        let mut scratch = EvalScratch::new();
+        scratch.set_workers(par);
+        scratch
     }
 
-    /// Fresh scratch with an explicit label layout **and** worker
-    /// count.
-    pub fn with_tuning(mode: LabelMode, par: Parallelism) -> Self {
-        EvalScratch {
-            labels: LabelStore::for_mode(mode, 0, 0),
-            mode,
-            par,
-            algorithms: AlgorithmSet::ALL,
-            lmstga: gateway::LmstgaScratch::default(),
-            metrics: Metrics::disabled(),
-        }
-    }
-
-    /// The configured label layout policy.
-    pub fn mode(&self) -> LabelMode {
-        self.mode
+    /// [`Self::with_workers`]; the [`LabelMode`] selects nothing. Kept
+    /// for perfbench; a benchmark PR removes it.
+    pub fn with_tuning(_mode: LabelMode, par: Parallelism) -> Self {
+        EvalScratch::with_workers(par)
     }
 
     /// The configured worker-count policy for label builds/repairs.
@@ -352,7 +327,7 @@ impl EvalScratch {
     /// The head-label arena of the last [`run_all_with`] /
     /// [`update_all`] call. Maintenance policies read distances off it
     /// (orphan and head-merge detection) instead of re-running BFS.
-    pub fn labels(&self) -> &LabelStore {
+    pub fn labels(&self) -> &HeadLabels {
         &self.labels
     }
 
@@ -370,22 +345,11 @@ impl EvalScratch {
         &self.metrics
     }
 
-    /// Heap bytes currently held by the label arena — `O(heads × n)`
-    /// dense, `O(Σ ball sizes + n)` sparse. Recorded per grid cell by
-    /// `perf_baseline` (both layouts), which is the data the ROADMAP's
-    /// dense-vs-sparse decision closed on.
+    /// Heap bytes currently held by the label arena,
+    /// `O(Σ ball sizes + n)`. Recorded per grid cell by
+    /// `perf_baseline`.
     pub fn labels_memory_bytes(&self) -> usize {
         self.labels.memory_bytes()
-    }
-
-    /// Swaps in the layout the mode wants for an upcoming build over
-    /// `heads` sources on an `n`-node graph. A swap drops the warm
-    /// arena (forcing the rebuild the caller is about to do anyway);
-    /// with a stable `(n, heads)` the layout never flaps.
-    fn ensure_layout(&mut self, n: usize, heads: usize) {
-        if self.mode.wants_sparse(n, heads) != self.labels.is_sparse() {
-            self.labels = LabelStore::for_mode(self.mode, n, heads);
-        }
     }
 }
 
@@ -500,7 +464,6 @@ pub fn run_all_with<G: Adjacency + Sync>(
     // [`gateway::gmst_via_nc`] — even the global MST baseline, so no
     // unbounded traversal happens on the hot path at all.
     let bound = 2 * clustering.k + 1;
-    scratch.ensure_layout(g.node_count(), clustering.heads.len());
     {
         let _sweep = scratch.metrics.span("labels.sweep_ns");
         scratch
@@ -803,10 +766,6 @@ pub fn advance_labels<G: Adjacency + Sync>(
 ) -> LabelAdvance {
     let bound = 2 * clustering.k + 1;
     let _advance = scratch.metrics.span("labels.advance_ns");
-    // A layout switch (auto heuristic crossing its threshold) empties
-    // the store, which the compatibility test below turns into the
-    // full rebuild such a switch requires anyway.
-    scratch.ensure_layout(g.node_count(), clustering.heads.len());
     let compatible = scratch.labels.heads() == &clustering.heads[..]
         && scratch.labels.bound() == bound
         && scratch.labels.node_count() == g.node_count();
@@ -913,9 +872,9 @@ pub fn update_all_after<G: Adjacency>(
 }
 
 /// Advances `scratch`'s label arena across a **head-set change**:
-/// departed heads drop their rows ([`LabelStore::remove_head_row`]),
+/// departed heads drop their rows ([`HeadLabels::remove_head_row`]),
 /// new heads sweep exactly one new row each
-/// ([`LabelStore::add_head_row`]), and rows the edge `delta` dirtied
+/// ([`HeadLabels::add_head_row`]), and rows the edge `delta` dirtied
 /// are re-swept — the full label arena is **never** rebuilt while the
 /// scratch stays compatible (same bound and node count), which is what
 /// makes a §3.3 head departure or arrival election cost `O(changed
@@ -941,9 +900,6 @@ pub fn advance_labels_headset<G: Adjacency + Sync>(
 ) -> LabelAdvance {
     let bound = 2 * clustering.k + 1;
     let _advance = scratch.metrics.span("labels.advance_ns");
-    // A layout switch empties the store; the compatibility test below
-    // turns that into the full rebuild the switch requires anyway.
-    scratch.ensure_layout(g.node_count(), clustering.heads.len());
     let compatible =
         scratch.labels.bound() == bound && scratch.labels.node_count() == g.node_count();
     if !compatible {
@@ -1068,7 +1024,7 @@ pub fn update_all_after_headset<G: Adjacency>(
 /// The refresh touches only what the delta can have changed:
 ///
 /// 1. labels — one bounded BFS per **dirty** head
-///    ([`LabelStore::apply_delta`]); clean rows are reused;
+///    ([`HeadLabels::apply_delta`]); clean rows are reused;
 /// 2. NC relation — dirty rows re-derived, clean rows copied
 ///    ([`adjacency::nc_from_labels_patched`]);
 /// 3. NC links — canonical paths re-walked only for pairs owned by a
@@ -1097,7 +1053,6 @@ pub fn update_all<G: Adjacency + Sync>(
         advance_labels(g, clustering, delta, scratch)
     } else {
         let bound = 2 * clustering.k + 1;
-        scratch.ensure_layout(g.node_count(), clustering.heads.len());
         scratch
             .labels
             .rebuild_with(g, &clustering.heads, bound, scratch.par);
@@ -1321,56 +1276,20 @@ mod tests {
         assert_eq!(span.count, 3);
     }
 
-    /// The auto heuristic picks sparse above the projected-bytes
-    /// threshold and dense below — and an explicit mode overrides it.
-    #[test]
-    fn auto_mode_picks_layout_by_projected_arena() {
-        // path(3200) with k=1 elects a head every other node: 1600
-        // heads × 3200 nodes × 4 B ≈ 20.5 MB > the 16 MiB threshold.
-        let big = gen::path(3200);
-        let big_clustering =
-            crate::clustering::cluster(&big, 1, &LowestId, MemberPolicy::IdBased);
-        assert!(big_clustering.heads.len() * big.len() * 4 > 16 << 20);
-        let mut auto = EvalScratch::new();
-        assert_eq!(auto.mode(), LabelMode::Auto);
-        run_all_with(&big, &big_clustering, &mut auto);
-        assert!(auto.labels().is_sparse(), "large arena must go sparse");
-
-        // A small graph through the same scratch switches back.
-        let small = gen::path(40);
-        let small_clustering =
-            crate::clustering::cluster(&small, 1, &LowestId, MemberPolicy::IdBased);
-        run_all_with(&small, &small_clustering, &mut auto);
-        assert!(!auto.labels().is_sparse(), "small arena stays dense");
-
-        // Explicit overrides ignore the projection.
-        let mut forced_sparse = EvalScratch::with_mode(LabelMode::Sparse);
-        run_all_with(&small, &small_clustering, &mut forced_sparse);
-        assert!(forced_sparse.labels().is_sparse());
-        let mut forced_dense = EvalScratch::with_mode(LabelMode::Dense);
-        run_all_with(&big, &big_clustering, &mut forced_dense);
-        assert!(!forced_dense.labels().is_sparse());
-        assert!(
-            forced_sparse.labels_memory_bytes() > 0
-                && forced_dense.labels_memory_bytes() > 0
-        );
-    }
-
-    /// A sparse-mode scratch drives the full engine — run_all and a
-    /// delta chain — to the same outputs as a dense one.
+    /// Through a delta chain, every distance of the scratch's labels
+    /// equals a dense per-head BFS of the live graph.
     #[test]
     fn sparse_scratch_matches_dense_through_updates() {
+        use adhoc_graph::bfs::BfsScratch;
         use adhoc_graph::graph::NodeId;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(505);
         let net = gen::geometric(&gen::GeometricConfig::new(80, 100.0, 6.0), &mut rng);
         let mut g = net.graph.clone();
         let clustering = crate::clustering::cluster(&g, 2, &LowestId, MemberPolicy::IdBased);
-        let mut dense = EvalScratch::with_mode(LabelMode::Dense);
-        let mut sparse = EvalScratch::with_mode(LabelMode::Sparse);
-        let mut prev_d = run_all_with(&g, &clustering, &mut dense);
-        let mut prev_s = run_all_with(&g, &clustering, &mut sparse);
-        assert_evals_equal(&prev_d, &prev_s, "cold");
+        let mut scratch = EvalScratch::new();
+        let mut prev = run_all_with(&g, &clustering, &mut scratch);
+        let mut bfs = BfsScratch::new(g.len());
         for step in 0..8 {
             let mut delta = adhoc_graph::delta::TopologyDelta::new();
             for _ in 0..rng.gen_range(1..4) {
@@ -1382,12 +1301,19 @@ mod tests {
                 }
             }
             delta.normalize();
-            let (next_d, rd) = update_all(&g, &clustering, &delta, &prev_d, &mut dense);
-            let (next_s, rs) = update_all(&g, &clustering, &delta, &prev_s, &mut sparse);
-            assert_eq!(rd, rs, "step {step}: reports");
-            assert_evals_equal(&next_d, &next_s, &format!("step {step}"));
-            prev_d = next_d;
-            prev_s = next_s;
+            let (next, _) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
+            let labels = scratch.labels();
+            for (slot, &h) in clustering.heads.iter().enumerate() {
+                bfs.run(&g, h, 5);
+                for v in g.nodes() {
+                    assert_eq!(
+                        labels.dist(slot, v),
+                        bfs.dist(v),
+                        "step {step} {h:?}->{v:?}"
+                    );
+                }
+            }
+            prev = next;
         }
     }
 
@@ -1401,47 +1327,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(707);
         let net = gen::geometric(&gen::GeometricConfig::new(80, 100.0, 6.0), &mut rng);
         let mut g = net.graph.clone();
-        for mode in [LabelMode::Dense, LabelMode::Sparse] {
-            let base = crate::clustering::cluster(&g, 2, &LowestId, MemberPolicy::IdBased);
-            let mut scratch = EvalScratch::with_mode(mode);
-            run_all_with(&g, &base, &mut scratch);
-            let rebuilds = scratch.labels().rebuild_count();
+        let base = crate::clustering::cluster(&g, 2, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::new();
+        run_all_with(&g, &base, &mut scratch);
+        let rebuilds = scratch.labels().rebuild_count();
 
-            // Promote two non-heads to heads, one at a time.
-            let mut clustering = base.clone();
-            let promoted: Vec<NodeId> = g
-                .nodes()
-                .filter(|&v| !base.is_head(v))
-                .take(2)
-                .collect();
-            for &v in &promoted {
-                let pos = clustering.heads.binary_search(&v).unwrap_err();
-                clustering.heads.insert(pos, v);
-                clustering.head_of[v.index()] = v;
-                clustering.dist_to_head[v.index()] = 0;
-                let advance = advance_labels_headset(
-                    &g,
-                    &clustering,
-                    &adhoc_graph::delta::TopologyDelta::new(),
-                    &mut scratch,
-                );
-                assert!(
-                    matches!(&advance, LabelAdvance::Incremental { dirty } if dirty == &[pos]),
-                    "promotion of {v:?} must dirty exactly its own row, got {advance:?}"
-                );
-                let (out, report) =
-                    update_all_after_headset(&g, &clustering, &advance, &mut scratch);
-                assert!(!report.rebuilt);
-                assert_eq!(report.dirty_heads, 1);
-                assert_evals_equal(&out, &run_all(&g, &clustering), &format!("{mode:?} +{v:?}"));
-            }
-
-            // Demote one of them again: a row removal dirties nothing.
-            let v = promoted[0];
-            let pos = clustering.heads.binary_search(&v).unwrap();
-            clustering.heads.remove(pos);
-            clustering.head_of[v.index()] = base.head_of[v.index()];
-            clustering.dist_to_head[v.index()] = base.dist_to_head[v.index()];
+        // Promote two non-heads to heads, one at a time.
+        let mut clustering = base.clone();
+        let promoted: Vec<NodeId> = g.nodes().filter(|&v| !base.is_head(v)).take(2).collect();
+        for &v in &promoted {
+            let pos = clustering.heads.binary_search(&v).unwrap_err();
+            clustering.heads.insert(pos, v);
+            clustering.head_of[v.index()] = v;
+            clustering.dist_to_head[v.index()] = 0;
             let advance = advance_labels_headset(
                 &g,
                 &clustering,
@@ -1449,44 +1347,61 @@ mod tests {
                 &mut scratch,
             );
             assert!(
-                matches!(&advance, LabelAdvance::Incremental { dirty } if dirty.is_empty()),
-                "demotion must dirty no rows, got {advance:?}"
+                matches!(&advance, LabelAdvance::Incremental { dirty } if dirty == &[pos]),
+                "promotion of {v:?} must dirty exactly its own row, got {advance:?}"
             );
             let (out, report) = update_all_after_headset(&g, &clustering, &advance, &mut scratch);
             assert!(!report.rebuilt);
-            assert_eq!(report.dirty_heads, 0);
-            assert_evals_equal(&out, &run_all(&g, &clustering), &format!("{mode:?} -{v:?}"));
-
-            assert_eq!(
-                scratch.labels().rebuild_count(),
-                rebuilds,
-                "{mode:?}: head-set changes must splice, not rebuild"
-            );
-
-            // A head-set change combined with an edge delta in one
-            // advance stays exact whichever path it takes (small
-            // deltas can still flood many 2k+1 balls, legitimately
-            // tripping the dirty-fraction fallback).
-            let w = promoted[1];
-            let wpos = clustering.heads.binary_search(&w).unwrap();
-            clustering.heads.remove(wpos);
-            clustering.head_of[w.index()] = base.head_of[w.index()];
-            clustering.dist_to_head[w.index()] = base.dist_to_head[w.index()];
-            let mut delta = adhoc_graph::delta::TopologyDelta::new();
-            let (a, b) = (NodeId(0), NodeId(40));
-            if !g.has_edge(a, b) {
-                g.add_edge(a, b);
-                delta.push_added(a, b);
-            }
-            delta.normalize();
-            let advance = advance_labels_headset(&g, &clustering, &delta, &mut scratch);
-            let (out, _) = update_all_after_headset(&g, &clustering, &advance, &mut scratch);
-            assert_evals_equal(&out, &run_all(&g, &clustering), &format!("{mode:?} -{w:?}+edge"));
-            // Undo the edge for the next mode's pass.
-            if g.has_edge(a, b) {
-                g.remove_edge(a, b);
-            }
+            assert_eq!(report.dirty_heads, 1);
+            assert_evals_equal(&out, &run_all(&g, &clustering), &format!("+{v:?}"));
         }
+
+        // Demote one of them again: a row removal dirties nothing.
+        let v = promoted[0];
+        let pos = clustering.heads.binary_search(&v).unwrap();
+        clustering.heads.remove(pos);
+        clustering.head_of[v.index()] = base.head_of[v.index()];
+        clustering.dist_to_head[v.index()] = base.dist_to_head[v.index()];
+        let advance = advance_labels_headset(
+            &g,
+            &clustering,
+            &adhoc_graph::delta::TopologyDelta::new(),
+            &mut scratch,
+        );
+        assert!(
+            matches!(&advance, LabelAdvance::Incremental { dirty } if dirty.is_empty()),
+            "demotion must dirty no rows, got {advance:?}"
+        );
+        let (out, report) = update_all_after_headset(&g, &clustering, &advance, &mut scratch);
+        assert!(!report.rebuilt);
+        assert_eq!(report.dirty_heads, 0);
+        assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{v:?}"));
+
+        assert_eq!(
+            scratch.labels().rebuild_count(),
+            rebuilds,
+            "head-set changes must splice, not rebuild"
+        );
+
+        // A head-set change combined with an edge delta in one
+        // advance stays exact whichever path it takes (small
+        // deltas can still flood many 2k+1 balls, legitimately
+        // tripping the dirty-fraction fallback).
+        let w = promoted[1];
+        let wpos = clustering.heads.binary_search(&w).unwrap();
+        clustering.heads.remove(wpos);
+        clustering.head_of[w.index()] = base.head_of[w.index()];
+        clustering.dist_to_head[w.index()] = base.dist_to_head[w.index()];
+        let mut delta = adhoc_graph::delta::TopologyDelta::new();
+        let (a, b) = (NodeId(0), NodeId(40));
+        if !g.has_edge(a, b) {
+            g.add_edge(a, b);
+            delta.push_added(a, b);
+        }
+        delta.normalize();
+        let advance = advance_labels_headset(&g, &clustering, &delta, &mut scratch);
+        let (out, _) = update_all_after_headset(&g, &clustering, &advance, &mut scratch);
+        assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{w:?}+edge"));
     }
 
     /// An incompatible scratch (different bound) forces the head-set

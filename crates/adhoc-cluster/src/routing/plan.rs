@@ -39,7 +39,7 @@
 //! relay.
 //!
 //! Compilation reads the evaluation engine's shared head labels
-//! ([`LabelStore`], dense or sparse alike) — the same one-sweep data
+//! ([`HeadLabels`]) — the same one-sweep data
 //! every other pipeline consumer uses — plus any backbone link set
 //! (one algorithm's selected links, or a full virtual graph).
 //! [`RoutePlan::apply_delta`] repairs a compiled plan after topology
@@ -58,7 +58,7 @@ use crate::virtual_graph::LinkRef;
 use adhoc_graph::bfs::{self, Adjacency, DistLabels, UNREACHED};
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::NodeId;
-use adhoc_graph::labels::LabelStore;
+use adhoc_graph::labels::HeadLabels;
 use adhoc_graph::obs::Metrics;
 use adhoc_graph::par::{self, Parallelism};
 use adhoc_graph::paths;
@@ -267,7 +267,7 @@ impl RoutePlan {
     pub fn compile<'a, G: Adjacency + Sync>(
         g: &G,
         clustering: &Clustering,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         links: impl IntoIterator<Item = LinkRef<'a>>,
     ) -> RoutePlan {
         RoutePlan::compile_with(g, clustering, labels, links, InterMode::Auto)
@@ -278,7 +278,7 @@ impl RoutePlan {
     pub fn compile_with<'a, G: Adjacency + Sync>(
         g: &G,
         clustering: &Clustering,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         links: impl IntoIterator<Item = LinkRef<'a>>,
         mode: InterMode,
     ) -> RoutePlan {
@@ -295,7 +295,7 @@ impl RoutePlan {
     pub fn compile_tuned<'a, G: Adjacency + Sync>(
         g: &G,
         clustering: &Clustering,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         links: impl IntoIterator<Item = LinkRef<'a>>,
         mode: InterMode,
         par: Parallelism,
@@ -313,7 +313,7 @@ impl RoutePlan {
     pub fn compile_metered<'a, G: Adjacency + Sync>(
         g: &G,
         clustering: &Clustering,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         links: impl IntoIterator<Item = LinkRef<'a>>,
         mode: InterMode,
         par: Parallelism,
@@ -382,7 +382,7 @@ impl RoutePlan {
         &mut self,
         g: &G,
         clustering: &Clustering,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         rewalk: Option<&[bool]>,
         par: Parallelism,
     ) {
@@ -499,7 +499,7 @@ impl RoutePlan {
         &mut self,
         g: &G,
         clustering: &Clustering,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         delta: &TopologyDelta,
         dirty_slots: &[usize],
         links: impl IntoIterator<Item = LinkRef<'a>>,
@@ -524,7 +524,7 @@ impl RoutePlan {
         &mut self,
         g: &G,
         clustering: &Clustering,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         delta: &TopologyDelta,
         dirty_slots: &[usize],
         links: impl IntoIterator<Item = LinkRef<'a>>,
@@ -552,7 +552,7 @@ impl RoutePlan {
         &mut self,
         g: &G,
         clustering: &Clustering,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         delta: &TopologyDelta,
         dirty_slots: &[usize],
         links: impl IntoIterator<Item = LinkRef<'a>>,

@@ -25,7 +25,7 @@ use crate::adjacency::{self, NeighborRule, NeighborSets};
 use crate::clustering::Clustering;
 use adhoc_graph::bfs::{self, Adjacency};
 use adhoc_graph::graph::NodeId;
-use adhoc_graph::labels::{HeadLabels, LabelStore};
+use adhoc_graph::labels::HeadLabels;
 use adhoc_graph::lmst::TieWeight;
 use adhoc_graph::paths;
 
@@ -221,7 +221,7 @@ impl VirtualGraph {
     /// ([`HeadLabels`]) and derives everything from the labels.
     pub fn build<G: Adjacency>(g: &G, clustering: &Clustering, rule: NeighborRule) -> Self {
         let bound = 2 * clustering.k + 1;
-        let labels = LabelStore::Dense(HeadLabels::build(g, &clustering.heads, bound));
+        let labels = HeadLabels::build(g, &clustering.heads, bound);
         let neighbor_sets = match rule {
             NeighborRule::All2kPlus1 => adjacency::nc_from_labels(clustering, &labels),
             NeighborRule::Adjacent => adjacency::neighbor_clusterheads(g, clustering, rule),
@@ -230,9 +230,9 @@ impl VirtualGraph {
     }
 
     /// Builds the virtual graph for an already-computed neighbor
-    /// relation from shared head labels — dense or sparse, the walks
-    /// only need [`DistLabels`](adhoc_graph::bfs::DistLabels) row views
-    /// (no graph traversal beyond the canonical label walks).
+    /// relation from shared head labels (no graph traversal beyond the
+    /// canonical label walks). Each head's row is expanded once into a
+    /// direct-indexed copy that serves all of its walks.
     ///
     /// # Panics
     /// Panics if `labels` lacks a selected head or was built with a
@@ -241,23 +241,23 @@ impl VirtualGraph {
         g: &G,
         clustering: &Clustering,
         neighbor_sets: NeighborSets,
-        labels: &LabelStore,
+        labels: &HeadLabels,
     ) -> Self {
         assert!(
             labels.bound() > 2 * clustering.k,
             "labels too shallow for the 2k+1 link bound"
         );
         let mut store = LinkStore::default();
+        let mut row = labels.expanded();
         // Extract paths to all selected partners a < b from b's
         // distance labels.
         for (b, partners) in neighbor_sets.iter() {
             if !partners.iter().any(|&a| a < b) {
                 continue;
             }
-            let slot = labels.slot(b).expect("selected head is labeled");
-            let row = labels.row(slot);
+            let row = row.load(labels.slot(b).expect("selected head is labeled"));
             for &a in partners.iter().filter(|&&a| a < b) {
-                let ok = store.push_walk(g, a, b, &row);
+                let ok = store.push_walk(g, a, b, row);
                 assert!(ok, "selected neighbor heads are within 2k+1 hops");
             }
         }
@@ -270,7 +270,7 @@ impl VirtualGraph {
     }
 
     /// As [`Self::from_labels`], but after an **incremental** label
-    /// update ([`LabelStore::apply_delta`]): links owned by a clean
+    /// update ([`HeadLabels::apply_delta`]): links owned by a clean
     /// larger endpoint are copied byte-for-byte from `prev` (the
     /// canonical walk reads only that endpoint's distance row and the
     /// adjacency of nodes inside its ball, both provably untouched when
@@ -286,7 +286,7 @@ impl VirtualGraph {
         g: &G,
         clustering: &Clustering,
         neighbor_sets: NeighborSets,
-        labels: &LabelStore,
+        labels: &HeadLabels,
         prev: &VirtualGraph,
         dirty_slots: &[bool],
     ) -> Self {
@@ -295,15 +295,16 @@ impl VirtualGraph {
             "labels too shallow for the 2k+1 link bound"
         );
         let mut store = LinkStore::default();
+        let mut row = labels.expanded();
         for (b, partners) in neighbor_sets.iter() {
             if !partners.iter().any(|&a| a < b) {
                 continue;
             }
             let slot = labels.slot(b).expect("selected head is labeled");
             if dirty_slots[slot] {
-                let row = labels.row(slot);
+                let row = row.load(slot);
                 for &a in partners.iter().filter(|&&a| a < b) {
-                    let ok = store.push_walk(g, a, b, &row);
+                    let ok = store.push_walk(g, a, b, row);
                     assert!(ok, "selected neighbor heads are within 2k+1 hops");
                 }
             } else {
@@ -417,16 +418,14 @@ pub fn complete_link_store<G: Adjacency>(
 ) -> LinkStore {
     assert_eq!(labels.bound(), u32::MAX, "G-MST needs unbounded labels");
     let mut store = LinkStore::default();
+    let mut row = labels.expanded();
     for (i, &b) in clustering.heads.iter().enumerate() {
         if i == 0 {
             continue;
         }
-        let row = labels
-            .slot(b)
-            .map(|s| labels.row(s))
-            .expect("every head is labeled");
+        let row = row.load(labels.slot(b).expect("every head is labeled"));
         for &a in &clustering.heads[..i] {
-            store.push_walk(g, a, b, &row);
+            store.push_walk(g, a, b, row);
         }
     }
     store.finish();

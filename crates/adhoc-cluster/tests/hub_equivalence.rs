@@ -2,7 +2,7 @@
 //! compiled with `InterMode::Hub` produces walks **node-for-node
 //! identical** to the dense `h × h` table — same validity, endpoints,
 //! hop counts, and checksums — for every algorithm's backbone, every
-//! k ∈ 1..=4, and both label-store layouts. And the hub layout's
+//! and k ∈ 1..=4. And the hub layout's
 //! incremental repair must be a pure optimization of recompiling:
 //! through `apply_delta` chains with weight changes and head-set
 //! changes, the repaired plan stays **equal** (structural `Eq`, hub
@@ -17,7 +17,6 @@ use adhoc_cluster::routing::{
 };
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::graph::NodeId;
-use adhoc_graph::labels::LabelMode;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -25,20 +24,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Hub-served walks ≡ dense-served walks on every algorithm's
-    /// backbone, under both label-store layouts.
+    /// backbone.
     #[test]
     fn hub_walks_match_dense_walks(
         seed in 0u64..1_000_000,
         n in 40usize..=90,
         k in 1u32..=4,
-        sparse_labels in 0usize..2,
     ) {
-        let sparse_labels = sparse_labels == 1;
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&GeometricConfig::new(n, 100.0, 7.0), &mut rng);
         let c = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-        let mode = if sparse_labels { LabelMode::Sparse } else { LabelMode::Dense };
-        let mut scratch = EvalScratch::with_mode(mode);
+        let mut scratch = EvalScratch::new();
         let eval = pipeline::run_all_with(&net.graph, &c, &mut scratch);
         let mut dense_walk = Vec::new();
         let mut hub_walk = Vec::new();
@@ -87,16 +83,13 @@ proptest! {
     fn hub_delta_repair_matches_recompile(
         seed in 0u64..1_000_000,
         k in 1u32..=3,
-        sparse_labels in 0usize..2,
     ) {
-        let sparse_labels = sparse_labels == 1;
         let n = 80usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
         let mut g = net.graph.clone();
         let mut c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-        let mode = if sparse_labels { LabelMode::Sparse } else { LabelMode::Dense };
-        let mut scratch = EvalScratch::with_mode(mode);
+        let mut scratch = EvalScratch::new();
         let mut eval = pipeline::run_all_with(&g, &c, &mut scratch);
         let mut hub = RoutePlan::compile_with(
             &g, &c, scratch.labels(), eval.selected_links(Algorithm::AcLmst), InterMode::Hub,

@@ -1,8 +1,8 @@
 //! The observability layer must not become a second source of
 //! nondeterminism: with metrics enabled, every count-type metric
 //! (counters, non-`_ns` histograms, events) produced by a build +
-//! repair chain has to be identical for any worker count, on both
-//! label layouts. Only the `_ns` span timings may differ — and those
+//! repair chain has to be identical for any worker count. Only the
+//! `_ns` span timings may differ — and those
 //! are excluded from [`MetricsSnapshot::deterministic_fingerprint`],
 //! which is exactly the surface these proptests pin.
 //!
@@ -12,7 +12,7 @@
 //! on different machines would stop being comparable.
 
 use adhoc_cluster::clustering::{self, MemberPolicy};
-use adhoc_cluster::pipeline::{self, EvalScratch, LabelMode, Parallelism};
+use adhoc_cluster::pipeline::{self, EvalScratch, Parallelism};
 use adhoc_cluster::priority::LowestId;
 use adhoc_cluster::routing::{InterMode, RoutePlan};
 use adhoc_graph::delta::TopologyDelta;
@@ -85,14 +85,12 @@ proptest! {
 
     /// `run_all` → `update_all` → `apply_delta` chain: the metrics
     /// fingerprint (counters, count histograms, events) is identical
-    /// at 1/2/3/8 workers on both label layouts.
+    /// at 1/2/3/8 workers.
     #[test]
     fn count_metrics_are_worker_count_invariant(
         seed in 0u64..1_000_000,
         k in 1u32..=3,
-        sparse in 0u32..2,
     ) {
-        let mode = if sparse == 1 { LabelMode::Sparse } else { LabelMode::Dense };
         let n = 60usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
@@ -101,7 +99,7 @@ proptest! {
         let run_arm = |par: Parallelism| {
             let metrics = Metrics::enabled();
             let c0 = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-            let mut scratch = EvalScratch::with_tuning(mode, par);
+            let mut scratch = EvalScratch::with_workers(par);
             scratch.set_metrics(metrics.clone());
             let mut prev = pipeline::run_all_with(&net.graph, &c0, &mut scratch);
             let mut plan = RoutePlan::compile_metered(
@@ -137,12 +135,12 @@ proptest! {
             let (fp, rows) = run_arm(Parallelism::new(w));
             prop_assert_eq!(
                 &rows, &base_rows,
-                "{} workers ({:?}): count metrics diverged from serial arm", w, mode
+                "{} workers: count metrics diverged from serial arm", w
             );
             prop_assert_eq!(
                 fp, base_fp,
-                "{} workers ({:?}): fingerprint diverged with equal rows \
-                 (fingerprint covers something rows miss?)", w, mode
+                "{} workers: fingerprint diverged with equal rows \
+                 (fingerprint covers something rows miss?)", w
             );
         }
     }

@@ -2,7 +2,7 @@
 //! path — label rebuilds and repairs (`run_all` / `update_all`), plan
 //! compiles and deltas (`compile_tuned` / `apply_delta_tuned`), and
 //! batched serving — has to reproduce the single-worker output
-//! **bit-for-bit** for any worker count, on both label layouts.
+//! **bit-for-bit** for any worker count.
 //!
 //! The determinism is structural (disjoint pre-partitioned slices,
 //! per-worker scratch, chunk-order merges), so these proptests are the
@@ -12,7 +12,7 @@
 
 use adhoc_cluster::clustering::{self, MemberPolicy};
 use adhoc_cluster::pipeline::{
-    self, Algorithm, EvalScratch, EvaluationOutput, LabelMode, LabelStore, Parallelism,
+    self, Algorithm, EvalScratch, EvaluationOutput, HeadLabels, Parallelism,
 };
 use adhoc_cluster::priority::LowestId;
 use adhoc_cluster::routing::{InterMode, QueryEngine, RoutePlan};
@@ -27,10 +27,10 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// container has cores.
 const WORKER_GRID: [usize; 3] = [2, 3, 8];
 
-/// Canonical dump of a label store's arena: per head slot, the ball's
-/// node sequence and each node's distance, in arena order. Two stores
+/// Canonical dump of a label arena: per head slot, the ball's
+/// node sequence and each node's distance, in arena order. Two arenas
 /// with equal dumps answer every label query identically.
-fn label_rows(labels: &LabelStore) -> Vec<(Vec<NodeId>, Vec<u32>)> {
+fn label_rows(labels: &HeadLabels) -> Vec<(Vec<NodeId>, Vec<u32>)> {
     (0..labels.heads().len())
         .map(|slot| {
             let ball = labels.ball(slot).to_vec();
@@ -76,14 +76,12 @@ proptest! {
         seed in 0u64..1_000_000,
         n in 40usize..=90,
         k in 1u32..=3,
-        sparse in 0u32..2,
     ) {
-        let mode = if sparse == 1 { LabelMode::Sparse } else { LabelMode::Dense };
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
         let c = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
 
-        let mut serial = EvalScratch::with_tuning(mode, Parallelism::serial());
+        let mut serial = EvalScratch::with_workers(Parallelism::serial());
         let base = pipeline::run_all_with(&net.graph, &c, &mut serial);
         let base_rows = label_rows(serial.labels());
         let base_plan = RoutePlan::compile(
@@ -97,7 +95,7 @@ proptest! {
 
         for w in WORKER_GRID {
             let par = Parallelism::new(w);
-            let mut scratch = EvalScratch::with_tuning(mode, par);
+            let mut scratch = EvalScratch::with_workers(par);
             let eval = pipeline::run_all_with(&net.graph, &c, &mut scratch);
             assert_evals_equal(&eval, &base, &format!("{w} workers"));
             prop_assert_eq!(
@@ -128,9 +126,7 @@ proptest! {
     fn update_chains_are_worker_count_invariant(
         seed in 0u64..1_000_000,
         k in 1u32..=3,
-        sparse in 0u32..2,
     ) {
-        let mode = if sparse == 1 { LabelMode::Sparse } else { LabelMode::Dense };
         let n = 70usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
@@ -166,7 +162,7 @@ proptest! {
         // repair, plan repair. Returns per-step label dumps and plans.
         let run_arm = |par: Parallelism| {
             let c0 = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-            let mut scratch = EvalScratch::with_tuning(mode, par);
+            let mut scratch = EvalScratch::with_workers(par);
             let mut prev = pipeline::run_all_with(&net.graph, &c0, &mut scratch);
             let mut plan = RoutePlan::compile_tuned(
                 &net.graph,
@@ -224,16 +220,14 @@ proptest! {
     /// The cells above are below the label rebuild's fan-out gate
     /// (`Parallelism::for_work`), where every worker count runs the
     /// sweep inline. These cells sit above it, so the multi-worker
-    /// arms really fan the rebuild out, on both layouts.
+    /// arms really fan the rebuild out.
     #[test]
     fn fanned_out_label_rebuilds_are_worker_count_invariant(
         seed in 0u64..1_000_000,
         n in 600usize..=800,
-        sparse in 0u32..2,
     ) {
         // k = 1 keeps the head count (the rows swept) high.
         let k = 1;
-        let mode = if sparse == 1 { LabelMode::Sparse } else { LabelMode::Dense };
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
         let c = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
@@ -248,11 +242,11 @@ proptest! {
             );
         }
 
-        let mut serial = EvalScratch::with_tuning(mode, Parallelism::serial());
+        let mut serial = EvalScratch::with_workers(Parallelism::serial());
         let base = pipeline::run_all_with(&net.graph, &c, &mut serial);
         let base_rows = label_rows(serial.labels());
         for w in WORKER_GRID {
-            let mut scratch = EvalScratch::with_tuning(mode, Parallelism::new(w));
+            let mut scratch = EvalScratch::with_workers(Parallelism::new(w));
             let eval = pipeline::run_all_with(&net.graph, &c, &mut scratch);
             assert_evals_equal(&eval, &base, &format!("{w} workers"));
             prop_assert_eq!(

@@ -19,10 +19,8 @@
 //!   (lexicographically smallest) shortest paths.
 //! * [`labels`] — per-clusterhead distance labels, the single-sweep
 //!   substrate of the evaluation engine (`adhoc-cluster::pipeline`'s
-//!   `run_all`): the dense flat-arena [`HeadLabels`], the ball-indexed
-//!   [`labels::SparseHeadLabels`] for large `N`, and the
-//!   [`labels::LabelStore`] facade that lets every consumer run off
-//!   either layout.
+//!   `run_all`): [`HeadLabels`] stores each head's bounded BFS ball,
+//!   `O(Σ ball sizes + n)` memory with `O(1)` expected lookups.
 //! * [`mst`] — Kruskal and Prim minimum spanning trees over abstract
 //!   weights, and [`unionfind::UnionFind`].
 //! * [`lmst`] — the Li/Hou/Sha local minimum spanning tree rule, both in
@@ -74,6 +72,6 @@ pub use csr::Csr;
 pub use delta::TopologyDelta;
 pub use geom::Point;
 pub use graph::{Graph, NodeId};
-pub use labels::{HeadLabels, LabelMode, LabelStore, SparseHeadLabels};
+pub use labels::{HeadLabels, LabelMode};
 pub use obs::{Metrics, MetricsSnapshot};
 pub use par::Parallelism;

@@ -116,8 +116,8 @@ impl<T: Send> Split for Vec<T> {
 }
 
 /// A payload whose backing buffer holds `stride` elements per unit —
-/// e.g. the dense label arena's row-major `h × n` distance matrix,
-/// where one unit (a head row) spans `n` entries.
+/// e.g. the dense inter-head table's row-major `h × h` matrix, where
+/// one unit (a head row) spans `h` entries.
 pub struct Strided<S> {
     /// The backing payload.
     pub data: S,

@@ -85,11 +85,11 @@ use adhoc_cluster::clustering::{cluster, Clustering, MemberPolicy};
 use adhoc_cluster::pipeline::{self, AlgorithmSet, EvalScratch, EvaluationOutput, LabelAdvance};
 use adhoc_cluster::priority::LowestId;
 use adhoc_cluster::routing::{InterMode, RoutePlan};
-use adhoc_graph::bfs::BfsScratch;
+use adhoc_graph::bfs::{BfsScratch, UNREACHED};
 use adhoc_graph::connectivity;
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::{Graph, NodeId};
-use adhoc_graph::labels::{LabelMode, LabelStore};
+use adhoc_graph::labels::HeadLabels;
 use adhoc_graph::obs::Metrics;
 use adhoc_graph::par::Parallelism;
 
@@ -312,17 +312,10 @@ pub struct ChurnEngine {
 }
 
 impl ChurnEngine {
-    /// Builds the initial structure on `g` (full pipeline run), with
-    /// the label arena in [`LabelMode::Auto`].
+    /// Builds the initial structure on `g` (full pipeline run).
     pub fn build(g: &Graph, cfg: MovementConfig) -> Self {
-        Self::build_with_labels(g, cfg, LabelMode::Auto)
-    }
-
-    /// As [`Self::build`], with an explicit label layout policy for
-    /// the maintained arena (`khop churn --labels` drives this).
-    pub fn build_with_labels(g: &Graph, cfg: MovementConfig, labels: LabelMode) -> Self {
         let clustering = cluster(g, cfg.k, &LowestId, MemberPolicy::IdBased);
-        let mut scratch = EvalScratch::with_mode(labels);
+        let mut scratch = EvalScratch::new();
         // The engine publishes one algorithm; every evaluation path
         // (build, patch, head-set splice, full rebuild) goes through
         // this scratch and computes only that one.
@@ -504,9 +497,8 @@ impl ChurnEngine {
         &self.eval
     }
 
-    /// The incrementally maintained head labels (dense or sparse per
-    /// the layout the engine was built with).
-    pub fn labels(&self) -> &LabelStore {
+    /// The incrementally maintained head labels.
+    pub fn labels(&self) -> &HeadLabels {
         self.scratch.labels()
     }
 
@@ -864,6 +856,16 @@ impl ChurnEngine {
             // already exchanges, so they are not charged (same stance
             // as the old engine).
             let labels = self.scratch.labels();
+            // Each member's distance to its own head, read off the
+            // first k levels of that head's row (absent: beyond k).
+            let mut near_head = vec![UNREACHED; self.graph.len()];
+            for (slot, &h) in labels.heads().iter().enumerate() {
+                for (v, d) in labels.within(slot, k) {
+                    if self.clustering.head_of(v) == h {
+                        near_head[v.index()] = d;
+                    }
+                }
+            }
             for v in self.graph.nodes() {
                 if self.departed[v.index()] || self.clustering.is_head(v) || Some(v) == newcomer {
                     continue;
@@ -879,8 +881,8 @@ impl ChurnEngine {
                     continue;
                 }
                 match labels.slot(h) {
-                    Some(slot) => {
-                        let d = labels.dist(slot, v);
+                    Some(_) => {
+                        let d = near_head[v.index()];
                         if d > k {
                             orphans.push(v);
                         } else {
@@ -905,30 +907,25 @@ impl ChurnEngine {
             // apart, and a detected merge escalates to re-election), so
             // clean-pair verdicts carry over. A dirty pair is counted
             // once, by whichever dirty slot scans it first.
-            let heads = &self.clustering.heads;
+            let md = self.cfg.merge_distance;
             match &advance {
                 LabelAdvance::Incremental { dirty } => {
                     for &slot in dirty {
-                        for (other_slot, &other) in heads.iter().enumerate() {
-                            if other_slot == slot
-                                || (other_slot < slot
-                                    && dirty.binary_search(&other_slot).is_ok())
-                            {
-                                continue;
-                            }
-                            if labels.dist(slot, other) <= self.cfg.merge_distance {
-                                merged_head_pairs += 1;
-                            }
-                        }
+                        merged_head_pairs += labels
+                            .heads_within(slot, md)
+                            .into_iter()
+                            .filter_map(|other| labels.slot(other))
+                            .filter(|&o| !(o < slot && dirty.binary_search(&o).is_ok()))
+                            .count();
                     }
                 }
                 LabelAdvance::Rebuilt => {
-                    for (slot, _) in heads.iter().enumerate() {
-                        for &other in &heads[slot + 1..] {
-                            if labels.dist(slot, other) <= self.cfg.merge_distance {
-                                merged_head_pairs += 1;
-                            }
-                        }
+                    for (slot, &h) in labels.heads().iter().enumerate() {
+                        merged_head_pairs += labels
+                            .heads_within(slot, md)
+                            .into_iter()
+                            .filter(|&other| other > h)
+                            .count();
                     }
                 }
             }
@@ -1559,7 +1556,7 @@ fn elect_orphans(
             probes += scratch.visited().len();
             let best = winners
                 .iter()
-                .filter(|&&h| scratch.dist(h) != adhoc_graph::bfs::UNREACHED)
+                .filter(|&&h| scratch.dist(h) != UNREACHED)
                 .map(|&h| (scratch.dist(h), h))
                 .min();
             match best {
@@ -1970,35 +1967,42 @@ mod tests {
         assert_engine_consistent(&e, "recovery after crashed arrival");
     }
 
-    /// Arrivals on sparse labels walk the same trajectory as dense.
+    /// The engine's labels equal dense per-head BFS rows of its live
+    /// graph: every distance and every ball.
+    fn assert_labels_match_bfs(e: &ChurnEngine, ctx: &str) {
+        let labels = e.labels();
+        let mut bfs = adhoc_graph::bfs::BfsScratch::new(e.graph().len());
+        for (slot, &h) in labels.heads().iter().enumerate() {
+            bfs.run(e.graph(), h, labels.bound());
+            assert_eq!(labels.ball(slot), bfs.visited(), "{ctx}: ball of {h:?}");
+            for v in e.graph().nodes() {
+                assert_eq!(labels.dist(slot, v), bfs.dist(v), "{ctx}: {h:?}->{v:?}");
+            }
+        }
+    }
+
+    /// Departures and re-arrivals keep the ball-indexed (sparse)
+    /// labels equal to dense per-head BFS rows.
     #[test]
     fn sparse_arrival_matches_dense() {
         let net = geometric(42, 60, 8.0);
         let cfg = MovementConfig::strict(2, Algorithm::AcLmst);
-        let mut dense = ChurnEngine::build_with_labels(&net.graph, cfg, LabelMode::Dense);
-        let mut sparse = ChurnEngine::build_with_labels(&net.graph, cfg, LabelMode::Sparse);
+        let mut e = ChurnEngine::build(&net.graph, cfg);
         for &uid in &[7u32, 23, 41] {
             let u = NodeId(uid);
-            let rd = dense.depart(u);
-            let rs = sparse.depart(u);
-            assert_eq!(rd.level, rs.level);
+            e.depart(u);
+            assert_labels_match_bfs(&e, &format!("depart {uid}"));
             let neighbors: Vec<NodeId> = net
                 .graph
                 .neighbors(u)
                 .iter()
                 .copied()
-                .filter(|w| !dense.is_departed(*w))
+                .filter(|w| !e.is_departed(*w))
                 .collect();
-            let rd = dense.arrive(u, &neighbors);
-            let rs = sparse.arrive(u, &neighbors);
-            assert_eq!(rd.level, rs.level, "arrive {uid}");
-            assert_eq!(rd.cost, rs.cost, "arrive {uid}");
-            assert_eq!(rd.dirty_heads, rs.dirty_heads, "arrive {uid}");
-            assert_eq!(dense.clustering.head_of, sparse.clustering.head_of);
-            assert_eq!(dense.cds, sparse.cds);
+            e.arrive(u, &neighbors);
+            assert_labels_match_bfs(&e, &format!("arrive {uid}"));
         }
-        assert_engine_consistent(&dense, "dense after arrivals");
-        assert_engine_consistent(&sparse, "sparse after arrivals");
+        assert_engine_consistent(&e, "after arrivals");
     }
 
     #[test]
@@ -2024,18 +2028,15 @@ mod tests {
         }
     }
 
-    /// An engine on sparse labels must walk the same trajectory —
-    /// reports, clusterings, CDSs, evaluations — as one on dense
-    /// labels.
+    /// Through a mobility trajectory, the engine's ball-indexed
+    /// (sparse) labels stay equal to dense per-head BFS rows at every
+    /// step.
     #[test]
     fn sparse_label_engine_matches_dense() {
         use crate::mobility::{MobileNetwork, WaypointConfig};
         let net = geometric(31, 70, 8.0);
         let cfg = MovementConfig::tolerant(2, Algorithm::AcLmst, 1);
-        let mut dense = ChurnEngine::build_with_labels(&net.graph, cfg, LabelMode::Dense);
-        let mut sparse = ChurnEngine::build_with_labels(&net.graph, cfg, LabelMode::Sparse);
-        assert!(!dense.labels().is_sparse());
-        assert!(sparse.labels().is_sparse());
+        let mut e = ChurnEngine::build(&net.graph, cfg);
         let mut rng = StdRng::seed_from_u64(31);
         let wp = WaypointConfig {
             side: 100.0,
@@ -2047,19 +2048,10 @@ mod tests {
         let mut mobile = MobileNetwork::with_model(net.positions.clone(), net.range, model);
         for step in 0..20 {
             let delta = mobile.step(0.5, &mut rng);
-            let rd = dense.step_delta(&delta);
-            let rs = sparse.step_delta(&delta);
-            assert_eq!(rd.level, rs.level, "step {step}");
-            assert_eq!(rd.cost, rs.cost, "step {step}");
-            assert_eq!(rd.valid, rs.valid, "step {step}");
-            assert_eq!(rd.dirty_heads, rs.dirty_heads, "step {step}");
-            assert_eq!(dense.clustering.head_of, sparse.clustering.head_of, "step {step}");
-            assert_eq!(dense.cds, sparse.cds, "step {step}");
-            for slot in 0..dense.clustering.heads.len() {
-                assert_eq!(dense.labels().ball(slot), sparse.labels().ball(slot));
-            }
+            e.step_delta(&delta);
+            assert_labels_match_bfs(&e, &format!("step {step}"));
         }
-        assert_engine_consistent(&sparse, "sparse engine final state");
+        assert_engine_consistent(&e, "final state");
     }
 
     /// The reused verification verdicts must always equal what a

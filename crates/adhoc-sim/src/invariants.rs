@@ -55,7 +55,7 @@ use adhoc_cluster::routing::{self, RoutePlan};
 use adhoc_graph::connectivity;
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::{Graph, NodeId};
-use adhoc_graph::labels::LabelStore;
+use adhoc_graph::labels::HeadLabels;
 
 thread_local! {
     static CAPTURING: Cell<bool> = const { Cell::new(false) };
@@ -127,7 +127,7 @@ pub fn capturing<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
     (out, recorded)
 }
 
-fn label_mismatch(maintained: &LabelStore, fresh: &LabelStore) -> Option<String> {
+fn label_mismatch(maintained: &HeadLabels, fresh: &HeadLabels) -> Option<String> {
     if maintained.heads() != fresh.heads() {
         return Some(format!(
             "label head rows {:?} != fresh {:?}",
@@ -202,14 +202,9 @@ pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
         }
     }
 
-    // Labels ≡ cold rebuild (same layout, same bound).
+    // Labels ≡ cold rebuild (same bound).
     let maintained = engine.labels();
-    let mut fresh = if maintained.is_sparse() {
-        LabelStore::sparse()
-    } else {
-        LabelStore::dense()
-    };
-    fresh.rebuild(g, &clustering.heads, maintained.bound());
+    let fresh = HeadLabels::build(g, &clustering.heads, maintained.bound());
     if let Some(why) = label_mismatch(maintained, &fresh) {
         out.push(Violation::new("I1", why));
     }

@@ -4,21 +4,22 @@
 //!
 //! Two property families:
 //!
-//! * Mixed arrival/departure/mobility sequences, `k` 1..=4, both label
-//!   layouts, any maintained algorithm: after every reconcile the
+//! * Mixed arrival/departure/mobility sequences, `k` 1..=4, any
+//!   maintained algorithm: after every reconcile the
 //!   engine's labels, the relations its algorithm reads, that
 //!   algorithm's selection/CDS, and the compiled route plan equal a
 //!   cold `pipeline::run_all` (+ `RoutePlan::compile`) on the live
 //!   graph and clustering.
-//! * Head gain/loss chains on a path: dense and sparse layouts stay
-//!   identical row for row, both equal a cold `HeadLabels::build`, and
-//!   `rebuild_count` never moves — a single head gained or lost is a
-//!   row splice, not an arena rebuild.
+//! * Head gain/loss chains on a path: the labels stay equal row for
+//!   row to a cold `HeadLabels::build` and to dense per-head BFS rows,
+//!   and `rebuild_count` never moves — a single head gained or lost is
+//!   a row splice, not an arena rebuild.
 
 use adhoc_cluster::adjacency::NeighborRule;
 use adhoc_cluster::clustering::Clustering;
-use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet, EvalScratch, LabelMode};
+use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet};
 use adhoc_cluster::routing::RoutePlan;
+use adhoc_graph::bfs::BfsScratch;
 use adhoc_graph::geom::Point;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::labels::HeadLabels;
@@ -31,18 +32,17 @@ use rand::SeedableRng;
 
 /// Full cold-equality check including the compiled route plan: the
 /// engine's incrementally maintained state must match a from-scratch
-/// evaluation *in the engine's own label layout* — labels row by row,
+/// evaluation — labels row by row,
 /// the NC relation and paths (plus the AC ones for an AC algorithm),
 /// the maintained algorithm's selection and CDS, and the walk the route
 /// plan emits for every ordered pair.
-fn assert_engine_equals_cold(engine: &ChurnEngine, mode: LabelMode, ctx: &str) {
+fn assert_engine_equals_cold(engine: &ChurnEngine, ctx: &str) {
     let g = engine.graph();
     let clustering: &Clustering = &engine.clustering;
-    let mut scratch = EvalScratch::with_mode(mode);
-    let cold = pipeline::run_all_with(g, clustering, &mut scratch);
+    let cold = pipeline::run_all(g, clustering);
 
     let warm = engine.labels();
-    let cold_labels = scratch.labels();
+    let cold_labels = HeadLabels::build(g, &clustering.heads, 2 * clustering.k + 1);
     assert_eq!(warm.heads(), cold_labels.heads(), "{ctx}: label heads");
     for slot in 0..clustering.heads.len() {
         assert_eq!(
@@ -84,7 +84,7 @@ fn assert_engine_equals_cold(engine: &ChurnEngine, mode: LabelMode, ctx: &str) {
     // Route plan: the maintained plan must route every ordered pair
     // exactly like one compiled cold from the same structures (epochs
     // aside — those count publications, not content).
-    let cold_plan = RoutePlan::compile(g, clustering, scratch.labels(), cold.selected_links(alg));
+    let cold_plan = RoutePlan::compile(g, clustering, &cold_labels, cold.selected_links(alg));
     let warm_plan = engine.route_plan().expect("routing enabled");
     for u in g.nodes() {
         for v in g.nodes() {
@@ -97,7 +97,7 @@ fn assert_engine_equals_cold(engine: &ChurnEngine, mode: LabelMode, ctx: &str) {
     }
 }
 
-/// Row-for-row equality of two label stores over the same head set.
+/// Row-for-row equality of two label arenas over the same head set.
 macro_rules! assert_labels_match {
     ($a:expr, $b:expr, $g:expr, $ctx:expr) => {{
         prop_assert_eq!($a.heads(), $b.heads(), "{}: heads", $ctx);
@@ -123,8 +123,7 @@ proptest! {
     /// §3.3 arrivals interleaved with departures and mobility steps:
     /// the engine stays bit-for-bit equal to a cold run — labels,
     /// relations, the maintained algorithm's selection, and the
-    /// compiled route plan — in whichever label layout it was built
-    /// with. Departed nodes park
+    /// compiled route plan. Departed nodes park
     /// far outside the field (radio off); a returnee reappears at its
     /// pre-departure position and arrives with exactly the radio links
     /// the spatial grid sees, so engine and grid stay in lock-step.
@@ -132,13 +131,11 @@ proptest! {
     fn arrival_mix_matches_cold_run_all(
         seed in 0u64..10_000,
         k in 1u32..=4,
-        layout in 0u32..2,
         ops in proptest::collection::vec((0u32..3, 0u32..64), 4..10),
         alg in 0usize..5,
     ) {
         let alg = Algorithm::ALL[alg];
         let n = 45usize;
-        let mode = if layout == 0 { LabelMode::Dense } else { LabelMode::Sparse };
         let mut rng = StdRng::seed_from_u64(seed);
         let net = adhoc_graph::gen::geometric(
             &adhoc_graph::gen::GeometricConfig::new(n, 100.0, 7.0),
@@ -151,8 +148,7 @@ proptest! {
         );
         let park = |u: NodeId| Point::new(10_000.0 + 1_000.0 * u.index() as f64, 10_000.0);
         let mut grid = adhoc_graph::gen::SpatialGrid::build(&net.positions, net.range);
-        let mut engine =
-            ChurnEngine::build_with_labels(grid.graph(), MovementConfig::strict(k, alg), mode);
+        let mut engine = ChurnEngine::build(grid.graph(), MovementConfig::strict(k, alg));
         engine.enable_routing();
         let mut pos = net.positions.clone();
         let mut home = net.positions.clone();
@@ -196,15 +192,15 @@ proptest! {
                 grid.graph().edges().collect::<Vec<_>>(),
                 "engine and grid topology in lock-step"
             );
-            assert_engine_equals_cold(&engine, mode, &format!("{alg} k={k} op {i}"));
+            assert_engine_equals_cold(&engine, &format!("{alg} k={k} op {i}"));
         }
     }
 
     /// Head gain/loss chains: departures and re-arrivals on a path
     /// (whose clusterheads sit at fixed positions, so hitting one is
-    /// easy) must keep dense and sparse label stores identical row for
-    /// row, equal to a cold `HeadLabels::build` on the live graph —
-    /// and must never rebuild either arena. A forced head
+    /// easy) must keep the label rows equal to a cold
+    /// `HeadLabels::build` and to dense per-head BFS rows of the live
+    /// graph — and must never rebuild the arena. A forced head
     /// depart/re-arrive cycle at the end guarantees every case
     /// exercises at least one single-head loss and one single-head
     /// gain through the splice path.
@@ -222,60 +218,48 @@ proptest! {
         let k = 1u32;
         let g = adhoc_graph::gen::path(n);
         let cfg = MovementConfig::strict(k, Algorithm::AcLmst);
-        let mut dense = ChurnEngine::build_with_labels(&g, cfg, LabelMode::Dense);
-        let mut sparse = ChurnEngine::build_with_labels(&g, cfg, LabelMode::Sparse);
-        dense.enable_routing();
-        sparse.enable_routing();
-        let d0 = dense.labels().rebuild_count();
-        let s0 = sparse.labels().rebuild_count();
+        let mut engine = ChurnEngine::build(&g, cfg);
+        engine.enable_routing();
+        let rebuilds = engine.labels().rebuild_count();
+        let mut bfs = BfsScratch::new(n);
 
         // The random chain, then a forced head depart + re-arrive.
         let mut picks: Vec<NodeId> = ops.iter().map(|&p| NodeId(p % n as u32)).collect();
-        let head = *dense.clustering.heads.last().expect("a path has heads");
+        let head = *engine.clustering.heads.last().expect("a path has heads");
         picks.push(head);
         picks.push(head);
         for (i, &u) in picks.iter().enumerate() {
             let ctx = format!("n={n} k={k} op {i} at {u:?}");
-            if dense.is_departed(u) {
+            if engine.is_departed(u) {
                 let neighbors: Vec<NodeId> = g
                     .neighbors(u)
                     .iter()
                     .copied()
-                    .filter(|&w| !dense.is_departed(w))
+                    .filter(|&w| !engine.is_departed(w))
                     .collect();
-                dense.arrive(u, &neighbors);
-                sparse.arrive(u, &neighbors);
+                engine.arrive(u, &neighbors);
             } else {
-                dense.depart(u);
-                sparse.depart(u);
+                engine.depart(u);
             }
 
             // The tentpole guarantee: head-set changes splice rows in
             // place; the arena build counter never moves after init.
             prop_assert_eq!(
-                dense.labels().rebuild_count(), d0,
-                "{}: dense arena rebuilt", &ctx
-            );
-            prop_assert_eq!(
-                sparse.labels().rebuild_count(), s0,
-                "{}: sparse arena rebuilt", &ctx
+                engine.labels().rebuild_count(), rebuilds,
+                "{}: arena rebuilt", &ctx
             );
 
-            // Dense ≡ sparse, and both ≡ a cold build.
-            prop_assert_eq!(&dense.clustering.heads, &sparse.clustering.heads, "{}", &ctx);
-            for v in dense.graph().nodes() {
-                prop_assert_eq!(
-                    dense.clustering.head_of(v),
-                    sparse.clustering.head_of(v),
-                    "{}: head_of {:?}",
-                    &ctx,
-                    v
-                );
+            let live = engine.graph();
+            let labels = engine.labels();
+            let cold = HeadLabels::build(live, &engine.clustering.heads, 2 * k + 1);
+            assert_labels_match!(labels, &cold, live, &ctx);
+            for (slot, &h) in labels.heads().iter().enumerate() {
+                bfs.run(live, h, 2 * k + 1);
+                prop_assert_eq!(labels.ball(slot), bfs.visited(), "{}: ball of {:?}", &ctx, h);
+                for v in live.nodes() {
+                    prop_assert_eq!(labels.dist(slot, v), bfs.dist(v), "{}: {:?}->{:?}", &ctx, h, v);
+                }
             }
-            let live = dense.graph();
-            assert_labels_match!(dense.labels(), sparse.labels(), live, &ctx);
-            let cold = HeadLabels::build(live, &dense.clustering.heads, 2 * k + 1);
-            assert_labels_match!(dense.labels(), &cold, live, &ctx);
         }
     }
 }

@@ -5,7 +5,6 @@
 //! khop gen  --n 100 --d 6 --seed 7 --out net.txt      generate a network file
 //! khop run  [--input net.txt | --n 100 --d 6 --seed 7] --k 2 --alg ac-lmst [--json]
 //! khop run  --alg all ...                              all five algorithms, one engine sweep
-//! khop run  --labels sparse ...                        force a label layout (dense|sparse|auto)
 //! khop dist [--input net.txt | --n ... ] --k 2 --alg ac-lmst    distributed run + stats
 //! khop info --input net.txt                            topology metrics
 //! khop exact [--n 24 --d 5 --seed 7] --k 1             exact optimum + ratios
@@ -115,7 +114,7 @@ const COMMANDS: &[Command] = &[
     (
         "run",
         cmd_run,
-        &["input", "n", "d", "seed", "k", "alg", "labels", "workers", "metrics", "json"],
+        &["input", "n", "d", "seed", "k", "alg", "workers", "metrics", "json"],
     ),
     ("dist", cmd_dist, &["input", "n", "d", "seed", "k", "alg"]),
     ("info", cmd_info, &["input", "n", "d", "seed"]),
@@ -124,22 +123,22 @@ const COMMANDS: &[Command] = &[
     (
         "churn",
         cmd_churn,
-        &["n", "d", "seed", "k", "steps", "movers", "speed", "labels", "workers", "metrics"],
+        &["n", "d", "seed", "k", "steps", "movers", "speed", "workers", "metrics"],
     ),
     (
         "route",
         cmd_route,
         &[
-            "input", "n", "d", "seed", "k", "alg", "queries", "workers", "labels", "inter", "mix",
-            "metrics", "json",
+            "input", "n", "d", "seed", "k", "alg", "queries", "workers", "inter", "mix", "metrics",
+            "json",
         ],
     ),
     (
         "resilience",
         cmd_resilience,
         &[
-            "n", "d", "seed", "k", "fraction", "pairs", "attack", "repair-level", "labels",
-            "workers", "metrics", "json",
+            "n", "d", "seed", "k", "fraction", "pairs", "attack", "repair-level", "workers",
+            "metrics", "json",
         ],
     ),
     ("mac", cmd_mac, &["input", "n", "d", "seed", "k", "cw"]),
@@ -149,13 +148,13 @@ fn die(msg: &str) -> ! {
     eprintln!("khop: {msg}");
     eprintln!("usage: khop <gen|run|dist|info|exact|maintain|churn|route|resilience|mac>");
     eprintln!("            [--n N] [--d D] [--k K>=1] [--seed S] [--steps T] [--cw W]");
-    eprintln!("            [--movers M] [--speed V] [--queries Q] [--workers W]");
+    eprintln!("            [--movers M] [--speed V] [--queries Q] [--workers W>=1]");
     eprintln!("            [--mix uniform|hotspot|local]");
     eprintln!("            [--attack heads|degree|regional|partition] [--fraction F] [--pairs P]");
     eprintln!("            [--repair-level none|reaffiliate|gateways|full]");
     eprintln!("            [--alg nc-mesh|ac-mesh|nc-lmst|ac-lmst|g-mst|all]");
-    eprintln!("            [--labels dense|sparse|auto] [--inter dense|hub|auto]");
-    eprintln!("            [--input FILE] [--out FILE] [--budget B] [--json] [--verbose]");
+    eprintln!("            [--inter dense|hub|auto]");
+    eprintln!("            [--input FILE] [--out FILE] [--budget B>=1] [--json] [--verbose]");
     eprintln!("            [--metrics[=FILE]]   (each command accepts only the flags it reads)");
     exit(2)
 }
@@ -214,18 +213,22 @@ fn cmd_gen(args: &Args) {
     );
 }
 
-/// The `--labels {dense,sparse,auto}` layout policy (default `auto`).
-fn parse_labels(args: &Args) -> LabelMode {
-    args.get("labels", LabelMode::Auto)
-}
-
-/// The `--workers W` worker-pool width; defaults to
+/// The `--workers W` worker-pool width (at least 1); defaults to
 /// [`Parallelism::from_env`] (`KHOP_WORKERS` or the machine's cores).
 fn parse_workers(args: &Args) -> Parallelism {
     match args.opt("workers") {
-        Some(_) => Parallelism::new(args.get("workers", 1)),
+        Some(_) => Parallelism::new(workers_flag(args, 1)),
         None => Parallelism::default(),
     }
+}
+
+/// `--workers` as a count, `default` when absent; 0 is refused.
+fn workers_flag(args: &Args, default: usize) -> usize {
+    let workers: usize = args.get("workers", default);
+    if workers == 0 {
+        die("--workers must be at least 1");
+    }
+    workers
 }
 
 /// The `--metrics[=FILE]` observability sink: an enabled [`Metrics`]
@@ -302,16 +305,9 @@ fn warn_if_unverifiable(g: &Graph) -> bool {
 
 /// `khop run --alg all`: evaluate all five algorithms through the
 /// single-sweep engine (`pipeline::run_all`) on one shared clustering.
-fn cmd_run_all(
-    g: &Graph,
-    k: u32,
-    labels: LabelMode,
-    par: Parallelism,
-    json: bool,
-    sink: Option<MetricsSink>,
-) {
+fn cmd_run_all(g: &Graph, k: u32, par: Parallelism, json: bool, sink: Option<MetricsSink>) {
     let clustering = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
-    let mut scratch = EvalScratch::with_tuning(labels, par);
+    let mut scratch = EvalScratch::with_workers(par);
     if let Some(s) = &sink {
         scratch.set_metrics(s.metrics.clone());
     }
@@ -349,7 +345,6 @@ fn cmd_run_all(
                 "edges": g.edge_count(),
                 "clusterheads": clustering.heads,
                 "rounds": clustering.rounds,
-                "labels_layout": scratch.labels().layout_name(),
                 "labels_memory_bytes": scratch.labels_memory_bytes(),
                 "algorithms": algorithms,
             })
@@ -369,11 +364,7 @@ fn cmd_run_all(
                 out.cds.size()
             );
         }
-        println!(
-            "labels: {} layout ({} bytes)",
-            scratch.labels().layout_name(),
-            scratch.labels_memory_bytes()
-        );
+        println!("labels: {} bytes", scratch.labels_memory_bytes());
     }
     if let Some(s) = sink {
         s.finish(&["pipeline.run_all", "labels.sweep_ns", "labels.rows_swept"]);
@@ -383,27 +374,25 @@ fn cmd_run_all(
 fn cmd_run(args: &Args) {
     let g = obtain_graph(args);
     let k: u32 = args.get("k", 2);
-    let labels = parse_labels(args);
     let par = parse_workers(args);
     let sink = parse_metrics(args);
     let alg_name = args.opt("alg").unwrap_or("ac-lmst");
     if alg_name.eq_ignore_ascii_case("all") {
-        cmd_run_all(&g, k, labels, par, args.has("json"), sink);
+        cmd_run_all(&g, k, par, args.has("json"), sink);
         return;
     }
     let alg = parse_alg(alg_name);
     // Only the requested algorithm's phases run here (the shared
     // engine sweep is `--alg all`'s job); the scratch carries the
-    // chosen label layout and worker-pool width, and G-MST — the
-    // centralized baseline — ignores both.
+    // worker-pool width, and G-MST — the centralized baseline —
+    // ignores it.
     let clustering = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-    let mut scratch = EvalScratch::with_tuning(labels, par);
+    let mut scratch = EvalScratch::with_workers(par);
     if let Some(s) = &sink {
         scratch.set_metrics(s.metrics.clone());
     }
     let out = pipeline::run_on_with(&g, alg, &clustering, &mut scratch);
-    let labels_info = (alg != Algorithm::GMst)
-        .then(|| (scratch.labels().layout_name(), scratch.labels_memory_bytes()));
+    let labels_bytes = (alg != Algorithm::GMst).then(|| scratch.labels_memory_bytes());
     if warn_if_unverifiable(&g) {
         if let Err(e) = out.cds.verify(&g, k) {
             die(&format!("produced an invalid CDS: {e}"));
@@ -421,9 +410,7 @@ fn cmd_run(args: &Args) {
             "links_used": out.selection.links_used,
             "rounds": clustering.rounds,
         });
-        if let (serde_json::Value::Object(map), Some((layout, bytes))) = (&mut doc, labels_info)
-        {
-            map.push(("labels_layout".into(), serde_json::json!(layout)));
+        if let (serde_json::Value::Object(map), Some(bytes)) = (&mut doc, labels_bytes) {
             map.push(("labels_memory_bytes".into(), serde_json::json!(bytes)));
         }
         println!("{doc}");
@@ -436,8 +423,8 @@ fn cmd_run(args: &Args) {
             out.selection.gateways.len(),
             out.cds.size()
         );
-        if let Some((layout, bytes)) = labels_info {
-            println!("labels: {layout} layout ({bytes} bytes)");
+        if let Some(bytes) = labels_bytes {
+            println!("labels: {bytes} bytes");
         }
     }
     if let Some(s) = sink {
@@ -499,6 +486,9 @@ fn cmd_exact(args: &Args) {
         ));
     }
     let budget: u64 = args.get("budget", exact::ExactConfig::default().max_steps);
+    if budget == 0 {
+        die("--budget must be at least 1");
+    }
     let opt = exact::min_khop_cds(&g, k, &ExactConfig { max_steps: budget });
     println!(
         "exact minimum {k}-hop CDS: {} nodes {} ({} expansions)",
@@ -581,7 +571,6 @@ fn cmd_churn(args: &Args) {
     let steps: usize = args.get("steps", 40);
     let movers: usize = args.get("movers", 10.min(n));
     let speed: f64 = args.get("speed", 2.0);
-    let labels = parse_labels(args);
     let par = parse_workers(args);
     let sink = parse_metrics(args);
     if movers == 0 || movers > n {
@@ -623,7 +612,7 @@ fn cmd_churn(args: &Args) {
     let (mut churn_edges, mut dirty, mut head_steps, mut cost) = (0usize, 0usize, 0usize, 0usize);
     {
         let mut grid = SpatialGrid::build(&snapshots[0], base.range);
-        let mut engine = ChurnEngine::build_with_labels(grid.graph(), policy, labels);
+        let mut engine = ChurnEngine::build(grid.graph(), policy);
         engine.set_workers(par);
         if let Some(s) = &sink {
             // Metrics ride the recording pass — the bare timed replay
@@ -643,7 +632,7 @@ fn cmd_churn(args: &Args) {
         }
     }
     let mut grid = SpatialGrid::build(&snapshots[0], base.range);
-    let mut engine = ChurnEngine::build_with_labels(grid.graph(), policy, labels);
+    let mut engine = ChurnEngine::build(grid.graph(), policy);
     engine.set_workers(par);
     let t = Instant::now();
     for snapshot in &snapshots[1..] {
@@ -652,15 +641,11 @@ fn cmd_churn(args: &Args) {
     }
     let inc = t.elapsed().as_secs_f64();
     std::hint::black_box(engine.evaluation());
-    let (layout, labels_bytes) = (
-        engine.labels().layout_name(),
-        engine.labels().memory_bytes(),
-    );
+    let labels_bytes = engine.labels().memory_bytes();
 
     // Rebuild-every-step arm on the same clustering sequence, under
-    // the same label layout policy, worker-pool width and algorithm
-    // scope as the engine.
-    let mut scratch = EvalScratch::with_tuning(labels, par);
+    // the same worker-pool width and algorithm scope as the engine.
+    let mut scratch = EvalScratch::with_workers(par);
     scratch.set_algorithms(AlgorithmSet::only(Algorithm::AcLmst));
     let t = Instant::now();
     for (snapshot, clustering) in snapshots[1..].iter().zip(&clusterings) {
@@ -694,7 +679,7 @@ fn cmd_churn(args: &Args) {
         1e3 * reb / steps as f64,
         reb / inc.max(1e-12)
     );
-    println!("labels: {layout} layout ({labels_bytes} bytes)");
+    println!("labels: {labels_bytes} bytes");
     if let Some(s) = sink {
         s.finish(&[
             "reconcile.count",
@@ -802,7 +787,6 @@ fn cmd_resilience(args: &Args) {
     let seed: u64 = args.get("seed", 1);
     let fraction: f64 = args.get("fraction", 0.2);
     let pair_count: usize = args.get("pairs", 800);
-    let labels = parse_labels(args);
     let par = parse_workers(args);
     let sink = parse_metrics(args);
     let json = args.has("json");
@@ -829,7 +813,7 @@ fn cmd_resilience(args: &Args) {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = generate(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng);
     let policy = MovementConfig::strict(k, Algorithm::AcLmst).capped(level);
-    let mut engine = ChurnEngine::build_with_labels(&net.graph, policy, labels);
+    let mut engine = ChurnEngine::build(&net.graph, policy);
     engine.set_workers(par);
     if let Some(s) = &sink {
         engine.set_metrics(s.metrics.clone());
@@ -913,7 +897,6 @@ fn cmd_resilience(args: &Args) {
             "attack": attack.name(),
             "fraction": fraction,
             "repair_level": level.name(),
-            "labels": engine.labels().layout_name(),
             "victims": victims.len(),
             "sampled_pairs": pairs.len(),
             "stale_epoch": stale_epoch,
@@ -931,12 +914,11 @@ fn cmd_resilience(args: &Args) {
     }
 
     println!(
-        "{n} nodes (k={k}), {} attack removing {} ({:.1}%), repair capped at {}, {} labels",
+        "{n} nodes (k={k}), {} attack removing {} ({:.1}%), repair capped at {}",
         attack.name(),
         victims.len(),
         100.0 * fraction,
-        level.name(),
-        engine.labels().layout_name()
+        level.name()
     );
     println!(
         "post-attack: stale plan (epoch {stale_epoch}) routes {:.1}% of {} alive pairs; \
@@ -987,9 +969,8 @@ fn cmd_route(args: &Args) {
     let g = obtain_graph(args);
     let k: u32 = args.get("k", 2);
     let queries: usize = args.get("queries", 5000);
-    let workers: usize = args.get("workers", 2);
+    let workers = workers_flag(args, 2);
     let seed: u64 = args.get("seed", 1);
-    let labels = parse_labels(args);
     let inter: InterMode = args.get("inter", InterMode::Auto);
     let mix: Mix = args.get("mix", Mix::Uniform);
     let sink = parse_metrics(args);
@@ -1005,7 +986,7 @@ fn cmd_route(args: &Args) {
     let par = Parallelism::new(workers);
     let metrics = sink.as_ref().map_or(Metrics::disabled(), |s| s.metrics.clone());
     let clustering = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-    let mut scratch = EvalScratch::with_tuning(labels, par);
+    let mut scratch = EvalScratch::with_workers(par);
     scratch.set_metrics(metrics.clone());
     let eval = pipeline::run_all_with(&g, &clustering, &mut scratch);
     let links = eval.selected_links(alg);
@@ -1073,7 +1054,6 @@ fn cmd_route(args: &Args) {
                 "links": plan.link_count(),
                 "build_ms": build_ms,
                 "plan_memory_bytes": plan.memory_bytes(),
-                "labels_layout": scratch.labels().layout_name(),
                 "inter_mode": inter.name(),
                 "inter_layout": plan.inter_layout(),
                 "inter_bytes": plan.inter_memory_bytes(),

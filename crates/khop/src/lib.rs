@@ -33,8 +33,7 @@ pub mod prelude {
     pub use adhoc_cluster::hierarchy::{self, Hierarchy};
     pub use adhoc_cluster::maxmin;
     pub use adhoc_cluster::pipeline::{
-        self, Algorithm, AlgorithmSet, EvalScratch, EvaluationOutput, LabelMode, LabelStore,
-        PipelineConfig,
+        self, Algorithm, AlgorithmSet, EvalScratch, EvaluationOutput, PipelineConfig,
     };
     pub use adhoc_cluster::priority::{
         HighestDegree, KhopDegree, LowestId, LowestSpeed, Priority, PriorityKey,

@@ -32,7 +32,7 @@ fn load(name: &str) -> Value {
 }
 
 const CANONICAL: &[(&str, &str)] = &[
-    ("BENCH_pipeline.json", "khop-perf-baseline/v2"),
+    ("BENCH_pipeline.json", "khop-perf-baseline/v3"),
     ("BENCH_churn.json", "khop-churn/v1"),
     ("BENCH_routing.json", "khop-routing/v1"),
     ("BENCH_resilience.json", "khop-resilience/v1"),

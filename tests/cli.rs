@@ -153,9 +153,10 @@ fn dist_rejects_gmst() {
 
 #[test]
 fn bad_flags_exit_2_without_panicking() {
-    // Out-of-range `--k` or `--cw`, flags a subcommand does not read,
-    // a value flag given bare and a switch given a value: each is
-    // refused with usage, never a panic or a silently ignored flag.
+    // Out-of-range `--k`, `--cw`, `--workers` or `--budget`, flags a
+    // subcommand does not read (`--labels` included: there is one label
+    // layout), a value flag given bare and a switch given a value: each
+    // is refused with usage, never a panic or a silently ignored flag.
     for args in [
         &["run", "--n", "60", "--k", "0"][..],
         &["maintain", "--k", "0"][..],
@@ -169,6 +170,15 @@ fn bad_flags_exit_2_without_panicking() {
         &["gen", "--n", "40", "--json"][..],
         &["run", "--n", "60", "--k"][..],
         &["run", "--n", "60", "--json", "yes"][..],
+        &["run", "--n", "60", "--k", "2", "--workers", "0"][..],
+        &["route", "--n", "60", "--workers", "0"][..],
+        &["churn", "--n", "60", "--workers", "0"][..],
+        &["resilience", "--n", "60", "--workers", "0"][..],
+        &["exact", "--n", "18", "--k", "1", "--budget", "0"][..],
+        &["run", "--n", "60", "--labels", "sparse"][..],
+        &["churn", "--n", "60", "--labels", "sparse"][..],
+        &["route", "--n", "60", "--labels", "sparse"][..],
+        &["resilience", "--n", "60", "--labels", "sparse"][..],
     ] {
         let out = khop(args);
         let err = String::from_utf8_lossy(&out.stderr);

@@ -1,111 +1,110 @@
-//! Dense ≡ sparse label-layout equivalence: the sparse ball-indexed
-//! layout must be a pure memory optimization. For every product the
-//! pipeline derives from head labels — the label rows and balls
-//! themselves, the NC and AC neighbor relations, every canonical link
-//! path, all five gateway selections and CDSs — a sparse-backed
-//! [`EvalScratch`] has to reproduce the dense-backed one
-//! **bit-for-bit**, both through cold `pipeline::run_all` builds and
-//! through delta-driven `pipeline::update_all` sequences, for
-//! k ∈ 1..=4.
+//! Label correctness against an independent oracle: every row of the
+//! ball-indexed [`HeadLabels`] must equal a fresh per-head
+//! [`bfs::BfsScratch`] run — each distance, and the ball in BFS
+//! discovery order — through cold `pipeline::run_all` builds,
+//! delta-driven `pipeline::update_all` chains, and head-row additions
+//! and removals, for k ∈ 1..=4 on 1 and 2 workers. The products the
+//! pipeline derives from the rows are checked against the same oracle:
+//! the NC relation (heads within `2k+1` BFS hops) and every NC link
+//! (the canonical shortest path `bfs::lexico_shortest_path` walks).
 //!
-//! This is the contract that lets the auto heuristic switch layouts by
-//! projected arena size without anything downstream noticing.
+//! The oracle keeps a dense `n`-sized distance row per head, so these
+//! tests are also the dense ≡ sparse contract: the ball-indexed rows
+//! answer exactly what a dense row would.
 
 use khop::prelude::*;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Full bit-for-bit comparison of two evaluations plus the label
-/// arenas they were derived from.
-fn assert_equal_products(
-    g: &Graph,
-    dense: &EvaluationOutput,
-    sparse: &EvaluationOutput,
-    dense_scratch: &EvalScratch,
-    sparse_scratch: &EvalScratch,
-    ctx: &str,
-) {
-    let dl = dense_scratch.labels();
-    let sl = sparse_scratch.labels();
-    assert!(!dl.is_sparse() && sl.is_sparse(), "{ctx}: layout mixup");
-    assert_eq!(dl.heads(), sl.heads(), "{ctx}: label heads");
-    assert_eq!(dl.bound(), sl.bound(), "{ctx}: label bound");
-    for slot in 0..dl.heads().len() {
-        assert_eq!(dl.ball(slot), sl.ball(slot), "{ctx}: ball of slot {slot}");
+/// Every row of `labels` equals a per-head BFS on `g` to the labels'
+/// bound: each node's distance and the discovery-ordered ball.
+fn assert_labels_match_bfs(g: &Graph, labels: &HeadLabels, ctx: &str) {
+    let mut oracle = bfs::BfsScratch::new(g.len());
+    for (slot, &h) in labels.heads().iter().enumerate() {
+        assert_eq!(labels.slot(h), Some(slot), "{ctx}: slot of {h:?}");
+        oracle.run(g, h, labels.bound());
+        assert_eq!(labels.ball(slot), oracle.visited(), "{ctx}: ball of {h:?}");
         for v in g.nodes() {
             assert_eq!(
-                dl.dist(slot, v),
-                sl.dist(slot, v),
-                "{ctx}: dist slot {slot} node {v:?}"
+                labels.dist(slot, v),
+                oracle.dist(v),
+                "{ctx}: dist {h:?} -> {v:?}"
             );
         }
     }
+}
 
-    assert_eq!(
-        dense.clustering.head_of, sparse.clustering.head_of,
-        "{ctx}: clustering"
-    );
-    for (d, s, name) in [
-        (&dense.nc_graph, &sparse.nc_graph, "nc"),
-        (&dense.ac_graph, &sparse.ac_graph, "ac"),
-    ] {
-        assert_eq!(d.neighbor_sets, s.neighbor_sets, "{ctx}: {name} relation");
-        assert_eq!(d.link_count(), s.link_count(), "{ctx}: {name} link count");
-        for (dl, sl) in d.links().zip(s.links()) {
-            assert_eq!((dl.a, dl.b), (sl.a, sl.b), "{ctx}: {name} pair");
-            assert_eq!(dl.path, sl.path, "{ctx}: {name} path {:?}-{:?}", dl.a, dl.b);
-        }
-    }
-    for alg in Algorithm::ALL {
+/// The NC relation and every NC link path equal what per-head BFS
+/// derives: the heads within `2k+1` hops, and the canonical shortest
+/// path between each linked pair.
+fn assert_nc_matches_bfs(g: &Graph, c: &Clustering, eval: &EvaluationOutput, ctx: &str) {
+    let bound = 2 * c.k + 1;
+    let mut oracle = bfs::BfsScratch::new(g.len());
+    for &h in &c.heads {
+        oracle.run(g, h, bound);
+        let near: Vec<NodeId> = c
+            .heads
+            .iter()
+            .copied()
+            .filter(|&o| o != h && oracle.dist(o) <= bound)
+            .collect();
         assert_eq!(
-            dense.of(alg).selection,
-            sparse.of(alg).selection,
-            "{ctx}: {alg} selection"
+            eval.nc_graph.neighbor_sets.of(h),
+            &near[..],
+            "{ctx}: NC row of {h:?}"
         );
-        assert_eq!(dense.of(alg).cds, sparse.of(alg).cds, "{ctx}: {alg} cds");
+    }
+    for l in eval.nc_graph.links() {
+        let want = bfs::lexico_shortest_path(g, l.a, l.b, bound);
+        assert_eq!(
+            Some(l.path.to_vec()),
+            want,
+            "{ctx}: path {:?}-{:?}",
+            l.a,
+            l.b
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cold builds agree across layouts on random geometric graphs.
+    /// Cold builds on random geometric graphs: the rows and the NC
+    /// products equal the BFS oracle, on 1 and 2 workers.
     #[test]
     fn run_all_dense_equals_sparse(
         seed in 0u64..1_000_000,
         n in 40usize..=110,
         k in 1u32..=4,
         denser in 0u32..2,
+        workers in 1usize..=2,
     ) {
         let d = if denser == 1 { 10.0 } else { 6.0 };
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
         let c = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-        let mut ds = EvalScratch::with_mode(LabelMode::Dense);
-        let mut ss = EvalScratch::with_mode(LabelMode::Sparse);
-        let dense = pipeline::run_all_with(&net.graph, &c, &mut ds);
-        let sparse = pipeline::run_all_with(&net.graph, &c, &mut ss);
-        assert_equal_products(&net.graph, &dense, &sparse, &ds, &ss, "cold");
+        let mut scratch = EvalScratch::with_workers(Parallelism::new(workers));
+        let eval = pipeline::run_all_with(&net.graph, &c, &mut scratch);
+        assert_labels_match_bfs(&net.graph, scratch.labels(), "cold");
+        assert_nc_matches_bfs(&net.graph, &c, &eval, "cold");
     }
 
-    /// Chained deltas through `update_all` keep the layouts in
-    /// lockstep — dirty sets, patched relations, copied paths, and the
-    /// incremental-vs-rebuilt decision all included — and both equal a
-    /// cold rebuild.
+    /// Chained deltas through `update_all` (dirty-row repair, or the
+    /// rebuild fallback) keep every row equal to the BFS oracle on the
+    /// live graph, and every selection equal to a cold evaluation.
     #[test]
     fn update_all_chain_dense_equals_sparse(
         seed in 0u64..1_000_000,
         k in 1u32..=4,
+        workers in 1usize..=2,
     ) {
         let n = 80usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&gen::GeometricConfig::new(n, 100.0, 6.0), &mut rng);
         let mut g = net.graph.clone();
         let c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-        let mut ds = EvalScratch::with_mode(LabelMode::Dense);
-        let mut ss = EvalScratch::with_mode(LabelMode::Sparse);
-        let mut prev_d = pipeline::run_all_with(&g, &c, &mut ds);
-        let mut prev_s = pipeline::run_all_with(&g, &c, &mut ss);
+        let mut scratch = EvalScratch::with_workers(Parallelism::new(workers));
+        let mut prev = pipeline::run_all_with(&g, &c, &mut scratch);
         let mut extras: Vec<(NodeId, NodeId)> = Vec::new();
         for step in 0..10 {
             let mut delta = TopologyDelta::new();
@@ -127,19 +126,97 @@ proptest! {
                 }
             }
             delta.normalize();
-            let (next_d, rd) = pipeline::update_all(&g, &c, &delta, &prev_d, &mut ds);
-            let (next_s, rs) = pipeline::update_all(&g, &c, &delta, &prev_s, &mut ss);
-            prop_assert_eq!(rd, rs, "step {} reports diverged", step);
-            assert_equal_products(&g, &next_d, &next_s, &ds, &ss, &format!("step {step}"));
+            let (next, _) = pipeline::update_all(&g, &c, &delta, &prev, &mut scratch);
+            let ctx = format!("step {step}");
+            assert_labels_match_bfs(&g, scratch.labels(), &ctx);
+            assert_nc_matches_bfs(&g, &c, &next, &ctx);
             let cold = pipeline::run_all(&g, &c);
             for alg in Algorithm::ALL {
                 prop_assert_eq!(
-                    &next_s.of(alg).selection, &cold.of(alg).selection,
-                    "step {} {} sparse != cold", step, alg
+                    &next.of(alg).selection, &cold.of(alg).selection,
+                    "step {} {} incremental != cold", step, alg
                 );
             }
-            prev_d = next_d;
-            prev_s = next_s;
+            prev = next;
         }
     }
+
+    /// Head-row additions and removals interleaved with delta repairs
+    /// on 1 or 2 workers: the rows stay equal to the BFS oracle and the
+    /// arena is never rebuilt.
+    #[test]
+    fn head_row_splices_match_bfs(
+        seed in 0u64..1_000_000,
+        k in 1u32..=4,
+        workers in 1usize..=2,
+        ops in proptest::collection::vec((0u32..3, 0u32..70), 4..14),
+    ) {
+        let n = 70usize;
+        let bound = 2 * k + 1;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = gen::geometric(&gen::GeometricConfig::new(n, 100.0, 6.0), &mut rng);
+        let mut g = net.graph.clone();
+        let c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
+        let mut labels = HeadLabels::build(&g, &c.heads, bound);
+        for (i, &(op, which)) in ops.iter().enumerate() {
+            let v = NodeId(which % n as u32);
+            match (op, labels.slot(v)) {
+                (0, None) => {
+                    labels.add_head_row(&g, v);
+                }
+                (1, Some(_)) => {
+                    labels.remove_head_row(v);
+                }
+                _ => {
+                    // An edge flip at `v`, repaired row by row.
+                    let w = NodeId(rng.gen_range(0..n as u32));
+                    if w == v {
+                        continue;
+                    }
+                    let mut delta = TopologyDelta::new();
+                    if g.has_edge(v, w) {
+                        g.remove_edge(v, w);
+                        delta.push_removed(v, w);
+                    } else {
+                        g.add_edge(v, w);
+                        delta.push_added(v, w);
+                    }
+                    delta.normalize();
+                    let dirty = labels.dirty_slots(&delta);
+                    labels.apply_delta_with(&g, &dirty, Parallelism::new(workers));
+                }
+            }
+            assert_labels_match_bfs(&g, &labels, &format!("op {i}"));
+        }
+        prop_assert_eq!(labels.rebuild_count(), 1, "splices and repairs never rebuild");
+    }
+}
+
+/// Distances far past 254 stay exact: a long path labeled with a
+/// bounded build at a large k, and with the unbounded early-stopping
+/// build G-MST uses, whose farthest head is 699 hops away.
+#[test]
+fn distances_above_254_are_exact() {
+    let g = gen::path(700);
+    let k = 200;
+    let heads = [NodeId(0), NodeId(350), NodeId(699)];
+    let bounded = HeadLabels::build(&g, &heads, 2 * k + 1);
+    assert_labels_match_bfs(&g, &bounded, "bounded, k = 200");
+    assert_eq!(bounded.dist(0, NodeId(401)), 401);
+    assert_eq!(bounded.dist(0, NodeId(402)), bfs::UNREACHED);
+    assert_eq!(bounded.heads_within(0, 400), vec![NodeId(350)]);
+
+    let mut reaching = HeadLabels::default();
+    reaching.rebuild_reaching_heads(&g, &[NodeId(0), NodeId(699)]);
+    assert_eq!(reaching.head_dist(NodeId(0), NodeId(699)), 699);
+    assert_eq!(reaching.head_dist(NodeId(699), NodeId(0)), 699);
+    let mut oracle = bfs::BfsScratch::new(g.len());
+    for (slot, &h) in reaching.heads().iter().enumerate() {
+        oracle.run(&g, h, u32::MAX);
+        for &v in reaching.ball(slot) {
+            assert_eq!(reaching.dist(slot, v), oracle.dist(v), "{h:?} -> {v:?}");
+        }
+    }
+    let walk = bfs::lexico_path_from_labels(&g, NodeId(0), NodeId(699), &reaching.row(1));
+    assert_eq!(walk.map(|p| p.len()), Some(700));
 }
