@@ -21,8 +21,9 @@
 //!   serial-vs-parallel trajectory (≤ 1× on one-core hosts is warned
 //!   about, not failed).
 //!
-//! All arms must produce identical metrics (checksummed), so the seed
-//! arm doubles as a behavioral regression check of the refactor. On
+//! All arms must produce identical output — every gateway ID and every
+//! realized link, checksummed — so the seed arm doubles as a behavioral
+//! regression check of the refactor. On
 //! the largest cell a metered engine arm (an enabled [`Metrics`]
 //! registry) must stay within 3% of a metrics-off reference.
 //!
@@ -42,6 +43,7 @@
 use adhoc_bench::harness::CellConfig;
 use adhoc_bench::{probe, quick_mode, results_dir, run_mode};
 use adhoc_cluster::clustering::{self, Clustering, MemberPolicy};
+use adhoc_cluster::gateway::GatewaySelection;
 use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch};
 use adhoc_cluster::priority::LowestId;
 use adhoc_graph::gen::{self, GeometricConfig};
@@ -352,11 +354,18 @@ fn make_inputs(cell: &Cell) -> Vec<(Csr, Clustering)> {
         .collect()
 }
 
-/// Checksum over the metrics both variants must agree on.
-fn checksum(acc: &mut u64, heads: usize, gateways: usize, cds: usize) {
-    *acc = acc
-        .wrapping_mul(0x100_0000_01B3)
-        .wrapping_add((heads as u64) << 32 | (gateways as u64) << 16 | cds as u64);
+/// Checksum over the output every arm must agree on: the head count,
+/// the CDS size, every gateway ID and every realized link, so the arms
+/// agree by identity, not just by counts.
+fn checksum(acc: &mut u64, heads: usize, sel: &GatewaySelection, cds: usize) {
+    let mut mix = |v: u64| *acc = acc.wrapping_mul(0x100_0000_01B3).wrapping_add(v);
+    mix((heads as u64) << 32 | (sel.gateways.len() as u64) << 16 | cds as u64);
+    for g in &sel.gateways {
+        mix(u64::from(g.0));
+    }
+    for &(a, b) in &sel.links_used {
+        mix(u64::from(a.0) << 32 | u64::from(b.0));
+    }
 }
 
 fn git_describe() -> String {
@@ -403,7 +412,7 @@ fn engine_arm(
                 checksum(
                     &mut sum,
                     clustering.head_count(),
-                    out.selection.gateways.len(),
+                    &out.selection,
                     out.cds.size(),
                 );
             }
@@ -496,7 +505,7 @@ fn main() {
                         checksum(
                             &mut sum,
                             clustering.head_count(),
-                            sel.gateways.len(),
+                            &sel,
                             clustering.head_count() + sel.gateways.len(),
                         );
                     }
@@ -511,7 +520,7 @@ fn main() {
                         checksum(
                             &mut sum,
                             clustering.head_count(),
-                            out.selection.gateways.len(),
+                            &out.selection,
                             out.cds.size(),
                         );
                     }

@@ -162,7 +162,7 @@ pub fn neighbor_clusterheads<G: Adjacency>(
             let labels = HeadLabels::build(g, &clustering.heads, bound);
             nc_from_labels(clustering, &labels)
         }
-        NeighborRule::Adjacent => adjacent_heads(g, clustering),
+        NeighborRule::Adjacent => adjacent_rows(g, clustering, &mut AncrScratch::default(), None),
     }
 }
 
@@ -228,50 +228,116 @@ pub fn nc_from_labels_patched(
     })
 }
 
+/// Reusable node- and slot-indexed buffers of the A-NCR scan, so a warm
+/// scan allocates only the relation it returns.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct AncrScratch {
+    /// Node-indexed head slots (`u32::MAX` for non-heads).
+    slot_of: Vec<u32>,
+    /// Every node's cluster slot; `h` (one past the last slot) for an
+    /// unaffiliated node.
+    cluster_of: Vec<u32>,
+    /// Members grouped by cluster slot: slot `s` owns
+    /// `members[off[s]..off[s + 1]]`; `next` is the fill cursor.
+    off: Vec<u32>,
+    next: Vec<u32>,
+    members: Vec<NodeId>,
+    /// Per slot (plus the unaffiliated slot `h`): the cluster whose scan
+    /// last met it.
+    seen: Vec<u32>,
+}
+
 /// A-NCR: two clusters are adjacent iff some edge of `G` crosses them
 /// (Definition 2); each head selects the heads of its adjacent
-/// clusters. A single scan over the edge set finds all adjacent pairs;
-/// duplicates are removed by one sort+dedup per head afterwards rather
-/// than ordered insertion in the hot loop.
-fn adjacent_heads<G: Adjacency>(g: &G, clustering: &Clustering) -> NeighborSets {
-    // Accumulate into slot-indexed vectors (O(1) per crossing edge
-    // instead of a map lookup), then sort+dedup once per head.
+/// clusters. Computed in one flat pass: a counting sort groups the
+/// members by cluster slot, then each cluster scans its members' edges,
+/// emitting each adjacent head the first time its slot's "last seen"
+/// stamp is not this cluster, and sorts only that row. With
+/// `reuse = Some((prev, rescan))` only the flagged slots are scanned;
+/// every other row is copied from `prev`. Nodes whose affiliation is
+/// the unaffiliated sentinel (any ID `>= n`, as churn leaves departed
+/// nodes) belong to no cluster.
+///
+/// # Panics
+/// Panics if an affiliation names a node that is not a head.
+pub(crate) fn adjacent_rows<G: Adjacency>(
+    g: &G,
+    clustering: &Clustering,
+    scratch: &mut AncrScratch,
+    reuse: Option<(&NeighborSets, &[bool])>,
+) -> NeighborSets {
     let heads = &clustering.heads;
-    let mut slot_of = vec![u32::MAX; g.node_count()];
-    for (i, &h) in heads.iter().enumerate() {
-        slot_of[h.index()] = i as u32;
+    let (n, h) = (g.node_count(), heads.len());
+    let AncrScratch {
+        slot_of,
+        cluster_of,
+        off,
+        next,
+        members,
+        seen,
+    } = scratch;
+    slot_of.clear();
+    slot_of.resize(n, u32::MAX);
+    for (i, x) in heads.iter().enumerate() {
+        slot_of[x.index()] = i as u32;
     }
-    let slot = |h: NodeId| -> usize {
-        let s = slot_of[h.index()];
-        assert_ne!(s, u32::MAX, "head present");
-        s as usize
-    };
-    let mut partners: Vec<Vec<NodeId>> = vec![Vec::new(); heads.len()];
-    let n = g.node_count() as u32;
-    for u in (0..n).map(NodeId) {
-        let hu = clustering.head_of(u);
-        if hu.index() >= slot_of.len() {
-            continue; // unaffiliated (departed/stranded sentinel): in no cluster
+    cluster_of.clear();
+    off.clear();
+    off.resize(h + 2, 0);
+    for &x in &clustering.head_of[..n] {
+        let s = match slot_of.get(x.index()) {
+            Some(&s) => {
+                assert_ne!(s, u32::MAX, "{x:?} is not a head");
+                s
+            }
+            None => h as u32,
+        };
+        cluster_of.push(s);
+        off[s as usize + 1] += 1;
+    }
+    for s in 0..=h {
+        off[s + 1] += off[s];
+    }
+    next.clear();
+    next.extend_from_slice(&off[..=h]);
+    members.resize(n, NodeId(0));
+    for (u, &s) in cluster_of.iter().enumerate() {
+        members[next[s as usize] as usize] = NodeId(u as u32);
+        next[s as usize] += 1;
+    }
+
+    seen.clear();
+    seen.resize(h + 1, u32::MAX);
+    let mut rows = Vec::with_capacity(h + 1);
+    let mut nbrs = Vec::new();
+    rows.push(0);
+    for s in 0..h {
+        match reuse {
+            Some((prev, rescan)) if !rescan[s] => nbrs.extend_from_slice(prev.row(s)),
+            _ => {
+                let start = nbrs.len();
+                let stamp = s as u32;
+                seen[s] = stamp;
+                seen[h] = stamp;
+                for &u in &members[off[s] as usize..off[s + 1] as usize] {
+                    for &v in g.adj(u) {
+                        let t = cluster_of[v.index()] as usize;
+                        if seen[t] != stamp {
+                            seen[t] = stamp;
+                            nbrs.push(heads[t]);
+                        }
+                    }
+                }
+                nbrs[start..].sort_unstable();
+            }
         }
-        for &v in g.adj(u) {
-            if v <= u {
-                continue; // each undirected edge once
-            }
-            let hv = clustering.head_of(v);
-            if hv.index() >= slot_of.len() {
-                continue;
-            }
-            if hu != hv {
-                partners[slot(hu)].push(hv);
-                partners[slot(hv)].push(hu);
-            }
-        }
+        rows.push(nbrs.len() as u32);
     }
-    for p in &mut partners {
-        p.sort_unstable();
-        p.dedup();
+    NeighborSets {
+        heads: heads.clone(),
+        off: rows,
+        nbrs,
     }
-    NeighborSets::from_rows(heads, |i| &partners[i])
 }
 
 /// A-NCR relation *patched* after an edge `delta` and member
@@ -284,11 +350,11 @@ fn adjacent_heads<G: Adjacency>(g: &G, clustering: &Clustering) -> NeighborSets 
 /// or one endpoint changed cluster. So the rows that can change are
 /// those of the heads of `delta`'s endpoints, of both the old and the
 /// new head of every re-affiliated node, and of the heads of its
-/// neighbors. Only those rows are rescanned from their members' edges;
-/// every other row is copied from `prev`. Produces exactly what
-/// [`neighbor_clusterheads`] with [`NeighborRule::Adjacent`] would
-/// (pinned by tests), in `O(n + touched clusters' edges)` instead of
-/// `O(n + m)` with a sort per head.
+/// neighbors. Only those rows are rescanned from their members' edges,
+/// by the same flat pass as [`neighbor_clusterheads`] with
+/// [`NeighborRule::Adjacent`]; every other row is copied from `prev`.
+/// Produces exactly what that full scan would (pinned by tests), in
+/// `O(n + touched clusters' edges)` instead of `O(n + m)`.
 ///
 /// Returns the relation and the ascending slots of the rescanned heads
 /// (a superset of the rows that changed).
@@ -296,12 +362,13 @@ fn adjacent_heads<G: Adjacency>(g: &G, clustering: &Clustering) -> NeighborSets 
 /// # Panics
 /// Panics if `prev` or `prev_head_of` covers a different head or node
 /// set, or an affiliation names a node that is not a head.
-pub fn adjacent_heads_patched<G: Adjacency>(
+pub(crate) fn adjacent_heads_patched<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
     prev: &NeighborSets,
     prev_head_of: &[NodeId],
     delta: &TopologyDelta,
+    scratch: &mut AncrScratch,
 ) -> (NeighborSets, Vec<usize>) {
     let heads = &clustering.heads;
     let n = g.node_count();
@@ -314,15 +381,14 @@ pub fn adjacent_heads_patched<G: Adjacency>(
         n,
         "previous affiliations cover another node set"
     );
-    let mut slot_of = vec![u32::MAX; n];
-    for (i, &h) in heads.iter().enumerate() {
-        slot_of[h.index()] = i as u32;
-    }
     // The cluster slot of `h`, or `None` for the unaffiliated sentinel.
     let slot = |h: NodeId| -> Option<usize> {
-        let s = *slot_of.get(h.index())?;
-        assert_ne!(s, u32::MAX, "{h:?} is not a head");
-        Some(s as usize)
+        if h.index() >= n {
+            return None;
+        }
+        let s = heads.binary_search(&h);
+        assert!(s.is_ok(), "{h:?} is not a head");
+        s.ok()
     };
     let mut touched = vec![false; heads.len()];
     let mut touch = |h: NodeId| {
@@ -343,34 +409,8 @@ pub fn adjacent_heads_patched<G: Adjacency>(
             }
         }
     }
-    let mut partners: Vec<Vec<NodeId>> = vec![Vec::new(); heads.len()];
-    for u in (0..n as u32).map(NodeId) {
-        let hu = clustering.head_of(u);
-        let Some(su) = slot(hu).filter(|&s| touched[s]) else {
-            continue;
-        };
-        for &v in g.adj(u) {
-            let hv = clustering.head_of(v);
-            if hv != hu && slot(hv).is_some() {
-                partners[su].push(hv);
-            }
-        }
-    }
-    let mut rescanned = Vec::new();
-    for (s, p) in partners.iter_mut().enumerate() {
-        if touched[s] {
-            p.sort_unstable();
-            p.dedup();
-            rescanned.push(s);
-        }
-    }
-    let sets = NeighborSets::from_rows(heads, |s| {
-        if touched[s] {
-            &partners[s][..]
-        } else {
-            prev.row(s)
-        }
-    });
+    let sets = adjacent_rows(g, clustering, scratch, Some((prev, &touched)));
+    let rescanned = (0..heads.len()).filter(|&s| touched[s]).collect();
     (sets, rescanned)
 }
 

@@ -1,12 +1,13 @@
 //! G-MST — the centralized global minimum spanning tree baseline.
 
-use super::GatewaySelection;
+use super::{GatewaySelection, NodeMarks};
 use crate::clustering::Clustering;
-use crate::virtual_graph::{self, VirtualGraph};
+use crate::virtual_graph::{self, SlotIndex, VirtualGraph};
 use adhoc_graph::bfs::Adjacency;
 use adhoc_graph::labels::HeadLabels;
 use adhoc_graph::lmst::TieWeight;
 use adhoc_graph::mst::{self, WeightedEdge};
+use adhoc_graph::unionfind::UnionFind;
 
 /// Global-MST gateway selection: build the complete virtual graph over
 /// all clusterheads (pairwise hop distances, no locality bound), take
@@ -93,23 +94,46 @@ pub fn gmst_via_nc<G: Adjacency>(
     nc: &VirtualGraph,
     clustering: &Clustering,
 ) -> GatewaySelection {
-    let edges: Vec<WeightedEdge<TieWeight<u32>>> = nc
-        .links()
-        .map(|l| WeightedEdge::new(l.a, l.b, l.weight()))
-        .collect();
-    let tree = mst::kruskal(g.node_count(), &edges);
+    let mut index = SlotIndex::default();
+    index.build(nc);
+    gmst_via_index(g, nc, &index, clustering, &mut NodeMarks::default())
+}
+
+/// [`gmst_via_nc`] over `index` (built from `nc`): Kruskal walks the NC
+/// links in the index's weight order with a union-find over head slots,
+/// and the tree links are read straight off the graph.
+pub(crate) fn gmst_via_index<G: Adjacency>(
+    g: &G,
+    nc: &VirtualGraph,
+    index: &SlotIndex,
+    clustering: &Clustering,
+    marks: &mut NodeMarks,
+) -> GatewaySelection {
+    let h = clustering.heads.len();
+    let mut uf = UnionFind::new(h);
+    let mut tree = Vec::with_capacity(h.saturating_sub(1));
+    for &e in index.order() {
+        if tree.len() + 1 >= h {
+            break;
+        }
+        let (a, b) = index.ends(e);
+        if uf.union(a as usize, b as usize) {
+            tree.push(e);
+        }
+    }
     // Common case first: one tree spanning every head (connected `G`),
-    // decided without touching `g`. The union-find sweep only runs for
+    // decided without touching `g`. The component sweep only runs for
     // genuine forests.
-    let spans = tree.len() + 1 == clustering.heads.len()
-        || tree.len() + head_components(g, clustering) == clustering.heads.len();
+    let spans = tree.len() + 1 == h || tree.len() + head_components(g, clustering) == h;
     if !spans {
         return gmst(g, clustering);
     }
-    let chosen = tree
-        .iter()
-        .map(|e| nc.link(e.a, e.b).expect("tree edges come from the NC graph"));
-    GatewaySelection::from_links(chosen, clustering)
+    tree.sort_unstable();
+    GatewaySelection::from_links_with(
+        marks,
+        tree.iter().map(|&e| nc.link_at(e as usize)),
+        clustering,
+    )
 }
 
 /// Number of connected components of `g` containing at least one

@@ -1,10 +1,8 @@
 //! LMSTGA — the paper's LMST-based gateway algorithm.
 
-use super::GatewaySelection;
+use super::{GatewaySelection, NodeMarks};
 use crate::clustering::Clustering;
-use crate::virtual_graph::VirtualGraph;
-use adhoc_graph::graph::NodeId;
-use adhoc_graph::lmst::{self, TieWeight};
+use crate::virtual_graph::{SlotIndex, VirtualGraph};
 
 /// LMST-based gateway selection (Algorithm `AC-LMST`, lines 7–11, also
 /// applicable to the NC relation for `NC-LMST`).
@@ -21,12 +19,27 @@ pub fn lmstga(vg: &VirtualGraph, clustering: &Clustering) -> GatewaySelection {
 }
 
 /// Reusable buffers for [`lmstga_with`]: the Monte-Carlo engine calls
-/// the LMST rule twice per replicate (NC and AC graphs), so the local
-/// MST scratch persists per worker.
+/// the LMST rule twice per replicate (NC and AC graphs), so the head-slot
+/// index, the local weight matrix and the Prim arrays persist per worker.
 #[derive(Clone, Debug, Default)]
 pub struct LmstgaScratch {
-    lmst: lmst::LmstScratch<TieWeight<u32>>,
-    on_tree: Vec<NodeId>,
+    /// The index [`lmstga_with`] builds (the pipeline passes its own).
+    index: SlotIndex,
+    /// Per head slot: its vertex number in the current local graph
+    /// (`u32::MAX` outside it).
+    local_of: Vec<u32>,
+    /// Dense local weight matrix of ranks (`u32::MAX` = no link).
+    wmat: Vec<u32>,
+    /// Prim state per local vertex: best rank to the tree, whether that
+    /// rank is the link to the center, and whether the center keeps it.
+    key: Vec<u32>,
+    via_center: Vec<bool>,
+    kept: Vec<bool>,
+    /// Local vertices not yet in the tree.
+    active: Vec<u32>,
+    /// Per link: whether either endpoint kept it.
+    realized: Vec<bool>,
+    marks: NodeMarks,
 }
 
 /// As [`lmstga`], reusing `scratch` across calls.
@@ -35,15 +48,19 @@ pub fn lmstga_with(
     vg: &VirtualGraph,
     clustering: &Clustering,
 ) -> GatewaySelection {
-    lmstga_rows(scratch, vg, clustering, None).0
+    let mut index = std::mem::take(&mut scratch.index);
+    index.build(vg);
+    let selection = lmstga_rows(scratch, vg, &index, clustering, None).0;
+    scratch.index = index;
+    selection
 }
 
 /// Every head's on-tree neighbors from one LMSTGA run, in head-slot
-/// order: head slot `i` kept the links to `row(i)`.
+/// order: head slot `i` kept the links to the head slots `row(i)`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct LmstRows {
     off: Vec<u32>,
-    nbrs: Vec<NodeId>,
+    nbrs: Vec<u32>,
 }
 
 impl LmstRows {
@@ -52,20 +69,21 @@ impl LmstRows {
         self.off.len().saturating_sub(1)
     }
 
-    /// The on-tree neighbors head slot `slot` kept, ascending.
-    fn row(&self, slot: usize) -> &[NodeId] {
+    /// The on-tree neighbor slots head slot `slot` kept, ascending.
+    pub(crate) fn row(&self, slot: usize) -> &[u32] {
         &self.nbrs[self.off[slot] as usize..self.off[slot + 1] as usize]
     }
 }
 
-/// LMSTGA that also returns every head's on-tree list, and may reuse a
-/// previous run's lists: with `reuse = Some((prev, rerun))` only heads
-/// whose slot is flagged in `rerun` run the local MST, and every other
-/// head copies `prev`'s row. That is exact whenever an unflagged head's
-/// closed one-hop neighborhood in `vg` — its neighbor set, its
-/// neighbors' sets, and the hop counts of their links — is what it was
-/// when `prev` was computed: the Li/Hou/Sha rule is a function of that
-/// neighborhood alone.
+/// LMSTGA over `index` (built from `vg`) that also returns every head's
+/// on-tree list, and may reuse a previous run's lists: with
+/// `reuse = Some((prev, rerun))` only heads whose slot is flagged in
+/// `rerun` run the local MST, and every other head copies `prev`'s row.
+/// That is exact whenever an unflagged head's closed one-hop
+/// neighborhood in `vg` — its neighbor set, its neighbors' sets, and
+/// the hop counts of their links — is what it was when `prev` was
+/// computed: the Li/Hou/Sha rule is a function of that neighborhood
+/// alone.
 ///
 /// Returns the selection, the rows, and how many heads ran the local
 /// MST.
@@ -76,6 +94,7 @@ impl LmstRows {
 pub(crate) fn lmstga_rows(
     scratch: &mut LmstgaScratch,
     vg: &VirtualGraph,
+    index: &SlotIndex,
     clustering: &Clustering,
     reuse: Option<(&LmstRows, &[bool])>,
 ) -> (GatewaySelection, LmstRows, usize) {
@@ -84,40 +103,112 @@ pub(crate) fn lmstga_rows(
         assert_eq!(prev.len(), heads, "previous rows cover another head set");
         assert_eq!(rerun.len(), heads, "rerun mask covers another head set");
     }
+    scratch.realized.clear();
+    scratch.realized.resize(vg.link_count(), false);
+    scratch.local_of.clear();
+    scratch.local_of.resize(heads, u32::MAX);
     let mut rows = LmstRows {
         off: Vec::with_capacity(heads + 1),
         nbrs: Vec::new(),
     };
     rows.off.push(0);
     let mut reruns = 0usize;
-    for (slot, (u, partners)) in vg.neighbor_sets.iter().enumerate() {
+    for slot in 0..heads {
+        let (nbrs, links) = index.row(slot);
         match reuse {
-            Some((prev, rerun)) if !rerun[slot] => rows.nbrs.extend_from_slice(prev.row(slot)),
-            _ if partners.is_empty() => {}
+            Some((prev, rerun)) if !rerun[slot] => {
+                // Both lists ascend: one merge finds each kept link.
+                let mut at = 0;
+                for &t in prev.row(slot) {
+                    while nbrs[at].0 != t {
+                        at += 1;
+                    }
+                    scratch.realized[links[at] as usize] = true;
+                }
+                rows.nbrs.extend_from_slice(prev.row(slot));
+            }
+            _ if nbrs.is_empty() => {}
             _ => {
                 reruns += 1;
-                lmst::on_tree_neighbors_into(
-                    &mut scratch.lmst,
-                    u,
-                    partners,
-                    |a, b| vg.weight(a, b),
-                    &mut scratch.on_tree,
-                );
-                rows.nbrs.extend_from_slice(&scratch.on_tree);
+                scratch.local_mst(index, slot);
+                for (j, &(t, _)) in nbrs.iter().enumerate() {
+                    if scratch.kept[j + 1] {
+                        rows.nbrs.push(t);
+                        scratch.realized[links[j] as usize] = true;
+                    }
+                }
             }
         }
         rows.off.push(rows.nbrs.len() as u32);
     }
-    // A link is realized when either endpoint keeps it. Walking the
-    // relation's links in their ascending `(a, b)` order yields the
+    // Walking the links in their ascending `(a, b)` order yields the
     // realized ones sorted, unique, and with their paths at hand.
-    let slot = |h: NodeId| vg.heads.binary_search(&h).expect("link endpoints are heads");
-    let kept = |a: NodeId, b: NodeId| rows.row(slot(a)).binary_search(&b).is_ok();
-    let selection = GatewaySelection::from_links(
-        vg.links().filter(|l| kept(l.a, l.b) || kept(l.b, l.a)),
+    let realized = &scratch.realized;
+    let selection = GatewaySelection::from_links_with(
+        &mut scratch.marks,
+        vg.links().zip(realized).filter(|(_, &r)| r).map(|(l, _)| l),
         clustering,
     );
     (selection, rows, reruns)
+}
+
+impl LmstgaScratch {
+    /// The Li/Hou/Sha rule at head slot `center`: the local graph is the
+    /// center (vertex 0) plus its neighbours (vertices `1..`, in row
+    /// order) with the links among them, and `kept[j]` ends up true for
+    /// the neighbours on the local MST's center edges. Ranks are
+    /// distinct, so the MST is unique and Prim needs no tie-breaking;
+    /// every neighbour links to the center, so every key is finite.
+    fn local_mst(&mut self, index: &SlotIndex, center: usize) {
+        let (nbrs, _) = index.row(center);
+        let n = nbrs.len() + 1;
+        for (j, &(t, _)) in nbrs.iter().enumerate() {
+            self.local_of[t as usize] = j as u32 + 1;
+        }
+        self.wmat.clear();
+        self.wmat.resize(n * n, u32::MAX);
+        for (j, &(t, rank)) in nbrs.iter().enumerate() {
+            self.wmat[j + 1] = rank;
+            self.wmat[(j + 1) * n] = rank;
+            for &(x, rank) in index.row(t as usize).0 {
+                let i = self.local_of[x as usize] as usize;
+                if i != u32::MAX as usize && i > j + 1 {
+                    self.wmat[(j + 1) * n + i] = rank;
+                    self.wmat[i * n + j + 1] = rank;
+                }
+            }
+        }
+        for &(t, _) in nbrs {
+            self.local_of[t as usize] = u32::MAX;
+        }
+
+        self.key.clear();
+        self.key.extend_from_slice(&self.wmat[..n]);
+        self.via_center.clear();
+        self.via_center.resize(n, true);
+        self.kept.clear();
+        self.kept.resize(n, false);
+        self.active.clear();
+        self.active.extend(1..n as u32);
+        while !self.active.is_empty() {
+            let (mut at, mut best) = (0, u32::MAX);
+            for (p, &j) in self.active.iter().enumerate() {
+                if self.key[j as usize] < best {
+                    (at, best) = (p, self.key[j as usize]);
+                }
+            }
+            let v = self.active.swap_remove(at) as usize;
+            self.kept[v] = self.via_center[v];
+            let wrow = &self.wmat[v * n..(v + 1) * n];
+            for &j in &self.active {
+                let j = j as usize;
+                if wrow[j] < self.key[j] {
+                    self.key[j] = wrow[j];
+                    self.via_center[j] = false;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,10 @@ mod lmstga;
 mod mesh;
 mod weighted;
 
+pub(crate) use gmst::gmst_via_index;
 pub use gmst::{gmst, gmst_from_labels, gmst_via_nc};
-pub(crate) use lmstga::{lmstga_rows, LmstRows};
 pub use lmstga::{lmstga, lmstga_with, LmstgaScratch};
+pub(crate) use lmstga::{lmstga_rows, LmstRows};
 pub use mesh::mesh;
 pub use weighted::{lmstga_weighted, selection_relay_cost};
 
@@ -48,22 +49,31 @@ impl GatewaySelection {
         links: impl IntoIterator<Item = LinkRef<'a>>,
         clustering: &Clustering,
     ) -> Self {
-        let mut gateways = Vec::new();
+        GatewaySelection::from_links_with(&mut NodeMarks::default(), links, clustering)
+    }
+
+    /// As [`Self::from_links`], collecting the gateways in `marks`.
+    pub(crate) fn from_links_with<'a>(
+        marks: &mut NodeMarks,
+        links: impl IntoIterator<Item = LinkRef<'a>>,
+        clustering: &Clustering,
+    ) -> Self {
+        marks.reset(clustering.head_of.len());
         let mut links_used = Vec::new();
         for l in links {
             links_used.push((l.a, l.b));
             for &w in l.interior() {
                 if !clustering.is_head(w) {
-                    gateways.push(w);
+                    marks.mark(w);
                 }
             }
         }
-        gateways.sort_unstable();
-        gateways.dedup();
-        links_used.sort_unstable();
+        if !links_used.is_sorted() {
+            links_used.sort_unstable();
+        }
         links_used.dedup();
         GatewaySelection {
-            gateways,
+            gateways: marks.drain(),
             links_used,
         }
     }
@@ -71,6 +81,37 @@ impl GatewaySelection {
     /// Number of gateway nodes.
     pub fn gateway_count(&self) -> usize {
         self.gateways.len()
+    }
+}
+
+/// A node-indexed bitset: gateways are marked while links are walked
+/// and drained in ascending order, with no sort and no dedup.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NodeMarks {
+    words: Vec<u64>,
+}
+
+impl NodeMarks {
+    /// Sizes the set for nodes `0..n` (every mark is already clear).
+    fn reset(&mut self, n: usize) {
+        self.words.resize(n.div_ceil(64), 0);
+    }
+
+    fn mark(&mut self, v: NodeId) {
+        self.words[v.index() / 64] |= 1 << (v.index() % 64);
+    }
+
+    /// The marked nodes, ascending; clears every mark.
+    fn drain(&mut self) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(NodeId(64 * i as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        out
     }
 }
 

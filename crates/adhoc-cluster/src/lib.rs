@@ -63,6 +63,8 @@ pub mod core_algorithm;
 pub mod exact;
 pub mod gateway;
 pub mod hierarchy;
+#[cfg(test)]
+mod kernel_oracle;
 pub mod maxmin;
 pub mod pipeline;
 pub mod priority;

@@ -29,18 +29,19 @@
 //! entry in an all-five evaluation (pinned by the `scoped_equivalence`
 //! proptest).
 
-use crate::adjacency::{self, NeighborRule};
+use crate::adjacency::{self, AncrScratch, NeighborRule};
 use crate::cds::Cds;
 use crate::clustering::{self, Clustering, MemberPolicy};
-use crate::gateway::{self, GatewaySelection};
+use crate::gateway::{self, GatewaySelection, NodeMarks};
 use crate::priority::LowestId;
-use crate::virtual_graph::VirtualGraph;
+use crate::virtual_graph::{SlotIndex, VirtualGraph};
 use adhoc_graph::bfs::Adjacency;
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::obs::Metrics;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 pub use adhoc_graph::labels::{HeadLabels, LabelMode};
 pub use adhoc_graph::par::Parallelism;
@@ -277,7 +278,13 @@ pub struct EvalScratch {
     labels: HeadLabels,
     par: Parallelism,
     algorithms: AlgorithmSet,
+    /// The eval tail's buffers: the A-NCR scan, the head-slot indexes of
+    /// the NC and AC graphs, the local-MST arrays and the gateway marks.
+    ancr: AncrScratch,
+    nc_index: SlotIndex,
+    ac_index: SlotIndex,
     lmstga: gateway::LmstgaScratch,
+    marks: NodeMarks,
     metrics: Metrics,
 }
 
@@ -375,11 +382,12 @@ pub struct EvaluationOutput {
     pub clustering: Clustering,
     /// The NC (`2k+1`-hop) virtual graph, shared by NC-Mesh / NC-LMST
     /// and G-MST, and the source of the AC graph.
-    pub nc_graph: VirtualGraph,
+    pub nc_graph: Arc<VirtualGraph>,
     /// The AC (A-NCR) virtual graph — the NC graph restricted to
-    /// adjacent pairs — shared by AC-Mesh / AC-LMST. Empty (no heads,
+    /// adjacent pairs — shared by AC-Mesh / AC-LMST. The same allocation
+    /// as `nc_graph` when the two relations are equal; empty (no heads,
     /// no links) when no AC algorithm was evaluated.
-    pub ac_graph: VirtualGraph,
+    pub ac_graph: Arc<VirtualGraph>,
     /// Per-algorithm selections and CDSs, one per evaluated algorithm.
     pub outputs: BTreeMap<Algorithm, AlgorithmOutput>,
 }
@@ -512,11 +520,16 @@ fn eval_from_nc<G: Adjacency>(
     let EvalScratch {
         labels,
         algorithms,
+        ancr,
+        nc_index,
+        ac_index,
         lmstga,
+        marks,
         metrics,
         ..
     } = scratch;
     let wants = |a: Algorithm| algorithms.contains(a);
+    let nc_graph = Arc::new(nc_graph);
 
     // Slots whose A-NCR row was rescanned from the delta, when the
     // relation was patched rather than scanned in full.
@@ -531,11 +544,12 @@ fn eval_from_nc<G: Adjacency>(
                     &s.prev.ac_graph.neighbor_sets,
                     &s.prev.clustering.head_of,
                     s.delta,
+                    ancr,
                 );
                 ac_rescanned = Some(rescanned);
                 sets
             }
-            _ => adjacency::neighbor_clusterheads(g, clustering, NeighborRule::Adjacent),
+            _ => adjacency::adjacent_rows(g, clustering, ancr, None),
         };
         #[cfg(debug_assertions)]
         for (u, v) in ac_sets.pairs() {
@@ -552,22 +566,37 @@ fn eval_from_nc<G: Adjacency>(
         }
         // On dense deployments every pair of nearby clusters often
         // touches, making the AC relation literally equal to NC — then
-        // the AC graph and both AC selections are the NC ones and need
-        // no recomputation.
+        // the AC graph is the NC graph (shared, not copied) and both AC
+        // selections are the NC ones.
         let ac_is_nc = ac_sets == nc_graph.neighbor_sets;
         let ac_graph = if ac_is_nc {
-            nc_graph.clone()
+            Arc::clone(&nc_graph)
         } else {
-            nc_graph.restricted_to(ac_sets)
+            Arc::new(nc_graph.restricted_to(ac_sets))
         };
         (ac_graph, ac_is_nc)
     } else {
-        (VirtualGraph::default(), false)
+        (Arc::default(), false)
     };
     #[cfg(not(debug_assertions))]
     let _ = labels;
 
     let _select = metrics.span("pipeline.select_ns");
+    let (nc_mesh, ac_mesh) = if wants(Algorithm::NcMesh) || wants(Algorithm::AcMesh) {
+        let _mesh = metrics.span("pipeline.mesh_ns");
+        // A mesh realizes every link of its graph.
+        let mut mesh =
+            |vg: &VirtualGraph| GatewaySelection::from_links_with(marks, vg.links(), clustering);
+        let nc_mesh = wants(Algorithm::NcMesh).then(|| mesh(&nc_graph));
+        let ac_mesh = match &nc_mesh {
+            Some(nc) if ac_is_nc && wants(Algorithm::AcMesh) => Some(nc.clone()),
+            _ => wants(Algorithm::AcMesh).then(|| mesh(&ac_graph)),
+        };
+        (nc_mesh, ac_mesh)
+    } else {
+        (None, None)
+    };
+
     // A clean NC row or link implies a clean label row, so only the
     // label-dirty slots can change NC-LMST; AC rows also change with
     // the A-NCR rescans. `None` asks for a comparison at every head.
@@ -581,40 +610,66 @@ fn eval_from_nc<G: Adjacency>(
             slots.dedup();
             slots
         });
-    let mut lmst = |alg: Algorithm, graph: &VirtualGraph, candidates: Option<&[usize]>| {
-        let reuse = step.as_ref().and_then(|s| {
-            let rows = s.prev.get(alg)?.lmst_rows.as_ref()?;
-            let prev_graph = match alg {
-                Algorithm::AcLmst => &s.prev.ac_graph,
-                _ => &s.prev.nc_graph,
-            };
-            Some((
-                rows,
-                lmst_rerun_mask(prev_graph, graph, candidates),
-            ))
-        });
-        let (selection, rows, reruns) = gateway::lmstga_rows(
-            lmstga,
-            graph,
-            clustering,
-            reuse.as_ref().map(|(rows, mask)| (*rows, &mask[..])),
-        );
-        metrics.add("pipeline.lmst_heads_rerun", reruns as u64);
-        (selection, Some(rows))
+    let mut lmst =
+        |alg: Algorithm, graph: &VirtualGraph, index: &SlotIndex, candidates: Option<&[usize]>| {
+            let reuse = step.as_ref().and_then(|s| {
+                let rows = s.prev.get(alg)?.lmst_rows.as_ref()?;
+                let prev_graph = match alg {
+                    Algorithm::AcLmst => &s.prev.ac_graph,
+                    _ => &s.prev.nc_graph,
+                };
+                Some((rows, lmst_rerun_mask(prev_graph, graph, candidates)))
+            });
+            let (selection, rows, reruns) = gateway::lmstga_rows(
+                lmstga,
+                graph,
+                index,
+                clustering,
+                reuse.as_ref().map(|(rows, mask)| (*rows, &mask[..])),
+            );
+            metrics.add("pipeline.lmst_heads_rerun", reruns as u64);
+            (selection, Some(rows))
+        };
+    // NC-LMST and G-MST share one index of the NC graph.
+    let mut nc_indexed = false;
+    let (nc_lmst, ac_lmst) = if wants(Algorithm::NcLmst) || wants(Algorithm::AcLmst) {
+        let _lmst = metrics.span("pipeline.lmst_ns");
+        let nc_lmst = if wants(Algorithm::NcLmst) {
+            nc_index.build(&nc_graph);
+            nc_indexed = true;
+            Some(lmst(Algorithm::NcLmst, &nc_graph, nc_index, nc_candidates))
+        } else {
+            None
+        };
+        let ac_lmst = match &nc_lmst {
+            Some(nc) if ac_is_nc && wants(Algorithm::AcLmst) => Some(nc.clone()),
+            _ if wants(Algorithm::AcLmst) => {
+                ac_index.build(&ac_graph);
+                Some(lmst(
+                    Algorithm::AcLmst,
+                    &ac_graph,
+                    ac_index,
+                    ac_candidates.as_deref(),
+                ))
+            }
+            _ => None,
+        };
+        (nc_lmst, ac_lmst)
+    } else {
+        (None, None)
     };
-    let nc_mesh = wants(Algorithm::NcMesh).then(|| (gateway::mesh(&nc_graph, clustering), None));
-    let ac_mesh = wants(Algorithm::AcMesh).then(|| match &nc_mesh {
-        Some(nc) if ac_is_nc => nc.clone(),
-        _ => (gateway::mesh(&ac_graph, clustering), None),
+    let g_mst = wants(Algorithm::GMst).then(|| {
+        let _gmst = metrics.span("pipeline.gmst_ns");
+        if !nc_indexed {
+            nc_index.build(&nc_graph);
+        }
+        (
+            gateway::gmst_via_index(g, &nc_graph, nc_index, clustering, marks),
+            None,
+        )
     });
-    let nc_lmst =
-        wants(Algorithm::NcLmst).then(|| lmst(Algorithm::NcLmst, &nc_graph, nc_candidates));
-    let ac_lmst = wants(Algorithm::AcLmst).then(|| match &nc_lmst {
-        Some(nc) if ac_is_nc => nc.clone(),
-        _ => lmst(Algorithm::AcLmst, &ac_graph, ac_candidates.as_deref()),
-    });
-    let g_mst =
-        wants(Algorithm::GMst).then(|| (gateway::gmst_via_nc(g, &nc_graph, clustering), None));
+    let nc_mesh = nc_mesh.map(|sel| (sel, None));
+    let ac_mesh = ac_mesh.map(|sel| (sel, None));
 
     let mut outputs = BTreeMap::new();
     for (alg, selected) in [
@@ -1031,7 +1086,7 @@ pub fn update_all_after_headset<G: Adjacency>(
 ///    dirty head, copied otherwise
 ///    ([`VirtualGraph::from_labels_patched`]);
 /// 4. A-NCR relation — rows rescanned only for clusters the delta or a
-///    re-affiliation touched ([`adjacency::adjacent_heads_patched`]);
+///    re-affiliation touched (`adjacency::adjacent_heads_patched`);
 /// 5. LMST selections — the local MST re-run only at heads within one
 ///    virtual hop of a changed row or link hop count;
 ///    the rest of the head-space tail is shared with [`run_all_with`].
@@ -1274,6 +1329,44 @@ mod tests {
             .histogram("pipeline.nc_graph_ns")
             .expect("NC stage spanned");
         assert_eq!(span.count, 3);
+    }
+
+    /// Every evaluation times each selection stage it needs once: the
+    /// cold all-five build, a patched and a rebuilt update each run the
+    /// meshes, the LMSTs and G-MST; a scoped AC-LMST evaluation runs
+    /// only the LMST stage.
+    #[test]
+    fn tail_stages_are_spanned_once_per_evaluation() {
+        use adhoc_graph::graph::NodeId;
+        let g0 = gen::path(20);
+        let clustering = crate::clustering::cluster(&g0, 1, &LowestId, MemberPolicy::IdBased);
+        let metrics = Metrics::enabled();
+        let mut scratch = EvalScratch::new();
+        scratch.set_metrics(metrics.clone());
+        let prev = run_all_with(&g0, &clustering, &mut scratch);
+        let mut g = g0.clone();
+        let mut delta = adhoc_graph::delta::TopologyDelta::new();
+        g.add_edge(NodeId(1), NodeId(3));
+        delta.push_added(NodeId(1), NodeId(3));
+        delta.normalize();
+        let (prev, patched) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
+        assert!(!patched.rebuilt);
+        let mut hub = adhoc_graph::delta::TopologyDelta::new();
+        for v in 3..20u32 {
+            g.add_edge(NodeId(0), NodeId(v));
+            hub.push_added(NodeId(0), NodeId(v));
+        }
+        hub.normalize();
+        let (_, rebuilt) = update_all(&g, &clustering, &hub, &prev, &mut scratch);
+        assert!(rebuilt.rebuilt);
+        scratch.set_algorithms(AlgorithmSet::only(Algorithm::AcLmst));
+        run_all_with(&g, &clustering, &mut scratch);
+        let snap = metrics.snapshot();
+        let count = |name: &str| snap.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(count("pipeline.select_ns"), 4);
+        assert_eq!(count("pipeline.lmst_ns"), 4);
+        assert_eq!(count("pipeline.mesh_ns"), 3);
+        assert_eq!(count("pipeline.gmst_ns"), 3);
     }
 
     /// Through a delta chain, every distance of the scratch's labels

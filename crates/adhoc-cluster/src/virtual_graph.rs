@@ -328,19 +328,27 @@ impl VirtualGraph {
     /// relation, copying canonical paths instead of re-walking them.
     /// Used by the evaluation engine to obtain the AC graph from the
     /// NC graph (A-NCR ⊆ NC: adjacent heads are within `2k+1` hops,
-    /// Theorem 1).
+    /// Theorem 1). Both relations and this graph's links ascend by
+    /// `(a, b)`, so one merge pass over the links finds every selected
+    /// pair, and the copied links come out in order.
     ///
     /// # Panics
     /// Panics if `neighbor_sets` selects a pair this graph lacks.
     pub fn restricted_to(&self, neighbor_sets: NeighborSets) -> Self {
-        let mut store = LinkStore::default();
-        for (a, b) in neighbor_sets.pairs() {
-            let link = self
-                .get_link(a, b)
-                .expect("restricted relation is a subset of this graph");
-            store.push_copy(link);
+        let mut store = LinkStore {
+            entries: Vec::with_capacity(neighbor_sets.pair_count()),
+            arena: Vec::with_capacity(self.store.arena.len()),
+        };
+        let mut links = self.store.entries.iter();
+        for (a, row) in neighbor_sets.iter() {
+            for &b in row.iter().filter(|&&b| a < b) {
+                let e = links
+                    .find(|e| (e.a, e.b) >= (a, b))
+                    .filter(|e| (e.a, e.b) == (a, b))
+                    .expect("restricted relation is a subset of this graph");
+                store.push_copy(self.store.view(e));
+            }
         }
-        store.finish();
         VirtualGraph {
             heads: self.heads.clone(),
             neighbor_sets,
@@ -379,9 +387,9 @@ impl VirtualGraph {
         self.store.get(u, v)
     }
 
-    // Private alias so `restricted_to` reads unambiguously.
-    fn get_link(&self, u: NodeId, v: NodeId) -> Option<LinkRef<'_>> {
-        self.store.get(u, v)
+    /// The link at position `i` of the ascending `(a, b)` order.
+    pub(crate) fn link_at(&self, i: usize) -> LinkRef<'_> {
+        self.store.view(&self.store.entries[i])
     }
 
     /// Whether a virtual link between `u` and `v` exists.
@@ -402,6 +410,135 @@ impl VirtualGraph {
     /// Number of links.
     pub fn link_count(&self) -> usize {
         self.store.len()
+    }
+}
+
+/// A head-slot index over one [`VirtualGraph`]'s links, for the
+/// selection kernels: a CSR of `(neighbour slot, weight rank)` per head
+/// slot, the link behind every entry, and the links in ascending
+/// [`TieWeight`] order. Ranks are positions in that order, so comparing
+/// two ranks compares the two links' weight triples. Built in
+/// `O(h + links + longest link)` with no comparison sort: the links are
+/// sorted by `(a, b)`, so walking each row's smaller neighbours yields
+/// them in `(b, a)` order, and a counting pass over hop counts
+/// completes `(hops, b, a)`. Buffers are reused across builds.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SlotIndex {
+    /// Node-indexed head slots (`u32::MAX` for non-heads) during a build.
+    slot_of: Vec<u32>,
+    /// Head slot `s` owns entries `off[s]..off[s + 1]`, by ascending
+    /// neighbour slot.
+    off: Vec<u32>,
+    /// Per entry: `(neighbour slot, rank of the link)`.
+    adj: Vec<(u32, u32)>,
+    /// Per entry: the link's position in the graph's `(a, b)` order.
+    link: Vec<u32>,
+    /// Per link: its endpoints' slots.
+    ends: Vec<(u32, u32)>,
+    /// Link positions, ascending by weight.
+    order: Vec<u32>,
+    /// Per link: its rank; per hop count: the next free rank (build only).
+    rank: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl SlotIndex {
+    /// Indexes `vg`, replacing the previous contents.
+    pub(crate) fn build(&mut self, vg: &VirtualGraph) {
+        let h = vg.heads.len();
+        let entries = &vg.store.entries;
+        let max_node = vg.heads.last().map_or(0, |x| x.index() + 1);
+        if self.slot_of.len() < max_node {
+            self.slot_of.resize(max_node, u32::MAX);
+        }
+        for (i, x) in vg.heads.iter().enumerate() {
+            self.slot_of[x.index()] = i as u32;
+        }
+        let slot = |x: NodeId| {
+            let s = self.slot_of[x.index()];
+            assert_ne!(s, u32::MAX, "link endpoint {x:?} is not a head");
+            s
+        };
+        self.ends.clear();
+        self.ends
+            .extend(entries.iter().map(|e| (slot(e.a), slot(e.b))));
+        for x in &vg.heads {
+            self.slot_of[x.index()] = u32::MAX;
+        }
+
+        // CSR by head slot. Entries arrive sorted by (a, b), so every
+        // row fills in ascending neighbour order.
+        self.off.clear();
+        self.off.resize(h + 1, 0);
+        for &(sa, sb) in &self.ends {
+            self.off[sa as usize + 1] += 1;
+            self.off[sb as usize + 1] += 1;
+        }
+        for s in 0..h {
+            self.off[s + 1] += self.off[s];
+        }
+        self.next.clear();
+        self.next.extend_from_slice(&self.off[..h]);
+        self.adj.resize(2 * entries.len(), (0, 0));
+        self.link.resize(2 * entries.len(), 0);
+        for (e, &(sa, sb)) in self.ends.iter().enumerate() {
+            for (from, to) in [(sa, sb), (sb, sa)] {
+                let at = self.next[from as usize] as usize;
+                self.next[from as usize] += 1;
+                self.adj[at] = (to, 0);
+                self.link[at] = e as u32;
+            }
+        }
+
+        // Ranks: count links per hop count, then hand out ranks walking
+        // each row's smaller neighbours — the (b, a) order.
+        let hops = |e: u32| entries[e as usize].len as usize - 1;
+        self.next.clear();
+        for e in 0..entries.len() as u32 {
+            let k = hops(e);
+            if self.next.len() <= k + 1 {
+                self.next.resize(k + 2, 0);
+            }
+            self.next[k + 1] += 1;
+        }
+        for k in 1..self.next.len() {
+            self.next[k] += self.next[k - 1];
+        }
+        self.rank.resize(entries.len(), 0);
+        self.order.resize(entries.len(), 0);
+        for b in 0..h {
+            let row = self.off[b] as usize..self.off[b + 1] as usize;
+            for i in row {
+                if self.adj[i].0 as usize > b {
+                    break;
+                }
+                let e = self.link[i];
+                let r = &mut self.next[hops(e)];
+                self.rank[e as usize] = *r;
+                self.order[*r as usize] = e;
+                *r += 1;
+            }
+        }
+        for (entry, &e) in self.adj.iter_mut().zip(&self.link) {
+            entry.1 = self.rank[e as usize];
+        }
+    }
+
+    /// Head slot `s`'s entries: `(neighbour slot, rank)` pairs and the
+    /// link positions behind them, by ascending neighbour slot.
+    pub(crate) fn row(&self, s: usize) -> (&[(u32, u32)], &[u32]) {
+        let r = self.off[s] as usize..self.off[s + 1] as usize;
+        (&self.adj[r.clone()], &self.link[r])
+    }
+
+    /// Link positions, ascending by weight.
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// The head slots of link `e`'s endpoints.
+    pub(crate) fn ends(&self, e: u32) -> (u32, u32) {
+        self.ends[e as usize]
     }
 }
 

@@ -343,7 +343,7 @@ pub fn unit_disk_graph_naive(positions: &[Point], r: f64) -> Graph {
 pub enum GenError {
     /// Fewer than two nodes were requested.
     TooFewNodes(usize),
-    /// The target degree is not a positive number.
+    /// The target degree is not a finite positive number.
     BadDegree(f64),
     /// Connectivity was required, and `attempts` consecutive samples
     /// were disconnected.
@@ -361,7 +361,9 @@ impl std::fmt::Display for GenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GenError::TooFewNodes(n) => write!(f, "need at least two nodes (got {n})"),
-            GenError::BadDegree(d) => write!(f, "target degree must be positive (got {d})"),
+            GenError::BadDegree(d) => {
+                write!(f, "target degree must be finite and positive (got {d})")
+            }
             GenError::TooSparse {
                 attempts,
                 n,
@@ -390,7 +392,8 @@ impl std::error::Error for GenError {}
 /// # Errors
 /// [`GenError::TooSparse`] if `cfg.max_attempts` consecutive instances
 /// are disconnected; [`GenError::TooFewNodes`] / [`GenError::BadDegree`]
-/// on degenerate configurations (`n < 2`, nonpositive degree).
+/// on degenerate configurations (`n < 2`, a degree that is not finite
+/// and positive).
 pub fn try_geometric<R: Rng + ?Sized>(
     cfg: &GeometricConfig,
     rng: &mut R,
@@ -398,7 +401,7 @@ pub fn try_geometric<R: Rng + ?Sized>(
     if cfg.n < 2 {
         return Err(GenError::TooFewNodes(cfg.n));
     }
-    if cfg.target_degree.is_nan() || cfg.target_degree <= 0.0 {
+    if !(cfg.target_degree.is_finite() && cfg.target_degree > 0.0) {
         return Err(GenError::BadDegree(cfg.target_degree));
     }
     let mut rejected = 0usize;
@@ -703,11 +706,13 @@ mod tests {
             try_geometric(&cfg, &mut rng).unwrap_err(),
             GenError::TooFewNodes(1)
         );
-        let cfg = GeometricConfig::new(10, 100.0, f64::NAN);
-        assert!(matches!(
-            try_geometric(&cfg, &mut rng),
-            Err(GenError::BadDegree(_))
-        ));
+        for d in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let cfg = GeometricConfig::new(10, 100.0, d);
+            assert!(matches!(
+                try_geometric(&cfg, &mut rng),
+                Err(GenError::BadDegree(_))
+            ));
+        }
         // Degree 0.2 on 40 nodes is essentially never connected.
         let mut cfg = GeometricConfig::new(40, 100.0, 0.2);
         cfg.max_attempts = 5;

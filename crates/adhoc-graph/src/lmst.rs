@@ -115,126 +115,6 @@ where
     out
 }
 
-/// Reusable buffers for [`on_tree_neighbors_into`].
-///
-/// The LMSTGA gateway phase runs the LMST rule once per clusterhead per
-/// virtual graph per replicate; the heap-based [`on_tree_neighbors`]
-/// allocates a local adjacency list and a binary heap every call. This
-/// scratch holds a dense weight matrix and Prim working arrays that
-/// grow once and are reused, making the hot path allocation-free.
-#[derive(Clone, Debug)]
-pub struct LmstScratch<W> {
-    /// Dense `n × n` local weight matrix (`None` = no local edge).
-    wmat: Vec<Option<W>>,
-    /// Best known connection to the growing tree: `(weight, parent)`.
-    key: Vec<Option<(W, u32)>>,
-    in_tree: Vec<bool>,
-}
-
-// Manual impl: `derive(Default)` would needlessly require `W: Default`.
-impl<W> Default for LmstScratch<W> {
-    fn default() -> Self {
-        LmstScratch {
-            wmat: Vec::new(),
-            key: Vec::new(),
-            in_tree: Vec::new(),
-        }
-    }
-}
-
-/// Allocation-free variant of [`on_tree_neighbors`]: same contract,
-/// same output, but the local MST runs a dense `O(n²)` Prim scan over
-/// `scratch` (local neighborhoods are small, so the dense scan also
-/// beats the heap) and the result is written into `out` (cleared
-/// first).
-///
-/// Weights must be **pairwise distinct** (the [`TieWeight`] discipline
-/// every caller in this workspace follows): the local MST is then
-/// unique, so this and the heap-based variant provably select the same
-/// links.
-///
-/// # Panics
-/// Panics if `local` contains `center` or if some local vertex has no
-/// edge to `center`.
-pub fn on_tree_neighbors_into<W, F>(
-    scratch: &mut LmstScratch<W>,
-    center: NodeId,
-    local: &[NodeId],
-    weight: F,
-    out: &mut Vec<NodeId>,
-) where
-    W: Ord + Copy,
-    F: Fn(NodeId, NodeId) -> Option<W>,
-{
-    assert!(
-        !local.contains(&center),
-        "local set must exclude the center"
-    );
-    out.clear();
-    if local.is_empty() {
-        return;
-    }
-    // Local index 0 = center, 1.. = neighbors.
-    let vert = |i: usize| if i == 0 { center } else { local[i - 1] };
-    let n = local.len() + 1;
-    scratch.wmat.clear();
-    scratch.wmat.resize(n * n, None);
-    scratch.key.clear();
-    scratch.key.resize(n, None);
-    scratch.in_tree.clear();
-    scratch.in_tree.resize(n, false);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if let Some(w) = weight(vert(i), vert(j)) {
-                scratch.wmat[i * n + j] = Some(w);
-                scratch.wmat[j * n + i] = Some(w);
-            }
-        }
-    }
-    for (j, &v) in local.iter().enumerate() {
-        assert!(
-            scratch.wmat[j + 1].is_some(),
-            "local vertex {v:?} has no edge to center {center:?}"
-        );
-    }
-
-    // Dense Prim from the center. Distinct weights mean the minimum
-    // key is unique at every step, so no tie-breaking is needed.
-    scratch.in_tree[0] = true;
-    for j in 1..n {
-        scratch.key[j] = scratch.wmat[j].map(|w| (w, 0));
-    }
-    for _ in 1..n {
-        let mut best: Option<(W, usize)> = None;
-        for j in 1..n {
-            if !scratch.in_tree[j] {
-                if let Some((w, _)) = scratch.key[j] {
-                    if best.is_none_or(|(bw, _)| w < bw) {
-                        best = Some((w, j));
-                    }
-                }
-            }
-        }
-        let Some((_, v)) = best else {
-            break; // local graph disconnected — cannot happen, see assert
-        };
-        scratch.in_tree[v] = true;
-        if scratch.key[v].expect("selected vertex has a key").1 == 0 {
-            out.push(vert(v));
-        }
-        for j in 1..n {
-            if !scratch.in_tree[j] {
-                if let Some(w) = scratch.wmat[v * n + j] {
-                    if scratch.key[j].is_none_or(|(kw, _)| w < kw) {
-                        scratch.key[j] = Some((w, v as u32));
-                    }
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-}
-
 /// How asymmetric selections are reconciled in [`topology`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SymmetryMode {
@@ -308,39 +188,6 @@ mod tests {
         assert!(a < b);
         let c = TieWeight::new(4u32, NodeId(8), NodeId(9));
         assert!(c < a);
-    }
-
-    #[test]
-    fn scratch_variant_matches_heap_variant() {
-        // Random dense local neighborhoods with distinct TieWeights:
-        // the unique local MST must come out identical from the
-        // heap-based and the scratch-based dense implementations.
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut scratch = LmstScratch::default();
-        let mut out = Vec::new();
-        for trial in 0..50 {
-            let p = 1 + (trial % 9);
-            let center = NodeId(0);
-            let local: Vec<NodeId> = (1..=p as u32).map(NodeId).collect();
-            // Random symmetric weights; edges to the center always
-            // exist, other pairs with probability 1/2.
-            let mut pairs = std::collections::BTreeMap::new();
-            for i in 0..=p as u32 {
-                for j in (i + 1)..=p as u32 {
-                    if i == 0 || rng.gen_bool(0.5) {
-                        pairs.insert((i, j), rng.gen_range(1u32..1000));
-                    }
-                }
-            }
-            let weight = |a: NodeId, b: NodeId| {
-                let key = if a < b { (a.0, b.0) } else { (b.0, a.0) };
-                pairs.get(&key).map(|&w| TieWeight::new(w, a, b))
-            };
-            let heap = on_tree_neighbors(center, &local, weight);
-            on_tree_neighbors_into(&mut scratch, center, &local, weight, &mut out);
-            assert_eq!(heap, out, "trial {trial}");
-        }
     }
 
     #[test]

@@ -77,8 +77,10 @@ impl Args {
     }
 
     /// Rejects every flag outside `allowed` (the flags the subcommand
-    /// reads), a value flag given bare, a switch given a value, and a
-    /// `--k` below 1 — so no flag is ever silently ignored.
+    /// reads), a value flag given bare, a switch given a value, a `--k`
+    /// or `--steps` below 1, and a `--d` that is not a finite positive
+    /// degree — so no flag is ever silently ignored or turned into a
+    /// nonsense report.
     fn check(&self, allowed: &[&str]) {
         for name in self.flags.keys().chain(&self.bools) {
             if !allowed.contains(&name.as_str()) {
@@ -97,6 +99,13 @@ impl Args {
         }
         if self.get::<u32>("k", 1) == 0 {
             die("--k must be at least 1");
+        }
+        if self.get::<usize>("steps", 1) == 0 {
+            die("--steps must be at least 1");
+        }
+        let d: f64 = self.get("d", 1.0);
+        if !(d.is_finite() && d > 0.0) {
+            die(&format!("--d must be a finite positive degree (got {d})"));
         }
     }
 }

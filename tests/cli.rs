@@ -153,7 +153,8 @@ fn dist_rejects_gmst() {
 
 #[test]
 fn bad_flags_exit_2_without_panicking() {
-    // Out-of-range `--k`, `--cw`, `--workers` or `--budget`, flags a
+    // Out-of-range `--k`, `--cw`, `--workers`, `--budget`, `--steps`
+    // or `--d` (an infinite degree once built a complete graph), flags a
     // subcommand does not read (`--labels` included: there is one label
     // layout), a value flag given bare and a switch given a value: each
     // is refused with usage, never a panic or a silently ignored flag.
@@ -179,6 +180,9 @@ fn bad_flags_exit_2_without_panicking() {
         &["churn", "--n", "60", "--labels", "sparse"][..],
         &["route", "--n", "60", "--labels", "sparse"][..],
         &["resilience", "--n", "60", "--labels", "sparse"][..],
+        &["churn", "--n", "60", "--steps", "0"][..],
+        &["maintain", "--n", "60", "--steps", "0"][..],
+        &["run", "--n", "60", "--d", "inf"][..],
     ] {
         let out = khop(args);
         let err = String::from_utf8_lossy(&out.stderr);
