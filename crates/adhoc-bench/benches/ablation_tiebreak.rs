@@ -57,12 +57,8 @@ fn bench_tiebreak(c: &mut Criterion) {
         let vg = VirtualGraph::build(&net.graph, &clu, NeighborRule::Adjacent);
         let sel = gateway::lmstga(&vg, &clu);
         let canonical = sel.gateway_count();
-        let arbitrary = gateways_without_agreement(
-            &net.graph,
-            &sel.links_used,
-            &clu.heads,
-            2 * k + 1,
-        );
+        let arbitrary =
+            gateways_without_agreement(&net.graph, &sel.links_used, &clu.heads, 2 * k + 1);
         eprintln!(
             "tiebreak ablation N={n}: canonical gateways = {canonical}, \
              per-endpoint (no agreement) = {arbitrary} \

@@ -83,9 +83,7 @@ fn bench_generation(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(0xD15C + n as u64);
         let side = 100.0 * (n as f64 / 200.0).sqrt();
         let positions: Vec<adhoc_graph::Point> = (0..n)
-            .map(|_| {
-                adhoc_graph::Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side)
-            })
+            .map(|_| adhoc_graph::Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side))
             .collect();
         let r = 15.0;
         group.bench_with_input(BenchmarkId::new("cell_grid", n), &n, |b, _| {

@@ -26,7 +26,9 @@ fn bench_mac(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new("ideal", name), &strategy, |b, &s| {
             b.iter(|| {
-                black_box(broadcast::simulate(&net.graph, &clu, &out.cds, NodeId(0), s).transmissions)
+                black_box(
+                    broadcast::simulate(&net.graph, &clu, &out.cds, NodeId(0), s).transmissions,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("csma_cw8", name), &strategy, |b, &s| {

@@ -114,8 +114,7 @@ fn trajectory(
     let mut mover_pos: Vec<Point> = movers.iter().map(|&i| pos[i]).collect();
 
     let mut snapshots = Vec::with_capacity(steps + 1);
-    let mut drive = |advance: &mut dyn FnMut(&mut [Point], f64, &mut StdRng),
-                     rng: &mut StdRng| {
+    let mut drive = |advance: &mut dyn FnMut(&mut [Point], f64, &mut StdRng), rng: &mut StdRng| {
         // Warm the model to its steady state (waypoint starts with
         // every mover en route; pauses only appear after arrivals).
         advance(&mut mover_pos, 40.0, rng);
@@ -333,7 +332,8 @@ fn main() {
             for _ in 0..rounds {
                 let r = run_rebuild(&traj, range, &clusterings);
                 assert_eq!(
-                    r.checksum, recorded.checksum,
+                    r.checksum,
+                    recorded.checksum,
                     "rebuild-every-step produced different structures than the \
                      incremental engine on {} N={n} — delta equivalence violated",
                     model.name()

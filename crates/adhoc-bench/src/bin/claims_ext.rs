@@ -59,8 +59,8 @@ fn main() {
                 let (ncm, acm) = (size(Algorithm::NcMesh), size(Algorithm::AcMesh));
                 let (ncl, acl) = (size(Algorithm::NcLmst), size(Algorithm::AcLmst));
                 let gm = size(Algorithm::GMst);
-                ok_bound &= opt.optimal
-                    && [ncm, acm, ncl, acl, gm].iter().all(|&s| s >= opt.size());
+                ok_bound &=
+                    opt.optimal && [ncm, acm, ncl, acl, gm].iter().all(|&s| s >= opt.size());
                 ok_order &= acm <= ncm && acl <= acm && ncl <= ncm;
                 ratio_sum += gm as f64 / opt.size() as f64;
                 count += 1;
@@ -90,12 +90,27 @@ fn main() {
                 let net = gen::geometric(&GeometricConfig::new(150, 100.0, 10.0), &mut rng);
                 let c = cluster(&net.graph, 1, &LowestId, MemberPolicy::IdBased);
                 let out = run_on(&net.graph, Algorithm::AcLmst, &c);
-                let cfg = MacConfig { cw, ..MacConfig::default() };
+                let cfg = MacConfig {
+                    cw,
+                    ..MacConfig::default()
+                };
                 let f = simulate_with_mac(
-                    &net.graph, &c, &out.cds, NodeId(0), Strategy::BlindFlood, &cfg, &mut rng,
+                    &net.graph,
+                    &c,
+                    &out.cds,
+                    NodeId(0),
+                    Strategy::BlindFlood,
+                    &cfg,
+                    &mut rng,
                 );
                 let b = simulate_with_mac(
-                    &net.graph, &c, &out.cds, NodeId(0), Strategy::Backbone, &cfg, &mut rng,
+                    &net.graph,
+                    &c,
+                    &out.cds,
+                    NodeId(0),
+                    Strategy::Backbone,
+                    &cfg,
+                    &mut rng,
                 );
                 ftx += f.transmissions;
                 fcol += f.collisions;
@@ -105,7 +120,11 @@ fn main() {
             ok &= btx < ftx && bcol < fcol;
             detail.push_str(&format!("cw={cw}: tx {btx}<{ftx}, coll {bcol}<{fcol}; "));
         }
-        check("3: backbone beats flooding under contention at every cw", ok, detail);
+        check(
+            "3: backbone beats flooding under contention at every cw",
+            ok,
+            detail,
+        );
     }
 
     // Claim 4: CDS churn grows with k.
@@ -133,8 +152,14 @@ fn main() {
                 let cds = pipeline::run(net.graph(), Algorithm::AcLmst, &PipelineConfig::new(k))
                     .cds
                     .nodes();
-                churn += cds.iter().filter(|v| prev.binary_search(v).is_err()).count()
-                    + prev.iter().filter(|v| cds.binary_search(v).is_err()).count();
+                churn += cds
+                    .iter()
+                    .filter(|v| prev.binary_search(v).is_err())
+                    .count()
+                    + prev
+                        .iter()
+                        .filter(|v| cds.binary_search(v).is_err())
+                        .count();
                 total += cds.len();
                 prev = cds;
             }
@@ -143,7 +168,10 @@ fn main() {
         check(
             "4: CDS churn grows with k (combinatorial stability)",
             churn_by_k[1] > churn_by_k[0],
-            format!("relative churn k=1: {:.3}, k=4: {:.3}", churn_by_k[0], churn_by_k[1]),
+            format!(
+                "relative churn k=1: {:.3}, k=4: {:.3}",
+                churn_by_k[0], churn_by_k[1]
+            ),
         );
     }
 
@@ -161,8 +189,7 @@ fn main() {
         };
         let model = RandomWaypoint::new(100, wp, &mut rng);
         let mut net = MobileNetwork::with_model(base.positions.clone(), base.range, model);
-        let mut m =
-            ChurnEngine::build(net.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
+        let mut m = ChurnEngine::build(net.graph(), MovementConfig::strict(2, Algorithm::AcLmst));
         let mut policy_cost = 0usize;
         let mut rebuild_cost = 0usize;
         let mut always_valid = true;

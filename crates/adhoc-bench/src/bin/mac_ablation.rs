@@ -57,10 +57,22 @@ fn main() {
                 ..MacConfig::default()
             };
             let fl = simulate_with_mac(
-                &net.graph, &c, &out.cds, NodeId(0), Strategy::BlindFlood, &cfg, &mut rng,
+                &net.graph,
+                &c,
+                &out.cds,
+                NodeId(0),
+                Strategy::BlindFlood,
+                &cfg,
+                &mut rng,
             );
             let bb = simulate_with_mac(
-                &net.graph, &c, &out.cds, NodeId(0), Strategy::Backbone, &cfg, &mut rng,
+                &net.graph,
+                &c,
+                &out.cds,
+                NodeId(0),
+                Strategy::Backbone,
+                &cfg,
+                &mut rng,
             );
             metrics[0].push(fl.delivery_ratio(n) * 100.0);
             metrics[1].push(fl.collisions as f64);

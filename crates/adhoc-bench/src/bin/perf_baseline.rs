@@ -230,11 +230,7 @@ mod seed {
     }
 
     /// Seed `pipeline::run_on`'s gateway phase for one algorithm.
-    pub fn evaluate<G: Adjacency>(
-        g: &G,
-        c: &Clustering,
-        alg: Algorithm,
-    ) -> GatewaySelection {
+    pub fn evaluate<G: Adjacency>(g: &G, c: &Clustering, alg: Algorithm) -> GatewaySelection {
         match alg {
             Algorithm::GMst => gmst(g, c),
             Algorithm::NcMesh | Algorithm::NcLmst => {
@@ -434,8 +430,11 @@ fn main() {
         // Single-sweep engine with a warm scratch, pinned to one
         // worker: the serial reference the multi-worker arm below is
         // compared (and checksummed) against.
-        let (engine_secs, engine_sum, labels_memory_bytes) =
-            engine_arm(&inputs, cell.rounds, EvalScratch::with_workers(Parallelism::new(1)));
+        let (engine_secs, engine_sum, labels_memory_bytes) = engine_arm(
+            &inputs,
+            cell.rounds,
+            EvalScratch::with_workers(Parallelism::new(1)),
+        );
 
         // Multi-worker engine arm (shared worker pool): the
         // order-sensitive metrics checksum must equal the serial arm's
@@ -443,8 +442,11 @@ fn main() {
         // Scaling ≤ 1x is reported, not failed: on a one-core
         // container the pool legitimately cannot win.
         let par_workers = Parallelism::available().workers().max(2);
-        let (engine_par_secs, par_sum, _) =
-            engine_arm(&inputs, cell.rounds, EvalScratch::with_workers(Parallelism::new(par_workers)));
+        let (engine_par_secs, par_sum, _) = engine_arm(
+            &inputs,
+            cell.rounds,
+            EvalScratch::with_workers(Parallelism::new(par_workers)),
+        );
         assert_eq!(
             par_sum, engine_sum,
             "multi-worker engine diverged from serial on n={} d={} k={}",
@@ -467,7 +469,11 @@ fn main() {
         // loop started touching the registry.
         if cell.n == largest_n {
             let rounds = cell.rounds.max(3);
-            let (off_secs, off_sum, _) = engine_arm(&inputs, rounds, EvalScratch::with_workers(Parallelism::new(1)));
+            let (off_secs, off_sum, _) = engine_arm(
+                &inputs,
+                rounds,
+                EvalScratch::with_workers(Parallelism::new(1)),
+            );
             let mut metered = EvalScratch::with_workers(Parallelism::new(1));
             metered.set_metrics(Metrics::enabled());
             let (on_secs, on_sum, _) = engine_arm(&inputs, rounds, metered);

@@ -52,9 +52,8 @@ fn main() {
                 by_alg[i] = out.cds.size();
             }
             // Per-instance ordering guarantees (the deterministic ones).
-            let of = |alg: Algorithm| {
-                by_alg[Algorithm::ALL.iter().position(|a| *a == alg).unwrap()]
-            };
+            let of =
+                |alg: Algorithm| by_alg[Algorithm::ALL.iter().position(|a| *a == alg).unwrap()];
             ordering_held &= of(Algorithm::AcMesh) <= of(Algorithm::NcMesh)
                 && of(Algorithm::NcLmst) <= of(Algorithm::NcMesh)
                 && of(Algorithm::AcLmst) <= of(Algorithm::AcMesh);
@@ -73,7 +72,11 @@ fn main() {
     }
     println!(
         "\nper-instance ordering (AC ≤ NC, LMST ≤ Mesh): {}",
-        if ordering_held { "held on every replicate" } else { "VIOLATED" }
+        if ordering_held {
+            "held on every replicate"
+        } else {
+            "VIOLATED"
+        }
     );
     assert!(ordering_held);
 }

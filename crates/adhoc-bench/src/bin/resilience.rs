@@ -38,9 +38,9 @@
 use adhoc_bench::{probe, quick_mode, results_dir, run_mode};
 use adhoc_cluster::pipeline::Algorithm;
 use adhoc_cluster::routing::RoutePlan;
-use adhoc_graph::par::{self, Parallelism};
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::graph::{Graph, NodeId};
+use adhoc_graph::par::{self, Parallelism};
 use adhoc_sim::adversary::{self, AttackKind};
 use adhoc_sim::churn::ChurnEngine;
 use adhoc_sim::movement::{MovementConfig, RepairLevel};
@@ -201,8 +201,8 @@ fn mean_stretch(
             continue;
         }
         if let Some(hops) = route_ok(plan, g, departed, u, v, &mut buf) {
-            let true_dist = bfs_dist(g, departed, u, v)
-                .expect("a verified walk implies alive connectivity");
+            let true_dist =
+                bfs_dist(g, departed, u, v).expect("a verified walk implies alive connectivity");
             if true_dist > 0 {
                 sum += f64::from(hops) / f64::from(true_dist);
                 count += 1;
@@ -365,7 +365,8 @@ fn run_cell(cell: &Cell) -> Value {
     let (ex_routed, ex_achievable) = exhaustive_reach(live_plan, engine.graph(), &dep, &comp, par);
     if level == RepairLevel::Full {
         assert_eq!(
-            ex_routed, ex_achievable,
+            ex_routed,
+            ex_achievable,
             "{} attack at Full: live plan must serve every alive-connected \
              pair post-attack ({ex_routed}/{ex_achievable})",
             attack.name()
@@ -416,7 +417,8 @@ fn run_cell(cell: &Cell) -> Value {
     assert!(restored, "heal must restore the reference topology");
     if level == RepairLevel::Full {
         assert_eq!(
-            fin_routed, fin_achievable,
+            fin_routed,
+            fin_achievable,
             "{} attack at Full: post-heal reachability must be 100%",
             attack.name()
         );

@@ -142,10 +142,17 @@ fn run_cell(
         reference.total_hops as f64 / routable as f64
     };
 
-    let (plan_qps, plan_sum) =
-        best_qps(|| QueryEngine::new(&plan).route_many(&pairs).checksum, queries, rounds);
+    let (plan_qps, plan_sum) = best_qps(
+        || QueryEngine::new(&plan).route_many(&pairs).checksum,
+        queries,
+        rounds,
+    );
     let (multi_qps, multi_sum) = best_qps(
-        || QueryEngine::with_workers(&plan, workers).route_many(&pairs).checksum,
+        || {
+            QueryEngine::with_workers(&plan, workers)
+                .route_many(&pairs)
+                .checksum
+        },
         queries,
         rounds,
     );
@@ -165,17 +172,20 @@ fn run_cell(
         rounds,
     );
     assert_eq!(
-        plan_sum, reference.checksum,
+        plan_sum,
+        reference.checksum,
         "{alg} k={k} {}: plan replay diverged",
         mix.name()
     );
     assert_eq!(
-        multi_sum, plan_sum,
+        multi_sum,
+        plan_sum,
         "{alg} k={k} {}: multi-worker walks diverged from single-worker",
         mix.name()
     );
     assert_eq!(
-        bfs_sum, plan_sum,
+        bfs_sum,
+        plan_sum,
         "{alg} k={k} {}: per-query-BFS walks diverged from the compiled plan \
          — the arms are not serving the same routes",
         mix.name()
@@ -279,7 +289,10 @@ fn run_engine_cell(
         Parallelism::new(workers),
     );
     let build_par_secs = t.elapsed().as_secs_f64();
-    assert_eq!(par_plan, plan, "N={n}: parallel compile diverged from serial");
+    assert_eq!(
+        par_plan, plan,
+        "N={n}: parallel compile diverged from serial"
+    );
 
     let workload = Workload::new(&plan);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -291,10 +304,17 @@ fn run_engine_cell(
     } else {
         reference.total_hops as f64 / routable as f64
     };
-    let (plan_qps, plan_sum) =
-        best_qps(|| QueryEngine::new(&plan).route_many(&pairs).checksum, queries, rounds);
+    let (plan_qps, plan_sum) = best_qps(
+        || QueryEngine::new(&plan).route_many(&pairs).checksum,
+        queries,
+        rounds,
+    );
     let (multi_qps, multi_sum) = best_qps(
-        || QueryEngine::with_workers(&plan, workers).route_many(&pairs).checksum,
+        || {
+            QueryEngine::with_workers(&plan, workers)
+                .route_many(&pairs)
+                .checksum
+        },
         queries,
         rounds,
     );
@@ -335,10 +355,16 @@ fn run_engine_cell(
             hub.inter_memory_bytes(),
             dense.inter_memory_bytes(),
         );
-        let (dense_qps, _) =
-            best_qps(|| QueryEngine::new(&dense).route_many(&pairs).checksum, queries, rounds);
-        let (hub_qps, _) =
-            best_qps(|| QueryEngine::new(&hub).route_many(&pairs).checksum, queries, rounds);
+        let (dense_qps, _) = best_qps(
+            || QueryEngine::new(&dense).route_many(&pairs).checksum,
+            queries,
+            rounds,
+        );
+        let (hub_qps, _) = best_qps(
+            || QueryEngine::new(&hub).route_many(&pairs).checksum,
+            queries,
+            rounds,
+        );
         dual_json = json!({
             "dense_inter_bytes": dense.inter_memory_bytes(),
             "hub_inter_bytes": hub.inter_memory_bytes(),
@@ -450,25 +476,59 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
     let mut dense_par = dense.clone();
 
     let t = Instant::now();
-    let hub_report = hub.apply_delta(&g, &c, scratch.labels(), &delta, &dirty, new_links.iter().copied());
+    let hub_report = hub.apply_delta(
+        &g,
+        &c,
+        scratch.labels(),
+        &delta,
+        &dirty,
+        new_links.iter().copied(),
+    );
     let hub_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let dense_report =
-        dense.apply_delta(&g, &c, scratch.labels(), &delta, &dirty, new_links.iter().copied());
+    let dense_report = dense.apply_delta(
+        &g,
+        &c,
+        scratch.labels(),
+        &delta,
+        &dirty,
+        new_links.iter().copied(),
+    );
     let dense_secs = t.elapsed().as_secs_f64();
 
     // Same repairs on the `workers`-wide pool; the repaired plans must
     // be indistinguishable from the serial ones.
     let par = Parallelism::new(workers);
     let t = Instant::now();
-    hub_par.apply_delta_tuned(&g, &c, scratch.labels(), &delta, &dirty, new_links.iter().copied(), par);
+    hub_par.apply_delta_tuned(
+        &g,
+        &c,
+        scratch.labels(),
+        &delta,
+        &dirty,
+        new_links.iter().copied(),
+        par,
+    );
     let hub_par_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    dense_par
-        .apply_delta_tuned(&g, &c, scratch.labels(), &delta, &dirty, new_links.iter().copied(), par);
+    dense_par.apply_delta_tuned(
+        &g,
+        &c,
+        scratch.labels(),
+        &delta,
+        &dirty,
+        new_links.iter().copied(),
+        par,
+    );
     let dense_par_secs = t.elapsed().as_secs_f64();
-    assert_eq!(hub_par, hub, "N={n}: parallel hub repair diverged from serial");
-    assert_eq!(dense_par, dense, "N={n}: parallel dense repair diverged from serial");
+    assert_eq!(
+        hub_par, hub,
+        "N={n}: parallel hub repair diverged from serial"
+    );
+    assert_eq!(
+        dense_par, dense,
+        "N={n}: parallel dense repair diverged from serial"
+    );
 
     assert!(
         hub_report.next_recomputed && dense_report.next_recomputed,
@@ -535,7 +595,15 @@ fn main() {
         .clamp(2, 8);
     let d = 8.0;
     let (grid_n, grid_ks, grid_q, largest_n, largest_k, largest_q, rounds) = if quick {
-        (240usize, vec![2u32], 1200usize, 400usize, 3u32, 2500usize, 1usize)
+        (
+            240usize,
+            vec![2u32],
+            1200usize,
+            400usize,
+            3u32,
+            2500usize,
+            1usize,
+        )
     } else {
         (600, vec![1, 2, 3, 4], 6000, 2400, 4, 12000, 3)
     };
@@ -544,7 +612,17 @@ fn main() {
     );
     println!(
         "{:<8} {:>5} {:>2} {:>8} | {:>5} {:>5} | {:>9} {:>9} {:>9} | {:>7} {:>6}",
-        "alg", "N", "k", "mix", "heads", "links", "bfs q/s", "plan q/s", "multi q/s", "speedup", "scale"
+        "alg",
+        "N",
+        "k",
+        "mix",
+        "heads",
+        "links",
+        "bfs q/s",
+        "plan q/s",
+        "multi q/s",
+        "speedup",
+        "scale"
     );
 
     let mut cells = Vec::new();
@@ -607,7 +685,9 @@ fn main() {
     let headline = headline.expect("uniform largest cell ran");
 
     let speedup = headline.plan_qps / headline.bfs_qps.max(1e-12);
-    let cpus = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+    let cpus = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
     println!(
         "\nlargest cell (N={largest_n}, k={largest_k}, AC-LMST, uniform): \
          compiled {speedup:.2}x per-query BFS, multi-worker scaling {:.2}x \
@@ -661,9 +741,7 @@ fn main() {
     // dense table there is exactly what the hub layout exists to
     // avoid) and must come out hub-labeled at < 10% of the projected
     // dense bytes — the record's memory claim.
-    println!(
-        "\nengine-only hub-scale cells (no BFS arm; inter-table layout in brackets):"
-    );
+    println!("\nengine-only hub-scale cells (no BFS arm; inter-table layout in brackets):");
     let engine_cfg: Vec<(usize, usize, bool)> = if quick {
         vec![(4_000, 1500, true)]
     } else {

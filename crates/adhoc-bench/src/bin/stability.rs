@@ -112,9 +112,9 @@ fn run_model<M: Mobility>(
             .push(staleness(&prev_graph, &prev_heads, k, &changed));
         let c = cluster(net.graph(), k, &LowestId, MemberPolicy::IdBased);
         let cds = run_on(net.graph(), Algorithm::AcLmst, &c).cds.nodes();
-        metrics.head_churn.push(
-            symmetric_difference(&prev_heads, &c.heads) as f64 / c.heads.len().max(1) as f64,
-        );
+        metrics
+            .head_churn
+            .push(symmetric_difference(&prev_heads, &c.heads) as f64 / c.heads.len().max(1) as f64);
         metrics
             .cds_churn
             .push(symmetric_difference(&prev_cds, &cds) as f64 / cds.len().max(1) as f64);
@@ -300,20 +300,21 @@ fn main() {
                         / clustering.heads.len().max(1) as f64,
                 );
             }
-            let mean_speed: f64 = clustering
-                .heads
-                .iter()
-                .map(|h| ema[h.index()])
-                .sum::<f64>()
+            let mean_speed: f64 = clustering.heads.iter().map(|h| ema[h.index()]).sum::<f64>()
                 / clustering.heads.len().max(1) as f64;
             head_speed.push(mean_speed);
             prev_heads.clone_from(&clustering.heads);
             prev_clustering = Some(clustering);
-            prev_positions.clear(); prev_positions.extend_from_slice(net.positions());
+            prev_positions.clear();
+            prev_positions.extend_from_slice(net.positions());
         }
         println!(
             "{:<14} {:>10.3} {:>11.3} {:>12.3}",
-            if use_speed { "lowest-speed" } else { "lowest-ID" },
+            if use_speed {
+                "lowest-speed"
+            } else {
+                "lowest-ID"
+            },
             summarize(&churn).mean,
             summarize(&head_speed).mean,
             summarize(&stale_links).mean,

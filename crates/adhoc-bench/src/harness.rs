@@ -176,7 +176,10 @@ impl CellAccumulator {
 
     fn converged(&self, rel_tol: f64) -> bool {
         self.heads.summary().converged(rel_tol)
-            && self.gateways.values().all(|s| s.summary().converged(rel_tol))
+            && self
+                .gateways
+                .values()
+                .all(|s| s.summary().converged(rel_tol))
             && self.cds.values().all(|s| s.summary().converged(rel_tol))
     }
 }

@@ -181,7 +181,10 @@ pub fn render_line_chart(figure: &Figure) -> String {
                     r#"<line x1="{cx:.1}" y1="{y0:.1}" x2="{cx:.1}" y2="{y1:.1}" stroke="{color}"/>"#
                 );
             }
-            let _ = writeln!(svg, r#"<circle cx="{cx:.1}" cy="{cy:.1}" r="3" fill="{color}"/>"#);
+            let _ = writeln!(
+                svg,
+                r#"<circle cx="{cx:.1}" cy="{cy:.1}" r="3" fill="{color}"/>"#
+            );
         }
         // Legend entry.
         let ly = MARGIN_T + 8.0 + i as f64 * 18.0;
@@ -204,7 +207,9 @@ pub fn render_line_chart(figure: &Figure) -> String {
 }
 
 fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 #[cfg(test)]

@@ -139,7 +139,6 @@ impl BitSet {
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len).filter(move |&i| self.contains(i))
     }
-
 }
 
 /// The k-hop ball of every node as bitsets (`ball[v]` = nodes within
@@ -273,11 +272,7 @@ pub fn min_khop_ds<G: Adjacency>(g: &G, k: u32, cfg: &ExactConfig) -> ExactResul
         // Branch on the hardest uncovered node: fewest candidate balls.
         let target = uncovered
             .iter()
-            .min_by_key(|&u| {
-                (0..n)
-                    .filter(|&v| balls[v].contains(u))
-                    .count()
-            })
+            .min_by_key(|&u| (0..n).filter(|&v| balls[v].contains(u)).count())
             .expect("uncovered nonempty");
         let mut candidates: Vec<usize> = (0..n).filter(|&v| balls[v].contains(target)).collect();
         // Most-covering candidates first for early tight incumbents.
@@ -362,7 +357,8 @@ impl<G: Adjacency> CdsSearch<'_, G> {
         // territory, but this cheaper relaxation already prunes the
         // bulk of dead branches).
         for u in uncovered.iter() {
-            let coverable = (0..self.n).any(|v| !forbidden.contains(v) && self.balls[v].contains(u));
+            let coverable =
+                (0..self.n).any(|v| !forbidden.contains(v) && self.balls[v].contains(u));
             if !coverable {
                 return;
             }

@@ -140,11 +140,7 @@ pub(crate) fn gmst_via_index<G: Adjacency>(
 /// clusterhead.
 fn head_components<G: Adjacency>(g: &G, clustering: &Clustering) -> usize {
     let label = adhoc_graph::connectivity::components(g);
-    let mut labels: Vec<u32> = clustering
-        .heads
-        .iter()
-        .map(|h| label[h.index()])
-        .collect();
+    let mut labels: Vec<u32> = clustering.heads.iter().map(|h| label[h.index()]).collect();
     labels.sort_unstable();
     labels.dedup();
     labels.len()
@@ -224,8 +220,8 @@ mod tests {
     #[test]
     fn via_nc_falls_back_when_nc_cannot_span_a_component() {
         use crate::adjacency::NeighborRule;
-        use crate::virtual_graph::VirtualGraph;
         use crate::clustering::Clustering;
+        use crate::virtual_graph::VirtualGraph;
         // A *degraded* clustering (churn can produce these between
         // repairs): two heads in one component but farther apart than
         // 2k+1 hops, so the NC relation is empty and the shortcut must

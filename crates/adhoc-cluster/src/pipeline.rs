@@ -195,7 +195,11 @@ pub struct PipelineOutput {
 
 /// Runs lowest-ID clustering followed by `algorithm`'s neighbor and
 /// gateway phases.
-pub fn run<G: Adjacency + Sync>(g: &G, algorithm: Algorithm, cfg: &PipelineConfig) -> PipelineOutput {
+pub fn run<G: Adjacency + Sync>(
+    g: &G,
+    algorithm: Algorithm,
+    cfg: &PipelineConfig,
+) -> PipelineOutput {
     let clustering = clustering::cluster(g, cfg.k, &LowestId, cfg.policy);
     run_on(g, algorithm, &clustering)
 }
@@ -839,7 +843,9 @@ pub fn advance_labels<G: Adjacency + Sync>(
             .rebuild_with(g, &clustering.heads, bound, scratch.par);
         return LabelAdvance::Rebuilt;
     }
-    scratch.metrics.add("labels.rows_repaired", dirty.len() as u64);
+    scratch
+        .metrics
+        .add("labels.rows_repaired", dirty.len() as u64);
     scratch.labels.apply_delta_with(g, &dirty, scratch.par);
     LabelAdvance::Incremental { dirty }
 }
@@ -1229,8 +1235,7 @@ mod tests {
         for k in 1..=3u32 {
             let net = gen::geometric(&gen::GeometricConfig::new(90, 100.0, 6.0), &mut rng);
             let mut g = net.graph.clone();
-            let clustering =
-                crate::clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
+            let clustering = crate::clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
             let mut scratch = EvalScratch::new();
             let mut prev = run_all_with(&g, &clustering, &mut scratch);
             let mut extras: Vec<(NodeId, NodeId)> = Vec::new();
@@ -1260,11 +1265,7 @@ mod tests {
                 let fresh = run_all(&g, &clustering);
                 assert_evals_equal(&next, &fresh, &format!("k={k} step={step}"));
                 // The warm labels equal a cold rebuild too.
-                let cold = adhoc_graph::labels::HeadLabels::build(
-                    &g,
-                    &clustering.heads,
-                    2 * k + 1,
-                );
+                let cold = adhoc_graph::labels::HeadLabels::build(&g, &clustering.heads, 2 * k + 1);
                 for slot in 0..clustering.heads.len() {
                     assert_eq!(scratch.labels().ball(slot), cold.ball(slot));
                 }

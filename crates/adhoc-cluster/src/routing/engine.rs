@@ -292,7 +292,9 @@ mod tests {
             let hops = snap.histogram("query.hops").expect("hops histogram");
             assert_eq!(hops.count, (pairs.len() - r.unreachable) as u64);
             assert_eq!(hops.sum, r.total_hops);
-            let lat = snap.histogram("query.latency_ns").expect("latency histogram");
+            let lat = snap
+                .histogram("query.latency_ns")
+                .expect("latency histogram");
             assert_eq!(lat.count, pairs.len() as u64);
             fingerprints.push(snap.deterministic_fingerprint());
         }

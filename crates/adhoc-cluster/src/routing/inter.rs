@@ -303,7 +303,8 @@ pub(crate) fn all_pairs_next_hops_with(
 /// [`InterMode::Auto`] weighs against, and what the benches report as
 /// the cost the hub layout avoids.
 pub fn projected_dense_bytes(h: usize) -> usize {
-    h.saturating_mul(h).saturating_mul(std::mem::size_of::<u32>())
+    h.saturating_mul(h)
+        .saturating_mul(std::mem::size_of::<u32>())
 }
 
 /// Projected dense-table size above which [`InterMode::Auto`] compiles
@@ -355,7 +356,9 @@ impl std::str::FromStr for InterMode {
             "dense" => Ok(InterMode::Dense),
             "hub" => Ok(InterMode::Hub),
             "auto" => Ok(InterMode::Auto),
-            other => Err(format!("unknown inter-table layout {other} (dense|hub|auto)")),
+            other => Err(format!(
+                "unknown inter-table layout {other} (dense|hub|auto)"
+            )),
         }
     }
 }
@@ -398,7 +401,11 @@ pub enum InterTable {
 impl InterTable {
     /// Serial [`Self::build_with`] (test convenience).
     #[cfg(test)]
-    pub(crate) fn build(mode: InterMode, csr: CsrView<'_>, scratch: &mut InterScratch) -> InterTable {
+    pub(crate) fn build(
+        mode: InterMode,
+        csr: CsrView<'_>,
+        scratch: &mut InterScratch,
+    ) -> InterTable {
         InterTable::build_with(mode, csr, scratch, 1)
     }
 
@@ -507,9 +514,7 @@ impl InterTable {
     /// Heap bytes of the inter-head structure alone.
     pub fn memory_bytes(&self) -> usize {
         match self {
-            InterTable::Dense { next_hop, .. } => {
-                next_hop.capacity() * std::mem::size_of::<u32>()
-            }
+            InterTable::Dense { next_hop, .. } => next_hop.capacity() * std::mem::size_of::<u32>(),
             InterTable::Hub(hub) => hub.memory_bytes(),
         }
     }

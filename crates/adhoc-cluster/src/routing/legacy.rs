@@ -343,7 +343,10 @@ mod tests {
             worst = worst.max(f64::from(hops) / f64::from(true_d));
         }
         assert!(worst >= 1.0);
-        assert!(worst <= 6.0, "hierarchical stretch {worst} implausibly large");
+        assert!(
+            worst <= 6.0,
+            "hierarchical stretch {worst} implausibly large"
+        );
     }
 
     #[test]

@@ -51,9 +51,7 @@
 //! the dense matrix, but only dirty-hub re-sweeps for the hub layout.
 
 use crate::clustering::Clustering;
-use crate::routing::inter::{
-    self, CsrView, InterMode, InterRepair, InterScratch, InterTable,
-};
+use crate::routing::inter::{self, CsrView, InterMode, InterRepair, InterScratch, InterTable};
 use crate::virtual_graph::LinkRef;
 use adhoc_graph::bfs::{self, Adjacency, DistLabels, UNREACHED};
 use adhoc_graph::delta::TopologyDelta;
@@ -196,8 +194,7 @@ impl Backbone {
         let slot = |h: NodeId| -> u32 {
             heads
                 .binary_search(&h)
-                .unwrap_or_else(|_| panic!("link endpoint {h:?} is not a head"))
-                as u32
+                .unwrap_or_else(|_| panic!("link endpoint {h:?} is not a head")) as u32
         };
         let mut directed: Vec<(u32, u32, LinkRef<'a>, bool)> = Vec::new();
         for l in links {
@@ -300,7 +297,15 @@ impl RoutePlan {
         mode: InterMode,
         par: Parallelism,
     ) -> RoutePlan {
-        RoutePlan::compile_metered(g, clustering, labels, links, mode, par, &Metrics::disabled())
+        RoutePlan::compile_metered(
+            g,
+            clustering,
+            labels,
+            links,
+            mode,
+            par,
+            &Metrics::disabled(),
+        )
     }
 
     /// [`Self::compile_tuned`] reporting into an observability handle:
@@ -324,7 +329,10 @@ impl RoutePlan {
         let n = g.node_count();
         assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
         assert_eq!(labels.node_count(), n, "labels describe a different graph");
-        assert!(labels.bound() >= clustering.k, "labels too shallow for ascents");
+        assert!(
+            labels.bound() >= clustering.k,
+            "labels too shallow for ascents"
+        );
         let mut plan = RoutePlan {
             epoch: 0,
             k: clustering.k,
@@ -562,8 +570,15 @@ impl RoutePlan {
         let _apply = metrics.span("plan.apply_delta_ns");
         if self.heads != clustering.heads || self.n != g.node_count() {
             let epoch = self.epoch;
-            *self =
-                RoutePlan::compile_metered(g, clustering, labels, links, self.inter_mode, par, metrics);
+            *self = RoutePlan::compile_metered(
+                g,
+                clustering,
+                labels,
+                links,
+                self.inter_mode,
+                par,
+                metrics,
+            );
             self.epoch = epoch;
             let inter = match self.inter {
                 InterTable::Dense { .. } => InterRepair::DenseRecomputed,
@@ -741,7 +756,10 @@ impl RoutePlan {
 
     /// The backbone neighbor slots of the head in `slot`, ascending.
     pub fn backbone_neighbors(&self, slot: usize) -> &[u32] {
-        let (lo, hi) = (self.link_off[slot] as usize, self.link_off[slot + 1] as usize);
+        let (lo, hi) = (
+            self.link_off[slot] as usize,
+            self.link_off[slot + 1] as usize,
+        );
         &self.link_to[lo..hi]
     }
 
@@ -900,7 +918,16 @@ mod tests {
         // own head and has the recorded length.
         let g = Graph::from_edges(
             10,
-            &[(0, 1), (1, 5), (0, 2), (2, 6), (5, 6), (3, 9), (9, 1), (0, 3)],
+            &[
+                (0, 1),
+                (1, 5),
+                (0, 2),
+                (2, 6),
+                (5, 6),
+                (3, 9),
+                (9, 1),
+                (0, 3),
+            ],
         );
         let (c, plan) = compile_ac(&g, 2);
         for u in g.nodes() {

@@ -187,7 +187,10 @@ mod tests {
     #[test]
     fn mixes_parse_and_name() {
         assert_eq!("uniform".parse::<Mix>().unwrap(), Mix::Uniform);
-        assert!(matches!("HOTSPOT".parse::<Mix>().unwrap(), Mix::Hotspot { .. }));
+        assert!(matches!(
+            "HOTSPOT".parse::<Mix>().unwrap(),
+            Mix::Hotspot { .. }
+        ));
         assert!(matches!("local".parse::<Mix>().unwrap(), Mix::Local { .. }));
         assert!("zipf".parse::<Mix>().is_err());
         assert_eq!(Mix::Uniform.name(), "uniform");

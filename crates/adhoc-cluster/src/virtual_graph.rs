@@ -363,10 +363,7 @@ impl VirtualGraph {
     ///
     /// # Panics
     /// Panics if a link endpoint is not in `heads`.
-    pub fn from_links<'a>(
-        heads: &[NodeId],
-        links: impl IntoIterator<Item = LinkRef<'a>>,
-    ) -> Self {
+    pub fn from_links<'a>(heads: &[NodeId], links: impl IntoIterator<Item = LinkRef<'a>>) -> Self {
         let mut store = LinkStore::default();
         let mut pairs = Vec::new();
         for l in links {
@@ -670,8 +667,7 @@ mod tests {
             let net = gen::geometric(&gen::GeometricConfig::new(80, 100.0, 6.0), &mut rng);
             let c = cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
             let nc = VirtualGraph::build(&net.graph, &c, NeighborRule::All2kPlus1);
-            let ac_sets =
-                adjacency::neighbor_clusterheads(&net.graph, &c, NeighborRule::Adjacent);
+            let ac_sets = adjacency::neighbor_clusterheads(&net.graph, &c, NeighborRule::Adjacent);
             let restricted = nc.restricted_to(ac_sets);
             let direct = VirtualGraph::build(&net.graph, &c, NeighborRule::Adjacent);
             assert_eq!(restricted.link_count(), direct.link_count());

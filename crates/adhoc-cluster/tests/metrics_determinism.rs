@@ -37,7 +37,12 @@ fn count_rows(snap: &MetricsSnapshot) -> (u64, Vec<String>) {
         snap.histograms
             .iter()
             .filter(|h| !h.name.ends_with("_ns"))
-            .map(|h| format!("hist {} count={} sum={} max={}", h.name, h.count, h.sum, h.max)),
+            .map(|h| {
+                format!(
+                    "hist {} count={} sum={} max={}",
+                    h.name, h.count, h.sum, h.max
+                )
+            }),
     );
     rows.extend(
         snap.events

@@ -144,7 +144,10 @@ mod tests {
         let before = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
         let after = Graph::from_edges(5, &[(1, 2), (2, 3), (3, 4), (0, 4)]);
         let delta = TopologyDelta::between(&before, &after);
-        assert_eq!(delta.added, vec![(NodeId(0), NodeId(4)), (NodeId(2), NodeId(3))]);
+        assert_eq!(
+            delta.added,
+            vec![(NodeId(0), NodeId(4)), (NodeId(2), NodeId(3))]
+        );
         assert_eq!(delta.removed, vec![(NodeId(0), NodeId(1))]);
         assert_eq!(delta.churn(), 3);
         assert!(!delta.is_empty());

@@ -209,7 +209,10 @@ impl SpatialGrid {
     /// Panics unless `r` is positive and finite (a fixed transmission
     /// range is the model's invariant).
     pub fn build(positions: &[Point], r: f64) -> Self {
-        assert!(r.is_finite() && r > 0.0, "range must be positive and finite");
+        assert!(
+            r.is_finite() && r > 0.0,
+            "range must be positive and finite"
+        );
         let mut cells: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
         for (i, p) in positions.iter().enumerate() {
             cells.entry(Self::cell(r, p)).or_default().push(i as u32);
@@ -540,8 +543,11 @@ pub fn quasi_geometric<R: Rng + ?Sized>(
             .map(|_| Point::new(rng.gen::<f64>() * cfg.side, rng.gen::<f64>() * cfg.side))
             .collect();
         let mut r = geom::range_for_target_degree(cfg.n, cfg.side, cfg.target_degree);
-        let mut graph =
-            quasi_unit_disk_graph(&positions, &QuasiUdgConfig::new(r, r * outer_ratio, p_gray), rng);
+        let mut graph = quasi_unit_disk_graph(
+            &positions,
+            &QuasiUdgConfig::new(r, r * outer_ratio, p_gray),
+            rng,
+        );
         for _ in 0..cfg.calibration_rounds {
             let measured = graph.average_degree();
             if measured <= 0.0 {

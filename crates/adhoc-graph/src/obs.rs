@@ -443,10 +443,13 @@ impl Metrics {
     /// the determinism contract.
     pub fn event(&self, name: &str, value: u64) {
         if let Some(r) = &self.inner {
-            r.events.lock().expect("obs event ring poisoned").push(Event {
-                name: name.to_string(),
-                value,
-            });
+            r.events
+                .lock()
+                .expect("obs event ring poisoned")
+                .push(Event {
+                    name: name.to_string(),
+                    value,
+                });
         }
     }
 
@@ -567,7 +570,10 @@ impl MetricsSnapshot {
 
     /// Looks up a counter value by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
     }
 
     /// Looks up a histogram summary by name.
@@ -852,6 +858,9 @@ mod tests {
         assert!(table.contains("reconcile.count"));
         assert!(table.contains("query.hops"));
         assert!(table.contains("plan.publish"));
-        assert!(Metrics::disabled().snapshot().text_table().contains("no metrics"));
+        assert!(Metrics::disabled()
+            .snapshot()
+            .text_table()
+            .contains("no metrics"));
     }
 }

@@ -331,10 +331,11 @@ mod tests {
     #[test]
     fn results_merge_identically_for_any_worker_count() {
         let data: Vec<u64> = (0..1000u64).map(|x| x.wrapping_mul(0x9E3779B9)).collect();
-        let serial: Vec<u64> = scoped_chunks(1, data.len(), &data[..], |_, _, c: &[u64]| c.to_vec())
-            .into_iter()
-            .flatten()
-            .collect();
+        let serial: Vec<u64> =
+            scoped_chunks(1, data.len(), &data[..], |_, _, c: &[u64]| c.to_vec())
+                .into_iter()
+                .flatten()
+                .collect();
         for workers in [2usize, 3, 8] {
             let par: Vec<u64> =
                 scoped_chunks(workers, data.len(), &data[..], |_, _, c: &[u64]| c.to_vec())

@@ -188,11 +188,7 @@ pub fn regional_victims(
 ///
 /// # Panics
 /// Panics unless `positions` covers the engine's node set.
-pub fn partition_victims(
-    engine: &ChurnEngine,
-    positions: &[Point],
-    fraction: f64,
-) -> Vec<NodeId> {
+pub fn partition_victims(engine: &ChurnEngine, positions: &[Point], fraction: f64) -> Vec<NodeId> {
     assert_eq!(
         positions.len(),
         engine.graph().len(),
@@ -287,11 +283,7 @@ pub fn execute(engine: &mut ChurnEngine, victims: &[NodeId]) -> Vec<StepReport> 
 ///
 /// # Panics
 /// Panics if a returnee is already present.
-pub fn heal(
-    engine: &mut ChurnEngine,
-    reference: &Graph,
-    returnees: &[NodeId],
-) -> Vec<StepReport> {
+pub fn heal(engine: &mut ChurnEngine, reference: &Graph, returnees: &[NodeId]) -> Vec<StepReport> {
     let ops: Vec<BatchOp> = returnees
         .iter()
         .map(|&v| BatchOp::Arrive(v, reference.neighbors(v).to_vec()))
@@ -334,7 +326,12 @@ mod tests {
             let mut dedup = a.clone();
             dedup.sort_unstable();
             dedup.dedup();
-            assert_eq!(dedup.len(), a.len(), "{}: no duplicate victims", kind.name());
+            assert_eq!(
+                dedup.len(),
+                a.len(),
+                "{}: no duplicate victims",
+                kind.name()
+            );
         }
         assert_eq!(AttackKind::parse("degree"), Some(AttackKind::HighestDegree));
         assert_eq!(AttackKind::parse("bogus"), None);
@@ -391,10 +388,16 @@ mod tests {
     fn attack_and_heal_round_trip() {
         let net = net(47, 60);
         for kind in AttackKind::ALL {
-            let mut e = ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
+            let mut e =
+                ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
             e.enable_routing();
-            let victims =
-                select_victims(&e, kind, 0.15, Some((net.positions.as_slice(), net.range)), 9);
+            let victims = select_victims(
+                &e,
+                kind,
+                0.15,
+                Some((net.positions.as_slice(), net.range)),
+                9,
+            );
             let reports = execute(&mut e, &victims);
             assert_eq!(reports.len(), victims.len());
             assert!(

@@ -550,7 +550,10 @@ impl ChurnEngine {
     /// fixed; departures isolate) or a reconcile is in flight.
     pub fn step(&mut self, g: &Graph) -> StepReport {
         assert_eq!(g.len(), self.graph.len(), "the engine's node set is fixed");
-        assert!(self.in_flight.is_none(), "a reconcile is in flight; recover() first");
+        assert!(
+            self.in_flight.is_none(),
+            "a reconcile is in flight; recover() first"
+        );
         let delta = TopologyDelta::between(&self.graph, g);
         // `clone_from` reuses the adjacency allocations already held.
         self.graph.clone_from(g);
@@ -687,7 +690,10 @@ impl ChurnEngine {
     /// # Panics
     /// Panics if a reconcile is already in flight.
     pub fn begin_delta(&mut self, delta: &TopologyDelta) -> ReconcileState {
-        assert!(self.in_flight.is_none(), "a reconcile is in flight; recover() first");
+        assert!(
+            self.in_flight.is_none(),
+            "a reconcile is in flight; recover() first"
+        );
         delta.apply_to(&mut self.graph);
         self.observe(delta.clone(), StrandedPolicy::FullRebuild, None)
     }
@@ -698,7 +704,10 @@ impl ChurnEngine {
     /// # Panics
     /// Panics if `u` departed already or a reconcile is in flight.
     pub fn begin_depart(&mut self, u: NodeId) -> ReconcileState {
-        assert!(self.in_flight.is_none(), "a reconcile is in flight; recover() first");
+        assert!(
+            self.in_flight.is_none(),
+            "a reconcile is in flight; recover() first"
+        );
         assert!(!self.departed[u.index()], "{u:?} departed already");
         let delta = TopologyDelta::isolating(&self.graph, u);
         self.departed[u.index()] = true;
@@ -722,7 +731,10 @@ impl ChurnEngine {
     /// Panics if `u` is already present, a neighbor is departed or
     /// `u` itself, or a reconcile is in flight.
     pub fn begin_arrive(&mut self, u: NodeId, neighbors: &[NodeId]) -> ReconcileState {
-        assert!(self.in_flight.is_none(), "a reconcile is in flight; recover() first");
+        assert!(
+            self.in_flight.is_none(),
+            "a reconcile is in flight; recover() first"
+        );
         assert!(self.departed[u.index()], "{u:?} is already present");
         let mut delta = TopologyDelta::new();
         for &w in neighbors {
@@ -934,7 +946,8 @@ impl ChurnEngine {
             orphans.push(u);
             orphans.sort_unstable();
         }
-        self.metrics.record("reconcile.dirty_heads", dirty_heads as u64);
+        self.metrics
+            .record("reconcile.dirty_heads", dirty_heads as u64);
         self.metrics.add("reconcile.orphans", orphans.len() as u64);
         self.metrics
             .add("reconcile.merged_head_pairs", merged_head_pairs as u64);
@@ -1427,8 +1440,7 @@ impl ChurnEngine {
     /// connectivity verdict.
     fn backbone_touched(&self, delta: &TopologyDelta) -> bool {
         let in_cds = |v: NodeId| {
-            self.cds.heads.binary_search(&v).is_ok()
-                || self.cds.gateways.binary_search(&v).is_ok()
+            self.cds.heads.binary_search(&v).is_ok() || self.cds.gateways.binary_search(&v).is_ok()
         };
         delta
             .added
@@ -1476,8 +1488,7 @@ impl ChurnEngine {
     /// head loss, full rebuilds); incremental steps keep the verdicts
     /// current via [`Self::backbone_touched`]-gated reuse instead.
     fn refresh_validity(&mut self) {
-        self.last_backbone_ok =
-            connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
+        self.last_backbone_ok = connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
         self.last_valid = self.last_backbone_ok && self.dominated();
     }
 }
@@ -1683,7 +1694,11 @@ mod tests {
         // Every depart publishes a plan (routing is on), and routing
         // was enabled before metering, so plan publishes == departs.
         assert_eq!(snap.counter("plan.published"), Some(steps.len() as u64));
-        for h in ["reconcile.observe_ns", "reconcile.repair_ns", "reconcile.publish_ns"] {
+        for h in [
+            "reconcile.observe_ns",
+            "reconcile.repair_ns",
+            "reconcile.publish_ns",
+        ] {
             let hist = snap.histogram(h).unwrap_or_else(|| panic!("{h} missing"));
             assert_eq!(hist.count, steps.len() as u64, "{h}");
         }
@@ -1802,7 +1817,10 @@ mod tests {
                 let r = e.depart(NodeId(uid));
                 // Survivors stay k-dominated even when they split; only
                 // backbone connectivity is forgiven then.
-                assert!(e.dominated_sweep(), "k={k}: departure of {uid} strands a node");
+                assert!(
+                    e.dominated_sweep(),
+                    "k={k}: departure of {uid} strands a node"
+                );
                 assert!(r.valid || !e.alive_connected(), "k={k}: departure of {uid}");
                 assert_engine_consistent(&e, &format!("k={k}: departure of {uid}"));
             }
@@ -1958,7 +1976,11 @@ mod tests {
         e.depart(NodeId(1));
         let pre_plan = e.route_plan().unwrap().clone();
         let err = e
-            .arrive_faulted(NodeId(1), &[NodeId(0)], FaultPlan::crash_after(PhaseBoundary::Observed))
+            .arrive_faulted(
+                NodeId(1),
+                &[NodeId(0)],
+                FaultPlan::crash_after(PhaseBoundary::Observed),
+            )
             .unwrap_err();
         assert_eq!(err, PhaseBoundary::Observed);
         assert_eq!(e.route_plan().unwrap(), &pre_plan, "crash must not publish");
@@ -2061,7 +2083,10 @@ mod tests {
     fn reused_validity_verdict_matches_direct_verification() {
         use crate::mobility::{MobileNetwork, WaypointConfig};
         let net = geometric(57, 80, 7.0);
-        let mut e = ChurnEngine::build(&net.graph, MovementConfig::tolerant(2, Algorithm::AcMesh, 1));
+        let mut e = ChurnEngine::build(
+            &net.graph,
+            MovementConfig::tolerant(2, Algorithm::AcMesh, 1),
+        );
         let mut rng = StdRng::seed_from_u64(57);
         let wp = WaypointConfig {
             side: 100.0,
@@ -2119,7 +2144,11 @@ mod tests {
         assert_eq!(r.orphans, 0);
         assert!(e.clustering.heads.is_empty());
         assert!(r.valid, "an empty CDS over an all-departed graph verifies");
-        assert!(e.route_plan().unwrap().route(NodeId(0), NodeId(1)).is_none());
+        assert!(e
+            .route_plan()
+            .unwrap()
+            .route(NodeId(0), NodeId(1))
+            .is_none());
         assert_engine_consistent(&e, "last head departure");
     }
 
@@ -2202,7 +2231,11 @@ mod tests {
             assert_eq!(err, boundary);
             assert_eq!(e.in_flight(), Some(boundary));
             // I3 at the crash: the served plan is still the pre-step one.
-            assert_eq!(e.route_plan().unwrap(), &pre_plan, "torn plan at {boundary:?}");
+            assert_eq!(
+                e.route_plan().unwrap(),
+                &pre_plan,
+                "torn plan at {boundary:?}"
+            );
             let report = e.recover().expect("was in flight");
             assert_eq!(report.level, RepairLevel::Full);
             assert!(e.in_flight().is_none());
@@ -2216,8 +2249,10 @@ mod tests {
     #[test]
     fn suspended_reconcile_matches_uninterrupted() {
         let net = geometric(33, 40, 8.0);
-        let mut direct = ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
-        let mut phased = ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
+        let mut direct =
+            ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
+        let mut phased =
+            ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
         direct.enable_routing();
         phased.enable_routing();
         let (a, b) = net.graph.edges().next().unwrap();
@@ -2312,7 +2347,10 @@ mod tests {
                 "round {round}: graphs diverged"
             );
             assert_eq!(seq.clustering.heads, bat.clustering.heads, "round {round}");
-            assert_eq!(seq.clustering.head_of, bat.clustering.head_of, "round {round}");
+            assert_eq!(
+                seq.clustering.head_of, bat.clustering.head_of,
+                "round {round}"
+            );
             assert_eq!(
                 seq.clustering.dist_to_head, bat.clustering.dist_to_head,
                 "round {round}"
@@ -2344,7 +2382,11 @@ mod tests {
         let mut back = TopologyDelta::new();
         back.push_added(NodeId(4), NodeId(5));
         let _ = e.step_delta_faulted(&back, FaultPlan::crash_after(PhaseBoundary::Observed));
-        assert_eq!(e.route_plan().unwrap().epoch(), e1, "crash must not publish");
+        assert_eq!(
+            e.route_plan().unwrap().epoch(),
+            e1,
+            "crash must not publish"
+        );
         e.recover();
         assert!(e.route_plan().unwrap().epoch() > e1);
     }

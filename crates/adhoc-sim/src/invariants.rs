@@ -183,13 +183,19 @@ pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
                 ));
             }
             if clustering.heads.binary_search(&v).is_ok() {
-                out.push(Violation::new("I1", format!("departed {v:?} listed as head")));
+                out.push(Violation::new(
+                    "I1",
+                    format!("departed {v:?} listed as head"),
+                ));
             }
             continue;
         }
         if clustering.is_head(v) {
             if h != v || clustering.dist_to_head[v.index()] != 0 {
-                out.push(Violation::new("I1", format!("head {v:?} not self-affiliated")));
+                out.push(Violation::new(
+                    "I1",
+                    format!("head {v:?} not self-affiliated"),
+                ));
             }
             continue;
         }
@@ -380,7 +386,9 @@ pub fn check_query_consistency(
             }
             if let Some(walk) = served.route(u, v) {
                 let endpoints_ok = walk.first() == Some(&u) && walk.last() == Some(&v);
-                let valid_somewhere = recent_graphs.iter().any(|rg| routing::is_valid_walk(rg, &walk))
+                let valid_somewhere = recent_graphs
+                    .iter()
+                    .any(|rg| routing::is_valid_walk(rg, &walk))
                     || routing::is_valid_walk(g, &walk);
                 if !endpoints_ok || !valid_somewhere {
                     out.push(Violation::new(

@@ -70,9 +70,9 @@ pub mod invariants;
 pub mod mac;
 #[cfg(test)]
 mod maintenance;
-pub mod modelcheck;
 pub mod message;
 pub mod mobility;
+pub mod modelcheck;
 pub mod movement;
 pub mod protocol;
 pub mod stats;

@@ -354,7 +354,10 @@ mod tests {
             &cds,
             NodeId(0),
             Strategy::BlindFlood,
-            &MacConfig { cw: 1, max_slots: 1 << 16 },
+            &MacConfig {
+                cw: 1,
+                max_slots: 1 << 16,
+            },
             &mut rng,
         );
         assert!(r.complete);
@@ -378,7 +381,10 @@ mod tests {
             &cds,
             NodeId(0),
             Strategy::BlindFlood,
-            &MacConfig { cw: 1, max_slots: 1 << 16 },
+            &MacConfig {
+                cw: 1,
+                max_slots: 1 << 16,
+            },
             &mut rng,
         );
         assert!(r.complete); // all leaves heard slot 0 directly
@@ -399,7 +405,10 @@ mod tests {
                     &cds,
                     NodeId(0),
                     Strategy::BlindFlood,
-                    &MacConfig { cw, max_slots: 1 << 18 },
+                    &MacConfig {
+                        cw,
+                        max_slots: 1 << 18,
+                    },
                     rng,
                 );
                 total += r.collisions;
@@ -439,7 +448,10 @@ mod tests {
         };
         let (flood_tx, flood_col) = run(Strategy::BlindFlood, &mut rng);
         let (bb_tx, bb_col) = run(Strategy::Backbone, &mut rng);
-        assert!(bb_tx < flood_tx, "backbone tx {bb_tx} >= flood tx {flood_tx}");
+        assert!(
+            bb_tx < flood_tx,
+            "backbone tx {bb_tx} >= flood tx {flood_tx}"
+        );
         assert!(
             bb_col < flood_col,
             "backbone collisions {bb_col} >= flood {flood_col}"
@@ -535,7 +547,10 @@ mod tests {
             &cds,
             NodeId(0),
             Strategy::BlindFlood,
-            &MacConfig { cw: 0, max_slots: 16 },
+            &MacConfig {
+                cw: 0,
+                max_slots: 16,
+            },
             &mut rng,
         );
     }

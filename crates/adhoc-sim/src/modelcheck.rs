@@ -399,8 +399,8 @@ fn transition(
                         detail: "report verdict disagrees with engine verdict".into(),
                     });
                 }
-                let delta_empty = matches!(action, Action::Flip(..) | Action::FlipPair(..))
-                    && delta.is_empty();
+                let delta_empty =
+                    matches!(action, Action::Flip(..) | Action::FlipPair(..)) && delta.is_empty();
                 violations.extend(invariants::check_cost_accounting(
                     &report,
                     delta_empty,

@@ -97,7 +97,10 @@ impl MovementConfig {
     /// # Panics
     /// Panics if `merge_distance > k`.
     pub fn tolerant(k: u32, algorithm: Algorithm, merge_distance: u32) -> Self {
-        assert!(merge_distance <= k, "merge distance beyond k is meaningless");
+        assert!(
+            merge_distance <= k,
+            "merge distance beyond k is meaningless"
+        );
         MovementConfig {
             k,
             algorithm,

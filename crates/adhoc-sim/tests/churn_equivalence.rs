@@ -17,8 +17,8 @@
 //! steps against rebuild-every-step on checksummed-equal structures.
 
 use adhoc_cluster::adjacency::NeighborRule;
-use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet};
 use adhoc_cluster::clustering::Clustering;
+use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet};
 use adhoc_cluster::routing::InterMode;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::labels::HeadLabels;
@@ -288,9 +288,16 @@ fn pinned_inter_layout_passes_equivalence() {
         engine.enable_routing_with_inter(mode);
         for uid in [7u32, 31, 64] {
             engine.depart(NodeId(uid));
-            assert_eq!(engine.route_plan().unwrap().inter_layout(), layout, "{mode:?}");
+            assert_eq!(
+                engine.route_plan().unwrap().inter_layout(),
+                layout,
+                "{mode:?}"
+            );
             let violations = invariants::check_equivalence(&engine);
-            assert!(violations.is_empty(), "{mode:?} after departing {uid}: {violations:?}");
+            assert!(
+                violations.is_empty(),
+                "{mode:?} after departing {uid}: {violations:?}"
+            );
         }
     }
 }

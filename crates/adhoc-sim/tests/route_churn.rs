@@ -63,10 +63,7 @@ fn maintained_plan_tracks_mobility_steps() {
 fn maintained_plan_survives_departures() {
     let mut rng = StdRng::seed_from_u64(17);
     let net = gen::geometric(&GeometricConfig::new(60, 100.0, 8.0), &mut rng);
-    let mut engine = ChurnEngine::build(
-        &net.graph,
-        MovementConfig::strict(2, Algorithm::AcMesh),
-    );
+    let mut engine = ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcMesh));
     engine.enable_routing();
     for uid in [7u32, 30, 51, 12] {
         engine.depart(NodeId(uid));

@@ -123,16 +123,28 @@ const COMMANDS: &[Command] = &[
     (
         "run",
         cmd_run,
-        &["input", "n", "d", "seed", "k", "alg", "workers", "metrics", "json"],
+        &[
+            "input", "n", "d", "seed", "k", "alg", "workers", "metrics", "json",
+        ],
     ),
     ("dist", cmd_dist, &["input", "n", "d", "seed", "k", "alg"]),
     ("info", cmd_info, &["input", "n", "d", "seed"]),
-    ("exact", cmd_exact, &["input", "n", "d", "seed", "k", "budget"]),
-    ("maintain", cmd_maintain, &["n", "d", "seed", "k", "steps", "speed", "verbose"]),
+    (
+        "exact",
+        cmd_exact,
+        &["input", "n", "d", "seed", "k", "budget"],
+    ),
+    (
+        "maintain",
+        cmd_maintain,
+        &["n", "d", "seed", "k", "steps", "speed", "verbose"],
+    ),
     (
         "churn",
         cmd_churn,
-        &["n", "d", "seed", "k", "steps", "movers", "speed", "workers", "metrics"],
+        &[
+            "n", "d", "seed", "k", "steps", "movers", "speed", "workers", "metrics",
+        ],
     ),
     (
         "route",
@@ -146,8 +158,17 @@ const COMMANDS: &[Command] = &[
         "resilience",
         cmd_resilience,
         &[
-            "n", "d", "seed", "k", "fraction", "pairs", "attack", "repair-level", "workers",
-            "metrics", "json",
+            "n",
+            "d",
+            "seed",
+            "k",
+            "fraction",
+            "pairs",
+            "attack",
+            "repair-level",
+            "workers",
+            "metrics",
+            "json",
         ],
     ),
     ("mac", cmd_mac, &["input", "n", "d", "seed", "k", "cw"]),
@@ -271,15 +292,17 @@ impl MetricsSink {
             print!("{}", snap.text_table());
             return;
         };
-        let json =
-            serde_json::to_string_pretty(&snap).expect("metrics snapshot serializes");
+        let json = serde_json::to_string_pretty(&snap).expect("metrics snapshot serializes");
         std::fs::write(path, &json)
             .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
         let back: MetricsSnapshot = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|s| serde_json::from_str(&s).map_err(|e| format!("{e:?}")))
             .unwrap_or_else(|e| {
-                die(&format!("metrics file {} does not re-parse: {e}", path.display()))
+                die(&format!(
+                    "metrics file {} does not re-parse: {e}",
+                    path.display()
+                ))
             });
         if back != snap {
             die("metrics JSON round-trip altered the snapshot");
@@ -801,13 +824,19 @@ fn cmd_resilience(args: &Args) {
     let json = args.has("json");
     let attack = match args.opt("attack") {
         None => AttackKind::Heads,
-        Some(s) => AttackKind::parse(s)
-            .unwrap_or_else(|| die(&format!("unknown attack {s} (heads|degree|regional|partition)"))),
+        Some(s) => AttackKind::parse(s).unwrap_or_else(|| {
+            die(&format!(
+                "unknown attack {s} (heads|degree|regional|partition)"
+            ))
+        }),
     };
     let level = match args.opt("repair-level") {
         None => RepairLevel::Full,
-        Some(s) => RepairLevel::parse(s)
-            .unwrap_or_else(|| die(&format!("unknown repair level {s} (none|reaffiliate|gateways|full)"))),
+        Some(s) => RepairLevel::parse(s).unwrap_or_else(|| {
+            die(&format!(
+                "unknown repair level {s} (none|reaffiliate|gateways|full)"
+            ))
+        }),
     };
     if !(fraction > 0.0 && fraction < 1.0) {
         die(&format!("--fraction must be in (0, 1) (got {fraction})"));
@@ -965,8 +994,7 @@ fn cmd_resilience(args: &Args) {
 
 /// Metrics every `khop resilience --metrics=FILE` file must carry: the
 /// attack drives reconciles and each reconcile republishes the plan.
-const RESILIENCE_METRIC_KEYS: &[&str] =
-    &["reconcile.count", "plan.published", "plan.compile_ns"];
+const RESILIENCE_METRIC_KEYS: &[&str] = &["reconcile.count", "plan.published", "plan.compile_ns"];
 
 /// `khop route`: compile a [`RoutePlan`] over one algorithm's backbone
 /// and serve a query batch through it — compiled single-worker,
@@ -993,7 +1021,9 @@ fn cmd_route(args: &Args) {
     }
 
     let par = Parallelism::new(workers);
-    let metrics = sink.as_ref().map_or(Metrics::disabled(), |s| s.metrics.clone());
+    let metrics = sink
+        .as_ref()
+        .map_or(Metrics::disabled(), |s| s.metrics.clone());
     let clustering = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
     let mut scratch = EvalScratch::with_workers(par);
     scratch.set_metrics(metrics.clone());

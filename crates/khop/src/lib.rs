@@ -36,8 +36,8 @@ pub mod prelude {
         self, Algorithm, AlgorithmSet, EvalScratch, EvaluationOutput, PipelineConfig,
     };
     pub use adhoc_cluster::priority::{
-        HighestDegree, KhopDegree, LowestId, LowestSpeed, Priority, PriorityKey,
-        RandomTimer, ResidualEnergy, SumOfDistances,
+        HighestDegree, KhopDegree, LowestId, LowestSpeed, Priority, PriorityKey, RandomTimer,
+        ResidualEnergy, SumOfDistances,
     };
     pub use adhoc_cluster::routing::{
         self, ClusterRouter, InterMode, LegacyScratch, Mix, QueryEngine, RoutePlan, TableStats,

@@ -17,10 +17,7 @@ fn drive<M: Mobility>(name: &str, mut net: MobileNetwork<M>, rng: &mut StdRng) {
         head_counts.push(c.head_count());
     }
     let mean_heads = head_counts.iter().sum::<usize>() as f64 / head_counts.len() as f64;
-    println!(
-        "{name:<18} | {:>11} | {:>10.1}",
-        total_churn, mean_heads
-    );
+    println!("{name:<18} | {:>11} | {:>10.1}", total_churn, mean_heads);
 }
 
 fn main() {
@@ -28,7 +25,10 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2025);
     let base = gen::geometric(&gen::GeometricConfig::new(n, 100.0, 8.0), &mut rng);
     println!("15 steps of 1 s on the same 100-node deployment (k = 2)");
-    println!("{:<18} | {:>11} | {:>10}", "model", "edge churn", "mean heads");
+    println!(
+        "{:<18} | {:>11} | {:>10}",
+        "model", "edge churn", "mean heads"
+    );
 
     let model = RandomWaypoint::new(n, WaypointConfig::default_for_side(100.0), &mut rng);
     drive(

@@ -26,8 +26,8 @@ fn results_dir() -> PathBuf {
 
 fn load(name: &str) -> Value {
     let path = results_dir().join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e:?}", path.display()));
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e:?}", path.display()));
     serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {name}: {e:?}"))
 }
 
@@ -54,7 +54,9 @@ fn check_metrics_section(name: &str, doc: &Value) {
         "{name}: missing `metrics` section (regenerate with the current bench binaries)"
     );
     assert!(
-        metrics["fingerprint"].as_str().is_some_and(|f| f.len() == 16),
+        metrics["fingerprint"]
+            .as_str()
+            .is_some_and(|f| f.len() == 16),
         "{name}: metrics.fingerprint missing or malformed"
     );
     let histograms = metrics["snapshot"]["histograms"]
@@ -81,7 +83,9 @@ fn check_metrics_section(name: &str, doc: &Value) {
         .unwrap_or_else(|| panic!("{name}: metrics.snapshot.counters missing"));
     for required in ["reconcile.count", "plan.published", "query.count"] {
         assert!(
-            counters.iter().any(|c| c["name"].as_str() == Some(required)),
+            counters
+                .iter()
+                .any(|c| c["name"].as_str() == Some(required)),
             "{name}: metrics section lacks counter {required}"
         );
     }

@@ -22,8 +22,14 @@ fn gen_then_run_round_trip() {
     let net = dir.join("net.txt");
     let net_s = net.to_str().unwrap();
 
-    let out = khop(&["gen", "--n", "60", "--d", "6", "--seed", "5", "--out", net_s]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = khop(&[
+        "gen", "--n", "60", "--d", "6", "--seed", "5", "--out", net_s,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(stdout(&out).contains("60 nodes"));
     assert!(net.exists());
 
@@ -79,7 +85,9 @@ fn exact_refuses_large_networks() {
 
 #[test]
 fn maintain_summarizes_savings() {
-    let out = khop(&["maintain", "--n", "60", "--k", "2", "--steps", "8", "--seed", "6"]);
+    let out = khop(&[
+        "maintain", "--n", "60", "--k", "2", "--steps", "8", "--seed", "6",
+    ]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("rebuild-every-step"));
 }
@@ -128,10 +136,26 @@ fn route_metrics_count_each_query_once() {
     let file = dir.join("route-metrics.json");
     let flag = format!("--metrics={}", file.display());
     let out = khop(&[
-        "route", "--n", "150", "--d", "8", "--seed", "4", "--k", "2", "--queries", "300",
-        "--workers", "2", &flag,
+        "route",
+        "--n",
+        "150",
+        "--d",
+        "8",
+        "--seed",
+        "4",
+        "--k",
+        "2",
+        "--queries",
+        "300",
+        "--workers",
+        "2",
+        &flag,
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let snap: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&file).unwrap()).expect("valid JSON");
     let count = snap["counters"]

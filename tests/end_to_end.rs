@@ -58,7 +58,9 @@ fn distributed_then_repair_chain() {
 /// connectivity is forgiven.
 fn survivors_dominated(e: &ChurnEngine, k: u32) -> bool {
     let dist = connectivity::distance_to_set(e.graph(), &e.cds.heads);
-    e.graph().nodes().all(|v| e.is_departed(v) || dist[v.index()] <= k)
+    e.graph()
+        .nodes()
+        .all(|v| e.is_departed(v) || dist[v.index()] <= k)
 }
 
 #[test]
@@ -190,7 +192,11 @@ fn sequential_departure_chain_stays_valid() {
             "round {round}: repair after {victim:?} invalid"
         );
         assert!(
-            engine.clustering.heads.iter().all(|&h| !engine.is_departed(h)),
+            engine
+                .clustering
+                .heads
+                .iter()
+                .all(|&h| !engine.is_departed(h)),
             "round {round}: a departed node is a head"
         );
         if !connected {
@@ -333,5 +339,8 @@ fn prelude_exposes_the_whole_stack() {
         scratch.labels(),
         eval.ac_graph.links(),
     );
-    assert_eq!(plan.route(NodeId(0), NodeId(39)).as_deref(), Some(&path[..]));
+    assert_eq!(
+        plan.route(NodeId(0), NodeId(39)).as_deref(),
+        Some(&path[..])
+    );
 }

@@ -86,7 +86,7 @@ fn protocol_stats_round_trip() {
 #[test]
 fn corrupted_graph_json_is_rejected_not_panicking() {
     let bad = r#"{"adj": [[1]], "edges": 1}"#; // asymmetric adjacency
-    // Deserialization itself succeeds (serde sees valid shape)...
+                                               // Deserialization itself succeeds (serde sees valid shape)...
     let g: Result<Graph, _> = serde_json::from_str(bad);
     if let Ok(g) = g {
         // ...but the invariant checker must flag it.
