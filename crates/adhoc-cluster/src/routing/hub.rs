@@ -88,7 +88,7 @@
 //! weight-only churn always takes the cheap path).
 
 use super::inter::{CsrView, InterScratch, FAR};
-use adhoc_graph::par;
+use adhoc_graph::par::{self, Parallelism};
 use std::cell::Cell;
 
 /// Dirty-hub fraction above which `HubIndex::repair` declines and
@@ -295,7 +295,7 @@ impl HubIndex {
     /// Serial [`Self::build_with`] (test convenience).
     #[cfg(test)]
     pub(crate) fn build(csr: CsrView<'_>, scratch: &mut InterScratch) -> HubIndex {
-        HubIndex::build_with(csr, scratch, 1)
+        HubIndex::build_with(csr, scratch, Parallelism::serial())
     }
 
     /// Builds the index for `csr`: one rank-restricted sweep per head,
@@ -310,7 +310,7 @@ impl HubIndex {
     pub(crate) fn build_with(
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
-        workers: usize,
+        par: Parallelism,
     ) -> HubIndex {
         let h = csr.head_count();
         let order = hub_order(csr);
@@ -318,7 +318,7 @@ impl HubIndex {
         for (r, &slot) in order.iter().enumerate() {
             rank[slot as usize] = r as u32;
         }
-        let entries = sweep_hubs(csr, &order, &rank, scratch, workers);
+        let entries = sweep_hubs(csr, &order, &rank, scratch, par);
         let mut index = HubIndex {
             h,
             order,
@@ -442,11 +442,11 @@ impl HubIndex {
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
     ) -> Option<usize> {
-        self.repair_with(changed, csr, scratch, 1)
+        self.repair_with(changed, csr, scratch, Parallelism::serial())
     }
 
     /// As the serial repair, but the dirty-hub re-sweeps fan out across
-    /// `workers` (see [`Self::build_with`] for why the result is
+    /// `par` (see [`Self::build_with`] for why the result is
     /// bit-identical); the dirty test, order check, and segment-wise
     /// splice stay serial.
     pub(crate) fn repair_with(
@@ -454,7 +454,7 @@ impl HubIndex {
         changed: &[u32],
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
-        workers: usize,
+        par: Parallelism,
     ) -> Option<usize> {
         debug_assert_eq!(self.h, csr.head_count());
         if hub_order(csr) != self.order {
@@ -484,7 +484,7 @@ impl HubIndex {
             .copied()
             .filter(|&c| dirty[c as usize])
             .collect();
-        let fresh = sweep_hubs(csr, &dirty_hubs, &self.rank, scratch, workers);
+        let fresh = sweep_hubs(csr, &dirty_hubs, &self.rank, scratch, par);
         // Segment-wise splice: per row, drop old dirty-hub entries and
         // merge in the fresh ones (both sides hub-ascending), leaving
         // clean entries byte-identical — the labels.rs clean-row-copy
@@ -619,20 +619,25 @@ impl Drop for TargetRow<'_> {
 
 /// Sweeps every hub in `hubs` and returns the combined entry list,
 /// sorted by `(node, hub)` — ready for [`HubIndex::fill_arena`] or the
-/// repair splice. At 1 worker (or a single hub) the caller's warm
-/// scratch is reused inline; otherwise `hubs` is chunked across scoped
-/// workers, each with a fresh [`InterScratch`], and the fragments are
-/// concatenated in chunk order before the normalizing sort. Entry keys
-/// are unique per `(node, hub)` pair, so the sorted list — and the
-/// arena packed from it — is bit-identical for any worker count.
+/// repair splice. Below one thread spawn's worth of work
+/// ([`par::work::hub_sweeps`], gated by [`Parallelism::for_work`]) the
+/// caller's warm scratch is reused inline; otherwise `hubs` is chunked
+/// across scoped workers, each with a fresh [`InterScratch`], and the
+/// fragments are concatenated in chunk order before the normalizing
+/// sort. Entry keys are unique per `(node, hub)` pair, so the sorted
+/// list — and the arena packed from it — is bit-identical for any
+/// worker count.
 fn sweep_hubs(
     csr: CsrView<'_>,
     hubs: &[u32],
     rank: &[u32],
     scratch: &mut InterScratch,
-    workers: usize,
+    par: Parallelism,
 ) -> Vec<(u32, u32, u32)> {
-    let mut entries: Vec<(u32, u32, u32)> = if workers <= 1 || hubs.len() < 2 {
+    let workers = par
+        .for_work(par::work::hub_sweeps(hubs.len(), csr.head_count()))
+        .workers();
+    let mut entries: Vec<(u32, u32, u32)> = if workers == 1 {
         let mut entries = Vec::new();
         for &c in hubs {
             sweep_hub(csr, c, rank, scratch, &mut entries);
@@ -796,40 +801,69 @@ mod tests {
         }
     }
 
+    /// Whether a job of `work` units fans out at 2 workers.
+    fn fans_out(work: usize) -> bool {
+        Parallelism::new(2).for_work(work).workers() == 2
+    }
+
+    /// 200 heads put the full build's sweeps above the fan-out gate,
+    /// so the multi-worker arms really fan out.
     #[test]
     fn build_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(12);
-        let bb = Backbone::random(&mut rng, 12, 0.3);
+        let h = 200;
+        let bb = Backbone::random(&mut rng, h, 0.02);
+        assert!(fans_out(par::work::hub_sweeps(h, h)));
         let a = HubIndex::build(bb.csr(), &mut InterScratch::new());
         let b = HubIndex::build(bb.csr(), &mut InterScratch::new());
         assert_eq!(a, b);
         for workers in [2usize, 3, 8] {
-            let par = HubIndex::build_with(bb.csr(), &mut InterScratch::new(), workers);
+            let par = HubIndex::build_with(
+                bb.csr(),
+                &mut InterScratch::new(),
+                Parallelism::new(workers),
+            );
             assert_eq!(a, par, "{workers}-worker build diverged from serial");
         }
     }
 
+    /// Weight changes on a 300-head backbone, accumulated until the
+    /// dirty hubs' re-sweeps sit above the fan-out gate; every round
+    /// on the way is checked too.
     #[test]
     fn parallel_repair_matches_serial() {
         let mut rng = StdRng::seed_from_u64(21);
         let mut scratch = InterScratch::new();
-        for round in 0..10 {
-            let mut bb = Backbone::random(&mut rng, 14, 0.35);
-            let baseline = HubIndex::build(bb.csr(), &mut scratch);
-            let Some(changed) = bb.perturb(&mut rng) else {
-                continue;
-            };
+        let h = 300;
+        let mut bb = Backbone::random(&mut rng, h, 0.015);
+        let baseline = HubIndex::build(bb.csr(), &mut scratch);
+        let mut changed = Vec::new();
+        let mut fanned_out = false;
+        for round in 0..40 {
+            changed.extend(bb.perturb(&mut rng).expect("the backbone has links"));
+            changed.sort_unstable();
+            changed.dedup();
             let mut serial = baseline.clone();
             let want = serial.repair(&changed, bb.csr(), &mut scratch);
             for workers in [2usize, 3, 8] {
                 let mut par = baseline.clone();
-                let got = par.repair_with(&changed, bb.csr(), &mut scratch, workers);
+                let got =
+                    par.repair_with(&changed, bb.csr(), &mut scratch, Parallelism::new(workers));
                 assert_eq!(got, want, "round {round}: {workers}-worker repair verdict");
                 if want.is_some() {
                     assert_eq!(par, serial, "round {round}: {workers}-worker repair arena");
                 }
             }
+            match want {
+                Some(dirty) if fans_out(par::work::hub_sweeps(dirty, h)) => {
+                    fanned_out = true;
+                    break;
+                }
+                Some(_) => {}
+                None => break,
+            }
         }
+        assert!(fanned_out, "no repair reached the fan-out gate");
     }
 
     #[test]

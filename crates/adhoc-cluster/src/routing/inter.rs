@@ -35,7 +35,7 @@
 //! step moves to a node strictly closer to `t`.
 
 use super::hub::HubIndex;
-use adhoc_graph::par::{self, Strided};
+use adhoc_graph::par::{self, Parallelism, Strided};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -257,23 +257,28 @@ pub(crate) fn next_hop_row(
 
 /// All-pairs next-hop table, row-major `h × h` (`table[s * h + t]`).
 pub(crate) fn all_pairs_next_hops(csr: CsrView<'_>, scratch: &mut InterScratch) -> Vec<u32> {
-    all_pairs_next_hops_with(csr, scratch, 1)
+    all_pairs_next_hops_with(csr, scratch, Parallelism::serial())
 }
 
 /// [`all_pairs_next_hops`] over a worker pool: sources are chunked and
 /// each worker writes its own contiguous row range with its own
 /// [`InterScratch`]. Every row is a pure function of `(csr, s)`, so the
-/// table is bit-identical for any worker count; at 1 worker the
-/// caller's warm scratch is reused and no threads spawn.
+/// table is bit-identical for any worker count. Tables below one
+/// thread spawn's worth of work ([`par::work::dense_rows`], gated by
+/// [`Parallelism::for_work`]) are swept inline on the caller's warm
+/// scratch.
 pub(crate) fn all_pairs_next_hops_with(
     csr: CsrView<'_>,
     scratch: &mut InterScratch,
-    workers: usize,
+    par: Parallelism,
 ) -> Vec<u32> {
     let h = csr.head_count();
     let max_w = csr.max_weight();
     let mut table = vec![NO_HOP; h * h];
-    if workers <= 1 || h < 2 {
+    let workers = par
+        .for_work(par::work::dense_rows(h, csr.to.len()))
+        .workers();
+    if workers == 1 {
         for s in 0..h {
             next_hop_row(csr, s, max_w, &mut table[s * h..(s + 1) * h], scratch);
         }
@@ -406,26 +411,26 @@ impl InterTable {
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
     ) -> InterTable {
-        InterTable::build_with(mode, csr, scratch, 1)
+        InterTable::build_with(mode, csr, scratch, Parallelism::serial())
     }
 
     /// Builds the representation `mode` selects for this backbone over
     /// a worker pool — parallel all-pairs rows for the dense layout,
     /// parallel pruned hub sweeps for the hub layout. Bit-identical
-    /// for any worker count; 1 worker runs inline.
+    /// for any worker count; jobs below the fan-out gate run inline.
     pub(crate) fn build_with(
         mode: InterMode,
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
-        workers: usize,
+        par: Parallelism,
     ) -> InterTable {
         let h = csr.head_count();
         if mode.wants_hub(h) {
-            InterTable::Hub(HubIndex::build_with(csr, scratch, workers))
+            InterTable::Hub(HubIndex::build_with(csr, scratch, par))
         } else {
             InterTable::Dense {
                 h,
-                next_hop: all_pairs_next_hops_with(csr, scratch, workers),
+                next_hop: all_pairs_next_hops_with(csr, scratch, par),
             }
         }
     }
@@ -475,14 +480,14 @@ impl InterTable {
     /// both endpoints), and `csr` is the **new** backbone. An empty
     /// `changed` is a no-op.
     /// The dense recompute and the dirty-hub re-sweeps fan out across
-    /// `workers`, bit-identical to serial for any worker count (1
-    /// worker runs inline).
+    /// `par`, bit-identical to serial for any worker count (jobs below
+    /// the fan-out gate run inline).
     pub(crate) fn repair_with(
         &mut self,
         changed: &[u32],
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
-        workers: usize,
+        par: Parallelism,
     ) -> InterRepair {
         if changed.is_empty() {
             return InterRepair::Unchanged;
@@ -490,13 +495,13 @@ impl InterTable {
         match self {
             InterTable::Dense { h, next_hop } => {
                 debug_assert_eq!(*h, csr.head_count());
-                *next_hop = all_pairs_next_hops_with(csr, scratch, workers);
+                *next_hop = all_pairs_next_hops_with(csr, scratch, par);
                 InterRepair::DenseRecomputed
             }
-            InterTable::Hub(hub) => match hub.repair_with(changed, csr, scratch, workers) {
+            InterTable::Hub(hub) => match hub.repair_with(changed, csr, scratch, par) {
                 Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
                 None => {
-                    *hub = HubIndex::build_with(csr, scratch, workers);
+                    *hub = HubIndex::build_with(csr, scratch, par);
                     InterRepair::HubRebuilt
                 }
             },

@@ -369,7 +369,7 @@ impl RoutePlan {
                 "inter.dense_build_ns"
             };
             let _build = metrics.span(span);
-            plan.inter = InterTable::build_with(mode, bb.csr(), &mut scratch, par.workers());
+            plan.inter = InterTable::build_with(mode, bb.csr(), &mut scratch, par);
         }
         plan.adopt_backbone(bb);
         plan
@@ -385,7 +385,10 @@ impl RoutePlan {
     /// own disjoint slice of the affiliation arrays and appends ascent
     /// paths to a local arena fragment; fragments are concatenated in
     /// chunk (= node) order, so the arena is bit-identical to the
-    /// serial walk for any worker count.
+    /// serial walk for any worker count. Walks below one thread
+    /// spawn's worth of work ([`par::work::ascents`] over the walked
+    /// nodes, gated by [`Parallelism::for_work`]) run inline — a
+    /// localized repair re-walks a few percent of the nodes.
     fn build_ascents<G: Adjacency + Sync>(
         &mut self,
         g: &G,
@@ -401,8 +404,12 @@ impl RoutePlan {
         let mut dist_head = std::mem::take(&mut self.dist_head);
         head_slot.resize(n, NO_SLOT);
         dist_head.resize(n, 0);
+        let walked = rewalk.map_or(n, |mask| mask.iter().filter(|&&w| w).count());
+        let workers = par
+            .for_work(par::work::ascents(walked, clustering.k))
+            .workers();
         let frags = par::scoped_chunks(
-            par.workers(),
+            workers,
             n,
             (&mut head_slot[..], &mut dist_head[..]),
             |off, take, (hs, dh): (&mut [u32], &mut [u32])| {
@@ -631,7 +638,7 @@ impl RoutePlan {
             };
             let _repair = metrics.span(span);
             self.inter
-                .repair_with(&changed, bb.csr(), &mut scratch, par.workers())
+                .repair_with(&changed, bb.csr(), &mut scratch, par)
         };
         self.adopt_backbone(bb);
         let update = PlanUpdate {

@@ -9,16 +9,24 @@
 //! contract's pin, not its proof: any reduction-order dependence that
 //! sneaks into a sweep shows up here as a worker-count-sensitive
 //! arena.
+//!
+//! Every build and repair site runs jobs below its fan-out gate
+//! (`Parallelism::for_work` over a `par::work` estimate) inline, so
+//! the small cells of the first two proptests pin the gate's inline
+//! arm. The `fanned_out_*` cells are sized above the gate of the site
+//! they name, assert that the gate keeps more than one worker, and pin
+//! the pooled arm.
 
 use adhoc_cluster::clustering::{self, MemberPolicy};
 use adhoc_cluster::pipeline::{
     self, Algorithm, EvalScratch, EvaluationOutput, HeadLabels, Parallelism,
 };
 use adhoc_cluster::priority::LowestId;
-use adhoc_cluster::routing::{InterMode, QueryEngine, RoutePlan};
+use adhoc_cluster::routing::{InterMode, InterRepair, QueryEngine, RoutePlan};
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::graph::{Graph, NodeId};
+use adhoc_graph::par::work;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -231,7 +239,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
         let c = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
-        let work = c.heads.len() * n;
+        let work = work::label_rebuild(c.heads.len(), n);
         for w in WORKER_GRID {
             prop_assert_eq!(
                 Parallelism::new(w).for_work(work).workers(),
@@ -255,6 +263,174 @@ proptest! {
                 "{} workers: label arena diverged",
                 w
             );
+        }
+    }
+}
+
+/// The worker counts of the fanned-out cells: the serial reference
+/// arm, an even split and a ragged one.
+const FANNED_GRID: [usize; 3] = [1, 2, 3];
+
+/// A geometric network at the paper's density (side `100·√(n/200)`,
+/// mean degree 6), not required to come out connected — sampling a
+/// connected one gets slow at a few thousand nodes.
+fn scaled_net(n: usize, rng: &mut StdRng) -> Graph {
+    let mut cfg = GeometricConfig::new(n, 100.0 * (n as f64 / 200.0).sqrt(), 6.0);
+    cfg.require_connected = false;
+    gen::geometric(&cfg, rng).graph
+}
+
+/// Asserts that a job of `work` units fans out at every pooled worker
+/// count of [`FANNED_GRID`].
+fn assert_fans_out(work: usize, what: &str) {
+    for w in FANNED_GRID.into_iter().filter(|&w| w > 1) {
+        assert_eq!(
+            Parallelism::new(w).for_work(work).workers(),
+            w,
+            "{what} ({work} units) must be above the fan-out gate"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Label repairs above the gate: unbounded balls over a few hundred
+    /// nodes, so one added edge dirties every row and the dirty rows'
+    /// old balls sum far past the threshold.
+    #[test]
+    fn fanned_out_label_repairs_are_worker_count_invariant(
+        seed in 0u64..1_000_000,
+        n in 500usize..=600,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
+        let c = clustering::cluster(&net.graph, 1, &LowestId, MemberPolicy::IdBased);
+        let before = HeadLabels::build(&net.graph, &c.heads, u32::MAX);
+        let mut g = net.graph.clone();
+        let mut delta = TopologyDelta::new();
+        while delta.is_empty() {
+            let a = NodeId(rng.gen_range(0..n as u32));
+            let b = NodeId(rng.gen_range(0..n as u32));
+            if a != b && !g.has_edge(a, b) {
+                g.add_edge(a, b);
+                delta.push_added(a, b);
+            }
+        }
+        let dirty = before.dirty_slots(&delta);
+        assert_fans_out(
+            work::label_repair(dirty.iter().map(|&s| before.ball(s).len())),
+            "label repair",
+        );
+        let arms: Vec<_> = FANNED_GRID
+            .iter()
+            .map(|&w| {
+                let mut labels = before.clone();
+                labels.apply_delta_with(&g, &dirty, Parallelism::new(w));
+                label_rows(&labels)
+            })
+            .collect();
+        prop_assert_eq!(
+            &arms[0],
+            &label_rows(&HeadLabels::build(&g, &c.heads, u32::MAX)),
+            "serial repair diverged from a fresh build"
+        );
+        for (w, rows) in FANNED_GRID.iter().zip(&arms).skip(1) {
+            prop_assert_eq!(rows, &arms[0], "{} workers: label repair diverged", w);
+        }
+    }
+
+    /// Plan ascents above the gate: on ~9000 nodes at k = 3, a compile
+    /// walks every node, and a repair with every slot dirty re-walks
+    /// every node again.
+    #[test]
+    fn fanned_out_plan_ascents_are_worker_count_invariant(
+        seed in 0u64..1_000_000,
+        n in 8500usize..=9000,
+    ) {
+        let k = 3;
+        let g = scaled_net(n, &mut StdRng::seed_from_u64(seed));
+        let c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
+        let labels = HeadLabels::build(&g, &c.heads, k);
+        let all: Vec<usize> = (0..c.heads.len()).collect();
+        let arms: Vec<_> = FANNED_GRID
+            .iter()
+            .map(|&w| {
+                let par = Parallelism::new(w);
+                let compiled = RoutePlan::compile_tuned(
+                    &g, &c, &labels, std::iter::empty(), InterMode::Dense, par,
+                );
+                let mut repaired = compiled.clone();
+                let update = repaired.apply_delta_tuned(
+                    &g, &c, &labels, &TopologyDelta::new(), &all,
+                    std::iter::empty(), par,
+                );
+                (compiled, repaired, update)
+            })
+            .collect();
+        let (_, _, update) = &arms[0];
+        prop_assert!(!update.rebuilt);
+        assert_fans_out(work::ascents(n, k), "ascent compile");
+        assert_fans_out(work::ascents(update.resweeped_nodes, k), "ascent repair");
+        for (w, arm) in FANNED_GRID.iter().zip(&arms).skip(1) {
+            prop_assert_eq!(&arm.0, &arms[0].0, "{} workers: compiled plan diverged", w);
+            prop_assert_eq!(&arm.1, &arms[0].1, "{} workers: repaired plan diverged", w);
+            prop_assert_eq!(&arm.2, &arms[0].2, "{} workers: repair verdict diverged", w);
+        }
+    }
+
+    /// Inter-head tables above the gate, both layouts: a ~200-head plan
+    /// compiled over the AC-LMST backbone, then repaired onto the
+    /// G-MST backbone — a dense recompute, and a hub repair or rebuild.
+    #[test]
+    fn fanned_out_inter_builds_and_repairs_are_worker_count_invariant(
+        seed in 0u64..1_000_000,
+        n in 900usize..=950,
+    ) {
+        let g = scaled_net(n, &mut StdRng::seed_from_u64(seed));
+        let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::with_workers(Parallelism::serial());
+        let eval = pipeline::run_all_with(&g, &c, &mut scratch);
+        let labels = scratch.labels();
+        let h = c.heads.len();
+        for mode in [InterMode::Dense, InterMode::Hub] {
+            let arms: Vec<_> = FANNED_GRID
+                .iter()
+                .map(|&w| {
+                    let par = Parallelism::new(w);
+                    let compiled = RoutePlan::compile_tuned(
+                        &g, &c, labels, eval.selected_links(Algorithm::AcLmst), mode, par,
+                    );
+                    let mut repaired = compiled.clone();
+                    let update = repaired.apply_delta_tuned(
+                        &g, &c, labels, &TopologyDelta::new(), &[],
+                        eval.selected_links(Algorithm::GMst), par,
+                    );
+                    (compiled, repaired, update)
+                })
+                .collect();
+            let (compiled, repaired, update) = &arms[0];
+            prop_assert_eq!(compiled.inter_layout(), mode.name());
+            prop_assert!(!update.rebuilt && update.next_recomputed);
+            match (mode, update.inter) {
+                (InterMode::Dense, InterRepair::DenseRecomputed) => {
+                    assert_fans_out(work::dense_rows(h, 2 * compiled.link_count()), "dense build");
+                    assert_fans_out(work::dense_rows(h, 2 * repaired.link_count()), "dense repair");
+                }
+                (InterMode::Hub, InterRepair::HubRebuilt) => {
+                    assert_fans_out(work::hub_sweeps(h, h), "hub build and rebuild");
+                }
+                (InterMode::Hub, InterRepair::HubRepaired { dirty_hubs }) => {
+                    assert_fans_out(work::hub_sweeps(h, h), "hub build");
+                    assert_fans_out(work::hub_sweeps(dirty_hubs, h), "hub repair");
+                }
+                (mode, other) => prop_assert!(false, "{:?} repair did {:?}", mode, other),
+            }
+            for (w, arm) in FANNED_GRID.iter().zip(&arms).skip(1) {
+                prop_assert_eq!(&arm.0, &arms[0].0, "{} workers: {:?} build diverged", w, mode);
+                prop_assert_eq!(&arm.1, &arms[0].1, "{} workers: {:?} repair diverged", w, mode);
+                prop_assert_eq!(&arm.2, &arms[0].2, "{} workers: {:?} verdict diverged", w, mode);
+            }
         }
     }
 }

@@ -78,6 +78,15 @@ impl Graph {
         }
     }
 
+    /// [`Self::new`] that reports a node table too large to allocate
+    /// instead of aborting — for counts read from untrusted input.
+    pub fn try_new(n: usize) -> Result<Self, std::collections::TryReserveError> {
+        let mut adj = Vec::new();
+        adj.try_reserve_exact(n)?;
+        adj.resize_with(n, Vec::new);
+        Ok(Graph { adj, edges: 0 })
+    }
+
     /// Builds a graph from an edge list. Duplicate edges are ignored.
     ///
     /// # Panics

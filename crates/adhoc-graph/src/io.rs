@@ -47,7 +47,10 @@ pub fn write_network<W: Write>(
 /// Parses the text format.
 ///
 /// # Errors
-/// Returns `InvalidData` on malformed lines, out-of-range endpoints,
+/// Returns `InvalidData` on malformed lines, counts and IDs that are
+/// not integers in `0..=u32::MAX` (`1.7`, `-4`, `1e30` are rejected,
+/// never truncated), a node count too large to allocate, a repeated
+/// `nodes` line, out-of-range endpoints,
 /// duplicate edges, or a partial position set.
 pub fn read_network<R: BufRead>(r: &mut R) -> std::io::Result<NetworkFile> {
     let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
@@ -59,40 +62,54 @@ pub fn read_network<R: BufRead>(r: &mut R) -> std::io::Result<NetworkFile> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let lineno = lineno + 1;
         let mut it = line.split_whitespace();
         let tag = it.next().expect("nonempty line");
-        let mut num = |what: &str| -> std::io::Result<f64> {
+        // Counts and node IDs parse as `u32` (an integer that fits a
+        // `NodeId`), coordinates as `f64`.
+        let mut field = |what: &str| -> std::io::Result<&str> {
             it.next()
-                .ok_or_else(|| bad(format!("line {}: missing {what}", lineno + 1)))?
-                .parse::<f64>()
-                .map_err(|e| bad(format!("line {}: {what}: {e}", lineno + 1)))
+                .ok_or_else(|| bad(format!("line {lineno}: missing {what}")))
+        };
+        let integer = |what: &str, text: &str| -> std::io::Result<u32> {
+            text.parse::<u32>()
+                .map_err(|e| bad(format!("line {lineno}: {what} {text:?}: {e}")))
+        };
+        let coord = |what: &str, text: &str| -> std::io::Result<f64> {
+            text.parse::<f64>()
+                .map_err(|e| bad(format!("line {lineno}: {what} {text:?}: {e}")))
         };
         match tag {
             "nodes" => {
-                let n = num("count")? as usize;
-                graph = Some(Graph::new(n));
+                let n = integer("count", field("count")?)?;
+                if graph.is_some() {
+                    return Err(bad(format!("line {lineno}: repeated 'nodes' line")));
+                }
+                let g = Graph::try_new(n as usize)
+                    .map_err(|e| bad(format!("line {lineno}: {n} nodes: {e}")))?;
+                graph = Some(g);
             }
             "pos" => {
-                let id = num("id")? as usize;
-                let x = num("x")?;
-                let y = num("y")?;
-                positions.push((id, Point::new(x, y)));
+                let v = integer("id", field("id")?)? as usize;
+                let x = coord("x", field("x")?)?;
+                let y = coord("y", field("y")?)?;
+                positions.push((v, Point::new(x, y)));
             }
             "edge" => {
+                let u = integer("u", field("u")?)?;
+                let v = integer("v", field("v")?)?;
                 let g = graph
                     .as_mut()
-                    .ok_or_else(|| bad(format!("line {}: edge before nodes", lineno + 1)))?;
-                let u = num("u")? as u32;
-                let v = num("v")? as u32;
+                    .ok_or_else(|| bad(format!("line {lineno}: edge before nodes")))?;
                 if u as usize >= g.len() || v as usize >= g.len() || u == v {
-                    return Err(bad(format!("line {}: bad edge {u}-{v}", lineno + 1)));
+                    return Err(bad(format!("line {lineno}: bad edge {u}-{v}")));
                 }
                 if g.has_edge(NodeId(u), NodeId(v)) {
-                    return Err(bad(format!("line {}: duplicate edge {u}-{v}", lineno + 1)));
+                    return Err(bad(format!("line {lineno}: duplicate edge {u}-{v}")));
                 }
                 g.add_edge(NodeId(u), NodeId(v));
             }
-            other => return Err(bad(format!("line {}: unknown tag {other}", lineno + 1))),
+            other => return Err(bad(format!("line {lineno}: unknown tag {other}"))),
         }
     }
     let graph = graph.ok_or_else(|| bad("missing 'nodes' line".into()))?;
@@ -188,12 +205,36 @@ mod tests {
             "nodes 2\nwat 1\n",              // unknown tag
             "nodes 2\npos 0 1.0 2.0\n",      // partial positions
             "nodes x\n",                     // unparsable count
+            "nodes 1e30\n",                  // not an integer
+            "nodes -4\n",                    // negative count
+            "nodes 2.5\n",                   // fractional count
+            "nodes 4294967296\n",            // beyond u32
+            "nodes 3\nnodes 3\n",            // repeated count
+            "nodes 3\nedge 0 1.7\n",         // fractional endpoint
+            "nodes 3\nedge -1 2\n",          // negative endpoint
+            "nodes 3\nedge 0 1e0\n",         // exponent notation
+            "nodes 3\npos 0.5 1 1\n",        // fractional position id
         ] {
             assert!(
                 read_network(&mut std::io::Cursor::new(bad)).is_err(),
                 "accepted malformed input: {bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn integral_fields_parse_exactly() {
+        let text = "nodes 3\nedge 0 2\npos 0 1.5 -2\npos 1 0 0\npos 2 3e2 4\n";
+        let parsed = read_network(&mut std::io::Cursor::new(text)).unwrap();
+        assert_eq!(parsed.graph.len(), 3);
+        assert!(parsed.graph.has_edge(NodeId(0), NodeId(2)));
+        assert!(!parsed.graph.has_edge(NodeId(0), NodeId(1)));
+        let pos = parsed.positions.unwrap();
+        assert_eq!((pos[0].x, pos[0].y, pos[2].x), (1.5, -2.0, 300.0));
+        // An empty graph is well-formed; callers decide whether they
+        // can work on one.
+        let empty = read_network(&mut std::io::Cursor::new("nodes 0\n")).unwrap();
+        assert_eq!(empty.graph.len(), 0);
     }
 
     #[test]

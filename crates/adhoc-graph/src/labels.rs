@@ -360,8 +360,9 @@ impl HeadLabels {
     /// scratch, and the row fragments are concatenated in slot order —
     /// **bit-identical** to a serial rebuild for every worker count
     /// (pinned by tests). Builds below one thread spawn's worth of
-    /// `heads × n` work ([`Parallelism::for_work`]) run the serial
-    /// rebuild, warm allocations intact.
+    /// work ([`par::work::label_rebuild`], gated by
+    /// [`Parallelism::for_work`]) run the serial rebuild, warm
+    /// allocations intact.
     pub fn rebuild_with<G: Adjacency + Sync>(
         &mut self,
         g: &G,
@@ -369,8 +370,9 @@ impl HeadLabels {
         bound: u32,
         par: Parallelism,
     ) {
-        let workers = par.for_work(heads.len() * g.node_count()).workers();
-        if workers <= 1 || heads.len() < 2 {
+        let work = par::work::label_rebuild(heads.len(), g.node_count());
+        let workers = par.for_work(work).workers();
+        if workers == 1 {
             self.rebuild(g, heads, bound);
             return;
         }
@@ -434,6 +436,39 @@ impl HeadLabels {
         if !self.check_dirty(g, dirty) {
             return;
         }
+        let fresh = self.sweep_dirty(g, dirty);
+        self.splice(&fresh, |s| dirty.binary_search(&s).err().map(|_| s));
+    }
+
+    /// [`Self::apply_delta`] with an explicit worker count: the dirty
+    /// rows' re-sweeps fan out over `par` workers, then the rows are
+    /// spliced in slot order — bit-identical to the serial repair for
+    /// every worker count (pinned by tests). Repairs below one thread
+    /// spawn's worth of work ([`par::work::label_repair`] over the
+    /// dirty rows' old balls, gated by [`Parallelism::for_work`])
+    /// re-sweep inline on the warm scratch.
+    pub fn apply_delta_with<G: Adjacency + Sync>(
+        &mut self,
+        g: &G,
+        dirty: &[usize],
+        par: Parallelism,
+    ) {
+        if !self.check_dirty(g, dirty) {
+            return;
+        }
+        let work = par::work::label_repair(dirty.iter().map(|&s| self.ball(s).len()));
+        let workers = par.for_work(work).workers();
+        let fresh = if workers == 1 {
+            self.sweep_dirty(g, dirty)
+        } else {
+            let dirty_heads: Vec<NodeId> = dirty.iter().map(|&s| self.heads[s]).collect();
+            sweep_chunked(g, &dirty_heads, self.bound, workers)
+        };
+        self.splice(&fresh, |s| dirty.binary_search(&s).err().map(|_| s));
+    }
+
+    /// Re-sweeps the `dirty` slots' rows serially on the warm scratch.
+    fn sweep_dirty<G: Adjacency>(&mut self, g: &G, dirty: &[usize]) -> Rows {
         let mut fresh = Rows::new();
         for &slot in dirty {
             fresh.sweep::<G, false>(
@@ -445,29 +480,7 @@ impl HeadLabels {
                 usize::MAX,
             );
         }
-        self.splice(&fresh, |s| dirty.binary_search(&s).err().map(|_| s));
-    }
-
-    /// [`Self::apply_delta`] with an explicit worker count: the dirty
-    /// rows' re-sweeps fan out over `par` workers, then the rows are
-    /// spliced in slot order — bit-identical to the serial repair for
-    /// every worker count (pinned by tests).
-    pub fn apply_delta_with<G: Adjacency + Sync>(
-        &mut self,
-        g: &G,
-        dirty: &[usize],
-        par: Parallelism,
-    ) {
-        if par.workers() <= 1 || dirty.len() < 2 {
-            self.apply_delta(g, dirty);
-            return;
-        }
-        if !self.check_dirty(g, dirty) {
-            return;
-        }
-        let dirty_heads: Vec<NodeId> = dirty.iter().map(|&s| self.heads[s]).collect();
-        let fresh = sweep_chunked(g, &dirty_heads, self.bound, par.workers());
-        self.splice(&fresh, |s| dirty.binary_search(&s).err().map(|_| s));
+        fresh
     }
 
     /// The shared preconditions of the delta repairs; `false` when
@@ -1229,14 +1242,16 @@ mod tests {
 
     /// Parallel rebuild and delta repair must be bit-identical to the
     /// serial paths for every worker count (balls, distances and —
-    /// transitively — every arena).
+    /// transitively — every arena). Unbounded balls over 400 nodes put
+    /// both jobs above the fan-out gate.
     #[test]
     fn parallel_rebuild_and_repair_match_serial() {
         let mut rng = StdRng::seed_from_u64(131);
-        let net = gen::geometric(&gen::GeometricConfig::new(80, 100.0, 6.0), &mut rng);
+        let n = 400u32;
+        let net = gen::geometric(&gen::GeometricConfig::new(n as usize, 100.0, 6.0), &mut rng);
         let mut g = net.graph.clone();
-        let heads: Vec<NodeId> = (0..16).map(|i| NodeId(i * 5)).collect();
-        let bound = 4u32;
+        let heads: Vec<NodeId> = (0..n).step_by(4).map(NodeId).collect();
+        let bound = u32::MAX;
         let serial = HeadLabels::build(&g, &heads, bound);
         let assert_same = |a: &HeadLabels, b: &HeadLabels, g: &Graph, ctx: &str| {
             for slot in 0..heads.len() {
@@ -1246,6 +1261,8 @@ mod tests {
                 }
             }
         };
+        let fans_out = |work: usize| Parallelism::new(2).for_work(work).workers() == 2;
+        assert!(fans_out(par::work::label_rebuild(heads.len(), g.len())));
         for workers in [2usize, 3, 8] {
             let mut p = HeadLabels::default();
             p.rebuild_with(&g, &heads, bound, Parallelism::new(workers));
@@ -1254,8 +1271,8 @@ mod tests {
         // One multi-edge delta, repaired at several worker counts.
         let mut delta = TopologyDelta::new();
         for _ in 0..8 {
-            let a = NodeId(rng.gen_range(0..80u32));
-            let b = NodeId(rng.gen_range(0..80u32));
+            let a = NodeId(rng.gen_range(0..n));
+            let b = NodeId(rng.gen_range(0..n));
             if a == b {
                 continue;
             }
@@ -1269,7 +1286,9 @@ mod tests {
         }
         delta.normalize();
         let dirty = serial.dirty_slots(&delta);
-        assert!(dirty.len() >= 2, "need ≥ 2 dirty rows to exercise chunking");
+        assert!(fans_out(par::work::label_repair(
+            dirty.iter().map(|&s| serial.ball(s).len())
+        )));
         let mut expect = serial.clone();
         expect.apply_delta(&g, &dirty);
         for workers in [2usize, 3, 8] {

@@ -331,6 +331,17 @@ pub struct Event {
     pub value: u64,
 }
 
+/// The metric registered under `name`, registering a fresh one first
+/// if there is none. The key `String` is allocated only then.
+fn resolve<T: Default>(map: &mut BTreeMap<String, Arc<T>>, name: &str) -> Arc<T> {
+    if let Some(metric) = map.get(name) {
+        return Arc::clone(metric);
+    }
+    let metric = Arc::new(T::default());
+    map.insert(name.to_string(), Arc::clone(&metric));
+    metric
+}
+
 #[derive(Debug)]
 struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
@@ -385,13 +396,13 @@ impl Metrics {
 
     /// Resolves (registering on first use) the counter `name`,
     /// returning a lock-free handle. Cold: takes a short mutex — hoist
-    /// out of hot loops.
+    /// out of hot loops. A registered name is looked up by `&str`; only
+    /// the first registration allocates its key.
     pub fn counter(&self, name: &str) -> Counter {
         Counter(self.inner.as_ref().map(|r| {
-            let mut map = r.counters.lock().expect("obs counter registry poisoned");
-            Arc::clone(
-                map.entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0))),
+            resolve(
+                &mut r.counters.lock().expect("obs counter registry poisoned"),
+                name,
             )
         }))
     }
@@ -400,11 +411,13 @@ impl Metrics {
     /// returning a lock-free handle. Cold, like [`Self::counter`].
     pub fn histogram(&self, name: &str) -> Hist {
         Hist(self.inner.as_ref().map(|r| {
-            let mut map = r
-                .histograms
-                .lock()
-                .expect("obs histogram registry poisoned");
-            Arc::clone(map.entry(name.to_string()).or_insert_with(Default::default))
+            resolve(
+                &mut r
+                    .histograms
+                    .lock()
+                    .expect("obs histogram registry poisoned"),
+                name,
+            )
         }))
     }
 
@@ -714,6 +727,26 @@ mod tests {
         assert_eq!(snap.counter("a.count"), Some(5));
         assert_eq!(snap.counter("b.count"), Some(1));
         assert_eq!(snap.counter("missing"), None);
+    }
+
+    #[test]
+    fn registered_names_resolve_to_one_metric() {
+        let m = Metrics::enabled();
+        let (a, b) = (m.counter("r.count"), m.counter("r.count"));
+        assert!(Arc::ptr_eq(a.0.as_ref().unwrap(), b.0.as_ref().unwrap()));
+        let (x, y) = (m.histogram("r_ns"), m.histogram("r_ns"));
+        assert!(Arc::ptr_eq(x.0.as_ref().unwrap(), y.0.as_ref().unwrap()));
+        a.add(2);
+        b.inc();
+        m.inc("r.count");
+        x.record(7);
+        m.record("r_ns", 9);
+        let snap = m.snapshot();
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.counter("r.count"), Some(4));
+        assert_eq!(snap.histograms.len(), 1);
+        let h = snap.histogram("r_ns").unwrap();
+        assert_eq!((h.count, h.sum, h.max), (2, 16, 9));
     }
 
     #[test]

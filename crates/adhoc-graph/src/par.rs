@@ -22,9 +22,10 @@
 //!
 //! Worker counts come from [`Parallelism`]: explicit (`--workers` on
 //! the CLIs), the `KHOP_WORKERS` environment variable, or the
-//! machine's available cores. Label rebuilds additionally gate on their
-//! input size ([`Parallelism::for_work`]): below one thread spawn's
-//! worth of work they run the same chunked code on one worker, inline.
+//! machine's available cores. Every build and repair call site also
+//! gates on its job's size ([`Parallelism::for_work`], estimated with
+//! [`work`]): below one thread spawn's worth of work it runs inline on
+//! the caller's thread and warm scratch, whatever the worker count.
 
 /// A worker-count policy. `workers == 1` means "run inline on the
 /// caller's thread" — every parallel path in the workspace degrades to
@@ -222,39 +223,98 @@ where
     })
 }
 
-/// `heads × n` below which a label rebuild runs its chunked sweep on
-/// one worker, inline, instead of fanning out.
+/// Work (in [`work`] units) below which a pool call site runs its job
+/// inline on the caller's thread, with the caller's warm scratch,
+/// instead of fanning out. One constant and one rule
+/// ([`Parallelism::for_work`]) for every build and repair site.
 ///
-/// Measured on a 2-vCPU x86-64 host (fat-LTO release; geometric graphs
-/// at D = 6, lowest-ID heads at `k = 2`, label bound `2k + 1`):
+/// Measured on a 2-vCPU x86-64 host (`available_parallelism` = 2;
+/// fat-LTO release; geometric graphs at mean degree 6 (N = 2000, 250
+/// heads) and 8 (N = 20000, 1800 heads), lowest-ID heads at `k = 2`,
+/// label bound `2k + 1`; medians of 7–41 repetitions):
 ///
-/// * a 2-worker [`scoped_chunks`] call with an empty body (one spawn)
-///   costs 19–52 µs;
-/// * the inline dense rebuild costs ~2 ns per unit of `heads × n`:
-///   5 µs at 1.3k, 12 µs at 5.2k, 19 µs at 11k, 42 µs at 19k, 55 µs at
-///   29k, 142 µs at 64k (sparse: 1.2–1.6× that);
-/// * an ideal 2-way split therefore first repays one spawn (half the
-///   sweep ≥ ~30 µs) at `heads × n` ≈ 30k, hence 2¹⁵.
+/// * one spawn plus join (an empty 2-worker [`scoped_chunks`] call,
+///   3 × 2000 calls): 50–51 µs at p50, 57–58 µs at p90 and 156–258 µs
+///   at p99 on a quiet host; 53–76 µs, 0.1–0.25 ms and 0.9–5.3 ms
+///   under load from other tenants;
+/// * jobs, 1 worker → 2 workers:
 ///
-/// Below it the measured 2-worker rebuild ran at 0.12–0.54× of inline.
-/// Above it that host showed no gain either (0.8–1.2× up to 51M, since
-/// its second vCPU did not speed up even 4 ms compute-only chunks), so
-/// the constant rests on the spawn cost, not on that host's scaling.
-/// The paper's grid (N ≤ 200) needs at most ~12k and stays inline; a
-/// full rebuild at N = 2000 (~520k) fans out.
+/// | job                                  | units   | 1 worker | 2 workers |
+/// |--------------------------------------|--------:|---------:|----------:|
+/// | label repair, 22 rows, N = 2000      |   1 242 |    36 µs |    118 µs |
+/// | label repair, 250 rows, N = 2000     |  13 082 |   470 µs |    398 µs |
+/// | label repair, 128 rows, N = 20000    |  11 951 |   792 µs |    891 µs |
+/// | label repair, 1800 rows, N = 20000   | 163 598 |   8.5 ms |    7.7 ms |
+/// | ascent repair, 200 walks, N = 2000   |     600 |    41 µs |     95 µs |
+/// | ascent compile, N = 2000             |   6 000 |   227 µs |    560 µs |
+/// | ascent compile, N = 20000            |  60 000 |   4.0 ms |    3.6 ms |
+/// | dense table, h = 250, 300 links      | 212 500 |   2.7 ms |    1.5 ms |
+///
+/// A unit costs 10–70 ns there, so an ideal 2-way split would repay
+/// one spawn from a few thousand units up; but each fanned-out chunk
+/// also starts cold (a fresh `n`-sized scratch, cold caches), and the
+/// measured crossovers lie between ~10k units (label repairs) and
+/// ~60k (ascents). 2¹⁵ sits in that band and is also the point where
+/// the cold label rebuild's `heads × n` bound first repays a spawn
+/// (~2 ns per unit there). The paper's grid (N ≤ 200, at most ~12k)
+/// and a localized churn reconcile at N = 2000 stay inline; the dense
+/// recompute of a ~250-head backbone, cold label rebuilds from
+/// N = 2000 up and every N = 20000 build fan out.
 const FAN_OUT_MIN_WORK: usize = 32_768;
 
 impl Parallelism {
-    /// The worker count worth using for a job of `work` units of
-    /// `heads × n` label work: `self` from 2¹⁵ units up, one worker
-    /// below, where a spawned thread costs more than it saves. Output
-    /// never depends on the choice (see [`scoped_chunks`]).
+    /// The worker count worth using for a job of `work` units (see
+    /// [`work`]): `self` from 2¹⁵ units up, one worker below, where a
+    /// spawned thread costs more than it saves. Output never depends
+    /// on the choice (see [`scoped_chunks`]).
     pub fn for_work(self, work: usize) -> Parallelism {
         if work < FAN_OUT_MIN_WORK {
             Parallelism::serial()
         } else {
             self
         }
+    }
+}
+
+/// Work estimates for the fan-out gate ([`Parallelism::for_work`]), one
+/// per pool call site on the build and repair paths, all in one unit:
+/// **one node settled or one link relaxed by a sweep** (or one node
+/// written to a walked path). Each is an upper bound a site can compute
+/// before it starts, in `O(job size)` or better.
+pub mod work {
+    /// A cold label rebuild of `heads` rows over `n` nodes: a row's
+    /// ball holds at most `n` nodes, so `heads × n` bounds the nodes
+    /// the sweeps settle.
+    pub fn label_rebuild(heads: usize, n: usize) -> usize {
+        heads.saturating_mul(n)
+    }
+
+    /// A label repair that re-sweeps rows whose **old** balls have the
+    /// given sizes: the sum (a bounded delta moves a ball's size by a
+    /// few boundary nodes).
+    pub fn label_repair(old_ball_sizes: impl IntoIterator<Item = usize>) -> usize {
+        old_ball_sizes
+            .into_iter()
+            .fold(0, |acc, b| acc.saturating_add(b))
+    }
+
+    /// `walked` nodes re-walking their ascent to a head at most `k`
+    /// hops away: each walk writes at most `k + 1` path nodes.
+    pub fn ascents(walked: usize, k: u32) -> usize {
+        walked.saturating_mul(k as usize + 1)
+    }
+
+    /// The dense all-pairs next-hop table of an `h`-head backbone with
+    /// `directed_links` CSR entries: one sweep per source relaxes every
+    /// directed link and fills one `h`-cell row.
+    pub fn dense_rows(h: usize, directed_links: usize) -> usize {
+        h.saturating_mul(directed_links.saturating_add(h))
+    }
+
+    /// `hubs` rank-restricted hub sweeps over an `h`-head backbone, each
+    /// settling at most `h` heads.
+    pub fn hub_sweeps(hubs: usize, h: usize) -> usize {
+        hubs.saturating_mul(h)
     }
 }
 
@@ -399,6 +459,34 @@ mod tests {
         assert_eq!(par.for_work(FAN_OUT_MIN_WORK - 1).workers(), 1);
         assert_eq!(par.for_work(FAN_OUT_MIN_WORK).workers(), 4);
         assert_eq!(Parallelism::serial().for_work(usize::MAX).workers(), 1);
+    }
+
+    #[test]
+    fn work_estimates_straddle_the_gate() {
+        let gated = |work: usize| Parallelism::new(2).for_work(work).workers();
+        // A localized reconcile at N = 2000 (k = 2, ~250 heads): 22
+        // dirty rows of ~60 nodes, ~200 re-walked ascents, 64 dirty
+        // hubs — inline.
+        assert_eq!(gated(work::label_repair([60; 22])), 1);
+        assert_eq!(gated(work::ascents(200, 2)), 1);
+        assert_eq!(gated(work::ascents(2000, 2)), 1);
+        assert_eq!(gated(work::hub_sweeps(64, 262)), 1);
+        // The paper's grid: at most ~12k label units per build.
+        assert_eq!(gated(work::label_rebuild(60, 200)), 1);
+        assert_eq!(gated(work::dense_rows(40, 120)), 1);
+        // Cold builds, full sweeps and the dense recompute of a
+        // ~250-head backbone — fanned out.
+        assert_eq!(gated(work::label_rebuild(250, 2000)), 2);
+        assert_eq!(gated(work::label_repair([90; 1800])), 2);
+        assert_eq!(gated(work::ascents(20_000, 2)), 2);
+        assert_eq!(gated(work::dense_rows(250, 600)), 2);
+        assert_eq!(gated(work::hub_sweeps(1800, 1800)), 2);
+        // Exactly at the threshold, and saturating instead of wrapping.
+        assert_eq!(gated(work::label_repair([FAN_OUT_MIN_WORK - 1])), 1);
+        assert_eq!(gated(work::label_repair([FAN_OUT_MIN_WORK])), 2);
+        assert_eq!(gated(work::label_repair([usize::MAX, 1])), 2);
+        assert_eq!(gated(work::ascents(usize::MAX, 2)), 2);
+        assert_eq!(gated(work::dense_rows(usize::MAX, usize::MAX)), 2);
     }
 
     #[test]

@@ -400,7 +400,9 @@ impl ChurnEngine {
 
     /// Attaches an observability handle: every subsequent reconcile
     /// reports per-phase spans (`reconcile.observe_ns` /
-    /// `reconcile.repair_ns` / `reconcile.publish_ns`), damage counts
+    /// `reconcile.repair_ns` / `reconcile.publish_ns`, with the nested
+    /// `reconcile.detect_ns`, `reconcile.copy_ns` and
+    /// `reconcile.validity_ns` inside observe and publish), damage counts
     /// and histograms, escalation/publish events — and, because the
     /// handle is shared with the engine's [`EvalScratch`], the
     /// pipeline's label-sweep and eval metrics land in the same
@@ -848,6 +850,7 @@ impl ChurnEngine {
             pipeline::advance_labels(&self.graph, &self.clustering, &delta, &mut self.scratch);
         let dirty_heads = advance.dirty_count(self.clustering.heads.len());
 
+        let detect = self.metrics.span("reconcile.detect_ns");
         let mut orphans = Vec::new();
         let mut fresh_dist = Vec::new();
         let mut merged_head_pairs = 0usize;
@@ -946,6 +949,7 @@ impl ChurnEngine {
             orphans.push(u);
             orphans.sort_unstable();
         }
+        drop(detect);
         self.metrics
             .record("reconcile.dirty_heads", dirty_heads as u64);
         self.metrics.add("reconcile.orphans", orphans.len() as u64);
@@ -974,6 +978,7 @@ impl ChurnEngine {
         let _observe = self.metrics.span("reconcile.observe_ns");
         self.metrics.inc("reconcile.count");
         self.metrics.inc("reconcile.head_loss");
+        let detect = self.metrics.span("reconcile.detect_ns");
         let mut former: Vec<NodeId> = delta
             .removed
             .iter()
@@ -988,6 +993,7 @@ impl ChurnEngine {
         orphans.extend(broken_mates(&self.graph, &former, &self.clustering, u));
         orphans.sort_unstable();
         orphans.dedup();
+        drop(detect);
         self.metrics.add("reconcile.orphans", orphans.len() as u64);
         self.in_flight = Some(PhaseBoundary::Observed);
         ReconcileState::Observed(Box::new(Observation {
@@ -1186,7 +1192,7 @@ impl ChurnEngine {
                     &mut self.scratch,
                 );
                 self.eval = eval;
-                self.cds = self.eval.of(self.cfg.algorithm).cds.clone();
+                self.adopt_cds();
                 let cost = cost + self.information_cost();
                 self.refresh_validity();
                 self.republish_plan();
@@ -1271,7 +1277,10 @@ impl ChurnEngine {
             } else {
                 match &advance {
                     LabelAdvance::Incremental { dirty } => {
-                        let mut plan = current.clone();
+                        let mut plan = {
+                            let _copy = self.metrics.span("reconcile.copy_ns");
+                            current.clone()
+                        };
                         plan.apply_delta_metered(
                             &self.graph,
                             &self.clustering,
@@ -1299,7 +1308,6 @@ impl ChurnEngine {
         // backbone — the common case under localized churn, and every
         // ball-untouched delta whose endpoints avoid stale gateways —
         // cost no connectivity traversal at all.
-        let mut backbone_ok;
         if heads_changed {
             // A local election changed the head set, so the maintained
             // CDS must follow it — the lazy gateway-adoption policy
@@ -1307,28 +1315,32 @@ impl ChurnEngine {
             // adoption the stale CDS could not dominate the elected
             // head, and every election escalated into a global
             // rebuild, defeating the local repair.)
-            self.cds = self.eval.of(self.cfg.algorithm).cds.clone();
+            self.adopt_cds();
             // Every head re-collects its 2k+1 ball.
             cost += self.information_cost();
-            backbone_ok = connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
+        }
+        let mut validity = self.metrics.span("reconcile.validity_ns");
+        let mut backbone_ok = if heads_changed || self.backbone_touched(delta) {
+            connectivity::is_subset_connected(&self.graph, &self.cds.nodes())
         } else {
-            backbone_ok = if self.backbone_touched(delta) {
-                connectivity::is_subset_connected(&self.graph, &self.cds.nodes())
-            } else {
-                self.last_backbone_ok
-            };
-            if !backbone_ok && self.cfg.max_level >= RepairLevel::Gateways {
-                level = level.max(RepairLevel::Gateways);
-                self.cds = self.eval.of(self.cfg.algorithm).cds.clone();
-                // Every head re-collects its 2k+1 ball.
-                cost += self.information_cost();
-                backbone_ok = connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
-            }
+            self.last_backbone_ok
+        };
+        if !backbone_ok && !heads_changed && self.cfg.max_level >= RepairLevel::Gateways {
+            // The refreshed selection replaces the broken backbone; the
+            // copy is timed on its own, then the adopted CDS is checked.
+            drop(validity);
+            level = level.max(RepairLevel::Gateways);
+            self.adopt_cds();
+            cost += self.information_cost();
+            validity = self.metrics.span("reconcile.validity_ns");
+            backbone_ok = connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
         }
         self.last_backbone_ok = backbone_ok;
         let valid = backbone_ok && self.dominated();
         self.last_valid = valid;
-        if !valid && self.alive_connected() && self.cfg.max_level >= RepairLevel::Full {
+        let escalate = !valid && self.alive_connected() && self.cfg.max_level >= RepairLevel::Full;
+        drop(validity);
+        if escalate {
             // A repair on a connected graph must succeed; if it somehow
             // did not, escalate (the pending plan is discarded — the
             // rebuild republishes a fresh one). A capped policy is not
@@ -1385,7 +1397,7 @@ impl ChurnEngine {
         self.metrics
             .event("reconcile.rebuild", self.clustering.heads.len() as u64);
         self.eval = pipeline::run_all_with(&self.graph, &self.clustering, &mut self.scratch);
-        self.cds = self.eval.of(self.cfg.algorithm).cds.clone();
+        self.adopt_cds();
         let alive = self.departed.iter().filter(|&&d| !d).count();
         let cost = alive + self.information_cost();
         self.refresh_validity();
@@ -1483,11 +1495,19 @@ impl ChurnEngine {
         self.dominated_sweep()
     }
 
+    /// Replaces the maintained CDS with the evaluation's selection for
+    /// the engine's algorithm (timed as `reconcile.copy_ns`).
+    fn adopt_cds(&mut self) {
+        let _copy = self.metrics.span("reconcile.copy_ns");
+        self.cds = self.eval.of(self.cfg.algorithm).cds.clone();
+    }
+
     /// Recomputes both verification verdicts at full price. Called
     /// whenever the CDS is replaced wholesale (build, departures with
     /// head loss, full rebuilds); incremental steps keep the verdicts
     /// current via [`Self::backbone_touched`]-gated reuse instead.
     fn refresh_validity(&mut self) {
+        let _validity = self.metrics.span("reconcile.validity_ns");
         self.last_backbone_ok = connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
         self.last_valid = self.last_backbone_ok && self.dominated();
     }
@@ -1714,6 +1734,47 @@ mod tests {
             Some((1, steps.len() as u64))
         );
         assert_engine_consistent(&e, "metered departures");
+    }
+
+    /// The three reconcile internals that used to run unspanned — the
+    /// orphan/merge detection scan, the validity checks and the
+    /// plan/CDS copies — are each spanned once per reconcile: a head
+    /// loss (detection, CDS adoption, full verdict refresh) and a
+    /// member departure (detection, pending-plan clone, verdict
+    /// reuse) alike.
+    #[test]
+    fn reconcile_internals_are_spanned_once_per_reconcile() {
+        let net = geometric(17, 200, 8.0);
+        let mut e = ChurnEngine::build(&net.graph, MovementConfig::strict(1, Algorithm::AcLmst));
+        e.enable_routing();
+        let m = Metrics::enabled();
+        e.set_metrics(m.clone());
+        const SPANS: [&str; 3] = [
+            "reconcile.detect_ns",
+            "reconcile.validity_ns",
+            "reconcile.copy_ns",
+        ];
+        let counts = || {
+            let snap = m.snapshot();
+            SPANS.map(|name| snap.histogram(name).map_or(0, |h| h.count))
+        };
+        let head = e.clustering.heads[e.clustering.heads.len() / 2];
+        let cds = e.cds.nodes();
+        let member = net
+            .graph
+            .nodes()
+            .filter(|&v| !e.clustering.is_head(v) && !cds.contains(&v))
+            .last()
+            .expect("a member outside the CDS");
+        for (step, u) in [head, member].into_iter().enumerate() {
+            e.depart(u);
+            assert_eq!(counts(), [step as u64 + 1; 3], "after departing {u:?}");
+        }
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("reconcile.count"), Some(2));
+        assert_eq!(snap.counter("reconcile.head_loss"), Some(1));
+        assert_eq!(snap.counter("reconcile.escalations"), None);
+        assert_engine_consistent(&e, "spanned departures");
     }
 
     #[test]

@@ -210,11 +210,16 @@ fn parse_alg(s: &str) -> Algorithm {
     }
 }
 
-/// Loads `--input` or generates from `--n/--d/--seed`.
+/// Loads `--input` or generates from `--n/--d/--seed`. A file with no
+/// nodes ends the command like any other unusable input (exit 2):
+/// every subcommand needs at least one node to cluster.
 fn obtain_graph(args: &Args) -> Graph {
     if let Some(path) = args.opt("input") {
         let file = adhoc_graph::io::load(&PathBuf::from(path))
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+        if file.graph.is_empty() {
+            die(&format!("cannot read {path}: the network has no nodes"));
+        }
         file.graph
     } else {
         let n: usize = args.get("n", 100);

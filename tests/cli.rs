@@ -215,3 +215,36 @@ fn bad_flags_exit_2_without_panicking() {
         assert!(err.contains("usage:"), "{args:?}: {err}");
     }
 }
+
+#[test]
+fn malformed_network_files_exit_2_without_panicking() {
+    // Counts and IDs that are not plain integers used to be read as
+    // floats and cast: `nodes 1e30` panicked on allocation, `nodes -4`
+    // and `nodes 0` panicked building an empty clustering, and
+    // `edge 0 1.7` was silently read as edge 0-1.
+    let dir = std::env::temp_dir().join(format!("khop-cli-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, text) in [
+        "nodes 1e30\n",
+        "nodes -4\n",
+        "nodes 0\n",
+        "nodes 3\nedge 0 1.7\n",
+        "nodes 3\nnodes 4\nedge 0 1\n",
+        "nodes 4294967296\n",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("bad{i}.txt"));
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_str().unwrap();
+        for cmd in ["run", "info"] {
+            let out = khop(&[cmd, "--input", path]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {text:?}: {err}");
+            assert!(!err.contains("panicked"), "{cmd} {text:?}: {err}");
+            assert!(err.contains("usage:"), "{cmd} {text:?}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
