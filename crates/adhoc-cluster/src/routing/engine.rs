@@ -12,7 +12,7 @@
 use crate::routing::plan::RoutePlan;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::obs::{Counter, Hist, Metrics};
-use adhoc_graph::par;
+use adhoc_graph::par::{self, Parallelism};
 use std::time::Instant;
 
 /// Hop marker for pairs the backbone cannot connect.
@@ -93,7 +93,9 @@ impl<'p> QueryEngine<'p> {
         QueryEngine::with_metrics(plan, 1, &Metrics::disabled())
     }
 
-    /// Engine with `workers` scoped threads (clamped to at least 1).
+    /// Engine with up to `workers` scoped threads (clamped to at least
+    /// 1); batches too small to repay a spawn run inline (see
+    /// [`Self::route_many`]).
     pub fn with_workers(plan: &'p RoutePlan, workers: usize) -> Self {
         QueryEngine::with_metrics(plan, workers, &Metrics::disabled())
     }
@@ -117,19 +119,25 @@ impl<'p> QueryEngine<'p> {
     }
 
     /// Serves a batch of `(source, target)` pairs, returning per-pair
-    /// hop counts and walk checksums. With more than one worker the
-    /// batch is split into contiguous chunks served by the shared
-    /// worker pool ([`adhoc_graph::par::scoped_chunks`]), each chunk
-    /// with its own scratch; the result is identical to the
-    /// single-worker answer.
+    /// hop counts and walk checksums. A batch below one thread spawn's
+    /// worth of work ([`par::work::routes`] over the plan's
+    /// [`RoutePlan::query_work`], gated by [`Parallelism::for_work`])
+    /// is served inline on the caller's thread. A larger one with more
+    /// than one worker is split into contiguous chunks served by the
+    /// shared worker pool ([`adhoc_graph::par::scoped_chunks`]), each
+    /// chunk with its own scratch. The result is identical to the
+    /// single-worker answer either way.
     pub fn route_many(&self, pairs: &[(NodeId, NodeId)]) -> BatchResult {
         let mut hops = vec![0u32; pairs.len()];
         let mut checksums = vec![0u64; pairs.len()];
         let plan = self.plan;
         let hop_hist = &self.hops;
         let latency_ns = &self.latency_ns;
+        let workers = Parallelism::new(self.workers)
+            .for_work(par::work::routes(pairs.len(), plan.query_work()))
+            .workers();
         par::scoped_chunks(
-            self.workers,
+            workers,
             pairs.len(),
             (pairs, &mut hops[..], &mut checksums[..]),
             |_, _, (p, h, c): (&[(NodeId, NodeId)], &mut [u32], &mut [u64])| {

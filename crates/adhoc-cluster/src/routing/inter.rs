@@ -23,9 +23,9 @@
 //! bucket-queue Dijkstra that folds the rule into relaxation (the first
 //! hops of `s ⇝ t` are the union over shortest predecessors `p` of `t`
 //! of the first hops of `s ⇝ p`, so the minimum propagates), while the
-//! hub index expands `t`'s label row once per walk and scans `s`'s CSR
-//! row — which is stored in ascending slot order — for the first
-//! neighbor whose label row meets it at the remaining distance. Every
+//! hub index expands `t`'s label row once per walk and takes, from
+//! `s`'s CSR row — which is stored in ascending slot order — the first
+//! neighbor proved to lie at the remaining distance. Every
 //! consumer (the compiled plan, the legacy per-query router,
 //! incremental repairs versus full recompiles) therefore agrees on
 //! every route by construction.
@@ -398,8 +398,9 @@ pub enum InterTable {
     /// memory, full recompute on any backbone weight change.
     Dense { h: usize, next_hop: Vec<u32> },
     /// Hub-label (2-level landmark) index — one target-row expansion
-    /// per walk plus one row scan per probed neighbor, empirically
-    /// sub-quadratic memory, dirty-hub repair.
+    /// per walk, then each hop proved by exact checks (mostly one
+    /// binary search, a full row scan only when no check settles a
+    /// neighbor), empirically sub-quadratic memory, dirty-hub repair.
     Hub(HubIndex),
 }
 
@@ -442,8 +443,11 @@ impl InterTable {
     /// is the empty walk.
     ///
     /// Dense: one table lookup plus one binary search of `s`'s CSR row
-    /// per hop. Hub: one target-row expansion per walk, then one label
-    /// row scan per probed neighbor (see [`HubIndex::walk`]).
+    /// per hop. Hub: one target-row expansion per walk; then each
+    /// probed neighbor is skipped as the predecessor, rejected by a
+    /// landmark bound, accepted by one binary search for the carried
+    /// witness hub, or only failing those settled by a label row scan
+    /// (see [`HubIndex::walk`]).
     #[inline]
     pub(crate) fn walk(
         &self,
@@ -505,6 +509,22 @@ impl InterTable {
                     InterRepair::HubRebuilt
                 }
             },
+        }
+    }
+
+    /// Estimated label entries a walk of `head_hops` hops reads, in
+    /// `par::work` units (see `RoutePlan::query_work`): none for the
+    /// dense table (a lookup per hop); for the hub index the mean label
+    /// row per hop plus two for the target-row expansion and the
+    /// source row's scan, an upper estimate (most hops are proved by
+    /// one binary search).
+    pub(crate) fn walk_work(&self, head_hops: usize) -> usize {
+        match self {
+            InterTable::Dense { .. } => 0,
+            InterTable::Hub(hub) => {
+                let row = hub.label_entries() / hub.head_count().max(1);
+                (head_hops + 2).saturating_mul(row)
+            }
         }
     }
 

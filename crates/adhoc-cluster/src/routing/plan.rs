@@ -461,8 +461,12 @@ impl RoutePlan {
                 (lens, arena)
             },
         );
+        // One exact reservation for the concatenated fragments, so the
+        // arena's capacity (what `memory_bytes` counts) is its length
+        // whatever the worker count.
         let mut up_off = Vec::with_capacity(n + 1);
-        let mut up_arena: Vec<NodeId> = Vec::with_capacity(prev_arena.capacity().max(n));
+        let mut up_arena: Vec<NodeId> =
+            Vec::with_capacity(frags.iter().map(|(_, arena)| arena.len()).sum());
         up_off.push(0u32);
         for (lens, arena) in frags {
             let mut acc = up_arena.len() as u32;
@@ -806,6 +810,23 @@ impl RoutePlan {
     /// measured against.
     pub fn projected_dense_inter_bytes(&self) -> usize {
         inter::projected_dense_bytes(self.heads.len())
+    }
+
+    /// Estimated cost of one served query in `par::work` units — the
+    /// hop estimate [`QueryEngine::route_many`] multiplies by its batch
+    /// size ([`par::work::routes`]) to decide whether to fan out. A
+    /// walk writes two ascents and about `√h + 1` backbone links'
+    /// paths (a geometric backbone's mean head-to-head hop distance
+    /// grows as `√h`), at their mean lengths; a hub-labeled plan adds
+    /// the label entries its inter-head walk reads
+    /// (`InterTable::walk_work`).
+    ///
+    /// [`QueryEngine::route_many`]: super::QueryEngine::route_many
+    pub fn query_work(&self) -> usize {
+        let head_hops = self.heads.len().isqrt() + 1;
+        let ascent = self.up_arena.len() / self.n.max(1);
+        let link = self.path_arena.len() / self.link_to.len().max(1);
+        2 * ascent + head_hops * link + self.inter.walk_work(head_hops)
     }
 
     /// Heap bytes the compiled plan holds — the serving-side footprint

@@ -10,10 +10,10 @@
 //! sneaks into a sweep shows up here as a worker-count-sensitive
 //! arena.
 //!
-//! Every build and repair site runs jobs below its fan-out gate
-//! (`Parallelism::for_work` over a `par::work` estimate) inline, so
-//! the small cells of the first two proptests pin the gate's inline
-//! arm. The `fanned_out_*` cells are sized above the gate of the site
+//! Every build, repair and batch-serving site runs jobs below its
+//! fan-out gate (`Parallelism::for_work` over a `par::work` estimate)
+//! inline, so the small cells of the first two proptests pin the
+//! gate's inline arm. The `fanned_out_*` cells are sized above the gate of the site
 //! they name, assert that the gate keeps more than one worker, and pin
 //! the pooled arm.
 
@@ -100,6 +100,13 @@ proptest! {
         );
         let pairs = sample_pairs(n, 200, seed ^ 0x5EED);
         let base_batch = QueryEngine::new(&base_plan).route_many(&pairs);
+        // These batches sit below the serving gate: the inline arm.
+        prop_assert_eq!(
+            Parallelism::new(2)
+                .for_work(work::routes(pairs.len(), base_plan.query_work()))
+                .workers(),
+            1
+        );
 
         for w in WORKER_GRID {
             let par = Parallelism::new(w);
@@ -376,6 +383,16 @@ proptest! {
             prop_assert_eq!(&arm.0, &arms[0].0, "{} workers: compiled plan diverged", w);
             prop_assert_eq!(&arm.1, &arms[0].1, "{} workers: repaired plan diverged", w);
             prop_assert_eq!(&arm.2, &arms[0].2, "{} workers: repair verdict diverged", w);
+            // `memory_bytes` counts capacities, which `Eq` ignores: the
+            // ascent arena must be reserved once, not per fragment.
+            prop_assert_eq!(
+                arm.0.memory_bytes(), arms[0].0.memory_bytes(),
+                "{} workers: compiled plan bytes diverged", w
+            );
+            prop_assert_eq!(
+                arm.1.memory_bytes(), arms[0].1.memory_bytes(),
+                "{} workers: repaired plan bytes diverged", w
+            );
         }
     }
 
@@ -430,6 +447,34 @@ proptest! {
                 prop_assert_eq!(&arm.0, &arms[0].0, "{} workers: {:?} build diverged", w, mode);
                 prop_assert_eq!(&arm.1, &arms[0].1, "{} workers: {:?} repair diverged", w, mode);
                 prop_assert_eq!(&arm.2, &arms[0].2, "{} workers: {:?} verdict diverged", w, mode);
+            }
+        }
+    }
+
+    /// Served batches above the gate, both layouts: the batch is sized
+    /// from the plan's own per-query estimate so it fans out, and every
+    /// pooled arm must answer exactly as the serial one.
+    #[test]
+    fn fanned_out_route_batches_are_worker_count_invariant(
+        seed in 0u64..1_000_000,
+        n in 900usize..=950,
+    ) {
+        let g = scaled_net(n, &mut StdRng::seed_from_u64(seed));
+        let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::with_workers(Parallelism::serial());
+        let eval = pipeline::run_all_with(&g, &c, &mut scratch);
+        for mode in [InterMode::Dense, InterMode::Hub] {
+            let plan = RoutePlan::compile_with(
+                &g, &c, scratch.labels(), eval.selected_links(Algorithm::AcLmst), mode,
+            );
+            let count = 2 * (1 << 15) / plan.query_work().max(1) + 1;
+            let pairs = sample_pairs(n, count, seed ^ 0xBA7C);
+            assert_fans_out(work::routes(pairs.len(), plan.query_work()), "route batch");
+            let serial = QueryEngine::new(&plan).route_many(&pairs);
+            prop_assert!(serial.total_hops > 0, "{:?}: the batch routed nothing", mode);
+            for &w in FANNED_GRID.iter().skip(1) {
+                let pooled = QueryEngine::with_workers(&plan, w).route_many(&pairs);
+                prop_assert_eq!(&pooled, &serial, "{} workers: {:?} batch diverged", w, mode);
             }
         }
     }

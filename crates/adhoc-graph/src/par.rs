@@ -22,8 +22,8 @@
 //!
 //! Worker counts come from [`Parallelism`]: explicit (`--workers` on
 //! the CLIs), the `KHOP_WORKERS` environment variable, or the
-//! machine's available cores. Every build and repair call site also
-//! gates on its job's size ([`Parallelism::for_work`], estimated with
+//! machine's available cores. Every build, repair and batch-serving
+//! call site also gates on its job's size ([`Parallelism::for_work`], estimated with
 //! [`work`]): below one thread spawn's worth of work it runs inline on
 //! the caller's thread and warm scratch, whatever the worker count.
 
@@ -226,7 +226,8 @@ where
 /// Work (in [`work`] units) below which a pool call site runs its job
 /// inline on the caller's thread, with the caller's warm scratch,
 /// instead of fanning out. One constant and one rule
-/// ([`Parallelism::for_work`]) for every build and repair site.
+/// ([`Parallelism::for_work`]) for every build, repair and batch-serving
+/// site.
 ///
 /// Measured on a 2-vCPU x86-64 host (`available_parallelism` = 2;
 /// fat-LTO release; geometric graphs at mean degree 6 (N = 2000, 250
@@ -277,10 +278,12 @@ impl Parallelism {
 }
 
 /// Work estimates for the fan-out gate ([`Parallelism::for_work`]), one
-/// per pool call site on the build and repair paths, all in one unit:
-/// **one node settled or one link relaxed by a sweep** (or one node
-/// written to a walked path). Each is an upper bound a site can compute
-/// before it starts, in `O(job size)` or better.
+/// per pool call site on the build, repair and serving paths, all in
+/// one unit: **one node settled or one link relaxed by a sweep** (or
+/// one node written to a walked path, or one label entry a walk reads).
+/// Each is an estimate a site can compute before it starts, in
+/// `O(job size)` or better; the build and repair ones are upper
+/// bounds.
 pub mod work {
     /// A cold label rebuild of `heads` rows over `n` nodes: a row's
     /// ball holds at most `n` nodes, so `heads × n` bounds the nodes
@@ -315,6 +318,14 @@ pub mod work {
     /// settling at most `h` heads.
     pub fn hub_sweeps(hubs: usize, h: usize) -> usize {
         hubs.saturating_mul(h)
+    }
+
+    /// A batch of `queries` served walks, each costing about
+    /// `per_query` units: the nodes it writes to its walked path, plus
+    /// the label entries a hub-labeled inter-head walk reads (see
+    /// `RoutePlan::query_work` in `adhoc-cluster`).
+    pub fn routes(queries: usize, per_query: usize) -> usize {
+        queries.saturating_mul(per_query)
     }
 }
 

@@ -174,6 +174,35 @@ const COMMANDS: &[Command] = &[
     ("mac", cmd_mac, &["input", "n", "d", "seed", "k", "cw"]),
 ];
 
+/// Writes formatted output to the locked stdout. A reader that closed
+/// the pipe early (`khop … | head -1`) ends the command cleanly with
+/// exit 0; any other write error ends it with one `khop:` line and
+/// exit 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("khop: cannot write to stdout: {e}");
+        exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("khop: {msg}");
     eprintln!("usage: khop <gen|run|dist|info|exact|maintain|churn|route|resilience|mac>");
@@ -239,7 +268,7 @@ fn cmd_gen(args: &Args) {
     let net = generate(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng);
     adhoc_graph::io::save(&PathBuf::from(out), &net.graph, Some(&net.positions))
         .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
-    println!(
+    outln!(
         "wrote {out}: {} nodes, {} edges, avg degree {:.2}, range {:.2}",
         net.graph.len(),
         net.graph.edge_count(),
@@ -294,7 +323,7 @@ impl MetricsSink {
     fn finish(self, required: &[&str]) {
         let snap = self.metrics.snapshot();
         let Some(path) = &self.file else {
-            print!("{}", snap.text_table());
+            out!("{}", snap.text_table());
             return;
         };
         let json = serde_json::to_string_pretty(&snap).expect("metrics snapshot serializes");
@@ -317,7 +346,7 @@ impl MetricsSink {
                 die(&format!("metrics file missing required key {name}"));
             }
         }
-        println!(
+        outln!(
             "metrics: wrote {} ({} counters, {} histograms, {} events; {} required keys present)",
             path.display(),
             back.counters.len(),
@@ -374,7 +403,7 @@ fn cmd_run_all(g: &Graph, k: u32, par: Parallelism, json: bool, sink: Option<Met
                 )
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             serde_json::json!({
                 "k": k,
@@ -387,21 +416,21 @@ fn cmd_run_all(g: &Graph, k: u32, par: Parallelism, json: bool, sink: Option<Met
             })
         );
     } else {
-        println!(
+        outln!(
             "{} nodes (k={k}): {} heads in {} rounds",
             g.len(),
             clustering.head_count(),
             clustering.rounds
         );
         for (alg, out) in rows {
-            println!(
+            outln!(
                 "  {:<8} gateways: {:>4}   CDS: {:>4}",
                 alg.name(),
                 out.selection.gateways.len(),
                 out.cds.size()
             );
         }
-        println!("labels: {} bytes", scratch.labels_memory_bytes());
+        outln!("labels: {} bytes", scratch.labels_memory_bytes());
     }
     if let Some(s) = sink {
         s.finish(&["pipeline.run_all", "labels.sweep_ns", "labels.rows_swept"]);
@@ -450,9 +479,9 @@ fn cmd_run(args: &Args) {
         if let (serde_json::Value::Object(map), Some(bytes)) = (&mut doc, labels_bytes) {
             map.push(("labels_memory_bytes".into(), serde_json::json!(bytes)));
         }
-        println!("{doc}");
+        outln!("{doc}");
     } else {
-        println!(
+        outln!(
             "{} on {} nodes (k={k}): {} heads, {} gateways, CDS {}",
             alg.name(),
             g.len(),
@@ -461,7 +490,7 @@ fn cmd_run(args: &Args) {
             out.cds.size()
         );
         if let Some(bytes) = labels_bytes {
-            println!("labels: {bytes} bytes");
+            outln!("labels: {bytes} bytes");
         }
     }
     if let Some(s) = sink {
@@ -483,31 +512,31 @@ fn cmd_dist(args: &Args) {
         die("G-MST is centralized; use `khop run --alg g-mst`");
     }
     let run = run_protocol(&g, &ProtocolConfig::new(k, alg));
-    println!(
+    outln!(
         "distributed {} on {} nodes (k={k}): {} heads, {} gateways",
         alg.name(),
         g.len(),
         run.heads.len(),
         run.gateways.len()
     );
-    print!("{}", run.stats.report());
+    out!("{}", run.stats.report());
 }
 
 fn cmd_info(args: &Args) {
     let g = obtain_graph(args);
     use adhoc_graph::metrics;
-    println!("nodes: {}", g.len());
-    println!("edges: {}", g.edge_count());
-    println!("avg degree: {:.2}", g.average_degree());
-    println!("connected: {}", connectivity::is_connected(&g));
-    println!("components: {}", connectivity::component_count(&g));
+    outln!("nodes: {}", g.len());
+    outln!("edges: {}", g.edge_count());
+    outln!("avg degree: {:.2}", g.average_degree());
+    outln!("connected: {}", connectivity::is_connected(&g));
+    outln!("components: {}", connectivity::component_count(&g));
     if let Some(d) = metrics::diameter(&g) {
-        println!("diameter: {d}");
+        outln!("diameter: {d}");
     }
     if let Some(r) = metrics::radius(&g) {
-        println!("radius: {r}");
+        outln!("radius: {r}");
     }
-    println!(
+    outln!(
         "avg clustering coeff: {:.3}",
         metrics::average_clustering(&g)
     );
@@ -527,7 +556,7 @@ fn cmd_exact(args: &Args) {
         die("--budget must be at least 1");
     }
     let opt = exact::min_khop_cds(&g, k, &ExactConfig { max_steps: budget });
-    println!(
+    outln!(
         "exact minimum {k}-hop CDS: {} nodes {} ({} expansions)",
         opt.size(),
         if opt.optimal {
@@ -537,10 +566,10 @@ fn cmd_exact(args: &Args) {
         },
         opt.explored
     );
-    println!("set: {:?}", opt.set);
+    outln!("set: {:?}", opt.set);
     for alg in Algorithm::ALL {
         let out = pipeline::run(&g, alg, &PipelineConfig::new(k));
-        println!(
+        outln!(
             "  {:<8} CDS {:>3}  ratio {:.3}",
             alg.name(),
             out.cds.size(),
@@ -567,7 +596,7 @@ fn cmd_maintain(args: &Args) {
     let model = mobility::RandomWaypoint::new(n, wp, &mut rng);
     let mut mobile = MobileNetwork::with_model(base.positions.clone(), base.range, model);
     let mut m = ChurnEngine::build(mobile.graph(), MovementConfig::strict(k, Algorithm::AcLmst));
-    println!("step | level       | orphans | cost | CDS | valid");
+    outln!("step | level       | orphans | cost | CDS | valid");
     let mut total_cost = 0usize;
     let mut total_rebuild = 0usize;
     for step in 0..steps {
@@ -578,7 +607,7 @@ fn cmd_maintain(args: &Args) {
         let r = m.step_delta(&delta);
         total_cost += r.cost;
         if r.level != RepairLevel::None || args.has("verbose") {
-            println!(
+            outln!(
                 "{step:>4} | {:<11} | {:>7} | {:>4} | {:>3} | {}",
                 r.level.name(),
                 r.orphans,
@@ -588,7 +617,7 @@ fn cmd_maintain(args: &Args) {
             );
         }
     }
-    println!(
+    outln!(
         "\ntotal maintenance cost {total_cost} node-rounds vs {} for rebuild-every-step ({:.0}% saved)",
         total_rebuild,
         100.0 * (1.0 - total_cost as f64 / total_rebuild.max(1) as f64)
@@ -692,12 +721,12 @@ fn cmd_churn(args: &Args) {
     }
     let reb = t.elapsed().as_secs_f64();
 
-    println!(
+    outln!(
         "{n} nodes (k={k}), {movers} mobile, {steps} beacon steps: \
          {:.1} edges churned/step",
         churn_edges as f64 / steps as f64
     );
-    println!(
+    outln!(
         "repair levels: {}",
         levels
             .iter()
@@ -705,18 +734,18 @@ fn cmd_churn(args: &Args) {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!(
+    outln!(
         "dirty heads: {:.1}% of {} head-steps | maintenance cost {cost} node-rounds",
         100.0 * dirty as f64 / head_steps.max(1) as f64,
         head_steps
     );
-    println!(
+    outln!(
         "incremental {:.2} ms/step vs rebuild-every-step {:.2} ms/step ({:.2}x)",
         1e3 * inc / steps as f64,
         1e3 * reb / steps as f64,
         reb / inc.max(1e-12)
     );
-    println!("labels: {labels_bytes} bytes");
+    outln!("labels: {labels_bytes} bytes");
     if let Some(s) = sink {
         s.finish(&[
             "reconcile.count",
@@ -946,7 +975,7 @@ fn cmd_resilience(args: &Args) {
             "post_attack": post_attack,
             "heal": heal
         });
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&doc).expect("resilience JSON serializes")
         );
@@ -956,14 +985,14 @@ fn cmd_resilience(args: &Args) {
         return;
     }
 
-    println!(
+    outln!(
         "{n} nodes (k={k}), {} attack removing {} ({:.1}%), repair capped at {}",
         attack.name(),
         victims.len(),
         100.0 * fraction,
         level.name()
     );
-    println!(
+    outln!(
         "post-attack: stale plan (epoch {stale_epoch}) routes {:.1}% of {} alive pairs; \
          live plan (epoch {}) routes {:.1}% ({:.1}% of achievable)",
         pct(s_routed, s_alive),
@@ -972,23 +1001,23 @@ fn cmd_resilience(args: &Args) {
         pct(l_routed, l_alive),
         pct(l_routed, l_ach)
     );
-    println!(
+    outln!(
         "attack repair: {attack_ms:.1} ms total ({:.2} ms/victim)",
         attack_ms / victims.len().max(1) as f64
     );
     match to_full {
-        Some(a) => println!(
+        Some(a) => outln!(
             "heal: {heal_ms:.1} ms for {} arrivals; 100% of achievable restored after {a}",
             victims.len()
         ),
-        None => println!(
+        None => outln!(
             "heal: {heal_ms:.1} ms for {} arrivals; full reachability NOT restored \
              (final {:.1}% of achievable)",
             victims.len(),
             pct(f_routed, f_ach)
         ),
     }
-    println!(
+    outln!(
         "final: topology restored={restored}, clustering valid={}",
         engine.is_valid()
     );
@@ -1086,7 +1115,7 @@ fn cmd_route(args: &Args) {
     };
     let tables = TableStats::measure(&g, &clustering);
     if args.has("json") {
-        println!(
+        outln!(
             "{}",
             serde_json::json!({
                 "algorithm": alg.name(),
@@ -1115,7 +1144,7 @@ fn cmd_route(args: &Args) {
             })
         );
     } else {
-        println!(
+        outln!(
             "{} backbone on {} nodes (k={k}): {} heads, {} links; plan compiled in {build_ms:.2} ms ({} bytes)",
             alg.name(),
             g.len(),
@@ -1123,25 +1152,25 @@ fn cmd_route(args: &Args) {
             plan.link_count(),
             plan.memory_bytes()
         );
-        println!(
+        outln!(
             "inter-head table: {} layout ({} bytes; dense h*h would be {})",
             plan.inter_layout(),
             plan.inter_memory_bytes(),
             plan.projected_dense_inter_bytes(),
         );
-        println!(
+        outln!(
             "{queries} {} queries: mean {mean_hops:.2} hops, {} unreachable",
             mix.name(),
             single.unreachable
         );
-        println!(
+        outln!(
             "compiled: {:>10.0} q/s | compiled x{workers}: {:>10.0} q/s | per-query BFS: {:>10.0} q/s ({:.1}x)",
             queries as f64 / single_secs.max(1e-12),
             queries as f64 / multi_secs.max(1e-12),
             queries as f64 / bfs_secs.max(1e-12),
             bfs_secs / single_secs.max(1e-12),
         );
-        println!(
+        outln!(
             "tables: member {:.1} entries mean (min {} / max {}), head {}, flat {}",
             tables.member_mean,
             tables.member_min,
@@ -1170,9 +1199,13 @@ fn cmd_mac(args: &Args) {
     }
     let out = pipeline::run(&g, Algorithm::AcLmst, &PipelineConfig::new(k));
     let mut rng = StdRng::seed_from_u64(seed);
-    println!(
+    outln!(
         "{:<10} {:>6} {:>10} {:>9} {:>8}",
-        "strategy", "tx", "collisions", "delivered", "latency"
+        "strategy",
+        "tx",
+        "collisions",
+        "delivered",
+        "latency"
     );
     for (name, strategy) in [
         ("flood", BroadcastStrategy::BlindFlood),
@@ -1190,9 +1223,12 @@ fn cmd_mac(args: &Args) {
             },
             &mut rng,
         );
-        println!(
+        outln!(
             "{name:<10} {:>6} {:>10} {:>9} {:>7}s",
-            r.transmissions, r.collisions, r.delivered, r.latency_slots
+            r.transmissions,
+            r.collisions,
+            r.delivered,
+            r.latency_slots
         );
     }
 }

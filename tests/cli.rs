@@ -248,3 +248,39 @@ fn malformed_network_files_exit_2_without_panicking() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that closes the pipe early (`khop … | head -1`) ends the
+/// command with exit 0 and no panic: the pipe is closed before the
+/// first write (every write then fails) and after the first line.
+#[test]
+fn closed_stdout_exits_0_without_panicking() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let commands: [&[&str]; 3] = [
+        &["maintain", "--n", "120", "--k", "2", "--steps", "10"],
+        &["run", "--n", "120", "--k", "2", "--alg", "all"],
+        &["churn", "--n", "150", "--k", "2", "--steps", "20"],
+    ];
+    for args in commands {
+        for read_first_line in [false, true] {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_khop"))
+                .args(args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn khop");
+            let out = child.stdout.take().expect("piped stdout");
+            if read_first_line {
+                let mut line = String::new();
+                BufReader::new(out).read_line(&mut line).unwrap();
+                assert!(!line.is_empty(), "{args:?}: no first line");
+            } else {
+                drop(out);
+            }
+            let done = child.wait_with_output().expect("wait for khop");
+            let err = String::from_utf8_lossy(&done.stderr);
+            assert_eq!(done.status.code(), Some(0), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+    }
+}
