@@ -326,8 +326,8 @@ impl EvalScratch {
         self.par = par;
     }
 
-    /// Restricts subsequent evaluations — [`run_all_with`],
-    /// [`update_all_after`] and [`update_all_after_headset`] — to
+    /// Restricts subsequent evaluations — [`run_all_with`] and
+    /// [`update_all_after`] — to
     /// `algorithms`: stages no member needs are skipped, and the output
     /// holds only the members' selections. Every member's output stays
     /// bit-identical to its entry in an all-five evaluation.
@@ -750,14 +750,14 @@ pub const DIRTY_FRACTION_FALLBACK: f64 = 0.5;
 /// refreshed output; benches and maintenance policies report it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateReport {
-    /// Clusterheads whose `2k+1` ball a changed edge touched (equals
-    /// `head_count` when the engine fell back to a full evaluation).
+    /// Label rows the advance re-swept or opened — rows a changed edge
+    /// dirtied plus rows of heads new to the head set (equals
+    /// `head_count` when the label arena was rebuilt).
     pub dirty_heads: usize,
     /// Total clusterheads.
     pub head_count: usize,
-    /// Whether the engine fell back to a from-scratch [`run_all_with`]
-    /// (dirty fraction above [`DIRTY_FRACTION_FALLBACK`], incompatible
-    /// scratch, or a changed head set).
+    /// Whether the label arena was rebuilt from scratch (dirty fraction
+    /// above [`DIRTY_FRACTION_FALLBACK`], or an incompatible scratch).
     pub rebuilt: bool,
 }
 
@@ -773,25 +773,25 @@ impl UpdateReport {
 }
 
 /// How [`advance_labels`] brought the scratch labels up to date with a
-/// post-delta graph (phase 1 of an incremental refresh).
+/// post-delta graph and head set (phase 1 of an incremental refresh).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LabelAdvance {
-    /// Only these slots were re-swept; all other rows are provably
-    /// unchanged.
+    /// Only these slots were re-swept or opened; all other rows are
+    /// provably unchanged.
     Incremental {
-        /// Dirty head slots, ascending (indexes into the head list).
+        /// Dirty head slots, ascending (indexes into the new head
+        /// list).
         dirty: Vec<usize>,
     },
     /// The labels were rebuilt from scratch (dirty fraction above
-    /// [`DIRTY_FRACTION_FALLBACK`], or the scratch did not match the
-    /// clustering/graph).
+    /// [`DIRTY_FRACTION_FALLBACK`], or the scratch's bound or node
+    /// count did not match).
     Rebuilt,
 }
 
 impl LabelAdvance {
-    /// Number of head slots this advance re-swept (`head_count` when
-    /// the labels were rebuilt wholesale). This is the `dirty_heads`
-    /// figure maintenance reports surface.
+    /// Number of head slots this advance re-swept or opened
+    /// (`head_count` when the labels were rebuilt wholesale).
     pub fn dirty_count(&self, head_count: usize) -> usize {
         match self {
             LabelAdvance::Incremental { dirty } => dirty.len(),
@@ -800,23 +800,35 @@ impl LabelAdvance {
     }
 
     /// Whether the advance provably changed **no** label row — the
-    /// delta was absorbed outside every head's `2k+1` ball, so every
-    /// distance a maintenance policy reads is bit-identical to the
-    /// previous step's.
+    /// delta was absorbed outside every head's `2k+1` ball and the head
+    /// set gained no row, so every distance a maintenance policy reads
+    /// is bit-identical to the previous step's.
     pub fn untouched(&self) -> bool {
         matches!(self, LabelAdvance::Incremental { dirty } if dirty.is_empty())
     }
 }
 
 /// Phase 1 of [`update_all`]: advances `scratch`'s label arena from the
-/// pre-delta graph to `g` (the **post-delta** graph), re-sweeping only
-/// the heads whose `2k+1` ball a changed edge touched.
+/// pre-delta graph and head set to `g` (the **post-delta** graph) and
+/// `clustering`'s head set. Rows whose `2k+1` ball a changed edge
+/// touched are re-swept; when the head set changed, departed heads
+/// drop their rows ([`HeadLabels::remove_head_row`]) and new heads
+/// sweep exactly one new row each ([`HeadLabels::add_head_row`]). The
+/// arena is never rebuilt wholesale while the scratch stays compatible
+/// (same bound and node count) and the delta dirties at most
+/// [`DIRTY_FRACTION_FALLBACK`] of the rows, so a §3.3 head loss or
+/// local election costs `O(changed rows)` BFS sweeps, not `O(h)`. The
+/// result is bit-identical to a full rebuild on `g` with the new head
+/// set (pinned by tests and by the churn-engine equivalence suite).
 ///
 /// Split out so maintenance policies can *read the refreshed labels*
 /// (orphan members, head merges) and repair the clustering **before**
 /// [`update_all_after`] derives the virtual graphs — a clustering whose
 /// coverage churn has broken can place adjacent heads beyond `2k+1`
 /// hops, which the virtual-graph builders reject.
+///
+/// Returns the dirty slots **in the new slot numbering** (delta-dirty
+/// survivors plus added rows), or [`LabelAdvance::Rebuilt`].
 pub fn advance_labels<G: Adjacency + Sync>(
     g: &G,
     clustering: &Clustering,
@@ -825,18 +837,22 @@ pub fn advance_labels<G: Adjacency + Sync>(
 ) -> LabelAdvance {
     let bound = 2 * clustering.k + 1;
     let _advance = scratch.metrics.span("labels.advance_ns");
-    let compatible = scratch.labels.heads() == &clustering.heads[..]
-        && scratch.labels.bound() == bound
-        && scratch.labels.node_count() == g.node_count();
-    if !compatible {
-        scratch.metrics.inc("labels.rebuild_fallback");
-        scratch
-            .labels
-            .rebuild_with(g, &clustering.heads, bound, scratch.par);
-        return LabelAdvance::Rebuilt;
+    let compatible =
+        scratch.labels.bound() == bound && scratch.labels.node_count() == g.node_count();
+    let mut dirty = if compatible {
+        scratch.labels.dirty_slots(delta)
+    } else {
+        Vec::new()
+    };
+    let same_heads = scratch.labels.heads() == &clustering.heads[..];
+    if !same_heads {
+        // Skip rows whose head is about to lose its row anyway.
+        let old = scratch.labels.heads();
+        dirty.retain(|&s| clustering.heads.binary_search(&old[s]).is_ok());
     }
-    let dirty = scratch.labels.dirty_slots(delta);
-    if dirty.len() as f64 > DIRTY_FRACTION_FALLBACK * clustering.heads.len() as f64 {
+    if !compatible
+        || dirty.len() as f64 > DIRTY_FRACTION_FALLBACK * scratch.labels.heads().len() as f64
+    {
         scratch.metrics.inc("labels.rebuild_fallback");
         scratch
             .labels
@@ -847,161 +863,13 @@ pub fn advance_labels<G: Adjacency + Sync>(
         .metrics
         .add("labels.rows_repaired", dirty.len() as u64);
     scratch.labels.apply_delta_with(g, &dirty, scratch.par);
-    LabelAdvance::Incremental { dirty }
-}
-
-/// Phase 2 of [`update_all`]: derives the evaluation of the scratch's
-/// [`AlgorithmSet`] from labels already advanced by [`advance_labels`].
-/// `clustering` must keep the head set the labels were advanced for,
-/// but may carry repaired member affiliations (they feed only the A-NCR
-/// relation, whose rows are rescanned for every re-affiliated node).
-/// `prev` must be the evaluation of the pre-delta graph, and `delta`
-/// the edge change since then. On the same head set, `prev`'s NC rows
-/// and canonical paths are reused for every clean head, its A-NCR rows
-/// for every cluster the delta and the re-affiliations left alone, and
-/// its local-MST choices for every head whose one-hop neighborhood kept
-/// its rows and hop counts.
-pub fn update_all_after<G: Adjacency>(
-    g: &G,
-    clustering: &Clustering,
-    delta: &TopologyDelta,
-    advance: &LabelAdvance,
-    prev: &EvaluationOutput,
-    scratch: &mut EvalScratch,
-) -> (EvaluationOutput, UpdateReport) {
-    let heads = clustering.heads.len();
-    assert_eq!(
-        scratch.labels.heads(),
-        &clustering.heads[..],
-        "labels were advanced for a different head set"
-    );
-    scratch.metrics.inc("pipeline.update_all");
-    let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
-    let same_heads = prev.clustering.heads == clustering.heads;
-    let incremental = match advance {
-        LabelAdvance::Incremental { dirty } if same_heads => Some(dirty),
-        _ => None,
-    };
-    let labels = &scratch.labels;
-    let nc_span = scratch.metrics.span("pipeline.nc_graph_ns");
-    let (nc_graph, report) = match incremental {
-        Some(dirty) => {
-            let nc_sets = adjacency::nc_from_labels_patched(
-                clustering,
-                labels,
-                &prev.nc_graph.neighbor_sets,
-                dirty,
-            );
-            let mut dirty_mask = vec![false; heads];
-            for &slot in dirty {
-                dirty_mask[slot] = true;
-            }
-            let nc_graph = VirtualGraph::from_labels_patched(
-                g,
-                clustering,
-                nc_sets,
-                labels,
-                &prev.nc_graph,
-                &dirty_mask,
-            );
-            let report = UpdateReport {
-                dirty_heads: dirty.len(),
-                head_count: heads,
-                rebuilt: false,
-            };
-            (nc_graph, report)
-        }
-        None => {
-            let nc_sets = adjacency::nc_from_labels(clustering, labels);
-            let nc_graph = VirtualGraph::from_labels(g, clustering, nc_sets, labels);
-            let report = UpdateReport {
-                dirty_heads: heads,
-                head_count: heads,
-                rebuilt: true,
-            };
-            (nc_graph, report)
-        }
-    };
-    drop(nc_span);
-    let step = same_heads.then_some(Step {
-        prev,
-        delta,
-        dirty: incremental.map(Vec::as_slice),
-    });
-    let out = eval_from_nc(g, clustering, nc_graph, scratch, step);
-    (out, report)
-}
-
-/// Advances `scratch`'s label arena across a **head-set change**:
-/// departed heads drop their rows ([`HeadLabels::remove_head_row`]),
-/// new heads sweep exactly one new row each
-/// ([`HeadLabels::add_head_row`]), and rows the edge `delta` dirtied
-/// are re-swept — the full label arena is **never** rebuilt while the
-/// scratch stays compatible (same bound and node count), which is what
-/// makes a §3.3 head departure or arrival election cost `O(changed
-/// rows)` instead of `O(h)` BFS sweeps.
-///
-/// `clustering` carries the **new** head set; `delta` is whatever edge
-/// change has not yet been applied to the labels (pass an empty delta
-/// when [`advance_labels`] already ran this step, as the churn engine
-/// does on its patch path; the head-loss path passes the isolating
-/// delta here directly). The resulting labels are bit-identical to a
-/// full rebuild on `g` with the new head set (pinned by tests and by
-/// the churn-engine equivalence suite).
-///
-/// Returns the dirty slots **in the new slot numbering** (added rows
-/// plus delta-dirty survivors), or [`LabelAdvance::Rebuilt`] when the
-/// scratch was incompatible or the delta flooded past
-/// [`DIRTY_FRACTION_FALLBACK`].
-pub fn advance_labels_headset<G: Adjacency + Sync>(
-    g: &G,
-    clustering: &Clustering,
-    delta: &TopologyDelta,
-    scratch: &mut EvalScratch,
-) -> LabelAdvance {
-    let bound = 2 * clustering.k + 1;
-    let _advance = scratch.metrics.span("labels.advance_ns");
-    let compatible =
-        scratch.labels.bound() == bound && scratch.labels.node_count() == g.node_count();
-    if !compatible {
-        scratch.metrics.inc("labels.rebuild_fallback");
-        scratch
-            .labels
-            .rebuild_with(g, &clustering.heads, bound, scratch.par);
-        return LabelAdvance::Rebuilt;
+    if same_heads {
+        return LabelAdvance::Incremental { dirty };
     }
-    // 1. Edge dirt first, in the old slot numbering — skipping rows
-    //    whose head is about to lose its row anyway.
-    let dirty_old: Vec<usize> = scratch
-        .labels
-        .dirty_slots(delta)
-        .into_iter()
-        .filter(|&s| {
-            clustering
-                .heads
-                .binary_search(&scratch.labels.heads()[s])
-                .is_ok()
-        })
-        .collect();
-    if dirty_old.len() as f64 > DIRTY_FRACTION_FALLBACK * scratch.labels.heads().len() as f64 {
-        scratch.metrics.inc("labels.rebuild_fallback");
-        scratch
-            .labels
-            .rebuild_with(g, &clustering.heads, bound, scratch.par);
-        return LabelAdvance::Rebuilt;
-    }
-    let dirty_heads: Vec<NodeId> = dirty_old
-        .iter()
-        .map(|&s| scratch.labels.heads()[s])
-        .collect();
-    scratch
-        .metrics
-        .add("labels.rows_repaired", dirty_old.len() as u64);
-    scratch.labels.apply_delta_with(g, &dirty_old, scratch.par);
-    // 2. Row splices: drop departed heads' rows, sweep new heads'.
-    let removed: Vec<NodeId> = scratch
-        .labels
-        .heads()
+    // Row splices, then the dirty set renumbered into the new slots.
+    let old = scratch.labels.heads();
+    let mut keep: Vec<NodeId> = dirty.iter().map(|&s| old[s]).collect();
+    let removed: Vec<NodeId> = old
         .iter()
         .copied()
         .filter(|h| clustering.heads.binary_search(h).is_err())
@@ -1025,67 +893,107 @@ pub fn advance_labels_headset<G: Adjacency + Sync>(
         scratch.labels.add_head_row(g, h);
     }
     debug_assert_eq!(scratch.labels.heads(), &clustering.heads[..]);
-    // 3. The dirty set in the new numbering: surviving edge-dirty rows
-    //    plus every added row.
-    let mut dirty: Vec<usize> = dirty_heads
+    keep.extend(added);
+    let mut dirty: Vec<usize> = keep
         .iter()
-        .chain(added.iter())
         .filter_map(|&h| scratch.labels.slot(h))
         .collect();
     dirty.sort_unstable();
-    dirty.dedup();
     LabelAdvance::Incremental { dirty }
 }
 
-/// Phase 2 after [`advance_labels_headset`]: derives the evaluation of
-/// the scratch's [`AlgorithmSet`] from labels already spliced to the
-/// new head set. The NC relation and virtual graphs are re-derived in full
-/// — a head-set change renumbers every slot, so the patched-row reuse
-/// of [`update_all_after`] does not apply — but that stage lives in
-/// head space and is cheap; the label arena itself was spliced, not
-/// rebuilt, which is where the sweeps live.
+/// Phase 2 of [`update_all`]: derives the evaluation of the scratch's
+/// [`AlgorithmSet`] from labels already advanced by [`advance_labels`]
+/// to `clustering`'s head set. `prev` must be the evaluation of the
+/// pre-delta graph, and `delta` the edge change since then. `clustering`
+/// may carry repaired member affiliations (they feed only the A-NCR
+/// relation, whose rows are rescanned for every re-affiliated node). On
+/// `prev`'s head set, `prev`'s NC rows and canonical paths are reused
+/// for every clean head, its A-NCR rows for every cluster the delta and
+/// the re-affiliations left alone, and its local-MST choices for every
+/// head whose one-hop neighborhood kept its rows and hop counts. A
+/// changed head set renumbers every slot, so the NC relation, virtual
+/// graphs and selections are re-derived in full — that stage lives in
+/// head space and is cheap next to the label sweeps.
 ///
 /// # Panics
 /// Panics if the scratch labels do not match `clustering`'s head set.
-pub fn update_all_after_headset<G: Adjacency>(
+pub fn update_all_after<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
+    delta: &TopologyDelta,
     advance: &LabelAdvance,
+    prev: &EvaluationOutput,
     scratch: &mut EvalScratch,
 ) -> (EvaluationOutput, UpdateReport) {
+    let heads = clustering.heads.len();
     assert_eq!(
         scratch.labels.heads(),
         &clustering.heads[..],
-        "labels were not advanced to the new head set"
+        "labels were advanced for a different head set"
     );
     scratch.metrics.inc("pipeline.update_all");
     let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
-    let nc_graph = {
-        let _nc = scratch.metrics.span("pipeline.nc_graph_ns");
-        let labels = &scratch.labels;
-        let nc_sets = adjacency::nc_from_labels(clustering, labels);
-        VirtualGraph::from_labels(g, clustering, nc_sets, labels)
+    let same_heads = prev.clustering.heads == clustering.heads;
+    let incremental = match advance {
+        LabelAdvance::Incremental { dirty } if same_heads => Some(dirty),
+        _ => None,
     };
+    let labels = &scratch.labels;
+    let nc_span = scratch.metrics.span("pipeline.nc_graph_ns");
+    let nc_graph = match incremental {
+        Some(dirty) => {
+            let nc_sets = adjacency::nc_from_labels_patched(
+                clustering,
+                labels,
+                &prev.nc_graph.neighbor_sets,
+                dirty,
+            );
+            let mut dirty_mask = vec![false; heads];
+            for &slot in dirty {
+                dirty_mask[slot] = true;
+            }
+            VirtualGraph::from_labels_patched(
+                g,
+                clustering,
+                nc_sets,
+                labels,
+                &prev.nc_graph,
+                &dirty_mask,
+            )
+        }
+        None => {
+            let nc_sets = adjacency::nc_from_labels(clustering, labels);
+            VirtualGraph::from_labels(g, clustering, nc_sets, labels)
+        }
+    };
+    drop(nc_span);
     let report = UpdateReport {
-        dirty_heads: advance.dirty_count(clustering.heads.len()),
-        head_count: clustering.heads.len(),
+        dirty_heads: advance.dirty_count(heads),
+        head_count: heads,
         rebuilt: matches!(advance, LabelAdvance::Rebuilt),
     };
-    let out = eval_from_nc(g, clustering, nc_graph, scratch, None);
+    let step = same_heads.then_some(Step {
+        prev,
+        delta,
+        dirty: incremental.map(Vec::as_slice),
+    });
+    let out = eval_from_nc(g, clustering, nc_graph, scratch, step);
     (out, report)
 }
 
 /// Incrementally refreshes a previous [`run_all`] evaluation after a
-/// [`TopologyDelta`] — the churn-engine core. `g` is the **post-delta**
-/// graph; `scratch` must be the scratch that produced `prev` (its label
-/// arena still describes the pre-delta graph); `clustering` must keep
-/// `prev`'s head set (the maintenance layer in `adhoc-sim` falls back
-/// to [`run_all_with`] itself when re-elections change it).
+/// [`TopologyDelta`] and, optionally, a head-set change — the
+/// churn-engine core. `g` is the **post-delta** graph; `scratch` must
+/// be the scratch that produced `prev` (its label arena still describes
+/// the pre-delta graph and `prev`'s head set); `clustering` may differ
+/// from `prev`'s by promoted or demoted heads and re-affiliated members.
 ///
 /// The refresh touches only what the delta can have changed:
 ///
 /// 1. labels — one bounded BFS per **dirty** head
-///    ([`HeadLabels::apply_delta`]); clean rows are reused;
+///    ([`HeadLabels::apply_delta`]) and one row splice per head gained
+///    or lost; clean rows are reused;
 /// 2. NC relation — dirty rows re-derived, clean rows copied
 ///    ([`adjacency::nc_from_labels_patched`]);
 /// 3. NC links — canonical paths re-walked only for pairs owned by a
@@ -1097,12 +1005,13 @@ pub fn update_all_after_headset<G: Adjacency>(
 ///    virtual hop of a changed row or link hop count;
 ///    the rest of the head-space tail is shared with [`run_all_with`].
 ///
-/// When the dirty fraction crosses [`DIRTY_FRACTION_FALLBACK`], or the
-/// head set / node count changed, it falls back to a full rebuild.
-/// Either way the output is **bit-for-bit identical** to a from-scratch
-/// [`run_all`] on `g` (pinned by the `update_all_equivalence`
-/// proptest). Maintenance policies that must inspect labels between the
-/// two phases call [`advance_labels`] / [`update_all_after`] directly.
+/// Steps 2–5 run in full instead when the head set changed. When the
+/// dirty fraction crosses [`DIRTY_FRACTION_FALLBACK`], or the node
+/// count changed, the labels are rebuilt. Either way the output is
+/// **bit-for-bit identical** to a from-scratch [`run_all`] on `g`
+/// (pinned by the `update_all_equivalence` proptest). Maintenance
+/// policies that must inspect labels between the two phases call
+/// [`advance_labels`] / [`update_all_after`] directly.
 pub fn update_all<G: Adjacency + Sync>(
     g: &G,
     clustering: &Clustering,
@@ -1110,15 +1019,7 @@ pub fn update_all<G: Adjacency + Sync>(
     prev: &EvaluationOutput,
     scratch: &mut EvalScratch,
 ) -> (EvaluationOutput, UpdateReport) {
-    let advance = if prev.clustering.heads == clustering.heads {
-        advance_labels(g, clustering, delta, scratch)
-    } else {
-        let bound = 2 * clustering.k + 1;
-        scratch
-            .labels
-            .rebuild_with(g, &clustering.heads, bound, scratch.par);
-        LabelAdvance::Rebuilt
-    };
+    let advance = advance_labels(g, clustering, delta, scratch);
     update_all_after(g, clustering, delta, &advance, prev, scratch)
 }
 
@@ -1416,6 +1317,7 @@ mod tests {
     /// arena ever rebuilding (the incremental head-set contract).
     #[test]
     fn headset_advance_matches_run_all_without_rebuilds() {
+        use adhoc_graph::delta::TopologyDelta;
         use adhoc_graph::graph::NodeId;
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(707);
@@ -1423,8 +1325,9 @@ mod tests {
         let mut g = net.graph.clone();
         let base = crate::clustering::cluster(&g, 2, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::new();
-        run_all_with(&g, &base, &mut scratch);
+        let mut prev = run_all_with(&g, &base, &mut scratch);
         let rebuilds = scratch.labels().rebuild_count();
+        let none = TopologyDelta::new();
 
         // Promote two non-heads to heads, one at a time.
         let mut clustering = base.clone();
@@ -1434,20 +1337,17 @@ mod tests {
             clustering.heads.insert(pos, v);
             clustering.head_of[v.index()] = v;
             clustering.dist_to_head[v.index()] = 0;
-            let advance = advance_labels_headset(
-                &g,
-                &clustering,
-                &adhoc_graph::delta::TopologyDelta::new(),
-                &mut scratch,
-            );
+            let advance = advance_labels(&g, &clustering, &none, &mut scratch);
             assert!(
                 matches!(&advance, LabelAdvance::Incremental { dirty } if dirty == &[pos]),
                 "promotion of {v:?} must dirty exactly its own row, got {advance:?}"
             );
-            let (out, report) = update_all_after_headset(&g, &clustering, &advance, &mut scratch);
+            let (out, report) =
+                update_all_after(&g, &clustering, &none, &advance, &prev, &mut scratch);
             assert!(!report.rebuilt);
             assert_eq!(report.dirty_heads, 1);
             assert_evals_equal(&out, &run_all(&g, &clustering), &format!("+{v:?}"));
+            prev = out;
         }
 
         // Demote one of them again: a row removal dirties nothing.
@@ -1456,17 +1356,12 @@ mod tests {
         clustering.heads.remove(pos);
         clustering.head_of[v.index()] = base.head_of[v.index()];
         clustering.dist_to_head[v.index()] = base.dist_to_head[v.index()];
-        let advance = advance_labels_headset(
-            &g,
-            &clustering,
-            &adhoc_graph::delta::TopologyDelta::new(),
-            &mut scratch,
-        );
+        let advance = advance_labels(&g, &clustering, &none, &mut scratch);
         assert!(
             matches!(&advance, LabelAdvance::Incremental { dirty } if dirty.is_empty()),
             "demotion must dirty no rows, got {advance:?}"
         );
-        let (out, report) = update_all_after_headset(&g, &clustering, &advance, &mut scratch);
+        let (out, report) = update_all_after(&g, &clustering, &none, &advance, &prev, &mut scratch);
         assert!(!report.rebuilt);
         assert_eq!(report.dirty_heads, 0);
         assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{v:?}"));
@@ -1486,15 +1381,14 @@ mod tests {
         clustering.heads.remove(wpos);
         clustering.head_of[w.index()] = base.head_of[w.index()];
         clustering.dist_to_head[w.index()] = base.dist_to_head[w.index()];
-        let mut delta = adhoc_graph::delta::TopologyDelta::new();
+        let mut delta = TopologyDelta::new();
         let (a, b) = (NodeId(0), NodeId(40));
         if !g.has_edge(a, b) {
             g.add_edge(a, b);
             delta.push_added(a, b);
         }
         delta.normalize();
-        let advance = advance_labels_headset(&g, &clustering, &delta, &mut scratch);
-        let (out, _) = update_all_after_headset(&g, &clustering, &advance, &mut scratch);
+        let (out, _) = update_all(&g, &clustering, &delta, &out, &mut scratch);
         assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{w:?}+edge"));
     }
 
@@ -1506,15 +1400,11 @@ mod tests {
         let k1 = crate::clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
         let k2 = crate::clustering::cluster(&g, 2, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::new();
-        run_all_with(&g, &k1, &mut scratch);
-        let advance = advance_labels_headset(
-            &g,
-            &k2,
-            &adhoc_graph::delta::TopologyDelta::new(),
-            &mut scratch,
-        );
+        let prev = run_all_with(&g, &k1, &mut scratch);
+        let none = adhoc_graph::delta::TopologyDelta::new();
+        let advance = advance_labels(&g, &k2, &none, &mut scratch);
         assert_eq!(advance, LabelAdvance::Rebuilt, "bound changed");
-        let (out, report) = update_all_after_headset(&g, &k2, &advance, &mut scratch);
+        let (out, report) = update_all_after(&g, &k2, &none, &advance, &prev, &mut scratch);
         assert!(report.rebuilt);
         assert_evals_equal(&out, &run_all(&g, &k2), "rebuild fallback");
     }

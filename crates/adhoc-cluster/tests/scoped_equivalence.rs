@@ -5,10 +5,11 @@
 //! algorithm does not read, patches the A-NCR relation from the delta
 //! and the re-affiliated members, and re-runs the local MST only at
 //! heads within one virtual hop of a changed row or link. These
-//! proptests drive such a scratch through `update_all_after` chains
-//! (edge deltas plus member re-affiliations), head-set splices
-//! (`advance_labels_headset` + `update_all_after_headset`), and worker
-//! counts 1 and 2, and after every step check:
+//! proptests drive such a scratch through `advance_labels` +
+//! `update_all_after` chains — edge deltas plus member re-affiliations,
+//! and head-set splices that promote or demote a head in the same
+//! advance as an edge delta — at worker counts 1 and 2, and after every
+//! step check:
 //!
 //! * the scoped output holds exactly the requested algorithm;
 //! * its selection and CDS equal `run_all`'s entry;
@@ -154,7 +155,8 @@ proptest! {
                 }
             }
             delta.normalize();
-            let next = if step % 4 == 3 {
+            let splice = step % 4 == 3;
+            if splice {
                 // Head-set splice: promote a member (it keeps no
                 // members), or demote the last promoted head.
                 match promoted.pop() {
@@ -175,13 +177,12 @@ proptest! {
                         }
                     }
                 }
-                let splice = pipeline::advance_labels_headset(&g, &c, &delta, &mut scratch);
-                pipeline::update_all_after_headset(&g, &c, &splice, &mut scratch).0
-            } else {
-                let advance = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+            }
+            let advance = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+            if !splice {
                 reaffiliate(&mut c, &g0_labels, &base.heads, rng.gen_range(0..4), &mut rng);
-                pipeline::update_all_after(&g, &c, &delta, &advance, &prev, &mut scratch).0
-            };
+            }
+            let next = pipeline::update_all_after(&g, &c, &delta, &advance, &prev, &mut scratch).0;
             assert_scoped_matches(&g, &c, alg, &next, &ctx);
             prev = next;
         }

@@ -65,7 +65,6 @@ pub mod mst;
 pub mod obs;
 pub mod par;
 pub mod paths;
-pub mod subgraph;
 pub mod unionfind;
 
 pub use csr::Csr;

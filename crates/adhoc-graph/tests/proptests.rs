@@ -288,20 +288,6 @@ proptest! {
     }
 
     #[test]
-    fn masked_view_equals_isolation(g in arb_graph(25), dead_raw in 0u32..25) {
-        use adhoc_graph::bfs::Adjacency;
-        use adhoc_graph::subgraph::Masked;
-        let dead = NodeId(dead_raw % g.len() as u32);
-        let m = Masked::without(&g, &[dead]);
-        let mut iso = g.clone();
-        iso.isolate(dead);
-        for u in g.nodes() {
-            prop_assert_eq!(m.adj(u), iso.neighbors(u));
-        }
-        prop_assert_eq!(bfs::distances(&m, NodeId(0)), bfs::distances(&iso, NodeId(0)));
-    }
-
-    #[test]
     fn io_round_trip_any_graph(g in arb_graph(30)) {
         use adhoc_graph::io;
         let mut buf = Vec::new();

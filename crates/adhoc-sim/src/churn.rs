@@ -8,7 +8,9 @@
 //! on one incremental stack:
 //!
 //! * a **departure** is just a [`TopologyDelta`] removing one node's
-//!   edges ([`ChurnEngine::depart`]);
+//!   edges ([`ChurnEngine::depart`]); a departing clusterhead also
+//!   leaves the head list, so the same advance splices its label row
+//!   out and its members surface as orphans like any other;
 //! * a **movement step** is a positional delta
 //!   ([`ChurnEngine::step_delta`], produced by
 //!   [`MobileNetwork::step`](crate::mobility::MobileNetwork::step)'s
@@ -31,14 +33,14 @@
 //!                      │
 //!                      ▼
 //!    ┌─────────── OBSERVE ────────────┐  advance_labels (dirty-head
-//!    │  delta applied, labels swept,  │  bounded BFS), orphan / merge
-//!    │  damage detected — clustering, │  / head-loss detection read
-//!    │  CDS, eval, plan all untouched │  off the refreshed labels
-//!    └──────────────┬────────────────-┘
+//!    │  delta applied, labels swept,  │  bounded BFS, departed head's
+//!    │  damage detected — clustering, │  row spliced out), orphan /
+//!    │  CDS, eval, plan all untouched │  merge detection read off the
+//!    └──────────────┬────────────────-┘  refreshed labels
 //!                   ▼   ReconcileState::Observed
 //!    ┌─────────── REPAIR ─────────────┐  RepairLevel policy: rejoin
 //!    │  clustering mutated (rejoins,  │  orphans, elect stranded,
-//!    │  elections, head removal) —    │  re-elect globally on merges
+//!    │  elections, re-election) —     │  re-elect globally on merges
 //!    │  eval / CDS / plan untouched   │  — the charged node-rounds
 //!    └──────────────┬────────────────-┘
 //!                   ▼   ReconcileState::Repaired
@@ -59,21 +61,21 @@
 //! deterministically for the model checker.
 //!
 //! Each delta flows through `pipeline::advance_labels` (bounded BFS for
-//! **dirty** heads only), the [`RepairLevel`] policy reads the refreshed
-//! labels to find orphaned members and merged heads, shared repair
-//! primitives fix what broke, and `pipeline::update_all_after` refreshes
-//! only the affected virtual links and selections. The maintained
-//! evaluation is **bit-for-bit identical** to a from-scratch
+//! **dirty** heads only, one row splice per head gained or lost), the
+//! [`RepairLevel`] policy reads the refreshed labels to find orphaned
+//! members and merged heads, shared repair primitives fix what broke,
+//! and `pipeline::update_all_after` refreshes only the affected virtual
+//! links and selections (in full when the head set changed). The
+//! maintained evaluation is **bit-for-bit identical** to a from-scratch
 //! `pipeline::run_all` on the current graph (pinned by the
 //! `churn_equivalence` proptest and checked exhaustively as invariant
 //! I1 in [`crate::invariants`]), while the existing [`RepairLevel`]
 //! policy and node-round cost accounting ride on top unchanged.
 //!
-//! The repair itself is built from three private primitives at the
-//! bottom of this module: `broken_mates` (members whose ≤k-hop
-//! head path a departure broke), `rejoin_one` (join the nearest
-//! surviving head) and `elect_orphans` (local lowest-ID election among
-//! orphans with no head in range).
+//! The repair itself is built from two private primitives at the
+//! bottom of this module: `rejoin_one` (join the nearest surviving
+//! head) and `elect_orphans` (local lowest-ID election among orphans
+//! with no head in range).
 
 use crate::invariants;
 use crate::message::MessageKind;
@@ -125,10 +127,13 @@ enum StrandedPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PhaseBoundary {
     /// After **observe**: labels advanced and damage detected, but the
-    /// clustering, CDS, evaluation, and route plan are all pre-step.
+    /// CDS, evaluation, and route plan are all pre-step, and so is the
+    /// clustering — except the departing node's own entries (its
+    /// affiliation and, for a head, its head-list entry), which are
+    /// retired before observe runs.
     Observed,
     /// After **repair**: the clustering is mutated (rejoins, elections,
-    /// head removal), but the evaluation, verdicts, and route plan are
+    /// re-election), but the evaluation, verdicts, and route plan are
     /// still pre-step.
     Repaired,
 }
@@ -183,15 +188,12 @@ pub enum ReconcileState {
 #[derive(Debug)]
 pub struct Observation {
     delta: TopologyDelta,
-    /// `None` for a head departure: the head set is about to change,
-    /// so the label arena was deliberately not advanced.
-    advance: Option<LabelAdvance>,
+    advance: LabelAdvance,
     dirty_heads: usize,
     orphans: Vec<NodeId>,
     merged_head_pairs: usize,
     fresh_dist: Vec<(NodeId, u32)>,
     policy: StrandedPolicy,
-    departed_head: Option<NodeId>,
 }
 
 /// What the repair phase did (opaque; feed it back via
@@ -207,6 +209,8 @@ pub struct Repaired {
 struct Patch {
     advance: LabelAdvance,
     dirty_heads: usize,
+    /// The head set differs from the published evaluation's: a head
+    /// departed, or stranded orphans elected new heads.
     heads_changed: bool,
     level: RepairLevel,
     orphans: usize,
@@ -218,8 +222,9 @@ struct Patch {
 
 #[derive(Debug)]
 enum RepairOutcome {
-    /// Head set survived (or grew by a local election): publish
-    /// refreshes incrementally and patches the plan.
+    /// Local repair (rejoins, local elections, a departed head's
+    /// removal): publish refreshes incrementally, patching the plan
+    /// while the head set survives and recompiling it otherwise.
     Patch(Patch),
     /// Global re-election already performed (merged heads, stranded
     /// orphans under the movement policy, or an escalation): publish
@@ -229,15 +234,6 @@ enum RepairOutcome {
         orphans: usize,
         /// Merged head pairs that triggered it (0 otherwise).
         merged: usize,
-    },
-    /// §3.3 head loss: the departed head was removed and its orphans
-    /// re-joined/elected locally; publish pays the full evaluation but
-    /// the report keeps the local repair's accrued cost.
-    HeadLoss {
-        /// Orphans the departure produced.
-        orphans: usize,
-        /// Node-rounds accrued by rejoins and elections.
-        cost: usize,
     },
 }
 
@@ -713,14 +709,16 @@ impl ChurnEngine {
         assert!(!self.departed[u.index()], "{u:?} departed already");
         let delta = TopologyDelta::isolating(&self.graph, u);
         self.departed[u.index()] = true;
-        if !self.clustering.is_head(u) {
-            delta.apply_to(&mut self.graph);
-            self.clustering.head_of[u.index()] = GONE;
-            self.clustering.dist_to_head[u.index()] = 0;
-            return self.observe(delta, StrandedPolicy::Elect, None);
-        }
         delta.apply_to(&mut self.graph);
-        self.observe_head_loss(u, delta)
+        if let Ok(pos) = self.clustering.heads.binary_search(&u) {
+            // §3.3 head loss: observe splices the row out, and the
+            // members surface as orphans like any other.
+            self.clustering.heads.remove(pos);
+            self.metrics.inc("reconcile.head_loss");
+        }
+        self.clustering.head_of[u.index()] = GONE;
+        self.clustering.dist_to_head[u.index()] = 0;
+        self.observe(delta, StrandedPolicy::Elect, None)
     }
 
     /// Runs the **observe** phase for the arrival of `u`: the delta
@@ -817,10 +815,11 @@ impl ChurnEngine {
     }
 
     /// Observe: advance the label arena over the already-applied
-    /// `delta` (bounded BFS for dirty heads only) and detect damage —
-    /// orphaned members, merged head pairs. Pure detection: repairs
-    /// happen in the next phase. A `newcomer` (an arriving node with
-    /// no affiliation yet) is seeded straight into the orphan set so
+    /// `delta` and head set (bounded BFS for dirty heads only, one row
+    /// splice for a departed head) and detect damage — orphaned
+    /// members, merged head pairs. Pure detection: repairs happen in
+    /// the next phase. A `newcomer` (an arriving node with no
+    /// affiliation yet) is seeded straight into the orphan set so
     /// repair re-homes it via the §3.3 join-or-elect rule.
     fn observe(
         &mut self,
@@ -829,7 +828,10 @@ impl ChurnEngine {
         newcomer: Option<NodeId>,
     ) -> ReconcileState {
         let k = self.cfg.k;
-        if delta.is_empty() && newcomer.is_none() {
+        // A departing head left the head list already; its row must go
+        // even when it was isolated before (an empty delta).
+        let head_lost = self.scratch.labels().heads() != &self.clustering.heads[..];
+        if delta.is_empty() && newcomer.is_none() && !head_lost {
             // Nothing moved: the previous verdict stands verbatim — an
             // idle beacon costs O(1), no connectivity sweeps.
             self.metrics.inc("reconcile.noop");
@@ -854,9 +856,10 @@ impl ChurnEngine {
         let mut orphans = Vec::new();
         let mut fresh_dist = Vec::new();
         let mut merged_head_pairs = 0usize;
-        // A delta no head ball absorbed leaves every label row — and
-        // with it every ≤2k+1-hop distance the policy reads —
-        // bit-identical, so the orphan and merge verdicts are exactly
+        // A delta no head ball absorbed, on an unchanged head set,
+        // leaves every label row — and with it every ≤2k+1-hop
+        // distance the policy reads — bit-identical, so the orphan and
+        // merge verdicts are exactly
         // last step's end state: none (every step ends with all alive
         // members within k of their head and no merged pair, or it
         // escalated to a full rebuild that restored both). The whole
@@ -864,7 +867,7 @@ impl ChurnEngine {
         // publish because an engine maintaining the global G-MST
         // baseline reads component structure outside the balls (the
         // localized algorithms' refresh re-runs no head then).
-        if !advance.untouched() {
+        if head_lost || !advance.untouched() {
             // Policy detection off the labels: orphaned members (lost
             // their ≤k-hop head path) and merged head pairs. These
             // reads ride on the beacons a distributed realization
@@ -905,11 +908,15 @@ impl ChurnEngine {
                         }
                     }
                     None => {
-                        // An affiliation pointing at an unlabeled head
-                        // means clustering and labels disagree — a
-                        // checkable inconsistency, not an abort: treat
-                        // the member as orphaned so repair re-homes it.
-                        invariants::soft_check(false, "affiliation head is labeled");
+                        // The member of a departed head. Any other
+                        // unlabeled head means clustering and labels
+                        // disagree — a checkable inconsistency, not an
+                        // abort: the member is orphaned either way so
+                        // repair re-homes it.
+                        invariants::soft_check(
+                            self.departed[h.index()],
+                            "affiliation head is labeled",
+                        );
                         orphans.push(v);
                     }
                 }
@@ -950,68 +957,25 @@ impl ChurnEngine {
             orphans.sort_unstable();
         }
         drop(detect);
-        self.metrics
-            .record("reconcile.dirty_heads", dirty_heads as u64);
         self.metrics.add("reconcile.orphans", orphans.len() as u64);
         self.metrics
             .add("reconcile.merged_head_pairs", merged_head_pairs as u64);
         self.in_flight = Some(PhaseBoundary::Observed);
         ReconcileState::Observed(Box::new(Observation {
             delta,
-            advance: Some(advance),
+            advance,
             dirty_heads,
             orphans,
             merged_head_pairs,
             fresh_dist,
             policy,
-            departed_head: None,
-        }))
-    }
-
-    /// Observe for a **head** departure: the head set is about to
-    /// change, so the label arena is left alone (publish pays the full
-    /// evaluation), and the damage set is the departed head's members
-    /// plus the broken mates derived from the isolating delta — no
-    /// pre-departure graph snapshot needed.
-    fn observe_head_loss(&mut self, u: NodeId, delta: TopologyDelta) -> ReconcileState {
-        self.trace_phase(MessageKind::ReconcileObserve);
-        let _observe = self.metrics.span("reconcile.observe_ns");
-        self.metrics.inc("reconcile.count");
-        self.metrics.inc("reconcile.head_loss");
-        let detect = self.metrics.span("reconcile.detect_ns");
-        let mut former: Vec<NodeId> = delta
-            .removed
-            .iter()
-            .map(|&(a, b)| if a == u { b } else { a })
-            .collect();
-        former.sort_unstable();
-        let mut orphans: Vec<NodeId> = self
-            .graph
-            .nodes()
-            .filter(|&v| v != u && self.clustering.head_of(v) == u)
-            .collect();
-        orphans.extend(broken_mates(&self.graph, &former, &self.clustering, u));
-        orphans.sort_unstable();
-        orphans.dedup();
-        drop(detect);
-        self.metrics.add("reconcile.orphans", orphans.len() as u64);
-        self.in_flight = Some(PhaseBoundary::Observed);
-        ReconcileState::Observed(Box::new(Observation {
-            delta,
-            advance: None,
-            dirty_heads: 0,
-            orphans,
-            merged_head_pairs: 0,
-            fresh_dist: Vec::new(),
-            policy: StrandedPolicy::Elect,
-            departed_head: Some(u),
         }))
     }
 
     /// Repair: mutate the clustering per the [`RepairLevel`] policy —
     /// record refreshed distances, rejoin orphans, elect stranded
-    /// ones, re-elect globally on merges, drop a departed head. The
-    /// evaluation, CDS, verdicts, and route plan stay pre-step.
+    /// ones, re-elect globally on merges. The evaluation, CDS,
+    /// verdicts, and route plan stay pre-step.
     fn repair(&mut self, obs: Observation) -> ReconcileState {
         self.trace_phase(MessageKind::ReconcileRepair);
         let _repair = self.metrics.span("reconcile.repair_ns");
@@ -1023,59 +987,9 @@ impl ChurnEngine {
             merged_head_pairs,
             fresh_dist,
             policy,
-            departed_head,
         } = obs;
 
-        let outcome = if let Some(u) = departed_head {
-            // §3.3 head loss: drop the head, re-join its orphans to
-            // surviving heads, let the stranded elect locally.
-            match self.clustering.heads.binary_search(&u) {
-                Ok(pos) => {
-                    self.clustering.heads.remove(pos);
-                }
-                Err(_) => {
-                    // A departing head missing from the head list is a
-                    // clustering inconsistency; removal is already
-                    // done, so repair proceeds.
-                    invariants::soft_check(false, "departing head is listed in the head set");
-                }
-            }
-            self.clustering.head_of[u.index()] = GONE;
-            self.clustering.dist_to_head[u.index()] = 0;
-            let mut cost = 0usize;
-            let mut stranded = Vec::new();
-            if self.cfg.max_level >= RepairLevel::Reaffiliate {
-                for &v in &orphans {
-                    let (probed, joined) =
-                        rejoin_one(&self.graph, &mut self.clustering, v, &mut self.bfs);
-                    cost += probed;
-                    if !joined {
-                        stranded.push(v);
-                    }
-                }
-            } else {
-                // Cap below Reaffiliate: no re-homing at all. Every
-                // orphan is detached — the vanished head's members
-                // because its label row is about to be spliced out,
-                // the broken mates because their recorded ≤k distance
-                // may no longer hold (the plan compiler rejects stale
-                // affiliations rather than serving them).
-                stranded.extend(orphans.iter().copied());
-            }
-            if self.cfg.max_level >= RepairLevel::Full {
-                let (_, probes) =
-                    elect_orphans(&self.graph, &mut self.clustering, stranded, &mut self.bfs);
-                cost += probes;
-            } else {
-                for v in stranded {
-                    self.strand(v);
-                }
-            }
-            RepairOutcome::HeadLoss {
-                orphans: orphans.len(),
-                cost,
-            }
-        } else if merged_head_pairs > 0 && self.cfg.max_level >= RepairLevel::Full {
+        let outcome = if merged_head_pairs > 0 && self.cfg.max_level >= RepairLevel::Full {
             // Two heads drifted within merge distance: least cluster
             // change says re-elect globally (refreshed member
             // distances are pointless — the head set is replaced).
@@ -1090,7 +1004,6 @@ impl ChurnEngine {
             }
             let mut level = RepairLevel::None;
             let mut cost = 0usize;
-            let mut heads_changed = false;
             let mut rebuild = false;
             if !orphans.is_empty() && self.cfg.max_level < RepairLevel::Reaffiliate {
                 // Capped below any repair: orphans are detached, not
@@ -1128,18 +1041,23 @@ impl ChurnEngine {
                             rebuild = true;
                         }
                         StrandedPolicy::Elect => {
-                            let (_, probes) = elect_orphans(
+                            cost += elect_orphans(
                                 &self.graph,
                                 &mut self.clustering,
                                 stranded,
                                 &mut self.bfs,
                             );
-                            cost += probes;
-                            level = RepairLevel::Full;
-                            heads_changed = true;
                         }
                     }
                 }
+            }
+            let heads_changed = self.eval.clustering.heads != self.clustering.heads;
+            if heads_changed {
+                // A head loss or a local election. The head drop itself
+                // is forced; the *elective* part (stranded members
+                // electing replacements) is what a capped policy
+                // withholds.
+                level = RepairLevel::Full.min(self.cfg.max_level);
             }
             if rebuild {
                 RepairOutcome::Rebuilt {
@@ -1147,7 +1065,6 @@ impl ChurnEngine {
                     merged: 0,
                 }
             } else {
-                let advance = advance.unwrap_or(LabelAdvance::Rebuilt);
                 RepairOutcome::Patch(Patch {
                     advance,
                     dirty_heads,
@@ -1173,46 +1090,13 @@ impl ChurnEngine {
         let Repaired { delta, outcome } = rep;
         let report = match outcome {
             RepairOutcome::Rebuilt { orphans, merged } => self.publish_rebuilt(orphans, merged),
-            RepairOutcome::HeadLoss { orphans, cost } => {
-                // Observe left the arena untouched (`advance: None`),
-                // so the splice both repairs the surviving rows over
-                // the isolating delta and drops the departed head's
-                // row (plus opens rows for any locally elected
-                // replacements) — no wholesale rebuild.
-                let splice = pipeline::advance_labels_headset(
-                    &self.graph,
-                    &self.clustering,
-                    &delta,
-                    &mut self.scratch,
-                );
-                let (eval, _) = pipeline::update_all_after_headset(
-                    &self.graph,
-                    &self.clustering,
-                    &splice,
-                    &mut self.scratch,
-                );
-                self.eval = eval;
-                self.adopt_cds();
-                let cost = cost + self.information_cost();
-                self.refresh_validity();
-                self.republish_plan();
-                StepReport {
-                    // The head drop itself is forced; the *elective*
-                    // part (stranded members electing replacements)
-                    // is what a capped policy withholds.
-                    level: RepairLevel::Full.min(self.cfg.max_level),
-                    orphans,
-                    merged_head_pairs: 0,
-                    cost,
-                    valid: self.last_valid,
-                    dirty_heads: splice.dirty_count(self.clustering.heads.len()),
-                }
-            }
             RepairOutcome::Patch(patch) => self.publish_patch(&delta, patch),
         };
         self.metrics
             .add("reconcile.cost_node_rounds", report.cost as u64);
         self.metrics.record("reconcile.cost", report.cost as u64);
+        self.metrics
+            .record("reconcile.dirty_heads", report.dirty_heads as u64);
         if report.level >= RepairLevel::Full {
             self.metrics.inc("reconcile.level_full");
         }
@@ -1234,42 +1118,40 @@ impl ChurnEngine {
             mut cost,
         } = patch;
 
-        // Refresh the maintained evaluation: incremental row reuse when
-        // the head set survived; a **row splice** when a local election
-        // grew it (observe already advanced every surviving row over
-        // the delta, so the splice only opens rows for the new heads —
-        // the arena is never rebuilt wholesale for a local head gain).
-        if heads_changed {
-            let splice = pipeline::advance_labels_headset(
+        // Refresh the maintained evaluation. Observe already advanced
+        // every surviving row over the delta and spliced out a departed
+        // head's row, so a local election only opens rows for the new
+        // heads — the arena is never rebuilt wholesale for a local head
+        // change. The report counts re-swept plus opened rows.
+        if self.scratch.labels().heads() != &self.clustering.heads[..] {
+            let splice = pipeline::advance_labels(
                 &self.graph,
                 &self.clustering,
                 &TopologyDelta::new(),
                 &mut self.scratch,
             );
-            let (eval, _) = pipeline::update_all_after_headset(
-                &self.graph,
-                &self.clustering,
-                &splice,
-                &mut self.scratch,
-            );
-            self.eval = eval;
-            dirty_heads = splice.dirty_count(self.clustering.heads.len());
-        } else {
-            let (eval, _) = pipeline::update_all_after(
-                &self.graph,
-                &self.clustering,
-                delta,
-                &advance,
-                &self.eval,
-                &mut self.scratch,
-            );
-            self.eval = eval;
+            dirty_heads = match (&advance, &splice) {
+                (
+                    LabelAdvance::Incremental { dirty },
+                    LabelAdvance::Incremental { dirty: added },
+                ) => dirty.len() + added.len(),
+                _ => self.clustering.heads.len(),
+            };
         }
+        let (eval, _) = pipeline::update_all_after(
+            &self.graph,
+            &self.clustering,
+            delta,
+            &advance,
+            &self.eval,
+            &mut self.scratch,
+        );
+        self.eval = eval;
 
         // Prepare the pending plan without touching the served one:
         // localized deltas patch a clone's ascent rows and backbone
-        // tables; label rebuilds and elections compile fresh (the
-        // dirty set is unknown or the slot layout changed).
+        // tables; label rebuilds and head-set changes compile fresh
+        // (the dirty set is unknown or the slot layout changed).
         let pending: Option<RoutePlan> = match &self.route_plan {
             None => None,
             Some(current) => Some(if heads_changed {
@@ -1309,12 +1191,12 @@ impl ChurnEngine {
         // ball-untouched delta whose endpoints avoid stale gateways —
         // cost no connectivity traversal at all.
         if heads_changed {
-            // A local election changed the head set, so the maintained
-            // CDS must follow it — the lazy gateway-adoption policy
-            // only applies while the head set is stable. (Before this
-            // adoption the stale CDS could not dominate the elected
-            // head, and every election escalated into a global
-            // rebuild, defeating the local repair.)
+            // A head loss or local election changed the head set, so
+            // the maintained CDS must follow it — the lazy
+            // gateway-adoption policy only applies while the head set
+            // is stable. (Before this adoption the stale CDS could not
+            // dominate an elected head, and every election escalated
+            // into a global rebuild, defeating the local repair.)
             self.adopt_cds();
             // Every head re-collects its 2k+1 ball.
             cost += self.information_cost();
@@ -1503,9 +1385,9 @@ impl ChurnEngine {
     }
 
     /// Recomputes both verification verdicts at full price. Called
-    /// whenever the CDS is replaced wholesale (build, departures with
-    /// head loss, full rebuilds); incremental steps keep the verdicts
-    /// current via [`Self::backbone_touched`]-gated reuse instead.
+    /// whenever the CDS is rebuilt wholesale (build, full rebuilds);
+    /// incremental steps keep the verdicts current via
+    /// [`Self::backbone_touched`]-gated reuse instead.
     fn refresh_validity(&mut self) {
         let _validity = self.metrics.span("reconcile.validity_ns");
         self.last_backbone_ok = connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
@@ -1549,15 +1431,14 @@ fn rejoin_one(
 
 /// §3.3's local election: orphans with no surviving head within `k`
 /// hops elect heads among themselves with iterative lowest-ID contests
-/// restricted to the undecided set. Returns the elected heads and the
-/// total k-ball probe size (charged node-rounds).
+/// restricted to the undecided set. Returns the total k-ball probe
+/// size (charged node-rounds).
 fn elect_orphans(
     g: &Graph,
     clustering: &mut Clustering,
     mut undecided: Vec<NodeId>,
     scratch: &mut BfsScratch,
-) -> (Vec<NodeId>, usize) {
-    let mut elected = Vec::new();
+) -> usize {
     let mut probes = 0usize;
     while !undecided.is_empty() {
         undecided.sort_unstable();
@@ -1599,68 +1480,8 @@ fn elect_orphans(
             }
         }
         undecided = next;
-        elected.extend(winners);
     }
-    (elected, probes)
-}
-
-/// Finds members whose ≤k-hop connection to their head broke when
-/// `departed` left.
-///
-/// Only nodes within `k` hops of `departed` *before* the departure can
-/// be affected (any head-path through `departed` gives its owner
-/// `d(owner, departed) < k`), and crucially the affected members can
-/// belong to **any** cluster, not just the departed node's — its
-/// radio links may have carried other clusters' head-paths.
-///
-/// The pre-departure k-ball is recovered **without a pre-departure
-/// graph snapshot**: a shortest pre-departure path from `departed` is
-/// simple, so after its first hop it avoids `departed` and lives
-/// entirely in `residual`. Hence
-/// `d_old(departed, v) = 1 + min over former neighbors w of
-/// d_residual(w, v)` for every `v ≠ departed`, and one multi-source
-/// BFS from `former_neighbors` (`departed`'s neighbors before the
-/// isolating delta) bounded at `k − 1` hops enumerates exactly the old
-/// ball.
-fn broken_mates(
-    residual: &Graph,
-    former_neighbors: &[NodeId],
-    clustering: &Clustering,
-    departed: NodeId,
-) -> Vec<NodeId> {
-    let mut scratch = BfsScratch::new(residual.len());
-    let candidates: Vec<NodeId> = if clustering.k == 0 {
-        Vec::new()
-    } else {
-        scratch.run_multi(residual, former_neighbors, clustering.k - 1);
-        scratch
-            .visited()
-            .iter()
-            .copied()
-            .filter(|&v| v != departed && !clustering.is_head(v))
-            .collect()
-    };
-    let mut reach_cache: std::collections::BTreeMap<NodeId, Vec<bool>> = Default::default();
-    let mut broken = Vec::new();
-    for v in candidates {
-        let h = clustering.head_of(v);
-        if h == GONE || h == departed {
-            continue;
-        }
-        let reach = reach_cache.entry(h).or_insert_with(|| {
-            scratch.run(residual, h, clustering.k);
-            let mut ok = vec![false; residual.len()];
-            for &w in scratch.visited() {
-                ok[w.index()] = true;
-            }
-            ok
-        });
-        if !reach[v.index()] {
-            broken.push(v);
-        }
-    }
-    broken.sort_unstable();
-    broken
+    probes
 }
 
 #[cfg(test)]
@@ -1901,6 +1722,140 @@ mod tests {
         assert_eq!(r.level, RepairLevel::Full);
         assert_eq!(e.clustering.heads, vec![NodeId(1)]);
         assert_engine_consistent(&e, "stranded election");
+    }
+
+    /// A departure or arrival that elects reports every label row it
+    /// touched: the rows the delta re-swept plus the rows the election
+    /// opened, not just the opened ones.
+    #[test]
+    fn electing_ops_report_reswept_and_opened_rows() {
+        // The fixture of `bystander_departure_escalates_when_mate_path_breaks`:
+        // bystander 1 departs, and member 2 is left to elect itself.
+        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 5), (5, 6), (6, 0), (0, 4), (4, 3)]);
+        let mut e = ChurnEngine::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
+        let delta = TopologyDelta::isolating(e.graph(), NodeId(1));
+        let reswept = e.labels().dirty_slots(&delta).len();
+        assert_eq!(reswept, 1, "head 0's row absorbs the departure");
+        let r = e.depart(NodeId(1));
+        assert_eq!(e.clustering.heads, vec![NodeId(0), NodeId(2)]);
+        assert_eq!(r.dirty_heads, reswept + 1);
+
+        // An arrival one hop past head 18's range elects itself.
+        let mut e =
+            ChurnEngine::build(&gen::path(21), MovementConfig::strict(1, Algorithm::AcLmst));
+        e.depart(NodeId(20));
+        let mut delta = TopologyDelta::new();
+        delta.push_added(NodeId(19), NodeId(20));
+        let reswept = e.labels().dirty_slots(&delta).len();
+        assert!(reswept > 0, "head 18's row absorbs the arrival");
+        let r = e.arrive(NodeId(20), &[NodeId(19)]);
+        assert_eq!(e.clustering.head_of(NodeId(20)), NodeId(20));
+        assert_eq!(r.dirty_heads, reswept + 1);
+    }
+
+    /// Test oracle for a head departure's broken mates, by a different
+    /// route than the engine's label reads: members whose ≤k-hop
+    /// connection to their head broke when `departed` left.
+    ///
+    /// Only nodes within `k` hops of `departed` *before* the departure can
+    /// be affected (any head-path through `departed` gives its owner
+    /// `d(owner, departed) < k`), and crucially the affected members can
+    /// belong to **any** cluster, not just the departed node's — its
+    /// radio links may have carried other clusters' head-paths.
+    ///
+    /// The pre-departure k-ball is recovered **without a pre-departure
+    /// graph snapshot**: a shortest pre-departure path from `departed` is
+    /// simple, so after its first hop it avoids `departed` and lives
+    /// entirely in `residual`. Hence
+    /// `d_old(departed, v) = 1 + min over former neighbors w of
+    /// d_residual(w, v)` for every `v ≠ departed`, and one multi-source
+    /// BFS from `former_neighbors` (`departed`'s neighbors before the
+    /// isolating delta) bounded at `k − 1` hops enumerates exactly the old
+    /// ball.
+    fn broken_mates(
+        residual: &Graph,
+        former_neighbors: &[NodeId],
+        clustering: &Clustering,
+        departed: NodeId,
+    ) -> Vec<NodeId> {
+        let mut scratch = BfsScratch::new(residual.len());
+        let candidates: Vec<NodeId> = if clustering.k == 0 {
+            Vec::new()
+        } else {
+            scratch.run_multi(residual, former_neighbors, clustering.k - 1);
+            scratch
+                .visited()
+                .iter()
+                .copied()
+                .filter(|&v| v != departed && !clustering.is_head(v))
+                .collect()
+        };
+        let mut reach_cache: std::collections::BTreeMap<NodeId, Vec<bool>> = Default::default();
+        let mut broken = Vec::new();
+        for v in candidates {
+            let h = clustering.head_of(v);
+            if h == GONE || h == departed {
+                continue;
+            }
+            let reach = reach_cache.entry(h).or_insert_with(|| {
+                scratch.run(residual, h, clustering.k);
+                let mut ok = vec![false; residual.len()];
+                for &w in scratch.visited() {
+                    ok[w.index()] = true;
+                }
+                ok
+            });
+            if !reach[v.index()] {
+                broken.push(v);
+            }
+        }
+        broken.sort_unstable();
+        broken
+    }
+
+    /// A head departure's orphans, read off the labels, are exactly the
+    /// departed head's members plus the broken mates a BFS over the
+    /// residual graph finds — and no soft check fires on the way.
+    #[test]
+    fn head_departure_orphans_match_bfs_oracle() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for k in 1..=4u32 {
+            for md in 1..=k {
+                let net = gen::geometric(&GeometricConfig::new(120, 100.0, 7.0), &mut rng);
+                let cfg = MovementConfig::tolerant(k, Algorithm::AcLmst, md);
+                let mut e = ChurnEngine::build(&net.graph, cfg);
+                for _ in 0..6 {
+                    let heads = &e.clustering.heads;
+                    if heads.is_empty() {
+                        break;
+                    }
+                    let u = heads[rng.gen_range(0..heads.len())];
+                    let before = e.clustering.clone();
+                    let delta = TopologyDelta::isolating(e.graph(), u);
+                    let mut residual = e.graph().clone();
+                    delta.apply_to(&mut residual);
+                    let mut former: Vec<NodeId> = delta
+                        .removed
+                        .iter()
+                        .map(|&(a, b)| if a == u { b } else { a })
+                        .collect();
+                    former.sort_unstable();
+                    let mut expected: Vec<NodeId> = residual
+                        .nodes()
+                        .filter(|&v| v != u && before.head_of(v) == u)
+                        .collect();
+                    expected.extend(broken_mates(&residual, &former, &before, u));
+                    expected.sort_unstable();
+                    expected.dedup();
+                    let (r, soft) = invariants::capturing(|| e.depart(u));
+                    let ctx = format!("k={k} md={md} head {u:?}");
+                    assert_eq!(r.orphans, expected.len(), "{ctx}: orphans");
+                    assert!(soft.is_empty(), "{ctx}: soft checks {soft:?}");
+                    assert!(r.valid || !e.alive_connected(), "{ctx}");
+                }
+                assert_engine_consistent(&e, &format!("k={k} md={md}"));
+            }
+        }
     }
 
     /// A capped policy under-repairs *honestly*: stranded members are

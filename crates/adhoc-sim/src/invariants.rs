@@ -164,15 +164,20 @@ fn label_mismatch(maintained: &HeadLabels, fresh: &HeadLabels) -> Option<String>
 /// plan equal a cold rebuild on the engine's current graph and
 /// clustering; departed nodes carry the departure sentinel and alive
 /// members sit within `k` of their recorded head at their recorded
-/// distance.
+/// distance (members a capped policy parked on the sentinel excepted).
 pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
     let mut out = Vec::new();
     let g = engine.graph();
     let clustering = &engine.clustering;
     let k = engine.config().k;
+    let maintained = engine.labels();
+    let fresh = HeadLabels::build(g, &clustering.heads, maintained.bound());
 
     // Affiliation sanity: heads self-affiliated, departed nodes out of
-    // every cluster, alive members within k at the recorded distance.
+    // every cluster, alive members within k at the recorded distance
+    // (read off the cold labels, whose bound 2k+1 covers every distance
+    // up to k exactly). Members parked on the departure sentinel by a
+    // capped repair policy are knowingly unaffiliated.
     for v in g.nodes() {
         let h = clustering.head_of(v);
         if engine.is_departed(v) {
@@ -199,6 +204,9 @@ pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
             }
             continue;
         }
+        if h == NodeId(u32::MAX) {
+            continue;
+        }
         let d = clustering.dist_to_head[v.index()];
         if d > k {
             out.push(Violation::new(
@@ -206,11 +214,23 @@ pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
                 format!("member {v:?} recorded {d} > k hops from {h:?}"),
             ));
         }
+        match fresh.slot(h) {
+            Some(slot) if fresh.dist(slot, v) == d => {}
+            Some(slot) => out.push(Violation::new(
+                "I1",
+                format!(
+                    "member {v:?} recorded {d} hops from {h:?}, true distance {}",
+                    fresh.dist(slot, v)
+                ),
+            )),
+            None => out.push(Violation::new(
+                "I1",
+                format!("member {v:?} affiliated to non-head {h:?}"),
+            )),
+        }
     }
 
     // Labels ≡ cold rebuild (same bound).
-    let maintained = engine.labels();
-    let fresh = HeadLabels::build(g, &clustering.heads, maintained.bound());
     if let Some(why) = label_mismatch(maintained, &fresh) {
         out.push(Violation::new("I1", why));
     }
@@ -487,6 +507,19 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.invariant == "I1"),
             "corruption must surface as an I1 violation: {violations:?}"
+        );
+
+        // A stale distance still within k: member 1 sits one hop from
+        // head 0 but records two under k=2.
+        let mut e = ChurnEngine::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
+        assert_eq!(e.clustering.head_of(NodeId(1)), NodeId(0));
+        assert_eq!(e.clustering.dist_to_head[1], 1);
+        assert!(check_equivalence(&e).is_empty());
+        e.clustering.dist_to_head[1] = 2;
+        let violations = check_equivalence(&e);
+        assert!(
+            violations.iter().any(|v| v.invariant == "I1"),
+            "a within-k stale distance must surface as an I1 violation: {violations:?}"
         );
     }
 
