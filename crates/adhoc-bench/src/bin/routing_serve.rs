@@ -465,12 +465,8 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
     g.add_edge(a, b);
     delta.push_added(a, b);
     delta.normalize();
-    let advance = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-    let (eval, _) = pipeline::update_all_after(&g, &c, &delta, &advance, &eval, &mut scratch);
-    let dirty: Vec<usize> = match &advance {
-        pipeline::LabelAdvance::Incremental { dirty } => dirty.clone(),
-        pipeline::LabelAdvance::Rebuilt => (0..c.heads.len()).collect(),
-    };
+    let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+    let (eval, _) = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
     let new_links = eval.selected_links(Algorithm::AcMesh);
     let mut hub_par = hub.clone();
     let mut dense_par = dense.clone();

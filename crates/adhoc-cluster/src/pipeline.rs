@@ -17,8 +17,7 @@
 //! * [`update_all`] — the **incremental churn engine**: given the
 //!   previous evaluation, its warm [`EvalScratch`], and a
 //!   [`TopologyDelta`], refresh only the labels, virtual links, and
-//!   selections the changed edges can have affected (dirty-head set),
-//!   falling back to [`run_all`] past a dirty-fraction threshold.
+//!   selections the changed edges can have affected (dirty-head set).
 //!   Output is bit-for-bit identical to a from-scratch [`run_all`] on
 //!   the new graph (enforced by the `update_all_equivalence` proptest).
 //!
@@ -37,7 +36,6 @@ use crate::priority::LowestId;
 use crate::virtual_graph::{SlotIndex, VirtualGraph};
 use adhoc_graph::bfs::Adjacency;
 use adhoc_graph::delta::TopologyDelta;
-use adhoc_graph::graph::NodeId;
 use adhoc_graph::obs::Metrics;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -503,8 +501,8 @@ struct Step<'a> {
     prev: &'a EvaluationOutput,
     /// The edge delta applied to the graph since `prev`.
     delta: &'a TopologyDelta,
-    /// The label-dirty slots, or `None` when the labels were rebuilt.
-    dirty: Option<&'a [usize]>,
+    /// The label slots the advance swept.
+    dirty: &'a [usize],
 }
 
 /// Shared tail of [`run_all_with`] and the incremental updates:
@@ -604,12 +602,12 @@ fn eval_from_nc<G: Adjacency>(
     // A clean NC row or link implies a clean label row, so only the
     // label-dirty slots can change NC-LMST; AC rows also change with
     // the A-NCR rescans. `None` asks for a comparison at every head.
-    let nc_candidates = step.as_ref().and_then(|s| s.dirty);
+    let nc_candidates = step.as_ref().map(|s| s.dirty);
     let ac_candidates = step
         .as_ref()
-        .and_then(|s| s.dirty.zip(ac_rescanned.as_deref()))
-        .map(|(dirty, rescanned)| {
-            let mut slots = [dirty, rescanned].concat();
+        .zip(ac_rescanned.as_deref())
+        .map(|(s, rescanned)| {
+            let mut slots = [s.dirty, rescanned].concat();
             slots.sort_unstable();
             slots.dedup();
             slots
@@ -740,12 +738,6 @@ fn lmst_rerun_mask(
     mask
 }
 
-/// Dirty fraction above which [`update_all`] stops being incremental:
-/// when a delta touches more than this share of the clusterheads, the
-/// per-row bookkeeping costs more than the full label rebuild it would
-/// save, so the engine falls back to [`run_all_with`].
-pub const DIRTY_FRACTION_FALLBACK: f64 = 0.5;
-
 /// How [`update_all`] processed a delta (returned alongside the
 /// refreshed output; benches and maintenance policies report it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -756,13 +748,10 @@ pub struct UpdateReport {
     pub dirty_heads: usize,
     /// Total clusterheads.
     pub head_count: usize,
-    /// Whether the label arena was rebuilt from scratch (dirty fraction
-    /// above [`DIRTY_FRACTION_FALLBACK`], or an incompatible scratch).
-    pub rebuilt: bool,
 }
 
 impl UpdateReport {
-    /// Dirty heads as a fraction of all heads (1.0 on fallback).
+    /// Dirty heads as a fraction of all heads (1.0 on a rebuild).
     pub fn dirty_fraction(&self) -> f64 {
         if self.head_count == 0 {
             0.0
@@ -772,54 +761,16 @@ impl UpdateReport {
     }
 }
 
-/// How [`advance_labels`] brought the scratch labels up to date with a
-/// post-delta graph and head set (phase 1 of an incremental refresh).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LabelAdvance {
-    /// Only these slots were re-swept or opened; all other rows are
-    /// provably unchanged.
-    Incremental {
-        /// Dirty head slots, ascending (indexes into the new head
-        /// list).
-        dirty: Vec<usize>,
-    },
-    /// The labels were rebuilt from scratch (dirty fraction above
-    /// [`DIRTY_FRACTION_FALLBACK`], or the scratch's bound or node
-    /// count did not match).
-    Rebuilt,
-}
-
-impl LabelAdvance {
-    /// Number of head slots this advance re-swept or opened
-    /// (`head_count` when the labels were rebuilt wholesale).
-    pub fn dirty_count(&self, head_count: usize) -> usize {
-        match self {
-            LabelAdvance::Incremental { dirty } => dirty.len(),
-            LabelAdvance::Rebuilt => head_count,
-        }
-    }
-
-    /// Whether the advance provably changed **no** label row — the
-    /// delta was absorbed outside every head's `2k+1` ball and the head
-    /// set gained no row, so every distance a maintenance policy reads
-    /// is bit-identical to the previous step's.
-    pub fn untouched(&self) -> bool {
-        matches!(self, LabelAdvance::Incremental { dirty } if dirty.is_empty())
-    }
-}
-
 /// Phase 1 of [`update_all`]: advances `scratch`'s label arena from the
 /// pre-delta graph and head set to `g` (the **post-delta** graph) and
-/// `clustering`'s head set. Rows whose `2k+1` ball a changed edge
-/// touched are re-swept; when the head set changed, departed heads
-/// drop their rows ([`HeadLabels::remove_head_row`]) and new heads
-/// sweep exactly one new row each ([`HeadLabels::add_head_row`]). The
-/// arena is never rebuilt wholesale while the scratch stays compatible
-/// (same bound and node count) and the delta dirties at most
-/// [`DIRTY_FRACTION_FALLBACK`] of the rows, so a §3.3 head loss or
-/// local election costs `O(changed rows)` BFS sweeps, not `O(h)`. The
-/// result is bit-identical to a full rebuild on `g` with the new head
-/// set (pinned by tests and by the churn-engine equivalence suite).
+/// `clustering`'s head set, in one [`HeadLabels::advance`]: rows whose
+/// `2k+1` ball a changed edge touched are re-swept, departed heads drop
+/// their rows and new heads sweep one new row each, so a §3.3 head loss
+/// or local election costs `O(changed rows)` BFS sweeps and one arena
+/// splice, not `O(h)` sweeps. Only a scratch built for another bound or
+/// node count is rebuilt. The result is bit-identical to a full
+/// rebuild on `g` with the new head set (pinned by tests and by the
+/// churn-engine equivalence suite).
 ///
 /// Split out so maintenance policies can *read the refreshed labels*
 /// (orphan members, head merges) and repair the clustering **before**
@@ -827,85 +778,38 @@ impl LabelAdvance {
 /// coverage churn has broken can place adjacent heads beyond `2k+1`
 /// hops, which the virtual-graph builders reject.
 ///
-/// Returns the dirty slots **in the new slot numbering** (delta-dirty
-/// survivors plus added rows), or [`LabelAdvance::Rebuilt`].
+/// Returns the swept slots **in the new slot numbering** (delta-dirty
+/// survivors plus added rows; every slot after a rebuild).
 pub fn advance_labels<G: Adjacency + Sync>(
     g: &G,
     clustering: &Clustering,
     delta: &TopologyDelta,
     scratch: &mut EvalScratch,
-) -> LabelAdvance {
+) -> Vec<usize> {
     let bound = 2 * clustering.k + 1;
     let _advance = scratch.metrics.span("labels.advance_ns");
     let compatible =
         scratch.labels.bound() == bound && scratch.labels.node_count() == g.node_count();
-    let mut dirty = if compatible {
+    let dirty = if compatible {
         scratch.labels.dirty_slots(delta)
     } else {
+        scratch.metrics.inc("labels.rebuild_fallback");
         Vec::new()
     };
-    let same_heads = scratch.labels.heads() == &clustering.heads[..];
-    if !same_heads {
-        // Skip rows whose head is about to lose its row anyway.
-        let old = scratch.labels.heads();
-        dirty.retain(|&s| clustering.heads.binary_search(&old[s]).is_ok());
-    }
-    if !compatible
-        || dirty.len() as f64 > DIRTY_FRACTION_FALLBACK * scratch.labels.heads().len() as f64
-    {
-        scratch.metrics.inc("labels.rebuild_fallback");
-        scratch
-            .labels
-            .rebuild_with(g, &clustering.heads, bound, scratch.par);
-        return LabelAdvance::Rebuilt;
-    }
+    let swept = scratch
+        .labels
+        .advance(g, &clustering.heads, bound, &dirty, scratch.par);
     scratch
         .metrics
-        .add("labels.rows_repaired", dirty.len() as u64);
-    scratch.labels.apply_delta_with(g, &dirty, scratch.par);
-    if same_heads {
-        return LabelAdvance::Incremental { dirty };
-    }
-    // Row splices, then the dirty set renumbered into the new slots.
-    let old = scratch.labels.heads();
-    let mut keep: Vec<NodeId> = dirty.iter().map(|&s| old[s]).collect();
-    let removed: Vec<NodeId> = old
-        .iter()
-        .copied()
-        .filter(|h| clustering.heads.binary_search(h).is_err())
-        .collect();
-    scratch
-        .metrics
-        .add("labels.head_rows_removed", removed.len() as u64);
-    for h in removed {
-        scratch.labels.remove_head_row(h);
-    }
-    let added: Vec<NodeId> = clustering
-        .heads
-        .iter()
-        .copied()
-        .filter(|&h| scratch.labels.slot(h).is_none())
-        .collect();
-    scratch
-        .metrics
-        .add("labels.head_rows_added", added.len() as u64);
-    for &h in &added {
-        scratch.labels.add_head_row(g, h);
-    }
-    debug_assert_eq!(scratch.labels.heads(), &clustering.heads[..]);
-    keep.extend(added);
-    let mut dirty: Vec<usize> = keep
-        .iter()
-        .filter_map(|&h| scratch.labels.slot(h))
-        .collect();
-    dirty.sort_unstable();
-    LabelAdvance::Incremental { dirty }
+        .add("labels.rows_repaired", swept.len() as u64);
+    swept
 }
 
 /// Phase 2 of [`update_all`]: derives the evaluation of the scratch's
 /// [`AlgorithmSet`] from labels already advanced by [`advance_labels`]
-/// to `clustering`'s head set. `prev` must be the evaluation of the
-/// pre-delta graph, and `delta` the edge change since then. `clustering`
+/// to `clustering`'s head set, which swept the label slots `swept`.
+/// `prev` must be the evaluation of the pre-delta graph, and `delta`
+/// the edge change since then. `clustering`
 /// may carry repaired member affiliations (they feed only the A-NCR
 /// relation, whose rows are rescanned for every re-affiliated node). On
 /// `prev`'s head set, `prev`'s NC rows and canonical paths are reused
@@ -922,7 +826,7 @@ pub fn update_all_after<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
     delta: &TopologyDelta,
-    advance: &LabelAdvance,
+    swept: &[usize],
     prev: &EvaluationOutput,
     scratch: &mut EvalScratch,
 ) -> (EvaluationOutput, UpdateReport) {
@@ -935,48 +839,40 @@ pub fn update_all_after<G: Adjacency>(
     scratch.metrics.inc("pipeline.update_all");
     let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
     let same_heads = prev.clustering.heads == clustering.heads;
-    let incremental = match advance {
-        LabelAdvance::Incremental { dirty } if same_heads => Some(dirty),
-        _ => None,
-    };
     let labels = &scratch.labels;
     let nc_span = scratch.metrics.span("pipeline.nc_graph_ns");
-    let nc_graph = match incremental {
-        Some(dirty) => {
-            let nc_sets = adjacency::nc_from_labels_patched(
-                clustering,
-                labels,
-                &prev.nc_graph.neighbor_sets,
-                dirty,
-            );
-            let mut dirty_mask = vec![false; heads];
-            for &slot in dirty {
-                dirty_mask[slot] = true;
-            }
-            VirtualGraph::from_labels_patched(
-                g,
-                clustering,
-                nc_sets,
-                labels,
-                &prev.nc_graph,
-                &dirty_mask,
-            )
+    let nc_graph = if same_heads {
+        let nc_sets = adjacency::nc_from_labels_patched(
+            clustering,
+            labels,
+            &prev.nc_graph.neighbor_sets,
+            swept,
+        );
+        let mut dirty_mask = vec![false; heads];
+        for &slot in swept {
+            dirty_mask[slot] = true;
         }
-        None => {
-            let nc_sets = adjacency::nc_from_labels(clustering, labels);
-            VirtualGraph::from_labels(g, clustering, nc_sets, labels)
-        }
+        VirtualGraph::from_labels_patched(
+            g,
+            clustering,
+            nc_sets,
+            labels,
+            &prev.nc_graph,
+            &dirty_mask,
+        )
+    } else {
+        let nc_sets = adjacency::nc_from_labels(clustering, labels);
+        VirtualGraph::from_labels(g, clustering, nc_sets, labels)
     };
     drop(nc_span);
     let report = UpdateReport {
-        dirty_heads: advance.dirty_count(heads),
+        dirty_heads: swept.len(),
         head_count: heads,
-        rebuilt: matches!(advance, LabelAdvance::Rebuilt),
     };
     let step = same_heads.then_some(Step {
         prev,
         delta,
-        dirty: incremental.map(Vec::as_slice),
+        dirty: swept,
     });
     let out = eval_from_nc(g, clustering, nc_graph, scratch, step);
     (out, report)
@@ -991,9 +887,9 @@ pub fn update_all_after<G: Adjacency>(
 ///
 /// The refresh touches only what the delta can have changed:
 ///
-/// 1. labels — one bounded BFS per **dirty** head
-///    ([`HeadLabels::apply_delta`]) and one row splice per head gained
-///    or lost; clean rows are reused;
+/// 1. labels — one bounded BFS per **dirty** or gained head and one
+///    row splice in all ([`HeadLabels::advance`]); clean rows are
+///    reused;
 /// 2. NC relation — dirty rows re-derived, clean rows copied
 ///    ([`adjacency::nc_from_labels_patched`]);
 /// 3. NC links — canonical paths re-walked only for pairs owned by a
@@ -1005,10 +901,9 @@ pub fn update_all_after<G: Adjacency>(
 ///    virtual hop of a changed row or link hop count;
 ///    the rest of the head-space tail is shared with [`run_all_with`].
 ///
-/// Steps 2–5 run in full instead when the head set changed. When the
-/// dirty fraction crosses [`DIRTY_FRACTION_FALLBACK`], or the node
-/// count changed, the labels are rebuilt. Either way the output is
-/// **bit-for-bit identical** to a from-scratch [`run_all`] on `g`
+/// Steps 2–5 run in full instead when the head set changed. A scratch
+/// built for another bound or node count has its labels rebuilt.
+/// Either way the output is **bit-for-bit identical** to a from-scratch [`run_all`] on `g`
 /// (pinned by the `update_all_equivalence` proptest). Maintenance
 /// policies that must inspect labels between the two phases call
 /// [`advance_labels`] / [`update_all_after`] directly.
@@ -1019,8 +914,8 @@ pub fn update_all<G: Adjacency + Sync>(
     prev: &EvaluationOutput,
     scratch: &mut EvalScratch,
 ) -> (EvaluationOutput, UpdateReport) {
-    let advance = advance_labels(g, clustering, delta, scratch);
-    update_all_after(g, clustering, delta, &advance, prev, scratch)
+    let swept = advance_labels(g, clustering, delta, scratch);
+    update_all_after(g, clustering, delta, &swept, prev, scratch)
 }
 
 #[cfg(test)]
@@ -1175,8 +1070,9 @@ mod tests {
         }
     }
 
-    /// A delta that floods most balls must trip the fallback, and the
-    /// fallback must still be exact.
+    /// A delta that floods every ball stays incremental — every row is
+    /// re-swept in place, the arena is not rebuilt — and is still
+    /// exact.
     #[test]
     fn update_all_falls_back_on_heavy_deltas() {
         use adhoc_graph::graph::NodeId;
@@ -1194,14 +1090,15 @@ mod tests {
             }
         }
         delta.normalize();
+        let rebuilds = scratch.labels().rebuild_count();
         let (next, report) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
-        assert!(report.rebuilt);
         assert_eq!(report.dirty_fraction(), 1.0);
-        assert_evals_equal(&next, &run_all(&g, &clustering), "fallback");
+        assert_eq!(scratch.labels().rebuild_count(), rebuilds, "no rebuild");
+        assert_evals_equal(&next, &run_all(&g, &clustering), "every row dirty");
     }
 
     /// Every evaluation times its NC stage once: the cold build, a
-    /// patched update and a rebuilt one.
+    /// patched update and one with every row dirty.
     #[test]
     fn nc_stage_is_spanned_once_per_evaluation() {
         use adhoc_graph::graph::NodeId;
@@ -1217,15 +1114,15 @@ mod tests {
         delta.push_added(NodeId(1), NodeId(3));
         delta.normalize();
         let (prev, patched) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
-        assert!(!patched.rebuilt);
+        assert!(patched.dirty_fraction() < 1.0);
         let mut hub = adhoc_graph::delta::TopologyDelta::new();
         for v in 3..20u32 {
             g.add_edge(NodeId(0), NodeId(v));
             hub.push_added(NodeId(0), NodeId(v));
         }
         hub.normalize();
-        let (_, rebuilt) = update_all(&g, &clustering, &hub, &prev, &mut scratch);
-        assert!(rebuilt.rebuilt);
+        let (_, saturated) = update_all(&g, &clustering, &hub, &prev, &mut scratch);
+        assert_eq!(saturated.dirty_fraction(), 1.0);
         let snap = metrics.snapshot();
         let span = snap
             .histogram("pipeline.nc_graph_ns")
@@ -1234,9 +1131,9 @@ mod tests {
     }
 
     /// Every evaluation times each selection stage it needs once: the
-    /// cold all-five build, a patched and a rebuilt update each run the
-    /// meshes, the LMSTs and G-MST; a scoped AC-LMST evaluation runs
-    /// only the LMST stage.
+    /// cold all-five build, a patched update and one with every row
+    /// dirty each run the meshes, the LMSTs and G-MST; a scoped AC-LMST
+    /// evaluation runs only the LMST stage.
     #[test]
     fn tail_stages_are_spanned_once_per_evaluation() {
         use adhoc_graph::graph::NodeId;
@@ -1252,15 +1149,15 @@ mod tests {
         delta.push_added(NodeId(1), NodeId(3));
         delta.normalize();
         let (prev, patched) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
-        assert!(!patched.rebuilt);
+        assert!(patched.dirty_fraction() < 1.0);
         let mut hub = adhoc_graph::delta::TopologyDelta::new();
         for v in 3..20u32 {
             g.add_edge(NodeId(0), NodeId(v));
             hub.push_added(NodeId(0), NodeId(v));
         }
         hub.normalize();
-        let (_, rebuilt) = update_all(&g, &clustering, &hub, &prev, &mut scratch);
-        assert!(rebuilt.rebuilt);
+        let (_, saturated) = update_all(&g, &clustering, &hub, &prev, &mut scratch);
+        assert_eq!(saturated.dirty_fraction(), 1.0);
         scratch.set_algorithms(AlgorithmSet::only(Algorithm::AcLmst));
         run_all_with(&g, &clustering, &mut scratch);
         let snap = metrics.snapshot();
@@ -1337,14 +1234,14 @@ mod tests {
             clustering.heads.insert(pos, v);
             clustering.head_of[v.index()] = v;
             clustering.dist_to_head[v.index()] = 0;
-            let advance = advance_labels(&g, &clustering, &none, &mut scratch);
-            assert!(
-                matches!(&advance, LabelAdvance::Incremental { dirty } if dirty == &[pos]),
-                "promotion of {v:?} must dirty exactly its own row, got {advance:?}"
+            let swept = advance_labels(&g, &clustering, &none, &mut scratch);
+            assert_eq!(
+                swept,
+                [pos],
+                "promotion of {v:?} must sweep exactly its own row"
             );
             let (out, report) =
-                update_all_after(&g, &clustering, &none, &advance, &prev, &mut scratch);
-            assert!(!report.rebuilt);
+                update_all_after(&g, &clustering, &none, &swept, &prev, &mut scratch);
             assert_eq!(report.dirty_heads, 1);
             assert_evals_equal(&out, &run_all(&g, &clustering), &format!("+{v:?}"));
             prev = out;
@@ -1356,26 +1253,17 @@ mod tests {
         clustering.heads.remove(pos);
         clustering.head_of[v.index()] = base.head_of[v.index()];
         clustering.dist_to_head[v.index()] = base.dist_to_head[v.index()];
-        let advance = advance_labels(&g, &clustering, &none, &mut scratch);
+        let swept = advance_labels(&g, &clustering, &none, &mut scratch);
         assert!(
-            matches!(&advance, LabelAdvance::Incremental { dirty } if dirty.is_empty()),
-            "demotion must dirty no rows, got {advance:?}"
+            swept.is_empty(),
+            "demotion must sweep no rows, got {swept:?}"
         );
-        let (out, report) = update_all_after(&g, &clustering, &none, &advance, &prev, &mut scratch);
-        assert!(!report.rebuilt);
+        let (out, report) = update_all_after(&g, &clustering, &none, &swept, &prev, &mut scratch);
         assert_eq!(report.dirty_heads, 0);
         assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{v:?}"));
 
-        assert_eq!(
-            scratch.labels().rebuild_count(),
-            rebuilds,
-            "head-set changes must splice, not rebuild"
-        );
-
         // A head-set change combined with an edge delta in one
-        // advance stays exact whichever path it takes (small
-        // deltas can still flood many 2k+1 balls, legitimately
-        // tripping the dirty-fraction fallback).
+        // advance stays exact.
         let w = promoted[1];
         let wpos = clustering.heads.binary_search(&w).unwrap();
         clustering.heads.remove(wpos);
@@ -1390,10 +1278,16 @@ mod tests {
         delta.normalize();
         let (out, _) = update_all(&g, &clustering, &delta, &out, &mut scratch);
         assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{w:?}+edge"));
+        assert_eq!(
+            scratch.labels().rebuild_count(),
+            rebuilds,
+            "head-set changes must splice, not rebuild"
+        );
     }
 
-    /// An incompatible scratch (different bound) forces the head-set
-    /// advance onto the rebuild path, which must still be exact.
+    /// An incompatible scratch (different bound) makes the advance
+    /// rebuild the labels and sweep every slot, which must still be
+    /// exact.
     #[test]
     fn headset_advance_falls_back_on_incompatible_scratch() {
         let g = gen::grid(4, 5);
@@ -1402,11 +1296,17 @@ mod tests {
         let mut scratch = EvalScratch::new();
         let prev = run_all_with(&g, &k1, &mut scratch);
         let none = adhoc_graph::delta::TopologyDelta::new();
-        let advance = advance_labels(&g, &k2, &none, &mut scratch);
-        assert_eq!(advance, LabelAdvance::Rebuilt, "bound changed");
-        let (out, report) = update_all_after(&g, &k2, &none, &advance, &prev, &mut scratch);
-        assert!(report.rebuilt);
-        assert_evals_equal(&out, &run_all(&g, &k2), "rebuild fallback");
+        let rebuilds = scratch.labels().rebuild_count();
+        let swept = advance_labels(&g, &k2, &none, &mut scratch);
+        assert_eq!(
+            swept,
+            (0..k2.heads.len()).collect::<Vec<_>>(),
+            "bound changed"
+        );
+        assert_eq!(scratch.labels().rebuild_count(), rebuilds + 1);
+        let (out, report) = update_all_after(&g, &k2, &none, &swept, &prev, &mut scratch);
+        assert_eq!(report.dirty_fraction(), 1.0);
+        assert_evals_equal(&out, &run_all(&g, &k2), "rebuild on a new bound");
     }
 
     /// An empty delta is a no-op refresh with zero dirty heads.
@@ -1419,7 +1319,6 @@ mod tests {
         let delta = adhoc_graph::delta::TopologyDelta::new();
         let (next, report) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
         assert_eq!(report.dirty_heads, 0);
-        assert!(!report.rebuilt);
         assert_eq!(report.dirty_fraction(), 0.0);
         assert_evals_equal(&next, &prev, "no-op");
     }

@@ -131,11 +131,6 @@ use super::inter::{CsrView, InterScratch, FAR};
 use adhoc_graph::par::{self, Parallelism};
 use std::cell::Cell;
 
-/// Dirty-hub fraction above which `HubIndex::repair` declines and
-/// the caller rebuilds from scratch — same 50% knee as the label
-/// pipeline's `DIRTY_FRACTION_FALLBACK`.
-pub const HUB_DIRTY_FRACTION_FALLBACK: f64 = 0.5;
-
 /// Landmarks whose exact distances bound the walk's full scans from
 /// below. On the `N = 20000`, ~1800-head serving network four cut a
 /// walk's full rejecting scans from 15.5 to 4.7; eight measured the
@@ -526,9 +521,8 @@ impl HubIndex {
     /// added/removed/re-weighted link) and `csr` is the new backbone.
     ///
     /// Returns `Some(dirty hubs re-swept)` on success. Returns `None`
-    /// — caller must rebuild — when the importance order itself
-    /// changed (repair could no longer equal a fresh build) or the
-    /// dirty fraction crosses [`HUB_DIRTY_FRACTION_FALLBACK`].
+    /// — caller must rebuild — only when the importance order itself
+    /// changed (repair could no longer equal a fresh build).
     #[cfg(test)]
     pub(crate) fn repair(
         &mut self,
@@ -568,9 +562,6 @@ impl HubIndex {
         if dirty_count == 0 {
             return Some(0);
         }
-        if dirty_count as f64 >= HUB_DIRTY_FRACTION_FALLBACK * self.h as f64 {
-            return None;
-        }
         // Re-sweep exactly the dirty hubs against the new backbone.
         let dirty_hubs: Vec<u32> = self
             .order
@@ -579,6 +570,13 @@ impl HubIndex {
             .filter(|&c| dirty[c as usize])
             .collect();
         let fresh = sweep_hubs(csr, &dirty_hubs, &self.rank, scratch, par);
+        self.landmark = landmark_table(csr, scratch);
+        if dirty_count == self.h {
+            // Every hub re-swept: `fresh` is the whole arena, as in a
+            // build.
+            self.fill_arena(&fresh);
+            return Some(dirty_count);
+        }
         // Segment-wise splice: per row, drop old dirty-hub entries and
         // merge in the fresh ones (both sides hub-ascending), leaving
         // clean entries byte-identical — the labels.rs clean-row-copy
@@ -622,7 +620,6 @@ impl HubIndex {
         self.label_off = off;
         self.label_hub = hubs;
         self.label_dist = dists;
-        self.landmark = landmark_table(csr, scratch);
         Some(dirty_count)
     }
 

@@ -384,8 +384,8 @@ pub enum InterRepair {
         /// Hubs re-swept (out of `h`).
         dirty_hubs: usize,
     },
-    /// Hub layout: the dirty fraction crossed the fallback threshold or
-    /// the degree order itself changed, so the index was rebuilt.
+    /// Hub layout: the importance order itself changed, so the index
+    /// was rebuilt.
     HubRebuilt,
 }
 

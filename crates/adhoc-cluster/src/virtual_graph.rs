@@ -270,7 +270,7 @@ impl VirtualGraph {
     }
 
     /// As [`Self::from_labels`], but after an **incremental** label
-    /// update ([`HeadLabels::apply_delta`]): links owned by a clean
+    /// update ([`HeadLabels::advance`]): links owned by a clean
     /// larger endpoint are copied byte-for-byte from `prev` (the
     /// canonical walk reads only that endpoint's distance row and the
     /// adjacency of nodes inside its ball, both provably untouched when

@@ -127,13 +127,10 @@ proptest! {
                 (0..c.heads.len()).collect()
             } else {
                 delta.normalize();
-                let advance = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-                let (next, _) = pipeline::update_all_after(&g, &c, &delta, &advance, &eval, &mut scratch);
+                let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+                let (next, _) = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
                 eval = next;
-                match &advance {
-                    pipeline::LabelAdvance::Incremental { dirty } => dirty.clone(),
-                    pipeline::LabelAdvance::Rebuilt => (0..c.heads.len()).collect(),
-                }
+                dirty
             };
             let hub_report = hub.apply_delta(
                 &g, &c, scratch.labels(), &delta, &dirty,

@@ -136,7 +136,8 @@ proptest! {
     /// Incremental chains: `update_all` label repairs and
     /// `apply_delta_tuned` plan repairs over a shared random edge
     /// trajectory stay bit-identical to the serial arm at every step,
-    /// including steps that change the head set (rebuild fallback).
+    /// including steps that change the head set (head rows dropped and
+    /// opened in the same advance as the delta).
     #[test]
     fn update_chains_are_worker_count_invariant(
         seed in 0u64..1_000_000,
@@ -302,48 +303,77 @@ fn assert_fans_out(work: usize, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Label repairs above the gate: unbounded balls over a few hundred
-    /// nodes, so one added edge dirties every row and the dirty rows'
-    /// old balls sum far past the threshold.
+    /// Label advances above the gate: two disjoint geometric
+    /// components of a few hundred nodes each, labeled with unbounded
+    /// balls, so an added edge dirties every row of its component and
+    /// those rows' old balls sum far past the threshold. The chain adds
+    /// an edge to one component (about half the rows dirty, the other
+    /// half copied next to the pooled sweeps), then to the other, then
+    /// to both (every row dirty); each advance also drops one head and
+    /// gains another. Every arm equals a cold build after every step
+    /// and never rebuilds.
     #[test]
     fn fanned_out_label_repairs_are_worker_count_invariant(
         seed in 0u64..1_000_000,
         n in 500usize..=600,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
-        let c = clustering::cluster(&net.graph, 1, &LowestId, MemberPolicy::IdBased);
-        let before = HeadLabels::build(&net.graph, &c.heads, u32::MAX);
-        let mut g = net.graph.clone();
-        let mut delta = TopologyDelta::new();
-        while delta.is_empty() {
-            let a = NodeId(rng.gen_range(0..n as u32));
-            let b = NodeId(rng.gen_range(0..n as u32));
-            if a != b && !g.has_edge(a, b) {
-                g.add_edge(a, b);
-                delta.push_added(a, b);
-            }
+        let mut edges = Vec::new();
+        for part in 0..2u32 {
+            let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
+            let shift = part * n as u32;
+            edges.extend(net.graph.edges().map(|(a, b)| (a.0 + shift, b.0 + shift)));
         }
-        let dirty = before.dirty_slots(&delta);
-        assert_fans_out(
-            work::label_repair(dirty.iter().map(|&s| before.ball(s).len())),
-            "label repair",
-        );
-        let arms: Vec<_> = FANNED_GRID
+        let mut g = Graph::from_edges(2 * n, &edges);
+        let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        let mut heads = c.heads.clone();
+        let mut arms: Vec<HeadLabels> = FANNED_GRID
             .iter()
-            .map(|&w| {
-                let mut labels = before.clone();
-                labels.apply_delta_with(&g, &dirty, Parallelism::new(w));
-                label_rows(&labels)
-            })
+            .map(|_| HeadLabels::build(&g, &heads, u32::MAX))
             .collect();
-        prop_assert_eq!(
-            &arms[0],
-            &label_rows(&HeadLabels::build(&g, &c.heads, u32::MAX)),
-            "serial repair diverged from a fresh build"
-        );
-        for (w, rows) in FANNED_GRID.iter().zip(&arms).skip(1) {
-            prop_assert_eq!(rows, &arms[0], "{} workers: label repair diverged", w);
+        for (step, parts) in [&[0u32][..], &[1], &[0, 1]].into_iter().enumerate() {
+            let mut delta = TopologyDelta::new();
+            for &part in parts {
+                let shift = part * n as u32;
+                loop {
+                    let a = NodeId(shift + rng.gen_range(0..n as u32));
+                    let b = NodeId(shift + rng.gen_range(0..n as u32));
+                    if a != b && !g.has_edge(a, b) {
+                        g.add_edge(a, b);
+                        delta.push_added(a, b);
+                        break;
+                    }
+                }
+            }
+            delta.normalize();
+            let dirty = arms[0].dirty_slots(&delta);
+            prop_assert_eq!(dirty.len() == heads.len(), parts.len() == 2, "step {}", step);
+            assert_fans_out(
+                work::label_repair(dirty.iter().map(|&s| arms[0].ball(s).len())),
+                "label repair",
+            );
+            heads.remove(rng.gen_range(0..heads.len()));
+            let gained = loop {
+                let v = NodeId(rng.gen_range(0..2 * n as u32));
+                if heads.binary_search(&v).is_err() {
+                    break v;
+                }
+            };
+            heads.insert(heads.binary_search(&gained).unwrap_err(), gained);
+            let sweeps: Vec<Vec<usize>> = FANNED_GRID
+                .iter()
+                .zip(&mut arms)
+                .map(|(&w, labels)| labels.advance(&g, &heads, u32::MAX, &dirty, Parallelism::new(w)))
+                .collect();
+            let cold = label_rows(&HeadLabels::build(&g, &heads, u32::MAX));
+            for ((w, labels), swept) in FANNED_GRID.iter().zip(&arms).zip(&sweeps) {
+                prop_assert_eq!(
+                    &label_rows(labels), &cold,
+                    "step {}, {} workers: advance diverged from a fresh build", step, w
+                );
+                prop_assert_eq!(swept, &sweeps[0], "step {}, {} workers: swept slots", step, w);
+                prop_assert_eq!(labels.rebuild_count(), 1, "{} workers rebuilt", w);
+            }
         }
     }
 

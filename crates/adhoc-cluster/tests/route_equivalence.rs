@@ -107,13 +107,9 @@ proptest! {
             delta.normalize();
             // Advance labels + evaluation the way the churn engine does,
             // then repair the plan off the dirty slots.
-            let advance = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-            let (next, _) = pipeline::update_all_after(&g, &c, &delta, &advance, &eval, &mut scratch);
+            let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+            let (next, _) = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
             eval = next;
-            let dirty: Vec<usize> = match &advance {
-                pipeline::LabelAdvance::Incremental { dirty } => dirty.clone(),
-                pipeline::LabelAdvance::Rebuilt => (0..c.heads.len()).collect(),
-            };
             let report = plan.apply_delta(
                 &g, &c, scratch.labels(), &delta, &dirty,
                 eval.selected_links(Algorithm::AcLmst),

@@ -178,11 +178,11 @@ proptest! {
                     }
                 }
             }
-            let advance = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+            let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
             if !splice {
                 reaffiliate(&mut c, &g0_labels, &base.heads, rng.gen_range(0..4), &mut rng);
             }
-            let next = pipeline::update_all_after(&g, &c, &delta, &advance, &prev, &mut scratch).0;
+            let next = pipeline::update_all_after(&g, &c, &delta, &swept, &prev, &mut scratch).0;
             assert_scoped_matches(&g, &c, alg, &next, &ctx);
             prev = next;
         }

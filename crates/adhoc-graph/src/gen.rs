@@ -185,7 +185,7 @@ pub fn unit_disk_graph(positions: &[Point], r: f64) -> Graph {
 /// 3×3 cell block around each — `O(moved · local density)` instead of a
 /// full rebuild — and reports exactly which edges appeared and vanished
 /// as a [`TopologyDelta`], the input of every incremental consumer
-/// above (`HeadLabels::apply_delta`, `pipeline::update_all`).
+/// above (`HeadLabels::advance`, `pipeline::update_all`).
 ///
 /// Cells are hashed by integer cell coordinates, so the grid covers an
 /// unbounded plane with memory proportional to *occupied* cells only —
@@ -341,13 +341,22 @@ pub fn unit_disk_graph_naive(positions: &[Point], r: f64) -> Graph {
     g
 }
 
-/// Why [`try_geometric`] could not sample a network.
+/// Why [`try_geometric`] or [`try_quasi_geometric`] could not sample a
+/// network.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GenError {
     /// Fewer than two nodes were requested.
     TooFewNodes(usize),
     /// The target degree is not a finite positive number.
     BadDegree(f64),
+    /// The quasi-UDG gray zone is degenerate: `outer_ratio` is not a
+    /// finite number `>= 1`, or `p_gray` is outside `[0, 1]`.
+    BadGrayZone {
+        /// Requested ratio of the outer to the inner radius.
+        outer_ratio: f64,
+        /// Requested gray-zone link probability.
+        p_gray: f64,
+    },
     /// Connectivity was required, and `attempts` consecutive samples
     /// were disconnected.
     TooSparse {
@@ -367,6 +376,14 @@ impl std::fmt::Display for GenError {
             GenError::BadDegree(d) => {
                 write!(f, "target degree must be finite and positive (got {d})")
             }
+            GenError::BadGrayZone {
+                outer_ratio,
+                p_gray,
+            } => write!(
+                f,
+                "gray zone needs a finite outer_ratio >= 1 and p_gray in [0, 1] \
+                 (got outer_ratio {outer_ratio}, p_gray {p_gray})"
+            ),
             GenError::TooSparse {
                 attempts,
                 n,
@@ -401,6 +418,18 @@ pub fn try_geometric<R: Rng + ?Sized>(
     cfg: &GeometricConfig,
     rng: &mut R,
 ) -> Result<GeometricNetwork, GenError> {
+    sample(cfg, rng, |positions, r, _| unit_disk_graph(positions, r))
+}
+
+/// The sampling loop both generators share: draws positions, calibrates
+/// the range over `edges(positions, r, rng)` and resamples until the
+/// instance is connected (if required). The edge builder may draw from
+/// `rng`; it is called in the same order on every path.
+fn sample<R: Rng + ?Sized>(
+    cfg: &GeometricConfig,
+    rng: &mut R,
+    mut edges: impl FnMut(&[Point], f64, &mut R) -> Graph,
+) -> Result<GeometricNetwork, GenError> {
     if cfg.n < 2 {
         return Err(GenError::TooFewNodes(cfg.n));
     }
@@ -413,7 +442,7 @@ pub fn try_geometric<R: Rng + ?Sized>(
             .map(|_| Point::new(rng.gen::<f64>() * cfg.side, rng.gen::<f64>() * cfg.side))
             .collect();
         let mut r = geom::range_for_target_degree(cfg.n, cfg.side, cfg.target_degree);
-        let mut graph = unit_disk_graph(&positions, r);
+        let mut graph = edges(&positions, r, rng);
         for _ in 0..cfg.calibration_rounds {
             let measured = graph.average_degree();
             if measured <= 0.0 {
@@ -424,7 +453,7 @@ pub fn try_geometric<R: Rng + ?Sized>(
                 // oscillate on small instances.
                 r *= ratio.clamp(0.5, 2.0);
             }
-            graph = unit_disk_graph(&positions, r);
+            graph = edges(&positions, r, rng);
         }
         if cfg.require_connected && !connectivity::is_connected(&graph) {
             rejected += 1;
@@ -522,62 +551,48 @@ pub fn quasi_unit_disk_graph<R: Rng + ?Sized>(
     g
 }
 
-/// Samples a connected quasi-UDG network: positions drawn like
-/// [`geometric`], the *inner* radius calibrated to the target degree
-/// with the gray zone scaled by `outer_ratio` (`outer = inner *
-/// outer_ratio`). Resamples positions until connected.
+/// Samples a quasi-UDG network: positions drawn like [`geometric`],
+/// the *inner* radius calibrated to the target degree with the gray
+/// zone scaled by `outer_ratio` (`outer = inner * outer_ratio`),
+/// positions resampled until connected if `cfg` requires it.
+///
+/// # Errors
+/// As [`try_geometric`], plus [`GenError::BadGrayZone`] for an
+/// `outer_ratio` that is not a finite number `>= 1` or a `p_gray`
+/// outside `[0, 1]`.
+pub fn try_quasi_geometric<R: Rng + ?Sized>(
+    cfg: &GeometricConfig,
+    outer_ratio: f64,
+    p_gray: f64,
+    rng: &mut R,
+) -> Result<GeometricNetwork, GenError> {
+    if !(outer_ratio.is_finite() && outer_ratio >= 1.0 && (0.0..=1.0).contains(&p_gray)) {
+        return Err(GenError::BadGrayZone {
+            outer_ratio,
+            p_gray,
+        });
+    }
+    sample(cfg, rng, |positions, r, rng| {
+        quasi_unit_disk_graph(
+            positions,
+            &QuasiUdgConfig::new(r, r * outer_ratio, p_gray),
+            rng,
+        )
+    })
+}
+
+/// [`try_quasi_geometric`] for configurations known to be satisfiable.
 ///
 /// # Panics
-/// As [`geometric`], plus degenerate `outer_ratio < 1`.
+/// Panics with the [`GenError`] message where [`try_quasi_geometric`]
+/// would return it.
 pub fn quasi_geometric<R: Rng + ?Sized>(
     cfg: &GeometricConfig,
     outer_ratio: f64,
     p_gray: f64,
     rng: &mut R,
 ) -> GeometricNetwork {
-    assert!(outer_ratio >= 1.0, "outer_ratio must be >= 1");
-    assert!(cfg.n >= 2, "need at least two nodes");
-    let mut rejected = 0usize;
-    loop {
-        let positions: Vec<Point> = (0..cfg.n)
-            .map(|_| Point::new(rng.gen::<f64>() * cfg.side, rng.gen::<f64>() * cfg.side))
-            .collect();
-        let mut r = geom::range_for_target_degree(cfg.n, cfg.side, cfg.target_degree);
-        let mut graph = quasi_unit_disk_graph(
-            &positions,
-            &QuasiUdgConfig::new(r, r * outer_ratio, p_gray),
-            rng,
-        );
-        for _ in 0..cfg.calibration_rounds {
-            let measured = graph.average_degree();
-            if measured <= 0.0 {
-                r *= 1.5;
-            } else {
-                let ratio = (cfg.target_degree / measured).sqrt();
-                r *= ratio.clamp(0.5, 2.0);
-            }
-            graph = quasi_unit_disk_graph(
-                &positions,
-                &QuasiUdgConfig::new(r, r * outer_ratio, p_gray),
-                rng,
-            );
-        }
-        if cfg.require_connected && !connectivity::is_connected(&graph) {
-            rejected += 1;
-            assert!(
-                rejected < cfg.max_attempts,
-                "exceeded {} attempts without a connected quasi-UDG instance",
-                cfg.max_attempts
-            );
-            continue;
-        }
-        return GeometricNetwork {
-            positions,
-            range: r,
-            graph,
-            rejected,
-        };
-    }
+    try_quasi_geometric(cfg, outer_ratio, p_gray, rng).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Path graph `0 - 1 - … - (n-1)`.
@@ -948,5 +963,83 @@ mod tests {
     #[should_panic(expected = "inner <= outer")]
     fn quasi_udg_rejects_inverted_radii() {
         QuasiUdgConfig::new(3.0, 2.0, 0.5);
+    }
+
+    /// FNV-1a over a network's node count, edge list, range bits and
+    /// rejection count.
+    fn fingerprint(net: &GeometricNetwork) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(net.graph.len() as u64);
+        for (u, v) in net.graph.edges() {
+            eat(u64::from(u.0) << 32 | u64::from(v.0));
+        }
+        eat(net.range.to_bits());
+        eat(net.rejected as u64);
+        h
+    }
+
+    /// Both generators run one sampling loop; it must draw the very
+    /// networks the two separate loops drew before they were merged,
+    /// resampled instances included (fingerprints of those loops'
+    /// output).
+    #[test]
+    fn shared_sampler_keeps_both_generators_bit_identical() {
+        let cfg = GeometricConfig::new(80, 100.0, 6.0);
+        for (seed, geometric_fp, quasi_fp) in [
+            (1u64, 0x94eb_a381_0204_a097u64, 0xb42c_aed2_2e54_d098u64),
+            (2, 0x2f8f_ff25_2fcc_b78a, 0xec59_5963_ca11_f29f),
+            (3, 0x986e_ea69_542d_6234, 0x895a_a4df_6812_7aa9),
+        ] {
+            let g = geometric(&cfg, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(fingerprint(&g), geometric_fp, "geometric, seed {seed}");
+            let q = quasi_geometric(&cfg, 1.5, 0.5, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(fingerprint(&q), quasi_fp, "quasi, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn try_quasi_geometric_reports_typed_errors() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let cfg = GeometricConfig::new(60, 100.0, 6.0);
+        for (outer_ratio, p_gray) in [
+            (0.5, 0.5),
+            (f64::NAN, 0.5),
+            (f64::INFINITY, 0.5),
+            (1.5, 1.5),
+        ] {
+            assert_eq!(
+                try_quasi_geometric(&cfg, outer_ratio, p_gray, &mut rng)
+                    .unwrap_err()
+                    .to_string(),
+                GenError::BadGrayZone {
+                    outer_ratio,
+                    p_gray
+                }
+                .to_string()
+            );
+        }
+        for d in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = GeometricConfig::new(60, 100.0, d);
+            assert!(matches!(
+                try_quasi_geometric(&bad, 1.5, 0.5, &mut rng),
+                Err(GenError::BadDegree(_))
+            ));
+        }
+        assert_eq!(
+            try_quasi_geometric(&GeometricConfig::new(1, 100.0, 6.0), 1.5, 0.5, &mut rng)
+                .unwrap_err(),
+            GenError::TooFewNodes(1)
+        );
+        let mut sparse = GeometricConfig::new(200, 100.0, 0.5);
+        sparse.max_attempts = 3;
+        assert!(matches!(
+            try_quasi_geometric(&sparse, 1.5, 0.5, &mut rng),
+            Err(GenError::TooSparse { attempts: 3, .. })
+        ));
     }
 }

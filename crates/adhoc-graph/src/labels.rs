@@ -21,10 +21,9 @@
 //! canonical-path predecessor, so storing it would invite misuse.
 //!
 //! The struct is designed for reuse across Monte-Carlo replicates:
-//! [`HeadLabels::rebuild`] reuses every allocation, and the incremental
-//! paths ([`HeadLabels::apply_delta`], [`HeadLabels::add_head_row`],
-//! [`HeadLabels::remove_head_row`]) re-sweep only the rows a change
-//! can reach and copy the rest.
+//! [`HeadLabels::rebuild`] reuses every allocation, and the one
+//! incremental path, [`HeadLabels::advance`], re-sweeps only the rows
+//! a change can reach, opens rows for new heads and copies the rest.
 
 use crate::bfs::{Adjacency, DistLabels, UNREACHED};
 use crate::delta::TopologyDelta;
@@ -269,7 +268,7 @@ pub struct HeadLabels {
     slot_of: Vec<u32>,
     /// The live rows, one per head slot.
     rows: Rows,
-    /// The rows before the last splice, kept so incremental steps
+    /// The rows before the last advance, kept so incremental steps
     /// reuse their allocations.
     prev: Rows,
     /// Shared BFS distance scratch (`n`-sized, all-`UNREACHED` between
@@ -280,10 +279,10 @@ pub struct HeadLabels {
     /// such labels cannot drive delta-based dirtiness reasoning.
     stopped_at_heads: bool,
     /// Full rebuilds performed so far (every [`Self::rebuild`] and
-    /// [`Self::rebuild_reaching_heads`]; the incremental paths —
-    /// [`Self::apply_delta`], [`Self::add_head_row`],
-    /// [`Self::remove_head_row`] — never bump it). Tests pin that
-    /// head-set changes stay off the rebuild path by watching this.
+    /// [`Self::rebuild_reaching_heads`]; [`Self::advance`] bumps it only
+    /// when it has to rebuild incompatible labels). Tests pin that
+    /// deltas and head-set changes stay off the rebuild path by
+    /// watching this.
     rebuilds: u64,
 }
 
@@ -332,23 +331,27 @@ impl HeadLabels {
     /// graph size, head set and bound.
     fn prepare_rebuild(&mut self, n: usize, heads: &[NodeId], bound: u32, stop_at_heads: bool) {
         self.rebuilds += 1;
-        for &h in &self.heads {
-            if h.index() < self.slot_of.len() {
-                self.slot_of[h.index()] = NO_SLOT;
-            }
-        }
         self.rows.clear();
         self.n = n;
         self.bound = bound;
         self.stopped_at_heads = stop_at_heads;
-        self.heads.clear();
-        self.heads.extend_from_slice(heads);
         if self.slot_of.len() < n {
             self.slot_of.resize(n, NO_SLOT);
         }
         if self.scratch.len() < n {
             self.scratch.resize(n, UNREACHED);
         }
+        self.adopt_heads(heads);
+    }
+
+    /// Replaces the head list and its node-indexed inverse (the node
+    /// maps already cover every head).
+    fn adopt_heads(&mut self, heads: &[NodeId]) {
+        for &h in &self.heads {
+            self.slot_of[h.index()] = NO_SLOT;
+        }
+        self.heads.clear();
+        self.heads.extend_from_slice(heads);
         for (slot, &h) in self.heads.iter().enumerate() {
             debug_assert_eq!(self.slot_of[h.index()], NO_SLOT, "duplicate head {h:?}");
             self.slot_of[h.index()] = slot as u32;
@@ -418,187 +421,120 @@ impl HeadLabels {
             .collect()
     }
 
-    /// Re-labels exactly the `dirty` slots (from [`Self::dirty_slots`])
-    /// against the post-delta graph `g`: clean rows are copied
-    /// byte-for-byte, dirty rows re-run their bounded BFS. The result
-    /// is identical to a full [`Self::rebuild`] on `g` (pinned by
-    /// tests) at the cost of one bounded BFS per *dirty* head.
+    /// Advances the labels to graph `g`, the head list `heads` and
+    /// `bound` in one slot-ordered pass, given the `dirty` slots of
+    /// the **current** head list (ascending, from
+    /// [`Self::dirty_slots`] against the pre-delta labels). A head that
+    /// kept its row and is not dirty keeps it byte-for-byte, lookup
+    /// table included; a dirty surviving head and a head new to the
+    /// list re-run their bounded BFS straight into the new arena; a
+    /// head missing from `heads` drops its row. Full-ball sweeps never
+    /// stop at heads, so a row depends on its own head alone and no
+    /// other row can change. The result is identical to a
+    /// [`Self::rebuild`] on `g` with `heads` and `bound` (pinned by
+    /// tests) at the cost of one bounded BFS per swept row.
     ///
-    /// Call sequence: `let dirty = labels.dirty_slots(&delta);` against
-    /// the old graph's labels, apply the delta to the graph, then
-    /// `labels.apply_delta(&g, &dirty)`.
+    /// Labels that cannot be advanced — built for another bound or
+    /// node count, or with partial balls by
+    /// [`Self::rebuild_reaching_heads`] — are rebuilt by
+    /// [`Self::rebuild_with`] instead, and every slot counts as swept.
+    ///
+    /// The sweeps fan out over `par` workers and are placed in slot
+    /// order, bit-identical to the serial pass for every worker count
+    /// (pinned by tests). Jobs below one thread spawn's worth of work
+    /// ([`par::work::label_repair`] over the dirty rows' old balls, a
+    /// new head counted at the mean ball, gated by
+    /// [`Parallelism::for_work`]) sweep inline on the warm scratch.
+    ///
+    /// Returns the swept slots, ascending, in `heads`' numbering.
     ///
     /// # Panics
-    /// Panics if `g`'s node count differs from the labeled one (node
-    /// sets never change under a delta; departures isolate), or if
-    /// `dirty` is not ascending and in range.
-    pub fn apply_delta<G: Adjacency>(&mut self, g: &G, dirty: &[usize]) {
-        if !self.check_dirty(g, dirty) {
-            return;
-        }
-        let fresh = self.sweep_dirty(g, dirty);
-        self.splice(&fresh, |s| dirty.binary_search(&s).err().map(|_| s));
-    }
-
-    /// [`Self::apply_delta`] with an explicit worker count: the dirty
-    /// rows' re-sweeps fan out over `par` workers, then the rows are
-    /// spliced in slot order — bit-identical to the serial repair for
-    /// every worker count (pinned by tests). Repairs below one thread
-    /// spawn's worth of work ([`par::work::label_repair`] over the
-    /// dirty rows' old balls, gated by [`Parallelism::for_work`])
-    /// re-sweep inline on the warm scratch.
-    pub fn apply_delta_with<G: Adjacency + Sync>(
+    /// Panics if a `dirty` slot is out of range or a head lies beyond
+    /// the labeled nodes.
+    pub fn advance<G: Adjacency + Sync>(
         &mut self,
         g: &G,
+        heads: &[NodeId],
+        bound: u32,
         dirty: &[usize],
         par: Parallelism,
-    ) {
-        if !self.check_dirty(g, dirty) {
-            return;
+    ) -> Vec<usize> {
+        if self.stopped_at_heads || self.bound != bound || self.n != g.node_count() {
+            self.rebuild_with(g, heads, bound, par);
+            return (0..heads.len()).collect();
         }
-        let work = par::work::label_repair(dirty.iter().map(|&s| self.ball(s).len()));
-        let workers = par.for_work(work).workers();
-        let fresh = if workers == 1 {
-            self.sweep_dirty(g, dirty)
-        } else {
-            let dirty_heads: Vec<NodeId> = dirty.iter().map(|&s| self.heads[s]).collect();
-            sweep_chunked(g, &dirty_heads, self.bound, workers)
-        };
-        self.splice(&fresh, |s| dirty.binary_search(&s).err().map(|_| s));
-    }
-
-    /// Re-sweeps the `dirty` slots' rows serially on the warm scratch.
-    fn sweep_dirty<G: Adjacency>(&mut self, g: &G, dirty: &[usize]) -> Rows {
-        let mut fresh = Rows::new();
-        for &slot in dirty {
-            fresh.sweep::<G, false>(
-                g,
-                self.heads[slot],
-                self.bound,
-                &mut self.scratch,
-                &[],
-                usize::MAX,
-            );
-        }
-        fresh
-    }
-
-    /// The shared preconditions of the delta repairs; `false` when
-    /// there is nothing to repair.
-    fn check_dirty<G: Adjacency>(&self, g: &G, dirty: &[usize]) -> bool {
-        assert_eq!(g.node_count(), self.n, "deltas keep the node set");
         debug_assert!(
             dirty.windows(2).all(|w| w[0] < w[1]),
             "dirty slots must be ascending and unique"
         );
-        if let Some(&last) = dirty.last() {
-            assert!(last < self.heads.len(), "dirty slot out of range");
+        let mut stale = vec![false; self.heads.len()];
+        for &s in dirty {
+            assert!(s < stale.len(), "dirty slot out of range");
+            stale[s] = true;
         }
-        !dirty.is_empty()
-    }
+        // The row each new slot copies (`NO_SLOT`: swept).
+        let from: Vec<u32> = heads
+            .iter()
+            .map(|h| match self.slot_of[h.index()] {
+                old if old != NO_SLOT && !stale[old as usize] => old,
+                _ => NO_SLOT,
+            })
+            .collect();
+        let swept: Vec<usize> = (0..heads.len()).filter(|&s| from[s] == NO_SLOT).collect();
+        let mean_ball = self.rows.balls.len() / self.rows.len().max(1);
+        let work =
+            par::work::label_repair(swept.iter().map(|&s| match self.slot_of[heads[s].index()] {
+                NO_SLOT => mean_ball,
+                old => self.rows.levels(old as usize).ball.len(),
+            }));
+        let workers = par.for_work(work).workers();
+        self.adopt_heads(heads);
 
-    /// Rewrites the rows for the current head list: slot `s` is copied
-    /// from the pre-splice row `old_slot(s)` (its lookup table moves
-    /// along), or, where that is `None`, taken from `fresh` (whose rows
-    /// are consumed in order).
-    fn splice(&mut self, fresh: &Rows, mut old_slot: impl FnMut(usize) -> Option<usize>) {
-        std::mem::swap(&mut self.rows, &mut self.prev);
+        // The old rows are kept to copy from only if some row is copied;
+        // otherwise the new rows overwrite them in place, as a rebuild
+        // does.
+        let copies = swept.len() < heads.len();
+        if copies {
+            std::mem::swap(&mut self.rows, &mut self.prev);
+        }
         self.rows.clear();
-        let mut next_fresh = 0;
-        for s in 0..self.heads.len() {
-            match old_slot(s) {
-                Some(old) => {
-                    let table = std::mem::take(&mut self.prev.tables[old]);
-                    self.rows.push_row(self.prev.levels(old), table);
-                }
-                None => {
-                    self.rows
-                        .push_row(fresh.levels(next_fresh), OnceLock::new());
-                    next_fresh += 1;
+        let fresh = (workers > 1).then(|| {
+            let swept_heads: Vec<NodeId> = swept.iter().map(|&s| heads[s]).collect();
+            sweep_chunked(g, &swept_heads, bound, workers)
+        });
+        match fresh {
+            Some(fresh) if !copies => self.rows = fresh,
+            fresh => {
+                let mut next_fresh = 0;
+                for (&h, &old) in heads.iter().zip(&from) {
+                    if old != NO_SLOT {
+                        let table = std::mem::take(&mut self.prev.tables[old as usize]);
+                        self.rows.push_row(self.prev.levels(old as usize), table);
+                    } else if let Some(fresh) = &fresh {
+                        self.rows
+                            .push_row(fresh.levels(next_fresh), OnceLock::new());
+                        next_fresh += 1;
+                    } else {
+                        self.rows.sweep::<G, false>(
+                            g,
+                            h,
+                            bound,
+                            &mut self.scratch,
+                            &[],
+                            usize::MAX,
+                        );
+                    }
                 }
             }
         }
-        debug_assert_eq!(next_fresh, fresh.len(), "every fresh row is placed");
         self.rows.fit();
+        swept
     }
 
-    /// Incrementally inserts a label row for a **new** head `h`,
-    /// keeping the head list ascending. Costs one bounded BFS (the new
-    /// row) plus a row splice; no existing row is re-swept, because
-    /// full-ball sweeps never stop at heads — the label of every other
-    /// head is independent of the head set. The result is identical to
-    /// a full [`Self::rebuild`] with `h` in the head list (pinned by
-    /// tests). Returns the new head's slot.
-    ///
-    /// # Panics
-    /// Panics if `h` is already a head or beyond the labeled nodes, if
-    /// the labels were built by [`Self::rebuild_reaching_heads`]
-    /// (partial balls), if no build ran yet, or if `g`'s node count
-    /// differs from the labeled one.
-    pub fn add_head_row<G: Adjacency>(&mut self, g: &G, h: NodeId) -> usize {
-        self.assert_full_balls();
-        assert_eq!(g.node_count(), self.n, "head-set changes keep the node set");
-        assert!(h.index() < self.n, "head {h:?} beyond labeled nodes");
-        assert_eq!(
-            self.rows.len(),
-            self.heads.len(),
-            "add_head_row needs built labels"
-        );
-        let slot = match self.heads.binary_search(&h) {
-            Ok(_) => panic!("{h:?} is already a head"),
-            Err(s) => s,
-        };
-        for &hd in &self.heads[slot..] {
-            self.slot_of[hd.index()] += 1;
-        }
-        self.heads.insert(slot, h);
-        self.slot_of[h.index()] = slot as u32;
-        let mut fresh = Rows::new();
-        fresh.sweep::<G, false>(g, h, self.bound, &mut self.scratch, &[], usize::MAX);
-        self.splice(&fresh, |s| match s.cmp(&slot) {
-            std::cmp::Ordering::Less => Some(s),
-            std::cmp::Ordering::Equal => None,
-            std::cmp::Ordering::Greater => Some(s - 1),
-        });
-        slot
-    }
-
-    /// Incrementally removes the label row of head `h`: a row splice
-    /// with no BFS at all, and no other row changes (same independence
-    /// argument as [`Self::add_head_row`]). Identical to a full
-    /// [`Self::rebuild`] without `h` (pinned by tests). Returns the
-    /// removed head's former slot.
-    ///
-    /// # Panics
-    /// Panics if `h` is not a head or if the labels were built by
-    /// [`Self::rebuild_reaching_heads`].
-    pub fn remove_head_row(&mut self, h: NodeId) -> usize {
-        self.assert_full_balls();
-        let slot = self
-            .heads
-            .binary_search(&h)
-            .unwrap_or_else(|_| panic!("{h:?} is not a head"));
-        self.slot_of[h.index()] = NO_SLOT;
-        for &hd in &self.heads[slot + 1..] {
-            self.slot_of[hd.index()] -= 1;
-        }
-        self.heads.remove(slot);
-        self.splice(&Rows::new(), |s| Some(if s < slot { s } else { s + 1 }));
-        slot
-    }
-
-    fn assert_full_balls(&self) {
-        assert!(
-            !self.stopped_at_heads,
-            "incremental head rows need full-ball labels (use `rebuild`, \
-             not `rebuild_reaching_heads`)"
-        );
-    }
-
-    /// Full rebuilds performed over this value's lifetime. Incremental
-    /// paths (`apply_delta`, `add_head_row`, `remove_head_row`) never
-    /// bump it — the churn engine's no-rebuild-on-head-set-change
-    /// contract is pinned against this.
+    /// Full rebuilds performed over this value's lifetime. An
+    /// [`Self::advance`] of compatible labels never bumps it — the churn
+    /// engine's no-rebuild-on-head-set-change contract is pinned
+    /// against this.
     #[inline]
     pub fn rebuild_count(&self) -> u64 {
         self.rebuilds
@@ -887,6 +823,12 @@ mod tests {
         delta
     }
 
+    /// Advances `labels` over `dirty` on its own head list and bound.
+    fn repair(labels: &mut HeadLabels, g: &Graph, dirty: &[usize], par: Parallelism) -> Vec<usize> {
+        let heads = labels.heads().to_vec();
+        labels.advance(g, &heads, labels.bound(), dirty, par)
+    }
+
     #[test]
     fn labels_match_per_head_bfs() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -952,8 +894,8 @@ mod tests {
     }
 
     /// A bounded rebuild after an early-stopped one (on a graph of a
-    /// different size) yields full balls again, so deltas and row
-    /// splices are accepted.
+    /// different size) yields full balls again, so one advance takes a
+    /// delta and a new head together without rebuilding.
     #[test]
     fn sparse_rebuild_resets_across_graphs_of_different_size() {
         let big = gen::grid(6, 6);
@@ -967,9 +909,11 @@ mod tests {
         delta.push_removed(NodeId(6), NodeId(7));
         let dirty = labels.dirty_slots(&delta);
         assert_eq!(dirty, vec![1]);
-        labels.apply_delta(&small, &dirty);
-        labels.add_head_row(&small, NodeId(4));
-        assert_matches_scratch(&small, &[NodeId(1), NodeId(4), NodeId(7)], 3, &labels);
+        let heads = [NodeId(1), NodeId(4), NodeId(7)];
+        let swept = labels.advance(&small, &heads, 3, &dirty, Parallelism::serial());
+        assert_eq!(swept, vec![1, 2], "the new head and the dirty row");
+        assert_matches_scratch(&small, &heads, 3, &labels);
+        assert_eq!(labels.rebuild_count(), 2);
     }
 
     #[test]
@@ -1059,7 +1003,10 @@ mod tests {
             for _ in 0..15 {
                 let delta = random_flips(&mut g, &mut rng);
                 let dirty = labels.dirty_slots(&delta);
-                labels.apply_delta(&g, &dirty);
+                assert_eq!(
+                    repair(&mut labels, &g, &dirty, Parallelism::serial()),
+                    dirty
+                );
                 assert_matches_scratch(&g, &heads, bound, &labels);
             }
         }
@@ -1077,7 +1024,7 @@ mod tests {
         for _ in 0..12 {
             let delta = random_flips(&mut g, &mut rng);
             let dirty = labels.dirty_slots(&delta);
-            labels.apply_delta_with(&g, &dirty, Parallelism::new(2));
+            repair(&mut labels, &g, &dirty, Parallelism::new(2));
             assert_matches_scratch(&g, &heads, 3, &labels);
         }
     }
@@ -1089,7 +1036,7 @@ mod tests {
         let dirty = labels.dirty_slots(&TopologyDelta::new());
         assert!(dirty.is_empty());
         let before = labels.clone();
-        labels.apply_delta(&g, &dirty);
+        assert!(repair(&mut labels, &g, &dirty, Parallelism::serial()).is_empty());
         assert_eq!(labels.ball(1), before.ball(1));
     }
 
@@ -1104,7 +1051,7 @@ mod tests {
         delta.push_removed(NodeId(10), NodeId(11));
         assert_eq!(labels.dirty_slots(&delta), vec![1]);
         let mut inc = labels.clone();
-        inc.apply_delta(&g, &[1]);
+        repair(&mut inc, &g, &[1], Parallelism::serial());
         assert_eq!(inc.dist(1, NodeId(10)), UNREACHED);
         assert_eq!(inc.ball(1), &[NodeId(11)]);
         assert_eq!(inc.ball(0), labels.ball(0), "clean row untouched");
@@ -1154,7 +1101,10 @@ mod tests {
             .sum();
         assert_eq!(labels.memory_bytes(), lean + tables);
         let before = labels.memory_bytes();
-        labels.remove_head_row(NodeId(34));
+        let kept = [NodeId(0), NodeId(67), NodeId(99)];
+        assert!(labels
+            .advance(&g, &kept, 4, &[], Parallelism::serial())
+            .is_empty());
         assert_eq!(labels.memory_bytes(), before + row_bytes(&labels));
         let small = HeadLabels::build(&gen::path(4), &[NodeId(0)], 1);
         assert!(small.memory_bytes() < lean);
@@ -1184,10 +1134,10 @@ mod tests {
         assert_eq!(labels.dist(0, NodeId(1)), 1);
     }
 
-    /// Random head gain/loss chains: incremental row add/remove must
-    /// reproduce a fresh BFS bit-for-bit — and must never touch the
-    /// rebuild counter (the churn engine's
-    /// no-rebuild-on-head-set-change contract).
+    /// Random head gain/loss chains, one or several heads per advance:
+    /// the advanced rows must reproduce a fresh BFS bit-for-bit, sweep
+    /// exactly the gained heads, and never touch the rebuild counter
+    /// (the churn engine's no-rebuild-on-head-set-change contract).
     #[test]
     fn head_row_splice_matches_full_rebuild() {
         let mut rng = StdRng::seed_from_u64(97);
@@ -1198,44 +1148,53 @@ mod tests {
             let mut labels = HeadLabels::build(g, &heads, bound);
             let rebuilds = labels.rebuild_count();
             for _ in 0..25 {
-                if heads.len() > 1 && rng.gen_bool(0.5) {
-                    let h = heads[rng.gen_range(0..heads.len())];
-                    let pos = heads.binary_search(&h).unwrap();
-                    assert_eq!(labels.remove_head_row(h), pos);
-                    heads.remove(pos);
-                } else {
-                    let h = loop {
-                        let c = NodeId(rng.gen_range(0..60u32));
-                        if heads.binary_search(&c).is_err() {
-                            break c;
-                        }
-                    };
-                    let pos = heads.binary_search(&h).unwrap_err();
-                    assert_eq!(labels.add_head_row(g, h), pos);
-                    heads.insert(pos, h);
-                }
+                let gained: Vec<NodeId> = (0..rng.gen_range(0..3))
+                    .map(|_| NodeId(rng.gen_range(0..60u32)))
+                    .filter(|c| heads.binary_search(c).is_err())
+                    .collect();
+                heads.retain(|_| rng.gen_bool(0.8));
+                heads.extend(&gained);
+                heads.sort_unstable();
+                heads.dedup();
+                let swept = labels.advance(g, &heads, bound, &[], Parallelism::serial());
+                let want: Vec<usize> = gained
+                    .iter()
+                    .map(|h| heads.binary_search(h).unwrap())
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                assert_eq!(swept, want, "only gained heads are swept");
                 assert_matches_scratch(g, &heads, bound, &labels);
             }
             assert_eq!(labels.rebuild_count(), rebuilds, "splices must not rebuild");
         }
     }
 
-    /// Row splices compose with edge-delta repair and survive an empty
-    /// head set in between.
+    /// Head-set advances compose with edge-delta repair and survive an
+    /// empty head set in between.
     #[test]
     fn head_row_splice_handles_empty_and_interleaves_with_deltas() {
         let mut g = gen::path(8);
         let mut labels = HeadLabels::build(&g, &[NodeId(3)], 2);
-        assert_eq!(labels.remove_head_row(NodeId(3)), 0);
+        assert!(labels
+            .advance(&g, &[], 2, &[], Parallelism::serial())
+            .is_empty());
         assert!(labels.heads().is_empty());
-        assert_eq!(labels.add_head_row(&g, NodeId(5)), 0);
-        assert_eq!(labels.add_head_row(&g, NodeId(1)), 0);
+        assert_eq!(
+            labels.advance(&g, &[NodeId(5)], 2, &[], Parallelism::serial()),
+            [0]
+        );
+        let heads = [NodeId(1), NodeId(5)];
+        assert_eq!(
+            labels.advance(&g, &heads, 2, &[], Parallelism::serial()),
+            [0]
+        );
         let mut delta = TopologyDelta::new();
         g.remove_edge(NodeId(4), NodeId(5));
         delta.push_removed(NodeId(4), NodeId(5));
         let dirty = labels.dirty_slots(&delta);
         assert_eq!(dirty, vec![1], "only the nearby head is dirty");
-        labels.apply_delta(&g, &dirty);
+        repair(&mut labels, &g, &dirty, Parallelism::serial());
         assert_matches_scratch(&g, &[NodeId(1), NodeId(5)], 2, &labels);
         assert_eq!(labels.rebuild_count(), 1, "only the initial build");
     }
@@ -1290,10 +1249,10 @@ mod tests {
             dirty.iter().map(|&s| serial.ball(s).len())
         )));
         let mut expect = serial.clone();
-        expect.apply_delta(&g, &dirty);
+        repair(&mut expect, &g, &dirty, Parallelism::serial());
         for workers in [2usize, 3, 8] {
             let mut p = serial.clone();
-            p.apply_delta_with(&g, &dirty, Parallelism::new(workers));
+            repair(&mut p, &g, &dirty, Parallelism::new(workers));
             assert_same(&p, &expect, &g, &format!("{workers} workers"));
         }
         assert_matches_scratch(&g, &heads, bound, &expect);

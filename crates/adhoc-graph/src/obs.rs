@@ -322,7 +322,7 @@ impl Drop for Span {
 // ---------------------------------------------------------------------
 
 /// One structured event in the bounded ring: a name plus one integer
-/// payload (e.g. `("reconcile.rebuild_fallback", step)`).
+/// payload (e.g. `("reconcile.escalation", seq)`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Dotted event name.

@@ -61,7 +61,7 @@
 //! deterministically for the model checker.
 //!
 //! Each delta flows through `pipeline::advance_labels` (bounded BFS for
-//! **dirty** heads only, one row splice per head gained or lost), the
+//! **dirty** and gained heads only, one row splice per advance), the
 //! [`RepairLevel`] policy reads the refreshed labels to find orphaned
 //! members and merged heads, shared repair primitives fix what broke,
 //! and `pipeline::update_all_after` refreshes only the affected virtual
@@ -84,7 +84,7 @@ use crate::stats::Phase;
 use crate::trace::{Trace, TraceEvent};
 use adhoc_cluster::cds::Cds;
 use adhoc_cluster::clustering::{cluster, Clustering, MemberPolicy};
-use adhoc_cluster::pipeline::{self, AlgorithmSet, EvalScratch, EvaluationOutput, LabelAdvance};
+use adhoc_cluster::pipeline::{self, AlgorithmSet, EvalScratch, EvaluationOutput};
 use adhoc_cluster::priority::LowestId;
 use adhoc_cluster::routing::{InterMode, RoutePlan};
 use adhoc_graph::bfs::{BfsScratch, UNREACHED};
@@ -188,8 +188,8 @@ pub enum ReconcileState {
 #[derive(Debug)]
 pub struct Observation {
     delta: TopologyDelta,
-    advance: LabelAdvance,
-    dirty_heads: usize,
+    /// Label slots the advance swept, in the post-advance numbering.
+    swept: Vec<usize>,
     orphans: Vec<NodeId>,
     merged_head_pairs: usize,
     fresh_dist: Vec<(NodeId, u32)>,
@@ -207,8 +207,8 @@ pub struct Repaired {
 /// Incremental-path repair summary carried into publish.
 #[derive(Debug)]
 struct Patch {
-    advance: LabelAdvance,
-    dirty_heads: usize,
+    /// Label slots observe's advance swept.
+    swept: Vec<usize>,
     /// The head set differs from the published evaluation's: a head
     /// departed, or stranded orphans elected new heads.
     heads_changed: bool,
@@ -848,9 +848,8 @@ impl ChurnEngine {
         let _observe = self.metrics.span("reconcile.observe_ns");
         self.metrics.inc("reconcile.count");
 
-        let advance =
+        let swept =
             pipeline::advance_labels(&self.graph, &self.clustering, &delta, &mut self.scratch);
-        let dirty_heads = advance.dirty_count(self.clustering.heads.len());
 
         let detect = self.metrics.span("reconcile.detect_ns");
         let mut orphans = Vec::new();
@@ -867,7 +866,7 @@ impl ChurnEngine {
         // publish because an engine maintaining the global G-MST
         // baseline reads component structure outside the balls (the
         // localized algorithms' refresh re-runs no head then).
-        if head_lost || !advance.untouched() {
+        if head_lost || !swept.is_empty() {
             // Policy detection off the labels: orphaned members (lost
             // their ≤k-hop head path) and merged head pairs. These
             // reads ride on the beacons a distributed realization
@@ -930,26 +929,13 @@ impl ChurnEngine {
             // clean-pair verdicts carry over. A dirty pair is counted
             // once, by whichever dirty slot scans it first.
             let md = self.cfg.merge_distance;
-            match &advance {
-                LabelAdvance::Incremental { dirty } => {
-                    for &slot in dirty {
-                        merged_head_pairs += labels
-                            .heads_within(slot, md)
-                            .into_iter()
-                            .filter_map(|other| labels.slot(other))
-                            .filter(|&o| !(o < slot && dirty.binary_search(&o).is_ok()))
-                            .count();
-                    }
-                }
-                LabelAdvance::Rebuilt => {
-                    for (slot, &h) in labels.heads().iter().enumerate() {
-                        merged_head_pairs += labels
-                            .heads_within(slot, md)
-                            .into_iter()
-                            .filter(|&other| other > h)
-                            .count();
-                    }
-                }
+            for &slot in &swept {
+                merged_head_pairs += labels
+                    .heads_within(slot, md)
+                    .into_iter()
+                    .filter_map(|other| labels.slot(other))
+                    .filter(|&o| !(o < slot && swept.binary_search(&o).is_ok()))
+                    .count();
             }
         }
         if let Some(u) = newcomer {
@@ -963,8 +949,7 @@ impl ChurnEngine {
         self.in_flight = Some(PhaseBoundary::Observed);
         ReconcileState::Observed(Box::new(Observation {
             delta,
-            advance,
-            dirty_heads,
+            swept,
             orphans,
             merged_head_pairs,
             fresh_dist,
@@ -981,8 +966,7 @@ impl ChurnEngine {
         let _repair = self.metrics.span("reconcile.repair_ns");
         let Observation {
             delta,
-            advance,
-            dirty_heads,
+            swept,
             orphans,
             merged_head_pairs,
             fresh_dist,
@@ -1066,8 +1050,7 @@ impl ChurnEngine {
                 }
             } else {
                 RepairOutcome::Patch(Patch {
-                    advance,
-                    dirty_heads,
+                    swept,
                     heads_changed,
                     level,
                     orphans: orphans.len(),
@@ -1109,8 +1092,7 @@ impl ChurnEngine {
     /// swap.
     fn publish_patch(&mut self, delta: &TopologyDelta, patch: Patch) -> StepReport {
         let Patch {
-            advance,
-            mut dirty_heads,
+            swept,
             heads_changed,
             mut level,
             orphans,
@@ -1119,65 +1101,55 @@ impl ChurnEngine {
         } = patch;
 
         // Refresh the maintained evaluation. Observe already advanced
-        // every surviving row over the delta and spliced out a departed
-        // head's row, so a local election only opens rows for the new
-        // heads — the arena is never rebuilt wholesale for a local head
-        // change. The report counts re-swept plus opened rows.
+        // every surviving row over the delta and dropped a departed
+        // head's row, so a local election opens the new heads' rows in
+        // one more advance — the arena is never rebuilt wholesale for a
+        // local head change. The report counts re-swept plus opened
+        // rows.
+        let mut dirty_heads = swept.len();
         if self.scratch.labels().heads() != &self.clustering.heads[..] {
-            let splice = pipeline::advance_labels(
+            dirty_heads += pipeline::advance_labels(
                 &self.graph,
                 &self.clustering,
                 &TopologyDelta::new(),
                 &mut self.scratch,
-            );
-            dirty_heads = match (&advance, &splice) {
-                (
-                    LabelAdvance::Incremental { dirty },
-                    LabelAdvance::Incremental { dirty: added },
-                ) => dirty.len() + added.len(),
-                _ => self.clustering.heads.len(),
-            };
+            )
+            .len();
         }
         let (eval, _) = pipeline::update_all_after(
             &self.graph,
             &self.clustering,
             delta,
-            &advance,
+            &swept,
             &self.eval,
             &mut self.scratch,
         );
         self.eval = eval;
 
         // Prepare the pending plan without touching the served one:
-        // localized deltas patch a clone's ascent rows and backbone
-        // tables; label rebuilds and head-set changes compile fresh
-        // (the dirty set is unknown or the slot layout changed).
+        // deltas patch a clone's ascent rows and backbone tables off the
+        // swept slots; head-set changes compile fresh (the slot layout
+        // changed).
         let pending: Option<RoutePlan> = match &self.route_plan {
             None => None,
-            Some(current) => Some(if heads_changed {
-                self.compile_plan()
-            } else {
-                match &advance {
-                    LabelAdvance::Incremental { dirty } => {
-                        let mut plan = {
-                            let _copy = self.metrics.span("reconcile.copy_ns");
-                            current.clone()
-                        };
-                        plan.apply_delta_metered(
-                            &self.graph,
-                            &self.clustering,
-                            self.scratch.labels(),
-                            delta,
-                            dirty,
-                            self.eval.selected_links(self.cfg.algorithm),
-                            self.scratch.parallelism(),
-                            &self.metrics,
-                        );
-                        plan
-                    }
-                    LabelAdvance::Rebuilt => self.compile_plan(),
-                }
-            }),
+            Some(_) if heads_changed => Some(self.compile_plan()),
+            Some(current) => {
+                let mut plan = {
+                    let _copy = self.metrics.span("reconcile.copy_ns");
+                    current.clone()
+                };
+                plan.apply_delta_metered(
+                    &self.graph,
+                    &self.clustering,
+                    self.scratch.labels(),
+                    delta,
+                    &swept,
+                    self.eval.selected_links(self.cfg.algorithm),
+                    self.scratch.parallelism(),
+                    &self.metrics,
+                );
+                Some(plan)
+            }
         };
 
         // Backbone check: the maintained CDS must still induce a

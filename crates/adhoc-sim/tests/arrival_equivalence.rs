@@ -203,13 +203,14 @@ proptest! {
     /// graph — and must never rebuild the arena. A forced head
     /// depart/re-arrive cycle at the end guarantees every case
     /// exercises at least one single-head loss and one single-head
-    /// gain through the splice path.
+    /// gain through the advance.
     ///
     /// `k = 1` on paths of ≥32 nodes keeps every edge delta local
-    /// (≤3 dirty head balls out of ≥10 heads), below the deliberate
-    /// `DIRTY_FRACTION_FALLBACK` rebuild heuristic — so the only way
-    /// the counter could move is a head-set change failing to splice,
-    /// which is exactly the regression this pins.
+    /// (≤3 dirty head balls out of ≥10 heads); the arena is rebuilt
+    /// only for a scratch built for another bound or node count, so
+    /// the only way the counter could move is a head-set change
+    /// failing to advance in place, which is exactly the regression
+    /// this pins.
     #[test]
     fn headset_chains_splice_rows_dense_matches_sparse(
         n in 32usize..48,

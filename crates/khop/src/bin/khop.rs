@@ -78,9 +78,9 @@ impl Args {
 
     /// Rejects every flag outside `allowed` (the flags the subcommand
     /// reads), a value flag given bare, a switch given a value, a `--k`
-    /// or `--steps` below 1, and a `--d` that is not a finite positive
-    /// degree — so no flag is ever silently ignored or turned into a
-    /// nonsense report.
+    /// or `--steps` below 1, and a `--d` or `--speed` that is not a
+    /// finite positive number — so no flag is ever silently ignored,
+    /// turned into a nonsense report or a panic.
     fn check(&self, allowed: &[&str]) {
         for name in self.flags.keys().chain(&self.bools) {
             if !allowed.contains(&name.as_str()) {
@@ -106,6 +106,12 @@ impl Args {
         let d: f64 = self.get("d", 1.0);
         if !(d.is_finite() && d > 0.0) {
             die(&format!("--d must be a finite positive degree (got {d})"));
+        }
+        let speed: f64 = self.get("speed", 1.0);
+        if !(speed.is_finite() && speed > 0.0) {
+            die(&format!(
+                "--speed must be a finite positive number (got {speed})"
+            ));
         }
     }
 }
@@ -587,13 +593,7 @@ fn cmd_maintain(args: &Args) {
     let speed: f64 = args.get("speed", 1.0);
     let mut rng = StdRng::seed_from_u64(seed);
     let base = generate(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
-    let wp = WaypointConfig {
-        side: 100.0,
-        min_speed: (speed * 0.2).max(1e-6),
-        max_speed: speed,
-        pause: 2.0,
-    };
-    let model = mobility::RandomWaypoint::new(n, wp, &mut rng);
+    let model = mobility::RandomWaypoint::new(n, waypoint(speed, 0.2), &mut rng);
     let mut mobile = MobileNetwork::with_model(base.positions.clone(), base.range, model);
     let mut m = ChurnEngine::build(mobile.graph(), MovementConfig::strict(k, Algorithm::AcLmst));
     outln!("step | level       | orphans | cost | CDS | valid");
@@ -624,6 +624,18 @@ fn cmd_maintain(args: &Args) {
     );
 }
 
+/// Random-waypoint motion on the 100 × 100 field at speeds between
+/// `min_share · speed` (floored at `1e-6`, never above `speed`) and
+/// `speed`, which `Args::check` has proved finite and positive.
+fn waypoint(speed: f64, min_share: f64) -> WaypointConfig {
+    WaypointConfig {
+        side: 100.0,
+        min_speed: (speed * min_share).max(1e-6).min(speed),
+        max_speed: speed,
+        pause: 2.0,
+    }
+}
+
 /// `khop churn`: the incremental delta engine against
 /// rebuild-every-step on one mobile trajectory (a CLI-sized slice of
 /// `adhoc-bench`'s `churn` bin; `--movers` nodes drift, the rest are a
@@ -642,23 +654,11 @@ fn cmd_churn(args: &Args) {
     if movers == 0 || movers > n {
         die(&format!("--movers must be in 1..={n} (got {movers})"));
     }
-    if speed <= 0.0 || speed.is_nan() || !speed.is_finite() {
-        die(&format!("--speed must be a positive number (got {speed})"));
-    }
     let mut rng = StdRng::seed_from_u64(seed);
     let base = generate(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
 
     // Trajectory: `movers` random-waypoint nodes over a static field.
-    let mut model = mobility::RandomWaypoint::new(
-        movers,
-        WaypointConfig {
-            side: 100.0,
-            min_speed: (speed * 0.3).max(1e-6),
-            max_speed: speed,
-            pause: 2.0,
-        },
-        &mut rng,
-    );
+    let mut model = mobility::RandomWaypoint::new(movers, waypoint(speed, 0.3), &mut rng);
     let mut pos = base.positions.clone();
     let mut mover_pos: Vec<Point> = pos[..movers].to_vec();
     let mut snapshots = vec![pos.clone()];

@@ -177,8 +177,9 @@ fn dist_rejects_gmst() {
 
 #[test]
 fn bad_flags_exit_2_without_panicking() {
-    // Out-of-range `--k`, `--cw`, `--workers`, `--budget`, `--steps`
-    // or `--d` (an infinite degree once built a complete graph), flags a
+    // Out-of-range `--k`, `--cw`, `--workers`, `--budget`, `--steps`,
+    // `--d` (an infinite degree once built a complete graph) or
+    // `--speed` (zero, negative or NaN once panicked `maintain`), flags a
     // subcommand does not read (`--labels` included: there is one label
     // layout), a value flag given bare and a switch given a value: each
     // is refused with usage, never a panic or a silently ignored flag.
@@ -207,12 +208,28 @@ fn bad_flags_exit_2_without_panicking() {
         &["churn", "--n", "60", "--steps", "0"][..],
         &["maintain", "--n", "60", "--steps", "0"][..],
         &["run", "--n", "60", "--d", "inf"][..],
+        &["maintain", "--n", "40", "--speed", "0"][..],
+        &["maintain", "--n", "40", "--speed", "-1"][..],
+        &["maintain", "--n", "40", "--speed", "nan"][..],
+        &["maintain", "--n", "40", "--speed", "inf"][..],
+        &["churn", "--n", "40", "--speed", "inf"][..],
     ] {
         let out = khop(args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
         assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn speeds_below_the_waypoint_floor_run() {
+    // The slowest waypoint speed is floored at 1e-6; a `--speed` below
+    // that floor once put the floor above the top speed and panicked.
+    for cmd in ["maintain", "churn"] {
+        let out = khop(&[cmd, "--n", "60", "--steps", "2", "--speed", "1e-9"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{cmd}: {err}");
     }
 }
 

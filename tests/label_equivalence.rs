@@ -2,9 +2,10 @@
 //! ball-indexed [`HeadLabels`] must equal a fresh per-head
 //! [`bfs::BfsScratch`] run — each distance, and the ball in BFS
 //! discovery order — through cold `pipeline::run_all` builds,
-//! delta-driven `pipeline::update_all` chains, and head-row additions
-//! and removals, for k ∈ 1..=4 on 1 and 2 workers. The products the
-//! pipeline derives from the rows are checked against the same oracle:
+//! delta-driven `pipeline::update_all` chains, and `HeadLabels::advance`
+//! chains that mix deltas with head gains and losses, for k ∈ 1..=4 on
+//! 1 to 3 workers. The products the pipeline derives from the rows are
+//! checked against the same oracle:
 //! the NC relation (heads within `2k+1` BFS hops) and every NC link
 //! (the canonical shortest path `bfs::lexico_shortest_path` walks).
 //!
@@ -89,9 +90,9 @@ proptest! {
         assert_nc_matches_bfs(&net.graph, &c, &eval, "cold");
     }
 
-    /// Chained deltas through `update_all` (dirty-row repair, or the
-    /// rebuild fallback) keep every row equal to the BFS oracle on the
-    /// live graph, and every selection equal to a cold evaluation.
+    /// Chained deltas through `update_all` (dirty-row repair) keep every
+    /// row equal to the BFS oracle on the live graph, and every
+    /// selection equal to a cold evaluation.
     #[test]
     fn update_all_chain_dense_equals_sparse(
         seed in 0u64..1_000_000,
@@ -141,15 +142,17 @@ proptest! {
         }
     }
 
-    /// Head-row additions and removals interleaved with delta repairs
-    /// on 1 or 2 workers: the rows stay equal to the BFS oracle and the
-    /// arena is never rebuilt.
+    /// Chains of advances, each mixing an edge delta with head gains
+    /// and losses and marking up to every row dirty, on 1–3 workers:
+    /// after every advance the rows equal the BFS oracle and a cold
+    /// build of the same head list, every gained head is swept, and
+    /// the arena is never rebuilt.
     #[test]
     fn head_row_splices_match_bfs(
         seed in 0u64..1_000_000,
         k in 1u32..=4,
-        workers in 1usize..=2,
-        ops in proptest::collection::vec((0u32..3, 0u32..70), 4..14),
+        workers in 1usize..=3,
+        ops in proptest::collection::vec((0u32..4, 0u32..70, 0usize..=4), 4..14),
     ) {
         let n = 70usize;
         let bound = 2 * k + 1;
@@ -157,38 +160,54 @@ proptest! {
         let net = gen::geometric(&gen::GeometricConfig::new(n, 100.0, 6.0), &mut rng);
         let mut g = net.graph.clone();
         let c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-        let mut labels = HeadLabels::build(&g, &c.heads, bound);
-        for (i, &(op, which)) in ops.iter().enumerate() {
+        let mut heads = c.heads.clone();
+        let mut labels = HeadLabels::build(&g, &heads, bound);
+        for (i, &(flips, which, quarters)) in ops.iter().enumerate() {
+            // `flips` edge flips at `v`.
             let v = NodeId(which % n as u32);
-            match (op, labels.slot(v)) {
-                (0, None) => {
-                    labels.add_head_row(&g, v);
+            let mut delta = TopologyDelta::new();
+            for _ in 0..flips {
+                let w = NodeId(rng.gen_range(0..n as u32));
+                if w == v {
+                    continue;
                 }
-                (1, Some(_)) => {
-                    labels.remove_head_row(v);
-                }
-                _ => {
-                    // An edge flip at `v`, repaired row by row.
-                    let w = NodeId(rng.gen_range(0..n as u32));
-                    if w == v {
-                        continue;
-                    }
-                    let mut delta = TopologyDelta::new();
-                    if g.has_edge(v, w) {
-                        g.remove_edge(v, w);
-                        delta.push_removed(v, w);
-                    } else {
-                        g.add_edge(v, w);
-                        delta.push_added(v, w);
-                    }
-                    delta.normalize();
-                    let dirty = labels.dirty_slots(&delta);
-                    labels.apply_delta_with(&g, &dirty, Parallelism::new(workers));
+                if g.has_edge(v, w) {
+                    g.remove_edge(v, w);
+                    delta.push_removed(v, w);
+                } else {
+                    g.add_edge(v, w);
+                    delta.push_added(v, w);
                 }
             }
-            assert_labels_match_bfs(&g, &labels, &format!("op {i}"));
+            delta.normalize();
+            // The delta's dirty rows plus `quarters / 4` of all rows (a
+            // clean row re-swept comes out unchanged).
+            let mut dirty = labels.dirty_slots(&delta);
+            dirty.extend(0..heads.len() * quarters / 4);
+            dirty.sort_unstable();
+            dirty.dedup();
+            // Head losses and gains in the same advance.
+            heads.retain(|_| rng.gen_bool(0.85));
+            let gained: Vec<NodeId> = (0..rng.gen_range(0..3))
+                .map(|_| NodeId(rng.gen_range(0..n as u32)))
+                .filter(|h| labels.slot(*h).is_none())
+                .collect();
+            heads.extend(&gained);
+            heads.sort_unstable();
+            heads.dedup();
+            let swept = labels.advance(&g, &heads, bound, &dirty, Parallelism::new(workers));
+            let ctx = format!("op {i}");
+            assert_labels_match_bfs(&g, &labels, &ctx);
+            let cold = HeadLabels::build(&g, &heads, bound);
+            for slot in 0..heads.len() {
+                prop_assert_eq!(labels.ball(slot), cold.ball(slot), "{}: slot {}", ctx, slot);
+            }
+            for h in &gained {
+                let slot = labels.slot(*h).unwrap();
+                prop_assert!(swept.binary_search(&slot).is_ok(), "{}: {:?} not swept", ctx, h);
+            }
         }
-        prop_assert_eq!(labels.rebuild_count(), 1, "splices and repairs never rebuild");
+        prop_assert_eq!(labels.rebuild_count(), 1, "advances never rebuild");
     }
 }
 
