@@ -38,6 +38,7 @@ use super::hub::HubIndex;
 use adhoc_graph::par::{self, Parallelism, Strided};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// "No next hop" marker (unreachable target, or an unfilled row).
 pub(crate) const NO_HOP: u32 = u32::MAX;
@@ -478,16 +479,19 @@ impl InterTable {
         }
     }
 
-    /// Repairs the table after the backbone changed: `changed` holds
-    /// the ascending slots whose CSR rows differ between the old and
-    /// new backbone (every added, removed, or re-weighted link flags
-    /// both endpoints), and `csr` is the **new** backbone. An empty
-    /// `changed` is a no-op.
-    /// The dense recompute and the dirty-hub re-sweeps fan out across
-    /// `par`, bit-identical to serial for any worker count (jobs below
-    /// the fan-out gate run inline).
+    /// Repairs a shared table after the backbone changed: `changed`
+    /// holds the ascending slots whose CSR rows differ between the old
+    /// and new backbone (every added, removed, or re-weighted link
+    /// flags both endpoints), and `csr` is the **new** backbone. An
+    /// empty `changed` is a no-op and keeps the table shared. The dense
+    /// recompute installs a fresh table, so a plan cloned to be patched
+    /// never copies the one it replaces; the dirty-hub repair splices
+    /// copy-on-write (a shared index is copied first). The dense
+    /// recompute and the dirty-hub re-sweeps fan out across `par`,
+    /// bit-identical to serial for any worker count (jobs below the
+    /// fan-out gate run inline).
     pub(crate) fn repair_with(
-        &mut self,
+        table: &mut Arc<InterTable>,
         changed: &[u32],
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
@@ -496,19 +500,23 @@ impl InterTable {
         if changed.is_empty() {
             return InterRepair::Unchanged;
         }
-        match self {
-            InterTable::Dense { h, next_hop } => {
-                debug_assert_eq!(*h, csr.head_count());
-                *next_hop = all_pairs_next_hops_with(csr, scratch, par);
-                InterRepair::DenseRecomputed
+        if let InterTable::Dense { h, .. } = **table {
+            debug_assert_eq!(h, csr.head_count());
+            *table = Arc::new(InterTable::Dense {
+                h,
+                next_hop: all_pairs_next_hops_with(csr, scratch, par),
+            });
+            return InterRepair::DenseRecomputed;
+        }
+        let InterTable::Hub(hub) = Arc::make_mut(table) else {
+            unreachable!("the dense layout returned above")
+        };
+        match hub.repair_with(changed, csr, scratch, par) {
+            Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
+            None => {
+                *hub = HubIndex::build_with(csr, scratch, par);
+                InterRepair::HubRebuilt
             }
-            InterTable::Hub(hub) => match hub.repair_with(changed, csr, scratch, par) {
-                Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
-                None => {
-                    *hub = HubIndex::build_with(csr, scratch, par);
-                    InterRepair::HubRebuilt
-                }
-            },
         }
     }
 

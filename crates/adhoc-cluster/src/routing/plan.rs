@@ -60,6 +60,7 @@ use adhoc_graph::labels::HeadLabels;
 use adhoc_graph::obs::Metrics;
 use adhoc_graph::par::{self, Parallelism};
 use adhoc_graph::paths;
+use std::sync::Arc;
 
 /// Affiliation marker for nodes outside every cluster (departed).
 const NO_SLOT: u32 = u32::MAX;
@@ -99,8 +100,10 @@ pub struct RoutePlan {
     link_path_len: Vec<u32>,
     path_arena: Vec<NodeId>,
     /// Inter-head first hops, dense matrix or hub-label index (see the
-    /// module docs). Both answer the identical canonical rule.
-    inter: InterTable,
+    /// module docs). Both answer the identical canonical rule. Shared,
+    /// so the clone a maintainer patches into its next plan copies no
+    /// table: a repair installs a fresh one or splices copy-on-write.
+    inter: Arc<InterTable>,
     /// The layout policy this plan was compiled under — preserved
     /// across [`Self::apply_delta`] rebuilds so a maintained plan never
     /// silently flips policy. Excluded from equality (a policy knob,
@@ -348,10 +351,10 @@ impl RoutePlan {
             link_path_off: Vec::new(),
             link_path_len: Vec::new(),
             path_arena: Vec::new(),
-            inter: InterTable::Dense {
+            inter: Arc::new(InterTable::Dense {
                 h: 0,
                 next_hop: Vec::new(),
-            },
+            }),
             inter_mode: mode,
         };
         {
@@ -369,7 +372,7 @@ impl RoutePlan {
                 "inter.dense_build_ns"
             };
             let _build = metrics.span(span);
-            plan.inter = InterTable::build_with(mode, bb.csr(), &mut scratch, par);
+            plan.inter = Arc::new(InterTable::build_with(mode, bb.csr(), &mut scratch, par));
         }
         plan.adopt_backbone(bb);
         plan
@@ -591,7 +594,7 @@ impl RoutePlan {
                 metrics,
             );
             self.epoch = epoch;
-            let inter = match self.inter {
+            let inter = match *self.inter {
                 InterTable::Dense { .. } => InterRepair::DenseRecomputed,
                 InterTable::Hub(_) => InterRepair::HubRebuilt,
             };
@@ -636,13 +639,12 @@ impl RoutePlan {
         let changed = self.changed_backbone_slots(&bb);
         let mut scratch = InterScratch::new();
         let inter = {
-            let span = match self.inter {
+            let span = match *self.inter {
                 InterTable::Hub(_) => "hub.repair_ns",
                 InterTable::Dense { .. } => "inter.dense_repair_ns",
             };
             let _repair = metrics.span(span);
-            self.inter
-                .repair_with(&changed, bb.csr(), &mut scratch, par)
+            InterTable::repair_with(&mut self.inter, &changed, bb.csr(), &mut scratch, par)
         };
         self.adopt_backbone(bb);
         let update = PlanUpdate {
@@ -1004,6 +1006,58 @@ mod tests {
             let u = NodeId(rng.gen_range(0..60u32));
             let v = NodeId(rng.gen_range(0..60u32));
             assert_eq!(dense.route(u, v), hub.route(u, v), "{u:?} -> {v:?}");
+        }
+    }
+
+    /// A clone made to be patched shares the inter table; a patch that
+    /// leaves the backbone alone keeps sharing it, and one that changes
+    /// it gives the clone its own table (a fresh dense one, or the hub
+    /// index copied on write) without touching the original's.
+    #[test]
+    fn patched_clone_shares_the_inter_table_until_the_backbone_changes() {
+        let g = gen::path(9);
+        let c = cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::new();
+        let eval = pipeline::run_all_with(&g, &c, &mut scratch);
+        let mut g2 = g.clone();
+        let mut delta = TopologyDelta::new();
+        delta.push_added(NodeId(0), NodeId(4));
+        delta.apply_to(&mut g2);
+        let mut scratch2 = EvalScratch::new();
+        let eval2 = pipeline::run_all_with(&g2, &c, &mut scratch2);
+        let all: Vec<usize> = (0..c.heads.len()).collect();
+        for mode in [InterMode::Dense, InterMode::Hub] {
+            let plan =
+                RoutePlan::compile_with(&g, &c, scratch.labels(), eval.ac_graph.links(), mode);
+            let mut pending = plan.clone();
+            pending.apply_delta(
+                &g,
+                &c,
+                scratch.labels(),
+                &TopologyDelta::new(),
+                &[],
+                eval.ac_graph.links(),
+            );
+            assert!(Arc::ptr_eq(&plan.inter, &pending.inter), "{mode:?}: shared");
+            let update = pending.apply_delta(
+                &g2,
+                &c,
+                scratch2.labels(),
+                &delta,
+                &all,
+                eval2.ac_graph.links(),
+            );
+            assert!(update.next_recomputed, "{mode:?}: the backbone changed");
+            assert!(
+                !Arc::ptr_eq(&plan.inter, &pending.inter),
+                "{mode:?}: own table"
+            );
+            let before =
+                RoutePlan::compile_with(&g, &c, scratch.labels(), eval.ac_graph.links(), mode);
+            assert_eq!(plan, before, "{mode:?}: the served plan is untouched");
+            let fresh =
+                RoutePlan::compile_with(&g2, &c, scratch2.labels(), eval2.ac_graph.links(), mode);
+            assert_eq!(pending, fresh, "{mode:?}: patched == compiled");
         }
     }
 

@@ -36,7 +36,7 @@
 //!    │  delta applied, labels swept,  │  bounded BFS, departed head's
 //!    │  damage detected — clustering, │  row spliced out), orphan /
 //!    │  CDS, eval, plan all untouched │  merge detection read off the
-//!    └──────────────┬────────────────-┘  refreshed labels
+//!    └──────────────┬────────────────-┘  swept rows only
 //!                   ▼   ReconcileState::Observed
 //!    ┌─────────── REPAIR ─────────────┐  RepairLevel policy: rejoin
 //!    │  clustering mutated (rejoins,  │  orphans, elect stranded,
@@ -44,10 +44,11 @@
 //!    │  eval / CDS / plan untouched   │  — the charged node-rounds
 //!    └──────────────┬────────────────-┘
 //!                   ▼   ReconcileState::Repaired
-//!    ┌─────────── PUBLISH ────────────┐  evaluation refresh, validity
-//!    │  eval refreshed, verdicts      │  verdict, route plan swapped
-//!    │  recomputed, pending plan      │  atomically + epoch bump —
-//!    │  swapped in atomically         │  queries never see a torn mix
+//!    ┌─────────── PUBLISH ────────────┐  evaluation refresh, component
+//!    │  eval refreshed, component     │  labels advanced over the delta,
+//!    │  labels advanced, verdicts     │  verdicts read off their counts,
+//!    │  read, pending plan swapped in │  plan swapped atomically + epoch
+//!    │  atomically                    │  bump — no torn mix for queries
 //!    └──────────────┬────────────────-┘
 //!                   ▼   ReconcileState::Done(StepReport)
 //! ```
@@ -72,6 +73,18 @@
 //! I1 in [`crate::invariants`]), while the existing [`RepairLevel`]
 //! policy and node-round cost accounting ride on top unchanged.
 //!
+//! Publish proves validity at the cost of the delta, not of the graph.
+//! The engine keeps [`ComponentLabels`] over the surviving nodes and
+//! over the maintained CDS, and advances both over each delta (an
+//! added edge relabels the smaller component, a removed edge searches
+//! from both endpoints in lock step) and the CDS labels over the node
+//! diff of each adoption; survivor connectivity
+//! ([`ChurnEngine::alive_connected`]) and backbone connectivity are
+//! their component counts. The pending plan is a clone of the served
+//! one whose inter-head table is shared, so a localized patch copies
+//! no table. Build, full rebuilds and [`ChurnEngine::recover`]
+//! relabel at full price.
+//!
 //! The repair itself is built from two private primitives at the
 //! bottom of this module: `rejoin_one` (join the nearest surviving
 //! head) and `elect_orphans` (local lowest-ID election among orphans
@@ -88,7 +101,7 @@ use adhoc_cluster::pipeline::{self, AlgorithmSet, EvalScratch, EvaluationOutput}
 use adhoc_cluster::priority::LowestId;
 use adhoc_cluster::routing::{InterMode, RoutePlan};
 use adhoc_graph::bfs::{BfsScratch, UNREACHED};
-use adhoc_graph::connectivity;
+use adhoc_graph::connectivity::{self, ComponentLabels};
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::{Graph, NodeId};
 use adhoc_graph::labels::HeadLabels;
@@ -188,6 +201,8 @@ pub enum ReconcileState {
 #[derive(Debug)]
 pub struct Observation {
     delta: TopologyDelta,
+    /// The node that left or joined the survivor set, if any.
+    churned: Churned,
     /// Label slots the advance swept, in the post-advance numbering.
     swept: Vec<usize>,
     orphans: Vec<NodeId>,
@@ -201,7 +216,16 @@ pub struct Observation {
 #[derive(Debug)]
 pub struct Repaired {
     delta: TopologyDelta,
+    churned: Churned,
     outcome: RepairOutcome,
+}
+
+/// The node a reconcile removes from or adds to the survivor set (a
+/// departure or an arrival); movement deltas change neither.
+#[derive(Clone, Copy, Debug, Default)]
+struct Churned {
+    left: Option<NodeId>,
+    arrived: Option<NodeId>,
 }
 
 /// Incremental-path repair summary carried into publish.
@@ -270,14 +294,24 @@ pub struct ChurnEngine {
     scratch: EvalScratch,
     /// Orphan k-ball probes (the charged part of re-affiliation).
     bfs: BfsScratch,
-    /// Verification verdict of the last reconciled state, so a step
-    /// that provably cannot have changed it costs no connectivity
-    /// sweep.
+    /// Detection scratch, per node: a swept head's member's distance
+    /// (`UNREACHED` outside any detection) and whether it was tested.
+    near_head: Vec<u32>,
+    tested: Vec<bool>,
+    /// Verification verdict of the last reconciled state.
     last_valid: bool,
-    /// Connectivity verdict of the maintained CDS's induced subgraph
-    /// at the last point it was computed. Reusable while neither the
-    /// CDS nor any edge between two of its nodes changes.
-    last_backbone_ok: bool,
+    /// Component labels of the subgraph the surviving (non-departed)
+    /// nodes induce, advanced by each publish: the survivor
+    /// connectivity verdict is their count.
+    alive: ComponentLabels,
+    /// Component labels of the maintained CDS's induced subgraph,
+    /// advanced by each publish over the delta and over the node diff
+    /// of every CDS adoption: the backbone verdict is their count.
+    backbone: ComponentLabels,
+    /// Members a capped repair parked on the departed sentinel since
+    /// observe last collected them (a superset: entries re-homed or
+    /// departed since are skipped when read).
+    stranded: Vec<NodeId>,
     /// Compiled route plan over the maintained algorithm's backbone,
     /// kept current under churn once [`Self::enable_routing`] turns
     /// serving on. Only replaced in the last instant of the publish
@@ -327,8 +361,12 @@ impl ChurnEngine {
             eval,
             scratch,
             bfs: BfsScratch::new(g.len()),
+            near_head: Vec::new(),
+            tested: Vec::new(),
             last_valid: true,
-            last_backbone_ok: true,
+            alive: ComponentLabels::default(),
+            backbone: ComponentLabels::default(),
+            stranded: Vec::new(),
             route_plan: None,
             inter_mode: InterMode::Auto,
             plan_epoch: 0,
@@ -397,8 +435,10 @@ impl ChurnEngine {
     /// Attaches an observability handle: every subsequent reconcile
     /// reports per-phase spans (`reconcile.observe_ns` /
     /// `reconcile.repair_ns` / `reconcile.publish_ns`, with the nested
-    /// `reconcile.detect_ns`, `reconcile.copy_ns` and
-    /// `reconcile.validity_ns` inside observe and publish), damage counts
+    /// `reconcile.detect_ns` inside observe and `reconcile.copy_ns`,
+    /// `reconcile.components_ns` and `reconcile.validity_ns` — itself
+    /// holding `reconcile.validity.backbone_ns` and
+    /// `reconcile.validity.alive_ns` — inside publish), damage counts
     /// and histograms, escalation/publish events — and, because the
     /// handle is shared with the engine's [`EvalScratch`], the
     /// pipeline's label-sweep and eval metrics land in the same
@@ -506,20 +546,23 @@ impl ChurnEngine {
     }
 
     /// The last reconcile's validity verdict (whether the maintained
-    /// structure verifies as a k-hop CDS over the surviving nodes).
+    /// structure verifies as a k-hop CDS over the surviving nodes):
+    /// backbone connectivity read off the maintained CDS component
+    /// labels, and k-hop domination (by construction under the full
+    /// repair policy, by a sweep otherwise). Current once publish
+    /// returns; mid-reconcile it is the pre-step verdict.
     pub fn is_valid(&self) -> bool {
         self.last_valid
     }
 
     /// Whether the surviving (non-departed) nodes induce a connected
-    /// subgraph — validity can only be demanded when they do.
+    /// subgraph — validity can only be demanded when they do. O(1): it
+    /// reads the component count of the survivor labels that every
+    /// publish advances over its delta (edges at departed nodes are
+    /// ignored, as in `connectivity::is_subset_connected`). Current
+    /// once publish returns; mid-reconcile it is the pre-step verdict.
     pub fn alive_connected(&self) -> bool {
-        let alive: Vec<NodeId> = self
-            .graph
-            .nodes()
-            .filter(|&v| !self.departed[v.index()])
-            .collect();
-        connectivity::is_subset_connected(&self.graph, &alive)
+        self.alive.is_connected()
     }
 
     /// The boundary an interrupted reconcile stopped at, if one is in
@@ -541,7 +584,9 @@ impl ChurnEngine {
     }
 
     /// Reconciles the structure with a new topology snapshot, choosing
-    /// the cheapest sufficient repair. Returns what was done.
+    /// the cheapest sufficient repair. Returns what was done. Snapshot
+    /// edges at departed nodes are dropped: a switched-off node has no
+    /// links until it arrives again.
     ///
     /// # Panics
     /// Panics if the node count changed (the engine's node set is
@@ -552,10 +597,9 @@ impl ChurnEngine {
             self.in_flight.is_none(),
             "a reconcile is in flight; recover() first"
         );
-        let delta = TopologyDelta::between(&self.graph, g);
-        // `clone_from` reuses the adjacency allocations already held.
-        self.graph.clone_from(g);
-        let state = self.observe(delta, StrandedPolicy::FullRebuild, None);
+        let delta = self.survivors_only(TopologyDelta::between(&self.graph, g));
+        delta.apply_to(&mut self.graph);
+        let state = self.observe(delta, StrandedPolicy::FullRebuild, Churned::default());
         self.finish(state)
     }
 
@@ -684,6 +728,7 @@ impl ChurnEngine {
     /// Runs the **observe** phase for an edge delta: applies it to the
     /// owned graph, advances the label arena, and detects damage.
     /// Nothing downstream (clustering, CDS, evaluation, plan) changes.
+    /// Edges at departed nodes are dropped (see [`Self::step`]).
     ///
     /// # Panics
     /// Panics if a reconcile is already in flight.
@@ -692,8 +737,22 @@ impl ChurnEngine {
             self.in_flight.is_none(),
             "a reconcile is in flight; recover() first"
         );
+        let delta = self.survivors_only(delta.clone());
         delta.apply_to(&mut self.graph);
-        self.observe(delta.clone(), StrandedPolicy::FullRebuild, None)
+        self.observe(delta, StrandedPolicy::FullRebuild, Churned::default())
+    }
+
+    /// `delta` without the edges that touch a departed node. Departed
+    /// nodes stay isolated, so no relabelling, election or route ever
+    /// reaches a switched-off node (a fresh election would otherwise
+    /// make one a head, and stripping it would leave its members
+    /// affiliated to a non-head).
+    fn survivors_only(&self, mut delta: TopologyDelta) -> TopologyDelta {
+        let alive =
+            |&(a, b): &(NodeId, NodeId)| !self.departed[a.index()] && !self.departed[b.index()];
+        delta.added.retain(alive);
+        delta.removed.retain(alive);
+        delta
     }
 
     /// Runs the **observe** phase for the departure of `u` (the delta
@@ -718,7 +777,11 @@ impl ChurnEngine {
         }
         self.clustering.head_of[u.index()] = GONE;
         self.clustering.dist_to_head[u.index()] = 0;
-        self.observe(delta, StrandedPolicy::Elect, None)
+        let churned = Churned {
+            left: Some(u),
+            arrived: None,
+        };
+        self.observe(delta, StrandedPolicy::Elect, churned)
     }
 
     /// Runs the **observe** phase for the arrival of `u`: the delta
@@ -750,7 +813,11 @@ impl ChurnEngine {
         self.clustering.head_of[u.index()] = GONE;
         self.clustering.dist_to_head[u.index()] = 0;
         delta.apply_to(&mut self.graph);
-        self.observe(delta, StrandedPolicy::Elect, Some(u))
+        let churned = Churned {
+            left: None,
+            arrived: Some(u),
+        };
+        self.observe(delta, StrandedPolicy::Elect, churned)
     }
 
     /// Advances a suspended reconcile by exactly one phase. Feeding a
@@ -818,22 +885,32 @@ impl ChurnEngine {
     /// `delta` and head set (bounded BFS for dirty heads only, one row
     /// splice for a departed head) and detect damage — orphaned
     /// members, merged head pairs. Pure detection: repairs happen in
-    /// the next phase. A `newcomer` (an arriving node with no
+    /// the next phase. An arriving node (`churned.arrived`, with no
     /// affiliation yet) is seeded straight into the orphan set so
     /// repair re-homes it via the §3.3 join-or-elect rule.
     fn observe(
         &mut self,
         delta: TopologyDelta,
         policy: StrandedPolicy,
-        newcomer: Option<NodeId>,
+        churned: Churned,
     ) -> ReconcileState {
-        let k = self.cfg.k;
+        let newcomer = churned.arrived;
         // A departing head left the head list already; its row must go
         // even when it was isolated before (an empty delta).
         let head_lost = self.scratch.labels().heads() != &self.clustering.heads[..];
         if delta.is_empty() && newcomer.is_none() && !head_lost {
-            // Nothing moved: the previous verdict stands verbatim — an
-            // idle beacon costs O(1), no connectivity sweeps.
+            // Nothing moved: the previous verdict stands — an idle
+            // beacon costs O(1), no connectivity sweeps. An isolated
+            // non-head that departed only drops a singleton survivor
+            // component and its own claim to domination, so the
+            // verdict is re-read.
+            if let Some(u) = churned.left {
+                {
+                    let _components = self.metrics.span("reconcile.components_ns");
+                    self.alive.update(&self.graph, &delta, &[u], &[]);
+                }
+                self.last_valid = self.backbone.is_connected() && self.dominated();
+            }
             self.metrics.inc("reconcile.noop");
             return ReconcileState::Done(StepReport {
                 level: RepairLevel::None,
@@ -872,71 +949,9 @@ impl ChurnEngine {
             // reads ride on the beacons a distributed realization
             // already exchanges, so they are not charged (same stance
             // as the old engine).
-            let labels = self.scratch.labels();
-            // Each member's distance to its own head, read off the
-            // first k levels of that head's row (absent: beyond k).
-            let mut near_head = vec![UNREACHED; self.graph.len()];
-            for (slot, &h) in labels.heads().iter().enumerate() {
-                for (v, d) in labels.within(slot, k) {
-                    if self.clustering.head_of(v) == h {
-                        near_head[v.index()] = d;
-                    }
-                }
-            }
-            for v in self.graph.nodes() {
-                if self.departed[v.index()] || self.clustering.is_head(v) || Some(v) == newcomer {
-                    continue;
-                }
-                let h = self.clustering.head_of(v);
-                if h == GONE {
-                    // Knowingly stranded by a capped repair policy
-                    // (no head was within k and the cap forbade an
-                    // election): retry re-homing. Untouched deltas
-                    // may skip this scan — no label ball changed, so
-                    // no head moved within reach either.
-                    orphans.push(v);
-                    continue;
-                }
-                match labels.slot(h) {
-                    Some(_) => {
-                        let d = near_head[v.index()];
-                        if d > k {
-                            orphans.push(v);
-                        } else {
-                            fresh_dist.push((v, d));
-                        }
-                    }
-                    None => {
-                        // The member of a departed head. Any other
-                        // unlabeled head means clustering and labels
-                        // disagree — a checkable inconsistency, not an
-                        // abort: the member is orphaned either way so
-                        // repair re-homes it.
-                        invariants::soft_check(
-                            self.departed[h.index()],
-                            "affiliation head is labeled",
-                        );
-                        orphans.push(v);
-                    }
-                }
-            }
-            // Merge detection reads only the **dirty** rows: a pair can
-            // newly fall within merge distance only if its head-to-head
-            // distance shrank, which requires (at least) one endpoint's
-            // row to have absorbed the delta — and every completed step
-            // ends merge-free (fresh elections place heads more than k
-            // apart, and a detected merge escalates to re-election), so
-            // clean-pair verdicts carry over. A dirty pair is counted
-            // once, by whichever dirty slot scans it first.
-            let md = self.cfg.merge_distance;
-            for &slot in &swept {
-                merged_head_pairs += labels
-                    .heads_within(slot, md)
-                    .into_iter()
-                    .filter_map(|other| labels.slot(other))
-                    .filter(|&o| !(o < slot && swept.binary_search(&o).is_ok()))
-                    .count();
-            }
+            (orphans, fresh_dist) = self.detect_orphans(&delta, &swept, newcomer);
+            merged_head_pairs =
+                merged_pairs(self.scratch.labels(), &swept, self.cfg.merge_distance);
         }
         if let Some(u) = newcomer {
             orphans.push(u);
@@ -949,12 +964,104 @@ impl ChurnEngine {
         self.in_flight = Some(PhaseBoundary::Observed);
         ReconcileState::Observed(Box::new(Observation {
             delta,
+            churned,
             swept,
             orphans,
             merged_head_pairs,
             fresh_dist,
             policy,
         }))
+    }
+
+    /// Orphans (ascending) and the refreshed head distances of the
+    /// members that keep their head, reading only rows the advance
+    /// swept. A member's distance can change only if its head's row
+    /// was swept — an unswept row's `2k+1` ball is as before — so the
+    /// nodes tested are the members of swept heads, the members
+    /// stranded on the departed sentinel, and the members of a
+    /// departed head. The swept heads' members still within `k` are
+    /// read off their rows; a member whose `≤k` head path broke lies
+    /// within `k − 1` hops (on the post-delta graph) of an endpoint of
+    /// that path's last removed edge, and so does every member of a
+    /// departed head, whose edges the delta removed.
+    fn detect_orphans(
+        &mut self,
+        delta: &TopologyDelta,
+        swept: &[usize],
+        newcomer: Option<NodeId>,
+    ) -> (Vec<NodeId>, Vec<(NodeId, u32)>) {
+        let k = self.cfg.k;
+        let labels = self.scratch.labels();
+        let clustering = &self.clustering;
+        let n = self.graph.len();
+        // Per node scratch, restored on the way out: a swept head's
+        // member's distance within k, and whether a node was tested.
+        let near = &mut self.near_head;
+        near.resize(n, UNREACHED);
+        let tested = &mut self.tested;
+        tested.resize(n, false);
+        let mut is_swept = vec![false; labels.heads().len()];
+        let mut candidates: Vec<NodeId> = Vec::new();
+        for &slot in swept {
+            is_swept[slot] = true;
+            let h = labels.heads()[slot];
+            for (v, d) in labels.within(slot, k) {
+                if clustering.head_of(v) == h {
+                    near[v.index()] = d;
+                    candidates.push(v);
+                }
+            }
+        }
+        let cut: Vec<NodeId> = delta.removed.iter().flat_map(|&(a, b)| [a, b]).collect();
+        if !cut.is_empty() {
+            self.bfs.run_multi(&self.graph, &cut, k.saturating_sub(1));
+            candidates.extend_from_slice(self.bfs.visited());
+        }
+        candidates.append(&mut self.stranded);
+
+        let mut orphans = Vec::new();
+        let mut fresh_dist = Vec::new();
+        for &v in &candidates {
+            if tested[v.index()] {
+                continue;
+            }
+            tested[v.index()] = true;
+            if self.departed[v.index()] || clustering.is_head(v) || Some(v) == newcomer {
+                continue;
+            }
+            let h = clustering.head_of(v);
+            if h == GONE {
+                // Knowingly stranded by a capped repair policy (no head
+                // was within k and the cap forbade an election): retry
+                // re-homing. Untouched deltas skip detection — no label
+                // ball changed, so no head moved within reach either.
+                orphans.push(v);
+                continue;
+            }
+            match labels.slot(h) {
+                Some(slot) if is_swept[slot] => match near[v.index()] {
+                    UNREACHED => orphans.push(v),
+                    d => fresh_dist.push((v, d)),
+                },
+                // An unswept row: the distance stands.
+                Some(_) => {}
+                None => {
+                    // The member of a departed head. Any other
+                    // unlabeled head means clustering and labels
+                    // disagree — a checkable inconsistency, not an
+                    // abort: the member is orphaned either way so
+                    // repair re-homes it.
+                    invariants::soft_check(self.departed[h.index()], "affiliation head is labeled");
+                    orphans.push(v);
+                }
+            }
+        }
+        for v in candidates {
+            near[v.index()] = UNREACHED;
+            tested[v.index()] = false;
+        }
+        orphans.sort_unstable();
+        (orphans, fresh_dist)
     }
 
     /// Repair: mutate the clustering per the [`RepairLevel`] policy —
@@ -966,6 +1073,7 @@ impl ChurnEngine {
         let _repair = self.metrics.span("reconcile.repair_ns");
         let Observation {
             delta,
+            churned,
             swept,
             orphans,
             merged_head_pairs,
@@ -1060,7 +1168,11 @@ impl ChurnEngine {
             }
         };
         self.in_flight = Some(PhaseBoundary::Repaired);
-        ReconcileState::Repaired(Box::new(Repaired { delta, outcome }))
+        ReconcileState::Repaired(Box::new(Repaired {
+            delta,
+            churned,
+            outcome,
+        }))
     }
 
     /// Publish: refresh the evaluation, recompute the validity
@@ -1070,10 +1182,14 @@ impl ChurnEngine {
     fn publish(&mut self, rep: Repaired) -> ReconcileState {
         self.trace_phase(MessageKind::ReconcilePublish);
         let _publish = self.metrics.span("reconcile.publish_ns");
-        let Repaired { delta, outcome } = rep;
+        let Repaired {
+            delta,
+            churned,
+            outcome,
+        } = rep;
         let report = match outcome {
             RepairOutcome::Rebuilt { orphans, merged } => self.publish_rebuilt(orphans, merged),
-            RepairOutcome::Patch(patch) => self.publish_patch(&delta, patch),
+            RepairOutcome::Patch(patch) => self.publish_patch(&delta, churned, patch),
         };
         self.metrics
             .add("reconcile.cost_node_rounds", report.cost as u64);
@@ -1090,7 +1206,12 @@ impl ChurnEngine {
     /// Publish tail of the incremental path: evaluation refresh,
     /// pending-plan preparation, verdict reuse, escalations, atomic
     /// swap.
-    fn publish_patch(&mut self, delta: &TopologyDelta, patch: Patch) -> StepReport {
+    fn publish_patch(
+        &mut self,
+        delta: &TopologyDelta,
+        churned: Churned,
+        patch: Patch,
+    ) -> StepReport {
         let Patch {
             swept,
             heads_changed,
@@ -1156,43 +1277,54 @@ impl ChurnEngine {
         // connected subgraph. A departed gateway shows up here too —
         // its isolated node disconnects the old CDS, and the refreshed
         // selection is adopted, which is §3.3's "re-run the gateway
-        // selection". The induced subgraph only changes when a changed
-        // edge joins two CDS nodes, so the standing per-step sweep is
-        // replaced by verdict reuse: deltas that never touch the
-        // backbone — the common case under localized churn, and every
-        // ball-untouched delta whose endpoints avoid stale gateways —
-        // cost no connectivity traversal at all.
-        if heads_changed {
+        // selection". Both connectivity verdicts are component counts
+        // of labels advanced over the delta (and over the node diff of
+        // an adopted CDS), so no verdict sweeps the whole graph.
+        let prior = heads_changed.then(|| {
             // A head loss or local election changed the head set, so
             // the maintained CDS must follow it — the lazy
             // gateway-adoption policy only applies while the head set
             // is stable. (Before this adoption the stale CDS could not
             // dominate an elected head, and every election escalated
             // into a global rebuild, defeating the local repair.)
-            self.adopt_cds();
             // Every head re-collects its 2k+1 ball.
             cost += self.information_cost();
+            self.adopt_cds()
+        });
+        {
+            let _components = self.metrics.span("reconcile.components_ns");
+            let (left, arrived) = (churned.left.as_slice(), churned.arrived.as_slice());
+            self.alive.update(&self.graph, delta, left, arrived);
+            self.advance_backbone(delta, prior.as_ref());
         }
         let mut validity = self.metrics.span("reconcile.validity_ns");
-        let mut backbone_ok = if heads_changed || self.backbone_touched(delta) {
-            connectivity::is_subset_connected(&self.graph, &self.cds.nodes())
-        } else {
-            self.last_backbone_ok
-        };
-        if !backbone_ok && !heads_changed && self.cfg.max_level >= RepairLevel::Gateways {
+        let mut backbone = self.metrics.span("reconcile.validity.backbone_ns");
+        if !self.backbone.is_connected()
+            && !heads_changed
+            && self.cfg.max_level >= RepairLevel::Gateways
+        {
             // The refreshed selection replaces the broken backbone; the
-            // copy is timed on its own, then the adopted CDS is checked.
+            // copy and the label upkeep are timed on their own.
+            drop(backbone);
             drop(validity);
             level = level.max(RepairLevel::Gateways);
-            self.adopt_cds();
+            let prior = self.adopt_cds();
             cost += self.information_cost();
+            {
+                let _components = self.metrics.span("reconcile.components_ns");
+                self.advance_backbone(&TopologyDelta::new(), Some(&prior));
+            }
             validity = self.metrics.span("reconcile.validity_ns");
-            backbone_ok = connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
+            backbone = self.metrics.span("reconcile.validity.backbone_ns");
         }
-        self.last_backbone_ok = backbone_ok;
-        let valid = backbone_ok && self.dominated();
+        let valid = self.backbone.is_connected() && self.dominated();
+        drop(backbone);
         self.last_valid = valid;
-        let escalate = !valid && self.alive_connected() && self.cfg.max_level >= RepairLevel::Full;
+        let alive_connected = {
+            let _alive = self.metrics.span("reconcile.validity.alive_ns");
+            self.alive_connected()
+        };
+        let escalate = !valid && alive_connected && self.cfg.max_level >= RepairLevel::Full;
         drop(validity);
         if escalate {
             // A repair on a connected graph must succeed; if it somehow
@@ -1224,6 +1356,7 @@ impl ChurnEngine {
     fn strand(&mut self, v: NodeId) {
         self.clustering.head_of[v.index()] = GONE;
         self.clustering.dist_to_head[v.index()] = 0;
+        self.stranded.push(v);
     }
 
     /// Re-elects the clustering from scratch on the current graph and
@@ -1242,6 +1375,8 @@ impl ChurnEngine {
             }
         }
         self.clustering = clustering;
+        // Every survivor has a head again.
+        self.stranded.clear();
     }
 
     /// Publish tail of a global rebuild: full evaluation, fresh CDS,
@@ -1300,21 +1435,6 @@ impl ChurnEngine {
                 .sum::<usize>()
     }
 
-    /// Whether any changed edge joins two nodes of the maintained CDS
-    /// — the only way a delta can alter the CDS's induced subgraph,
-    /// and therefore the only deltas that can flip the backbone
-    /// connectivity verdict.
-    fn backbone_touched(&self, delta: &TopologyDelta) -> bool {
-        let in_cds = |v: NodeId| {
-            self.cds.heads.binary_search(&v).is_ok() || self.cds.gateways.binary_search(&v).is_ok()
-        };
-        delta
-            .added
-            .iter()
-            .chain(delta.removed.iter())
-            .any(|&(a, b)| in_cds(a) && in_cds(b))
-    }
-
     /// Full-price k-hop domination sweep over the maintained CDS's
     /// heads (multi-source BFS; departed nodes exempt).
     fn dominated_sweep(&self) -> bool {
@@ -1350,21 +1470,102 @@ impl ChurnEngine {
     }
 
     /// Replaces the maintained CDS with the evaluation's selection for
-    /// the engine's algorithm (timed as `reconcile.copy_ns`).
-    fn adopt_cds(&mut self) {
+    /// the engine's algorithm (timed as `reconcile.copy_ns`) and
+    /// returns the CDS it replaced.
+    fn adopt_cds(&mut self) -> Cds {
         let _copy = self.metrics.span("reconcile.copy_ns");
-        self.cds = self.eval.of(self.cfg.algorithm).cds.clone();
+        let adopted = self.eval.of(self.cfg.algorithm).cds.clone();
+        std::mem::replace(&mut self.cds, adopted)
     }
 
-    /// Recomputes both verification verdicts at full price. Called
-    /// whenever the CDS is rebuilt wholesale (build, full rebuilds);
-    /// incremental steps keep the verdicts current via
-    /// [`Self::backbone_touched`]-gated reuse instead.
-    fn refresh_validity(&mut self) {
-        let _validity = self.metrics.span("reconcile.validity_ns");
-        self.last_backbone_ok = connectivity::is_subset_connected(&self.graph, &self.cds.nodes());
-        self.last_valid = self.last_backbone_ok && self.dominated();
+    /// Advances the backbone labels over `delta` (already applied to
+    /// the graph) and, when a CDS was adopted since they were last
+    /// advanced, over the sorted node diff from `prior` to the
+    /// maintained CDS.
+    fn advance_backbone(&mut self, delta: &TopologyDelta, prior: Option<&Cds>) {
+        let (mut leaving, mut entering) = (Vec::new(), Vec::new());
+        if let Some(prior) = prior.filter(|&prior| *prior != self.cds) {
+            let (mut old, mut new) = (cds_nodes(prior).peekable(), cds_nodes(&self.cds).peekable());
+            loop {
+                match (old.peek().copied(), new.peek().copied()) {
+                    (Some(a), Some(b)) if a == b => {
+                        old.next();
+                        new.next();
+                    }
+                    (Some(a), Some(b)) if a < b => {
+                        leaving.push(a);
+                        old.next();
+                    }
+                    (Some(a), None) => {
+                        leaving.push(a);
+                        old.next();
+                    }
+                    (_, Some(b)) => {
+                        entering.push(b);
+                        new.next();
+                    }
+                    (None, None) => break,
+                }
+            }
+        }
+        self.backbone
+            .update(&self.graph, delta, &leaving, &entering);
     }
+
+    /// Recomputes both verification verdicts at full price: relabels
+    /// the survivor and backbone components from scratch (timed as
+    /// `reconcile.components_ns`), then reads the verdicts. Called
+    /// whenever the CDS is rebuilt wholesale (build, full rebuilds,
+    /// [`Self::recover`]); incremental publishes advance the labels
+    /// over their delta instead.
+    fn refresh_validity(&mut self) {
+        {
+            let _components = self.metrics.span("reconcile.components_ns");
+            let departed = &self.departed;
+            self.alive.relabel(&self.graph, |v| !departed[v.index()]);
+            let mut in_cds = vec![false; self.graph.len()];
+            for v in cds_nodes(&self.cds) {
+                in_cds[v.index()] = true;
+            }
+            self.backbone.relabel(&self.graph, |v| in_cds[v.index()]);
+        }
+        let _validity = self.metrics.span("reconcile.validity_ns");
+        let _backbone = self.metrics.span("reconcile.validity.backbone_ns");
+        self.last_valid = self.backbone.is_connected() && self.dominated();
+    }
+}
+
+/// The nodes of `cds` ascending, merged from its two sorted, disjoint
+/// lists without allocating.
+fn cds_nodes(cds: &Cds) -> impl Iterator<Item = NodeId> + '_ {
+    let (mut heads, mut gateways) = (cds.heads.iter().peekable(), cds.gateways.iter().peekable());
+    std::iter::from_fn(move || match (heads.peek(), gateways.peek()) {
+        (Some(&&h), Some(&&g)) if g < h => gateways.next().copied(),
+        (Some(_), _) => heads.next().copied(),
+        (None, _) => gateways.next().copied(),
+    })
+}
+
+/// Head pairs newly within merge distance `md`, read off the swept
+/// rows only: a pair can newly fall within merge distance only if its
+/// head-to-head distance shrank, which requires (at least) one
+/// endpoint's row to have absorbed the delta — and every completed
+/// step ends merge-free (fresh elections place heads more than k
+/// apart, and a detected merge escalates to re-election), so
+/// clean-pair verdicts carry over. A pair of swept rows is counted
+/// once, by whichever slot scans it first.
+fn merged_pairs(labels: &HeadLabels, swept: &[usize], md: u32) -> usize {
+    swept
+        .iter()
+        .map(|&slot| {
+            labels
+                .heads_within(slot, md)
+                .into_iter()
+                .filter_map(|other| labels.slot(other))
+                .filter(|&o| !(o < slot && swept.binary_search(&o).is_ok()))
+                .count()
+        })
+        .sum()
 }
 
 // ---------------------------------------------------------------------
@@ -1529,12 +1730,13 @@ mod tests {
         assert_engine_consistent(&e, "metered departures");
     }
 
-    /// The three reconcile internals that used to run unspanned — the
-    /// orphan/merge detection scan, the validity checks and the
-    /// plan/CDS copies — are each spanned once per reconcile: a head
-    /// loss (detection, CDS adoption, full verdict refresh) and a
-    /// member departure (detection, pending-plan clone, verdict
-    /// reuse) alike.
+    /// The reconcile internals — the orphan/merge detection, the
+    /// validity verdicts with their backbone and survivor halves, the
+    /// component-label upkeep and the plan/CDS copies — are each
+    /// spanned once per reconcile: a head loss (detection, CDS
+    /// adoption, labels advanced over the delta and the CDS node diff)
+    /// and a member departure (detection, pending-plan clone, labels
+    /// advanced over the delta) alike.
     #[test]
     fn reconcile_internals_are_spanned_once_per_reconcile() {
         let net = geometric(17, 200, 8.0);
@@ -1542,9 +1744,12 @@ mod tests {
         e.enable_routing();
         let m = Metrics::enabled();
         e.set_metrics(m.clone());
-        const SPANS: [&str; 3] = [
+        const SPANS: [&str; 6] = [
             "reconcile.detect_ns",
             "reconcile.validity_ns",
+            "reconcile.validity.backbone_ns",
+            "reconcile.validity.alive_ns",
+            "reconcile.components_ns",
             "reconcile.copy_ns",
         ];
         let counts = || {
@@ -1561,7 +1766,7 @@ mod tests {
             .expect("a member outside the CDS");
         for (step, u) in [head, member].into_iter().enumerate() {
             e.depart(u);
-            assert_eq!(counts(), [step as u64 + 1; 3], "after departing {u:?}");
+            assert_eq!(counts(), [step as u64 + 1; 6], "after departing {u:?}");
         }
         let snap = m.snapshot();
         assert_eq!(snap.counter("reconcile.count"), Some(2));
@@ -2352,6 +2557,176 @@ mod tests {
                 "round {round}: served plan"
             );
             assert_engine_consistent(&bat, &format!("round {round} batched"));
+        }
+    }
+
+    /// Test oracle for observe's detection, by the full scan it
+    /// replaced: every labeled head's k-ball for member distances,
+    /// every node for orphans, and every head pair with a swept
+    /// endpoint for merges. Runs only where observe detects (`scan`: a
+    /// head left or a row was swept).
+    fn full_scan_detection(
+        e: &ChurnEngine,
+        swept: &[usize],
+        scan: bool,
+        newcomer: Option<NodeId>,
+    ) -> (Vec<NodeId>, usize, Vec<(NodeId, u32)>) {
+        let (k, md) = (e.cfg.k, e.cfg.merge_distance);
+        let (mut orphans, mut merges, mut fresh) = (Vec::new(), 0, Vec::new());
+        if scan {
+            let labels = e.labels();
+            let mut near_head = vec![UNREACHED; e.graph.len()];
+            for (slot, &h) in labels.heads().iter().enumerate() {
+                for (v, d) in labels.within(slot, k) {
+                    if e.clustering.head_of(v) == h {
+                        near_head[v.index()] = d;
+                    }
+                }
+            }
+            for v in e.graph.nodes() {
+                if e.departed[v.index()] || e.clustering.is_head(v) || Some(v) == newcomer {
+                    continue;
+                }
+                let h = e.clustering.head_of(v);
+                if h == GONE || labels.slot(h).is_none() || near_head[v.index()] > k {
+                    orphans.push(v);
+                } else {
+                    fresh.push((v, near_head[v.index()]));
+                }
+            }
+            let heads = labels.heads();
+            for i in 0..heads.len() {
+                for (j, &hj) in heads.iter().enumerate().skip(i + 1) {
+                    let touched =
+                        swept.binary_search(&i).is_ok() || swept.binary_search(&j).is_ok();
+                    if touched && labels.dist(i, hj) <= md {
+                        merges += 1;
+                    }
+                }
+            }
+        }
+        if let Some(u) = newcomer {
+            orphans.push(u);
+            orphans.sort_unstable();
+        }
+        (orphans, merges, fresh)
+    }
+
+    /// Direct verification, departure-aware: the CDS verdict (backbone
+    /// connectivity plus k-domination of every survivor) and survivor
+    /// connectivity, both by fresh BFS.
+    fn direct_verdicts(e: &ChurnEngine) -> (bool, bool) {
+        let g = e.graph();
+        let backbone = connectivity::is_subset_connected(g, &e.cds.nodes());
+        let dist = connectivity::distance_to_set(g, &e.cds.heads);
+        let dominated = g
+            .nodes()
+            .all(|v| e.is_departed(v) || dist[v.index()] <= e.cfg.k);
+        let alive: Vec<NodeId> = g.nodes().filter(|&v| !e.is_departed(v)).collect();
+        (
+            backbone && dominated,
+            connectivity::is_subset_connected(g, &alive),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Differential check of the delta-following verdicts and
+        /// detection: chains of movement-style edge flips (some at
+        /// departed nodes), departures of heads and of members, and
+        /// arrivals, on connected and on disconnected fields, for
+        /// k = 1..=3 under the tolerant policy and every capped level.
+        /// After every op the reported verdict equals direct
+        /// verification, `alive_connected()` equals a BFS, and
+        /// observe's orphans and merges equal the full-scan oracle's
+        /// (its refreshed distances are the oracle's, less entries
+        /// that restate a recorded distance).
+        #[test]
+        fn incremental_verdicts_match_direct_checks(
+            seed in 0u64..1_000_000,
+            connected in 0u32..2,
+            ops in proptest::collection::vec((0u32..5, 0u32..1000, 0u32..1000), 4..14),
+        ) {
+            let n = 40u32;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut gcfg = GeometricConfig::new(n as usize, 100.0, if connected == 1 { 7.0 } else { 3.5 });
+            gcfg.require_connected = connected == 1;
+            let net = gen::geometric(&gcfg, &mut rng);
+            for k in 1..=3u32 {
+                for cap in [RepairLevel::None, RepairLevel::Reaffiliate, RepairLevel::Gateways, RepairLevel::Full] {
+                    let cfg = MovementConfig::tolerant(k, Algorithm::AcLmst, 1).capped(cap);
+                    let mut e = ChurnEngine::build(&net.graph, cfg);
+                    e.enable_routing();
+                    for (i, &(kind, a, b)) in ops.iter().enumerate() {
+                        let ctx = format!("k={k} cap={cap:?} op {i} ({kind}, {a}, {b})");
+                        let alive: Vec<NodeId> = e.graph().nodes().filter(|&v| !e.is_departed(v)).collect();
+                        let gone: Vec<NodeId> = e.graph().nodes().filter(|&v| e.is_departed(v)).collect();
+                        let members: Vec<NodeId> = alive.iter().copied().filter(|&v| !e.clustering.is_head(v)).collect();
+                        let mut head_left = false;
+                        let mut newcomer = None;
+                        let state = match kind {
+                            // A flip of a few edges; with `b` past the
+                            // survivors, one end may be a departed node.
+                            0 | 1 => {
+                                let mut delta = TopologyDelta::new();
+                                for j in 0..=(a % 3) {
+                                    let x = NodeId((a + 7 * j) % n);
+                                    let y = NodeId((b + 13 * j) % n);
+                                    if x == y || (kind == 0 && (e.is_departed(x) || e.is_departed(y))) {
+                                        continue;
+                                    }
+                                    if e.graph().has_edge(x, y) {
+                                        delta.push_removed(x, y);
+                                    } else {
+                                        delta.push_added(x, y);
+                                    }
+                                }
+                                delta.normalize();
+                                let added = delta.added.clone();
+                                delta.removed.retain(|r| !added.contains(r));
+                                e.begin_delta(&delta)
+                            }
+                            2 if !e.clustering.heads.is_empty() => {
+                                let u = e.clustering.heads[a as usize % e.clustering.heads.len()];
+                                head_left = true;
+                                e.begin_depart(u)
+                            }
+                            3 if !members.is_empty() => e.begin_depart(members[a as usize % members.len()]),
+                            4 if !gone.is_empty() => {
+                                let u = gone[a as usize % gone.len()];
+                                let nb: Vec<NodeId> = net
+                                    .graph
+                                    .neighbors(u)
+                                    .iter()
+                                    .copied()
+                                    .filter(|&w| !e.is_departed(w) && !e.graph().has_edge(u, w))
+                                    .collect();
+                                newcomer = Some(u);
+                                e.begin_arrive(u, &nb)
+                            }
+                            _ => continue,
+                        };
+                        if let ReconcileState::Observed(obs) = &state {
+                            let scan = head_left || !obs.swept.is_empty();
+                            let (orphans, merges, fresh) = full_scan_detection(&e, &obs.swept, scan, newcomer);
+                            assert_eq!(obs.orphans, orphans, "{ctx}: orphans");
+                            assert_eq!(obs.merged_head_pairs, merges, "{ctx}: merges");
+                            for entry in &obs.fresh_dist {
+                                assert!(fresh.contains(entry), "{ctx}: fresh distance {entry:?}");
+                            }
+                            for &(v, d) in fresh.iter().filter(|x| !obs.fresh_dist.contains(x)) {
+                                assert_eq!(e.clustering.dist_to_head[v.index()], d, "{ctx}: skipped {v:?}");
+                            }
+                        }
+                        let report = e.finish(state);
+                        let (valid, alive_connected) = direct_verdicts(&e);
+                        assert_eq!(report.valid, valid, "{ctx}: reported verdict");
+                        assert_eq!(e.is_valid(), valid, "{ctx}: is_valid");
+                        assert_eq!(e.alive_connected(), alive_connected, "{ctx}: alive_connected");
+                    }
+                }
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //!   an optimization, never an approximation.
 //! * **I2 — convergence** ([`check_convergence`]): the engine's
 //!   validity verdict equals what direct verification of the
-//!   maintained CDS says; invalidity only ever persists while the
+//!   maintained CDS says, and its survivor-connectivity verdict what a
+//!   direct BFS says; invalidity only ever persists while the
 //!   surviving nodes are disconnected (where no CDS can verify); and
 //!   empty deltas are fixpoints — they cost nothing and preserve the
 //!   verdict.
@@ -307,7 +308,8 @@ pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
 }
 
 /// **I2 — convergence.** The engine's verdict equals direct
-/// verification of the maintained CDS; invalidity is only tolerated
+/// verification of the maintained CDS, and [`ChurnEngine::alive_connected`]
+/// equals a BFS over the survivors; invalidity is only tolerated
 /// while the surviving nodes are disconnected; and `stability_steps`
 /// empty deltas are fixpoints (verdict preserved, zero cost) — checked
 /// on a clone, so the engine itself is untouched.
@@ -339,7 +341,21 @@ pub fn check_convergence(engine: &ChurnEngine, stability_steps: usize) -> Vec<Vi
             ),
         ));
     }
-    if !engine.is_valid() && engine.alive_connected() {
+    // Survivor connectivity by a direct BFS, never by the engine's
+    // maintained verdict — that would check the labels against
+    // themselves.
+    let alive: Vec<NodeId> = g.nodes().filter(|&v| !engine.is_departed(v)).collect();
+    let survivors_connected = connectivity::is_subset_connected(g, &alive);
+    if engine.alive_connected() != survivors_connected {
+        out.push(Violation::new(
+            "I2",
+            format!(
+                "maintained survivor connectivity {} but a BFS says {survivors_connected}",
+                engine.alive_connected(),
+            ),
+        ));
+    }
+    if !engine.is_valid() && survivors_connected {
         out.push(Violation::new(
             "I2",
             "invalid on a connected survivor set: repair must have converged",
