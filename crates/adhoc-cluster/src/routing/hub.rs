@@ -1,5 +1,5 @@
 //! Hub-labeling (2-level landmark) index over the backbone `G''` — the
-//! sub-quadratic alternative to the dense `h × h` next-hop matrix
+//! sub-quadratic alternative to the dense `h × h` distance matrix
 //! behind the crate-private `InterTable` facade.
 //!
 //! # Construction: rank-restricted pruned sweeps

@@ -1,9 +1,9 @@
 //! Shared inter-head first-hop machinery over the backbone graph `G''`
 //! (heads as vertices, selected virtual links as weighted edges): the
-//! canonical next-hop **rule**, the dense all-pairs table that
-//! materializes it, and the [`InterTable`] facade that lets a compiled
-//! [`RoutePlan`] serve the same rule from either the dense `h × h`
-//! matrix or the sub-quadratic hub-label index ([`HubIndex`]).
+//! canonical next-hop **rule**, the exact all-pairs distance matrix
+//! that serves it densely, and the [`InterTable`] facade that lets a
+//! compiled [`RoutePlan`] serve the same rule from either the dense
+//! `h × h` matrix or the sub-quadratic hub-label index ([`HubIndex`]).
 //!
 //! [`RoutePlan`]: super::plan::RoutePlan
 //! [`HubIndex`]: super::hub::HubIndex
@@ -19,23 +19,56 @@
 //!
 //! The rule is a pure function of exact backbone distances, which is
 //! precisely what lets two very different representations serve it
-//! bit-identically: the dense table derives it per source with one
-//! bucket-queue Dijkstra that folds the rule into relaxation (the first
-//! hops of `s ⇝ t` are the union over shortest predecessors `p` of `t`
-//! of the first hops of `s ⇝ p`, so the minimum propagates), while the
-//! hub index expands `t`'s label row once per walk and takes, from
-//! `s`'s CSR row — which is stored in ascending slot order — the first
-//! neighbor proved to lie at the remaining distance. Every
-//! consumer (the compiled plan, the legacy per-query router,
-//! incremental repairs versus full recompiles) therefore agrees on
-//! every route by construction.
+//! bit-identically. Both walks have one shape: fix `t`, carry
+//! `dt = dist(s, t)` hop by hop, skip the predecessor, and take from
+//! `s`'s CSR row — stored in ascending slot order — the first neighbor
+//! `u` with `w(s, u) + dist(u, t) = dt`. They differ only in how they
+//! learn `dist(u, t)`: the dense matrix reads it off `t`'s row (by
+//! symmetry `D[t][u] = dist(u, t)`), the hub index proves it from label
+//! rows. The legacy per-query router's next-hop table
+//! ([`next_hop_row`]) folds the same rule into relaxation. Every
+//! consumer (the compiled plan, the legacy router, incremental repairs
+//! versus full recompiles) therefore agrees on every route by
+//! construction.
 //!
 //! Queries that *walk* (`s ← next_hop(s, t)` until `s = t`) terminate
 //! and realize a shortest backbone route for any mix of sources: each
 //! step moves to a node strictly closer to `t`.
+//!
+//! # Dense repair: a local change gets a local repair
+//!
+//! The matrix holds exact distances, so a backbone change is repaired
+//! link by link from the diff of the old and new link lists
+//! ([`InterTable::repair_with`]), in this order:
+//!
+//! 1. **Insertions, on the exact old matrix.** For every added or
+//!    re-weighted link `(x, y, w)` of the new backbone, a route can only
+//!    shorten by crossing it once, so `dist'(s, t) = min(dist(s, t),
+//!    dist(s, x) + w + dist(y, t))` or the mirror. Only a row with
+//!    `dist(s, x) + w < dist(s, y)` (or the mirror) can shorten, so only
+//!    those rows get a min-pass over their cells.
+//! 2. **Removals, one at a time.** Every removed link or superseded
+//!    weight `(u, v, w)` is taken out of a matrix that is exact for the
+//!    backbone still holding it. A pair whose distance grows had every
+//!    shortest route through the link; with `u` before `v` on it, the
+//!    source lies in `S_u = {s : dist(u, s) + w = dist(v, s)}` and the
+//!    target in `S_v` (its mirror), both read off two contiguous rows.
+//!    Every changed pair therefore has one endpoint on each side, so
+//!    re-sweeping the rows of the **smaller** side and mirroring each
+//!    into its column repairs them all. The sweep runs on the new
+//!    backbone plus the removed links not yet taken out, so the matrix
+//!    is exact again before the next removal reads it.
+//!
+//! Each step needs the matrix exact for the backbone it starts from.
+//! Insertions come first because the removals' sweeps run on the new
+//! backbone, which already holds the inserted links: the other way
+//! round, a removal would read sides off a matrix that lacks links its
+//! sweeps use. A repair never sweeps more rows than a build: once the
+//! next side would take it past `h` rows, it builds the matrix fresh.
 
 use super::hub::HubIndex;
 use adhoc_graph::par::{self, Parallelism, Strided};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -88,10 +121,15 @@ impl<'a> CsrView<'a> {
     }
 }
 
-/// Reusable per-source sweep state shared by the dense all-pairs build
-/// and the hub index's pruned sweeps — hoisted out of the per-source
-/// loop so neither allocates a queue, a distance array, or a settled
-/// list per source.
+/// A directed backbone link `(from, to, weight)`.
+type Link = (u32, u32, u32);
+
+/// Reusable sweep and repair state shared by the dense build and
+/// repair, the legacy next-hop table and the hub index's pruned sweeps —
+/// hoisted out of the per-source loop so none of them allocates a
+/// queue, a distance array, or a settled list per source. A plan's
+/// compiles and repairs reuse one per thread ([`Self::with_local`]),
+/// so a reconcile allocates none of it either.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct InterScratch {
     dist: Vec<u32>,
@@ -104,14 +142,46 @@ pub(crate) struct InterScratch {
     heap: BinaryHeap<Reverse<(u32, u32)>>,
     /// [`next_hop_row`]'s best offer per node, `dist << 32 | first hop`.
     best: Vec<u64>,
-    /// The bucket ring of [`next_hop_row`]'s queue; every bucket is
-    /// empty between sweeps.
+    /// The bucket ring of [`next_hop_row`]'s and [`dist_row`]'s queue;
+    /// every bucket is empty between sweeps.
     buckets: Vec<Vec<u32>>,
+    /// Dense repair: links of the new backbone missing from the old
+    /// (added, or carrying a new weight), one orientation each.
+    inserted: Vec<Link>,
+    /// Dense repair: links of the old backbone missing from the new
+    /// (removed, or carrying a superseded weight), one orientation
+    /// each, in repair order.
+    removed: Vec<Link>,
+    /// Dense repair: the removed links not yet taken out, both
+    /// orientations, sorted — the extra links a removal's re-sweeps run
+    /// over.
+    pending: Vec<Link>,
+    /// Dense repair: the two sides `S_u`, `S_v` of the removed link.
+    sides: [Vec<u32>; 2],
+    /// Dense repair: snapshots of the rows an insertion reads, and the
+    /// rows a removal re-sweeps.
+    rows: Vec<u32>,
+}
+
+thread_local! {
+    /// The scratch [`InterScratch::with_local`] lends out, one per
+    /// thread.
+    static SCRATCH: Cell<InterScratch> = Cell::new(InterScratch::new());
 }
 
 impl InterScratch {
     pub fn new() -> Self {
         InterScratch::default()
+    }
+
+    /// Runs `f` on this thread's reusable scratch. Every buffer is
+    /// reset or overwritten before it is read, so the scratch carries
+    /// nothing but capacity from one use to the next.
+    pub(crate) fn with_local<R>(f: impl FnOnce(&mut InterScratch) -> R) -> R {
+        let mut scratch = SCRATCH.take();
+        let out = f(&mut scratch);
+        SCRATCH.set(scratch);
+        out
     }
 
     /// Runs a Dijkstra sweep from `s` over `csr`, leaving `dist` and
@@ -256,56 +326,307 @@ pub(crate) fn next_hop_row(
     }
 }
 
-/// All-pairs next-hop table, row-major `h × h` (`table[s * h + t]`).
+/// All-pairs next-hop table, row-major `h × h` (`table[s * h + t]`):
+/// the legacy router's table and the tests' oracle for the walks.
 pub(crate) fn all_pairs_next_hops(csr: CsrView<'_>, scratch: &mut InterScratch) -> Vec<u32> {
-    all_pairs_next_hops_with(csr, scratch, Parallelism::serial())
-}
-
-/// [`all_pairs_next_hops`] over a worker pool: sources are chunked and
-/// each worker writes its own contiguous row range with its own
-/// [`InterScratch`]. Every row is a pure function of `(csr, s)`, so the
-/// table is bit-identical for any worker count. Tables below one
-/// thread spawn's worth of work ([`par::work::dense_rows`], gated by
-/// [`Parallelism::for_work`]) are swept inline on the caller's warm
-/// scratch.
-pub(crate) fn all_pairs_next_hops_with(
-    csr: CsrView<'_>,
-    scratch: &mut InterScratch,
-    par: Parallelism,
-) -> Vec<u32> {
     let h = csr.head_count();
     let max_w = csr.max_weight();
     let mut table = vec![NO_HOP; h * h];
-    let workers = par
-        .for_work(par::work::dense_rows(h, csr.to.len()))
-        .workers();
-    if workers == 1 {
-        for s in 0..h {
-            next_hop_row(csr, s, max_w, &mut table[s * h..(s + 1) * h], scratch);
-        }
-    } else {
-        par::scoped_chunks(
-            workers,
-            h,
-            Strided::new(&mut table[..], h),
-            |off, take, chunk: Strided<&mut [u32]>| {
-                let mut local = InterScratch::new();
-                for i in 0..take {
-                    next_hop_row(
-                        csr,
-                        off + i,
-                        max_w,
-                        &mut chunk.data[i * h..(i + 1) * h],
-                        &mut local,
-                    );
-                }
-            },
-        );
+    for s in 0..h {
+        next_hop_row(csr, s, max_w, &mut table[s * h..(s + 1) * h], scratch);
     }
     table
 }
 
-/// Projected bytes of the dense `h × h` next-hop table — what
+/// Writes `s`'s exact distance row into `row` ([`FAR`] for heads `s`
+/// cannot reach): a bucket-queue Dijkstra over `csr` plus the directed
+/// `extra` links (sorted by source; a repair's not-yet-removed links).
+/// `max_w` must be at least every link's weight. As in
+/// [`next_hop_row`], every queued distance lies within `max_w` of the
+/// one being settled, so a ring of `max_w + 1` buckets holds them all;
+/// `row` doubles as the distance array, so a bucket entry whose
+/// distance has since fallen is skipped when its bucket drains.
+fn dist_row(
+    csr: CsrView<'_>,
+    extra: &[Link],
+    s: usize,
+    max_w: u32,
+    row: &mut [u32],
+    buckets: &mut Vec<Vec<u32>>,
+) {
+    let ring = max_w as usize + 1;
+    if buckets.len() < ring {
+        buckets.resize_with(ring, Vec::new);
+    }
+    row.fill(FAR);
+    row[s] = 0;
+    buckets[0].push(s as u32);
+    let (mut queued, mut d, mut b) = (1usize, 0u32, 0usize);
+    while queued > 0 {
+        // Relaxations from distance `d` land `1..=max_w` buckets ahead,
+        // never in this one, so it can be taken out while it drains.
+        let mut bucket = std::mem::take(&mut buckets[b]);
+        queued -= bucket.len();
+        for &u in &bucket {
+            if row[u as usize] != d {
+                continue; // settled at a shorter distance
+            }
+            let first = extra.partition_point(|l| l.0 < u);
+            let extra_row = extra[first..]
+                .iter()
+                .take_while(|l| l.0 == u)
+                .map(|&(_, t, w)| (t, w));
+            for (t, w) in csr.row(u as usize).chain(extra_row) {
+                debug_assert!((1..=max_w).contains(&w), "weight {w} outside 1..={max_w}");
+                let nd = d + w;
+                if nd < row[t as usize] {
+                    row[t as usize] = nd;
+                    let slot = b + w as usize;
+                    buckets[if slot >= ring { slot - ring } else { slot }].push(t);
+                    queued += 1;
+                }
+            }
+        }
+        bucket.clear();
+        buckets[b] = bucket;
+        d += 1;
+        b = if b + 1 == ring { 0 } else { b + 1 };
+    }
+}
+
+/// Sweeps the distance rows of `count` sources (`source(i)` is the
+/// `i`-th) over `csr` plus `extra` into `out`, row `i` at
+/// `out[i * h..]`. Every row is a pure function of its source and the
+/// links, so the rows are bit-identical for any worker count: below one
+/// thread spawn's worth of work ([`par::work::dense_rows`], gated by
+/// [`Parallelism::for_work`]) they are swept inline on the caller's
+/// warm buckets; above it the sources are chunked across workers, each
+/// writing its own contiguous rows.
+fn sweep_rows(
+    csr: CsrView<'_>,
+    extra: &[Link],
+    count: usize,
+    source: impl Fn(usize) -> usize + Sync,
+    out: &mut [u32],
+    buckets: &mut Vec<Vec<u32>>,
+    par: Parallelism,
+) {
+    let h = csr.head_count();
+    debug_assert_eq!(out.len(), count * h);
+    let max_w = extra.iter().map(|l| l.2).fold(csr.max_weight(), u32::max);
+    let workers = par
+        .for_work(par::work::dense_rows(count, h, csr.to.len() + extra.len()))
+        .workers();
+    if workers == 1 {
+        for i in 0..count {
+            dist_row(
+                csr,
+                extra,
+                source(i),
+                max_w,
+                &mut out[i * h..(i + 1) * h],
+                buckets,
+            );
+        }
+    } else {
+        par::scoped_chunks(
+            workers,
+            count,
+            Strided::new(out, h),
+            |off, take, chunk: Strided<&mut [u32]>| {
+                let mut local = Vec::new();
+                for i in 0..take {
+                    let row = &mut chunk.data[i * h..(i + 1) * h];
+                    dist_row(csr, extra, source(off + i), max_w, row, &mut local);
+                }
+            },
+        );
+    }
+}
+
+/// The exact all-pairs distance matrix, row-major `h × h`
+/// (`matrix[s * h + t] = dist(s, t)`, [`FAR`] when unreachable): one
+/// bucket-queue sweep per source, fanned out as [`sweep_rows`] says.
+fn all_pairs_dist_with(csr: CsrView<'_>, scratch: &mut InterScratch, par: Parallelism) -> Vec<u32> {
+    let h = csr.head_count();
+    let mut matrix = vec![FAR; h * h];
+    sweep_rows(csr, &[], h, |s| s, &mut matrix, &mut scratch.buckets, par);
+    matrix
+}
+
+/// Repairs the exact distance matrix `dist` of the `old` backbone into
+/// the matrix of `new`, as the module docs' "Dense repair" describes;
+/// `changed` holds every slot whose CSR row differs. Returns the rows
+/// re-swept (`h` more when it fell back to a fresh build). Bit-identical
+/// to [`all_pairs_dist_with`] on `new` for any worker count: every step
+/// leaves the matrix exact.
+fn repair_dense(
+    dist: &mut [u32],
+    changed: &[u32],
+    old: CsrView<'_>,
+    new: CsrView<'_>,
+    scratch: &mut InterScratch,
+    par: Parallelism,
+) -> usize {
+    let h = new.head_count();
+    let InterScratch {
+        buckets,
+        inserted,
+        removed,
+        pending,
+        sides,
+        rows,
+        ..
+    } = scratch;
+    link_diff(changed, old, new, inserted, removed);
+    for &(x, y, w) in inserted.iter() {
+        insert_link(dist, h, x as usize, y as usize, w, rows);
+    }
+    let mut swept = 0usize;
+    for (j, &(u, v, w)) in removed.iter().enumerate() {
+        let side = smaller_side(dist, h, u as usize, v as usize, w, sides);
+        if side.is_empty() {
+            continue; // the link was on no shortest route
+        }
+        if swept + side.len() > h {
+            sweep_rows(new, &[], h, |s| s, dist, buckets, par);
+            return swept + h;
+        }
+        pending.clear();
+        for &(a, b, w) in &removed[j + 1..] {
+            pending.extend([(a, b, w), (b, a, w)]);
+        }
+        pending.sort_unstable();
+        rows.clear();
+        rows.resize(side.len() * h, FAR);
+        sweep_rows(
+            new,
+            pending,
+            side.len(),
+            |i| side[i] as usize,
+            rows,
+            buckets,
+            par,
+        );
+        for (&s, row) in side.iter().zip(rows.chunks_exact(h)) {
+            let s = s as usize;
+            dist[s * h..(s + 1) * h].copy_from_slice(row);
+            for (t, &d) in row.iter().enumerate() {
+                dist[t * h + s] = d;
+            }
+        }
+        swept += side.len();
+    }
+    swept
+}
+
+/// The weighted link diff between two backbones over the same heads:
+/// each `(s, t, w)` with `s < t` present in `new` but not `old` goes to
+/// `inserted`, present in `old` but not `new` to `removed` (a
+/// re-weighted link lands in both). Only the `changed` rows can differ,
+/// and a changed link flags both its endpoints, so reading each changed
+/// row's links to higher slots finds every link once.
+fn link_diff(
+    changed: &[u32],
+    old: CsrView<'_>,
+    new: CsrView<'_>,
+    inserted: &mut Vec<Link>,
+    removed: &mut Vec<Link>,
+) {
+    use std::cmp::Ordering;
+    inserted.clear();
+    removed.clear();
+    for &s in changed {
+        let higher = |&(t, _): &(u32, u32)| t > s;
+        let mut a = old.row(s as usize).filter(higher).peekable();
+        let mut b = new.row(s as usize).filter(higher).peekable();
+        // Rows are slot-ascending with one link per neighbor, so a
+        // merge on `(slot, weight)` walks the symmetric difference.
+        loop {
+            let order = match (a.peek(), b.peek()) {
+                (None, None) => break,
+                (Some(x), Some(y)) => x.cmp(y),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+            };
+            match order {
+                Ordering::Less => {
+                    let (t, w) = a.next().expect("peeked");
+                    removed.push((s, t, w));
+                }
+                Ordering::Greater => {
+                    let (t, w) = b.next().expect("peeked");
+                    inserted.push((s, t, w));
+                }
+                Ordering::Equal => {
+                    a.next();
+                    b.next();
+                }
+            }
+        }
+    }
+}
+
+/// Adds link `(x, y, w)` to the exact matrix `dist`: each row that the
+/// link shortens (`dist(s, x) + w < dist(s, y)` or the mirror) takes
+/// the minimum with the route across it, read off snapshots of rows `x`
+/// and `y` (`snap` holds them).
+fn insert_link(dist: &mut [u32], h: usize, x: usize, y: usize, w: u32, snap: &mut Vec<u32>) {
+    snap.clear();
+    snap.extend_from_slice(&dist[x * h..(x + 1) * h]);
+    snap.extend_from_slice(&dist[y * h..(y + 1) * h]);
+    let (from_x, from_y) = snap.split_at(h);
+    for (s, row) in dist.chunks_exact_mut(h).enumerate() {
+        let (dx, dy) = (from_x[s].saturating_add(w), from_y[s].saturating_add(w));
+        let (via, beyond) = if dx < from_y[s] {
+            (dx, from_y)
+        } else if dy < from_x[s] {
+            (dy, from_x)
+        } else {
+            continue;
+        };
+        for (cell, &d) in row.iter_mut().zip(beyond) {
+            *cell = (*cell).min(via.saturating_add(d));
+        }
+    }
+}
+
+/// The smaller of removed link `(u, v, w)`'s two sides in the exact
+/// matrix `dist` — `S_u = {s : dist(u, s) + w = dist(v, s)}` (sources
+/// whose shortest routes to `v` may end across the link) or its mirror
+/// `S_v`, `S_u` on a tie — collected into `sides`. Both are empty when
+/// the link lies on no shortest route.
+fn smaller_side<'s>(
+    dist: &[u32],
+    h: usize,
+    u: usize,
+    v: usize,
+    w: u32,
+    sides: &'s mut [Vec<u32>; 2],
+) -> &'s [u32] {
+    let [side_u, side_v] = sides;
+    side_u.clear();
+    side_v.clear();
+    let (from_u, from_v) = (&dist[u * h..(u + 1) * h], &dist[v * h..(v + 1) * h]);
+    for (s, (&a, &b)) in from_u.iter().zip(from_v).enumerate() {
+        debug_assert_eq!(a == FAR, b == FAR, "the link joins u and v");
+        if a == FAR {
+            continue; // `s` reaches neither end
+        }
+        if a + w == b {
+            side_u.push(s as u32);
+        } else if b + w == a {
+            side_v.push(s as u32);
+        }
+    }
+    if side_u.len() <= side_v.len() {
+        side_u
+    } else {
+        side_v
+    }
+}
+
+/// Projected bytes of the dense `h × h` distance matrix — what
 /// [`InterMode::Auto`] weighs against, and what the benches report as
 /// the cost the hub layout avoids.
 pub fn projected_dense_bytes(h: usize) -> usize {
@@ -323,7 +644,7 @@ pub const AUTO_HUB_THRESHOLD_BYTES: usize = 4 << 20;
 /// Which inter-head representation a route plan should compile.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InterMode {
-    /// Always the dense `h × h` next-hop matrix.
+    /// Always the dense `h × h` distance matrix.
     Dense,
     /// Always the hub-label index.
     Hub,
@@ -369,24 +690,31 @@ impl std::str::FromStr for InterMode {
     }
 }
 
-/// What an `InterTable::repair` did — surfaced through
+/// What an inter-head repair did — surfaced through
 /// [`PlanUpdate`](super::plan::PlanUpdate) so benches and tests can
-/// pin that a weight change no longer recomputes all pairs.
+/// pin how much of the table a backbone change touched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InterRepair {
     /// The backbone's weighted link set did not change; nothing to do.
     Unchanged,
-    /// Dense layout: the full `h × h` table was recomputed (the dense
-    /// table has no cheaper sound repair).
-    DenseRecomputed,
+    /// Dense layout: the distance matrix was repaired link by link (see
+    /// the `inter` module's "Dense repair").
+    DenseRepaired {
+        /// Rows re-swept for removed links (out of `h`; `h` more when
+        /// the repair fell back to a fresh build).
+        rows_swept: usize,
+    },
+    /// Dense layout: the head set changed, so the plan compiled a
+    /// fresh matrix.
+    DenseRebuilt,
     /// Hub layout: only the labels of hubs whose trees touched a
     /// changed edge were re-swept.
     HubRepaired {
         /// Hubs re-swept (out of `h`).
         dirty_hubs: usize,
     },
-    /// Hub layout: the importance order itself changed, so the index
-    /// was rebuilt.
+    /// Hub layout: the importance order itself changed (or the head set
+    /// did), so the index was rebuilt.
     HubRebuilt,
 }
 
@@ -395,9 +723,10 @@ pub enum InterRepair {
 /// hops through this enum and never branches on layout anywhere else.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InterTable {
-    /// Row-major `h × h` first-hop matrix — `O(1)` lookups, `O(h²)`
-    /// memory, full recompute on any backbone weight change.
-    Dense { h: usize, next_hop: Vec<u32> },
+    /// The exact, symmetric all-pairs backbone distance matrix,
+    /// row-major `h × h` ([`FAR`] when unreachable) — one row read per
+    /// walk, `O(h²)` memory, repaired link by link on a backbone change.
+    Dense { h: usize, dist: Vec<u32> },
     /// Hub-label (2-level landmark) index — one target-row expansion
     /// per walk, then each hop proved by exact checks (mostly one
     /// binary search, a full row scan only when no check settles a
@@ -417,7 +746,7 @@ impl InterTable {
     }
 
     /// Builds the representation `mode` selects for this backbone over
-    /// a worker pool — parallel all-pairs rows for the dense layout,
+    /// a worker pool — parallel distance rows for the dense layout,
     /// parallel pruned hub sweeps for the hub layout. Bit-identical
     /// for any worker count; jobs below the fan-out gate run inline.
     pub(crate) fn build_with(
@@ -432,7 +761,7 @@ impl InterTable {
         } else {
             InterTable::Dense {
                 h,
-                next_hop: all_pairs_next_hops_with(csr, scratch, par),
+                dist: all_pairs_dist_with(csr, scratch, par),
             }
         }
     }
@@ -443,8 +772,10 @@ impl InterTable {
     /// `hop`, when the backbone does not connect `s` and `t`; `s == t`
     /// is the empty walk.
     ///
-    /// Dense: one table lookup plus one binary search of `s`'s CSR row
-    /// per hop. Hub: one target-row expansion per walk; then each
+    /// Dense: `t`'s row holds every `dist(u, t)`, so each hop takes the
+    /// first neighbor `u` of `s`, in ascending slot order and past the
+    /// predecessor, with `w(s, u) + dist(u, t) = dt`, and carries
+    /// `dt −= w`. Hub: one target-row expansion per walk; then each
     /// probed neighbor is skipped as the predecessor, rejected by a
     /// landmark bound, accepted by one binary search for the carried
     /// witness hub, or only failing those settled by a label row scan
@@ -458,20 +789,25 @@ impl InterTable {
         mut hop: impl FnMut(usize),
     ) -> bool {
         match self {
-            InterTable::Dense { h, next_hop } => {
-                let mut s = s;
+            InterTable::Dense { h, dist } => {
+                let to_t = &dist[t * h..(t + 1) * h];
+                let mut dt = to_t[s];
+                if dt == FAR {
+                    return false;
+                }
+                let (mut prev, mut s) = (usize::MAX, s);
                 while s != t {
-                    let nh = next_hop[s * h + t];
-                    if nh == NO_HOP {
-                        return false;
-                    }
                     let (lo, hi) = (csr.off[s] as usize, csr.off[s + 1] as usize);
-                    let i = lo
-                        + csr.to[lo..hi]
-                            .binary_search(&nh)
-                            .expect("next hop uses existing links");
+                    let i = (lo..hi)
+                        .find(|&i| {
+                            let (u, w) = (csr.to[i] as usize, csr.hops[i]);
+                            u != prev && w <= dt && to_t[u] == dt - w
+                        })
+                        .expect("exact distances name a first hop");
                     hop(i);
-                    s = nh as usize;
+                    dt -= csr.hops[i];
+                    prev = s;
+                    s = csr.to[i] as usize;
                 }
                 true
             }
@@ -479,20 +815,21 @@ impl InterTable {
         }
     }
 
-    /// Repairs a shared table after the backbone changed: `changed`
-    /// holds the ascending slots whose CSR rows differ between the old
-    /// and new backbone (every added, removed, or re-weighted link
-    /// flags both endpoints), and `csr` is the **new** backbone. An
-    /// empty `changed` is a no-op and keeps the table shared. The dense
-    /// recompute installs a fresh table, so a plan cloned to be patched
-    /// never copies the one it replaces; the dirty-hub repair splices
-    /// copy-on-write (a shared index is copied first). The dense
-    /// recompute and the dirty-hub re-sweeps fan out across `par`,
-    /// bit-identical to serial for any worker count (jobs below the
-    /// fan-out gate run inline).
+    /// Repairs a shared table after the backbone changed from `old` to
+    /// `csr` over the same heads: `changed` holds the ascending slots
+    /// whose CSR rows differ (every added, removed, or re-weighted link
+    /// flags both endpoints). An empty `changed` is a no-op and keeps
+    /// the table shared; otherwise the table is copied on write first
+    /// (a plan cloned to be patched never touches the one it shares).
+    /// The dense matrix is repaired link by link (module docs), the hub
+    /// index re-sweeps its dirty hubs. Both fan their sweeps out across
+    /// `par`, bit-identical to serial for any worker count (jobs below
+    /// the fan-out gate run inline), and both leave the table equal to a
+    /// fresh build on `csr`.
     pub(crate) fn repair_with(
         table: &mut Arc<InterTable>,
         changed: &[u32],
+        old: CsrView<'_>,
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
         par: Parallelism,
@@ -500,23 +837,19 @@ impl InterTable {
         if changed.is_empty() {
             return InterRepair::Unchanged;
         }
-        if let InterTable::Dense { h, .. } = **table {
-            debug_assert_eq!(h, csr.head_count());
-            *table = Arc::new(InterTable::Dense {
-                h,
-                next_hop: all_pairs_next_hops_with(csr, scratch, par),
-            });
-            return InterRepair::DenseRecomputed;
-        }
-        let InterTable::Hub(hub) = Arc::make_mut(table) else {
-            unreachable!("the dense layout returned above")
-        };
-        match hub.repair_with(changed, csr, scratch, par) {
-            Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
-            None => {
-                *hub = HubIndex::build_with(csr, scratch, par);
-                InterRepair::HubRebuilt
+        match Arc::make_mut(table) {
+            InterTable::Dense { h, dist } => {
+                debug_assert_eq!(*h, csr.head_count());
+                let rows_swept = repair_dense(dist, changed, old, csr, scratch, par);
+                InterRepair::DenseRepaired { rows_swept }
             }
+            InterTable::Hub(hub) => match hub.repair_with(changed, csr, scratch, par) {
+                Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
+                None => {
+                    *hub = HubIndex::build_with(csr, scratch, par);
+                    InterRepair::HubRebuilt
+                }
+            },
         }
     }
 
@@ -547,7 +880,7 @@ impl InterTable {
     /// Heap bytes of the inter-head structure alone.
     pub fn memory_bytes(&self) -> usize {
         match self {
-            InterTable::Dense { next_hop, .. } => next_hop.capacity() * std::mem::size_of::<u32>(),
+            InterTable::Dense { dist, .. } => dist.capacity() * std::mem::size_of::<u32>(),
             InterTable::Hub(hub) => hub.memory_bytes(),
         }
     }
@@ -846,5 +1179,250 @@ mod tests {
         assert!(InterMode::Hub.wants_hub(2));
         assert_eq!("hub".parse::<InterMode>().unwrap(), InterMode::Hub);
         assert!("matrix".parse::<InterMode>().is_err());
+    }
+
+    /// Sets (`Some(w)`) or removes (`None`) the link `a`–`b` in both
+    /// rows of `adj`.
+    fn set_link(adj: &mut [Vec<(u32, u32)>], a: usize, b: usize, w: Option<u32>) {
+        for (x, y) in [(a, b), (b, a)] {
+            adj[x].retain(|&(t, _)| t as usize != y);
+            if let Some(w) = w {
+                adj[x].push((y as u32, w));
+            }
+        }
+    }
+
+    /// Every link `(a, b, w)` with `a < b`.
+    fn links(adj: &[Vec<(u32, u32)>]) -> Vec<(usize, usize, u32)> {
+        let mut out = Vec::new();
+        for (a, row) in adj.iter().enumerate() {
+            out.extend(
+                row.iter()
+                    .filter(|&&(b, _)| b as usize > a)
+                    .map(|&(b, w)| (a, b as usize, w)),
+            );
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Component id per head.
+    fn components(adj: &[Vec<(u32, u32)>]) -> Vec<usize> {
+        let mut comp = vec![usize::MAX; adj.len()];
+        for root in 0..adj.len() {
+            if comp[root] != usize::MAX {
+                continue;
+            }
+            comp[root] = root;
+            let mut stack = vec![root];
+            while let Some(u) = stack.pop() {
+                for &(v, _) in &adj[u] {
+                    if comp[v as usize] == usize::MAX {
+                        comp[v as usize] = root;
+                        stack.push(v as usize);
+                    }
+                }
+            }
+        }
+        comp
+    }
+
+    /// Applies one random backbone edit of the seven kinds the dense
+    /// repair must handle: add, remove, raise, lower, isolate a head,
+    /// split a component (drop every link between the first and second
+    /// half of its BFS order), merge two components (one to three new
+    /// links). An edit that does not apply falls through to adding a
+    /// link.
+    fn random_edit(rng: &mut impl rand::Rng, adj: &mut [Vec<(u32, u32)>], max_w: u32) {
+        let h = adj.len();
+        let all = links(adj);
+        fn pick<R: rand::Rng>(rng: &mut R, of: &[(usize, usize, u32)]) -> (usize, usize, u32) {
+            of[rng.gen_range(0..of.len())]
+        }
+        match rng.gen_range(0..7) {
+            1 if !all.is_empty() => {
+                let (a, b, _) = pick(rng, &all);
+                set_link(adj, a, b, None);
+                return;
+            }
+            2 => {
+                let raisable: Vec<_> = all.iter().copied().filter(|l| l.2 < max_w).collect();
+                if !raisable.is_empty() {
+                    let (a, b, w) = pick(rng, &raisable);
+                    set_link(adj, a, b, Some(rng.gen_range(w + 1..=max_w)));
+                    return;
+                }
+            }
+            3 => {
+                let lowerable: Vec<_> = all.iter().copied().filter(|l| l.2 > 1).collect();
+                if !lowerable.is_empty() {
+                    let (a, b, w) = pick(rng, &lowerable);
+                    set_link(adj, a, b, Some(rng.gen_range(1..w)));
+                    return;
+                }
+            }
+            4 if !all.is_empty() => {
+                let (a, _, _) = pick(rng, &all);
+                for (b, _) in adj[a].clone() {
+                    set_link(adj, a, b as usize, None);
+                }
+                return;
+            }
+            5 if !all.is_empty() => {
+                let (root, _, _) = pick(rng, &all);
+                let mut order = vec![root];
+                let mut seen = vec![false; h];
+                seen[root] = true;
+                let mut i = 0;
+                while i < order.len() {
+                    for &(v, _) in &adj[order[i]] {
+                        if !std::mem::replace(&mut seen[v as usize], true) {
+                            order.push(v as usize);
+                        }
+                    }
+                    i += 1;
+                }
+                let mut first = vec![false; h];
+                for &u in &order[..order.len() / 2] {
+                    first[u] = true;
+                }
+                for (a, b, _) in all {
+                    if seen[a] && first[a] != first[b] {
+                        set_link(adj, a, b, None);
+                    }
+                }
+                return;
+            }
+            6 => {
+                let comp = components(adj);
+                let mut roots: Vec<usize> = comp.clone();
+                roots.sort_unstable();
+                roots.dedup();
+                if roots.len() >= 2 {
+                    let (ra, rb) = (roots[0], roots[rng.gen_range(1..roots.len())]);
+                    let side = |r: usize| (0..h).filter(|&v| comp[v] == r).collect::<Vec<_>>();
+                    let (sa, sb) = (side(ra), side(rb));
+                    for _ in 0..rng.gen_range(1..=3) {
+                        let a = sa[rng.gen_range(0..sa.len())];
+                        let b = sb[rng.gen_range(0..sb.len())];
+                        set_link(adj, a, b, Some(rng.gen_range(1..=max_w)));
+                    }
+                    return;
+                }
+            }
+            _ => {}
+        }
+        let a = rng.gen_range(0..h);
+        let b = rng.gen_range(0..h);
+        if a != b {
+            set_link(adj, a, b, Some(rng.gen_range(1..=max_w)));
+        }
+    }
+
+    /// The rows a dense repair from `before` to `after` must re-sweep,
+    /// worked out independently: per removed link in repair order
+    /// (ascending), the smaller side in a fresh matrix of the backbone
+    /// that still holds it and every later removed link, until the next
+    /// side would take the total past `h` — then a build's `h` more.
+    fn expected_rows_swept(before: &[Vec<(u32, u32)>], after: &[Vec<(u32, u32)>]) -> usize {
+        let h = after.len();
+        let new = links(after);
+        let removed: Vec<_> = links(before)
+            .into_iter()
+            .filter(|l| !new.contains(l))
+            .collect();
+        let mut swept = 0;
+        for (j, &(u, v, w)) in removed.iter().enumerate() {
+            let mut adj = after.to_vec();
+            for &(a, b, x) in &removed[j..] {
+                adj[a].push((b as u32, x));
+                adj[b].push((a as u32, x));
+            }
+            let (off, to, hops) = to_csr(&adj);
+            let csr = CsrView {
+                off: &off,
+                to: &to,
+                hops: &hops,
+            };
+            let InterTable::Dense { dist, .. } =
+                InterTable::build(InterMode::Dense, csr, &mut InterScratch::new())
+            else {
+                unreachable!("dense mode builds the matrix")
+            };
+            let side = |a: usize, b: usize| {
+                (0..h)
+                    .filter(|&s| dist[a * h + s] != FAR && dist[a * h + s] + w == dist[b * h + s])
+                    .count()
+            };
+            let smaller = side(u, v).min(side(v, u));
+            if swept + smaller > h {
+                return swept + h;
+            }
+            swept += smaller;
+        }
+        swept
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The dense repair is a pure optimization of a fresh build:
+        /// through chains of one to eight edits of every kind, on
+        /// random backbones of 2–120 heads with link weights `1..=2k+1`
+        /// (small weights tie often), the repaired matrix equals a
+        /// fresh build's (`PartialEq`) after every edit, every `(s, t)`
+        /// walk over it equals the next-hop table oracle's, and it
+        /// re-swept exactly the rows [`expected_rows_swept`] names.
+        #[test]
+        fn dense_repair_matches_fresh_build_through_edit_chains(
+            seed in 0u64..1_000_000,
+            h in 2usize..=120,
+            k in 1u32..=4,
+            edits in 1usize..=8,
+        ) {
+            use rand::{rngs::StdRng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let max_w = 2 * k + 1;
+            let p = (2.5 / h as f64).min(1.0);
+            let mut adj = random_adj(&mut rng, h, p, max_w);
+            let mut scratch = InterScratch::new();
+            let (off, to, hops) = to_csr(&adj);
+            let csr = CsrView { off: &off, to: &to, hops: &hops };
+            let mut table = Arc::new(InterTable::build(InterMode::Dense, csr, &mut scratch));
+            for edit in 0..edits {
+                let before = adj.clone();
+                random_edit(&mut rng, &mut adj, max_w);
+                let (old_off, old_to, old_hops) = to_csr(&before);
+                let (off, to, hops) = to_csr(&adj);
+                let old = CsrView { off: &old_off, to: &old_to, hops: &old_hops };
+                let csr = CsrView { off: &off, to: &to, hops: &hops };
+                let changed: Vec<u32> = (0..h as u32)
+                    .filter(|&s| old.row(s as usize).ne(csr.row(s as usize)))
+                    .collect();
+                let repair = InterTable::repair_with(
+                    &mut table, &changed, old, csr, &mut scratch, Parallelism::serial(),
+                );
+                let fresh = InterTable::build(InterMode::Dense, csr, &mut scratch);
+                prop_assert_eq!(&*table, &fresh, "edit {}: repaired matrix diverged", edit);
+                let oracle = all_pairs_next_hops(csr, &mut scratch);
+                for s in 0..h {
+                    for t in 0..h {
+                        prop_assert_eq!(
+                            facade_walk(&table, s, t, csr),
+                            table_walk(&oracle, h, s, t),
+                            "edit {}: walk {} -> {}", edit, s, t
+                        );
+                    }
+                }
+                let expected = if changed.is_empty() {
+                    InterRepair::Unchanged
+                } else {
+                    InterRepair::DenseRepaired { rows_swept: expected_rows_swept(&before, &adj) }
+                };
+                prop_assert_eq!(repair, expected, "edit {}: rows swept", edit);
+            }
+        }
     }
 }

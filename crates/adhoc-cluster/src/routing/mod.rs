@@ -14,16 +14,17 @@
 //! * [`plan`] — the compiled [`RoutePlan`]: per-node canonical ascent
 //!   paths in one arena, a per-node head-affiliation index, and an
 //!   inter-head first-hop table behind one facade with two layouts —
-//!   the dense `h × h` matrix, or the [`hub`] hub-label index once the
-//!   projected matrix crosses the auto threshold (both serve the same
-//!   canonical rule bit-for-bit). Built once from the evaluation
-//!   engine's head labels (`pipeline::EvalScratch`) and a backbone
-//!   link set; queries are pure pointer chasing — **zero per-query
+//!   the dense `h × h` distance matrix, or the [`hub`] hub-label
+//!   index once the projected matrix crosses the auto threshold (both
+//!   serve the same canonical rule bit-for-bit). Built once from the
+//!   evaluation engine's head labels (`pipeline::EvalScratch`) and a
+//!   backbone link set; queries are pure pointer chasing — **zero per-query
 //!   BFS, `O(route length)` per query** — and need neither the graph
 //!   nor the labels at serve time. [`RoutePlan::apply_delta`] repairs
 //!   the plan after topology churn from the pipeline's dirty-slot
-//!   information instead of rebuilding it; under the hub layout a
-//!   backbone weight change re-sweeps only dirty hubs instead of
+//!   information instead of rebuilding it; a backbone change
+//!   re-sweeps only the smaller side of each removed link under the
+//!   dense layout and only dirty hubs under the hub layout, instead of
 //!   recomputing all pairs.
 //! * [`hub`] — the hub-labeling (2-level landmark) index over `G''`:
 //!   rank-restricted pruned sweeps, flat CSR label arena, sound

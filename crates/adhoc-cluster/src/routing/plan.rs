@@ -14,7 +14,8 @@
 //! │                   └─ path_off/len ── path_arena (both orientations
 //! │                                      of every backbone path)
 //! └─ inter — inter-head first hops, one of two layouts
-//!      Dense: h × h first-hop matrix (O(1) lookups, O(h²) bytes)
+//!      Dense: h × h exact distance matrix (one row read per walk,
+//!             O(h²) bytes)
 //!      Hub:   hub-label arena — per-head (hub, dist) rows, CSR-packed
 //!             (one target-row expansion per walk, empirically
 //!             sub-quadratic bytes)
@@ -46,9 +47,9 @@
 //! churn using the pipeline's dirty-slot information: only members of
 //! dirty heads (and re-affiliated nodes) re-walk their ascents (clean
 //! rows are copied arena-segment-wise, the same trick the label store
-//! uses), and the inter-head table is repaired only from the head
-//! slots whose backbone rows actually changed — a full recompute for
-//! the dense matrix, but only dirty-hub re-sweeps for the hub layout.
+//! uses), and the inter-head table is repaired only from the links
+//! that actually changed — the dense matrix re-sweeps only the smaller
+//! side of each removed link, the hub layout only its dirty hubs.
 
 use crate::clustering::Clustering;
 use crate::routing::inter::{self, CsrView, InterMode, InterRepair, InterScratch, InterTable};
@@ -102,7 +103,7 @@ pub struct RoutePlan {
     /// Inter-head first hops, dense matrix or hub-label index (see the
     /// module docs). Both answer the identical canonical rule. Shared,
     /// so the clone a maintainer patches into its next plan copies no
-    /// table: a repair installs a fresh one or splices copy-on-write.
+    /// table until a repair writes it (copy-on-write).
     inter: Arc<InterTable>,
     /// The layout policy this plan was compiled under — preserved
     /// across [`Self::apply_delta`] rebuilds so a maintained plan never
@@ -147,16 +148,19 @@ pub struct PlanUpdate {
     /// Whether the inter-head table changed at all (the backbone's
     /// weighted link set changed).
     pub next_recomputed: bool,
-    /// What the inter-head repair actually did: a full recompute only
-    /// for the dense layout; the hub layout re-sweeps dirty hubs.
+    /// What the inter-head repair actually did: dense rows re-swept,
+    /// hub labels re-swept, or a rebuild.
     pub inter: InterRepair,
 }
 
 impl PlanUpdate {
     /// Reports this update's repair scope into `metrics` — the
-    /// counters behind the serving layer's `plan.*` / `hub.*` metric
-    /// families. All values are exact update facts, so the counts are
-    /// deterministic for any worker count.
+    /// counters behind the serving layer's `plan.*` / `inter.*` /
+    /// `hub.*` metric families. `inter.dense_recomputed` counts updates
+    /// whose dense matrix changed (a repair or a rebuild; the name
+    /// predates the repair), `inter.dense_rows_swept` the rows the
+    /// repairs re-swept. All values are exact update facts, so the
+    /// counts are deterministic for any worker count.
     pub fn record_into(&self, metrics: &Metrics) {
         if self.rebuilt {
             metrics.inc("plan.rebuilt");
@@ -167,7 +171,11 @@ impl PlanUpdate {
         }
         match self.inter {
             InterRepair::Unchanged => metrics.inc("inter.unchanged"),
-            InterRepair::DenseRecomputed => metrics.inc("inter.dense_recomputed"),
+            InterRepair::DenseRepaired { rows_swept } => {
+                metrics.inc("inter.dense_recomputed");
+                metrics.add("inter.dense_rows_swept", rows_swept as u64);
+            }
+            InterRepair::DenseRebuilt => metrics.inc("inter.dense_recomputed"),
             InterRepair::HubRepaired { dirty_hubs } => {
                 metrics.inc("hub.repaired");
                 metrics.add("hub.dirty_hubs", dirty_hubs as u64);
@@ -286,7 +294,7 @@ impl RoutePlan {
     }
 
     /// [`Self::compile_with`] over a worker pool: the per-node ascent
-    /// walks and the inter-head build (dense all-pairs rows or pruned
+    /// walks and the inter-head build (dense distance rows or pruned
     /// hub sweeps) fan out across `par` workers. The compiled plan is
     /// **bit-identical** for any worker count — every per-node and
     /// per-hub unit is a pure function of its inputs, outputs land in
@@ -353,7 +361,7 @@ impl RoutePlan {
             path_arena: Vec::new(),
             inter: Arc::new(InterTable::Dense {
                 h: 0,
-                next_hop: Vec::new(),
+                dist: Vec::new(),
             }),
             inter_mode: mode,
         };
@@ -362,7 +370,6 @@ impl RoutePlan {
             plan.build_ascents(g, clustering, labels, None, par);
         }
         let bb = Backbone::build(&plan.heads, links);
-        let mut scratch = InterScratch::new();
         {
             // Resolve the layout up front so the build lands in the
             // span that names it.
@@ -372,7 +379,10 @@ impl RoutePlan {
                 "inter.dense_build_ns"
             };
             let _build = metrics.span(span);
-            plan.inter = Arc::new(InterTable::build_with(mode, bb.csr(), &mut scratch, par));
+            let inter = InterScratch::with_local(|scratch| {
+                InterTable::build_with(mode, bb.csr(), scratch, par)
+            });
+            plan.inter = Arc::new(inter);
         }
         plan.adopt_backbone(bb);
         plan
@@ -508,12 +518,13 @@ impl RoutePlan {
     /// head. So re-walking only members of dirty heads plus
     /// re-affiliated nodes reproduces a full recompile exactly (pinned
     /// by the `route_equivalence` proptests). The inter-head table is
-    /// repaired only from the head slots whose backbone rows changed —
-    /// a full recompute for the dense matrix (it has no cheaper sound
-    /// repair), dirty-hub re-sweeps for the hub layout (pinned against
-    /// a fresh compile by the `hub_equivalence` proptests); falls back
-    /// to a full [`Self::compile_with`] (preserving the layout policy)
-    /// when the head set or node count changed.
+    /// repaired only from the links that changed — the dense matrix
+    /// re-sweeps the smaller side of each removed link (pinned against
+    /// a fresh build by the `inter` proptests), the hub layout its
+    /// dirty hubs (pinned against a fresh compile by the
+    /// `hub_equivalence` proptests); falls back to a full
+    /// [`Self::compile_with`] (preserving the layout policy) when the
+    /// head set or node count changed.
     ///
     /// # Panics
     /// As [`Self::compile`].
@@ -538,7 +549,7 @@ impl RoutePlan {
     }
 
     /// [`Self::apply_delta`] over a worker pool: the dirty-node ascent
-    /// re-walks and the inter-head repair (dense recompute or dirty-hub
+    /// re-walks and the inter-head repair (dense row or dirty-hub
     /// re-sweeps) fan out across `par` workers, bit-identical to the
     /// serial repair for any worker count.
     #[allow(clippy::too_many_arguments)]
@@ -595,7 +606,7 @@ impl RoutePlan {
             );
             self.epoch = epoch;
             let inter = match *self.inter {
-                InterTable::Dense { .. } => InterRepair::DenseRecomputed,
+                InterTable::Dense { .. } => InterRepair::DenseRebuilt,
                 InterTable::Hub(_) => InterRepair::HubRebuilt,
             };
             let update = PlanUpdate {
@@ -637,14 +648,20 @@ impl RoutePlan {
         }
         let bb = Backbone::build(&self.heads, links);
         let changed = self.changed_backbone_slots(&bb);
-        let mut scratch = InterScratch::new();
         let inter = {
             let span = match *self.inter {
                 InterTable::Hub(_) => "hub.repair_ns",
                 InterTable::Dense { .. } => "inter.dense_repair_ns",
             };
             let _repair = metrics.span(span);
-            InterTable::repair_with(&mut self.inter, &changed, bb.csr(), &mut scratch, par)
+            let old = CsrView {
+                off: &self.link_off,
+                to: &self.link_to,
+                hops: &self.link_hops,
+            };
+            InterScratch::with_local(|scratch| {
+                InterTable::repair_with(&mut self.inter, &changed, old, bb.csr(), scratch, par)
+            })
         };
         self.adopt_backbone(bb);
         let update = PlanUpdate {
@@ -807,7 +824,7 @@ impl RoutePlan {
         self.inter.memory_bytes()
     }
 
-    /// Bytes the dense `h × h` first-hop matrix would take for this
+    /// Bytes the dense `h × h` distance matrix would take for this
     /// plan's head count — what [`Self::inter_memory_bytes`] is
     /// measured against.
     pub fn projected_dense_inter_bytes(&self) -> usize {
@@ -1011,8 +1028,8 @@ mod tests {
 
     /// A clone made to be patched shares the inter table; a patch that
     /// leaves the backbone alone keeps sharing it, and one that changes
-    /// it gives the clone its own table (a fresh dense one, or the hub
-    /// index copied on write) without touching the original's.
+    /// it gives the clone its own table (copied on write, then
+    /// repaired) without touching the original's.
     #[test]
     fn patched_clone_shares_the_inter_table_until_the_backbone_changes() {
         let g = gen::path(9);

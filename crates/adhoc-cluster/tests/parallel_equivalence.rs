@@ -22,7 +22,7 @@ use adhoc_cluster::pipeline::{
     self, Algorithm, EvalScratch, EvaluationOutput, HeadLabels, Parallelism,
 };
 use adhoc_cluster::priority::LowestId;
-use adhoc_cluster::routing::{InterMode, InterRepair, QueryEngine, RoutePlan};
+use adhoc_cluster::routing::{InterMode, InterRepair, PlanUpdate, QueryEngine, RoutePlan};
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::graph::{Graph, NodeId};
@@ -428,7 +428,7 @@ proptest! {
 
     /// Inter-head tables above the gate, both layouts: a ~200-head plan
     /// compiled over the AC-LMST backbone, then repaired onto the
-    /// G-MST backbone — a dense recompute, and a hub repair or rebuild.
+    /// G-MST backbone — a dense repair, and a hub repair or rebuild.
     #[test]
     fn fanned_out_inter_builds_and_repairs_are_worker_count_invariant(
         seed in 0u64..1_000_000,
@@ -456,13 +456,15 @@ proptest! {
                     (compiled, repaired, update)
                 })
                 .collect();
-            let (compiled, repaired, update) = &arms[0];
+            let (compiled, _, update) = &arms[0];
             prop_assert_eq!(compiled.inter_layout(), mode.name());
             prop_assert!(!update.rebuilt && update.next_recomputed);
             match (mode, update.inter) {
-                (InterMode::Dense, InterRepair::DenseRecomputed) => {
-                    assert_fans_out(work::dense_rows(h, 2 * compiled.link_count()), "dense build");
-                    assert_fans_out(work::dense_rows(h, 2 * repaired.link_count()), "dense repair");
+                (InterMode::Dense, InterRepair::DenseRepaired { rows_swept }) => {
+                    assert_fans_out(
+                        work::dense_rows(h, h, 2 * compiled.link_count()), "dense build",
+                    );
+                    prop_assert!(rows_swept > 0, "the G-MST backbone drops AC-LMST links");
                 }
                 (InterMode::Hub, InterRepair::HubRebuilt) => {
                     assert_fans_out(work::hub_sweeps(h, h), "hub build and rebuild");
@@ -478,6 +480,59 @@ proptest! {
                 prop_assert_eq!(&arm.1, &arms[0].1, "{} workers: {:?} repair diverged", w, mode);
                 prop_assert_eq!(&arm.2, &arms[0].2, "{} workers: {:?} verdict diverged", w, mode);
             }
+        }
+    }
+
+    /// Dense repairs above the gate: one link taken out of a ~200-head
+    /// AC-LMST backbone, the one whose smaller side is largest, so a
+    /// single removal re-sweeps enough rows to fan out. Every arm must
+    /// equal the serial one and a fresh compile.
+    #[test]
+    fn fanned_out_dense_repairs_are_worker_count_invariant(
+        seed in 0u64..1_000_000,
+        n in 900usize..=950,
+    ) {
+        let g = scaled_net(n, &mut StdRng::seed_from_u64(seed));
+        let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::with_workers(Parallelism::serial());
+        let eval = pipeline::run_all_with(&g, &c, &mut scratch);
+        let labels = scratch.labels();
+        let links = eval.selected_links(Algorithm::AcLmst);
+        let compiled = RoutePlan::compile_with(
+            &g, &c, labels, links.iter().copied(), InterMode::Dense,
+        );
+        let without = |drop: usize| links.iter().enumerate().filter(move |&(i, _)| i != drop);
+        let repair = |drop: usize, par: Parallelism| {
+            let mut plan = compiled.clone();
+            let update = plan.apply_delta_tuned(
+                &g, &c, labels, &TopologyDelta::new(), &[],
+                without(drop).map(|(_, &l)| l), par,
+            );
+            (plan, update)
+        };
+        let swept = |update: &PlanUpdate| match update.inter {
+            InterRepair::DenseRepaired { rows_swept } => rows_swept,
+            other => panic!("a removed link must repair the dense matrix, got {other:?}"),
+        };
+        let drop = (0..links.len())
+            .max_by_key(|&i| (swept(&repair(i, Parallelism::serial()).1), std::cmp::Reverse(i)))
+            .expect("the backbone has links");
+        let arms: Vec<_> = FANNED_GRID
+            .iter()
+            .map(|&w| repair(drop, Parallelism::new(w)))
+            .collect();
+        let (repaired, update) = &arms[0];
+        assert_fans_out(
+            work::dense_rows(swept(update), c.heads.len(), 2 * repaired.link_count()),
+            "dense repair",
+        );
+        let fresh = RoutePlan::compile_with(
+            &g, &c, labels, without(drop).map(|(_, &l)| l), InterMode::Dense,
+        );
+        prop_assert_eq!(repaired, &fresh, "repaired plan diverged from a fresh compile");
+        for (w, arm) in FANNED_GRID.iter().zip(&arms).skip(1) {
+            prop_assert_eq!(&arm.0, repaired, "{} workers: dense repair diverged", w);
+            prop_assert_eq!(&arm.1, update, "{} workers: repair verdict diverged", w);
         }
     }
 

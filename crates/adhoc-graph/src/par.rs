@@ -259,7 +259,7 @@ where
 /// the cold label rebuild's `heads × n` bound first repays a spawn
 /// (~2 ns per unit there). The paper's grid (N ≤ 200, at most ~12k)
 /// and a localized churn reconcile at N = 2000 stay inline; the dense
-/// recompute of a ~250-head backbone, cold label rebuilds from
+/// build of a ~250-head backbone, cold label rebuilds from
 /// N = 2000 up and every N = 20000 build fan out.
 const FAN_OUT_MIN_WORK: usize = 32_768;
 
@@ -307,11 +307,12 @@ pub mod work {
         walked.saturating_mul(k as usize + 1)
     }
 
-    /// The dense all-pairs next-hop table of an `h`-head backbone with
-    /// `directed_links` CSR entries: one sweep per source relaxes every
+    /// `rows` dense distance rows of an `h`-head backbone with
+    /// `directed_links` CSR entries (`rows = h` for a build, a removed
+    /// link's smaller side for a repair): each sweep relaxes every
     /// directed link and fills one `h`-cell row.
-    pub fn dense_rows(h: usize, directed_links: usize) -> usize {
-        h.saturating_mul(directed_links.saturating_add(h))
+    pub fn dense_rows(rows: usize, h: usize, directed_links: usize) -> usize {
+        rows.saturating_mul(directed_links.saturating_add(h))
     }
 
     /// `hubs` rank-restricted hub sweeps over an `h`-head backbone, each
@@ -484,20 +485,22 @@ mod tests {
         assert_eq!(gated(work::hub_sweeps(64, 262)), 1);
         // The paper's grid: at most ~12k label units per build.
         assert_eq!(gated(work::label_rebuild(60, 200)), 1);
-        assert_eq!(gated(work::dense_rows(40, 120)), 1);
-        // Cold builds, full sweeps and the dense recompute of a
-        // ~250-head backbone — fanned out.
+        assert_eq!(gated(work::dense_rows(40, 40, 120)), 1);
+        // A localized dense repair on ~260 heads re-sweeps ~28 rows.
+        assert_eq!(gated(work::dense_rows(28, 261, 600)), 1);
+        // Cold builds, full sweeps and the dense build of a ~250-head
+        // backbone — fanned out.
         assert_eq!(gated(work::label_rebuild(250, 2000)), 2);
         assert_eq!(gated(work::label_repair([90; 1800])), 2);
         assert_eq!(gated(work::ascents(20_000, 2)), 2);
-        assert_eq!(gated(work::dense_rows(250, 600)), 2);
+        assert_eq!(gated(work::dense_rows(250, 250, 600)), 2);
         assert_eq!(gated(work::hub_sweeps(1800, 1800)), 2);
         // Exactly at the threshold, and saturating instead of wrapping.
         assert_eq!(gated(work::label_repair([FAN_OUT_MIN_WORK - 1])), 1);
         assert_eq!(gated(work::label_repair([FAN_OUT_MIN_WORK])), 2);
         assert_eq!(gated(work::label_repair([usize::MAX, 1])), 2);
         assert_eq!(gated(work::ascents(usize::MAX, 2)), 2);
-        assert_eq!(gated(work::dense_rows(usize::MAX, usize::MAX)), 2);
+        assert_eq!(gated(work::dense_rows(usize::MAX, 1, usize::MAX)), 2);
     }
 
     #[test]
