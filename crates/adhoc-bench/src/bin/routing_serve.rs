@@ -30,9 +30,12 @@
 //! hub inter-table layouts (served checksums must collide, hub bytes
 //! must undercut dense bytes), the 10⁵ cell compiles under `Auto` and
 //! must come out hub-labeled below 10% of the projected dense `h × h`
-//! table; a repair micro-bench re-weights one virtual link and times
-//! the hub layout's dirty-hub re-sweeps and the dense layout's
-//! link-by-link repair against a cold build of the dense matrix. Writes
+//! table; a repair micro-bench re-weights one virtual link and cuts
+//! another, and times the hub layout's dirty-hub re-sweeps and the
+//! dense layout's link-by-link repair (with the cut's side re-sweeps)
+//! against a cold build of the dense matrix, then drops one head and
+//! promotes one member and times the dense plan's repair across the
+//! renumbering against a fresh compile. Writes
 //! `results/BENCH_routing.json` (quick runs write
 //! `BENCH_routing_quick.json`, so CI can never clobber the committed
 //! measurement), then re-reads and re-parses it. Surfaced on the CLI
@@ -431,43 +434,87 @@ fn run_engine_cell(
 /// `route_equivalence` delta chains hold it).
 fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict: bool) -> Value {
     use adhoc_cluster::routing::{InterMode, InterRepair};
+    use adhoc_graph::delta::TopologyDelta;
     let side = 100.0 * (n as f64 / grid_n as f64).sqrt();
     let mut rng = StdRng::seed_from_u64(0x0DE17A ^ n as u64);
     let net = gen::geometric(&GeometricConfig::at_scale(n, side, d), &mut rng);
-    let mut g = net.graph.clone();
-    let c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-    let mut scratch = EvalScratch::new();
-    let eval = pipeline::run_all_with(&g, &c, &mut scratch);
-    let links = eval.selected_links(Algorithm::AcMesh);
+    let g0 = net.graph.clone();
+    let c = clustering::cluster(&g0, k, &LowestId, MemberPolicy::IdBased);
+    let mut scratch0 = EvalScratch::new();
+    let eval0 = pipeline::run_all_with(&g0, &c, &mut scratch0);
+    let links = eval0.selected_links(Algorithm::AcMesh);
     let mut hub = RoutePlan::compile_with(
-        &g,
+        &g0,
         &c,
-        scratch.labels(),
+        scratch0.labels(),
         links.iter().copied(),
         InterMode::Hub,
     );
     let mut dense = RoutePlan::compile_with(
-        &g,
+        &g0,
         &c,
-        scratch.labels(),
+        scratch0.labels(),
         links.iter().copied(),
         InterMode::Dense,
     );
-    // One weight change: wire two already-linked heads directly, so
-    // their virtual link re-realizes at 1 hop. Pick the longest link —
-    // the biggest guaranteed weight drop.
-    let (a, b) = links
+    // Two link changes in one delta. A weight drop: wire the endpoints
+    // of the longest link directly, so it re-realizes at 1 hop. And a
+    // removal: cut the middle edge of another long link's path, so that
+    // link is dropped or re-realized longer — the removal whose side
+    // re-sweeps the dense rows. A cut that strands a member, or whose
+    // rows a witness clears entirely, is skipped for the next longest
+    // link.
+    let mut by_hops: Vec<_> = links
         .iter()
-        .max_by_key(|l| l.hops())
-        .map(|l| (l.a, l.b))
-        .expect("backbone has links");
-    assert!(!g.has_edge(a, b), "longest link endpoints already adjacent");
-    let mut delta = adhoc_graph::delta::TopologyDelta::new();
-    g.add_edge(a, b);
-    delta.push_added(a, b);
-    delta.normalize();
-    let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-    let (eval, _) = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
+        .map(|l| {
+            let mid = l.path.len() / 2;
+            (l.hops(), l.a, l.b, (l.path[mid - 1], l.path[mid]))
+        })
+        .collect();
+    by_hops.sort_unstable_by(|x, y| y.cmp(x));
+    let (_, a, b, _) = by_hops[0];
+    assert!(
+        !g0.has_edge(a, b),
+        "longest link endpoints already adjacent"
+    );
+    let (g, scratch, eval, delta, dirty) = by_hops[1..]
+        .iter()
+        .take(256)
+        .find_map(|&(_, _, _, (x, y))| {
+            let mut g = g0.clone();
+            let mut scratch = scratch0.clone();
+            let mut delta = TopologyDelta::new();
+            g.add_edge(a, b);
+            delta.push_added(a, b);
+            g.remove_edge(x, y);
+            delta.push_removed(x, y);
+            delta.normalize();
+            let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+            // The clustering stays as it is, so the cut must leave every
+            // member within k of its head.
+            let labels = scratch.labels();
+            let covered = g.nodes().all(|v| {
+                let slot = labels.slot(c.head_of(v)).expect("heads are labeled");
+                labels.dist(slot, v) <= k
+            });
+            if !covered {
+                return None;
+            }
+            let (eval, _) =
+                pipeline::update_all_after(&g, &c, &delta, &dirty, &eval0, &mut scratch);
+            let mut trial = dense.clone();
+            let update = trial.apply_delta(
+                &g,
+                &c,
+                scratch.labels(),
+                &delta,
+                &dirty,
+                eval.selected_links(Algorithm::AcMesh),
+            );
+            matches!(update.inter, InterRepair::DenseRepaired { rows_swept } if rows_swept > 0)
+                .then_some((g, scratch, eval, delta, dirty))
+        })
+        .unwrap_or_else(|| panic!("N={n}: no link cut among the 256 longest re-sweeps a row"));
     let new_links = eval.selected_links(Algorithm::AcMesh);
     let mut hub_par = hub.clone();
     let mut dense_par = dense.clone();
@@ -552,24 +599,25 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
 
     assert!(
         hub_report.next_recomputed && dense_report.next_recomputed,
-        "N={n}: the injected delta must change a backbone weight"
+        "N={n}: the injected delta must change the backbone"
     );
     let dirty_hubs = match hub_report.inter {
         InterRepair::HubRepaired { dirty_hubs } => dirty_hubs,
         other => {
             assert!(
                 !strict,
-                "N={n}: weight-only change must take the dirty-hub path, got {other:?}"
+                "N={n}: the injected delta must take the dirty-hub path, got {other:?}"
             );
             0
         }
     };
     let InterRepair::DenseRepaired { rows_swept } = dense_report.inter else {
         panic!(
-            "N={n}: a weight change must repair the dense matrix, got {:?}",
+            "N={n}: the injected delta must repair the dense matrix, got {:?}",
             dense_report.inter
         );
     };
+    assert!(rows_swept > 0, "N={n}: the removal must re-sweep rows");
     if strict {
         assert!(
             hub_secs < dense_build_secs,
@@ -580,7 +628,7 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         );
     }
     println!(
-        "\nrepair (N={n}, k={k}, AC-Mesh, 1 link re-weighted): hub {:.2} ms \
+        "\nrepair (N={n}, k={k}, AC-Mesh, 1 link re-weighted + 1 cut): hub {:.2} ms \
          ({dirty_hubs}/{} hubs re-swept), dense {:.2} ms ({rows_swept} rows \
          re-swept) vs a cold dense build {:.2} ms — {:.1}x for hub",
         1e3 * hub_secs,
@@ -589,6 +637,7 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         1e3 * dense_build_secs,
         dense_build_secs / hub_secs.max(1e-12),
     );
+    let headset = headset_bench(&g, &c, scratch, &eval, dense, n);
     json!({
         "n": n,
         "k": k,
@@ -603,6 +652,118 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         "dirty_hubs": dirty_hubs,
         "dense_rows_swept": rows_swept,
         "speedup": dense_build_secs / hub_secs.max(1e-12),
+        "headset": headset,
+    })
+}
+
+/// The head-set arm of the repair micro-bench: on the repaired state,
+/// the highest-ID head whose members all have another head within `k`
+/// is dropped (they re-join the nearest, distance then ID) and the
+/// farthest member of the first head promoted. The dense plan's repair
+/// across the renumbering is timed against a fresh compile and must
+/// equal it.
+fn headset_bench(
+    g: &Graph,
+    c: &adhoc_cluster::clustering::Clustering,
+    mut scratch: EvalScratch,
+    eval: &pipeline::EvaluationOutput,
+    mut dense: RoutePlan,
+    n: usize,
+) -> Value {
+    use adhoc_cluster::routing::{InterMode, InterRepair};
+    use adhoc_graph::bfs::BfsScratch;
+    use adhoc_graph::delta::TopologyDelta;
+    let mut bfs = BfsScratch::new(g.len());
+    let mut next = c.clone();
+    let first = c.heads[0];
+    let promoted = g
+        .nodes()
+        .filter(|&v| v != first && c.head_of(v) == first)
+        .max_by_key(|&v| (c.dist_to_head[v.index()], std::cmp::Reverse(v)))
+        .expect("the first head has a member");
+    let at = next.heads.binary_search(&promoted).unwrap_err();
+    next.heads.insert(at, promoted);
+    next.head_of[promoted.index()] = promoted;
+    next.dist_to_head[promoted.index()] = 0;
+    // The nearest other head within k of `v` (distance, then ID).
+    let mut nearest = |heads: &[adhoc_graph::graph::NodeId], v| {
+        bfs.run(g, v, c.k);
+        bfs.visited()
+            .iter()
+            .filter(|&&h| h != v && heads.binary_search(&h).is_ok())
+            .map(|&h| (bfs.dist(h), h))
+            .min()
+    };
+    let dropped = next
+        .heads
+        .iter()
+        .rev()
+        .copied()
+        .filter(|&h| h != promoted && h != first)
+        .find_map(|h| {
+            let heads: Vec<_> = next.heads.iter().copied().filter(|&x| x != h).collect();
+            let homes: Option<Vec<_>> = g
+                .nodes()
+                .filter(|&v| next.head_of(v) == h)
+                .map(|v| nearest(&heads, v).map(|best| (v, best)))
+                .collect();
+            homes.map(|homes| (h, heads, homes))
+        });
+    let (dropped, heads, homes) = dropped.expect("some head can be dropped");
+    next.heads = heads;
+    for (v, (d, h)) in homes {
+        next.head_of[v.index()] = h;
+        next.dist_to_head[v.index()] = d;
+    }
+    let none = TopologyDelta::new();
+    let dirty = pipeline::advance_labels(g, &next, &none, &mut scratch);
+    let (eval, _) = pipeline::update_all_after(g, &next, &none, &dirty, eval, &mut scratch);
+    let links = eval.selected_links(Algorithm::AcMesh);
+    let t = Instant::now();
+    let update = dense.apply_delta(
+        g,
+        &next,
+        scratch.labels(),
+        &none,
+        &dirty,
+        links.iter().copied(),
+    );
+    let repair_secs = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let fresh = RoutePlan::compile_with(
+        g,
+        &next,
+        scratch.labels(),
+        links.iter().copied(),
+        InterMode::Dense,
+    );
+    let compile_secs = t.elapsed().as_secs_f64();
+    assert!(update.heads_changed, "N={n}: the head set must change");
+    assert_eq!(
+        dense, fresh,
+        "N={n}: head-set repair diverged from a fresh compile"
+    );
+    let InterRepair::DenseRepaired { rows_swept } = update.inter else {
+        panic!(
+            "N={n}: a head-set change must repair the dense matrix, got {:?}",
+            update.inter
+        );
+    };
+    println!(
+        "head-set repair (N={n}, head {dropped:?} dropped, {promoted:?} promoted): \
+         dense {:.2} ms ({rows_swept} rows re-swept, {} ascents re-walked) vs a \
+         fresh compile {:.2} ms — {:.1}x",
+        1e3 * repair_secs,
+        update.resweeped_nodes,
+        1e3 * compile_secs,
+        compile_secs / repair_secs.max(1e-12),
+    );
+    json!({
+        "repair_ms": 1e3 * repair_secs,
+        "compile_ms": 1e3 * compile_secs,
+        "rows_swept": rows_swept,
+        "resweeped_nodes": update.resweeped_nodes,
+        "speedup": compile_secs / repair_secs.max(1e-12),
     })
 }
 
@@ -817,7 +978,8 @@ fn main() {
     }
 
     // Incremental backbone repairs of both layouts vs a cold dense
-    // build, on one re-weighted virtual link.
+    // build, on one re-weighted and one cut virtual link, then a
+    // head-set repair vs a fresh compile.
     let repair = repair_bench(
         if quick { 4_000 } else { 10_000 },
         grid_n,

@@ -581,9 +581,15 @@ impl HubIndex {
         // merge in the fresh ones (both sides hub-ascending), leaving
         // clean entries byte-identical — the labels.rs clean-row-copy
         // idiom.
+        // Sized exactly, so the index holds the bytes a fresh build does.
+        let kept = self
+            .label_hub
+            .iter()
+            .filter(|&&hub| !dirty[hub as usize])
+            .count();
         let mut off = Vec::with_capacity(self.h + 1);
-        let mut hubs = Vec::with_capacity(self.label_hub.len());
-        let mut dists = Vec::with_capacity(self.label_dist.len());
+        let mut hubs = Vec::with_capacity(kept + fresh.len());
+        let mut dists = Vec::with_capacity(kept + fresh.len());
         off.push(0u32);
         let mut fi = 0usize;
         for v in 0..self.h {

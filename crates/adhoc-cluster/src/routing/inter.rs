@@ -53,11 +53,30 @@
 //!    shortest route through the link; with `u` before `v` on it, the
 //!    source lies in `S_u = {s : dist(u, s) + w = dist(v, s)}` and the
 //!    target in `S_v` (its mirror), both read off two contiguous rows.
-//!    Every changed pair therefore has one endpoint on each side, so
-//!    re-sweeping the rows of the **smaller** side and mirroring each
-//!    into its column repairs them all. The sweep runs on the new
-//!    backbone plus the removed links not yet taken out, so the matrix
-//!    is exact again before the next removal reads it.
+//!    Every changed pair therefore has one endpoint on each side. A
+//!    **witness** then thins both sides: `s` leaves `S_u` when some
+//!    other link `(x, v, w_x)` — of the new backbone or a removal not
+//!    yet taken out — has `dist(s, x) + w_x = dist(s, v)`, and `S_v`
+//!    loses its sources by the mirror rule. Re-sweeping the rows of the
+//!    **smaller** thinned side and mirroring each into its column
+//!    repairs every changed pair. The sweep runs on the new backbone
+//!    plus the removed links not yet taken out, so the matrix is exact
+//!    again before the next removal reads it.
+//!
+//! Why a witnessed source keeps its row. `dist(s, x) < dist(s, v)`,
+//! and every `s ⇝ x` route through `v` is at least `dist(s, v)` long,
+//! so no shortest `s ⇝ x` route touches `v` or the removed link; with
+//! `x → v` appended it is a shortest `s ⇝ v` route that survives the
+//! removal. Now take any `t` and a shortest `s ⇝ t` route across the
+//! link. It cannot cross `v → u`: its prefix would give `dist(s, u) =
+//! dist(s, v) + w`, while `s ∈ S_u` says `dist(s, v) = dist(s, u) + w`.
+//! So it crosses `u → v`, its suffix from `v` avoids the link (shortest
+//! routes are simple), and swapping its prefix for the witnessed route
+//! gives an `s ⇝ t` route of the same length without the link. No
+//! distance from `s` grows, so row `s` — and by symmetry column `s` —
+//! is unchanged. A changed pair's endpoint in `S_u` therefore is never
+//! a witnessed one, and every changed pair keeps one endpoint in each
+//! thinned side.
 //!
 //! Each step needs the matrix exact for the backbone it starts from.
 //! Insertions come first because the removals' sweeps run on the new
@@ -65,6 +84,29 @@
 //! round, a removal would read sides off a matrix that lacks links its
 //! sweeps use. A repair never sweeps more rows than a build: once the
 //! next side would take it past `h` rows, it builds the matrix fresh.
+//!
+//! # Dense repair across a head-set change
+//!
+//! A head gain or loss renumbers the slots, so the repair runs in the
+//! **union** of the old and new head sets, both numbered by head ID
+//! ([`InterTable::rehead_with`]):
+//!
+//! 1. **Lift.** The old matrix is copied into the union's slots. A
+//!    lost head stays a vertex, so the old matrix is exact for the old
+//!    backbone lifted into the union; a new head starts isolated
+//!    (distance 0 to itself, [`FAR`] to the rest), which a backbone
+//!    without its links has exactly.
+//! 2. **Repair.** The old and new backbones, both lifted into the
+//!    union, differ by every link of a lost head (all removed), every
+//!    link of a new head (all inserted), and whatever changed among the
+//!    survivors. The dense repair above takes them in its usual order.
+//! 3. **Compact.** The new heads' rows and columns are copied out of
+//!    the union matrix into a fresh allocation of exactly `h²` cells,
+//!    so the table's bytes equal a fresh build's.
+//!
+//! A lost head ends isolated in the union and a new head's distances
+//! are exact, so the compacted matrix equals a fresh build on the new
+//! backbone cell for cell.
 
 use super::hub::HubIndex;
 use adhoc_graph::par::{self, Parallelism, Strided};
@@ -158,6 +200,9 @@ pub(crate) struct InterScratch {
     pending: Vec<Link>,
     /// Dense repair: the two sides `S_u`, `S_v` of the removed link.
     sides: [Vec<u32>; 2],
+    /// Dense repair: the other links `(x, w_x)` at `v` and at `u` that
+    /// can witness a source off `S_u` and `S_v`.
+    witnesses: [Vec<(u32, u32)>; 2],
     /// Dense repair: snapshots of the rows an insertion reads, and the
     /// rows a removal re-sweeps.
     rows: Vec<u32>,
@@ -475,6 +520,7 @@ fn repair_dense(
         removed,
         pending,
         sides,
+        witnesses,
         rows,
         ..
     } = scratch;
@@ -484,7 +530,12 @@ fn repair_dense(
     }
     let mut swept = 0usize;
     for (j, &(u, v, w)) in removed.iter().enumerate() {
-        let side = smaller_side(dist, h, u as usize, v as usize, w, sides);
+        pending.clear();
+        for &(a, b, w) in &removed[j + 1..] {
+            pending.extend([(a, b, w), (b, a, w)]);
+        }
+        pending.sort_unstable();
+        let side = smaller_side(dist, h, (u, v, w), new, pending, sides, witnesses);
         if side.is_empty() {
             continue; // the link was on no shortest route
         }
@@ -492,11 +543,6 @@ fn repair_dense(
             sweep_rows(new, &[], h, |s| s, dist, buckets, par);
             return swept + h;
         }
-        pending.clear();
-        for &(a, b, w) in &removed[j + 1..] {
-            pending.extend([(a, b, w), (b, a, w)]);
-        }
-        pending.sort_unstable();
         rows.clear();
         rows.resize(side.len() * h, FAR);
         sweep_rows(
@@ -567,6 +613,39 @@ fn link_diff(
     }
 }
 
+/// The slots (ascending) whose rows differ between two backbones over the
+/// same heads: both endpoints of every added, removed, or re-weighted
+/// link.
+fn changed_rows(old: CsrView<'_>, new: CsrView<'_>) -> Vec<u32> {
+    (0..new.head_count() as u32)
+        .filter(|&s| old.row(s as usize).ne(new.row(s as usize)))
+        .collect()
+}
+
+/// `csr` relabelled into a slot space of `union` slots, slot `s`
+/// becoming `to_union[s]` (increasing, so rows stay slot-ascending);
+/// union slots no `csr` slot maps to get empty rows. Returns the owned
+/// `(off, to, hops)` arrays.
+fn lift_csr(csr: CsrView<'_>, to_union: &[u32], union: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let mut off = Vec::with_capacity(union + 1);
+    let mut to = Vec::with_capacity(csr.to.len());
+    let mut hops = Vec::with_capacity(csr.hops.len());
+    off.push(0);
+    let mut next = 0usize;
+    for x in 0..union {
+        if to_union.get(next) == Some(&(x as u32)) {
+            for (t, w) in csr.row(next) {
+                to.push(to_union[t as usize]);
+                hops.push(w);
+            }
+            next += 1;
+        }
+        off.push(to.len() as u32);
+    }
+    debug_assert_eq!(next, to_union.len(), "slot map must be increasing");
+    (off, to, hops)
+}
+
 /// Adds link `(x, y, w)` to the exact matrix `dist`: each row that the
 /// link shortens (`dist(s, x) + w < dist(s, y)` or the mirror) takes
 /// the minimum with the route across it, read off snapshots of rows `x`
@@ -591,19 +670,24 @@ fn insert_link(dist: &mut [u32], h: usize, x: usize, y: usize, w: u32, snap: &mu
     }
 }
 
-/// The smaller of removed link `(u, v, w)`'s two sides in the exact
-/// matrix `dist` — `S_u = {s : dist(u, s) + w = dist(v, s)}` (sources
-/// whose shortest routes to `v` may end across the link) or its mirror
-/// `S_v`, `S_u` on a tie — collected into `sides`. Both are empty when
-/// the link lies on no shortest route.
+/// The smaller of removed link `(u, v, w)`'s two thinned sides in the
+/// exact matrix `dist` — `S_u = {s : dist(u, s) + w = dist(v, s)}`
+/// (sources whose shortest routes to `v` may end across the link) less
+/// the sources a witness clears, or its mirror `S_v`, `S_u` on a tie —
+/// collected into `sides` (module docs, "Dense repair"). A witness of
+/// `s ∈ S_u` is another link `(x, v, w_x)` of `new` or of the removals
+/// still `pending` with `dist(x, s) + w_x = dist(v, s)`. Both sides are
+/// empty when the link lies on no shortest route.
 fn smaller_side<'s>(
     dist: &[u32],
     h: usize,
-    u: usize,
-    v: usize,
-    w: u32,
+    (u, v, w): Link,
+    new: CsrView<'_>,
+    pending: &[Link],
     sides: &'s mut [Vec<u32>; 2],
+    witnesses: &mut [Vec<(u32, u32)>; 2],
 ) -> &'s [u32] {
+    let (u, v) = (u as usize, v as usize);
     let [side_u, side_v] = sides;
     side_u.clear();
     side_v.clear();
@@ -619,6 +703,36 @@ fn smaller_side<'s>(
             side_v.push(s as u32);
         }
     }
+    // The links still at `end` once `(u, v)` is out: its row of the new
+    // backbone and its pending removals (sorted by source). The removed
+    // link is in neither.
+    let links_at = |end: usize, out: &mut Vec<(u32, u32)>| {
+        out.clear();
+        out.extend(new.row(end));
+        let first = pending.partition_point(|l| (l.0 as usize) < end);
+        out.extend(
+            pending[first..]
+                .iter()
+                .take_while(|l| l.0 as usize == end)
+                .map(|&(_, x, w)| (x, w)),
+        );
+    };
+    let [at_v, at_u] = witnesses;
+    links_at(v, at_v);
+    links_at(u, at_u);
+    // `s` keeps its side unless some link `(x, w_x)` at the side's far
+    // end `e` has `dist(x, s) + w_x = dist(e, s)`.
+    let thin = |side: &mut Vec<u32>, links: &[(u32, u32)], far_end: &[u32]| {
+        side.retain(|&s| {
+            let s = s as usize;
+            !links.iter().any(|&(x, wx)| {
+                let d = dist[x as usize * h + s];
+                d != FAR && d + wx == far_end[s]
+            })
+        });
+    };
+    thin(side_u, at_v, from_v);
+    thin(side_v, at_u, from_u);
     if side_u.len() <= side_v.len() {
         side_u
     } else {
@@ -698,14 +812,17 @@ pub enum InterRepair {
     /// The backbone's weighted link set did not change; nothing to do.
     Unchanged,
     /// Dense layout: the distance matrix was repaired link by link (see
-    /// the `inter` module's "Dense repair").
+    /// the `inter` module's "Dense repair"), across a head-set change
+    /// in the union of the old and new head sets.
     DenseRepaired {
-        /// Rows re-swept for removed links (out of `h`; `h` more when
+        /// Rows re-swept for removed links (out of `h`, or out of the
+        /// union's size across a head-set change; that many more when
         /// the repair fell back to a fresh build).
         rows_swept: usize,
     },
-    /// Dense layout: the head set changed, so the plan compiled a
-    /// fresh matrix.
+    /// Dense layout: the matrix was built fresh — the plan compiled
+    /// anew (its node count changed), or a head-set change turned a hub
+    /// table dense under [`InterMode::Auto`].
     DenseRebuilt,
     /// Hub layout: only the labels of hubs whose trees touched a
     /// changed edge were re-swept.
@@ -713,8 +830,9 @@ pub enum InterRepair {
         /// Hubs re-swept (out of `h`).
         dirty_hubs: usize,
     },
-    /// Hub layout: the importance order itself changed (or the head set
-    /// did), so the index was rebuilt.
+    /// Hub layout: the importance order itself changed, or the head
+    /// set did (a head-set change builds a fresh index), so the index
+    /// was rebuilt.
     HubRebuilt,
 }
 
@@ -816,10 +934,9 @@ impl InterTable {
     }
 
     /// Repairs a shared table after the backbone changed from `old` to
-    /// `csr` over the same heads: `changed` holds the ascending slots
-    /// whose CSR rows differ (every added, removed, or re-weighted link
-    /// flags both endpoints). An empty `changed` is a no-op and keeps
-    /// the table shared; otherwise the table is copied on write first
+    /// `csr` over the same heads. When no CSR row differs (no link was
+    /// added, removed, or re-weighted) this is a no-op that keeps the
+    /// table shared; otherwise the table is copied on write first
     /// (a plan cloned to be patched never touches the one it shares).
     /// The dense matrix is repaired link by link (module docs), the hub
     /// index re-sweeps its dirty hubs. Both fan their sweeps out across
@@ -828,28 +945,103 @@ impl InterTable {
     /// fresh build on `csr`.
     pub(crate) fn repair_with(
         table: &mut Arc<InterTable>,
-        changed: &[u32],
         old: CsrView<'_>,
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
         par: Parallelism,
     ) -> InterRepair {
+        let changed = changed_rows(old, csr);
         if changed.is_empty() {
             return InterRepair::Unchanged;
         }
         match Arc::make_mut(table) {
             InterTable::Dense { h, dist } => {
                 debug_assert_eq!(*h, csr.head_count());
-                let rows_swept = repair_dense(dist, changed, old, csr, scratch, par);
+                let rows_swept = repair_dense(dist, &changed, old, csr, scratch, par);
                 InterRepair::DenseRepaired { rows_swept }
             }
-            InterTable::Hub(hub) => match hub.repair_with(changed, csr, scratch, par) {
+            InterTable::Hub(hub) => match hub.repair_with(&changed, csr, scratch, par) {
                 Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
                 None => {
                     *hub = HubIndex::build_with(csr, scratch, par);
                     InterRepair::HubRebuilt
                 }
             },
+        }
+    }
+
+    /// Carries a table across a head-set change: `old` is the backbone
+    /// the table was built for, `csr` the new one over a different head
+    /// set, and `old_slots` / `new_slots` map each old and new slot to
+    /// its place in the union of the two head sets (ascending, so both
+    /// maps are increasing), which has `union` slots. A dense table that
+    /// stays dense is lifted into the union, repaired there and
+    /// compacted onto the new slots (module docs, "Dense repair across
+    /// a head-set change"); any other case — `mode` resolving to the hub
+    /// layout for the new head count, or a hub table turning dense —
+    /// builds fresh. Either way the table equals a fresh
+    /// [`Self::build_with`] on `csr` under `mode`, bytes included, for
+    /// any worker count.
+    pub(crate) fn rehead_with(
+        table: &mut Arc<InterTable>,
+        mode: InterMode,
+        (old_slots, new_slots, union): (&[u32], &[u32], usize),
+        old: CsrView<'_>,
+        csr: CsrView<'_>,
+        scratch: &mut InterScratch,
+        par: Parallelism,
+    ) -> InterRepair {
+        let h = csr.head_count();
+        debug_assert_eq!((old_slots.len(), new_slots.len()), (old.head_count(), h));
+        let repaired = match &**table {
+            InterTable::Dense { h: old_h, dist } if !mode.wants_hub(h) => {
+                let (old_off, old_to, old_hops) = lift_csr(old, old_slots, union);
+                let (new_off, new_to, new_hops) = lift_csr(csr, new_slots, union);
+                let old_u = CsrView {
+                    off: &old_off,
+                    to: &old_to,
+                    hops: &old_hops,
+                };
+                let new_u = CsrView {
+                    off: &new_off,
+                    to: &new_to,
+                    hops: &new_hops,
+                };
+                let changed = changed_rows(old_u, new_u);
+                let mut lifted = vec![FAR; union * union];
+                for x in 0..union {
+                    lifted[x * union + x] = 0;
+                }
+                for (row, &x) in dist.chunks_exact((*old_h).max(1)).zip(old_slots) {
+                    let to = &mut lifted[x as usize * union..(x as usize + 1) * union];
+                    for (&d, &y) in row.iter().zip(old_slots) {
+                        to[y as usize] = d;
+                    }
+                }
+                let rows_swept = repair_dense(&mut lifted, &changed, old_u, new_u, scratch, par);
+                let mut dist = vec![FAR; h * h];
+                for (row, &x) in dist.chunks_exact_mut(h.max(1)).zip(new_slots) {
+                    let from = &lifted[x as usize * union..(x as usize + 1) * union];
+                    for (d, &y) in row.iter_mut().zip(new_slots) {
+                        *d = from[y as usize];
+                    }
+                }
+                Some((InterTable::Dense { h, dist }, rows_swept))
+            }
+            _ => None,
+        };
+        match repaired {
+            Some((dense, rows_swept)) => {
+                *table = Arc::new(dense);
+                InterRepair::DenseRepaired { rows_swept }
+            }
+            None => {
+                *table = Arc::new(InterTable::build_with(mode, csr, scratch, par));
+                match **table {
+                    InterTable::Dense { .. } => InterRepair::DenseRebuilt,
+                    InterTable::Hub(_) => InterRepair::HubRebuilt,
+                }
+            }
         }
     }
 
@@ -1319,11 +1511,81 @@ mod tests {
         }
     }
 
+    /// Adds a head (a fresh ID not in `ids`, at its sorted place) with
+    /// zero to three links, or removes a random head with its links —
+    /// the head-set edits, applied to `ids` and `adj` in step.
+    fn random_head_edit(
+        rng: &mut impl rand::Rng,
+        ids: &mut Vec<u32>,
+        adj: &mut Vec<Vec<(u32, u32)>>,
+        max_w: u32,
+    ) {
+        let h = ids.len();
+        if h > 1 && rng.gen_bool(0.5) {
+            let gone = rng.gen_range(0..h);
+            ids.remove(gone);
+            adj.remove(gone);
+            for row in adj.iter_mut() {
+                row.retain(|&(t, _)| t as usize != gone);
+                for (t, _) in row.iter_mut() {
+                    *t -= u32::from(*t as usize > gone);
+                }
+            }
+            return;
+        }
+        let id = loop {
+            let id = rng.gen_range(0..4 * (h as u32 + 4));
+            if ids.binary_search(&id).is_err() {
+                break id;
+            }
+        };
+        let at = ids.binary_search(&id).unwrap_err();
+        ids.insert(at, id);
+        for row in adj.iter_mut() {
+            for (t, _) in row.iter_mut() {
+                *t += u32::from(*t as usize >= at);
+            }
+        }
+        adj.insert(at, Vec::new());
+        for _ in 0..rng.gen_range(0..=3usize.min(h)) {
+            let b = rng.gen_range(0..h + 1);
+            if b != at {
+                set_link(adj, at, b, Some(rng.gen_range(1..=max_w)));
+            }
+        }
+    }
+
+    /// Each slot's place in the union of two ascending ID lists, and the
+    /// union's size.
+    fn union_slots(old: &[u32], new: &[u32]) -> (Vec<u32>, Vec<u32>, usize) {
+        let mut union: Vec<u32> = old.iter().chain(new).copied().collect();
+        union.sort_unstable();
+        union.dedup();
+        let place = |ids: &[u32]| {
+            ids.iter()
+                .map(|id| union.binary_search(id).expect("in the union") as u32)
+                .collect()
+        };
+        (place(old), place(new), union.len())
+    }
+
+    /// `adj` relabelled into a slot space of `union` slots.
+    fn lift_adj(adj: &[Vec<(u32, u32)>], slots: &[u32], union: usize) -> Vec<Vec<(u32, u32)>> {
+        let mut out = vec![Vec::new(); union];
+        for (row, &x) in adj.iter().zip(slots) {
+            out[x as usize] = row.iter().map(|&(t, w)| (slots[t as usize], w)).collect();
+        }
+        out
+    }
+
     /// The rows a dense repair from `before` to `after` must re-sweep,
-    /// worked out independently: per removed link in repair order
-    /// (ascending), the smaller side in a fresh matrix of the backbone
-    /// that still holds it and every later removed link, until the next
-    /// side would take the total past `h` — then a build's `h` more.
+    /// worked out independently: per removed link `(u, v, w)` in repair
+    /// order (ascending), the smaller witness-thinned side in a fresh
+    /// matrix of the backbone that still holds it and every later
+    /// removed link — `s` with `dist(u, s) + w = dist(v, s)` and no
+    /// other link `(x, v, w_x)` of `after` or a later removal with
+    /// `dist(x, s) + w_x = dist(v, s)`, or the mirror — until the next
+    /// side would take the total past `h`, then a build's `h` more.
     fn expected_rows_swept(before: &[Vec<(u32, u32)>], after: &[Vec<(u32, u32)>]) -> usize {
         let h = after.len();
         let new = links(after);
@@ -1349,9 +1611,29 @@ mod tests {
             else {
                 unreachable!("dense mode builds the matrix")
             };
-            let side = |a: usize, b: usize| {
+            let d = |a: usize, b: usize| dist[a * h + b];
+            // The links at `end` once `(u, v, w)` is out.
+            let links_at = |end: usize| {
+                let mut at: Vec<(usize, u32)> =
+                    after[end].iter().map(|&(x, wx)| (x as usize, wx)).collect();
+                for &(a, b, x) in &removed[j + 1..] {
+                    if a == end {
+                        at.push((b, x));
+                    } else if b == end {
+                        at.push((a, x));
+                    }
+                }
+                at
+            };
+            let side = |near: usize, far: usize| {
+                let witnesses = links_at(far);
                 (0..h)
-                    .filter(|&s| dist[a * h + s] != FAR && dist[a * h + s] + w == dist[b * h + s])
+                    .filter(|&s| d(near, s) != FAR && d(near, s) + w == d(far, s))
+                    .filter(|&s| {
+                        !witnesses
+                            .iter()
+                            .any(|&(x, wx)| d(x, s) != FAR && d(x, s) + wx == d(far, s))
+                    })
                     .count()
             };
             let smaller = side(u, v).min(side(v, u));
@@ -1363,6 +1645,100 @@ mod tests {
         swept
     }
 
+    /// The body of the edit-chain proptest: a random backbone of `h`
+    /// heads, then `edits` edits of every kind — the seven link edits
+    /// of [`random_edit`] and, one time in four, a head gained or lost
+    /// ([`random_head_edit`]) — each repaired in place and checked
+    /// against a fresh build, the walk oracle and the row count.
+    fn check_edit_chain(seed: u64, h: usize, k: u32, edits: usize) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let max_w = 2 * k + 1;
+        let p = (2.5 / h as f64).min(1.0);
+        let mut adj = random_adj(&mut rng, h, p, max_w);
+        let mut ids: Vec<u32> = (0..h as u32).map(|i| 2 * i).collect();
+        let mut scratch = InterScratch::new();
+        let (off, to, hops) = to_csr(&adj);
+        let csr = CsrView {
+            off: &off,
+            to: &to,
+            hops: &hops,
+        };
+        let mut table = Arc::new(InterTable::build(InterMode::Dense, csr, &mut scratch));
+        for edit in 0..edits {
+            let (before, before_ids) = (adj.clone(), ids.clone());
+            if rng.gen_range(0..4) == 0 {
+                random_head_edit(&mut rng, &mut ids, &mut adj, max_w);
+            } else {
+                random_edit(&mut rng, &mut adj, max_w);
+            }
+            let h = adj.len();
+            let (old_off, old_to, old_hops) = to_csr(&before);
+            let (off, to, hops) = to_csr(&adj);
+            let old = CsrView {
+                off: &old_off,
+                to: &old_to,
+                hops: &old_hops,
+            };
+            let csr = CsrView {
+                off: &off,
+                to: &to,
+                hops: &hops,
+            };
+            let (repair, expected) = if ids == before_ids {
+                let repair = InterTable::repair_with(
+                    &mut table,
+                    old,
+                    csr,
+                    &mut scratch,
+                    Parallelism::serial(),
+                );
+                let expected = if links(&before) == links(&adj) {
+                    InterRepair::Unchanged
+                } else {
+                    InterRepair::DenseRepaired {
+                        rows_swept: expected_rows_swept(&before, &adj),
+                    }
+                };
+                (repair, expected)
+            } else {
+                let (old_slots, new_slots, union) = union_slots(&before_ids, &ids);
+                let repair = InterTable::rehead_with(
+                    &mut table,
+                    InterMode::Dense,
+                    (&old_slots, &new_slots, union),
+                    old,
+                    csr,
+                    &mut scratch,
+                    Parallelism::serial(),
+                );
+                let rows_swept = expected_rows_swept(
+                    &lift_adj(&before, &old_slots, union),
+                    &lift_adj(&adj, &new_slots, union),
+                );
+                (repair, InterRepair::DenseRepaired { rows_swept })
+            };
+            let fresh = InterTable::build(InterMode::Dense, csr, &mut scratch);
+            assert_eq!(&*table, &fresh, "edit {edit}: repaired matrix diverged");
+            assert_eq!(
+                table.memory_bytes(),
+                fresh.memory_bytes(),
+                "edit {edit}: table bytes"
+            );
+            let oracle = all_pairs_next_hops(csr, &mut scratch);
+            for s in 0..h {
+                for t in 0..h {
+                    assert_eq!(
+                        facade_walk(&table, s, t, csr),
+                        table_walk(&oracle, h, s, t),
+                        "edit {edit}: walk {s} -> {t}"
+                    );
+                }
+            }
+            assert_eq!(repair, expected, "edit {edit}: rows swept");
+        }
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -1372,9 +1748,11 @@ mod tests {
         /// through chains of one to eight edits of every kind, on
         /// random backbones of 2–120 heads with link weights `1..=2k+1`
         /// (small weights tie often), the repaired matrix equals a
-        /// fresh build's (`PartialEq`) after every edit, every `(s, t)`
-        /// walk over it equals the next-hop table oracle's, and it
-        /// re-swept exactly the rows [`expected_rows_swept`] names.
+        /// fresh build's (`PartialEq`, and its bytes) after every edit,
+        /// every `(s, t)` walk over it equals the next-hop table
+        /// oracle's, and it re-swept exactly the rows
+        /// [`expected_rows_swept`] names — in the union of both head
+        /// sets after a head gain or loss.
         #[test]
         fn dense_repair_matches_fresh_build_through_edit_chains(
             seed in 0u64..1_000_000,
@@ -1382,47 +1760,24 @@ mod tests {
             k in 1u32..=4,
             edits in 1usize..=8,
         ) {
-            use rand::{rngs::StdRng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(seed);
-            let max_w = 2 * k + 1;
-            let p = (2.5 / h as f64).min(1.0);
-            let mut adj = random_adj(&mut rng, h, p, max_w);
-            let mut scratch = InterScratch::new();
-            let (off, to, hops) = to_csr(&adj);
-            let csr = CsrView { off: &off, to: &to, hops: &hops };
-            let mut table = Arc::new(InterTable::build(InterMode::Dense, csr, &mut scratch));
-            for edit in 0..edits {
-                let before = adj.clone();
-                random_edit(&mut rng, &mut adj, max_w);
-                let (old_off, old_to, old_hops) = to_csr(&before);
-                let (off, to, hops) = to_csr(&adj);
-                let old = CsrView { off: &old_off, to: &old_to, hops: &old_hops };
-                let csr = CsrView { off: &off, to: &to, hops: &hops };
-                let changed: Vec<u32> = (0..h as u32)
-                    .filter(|&s| old.row(s as usize).ne(csr.row(s as usize)))
-                    .collect();
-                let repair = InterTable::repair_with(
-                    &mut table, &changed, old, csr, &mut scratch, Parallelism::serial(),
-                );
-                let fresh = InterTable::build(InterMode::Dense, csr, &mut scratch);
-                prop_assert_eq!(&*table, &fresh, "edit {}: repaired matrix diverged", edit);
-                let oracle = all_pairs_next_hops(csr, &mut scratch);
-                for s in 0..h {
-                    for t in 0..h {
-                        prop_assert_eq!(
-                            facade_walk(&table, s, t, csr),
-                            table_walk(&oracle, h, s, t),
-                            "edit {}: walk {} -> {}", edit, s, t
-                        );
-                    }
-                }
-                let expected = if changed.is_empty() {
-                    InterRepair::Unchanged
-                } else {
-                    InterRepair::DenseRepaired { rows_swept: expected_rows_swept(&before, &adj) }
-                };
-                prop_assert_eq!(repair, expected, "edit {}: rows swept", edit);
-            }
+            check_edit_chain(seed, h, k, edits);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The long tier of the edit-chain proptest (run with
+        /// `--ignored`, in release).
+        #[test]
+        #[ignore = "long tier: cargo test --release -- --ignored"]
+        fn dense_repair_matches_fresh_build_through_edit_chains_long(
+            seed in 0u64..1_000_000,
+            h in 2usize..=120,
+            k in 1u32..=4,
+            edits in 1usize..=8,
+        ) {
+            check_edit_chain(seed, h, k, edits);
         }
     }
 }

@@ -45,11 +45,14 @@
 //! (one algorithm's selected links, or a full virtual graph).
 //! [`RoutePlan::apply_delta`] repairs a compiled plan after topology
 //! churn using the pipeline's dirty-slot information: only members of
-//! dirty heads (and re-affiliated nodes) re-walk their ascents (clean
-//! rows are copied arena-segment-wise, the same trick the label store
-//! uses), and the inter-head table is repaired only from the links
-//! that actually changed — the dense matrix re-sweeps only the smaller
-//! side of each removed link, the hub layout only its dirty hubs.
+//! dirty or newly opened heads (and re-affiliated nodes) re-walk their
+//! ascents (clean rows are copied arena-segment-wise, the same trick
+//! the label store uses), and the inter-head table is repaired only
+//! from the links that actually changed — the dense matrix re-sweeps
+//! only the smaller side of each removed link, the hub layout only its
+//! dirty hubs. A head-set change takes the same path: clean nodes'
+//! slots are remapped by head ID and the dense matrix is repaired in
+//! the union of the old and new head sets.
 
 use crate::clustering::Clustering;
 use crate::routing::inter::{self, CsrView, InterMode, InterRepair, InterScratch, InterTable};
@@ -139,9 +142,13 @@ impl Eq for RoutePlan {}
 /// What [`RoutePlan::apply_delta`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanUpdate {
-    /// The plan was recompiled from scratch (head set or node count
-    /// changed — slot layout invalid).
+    /// The plan was recompiled from scratch: the node count changed.
     pub rebuilt: bool,
+    /// The head set changed: the slots were renumbered, clean nodes'
+    /// ascents copied under their heads' new slots, and the inter-head
+    /// table carried across the renumbering (or compiled fresh when
+    /// [`Self::rebuilt`]).
+    pub heads_changed: bool,
     /// Nodes whose affiliation/ascent entries were re-derived (clean
     /// nodes' ascent paths are copied, not re-walked).
     pub resweeped_nodes: usize,
@@ -156,7 +163,8 @@ pub struct PlanUpdate {
 impl PlanUpdate {
     /// Reports this update's repair scope into `metrics` — the
     /// counters behind the serving layer's `plan.*` / `inter.*` /
-    /// `hub.*` metric families. `inter.dense_recomputed` counts updates
+    /// `hub.*` metric families. `plan.headset_repairs` counts head-set
+    /// changes repaired in place, `inter.dense_recomputed` updates
     /// whose dense matrix changed (a repair or a rebuild; the name
     /// predates the repair), `inter.dense_rows_swept` the rows the
     /// repairs re-swept. All values are exact update facts, so the
@@ -164,6 +172,8 @@ impl PlanUpdate {
     pub fn record_into(&self, metrics: &Metrics) {
         if self.rebuilt {
             metrics.inc("plan.rebuilt");
+        } else if self.heads_changed {
+            metrics.inc("plan.headset_repairs");
         }
         metrics.add("plan.resweeped_nodes", self.resweeped_nodes as u64);
         if self.next_recomputed {
@@ -257,6 +267,21 @@ impl Backbone {
             hops: &self.link_hops,
         }
     }
+}
+
+/// Places two ascending head lists in their union (ascending): returns
+/// each old slot's and each new slot's union slot, and the union's size.
+fn head_union(old: &[NodeId], new: &[NodeId]) -> (Vec<u32>, Vec<u32>, usize) {
+    let mut union = [old, new].concat();
+    union.sort_unstable();
+    union.dedup();
+    let place = |heads: &[NodeId]| {
+        heads
+            .iter()
+            .map(|h| union.binary_search(h).expect("in the union") as u32)
+            .collect()
+    };
+    (place(old), place(new), union.len())
 }
 
 impl RoutePlan {
@@ -506,25 +531,34 @@ impl RoutePlan {
 
     /// Repairs the plan after a [`TopologyDelta`], given the
     /// post-delta clustering, the **already advanced** labels (see
-    /// [`pipeline::advance_labels`]), the label slots the delta
-    /// dirtied, and the post-delta backbone link set.
+    /// [`pipeline::advance_labels`]), the label slots that advance
+    /// swept (the slots the delta dirtied, plus any rows it opened),
+    /// and the post-delta backbone link set.
     ///
     /// [`pipeline::advance_labels`]: crate::pipeline::advance_labels
+    ///
+    /// The head set may differ from the plan's (a head lost, a local
+    /// election, a re-election): `dirty_slots` are always in the new
+    /// numbering and must name every row the labels swept or opened
+    /// since the plan was compiled or last repaired.
     ///
     /// Soundness of the localized repair: a node's ascent is derived
     /// from its head's label row plus the adjacency of nodes on the
     /// path (all inside the head's ball) — any changed edge touching
     /// either has an endpoint in that ball and therefore dirties the
-    /// head. So re-walking only members of dirty heads plus
-    /// re-affiliated nodes reproduces a full recompile exactly (pinned
-    /// by the `route_equivalence` proptests). The inter-head table is
-    /// repaired only from the links that changed — the dense matrix
-    /// re-sweeps the smaller side of each removed link (pinned against
-    /// a fresh build by the `inter` proptests), the hub layout its
-    /// dirty hubs (pinned against a fresh compile by the
-    /// `hub_equivalence` proptests); falls back to a full
-    /// [`Self::compile_with`] (preserving the layout policy) when the
-    /// head set or node count changed.
+    /// head. So re-walking only members of dirty or opened rows plus
+    /// nodes whose head ID changed reproduces a full recompile exactly
+    /// (pinned by the `route_equivalence` proptests); every other node
+    /// keeps its arena segment, its slot mapped from its head's old
+    /// place to its new one. The inter-head table is repaired only from
+    /// the links that changed — the dense matrix re-sweeps the smaller
+    /// witness-thinned side of each removed link, across a head-set
+    /// change in the union of both head sets (pinned against a fresh
+    /// build by the `inter` proptests), the hub layout its dirty hubs
+    /// (pinned against a fresh compile by the `hub_equivalence`
+    /// proptests) and a fresh index across a head-set change. Only a
+    /// changed node count compiles the plan fresh, with the same layout
+    /// policy.
     ///
     /// # Panics
     /// As [`Self::compile`].
@@ -593,7 +627,7 @@ impl RoutePlan {
         metrics: &Metrics,
     ) -> PlanUpdate {
         let _apply = metrics.span("plan.apply_delta_ns");
-        if self.heads != clustering.heads || self.n != g.node_count() {
+        if self.n != g.node_count() {
             let epoch = self.epoch;
             *self = RoutePlan::compile_metered(
                 g,
@@ -611,6 +645,7 @@ impl RoutePlan {
             };
             let update = PlanUpdate {
                 rebuilt: true,
+                heads_changed: true,
                 resweeped_nodes: self.n,
                 next_recomputed: true,
                 inter,
@@ -619,10 +654,15 @@ impl RoutePlan {
             return update;
         }
         let _ = delta; // the dirty-slot set already covers every effect
-        let mut dirty = vec![false; self.heads.len()];
+        assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
+        let heads_changed = self.heads != clustering.heads;
+        let mut dirty = vec![false; clustering.heads.len()];
         for &s in dirty_slots {
             dirty[s] = true;
         }
+        // A node keeps its ascent when its head kept its ID and its row:
+        // the ascent is a function of that row and of edges inside the
+        // row's ball, which a changed edge would have dirtied.
         let mut rewalk = vec![false; self.n];
         let mut resweeped = 0usize;
         for u in (0..self.n as u32).map(NodeId) {
@@ -635,23 +675,40 @@ impl RoutePlan {
                     .unwrap_or_else(|| panic!("affiliation head {h:?} is not labeled"))
                     as u32
             };
-            let moved = new_slot != self.head_slot[u.index()];
+            let old_slot = self.head_slot[u.index()];
+            let old_head = (old_slot != NO_SLOT).then(|| self.heads[old_slot as usize]);
+            let moved = old_head != (new_slot != NO_SLOT).then_some(h);
             let dirtied = new_slot != NO_SLOT && dirty[new_slot as usize];
             if moved || dirtied {
                 rewalk[u.index()] = true;
                 resweeped += 1;
             }
         }
+        // Across a head-set change, each head sits at its place in the
+        // union of the old and new head sets; a clean node's slot moves
+        // from its head's old place to its new one.
+        let lift = heads_changed.then(|| head_union(&self.heads, &clustering.heads));
+        if let Some((old_slots, new_slots, union)) = &lift {
+            let mut to_new = vec![NO_SLOT; *union];
+            for (s, &x) in new_slots.iter().enumerate() {
+                to_new[x as usize] = s as u32;
+            }
+            for slot in self.head_slot.iter_mut().filter(|s| **s != NO_SLOT) {
+                *slot = to_new[old_slots[*slot as usize] as usize];
+            }
+            self.heads = clustering.heads.clone();
+        }
         {
             let _ascents = metrics.span("plan.ascents_ns");
             self.build_ascents(g, clustering, labels, Some(&rewalk), par);
         }
         let bb = Backbone::build(&self.heads, links);
-        let changed = self.changed_backbone_slots(&bb);
         let inter = {
-            let span = match *self.inter {
-                InterTable::Hub(_) => "hub.repair_ns",
-                InterTable::Dense { .. } => "inter.dense_repair_ns",
+            let span = match (&*self.inter, lift.is_some()) {
+                (_, true) if self.inter_mode.wants_hub(self.heads.len()) => "hub.build_ns",
+                (InterTable::Hub(_), true) => "inter.dense_build_ns",
+                (InterTable::Hub(_), false) => "hub.repair_ns",
+                (InterTable::Dense { .. }, _) => "inter.dense_repair_ns",
             };
             let _repair = metrics.span(span);
             let old = CsrView {
@@ -659,37 +716,29 @@ impl RoutePlan {
                 to: &self.link_to,
                 hops: &self.link_hops,
             };
-            InterScratch::with_local(|scratch| {
-                InterTable::repair_with(&mut self.inter, &changed, old, bb.csr(), scratch, par)
+            InterScratch::with_local(|scratch| match &lift {
+                None => InterTable::repair_with(&mut self.inter, old, bb.csr(), scratch, par),
+                Some((old_slots, new_slots, union)) => InterTable::rehead_with(
+                    &mut self.inter,
+                    self.inter_mode,
+                    (old_slots, new_slots, *union),
+                    old,
+                    bb.csr(),
+                    scratch,
+                    par,
+                ),
             })
         };
         self.adopt_backbone(bb);
         let update = PlanUpdate {
             rebuilt: false,
+            heads_changed,
             resweeped_nodes: resweeped,
             next_recomputed: inter != InterRepair::Unchanged,
             inter,
         };
         update.record_into(metrics);
         update
-    }
-
-    /// Head slots (ascending) whose directed backbone rows — neighbor
-    /// set or weights — differ between the compiled plan and `bb`:
-    /// both endpoints of every added, removed, or re-weighted link.
-    fn changed_backbone_slots(&self, bb: &Backbone) -> Vec<u32> {
-        let h = self.heads.len();
-        let mut changed = Vec::new();
-        for s in 0..h {
-            let (alo, ahi) = (self.link_off[s] as usize, self.link_off[s + 1] as usize);
-            let (blo, bhi) = (bb.link_off[s] as usize, bb.link_off[s + 1] as usize);
-            if self.link_to[alo..ahi] != bb.link_to[blo..bhi]
-                || self.link_hops[alo..ahi] != bb.link_hops[blo..bhi]
-            {
-                changed.push(s as u32);
-            }
-        }
-        changed
     }
 
     /// Routes `u ⇝ v` into `out` (cleared first; the caller reuses the

@@ -77,7 +77,7 @@ proptest! {
 
     /// Hub repair ≡ recompile through delta chains that change link
     /// weights (edge churn re-realizes backbone paths) and the head
-    /// set itself (periodic recluster → the rebuilt branch), with the
+    /// set itself (periodic recluster → the head-set repair), with the
     /// dense plan maintained in lockstep as the serving reference.
     #[test]
     fn hub_delta_repair_matches_recompile(
@@ -102,8 +102,9 @@ proptest! {
             let mut delta = adhoc_graph::delta::TopologyDelta::new();
             if step == 5 {
                 // Head-set change: re-cluster the current graph from
-                // scratch. Both plans must take the rebuilt branch and
-                // still equal fresh compiles (layout policy preserved).
+                // scratch. Both plans must repair across the
+                // renumbering and still equal fresh compiles (layout
+                // policy preserved).
                 c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
                 eval = pipeline::run_all_with(&g, &c, &mut scratch);
             } else if step % 3 == 2 && !extras.is_empty() {

@@ -118,8 +118,9 @@ proptest! {
             );
             for (g, delta) in &steps {
                 let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
-                let dirty = scratch.labels().dirty_slots(delta);
-                let (next, _) = pipeline::update_all(g, &c, delta, &prev, &mut scratch);
+                // The advance's swept slots, in the new head numbering.
+                let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
+                let (next, _) = pipeline::update_all_after(g, &c, delta, &dirty, &prev, &mut scratch);
                 plan.apply_delta_metered(
                     g,
                     &c,

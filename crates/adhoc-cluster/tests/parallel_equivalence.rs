@@ -192,8 +192,9 @@ proptest! {
             let mut plans = Vec::new();
             for (g, delta) in &steps {
                 let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
-                let dirty = scratch.labels().dirty_slots(delta);
-                let (next, _) = pipeline::update_all(g, &c, delta, &prev, &mut scratch);
+                // The advance's swept slots, in the new head numbering.
+                let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
+                let (next, _) = pipeline::update_all_after(g, &c, delta, &dirty, &prev, &mut scratch);
                 plan.apply_delta_tuned(
                     g,
                     &c,
@@ -532,6 +533,78 @@ proptest! {
         prop_assert_eq!(repaired, &fresh, "repaired plan diverged from a fresh compile");
         for (w, arm) in FANNED_GRID.iter().zip(&arms).skip(1) {
             prop_assert_eq!(&arm.0, repaired, "{} workers: dense repair diverged", w);
+            prop_assert_eq!(&arm.1, update, "{} workers: repair verdict diverged", w);
+        }
+    }
+
+    /// Head-set repairs above the gate: the eight best-linked heads of a
+    /// ~200-head AC-LMST plan are cut off (every edge of them removed)
+    /// and the graph re-clustered by a global `cluster()`, as a
+    /// movement re-election does. The dense repair across the
+    /// renumbering then re-sweeps more rows than the union of the two
+    /// head sets holds, so it ends in a full sweep of the union, which
+    /// fans out. Every worker count must give the serial plan and
+    /// update, equal to a fresh compile, bytes included.
+    #[test]
+    fn fanned_out_headset_repairs_are_worker_count_invariant(
+        seed in 0u64..1_000_000,
+        n in 900usize..=950,
+    ) {
+        let mut g = scaled_net(n, &mut StdRng::seed_from_u64(seed));
+        let c0 = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::with_workers(Parallelism::serial());
+        let eval0 = pipeline::run_all_with(&g, &c0, &mut scratch);
+        let compiled = RoutePlan::compile_with(
+            &g, &c0, scratch.labels(), eval0.selected_links(Algorithm::AcLmst),
+            InterMode::Dense,
+        );
+        let mut hubs: Vec<usize> = (0..c0.heads.len()).collect();
+        hubs.sort_by_key(|&s| (std::cmp::Reverse(compiled.backbone_neighbors(s).len()), s));
+        let mut delta = TopologyDelta::new();
+        for &slot in &hubs[..8] {
+            let cut = TopologyDelta::isolating(&g, c0.heads[slot]);
+            cut.apply_to(&mut g);
+            delta.removed.extend(cut.removed);
+        }
+        delta.normalize();
+        let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+        let (eval, _) = pipeline::update_all_after(&g, &c, &delta, &swept, &eval0, &mut scratch);
+        let links = eval.selected_links(Algorithm::AcLmst);
+        let arms: Vec<_> = FANNED_GRID
+            .iter()
+            .map(|&w| {
+                let mut plan = compiled.clone();
+                let update = plan.apply_delta_tuned(
+                    &g, &c, scratch.labels(), &delta, &swept, links.iter().copied(),
+                    Parallelism::new(w),
+                );
+                (plan, update)
+            })
+            .collect();
+        let (repaired, update) = &arms[0];
+        prop_assert!(update.heads_changed && !update.rebuilt);
+        let mut union = [&c0.heads[..], &c.heads[..]].concat();
+        union.sort_unstable();
+        union.dedup();
+        let u = union.len();
+        match update.inter {
+            InterRepair::DenseRepaired { rows_swept } => prop_assert!(
+                rows_swept > u, "{} rows swept of {} did not end in a full sweep", rows_swept, u
+            ),
+            other => prop_assert!(false, "a head-set change repaired the matrix by {:?}", other),
+        }
+        assert_fans_out(
+            work::dense_rows(u, u, 2 * repaired.link_count()),
+            "full union sweep",
+        );
+        let fresh = RoutePlan::compile_with(
+            &g, &c, scratch.labels(), links.iter().copied(), InterMode::Dense,
+        );
+        prop_assert_eq!(repaired, &fresh, "head-set repair diverged from a fresh compile");
+        prop_assert_eq!(repaired.memory_bytes(), fresh.memory_bytes());
+        for (w, arm) in FANNED_GRID.iter().zip(&arms).skip(1) {
+            prop_assert_eq!(&arm.0, repaired, "{} workers: head-set repair diverged", w);
             prop_assert_eq!(&arm.1, update, "{} workers: repair verdict diverged", w);
         }
     }

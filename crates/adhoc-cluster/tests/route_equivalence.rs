@@ -10,13 +10,206 @@ use adhoc_cluster::clustering::{self, Clustering, MemberPolicy};
 use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch};
 use adhoc_cluster::priority::LowestId;
 use adhoc_cluster::routing::{
-    walk_hops, ClusterRouter, LegacyScratch, Mix, QueryEngine, RoutePlan, Workload,
+    walk_hops, ClusterRouter, InterMode, LegacyScratch, Mix, QueryEngine, RoutePlan, Workload,
 };
 use adhoc_cluster::virtual_graph::VirtualGraph;
+use adhoc_graph::bfs::BfsScratch;
+use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::gen::{self, GeometricConfig};
-use adhoc_graph::graph::NodeId;
+use adhoc_graph::graph::{Graph, NodeId};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Re-homes every node that is not a head and whose head is gone or
+/// beyond `k` to the nearest head within `k` (distance, then ID), and
+/// promotes it when none is in range; every kept member's distance is
+/// refreshed. Leaves a valid clustering on `g`.
+fn repair_coverage(g: &Graph, c: &mut Clustering, bfs: &mut BfsScratch) {
+    let listed = |c: &Clustering, v: NodeId| c.heads.binary_search(&v).is_ok();
+    for v in g.nodes() {
+        if listed(c, v) {
+            continue;
+        }
+        bfs.run(g, v, c.k);
+        let own = c.head_of[v.index()];
+        let (d, h) = if listed(c, own) && bfs.dist(own) <= c.k {
+            (bfs.dist(own), own)
+        } else {
+            match bfs
+                .visited()
+                .iter()
+                .filter(|&&h| listed(c, h))
+                .map(|&h| (bfs.dist(h), h))
+                .min()
+            {
+                Some(best) => best,
+                None => {
+                    let at = c.heads.binary_search(&v).unwrap_err();
+                    c.heads.insert(at, v);
+                    (0, v)
+                }
+            }
+        };
+        c.head_of[v.index()] = h;
+        c.dist_to_head[v.index()] = d;
+    }
+}
+
+/// One to four random edge flips on `g`, returned as a normalized
+/// delta.
+fn perturb(g: &mut Graph, rng: &mut StdRng) -> TopologyDelta {
+    let n = g.len() as u32;
+    let mut delta = TopologyDelta::new();
+    for _ in 0..rng.gen_range(1..=4) {
+        let (a, b) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+        if a == b {
+            continue;
+        }
+        if g.has_edge(a, b) {
+            g.remove_edge(a, b);
+            delta.push_removed(a, b);
+        } else {
+            g.add_edge(a, b);
+            delta.push_added(a, b);
+        }
+    }
+    delta.normalize();
+    delta
+}
+
+/// Drops head `h`: it and its members re-home ([`repair_coverage`]).
+fn demote(g: &Graph, c: &mut Clustering, h: NodeId, bfs: &mut BfsScratch) {
+    let at = c.heads.binary_search(&h).expect("a head");
+    c.heads.remove(at);
+    repair_coverage(g, c, bfs);
+}
+
+/// The body of the head-set proptest: a geometric network of `n` nodes
+/// clustered at `k`, both inter layouts compiled, then `edits` edits —
+/// a member promoted, a head demoted, a head swapped for one of its
+/// members, a global `cluster()` of a perturbed graph, or an edge delta
+/// whose broken coverage is repaired locally. The labels and evaluation
+/// advance as the churn engine advances them, each plan is repaired in
+/// place, and after every edit each plan equals a fresh compile, bytes
+/// included.
+fn check_headset_chain(seed: u64, n: usize, k: u32, edits: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let net = gen::geometric(&GeometricConfig::new(n, 100.0, 7.0), &mut rng);
+    let mut g = net.graph.clone();
+    let mut bfs = BfsScratch::new(n);
+    let mut c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
+    let mut scratch = EvalScratch::new();
+    let mut eval = pipeline::run_all_with(&g, &c, &mut scratch);
+    let modes = [InterMode::Dense, InterMode::Hub];
+    let mut plans = modes.map(|mode| {
+        RoutePlan::compile_with(
+            &g,
+            &c,
+            scratch.labels(),
+            eval.selected_links(Algorithm::AcLmst),
+            mode,
+        )
+    });
+    for edit in 0..edits {
+        let before = c.heads.clone();
+        let mut delta = TopologyDelta::new();
+        let members: Vec<NodeId> = g.nodes().filter(|&v| !c.is_head(v)).collect();
+        match rng.gen_range(0..5) {
+            0 if !members.is_empty() => {
+                let m = members[rng.gen_range(0..members.len())];
+                let at = c.heads.binary_search(&m).unwrap_err();
+                c.heads.insert(at, m);
+                c.head_of[m.index()] = m;
+                c.dist_to_head[m.index()] = 0;
+            }
+            1 if c.heads.len() > 1 => {
+                let h = c.heads[rng.gen_range(0..c.heads.len())];
+                demote(&g, &mut c, h, &mut bfs);
+            }
+            2 if !members.is_empty() => {
+                let m = members[rng.gen_range(0..members.len())];
+                let h = c.head_of[m.index()];
+                let at = c.heads.binary_search(&m).unwrap_err();
+                c.heads.insert(at, m);
+                c.head_of[m.index()] = m;
+                c.dist_to_head[m.index()] = 0;
+                demote(&g, &mut c, h, &mut bfs);
+            }
+            3 => {
+                delta = perturb(&mut g, &mut rng);
+                c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
+            }
+            _ => {
+                delta = perturb(&mut g, &mut rng);
+                repair_coverage(&g, &mut c, &mut bfs);
+            }
+        }
+        let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+        let (next, _) = pipeline::update_all_after(&g, &c, &delta, &swept, &eval, &mut scratch);
+        eval = next;
+        for (plan, mode) in plans.iter_mut().zip(modes) {
+            let links = eval.selected_links(Algorithm::AcLmst);
+            let update = plan.apply_delta(&g, &c, scratch.labels(), &delta, &swept, links);
+            assert!(!update.rebuilt, "edit {edit}: the node count never changes");
+            assert_eq!(
+                update.heads_changed,
+                before != c.heads,
+                "edit {edit}: {mode:?} head-set flag"
+            );
+            let fresh = RoutePlan::compile_with(
+                &g,
+                &c,
+                scratch.labels(),
+                eval.selected_links(Algorithm::AcLmst),
+                mode,
+            );
+            assert_eq!(*plan, fresh, "edit {edit}: {mode:?} repaired plan diverged");
+            assert_eq!(
+                plan.memory_bytes(),
+                fresh.memory_bytes(),
+                "edit {edit}: {mode:?} plan bytes ({update:?}, inter {} vs {})",
+                plan.inter_memory_bytes(),
+                fresh.inter_memory_bytes()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A head-set change repairs the plan in place: after every
+    /// promotion, demotion, swap, global re-election and edge delta,
+    /// on 60–600 nodes at k = 1..=3 and under both inter layouts, the
+    /// repaired plan equals `RoutePlan::compile` and holds the same
+    /// bytes.
+    #[test]
+    fn headset_repair_matches_fresh_compile(
+        seed in 0u64..1_000_000,
+        n in 60usize..=600,
+        k in 1u32..=3,
+        edits in 1usize..=6,
+    ) {
+        check_headset_chain(seed, n, k, edits);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The long tier of the head-set proptest (run with `--ignored`,
+    /// in release).
+    #[test]
+    #[ignore = "long tier: cargo test --release -- --ignored"]
+    fn headset_repair_matches_fresh_compile_long(
+        seed in 0u64..1_000_000,
+        n in 60usize..=600,
+        k in 1u32..=3,
+        edits in 1usize..=6,
+    ) {
+        check_headset_chain(seed, n, k, edits);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]

@@ -171,6 +171,19 @@ impl ComponentLabels {
         self.count <= 1
     }
 
+    /// Number of distinct components holding at least one of `nodes`
+    /// (nodes off the mask are skipped).
+    pub fn components_among(&self, nodes: impl IntoIterator<Item = NodeId>) -> usize {
+        let mut seen = vec![false; self.size.len()];
+        nodes
+            .into_iter()
+            .filter(|&v| match self.label[v.index()] {
+                OUTSIDE => false,
+                l => !std::mem::replace(&mut seen[l as usize], true),
+            })
+            .count()
+    }
+
     /// Whether `v` is in the mask.
     pub fn contains(&self, v: NodeId) -> bool {
         self.label[v.index()] != OUTSIDE

@@ -82,8 +82,17 @@
 //! ([`ChurnEngine::alive_connected`]) and backbone connectivity are
 //! their component counts. The pending plan is a clone of the served
 //! one whose inter-head table is shared, so a localized patch copies
-//! no table. Build, full rebuilds and [`ChurnEngine::recover`]
-//! relabel at full price.
+//! no table. Build, [`ChurnEngine::recover`] and the publish
+//! escalation relabel at full price.
+//!
+//! A head-set change — a head loss, a local election, or a movement
+//! re-election — publishes through the same incremental path: one more
+//! label advance opens the new heads' rows and drops the lost ones, the
+//! evaluation re-derives its head-space stages, and the plan is
+//! repaired across the renumbering ([`RoutePlan::apply_delta`]). A
+//! re-election still runs the global `cluster()` contest, so what it
+//! publishes is exactly what a rebuild would; only the two cold paths
+//! named above, which lack the step's dirty set, rebuild from nothing.
 //!
 //! The repair itself is built from two private primitives at the
 //! bottom of this module: `rejoin_one` (join the nearest surviving
@@ -247,13 +256,16 @@ struct Patch {
 #[derive(Debug)]
 enum RepairOutcome {
     /// Local repair (rejoins, local elections, a departed head's
-    /// removal): publish refreshes incrementally, patching the plan
-    /// while the head set survives and recompiling it otherwise.
+    /// removal): publish refreshes incrementally and patches the plan,
+    /// across a head-set change too.
     Patch(Patch),
-    /// Global re-election already performed (merged heads, stranded
-    /// orphans under the movement policy, or an escalation): publish
-    /// pays the full price.
+    /// Global re-election already performed (merged heads, or stranded
+    /// orphans under the movement policy): publish refreshes the same
+    /// way from the new head set, adopts the fresh CDS and charges the
+    /// full price.
     Rebuilt {
+        /// Label slots observe's advance swept.
+        swept: Vec<usize>,
         /// Orphans detected before the rebuild (report bookkeeping).
         orphans: usize,
         /// Merged head pairs that triggered it (0 otherwise).
@@ -347,7 +359,7 @@ impl ChurnEngine {
         let clustering = cluster(g, cfg.k, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::new();
         // The engine publishes one algorithm; every evaluation path
-        // (build, patch, head-set splice, full rebuild) goes through
+        // (build, patch, head-set splice, re-election, cold rebuild) goes through
         // this scratch and computes only that one.
         scratch.set_algorithms(AlgorithmSet::only(cfg.algorithm));
         let eval = pipeline::run_all_with(g, &clustering, &mut scratch);
@@ -506,9 +518,9 @@ impl ChurnEngine {
     }
 
     /// Recompiles and publishes the maintained route plan from the
-    /// engine's current evaluation (head-set changes invalidate the
-    /// plan's slot layout; localized steps patch a pending clone via
-    /// [`RoutePlan::apply_delta`] instead).
+    /// engine's current evaluation — the cold rebuild's path; every
+    /// reconcile that knows its dirty set, head-set changes included,
+    /// patches a pending clone via [`RoutePlan::apply_delta`] instead.
     fn republish_plan(&mut self) {
         if self.route_plan.is_some() {
             let plan = self.compile_plan();
@@ -1087,6 +1099,7 @@ impl ChurnEngine {
             // distances are pointless — the head set is replaced).
             self.reelect();
             RepairOutcome::Rebuilt {
+                swept,
                 orphans: orphans.len(),
                 merged: merged_head_pairs,
             }
@@ -1153,6 +1166,7 @@ impl ChurnEngine {
             }
             if rebuild {
                 RepairOutcome::Rebuilt {
+                    swept,
                     orphans: orphans.len(),
                     merged: 0,
                 }
@@ -1188,7 +1202,11 @@ impl ChurnEngine {
             outcome,
         } = rep;
         let report = match outcome {
-            RepairOutcome::Rebuilt { orphans, merged } => self.publish_rebuilt(orphans, merged),
+            RepairOutcome::Rebuilt {
+                swept,
+                orphans,
+                merged,
+            } => self.publish_reelected(&delta, churned, &swept, orphans, merged),
             RepairOutcome::Patch(patch) => self.publish_patch(&delta, churned, patch),
         };
         self.metrics
@@ -1221,57 +1239,13 @@ impl ChurnEngine {
             mut cost,
         } = patch;
 
-        // Refresh the maintained evaluation. Observe already advanced
-        // every surviving row over the delta and dropped a departed
-        // head's row, so a local election opens the new heads' rows in
-        // one more advance — the arena is never rebuilt wholesale for a
-        // local head change. The report counts re-swept plus opened
+        // Refresh the maintained evaluation, then prepare the pending
+        // plan without touching the served one: a clone's ascent rows
+        // and backbone tables are patched off the dirty slots, across a
+        // local head change too. The report counts re-swept plus opened
         // rows.
-        let mut dirty_heads = swept.len();
-        if self.scratch.labels().heads() != &self.clustering.heads[..] {
-            dirty_heads += pipeline::advance_labels(
-                &self.graph,
-                &self.clustering,
-                &TopologyDelta::new(),
-                &mut self.scratch,
-            )
-            .len();
-        }
-        let (eval, _) = pipeline::update_all_after(
-            &self.graph,
-            &self.clustering,
-            delta,
-            &swept,
-            &self.eval,
-            &mut self.scratch,
-        );
-        self.eval = eval;
-
-        // Prepare the pending plan without touching the served one:
-        // deltas patch a clone's ascent rows and backbone tables off the
-        // swept slots; head-set changes compile fresh (the slot layout
-        // changed).
-        let pending: Option<RoutePlan> = match &self.route_plan {
-            None => None,
-            Some(_) if heads_changed => Some(self.compile_plan()),
-            Some(current) => {
-                let mut plan = {
-                    let _copy = self.metrics.span("reconcile.copy_ns");
-                    current.clone()
-                };
-                plan.apply_delta_metered(
-                    &self.graph,
-                    &self.clustering,
-                    self.scratch.labels(),
-                    delta,
-                    &swept,
-                    self.eval.selected_links(self.cfg.algorithm),
-                    self.scratch.parallelism(),
-                    &self.metrics,
-                );
-                Some(plan)
-            }
-        };
+        let dirty = self.refresh_eval(delta, &swept);
+        let pending = self.patched_plan(delta, &dirty);
 
         // Backbone check: the maintained CDS must still induce a
         // connected subgraph. A departed gateway shows up here too —
@@ -1299,9 +1273,9 @@ impl ChurnEngine {
         }
         let mut validity = self.metrics.span("reconcile.validity_ns");
         let mut backbone = self.metrics.span("reconcile.validity.backbone_ns");
-        if !self.backbone.is_connected()
-            && !heads_changed
+        if !heads_changed
             && self.cfg.max_level >= RepairLevel::Gateways
+            && self.backbone_can_reconnect()
         {
             // The refreshed selection replaces the broken backbone; the
             // copy and the label upkeep are timed on their own.
@@ -1345,8 +1319,85 @@ impl ChurnEngine {
             merged_head_pairs: merged,
             cost,
             valid,
-            dirty_heads,
+            dirty_heads: dirty.len(),
         }
+    }
+
+    /// Refreshes the maintained evaluation after repair. Observe
+    /// already advanced every surviving row over the delta and dropped
+    /// a departed head's row; when repair changed the head set (a local
+    /// election, a re-election), one more advance with an empty delta
+    /// drops the lost heads' rows and opens the new heads' — the arena
+    /// is never rebuilt wholesale for a head change. Returns the dirty
+    /// slots in the current numbering: the rows observe `swept` that
+    /// survive, named by head ID across the renumbering, and the rows
+    /// just opened.
+    fn refresh_eval(&mut self, delta: &TopologyDelta, swept: &[usize]) -> Vec<usize> {
+        let dirty = if self.scratch.labels().heads() == &self.clustering.heads[..] {
+            swept.to_vec()
+        } else {
+            let heads = self.scratch.labels().heads();
+            let swept_heads: Vec<NodeId> = swept.iter().map(|&s| heads[s]).collect();
+            let opened = pipeline::advance_labels(
+                &self.graph,
+                &self.clustering,
+                &TopologyDelta::new(),
+                &mut self.scratch,
+            );
+            let labels = self.scratch.labels();
+            let mut dirty: Vec<usize> = swept_heads
+                .iter()
+                .filter_map(|&h| labels.slot(h))
+                .chain(opened)
+                .collect();
+            dirty.sort_unstable();
+            dirty
+        };
+        let (eval, _) = pipeline::update_all_after(
+            &self.graph,
+            &self.clustering,
+            delta,
+            &dirty,
+            &self.eval,
+            &mut self.scratch,
+        );
+        self.eval = eval;
+        dirty
+    }
+
+    /// The pending plan, `None` while routing is off: a clone of the
+    /// served one (sharing its inter table until a repair writes it)
+    /// patched over `delta` from the `dirty` slots of
+    /// [`Self::refresh_eval`] — across a head-set change too, which
+    /// renumbers its slots by head ID instead of compiling afresh.
+    fn patched_plan(&self, delta: &TopologyDelta, dirty: &[usize]) -> Option<RoutePlan> {
+        let current = self.route_plan.as_ref()?;
+        let mut plan = {
+            let _copy = self.metrics.span("reconcile.copy_ns");
+            current.clone()
+        };
+        plan.apply_delta_metered(
+            &self.graph,
+            &self.clustering,
+            self.scratch.labels(),
+            delta,
+            dirty,
+            self.eval.selected_links(self.cfg.algorithm),
+            self.scratch.parallelism(),
+            &self.metrics,
+        );
+        Some(plan)
+    }
+
+    /// Whether re-adopting the refreshed selection could connect more
+    /// of the backbone: the maintained CDS falls into more components
+    /// than there are survivor components holding its nodes. On a
+    /// disconnected field a CDS in one piece per survivor component is
+    /// as connected as any CDS can be, so the re-adoption would change
+    /// neither verdict.
+    fn backbone_can_reconnect(&self) -> bool {
+        !self.backbone.is_connected()
+            && self.backbone.count() > self.alive.components_among(cds_nodes(&self.cds))
     }
 
     /// Parks `v` on the departed sentinel: a capped repair policy
@@ -1364,6 +1415,7 @@ impl ChurnEngine {
     /// departed node a singleton cluster — removed right after, which
     /// is exactly the §3.3 outcome for switched-off nodes).
     fn reelect(&mut self) {
+        let _reelect = self.metrics.span("reconcile.reelect_ns");
         let mut clustering = cluster(&self.graph, self.cfg.k, &LowestId, MemberPolicy::IdBased);
         for u in self.graph.nodes() {
             if self.departed[u.index()] {
@@ -1379,8 +1431,58 @@ impl ChurnEngine {
         self.stranded.clear();
     }
 
-    /// Publish tail of a global rebuild: full evaluation, fresh CDS,
-    /// full-price cost accounting, fresh verdicts, plan republication.
+    /// Publish tail of a re-election in the repair phase. Only the work
+    /// after the election shrinks to what it changed: the evaluation is
+    /// refreshed from the labels observe advanced plus the new heads'
+    /// rows ([`Self::refresh_eval`]), the verdicts from component labels
+    /// advanced over the delta and the adopted CDS's node diff, and the
+    /// plan is repaired across the renumbering. The fresh CDS and the
+    /// full-price cost are those of [`Self::publish_rebuilt`], and so is
+    /// every output; the report counts the rows swept or opened.
+    fn publish_reelected(
+        &mut self,
+        delta: &TopologyDelta,
+        churned: Churned,
+        swept: &[usize],
+        orphans: usize,
+        merged: usize,
+    ) -> StepReport {
+        self.metrics.inc("reconcile.full_rebuild");
+        self.metrics
+            .event("reconcile.rebuild", self.clustering.heads.len() as u64);
+        let dirty = self.refresh_eval(delta, swept);
+        let pending = self.patched_plan(delta, &dirty);
+        let prior = self.adopt_cds();
+        let alive = self.departed.iter().filter(|&&d| !d).count();
+        let cost = alive + self.information_cost();
+        {
+            let _components = self.metrics.span("reconcile.components_ns");
+            let (left, arrived) = (churned.left.as_slice(), churned.arrived.as_slice());
+            self.alive.update(&self.graph, delta, left, arrived);
+            self.advance_backbone(delta, Some(&prior));
+        }
+        {
+            let _validity = self.metrics.span("reconcile.validity_ns");
+            let _backbone = self.metrics.span("reconcile.validity.backbone_ns");
+            self.last_valid = self.backbone.is_connected() && self.dominated();
+        }
+        if let Some(plan) = pending {
+            self.install_plan(plan);
+        }
+        StepReport {
+            level: RepairLevel::Full,
+            orphans,
+            merged_head_pairs: merged,
+            cost,
+            valid: self.last_valid,
+            dirty_heads: dirty.len(),
+        }
+    }
+
+    /// Publish tail of a cold rebuild (crash recovery and the publish
+    /// escalation, which lack the step's dirty set): full evaluation,
+    /// fresh CDS, full-price cost accounting, fresh verdicts, plan
+    /// republication.
     fn publish_rebuilt(&mut self, orphans: usize, merged: usize) -> StepReport {
         self.metrics.inc("reconcile.full_rebuild");
         self.metrics
@@ -1515,7 +1617,7 @@ impl ChurnEngine {
     /// Recomputes both verification verdicts at full price: relabels
     /// the survivor and backbone components from scratch (timed as
     /// `reconcile.components_ns`), then reads the verdicts. Called
-    /// whenever the CDS is rebuilt wholesale (build, full rebuilds,
+    /// whenever the CDS is rebuilt wholesale (build, cold rebuilds,
     /// [`Self::recover`]); incremental publishes advance the labels
     /// over their delta instead.
     fn refresh_validity(&mut self) {
@@ -1688,6 +1790,46 @@ mod tests {
         assert_eq!(a.of(alg).selection, fresh.of(alg).selection, "{ctx}: {alg}");
     }
 
+    /// A movement re-election publishes through the incremental path:
+    /// the global `cluster()` runs (and is timed), yet the labels are
+    /// advanced rather than swept cold and the plan is repaired across
+    /// the renumbering rather than compiled — while the report keeps a
+    /// rebuild's level and cost, and I1 holds.
+    #[test]
+    fn reelection_publishes_without_a_cold_sweep_or_a_compile() {
+        let net = geometric(23, 120, 8.0);
+        let mut e = ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
+        e.enable_routing();
+        let m = Metrics::enabled();
+        e.set_metrics(m.clone());
+        // Wire two heads together: a merge the strict policy answers
+        // with a global re-election.
+        let (a, b) = (e.clustering.heads[0], e.clustering.heads[1]);
+        let mut delta = TopologyDelta::new();
+        delta.push_added(a, b);
+        let r = e.step_delta(&delta);
+        assert_eq!(r.level, RepairLevel::Full);
+        assert!(r.merged_head_pairs > 0);
+        let alive = e.departed.iter().filter(|&&d| !d).count();
+        assert_eq!(r.cost, alive + e.information_cost(), "a rebuild's cost");
+        assert!(r.dirty_heads <= e.clustering.heads.len());
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("reconcile.full_rebuild"), Some(1));
+        assert_eq!(
+            snap.histogram("reconcile.reelect_ns").map(|h| h.count),
+            Some(1)
+        );
+        assert_eq!(snap.counter("plan.compiled"), None, "no fresh compile");
+        assert_eq!(
+            snap.histogram("labels.sweep_ns").map(|h| h.count),
+            None,
+            "no cold sweep"
+        );
+        assert_eq!(snap.counter("plan.headset_repairs"), Some(1));
+        assert_eq!(invariants::check_all(&e), vec![]);
+        assert_engine_consistent(&e, "re-election");
+    }
+
     /// A metered engine reports per-phase reconcile metrics and
     /// records phase transitions into an attached trace; count-type
     /// metrics are exact reconcile facts.
@@ -1764,9 +1906,12 @@ mod tests {
             .filter(|&v| !e.clustering.is_head(v) && !cds.contains(&v))
             .last()
             .expect("a member outside the CDS");
-        for (step, u) in [head, member].into_iter().enumerate() {
+        // The head loss copies twice: the plan clone it patches across
+        // the renumbering, and the CDS it adopts for the new head set.
+        let expected = [[1, 1, 1, 1, 1, 2], [2, 2, 2, 2, 2, 3]];
+        for (u, want) in [head, member].into_iter().zip(expected) {
             e.depart(u);
-            assert_eq!(counts(), [step as u64 + 1; 6], "after departing {u:?}");
+            assert_eq!(counts(), want, "after departing {u:?}");
         }
         let snap = m.snapshot();
         assert_eq!(snap.counter("reconcile.count"), Some(2));
