@@ -9,7 +9,7 @@
 //! * **incremental** — a [`SpatialGrid`] updates the unit-disk topology
 //!   from moved positions and the [`ChurnEngine`] consumes the edge
 //!   delta: bounded BFS for dirty heads only, patched NC links, shared
-//!   head-space tail (`pipeline::update_all` under the `RepairLevel`
+//!   head-space tail (`pipeline::update_all_after` under the `RepairLevel`
 //!   policy);
 //! * **rebuild** — every step rebuilds the topology with
 //!   [`gen::unit_disk_graph`], rebuilds all head labels, and re-runs

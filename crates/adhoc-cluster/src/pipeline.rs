@@ -14,12 +14,16 @@
 //!   graph traversal per replicate that calling [`run_on`] per
 //!   algorithm costs, while producing bit-identical output (enforced
 //!   by the `run_all_equivalence` proptest).
-//! * [`update_all`] — the **incremental churn engine**: given the
-//!   previous evaluation, its warm [`EvalScratch`], and a
-//!   [`TopologyDelta`], refresh only the labels, virtual links, and
-//!   selections the changed edges can have affected (dirty-head set).
-//!   Output is bit-for-bit identical to a from-scratch [`run_all`] on
-//!   the new graph (enforced by the `update_all_equivalence` proptest).
+//! * [`advance_labels`] then [`update_all_after`] — the **incremental
+//!   churn engine** in two phases: given the previous evaluation, its
+//!   warm [`EvalScratch`], and a [`TopologyDelta`], advance only the
+//!   label rows the changed edges (or a head-set change) reached, then
+//!   refresh only the virtual links and selections those rows can have
+//!   affected. A maintenance policy reads the advanced labels and
+//!   repairs the clustering between the two. Output is bit-for-bit
+//!   identical to a from-scratch [`run_all`] on the new graph (enforced
+//!   by the delta-chain tests below and the `label_equivalence` and
+//!   `churn_equivalence` proptests).
 //!
 //! Both engines evaluate the [`EvalScratch`]'s [`AlgorithmSet`]: all
 //! five by default, or — for a caller that consumes one algorithm, like
@@ -334,7 +338,7 @@ impl EvalScratch {
     }
 
     /// The head-label arena of the last [`run_all_with`] /
-    /// [`update_all`] call. Maintenance policies read distances off it
+    /// [`advance_labels`] call. Maintenance policies read distances off it
     /// (orphan and head-merge detection) instead of re-running BFS.
     pub fn labels(&self) -> &HeadLabels {
         &self.labels
@@ -738,32 +742,10 @@ fn lmst_rerun_mask(
     mask
 }
 
-/// How [`update_all`] processed a delta (returned alongside the
-/// refreshed output; benches and maintenance policies report it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UpdateReport {
-    /// Label rows the advance re-swept or opened — rows a changed edge
-    /// dirtied plus rows of heads new to the head set (equals
-    /// `head_count` when the label arena was rebuilt).
-    pub dirty_heads: usize,
-    /// Total clusterheads.
-    pub head_count: usize,
-}
-
-impl UpdateReport {
-    /// Dirty heads as a fraction of all heads (1.0 on a rebuild).
-    pub fn dirty_fraction(&self) -> f64 {
-        if self.head_count == 0 {
-            0.0
-        } else {
-            self.dirty_heads as f64 / self.head_count as f64
-        }
-    }
-}
-
-/// Phase 1 of [`update_all`]: advances `scratch`'s label arena from the
-/// pre-delta graph and head set to `g` (the **post-delta** graph) and
-/// `clustering`'s head set, in one [`HeadLabels::advance`]: rows whose
+/// Phase 1 of an incremental refresh: advances `scratch`'s label arena
+/// from the pre-delta graph and head set to `g` (the **post-delta**
+/// graph) and `clustering`'s head set, in one [`HeadLabels::advance`]:
+/// rows whose
 /// `2k+1` ball a changed edge touched are re-swept, departed heads drop
 /// their rows and new heads sweep one new row each, so a §3.3 head loss
 /// or local election costs `O(changed rows)` BFS sweeps and one arena
@@ -805,12 +787,12 @@ pub fn advance_labels<G: Adjacency + Sync>(
     swept
 }
 
-/// Phase 2 of [`update_all`]: derives the evaluation of the scratch's
-/// [`AlgorithmSet`] from labels already advanced by [`advance_labels`]
-/// to `clustering`'s head set, which swept the label slots `swept`.
-/// `prev` must be the evaluation of the pre-delta graph, and `delta`
-/// the edge change since then. `clustering`
-/// may carry repaired member affiliations (they feed only the A-NCR
+/// Phase 2 of an incremental refresh: derives the evaluation of the
+/// scratch's [`AlgorithmSet`] from labels already advanced by
+/// [`advance_labels`] to `clustering`'s head set, which swept the label
+/// slots `swept`. `prev` must be the evaluation of the pre-delta graph,
+/// and `delta` the edge change since then. `clustering` may carry
+/// promoted or demoted heads and repaired member affiliations (they feed only the A-NCR
 /// relation, whose rows are rescanned for every re-affiliated node). On
 /// `prev`'s head set, `prev`'s NC rows and canonical paths are reused
 /// for every clean head, its A-NCR rows for every cluster the delta and
@@ -818,7 +800,10 @@ pub fn advance_labels<G: Adjacency + Sync>(
 /// head whose one-hop neighborhood kept its rows and hop counts. A
 /// changed head set renumbers every slot, so the NC relation, virtual
 /// graphs and selections are re-derived in full — that stage lives in
-/// head space and is cheap next to the label sweeps.
+/// head space and is cheap next to the label sweeps. Either way the
+/// output is **bit-for-bit identical** to a from-scratch [`run_all`] on
+/// `g` (pinned by the delta-chain tests and the `label_equivalence`
+/// and `churn_equivalence` proptests).
 ///
 /// # Panics
 /// Panics if the scratch labels do not match `clustering`'s head set.
@@ -829,8 +814,7 @@ pub fn update_all_after<G: Adjacency>(
     swept: &[usize],
     prev: &EvaluationOutput,
     scratch: &mut EvalScratch,
-) -> (EvaluationOutput, UpdateReport) {
-    let heads = clustering.heads.len();
+) -> EvaluationOutput {
     assert_eq!(
         scratch.labels.heads(),
         &clustering.heads[..],
@@ -848,7 +832,7 @@ pub fn update_all_after<G: Adjacency>(
             &prev.nc_graph.neighbor_sets,
             swept,
         );
-        let mut dirty_mask = vec![false; heads];
+        let mut dirty_mask = vec![false; clustering.heads.len()];
         for &slot in swept {
             dirty_mask[slot] = true;
         }
@@ -865,63 +849,32 @@ pub fn update_all_after<G: Adjacency>(
         VirtualGraph::from_labels(g, clustering, nc_sets, labels)
     };
     drop(nc_span);
-    let report = UpdateReport {
-        dirty_heads: swept.len(),
-        head_count: heads,
-    };
     let step = same_heads.then_some(Step {
         prev,
         delta,
         dirty: swept,
     });
-    let out = eval_from_nc(g, clustering, nc_graph, scratch, step);
-    (out, report)
-}
-
-/// Incrementally refreshes a previous [`run_all`] evaluation after a
-/// [`TopologyDelta`] and, optionally, a head-set change — the
-/// churn-engine core. `g` is the **post-delta** graph; `scratch` must
-/// be the scratch that produced `prev` (its label arena still describes
-/// the pre-delta graph and `prev`'s head set); `clustering` may differ
-/// from `prev`'s by promoted or demoted heads and re-affiliated members.
-///
-/// The refresh touches only what the delta can have changed:
-///
-/// 1. labels — one bounded BFS per **dirty** or gained head and one
-///    row splice in all ([`HeadLabels::advance`]); clean rows are
-///    reused;
-/// 2. NC relation — dirty rows re-derived, clean rows copied
-///    ([`adjacency::nc_from_labels_patched`]);
-/// 3. NC links — canonical paths re-walked only for pairs owned by a
-///    dirty head, copied otherwise
-///    ([`VirtualGraph::from_labels_patched`]);
-/// 4. A-NCR relation — rows rescanned only for clusters the delta or a
-///    re-affiliation touched (`adjacency::adjacent_heads_patched`);
-/// 5. LMST selections — the local MST re-run only at heads within one
-///    virtual hop of a changed row or link hop count;
-///    the rest of the head-space tail is shared with [`run_all_with`].
-///
-/// Steps 2–5 run in full instead when the head set changed. A scratch
-/// built for another bound or node count has its labels rebuilt.
-/// Either way the output is **bit-for-bit identical** to a from-scratch [`run_all`] on `g`
-/// (pinned by the `update_all_equivalence` proptest). Maintenance
-/// policies that must inspect labels between the two phases call
-/// [`advance_labels`] / [`update_all_after`] directly.
-pub fn update_all<G: Adjacency + Sync>(
-    g: &G,
-    clustering: &Clustering,
-    delta: &TopologyDelta,
-    prev: &EvaluationOutput,
-    scratch: &mut EvalScratch,
-) -> (EvaluationOutput, UpdateReport) {
-    let swept = advance_labels(g, clustering, delta, scratch);
-    update_all_after(g, clustering, delta, &swept, prev, scratch)
+    eval_from_nc(g, clustering, nc_graph, scratch, step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adhoc_graph::gen;
+
+    /// One incremental refresh, both phases: the evaluation and the
+    /// slots the label advance swept.
+    fn refresh<G: Adjacency + Sync>(
+        g: &G,
+        clustering: &Clustering,
+        delta: &TopologyDelta,
+        prev: &EvaluationOutput,
+        scratch: &mut EvalScratch,
+    ) -> (EvaluationOutput, Vec<usize>) {
+        let swept = advance_labels(g, clustering, delta, scratch);
+        let out = update_all_after(g, clustering, delta, &swept, prev, scratch);
+        (out, swept)
+    }
 
     #[test]
     fn all_algorithms_produce_valid_cds() {
@@ -1017,7 +970,7 @@ mod tests {
         }
     }
 
-    /// Chained deltas through `update_all` must reproduce a
+    /// Chained deltas through both refresh phases must reproduce a
     /// from-scratch `run_all` exactly — including the label arena.
     /// Extra edges are added and later removed (the edge set always
     /// stays a superset of the original connected graph, so the fixed
@@ -1056,8 +1009,8 @@ mod tests {
                     }
                 }
                 delta.normalize();
-                let (next, report) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
-                assert!(report.dirty_heads <= report.head_count);
+                let (next, swept) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+                assert!(swept.len() <= clustering.heads.len());
                 let fresh = run_all(&g, &clustering);
                 assert_evals_equal(&next, &fresh, &format!("k={k} step={step}"));
                 // The warm labels equal a cold rebuild too.
@@ -1091,8 +1044,8 @@ mod tests {
         }
         delta.normalize();
         let rebuilds = scratch.labels().rebuild_count();
-        let (next, report) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
-        assert_eq!(report.dirty_fraction(), 1.0);
+        let (next, swept) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+        assert_eq!(swept.len(), clustering.heads.len(), "every row swept");
         assert_eq!(scratch.labels().rebuild_count(), rebuilds, "no rebuild");
         assert_evals_equal(&next, &run_all(&g, &clustering), "every row dirty");
     }
@@ -1113,16 +1066,16 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(3));
         delta.push_added(NodeId(1), NodeId(3));
         delta.normalize();
-        let (prev, patched) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
-        assert!(patched.dirty_fraction() < 1.0);
+        let (prev, patched) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+        assert!(patched.len() < clustering.heads.len());
         let mut hub = adhoc_graph::delta::TopologyDelta::new();
         for v in 3..20u32 {
             g.add_edge(NodeId(0), NodeId(v));
             hub.push_added(NodeId(0), NodeId(v));
         }
         hub.normalize();
-        let (_, saturated) = update_all(&g, &clustering, &hub, &prev, &mut scratch);
-        assert_eq!(saturated.dirty_fraction(), 1.0);
+        let (_, saturated) = refresh(&g, &clustering, &hub, &prev, &mut scratch);
+        assert_eq!(saturated.len(), clustering.heads.len());
         let snap = metrics.snapshot();
         let span = snap
             .histogram("pipeline.nc_graph_ns")
@@ -1148,16 +1101,16 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(3));
         delta.push_added(NodeId(1), NodeId(3));
         delta.normalize();
-        let (prev, patched) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
-        assert!(patched.dirty_fraction() < 1.0);
+        let (prev, patched) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+        assert!(patched.len() < clustering.heads.len());
         let mut hub = adhoc_graph::delta::TopologyDelta::new();
         for v in 3..20u32 {
             g.add_edge(NodeId(0), NodeId(v));
             hub.push_added(NodeId(0), NodeId(v));
         }
         hub.normalize();
-        let (_, saturated) = update_all(&g, &clustering, &hub, &prev, &mut scratch);
-        assert_eq!(saturated.dirty_fraction(), 1.0);
+        let (_, saturated) = refresh(&g, &clustering, &hub, &prev, &mut scratch);
+        assert_eq!(saturated.len(), clustering.heads.len());
         scratch.set_algorithms(AlgorithmSet::only(Algorithm::AcLmst));
         run_all_with(&g, &clustering, &mut scratch);
         let snap = metrics.snapshot();
@@ -1193,7 +1146,7 @@ mod tests {
                 }
             }
             delta.normalize();
-            let (next, _) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
+            let (next, _) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
             let labels = scratch.labels();
             for (slot, &h) in clustering.heads.iter().enumerate() {
                 bfs.run(&g, h, 5);
@@ -1240,9 +1193,7 @@ mod tests {
                 [pos],
                 "promotion of {v:?} must sweep exactly its own row"
             );
-            let (out, report) =
-                update_all_after(&g, &clustering, &none, &swept, &prev, &mut scratch);
-            assert_eq!(report.dirty_heads, 1);
+            let out = update_all_after(&g, &clustering, &none, &swept, &prev, &mut scratch);
             assert_evals_equal(&out, &run_all(&g, &clustering), &format!("+{v:?}"));
             prev = out;
         }
@@ -1258,8 +1209,7 @@ mod tests {
             swept.is_empty(),
             "demotion must sweep no rows, got {swept:?}"
         );
-        let (out, report) = update_all_after(&g, &clustering, &none, &swept, &prev, &mut scratch);
-        assert_eq!(report.dirty_heads, 0);
+        let out = update_all_after(&g, &clustering, &none, &swept, &prev, &mut scratch);
         assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{v:?}"));
 
         // A head-set change combined with an edge delta in one
@@ -1276,7 +1226,7 @@ mod tests {
             delta.push_added(a, b);
         }
         delta.normalize();
-        let (out, _) = update_all(&g, &clustering, &delta, &out, &mut scratch);
+        let (out, _) = refresh(&g, &clustering, &delta, &out, &mut scratch);
         assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{w:?}+edge"));
         assert_eq!(
             scratch.labels().rebuild_count(),
@@ -1304,8 +1254,7 @@ mod tests {
             "bound changed"
         );
         assert_eq!(scratch.labels().rebuild_count(), rebuilds + 1);
-        let (out, report) = update_all_after(&g, &k2, &none, &swept, &prev, &mut scratch);
-        assert_eq!(report.dirty_fraction(), 1.0);
+        let out = update_all_after(&g, &k2, &none, &swept, &prev, &mut scratch);
         assert_evals_equal(&out, &run_all(&g, &k2), "rebuild on a new bound");
     }
 
@@ -1317,9 +1266,8 @@ mod tests {
         let mut scratch = EvalScratch::new();
         let prev = run_all_with(&g, &clustering, &mut scratch);
         let delta = adhoc_graph::delta::TopologyDelta::new();
-        let (next, report) = update_all(&g, &clustering, &delta, &prev, &mut scratch);
-        assert_eq!(report.dirty_heads, 0);
-        assert_eq!(report.dirty_fraction(), 0.0);
+        let (next, swept) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+        assert!(swept.is_empty());
         assert_evals_equal(&next, &prev, "no-op");
     }
 }

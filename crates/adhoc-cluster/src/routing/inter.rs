@@ -820,9 +820,8 @@ pub enum InterRepair {
         /// the repair fell back to a fresh build).
         rows_swept: usize,
     },
-    /// Dense layout: the matrix was built fresh — the plan compiled
-    /// anew (its node count changed), or a head-set change turned a hub
-    /// table dense under [`InterMode::Auto`].
+    /// Dense layout: the matrix was built fresh, because a head-set
+    /// change turned a hub table dense under [`InterMode::Auto`].
     DenseRebuilt,
     /// Hub layout: only the labels of hubs whose trees touched a
     /// changed edge were re-swept.

@@ -58,7 +58,6 @@ use crate::clustering::Clustering;
 use crate::routing::inter::{self, CsrView, InterMode, InterRepair, InterScratch, InterTable};
 use crate::virtual_graph::LinkRef;
 use adhoc_graph::bfs::{self, Adjacency, DistLabels, UNREACHED};
-use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::labels::HeadLabels;
 use adhoc_graph::obs::Metrics;
@@ -109,7 +108,7 @@ pub struct RoutePlan {
     /// table until a repair writes it (copy-on-write).
     inter: Arc<InterTable>,
     /// The layout policy this plan was compiled under — preserved
-    /// across [`Self::apply_delta`] rebuilds so a maintained plan never
+    /// across [`Self::apply_delta`] repairs so a maintained plan never
     /// silently flips policy. Excluded from equality (a policy knob,
     /// not served content).
     inter_mode: InterMode,
@@ -142,12 +141,9 @@ impl Eq for RoutePlan {}
 /// What [`RoutePlan::apply_delta`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanUpdate {
-    /// The plan was recompiled from scratch: the node count changed.
-    pub rebuilt: bool,
     /// The head set changed: the slots were renumbered, clean nodes'
     /// ascents copied under their heads' new slots, and the inter-head
-    /// table carried across the renumbering (or compiled fresh when
-    /// [`Self::rebuilt`]).
+    /// table carried across the renumbering.
     pub heads_changed: bool,
     /// Nodes whose affiliation/ascent entries were re-derived (clean
     /// nodes' ascent paths are copied, not re-walked).
@@ -170,9 +166,7 @@ impl PlanUpdate {
     /// repairs re-swept. All values are exact update facts, so the
     /// counts are deterministic for any worker count.
     pub fn record_into(&self, metrics: &Metrics) {
-        if self.rebuilt {
-            metrics.inc("plan.rebuilt");
-        } else if self.heads_changed {
+        if self.heads_changed {
             metrics.inc("plan.headset_repairs");
         }
         metrics.add("plan.resweeped_nodes", self.resweeped_nodes as u64);
@@ -529,11 +523,13 @@ impl RoutePlan {
         self.path_arena = bb.path_arena;
     }
 
-    /// Repairs the plan after a [`TopologyDelta`], given the
-    /// post-delta clustering, the **already advanced** labels (see
+    /// Repairs the plan after a topology delta, given the post-delta
+    /// graph and clustering, the **already advanced** labels (see
     /// [`pipeline::advance_labels`]), the label slots that advance
     /// swept (the slots the delta dirtied, plus any rows it opened),
-    /// and the post-delta backbone link set.
+    /// and the post-delta backbone link set. The delta itself is not
+    /// needed: the swept slots and the backbone's link diff cover
+    /// every effect it can have.
     ///
     /// [`pipeline::advance_labels`]: crate::pipeline::advance_labels
     ///
@@ -556,18 +552,17 @@ impl RoutePlan {
     /// change in the union of both head sets (pinned against a fresh
     /// build by the `inter` proptests), the hub layout its dirty hubs
     /// (pinned against a fresh compile by the `hub_equivalence`
-    /// proptests) and a fresh index across a head-set change. Only a
-    /// changed node count compiles the plan fresh, with the same layout
-    /// policy.
+    /// proptests) and a fresh index across a head-set change.
     ///
     /// # Panics
-    /// As [`Self::compile`].
+    /// Panics if `g`'s node count differs from the plan's (a maintained
+    /// node set is fixed: a departure isolates its node), if `labels`
+    /// do not carry `clustering`'s head set, or as [`Self::compile`].
     pub fn apply_delta<'a, G: Adjacency + Sync>(
         &mut self,
         g: &G,
         clustering: &Clustering,
         labels: &HeadLabels,
-        delta: &TopologyDelta,
         dirty_slots: &[usize],
         links: impl IntoIterator<Item = LinkRef<'a>>,
     ) -> PlanUpdate {
@@ -575,7 +570,6 @@ impl RoutePlan {
             g,
             clustering,
             labels,
-            delta,
             dirty_slots,
             links,
             Parallelism::serial(),
@@ -592,7 +586,6 @@ impl RoutePlan {
         g: &G,
         clustering: &Clustering,
         labels: &HeadLabels,
-        delta: &TopologyDelta,
         dirty_slots: &[usize],
         links: impl IntoIterator<Item = LinkRef<'a>>,
         par: Parallelism,
@@ -601,7 +594,6 @@ impl RoutePlan {
             g,
             clustering,
             labels,
-            delta,
             dirty_slots,
             links,
             par,
@@ -620,40 +612,13 @@ impl RoutePlan {
         g: &G,
         clustering: &Clustering,
         labels: &HeadLabels,
-        delta: &TopologyDelta,
         dirty_slots: &[usize],
         links: impl IntoIterator<Item = LinkRef<'a>>,
         par: Parallelism,
         metrics: &Metrics,
     ) -> PlanUpdate {
         let _apply = metrics.span("plan.apply_delta_ns");
-        if self.n != g.node_count() {
-            let epoch = self.epoch;
-            *self = RoutePlan::compile_metered(
-                g,
-                clustering,
-                labels,
-                links,
-                self.inter_mode,
-                par,
-                metrics,
-            );
-            self.epoch = epoch;
-            let inter = match *self.inter {
-                InterTable::Dense { .. } => InterRepair::DenseRebuilt,
-                InterTable::Hub(_) => InterRepair::HubRebuilt,
-            };
-            let update = PlanUpdate {
-                rebuilt: true,
-                heads_changed: true,
-                resweeped_nodes: self.n,
-                next_recomputed: true,
-                inter,
-            };
-            update.record_into(metrics);
-            return update;
-        }
-        let _ = delta; // the dirty-slot set already covers every effect
+        assert_eq!(self.n, g.node_count(), "node count changed");
         assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
         let heads_changed = self.heads != clustering.heads;
         let mut dirty = vec![false; clustering.heads.len()];
@@ -731,7 +696,6 @@ impl RoutePlan {
         };
         self.adopt_backbone(bb);
         let update = PlanUpdate {
-            rebuilt: false,
             heads_changed,
             resweeped_nodes: resweeped,
             next_recomputed: inter != InterRepair::Unchanged,
@@ -924,6 +888,7 @@ mod tests {
     use crate::pipeline::{self, EvalScratch};
     use crate::priority::LowestId;
     use crate::routing::{is_valid_walk, walk_hops};
+    use adhoc_graph::delta::TopologyDelta;
     use adhoc_graph::gen;
 
     fn compile_ac(g: &adhoc_graph::graph::Graph, k: u32) -> (Clustering, RoutePlan) {
@@ -1096,23 +1061,10 @@ mod tests {
             let plan =
                 RoutePlan::compile_with(&g, &c, scratch.labels(), eval.ac_graph.links(), mode);
             let mut pending = plan.clone();
-            pending.apply_delta(
-                &g,
-                &c,
-                scratch.labels(),
-                &TopologyDelta::new(),
-                &[],
-                eval.ac_graph.links(),
-            );
+            pending.apply_delta(&g, &c, scratch.labels(), &[], eval.ac_graph.links());
             assert!(Arc::ptr_eq(&plan.inter, &pending.inter), "{mode:?}: shared");
-            let update = pending.apply_delta(
-                &g2,
-                &c,
-                scratch2.labels(),
-                &delta,
-                &all,
-                eval2.ac_graph.links(),
-            );
+            let update =
+                pending.apply_delta(&g2, &c, scratch2.labels(), &all, eval2.ac_graph.links());
             assert!(update.next_recomputed, "{mode:?}: the backbone changed");
             assert!(
                 !Arc::ptr_eq(&plan.inter, &pending.inter),
@@ -1136,5 +1088,22 @@ mod tests {
         let mut scratch = EvalScratch::new();
         let _ = pipeline::run_all_with(&gen::path(7), &other, &mut scratch);
         let _ = RoutePlan::compile(&g, &c, scratch.labels(), std::iter::empty());
+    }
+
+    /// A repair never changes the node count: a graph of another size
+    /// is rejected, not compiled afresh.
+    #[test]
+    #[should_panic(expected = "node count changed")]
+    fn apply_delta_rejects_another_node_count() {
+        let g = gen::path(9);
+        let c = cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::new();
+        let eval = pipeline::run_all_with(&g, &c, &mut scratch);
+        let mut plan = RoutePlan::compile(&g, &c, scratch.labels(), eval.ac_graph.links());
+        let g11 = gen::path(11);
+        let c11 = cluster(&g11, 1, &LowestId, MemberPolicy::IdBased);
+        let mut scratch11 = EvalScratch::new();
+        let eval11 = pipeline::run_all_with(&g11, &c11, &mut scratch11);
+        plan.apply_delta(&g11, &c11, scratch11.labels(), &[], eval11.ac_graph.links());
     }
 }

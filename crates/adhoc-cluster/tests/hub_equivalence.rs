@@ -129,16 +129,16 @@ proptest! {
             } else {
                 delta.normalize();
                 let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-                let (next, _) = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
+                let next = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
                 eval = next;
                 dirty
             };
             let hub_report = hub.apply_delta(
-                &g, &c, scratch.labels(), &delta, &dirty,
+                &g, &c, scratch.labels(), &dirty,
                 eval.selected_links(Algorithm::AcLmst),
             );
             let dense_report = dense.apply_delta(
-                &g, &c, scratch.labels(), &delta, &dirty,
+                &g, &c, scratch.labels(), &dirty,
                 eval.selected_links(Algorithm::AcLmst),
             );
             // The two layouts must agree on *whether* the backbone

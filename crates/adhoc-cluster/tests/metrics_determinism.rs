@@ -88,7 +88,7 @@ fn trajectory(g0: &Graph, n: usize, seed: u64) -> Vec<(Graph, TopologyDelta)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `run_all` → `update_all` → `apply_delta` chain: the metrics
+    /// `run_all` → `update_all_after` → `apply_delta` chain: the metrics
     /// fingerprint (counters, count histograms, events) is identical
     /// at 1/2/3/8 workers.
     #[test]
@@ -120,12 +120,11 @@ proptest! {
                 let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
                 // The advance's swept slots, in the new head numbering.
                 let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
-                let (next, _) = pipeline::update_all_after(g, &c, delta, &dirty, &prev, &mut scratch);
+                let next = pipeline::update_all_after(g, &c, delta, &dirty, &prev, &mut scratch);
                 plan.apply_delta_metered(
                     g,
                     &c,
                     scratch.labels(),
-                    delta,
                     &dirty,
                     next.ac_graph.links(),
                     par,

@@ -1,5 +1,5 @@
 //! The worker pool must be a pure throughput knob: every parallelized
-//! path — label rebuilds and repairs (`run_all` / `update_all`), plan
+//! path — label rebuilds and repairs (`run_all` / `update_all_after`), plan
 //! compiles and deltas (`compile_tuned` / `apply_delta_tuned`), and
 //! batched serving — has to reproduce the single-worker output
 //! **bit-for-bit** for any worker count.
@@ -133,7 +133,7 @@ proptest! {
         }
     }
 
-    /// Incremental chains: `update_all` label repairs and
+    /// Incremental chains: `advance_labels` label repairs and
     /// `apply_delta_tuned` plan repairs over a shared random edge
     /// trajectory stay bit-identical to the serial arm at every step,
     /// including steps that change the head set (head rows dropped and
@@ -194,12 +194,11 @@ proptest! {
                 let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
                 // The advance's swept slots, in the new head numbering.
                 let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
-                let (next, _) = pipeline::update_all_after(g, &c, delta, &dirty, &prev, &mut scratch);
+                let next = pipeline::update_all_after(g, &c, delta, &dirty, &prev, &mut scratch);
                 plan.apply_delta_tuned(
                     g,
                     &c,
                     scratch.labels(),
-                    delta,
                     &dirty,
                     next.ac_graph.links(),
                     par,
@@ -400,14 +399,14 @@ proptest! {
                 );
                 let mut repaired = compiled.clone();
                 let update = repaired.apply_delta_tuned(
-                    &g, &c, &labels, &TopologyDelta::new(), &all,
+                    &g, &c, &labels, &all,
                     std::iter::empty(), par,
                 );
                 (compiled, repaired, update)
             })
             .collect();
         let (_, _, update) = &arms[0];
-        prop_assert!(!update.rebuilt);
+        prop_assert!(!update.heads_changed);
         assert_fans_out(work::ascents(n, k), "ascent compile");
         assert_fans_out(work::ascents(update.resweeped_nodes, k), "ascent repair");
         for (w, arm) in FANNED_GRID.iter().zip(&arms).skip(1) {
@@ -451,7 +450,7 @@ proptest! {
                     );
                     let mut repaired = compiled.clone();
                     let update = repaired.apply_delta_tuned(
-                        &g, &c, labels, &TopologyDelta::new(), &[],
+                        &g, &c, labels, &[],
                         eval.selected_links(Algorithm::GMst), par,
                     );
                     (compiled, repaired, update)
@@ -459,7 +458,7 @@ proptest! {
                 .collect();
             let (compiled, _, update) = &arms[0];
             prop_assert_eq!(compiled.inter_layout(), mode.name());
-            prop_assert!(!update.rebuilt && update.next_recomputed);
+            prop_assert!(!update.heads_changed && update.next_recomputed);
             match (mode, update.inter) {
                 (InterMode::Dense, InterRepair::DenseRepaired { rows_swept }) => {
                     assert_fans_out(
@@ -506,7 +505,7 @@ proptest! {
         let repair = |drop: usize, par: Parallelism| {
             let mut plan = compiled.clone();
             let update = plan.apply_delta_tuned(
-                &g, &c, labels, &TopologyDelta::new(), &[],
+                &g, &c, labels, &[],
                 without(drop).map(|(_, &l)| l), par,
             );
             (plan, update)
@@ -569,21 +568,21 @@ proptest! {
         delta.normalize();
         let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
         let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-        let (eval, _) = pipeline::update_all_after(&g, &c, &delta, &swept, &eval0, &mut scratch);
+        let eval = pipeline::update_all_after(&g, &c, &delta, &swept, &eval0, &mut scratch);
         let links = eval.selected_links(Algorithm::AcLmst);
         let arms: Vec<_> = FANNED_GRID
             .iter()
             .map(|&w| {
                 let mut plan = compiled.clone();
                 let update = plan.apply_delta_tuned(
-                    &g, &c, scratch.labels(), &delta, &swept, links.iter().copied(),
+                    &g, &c, scratch.labels(), &swept, links.iter().copied(),
                     Parallelism::new(w),
                 );
                 (plan, update)
             })
             .collect();
         let (repaired, update) = &arms[0];
-        prop_assert!(update.heads_changed && !update.rebuilt);
+        prop_assert!(update.heads_changed);
         let mut union = [&c0.heads[..], &c.heads[..]].concat();
         union.sort_unstable();
         union.dedup();

@@ -145,12 +145,11 @@ fn check_headset_chain(seed: u64, n: usize, k: u32, edits: usize) {
             }
         }
         let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-        let (next, _) = pipeline::update_all_after(&g, &c, &delta, &swept, &eval, &mut scratch);
+        let next = pipeline::update_all_after(&g, &c, &delta, &swept, &eval, &mut scratch);
         eval = next;
         for (plan, mode) in plans.iter_mut().zip(modes) {
             let links = eval.selected_links(Algorithm::AcLmst);
-            let update = plan.apply_delta(&g, &c, scratch.labels(), &delta, &swept, links);
-            assert!(!update.rebuilt, "edit {edit}: the node count never changes");
+            let update = plan.apply_delta(&g, &c, scratch.labels(), &swept, links);
             assert_eq!(
                 update.heads_changed,
                 before != c.heads,
@@ -301,13 +300,13 @@ proptest! {
             // Advance labels + evaluation the way the churn engine does,
             // then repair the plan off the dirty slots.
             let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-            let (next, _) = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
+            let next = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
             eval = next;
             let report = plan.apply_delta(
-                &g, &c, scratch.labels(), &delta, &dirty,
+                &g, &c, scratch.labels(), &dirty,
                 eval.selected_links(Algorithm::AcLmst),
             );
-            prop_assert!(!report.rebuilt, "head set never changes in this chain");
+            prop_assert!(!report.heads_changed, "head set never changes in this chain");
             let fresh = RoutePlan::compile(
                 &g, &c, scratch.labels(), eval.selected_links(Algorithm::AcLmst),
             );

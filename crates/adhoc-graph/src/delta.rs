@@ -11,7 +11,7 @@
 //! * [`HeadLabels::dirty_slots`](crate::labels::HeadLabels::dirty_slots)
 //!   consumes them to find the clusterheads whose `2k+1` balls a change
 //!   touched;
-//! * `adhoc-cluster::pipeline::update_all` refreshes only the virtual
+//! * `adhoc-cluster::pipeline::update_all_after` refreshes only the virtual
 //!   links and selections those dirty heads own.
 //!
 //! Edges are always normalized `(a, b)` with `a < b`, each list sorted

@@ -185,7 +185,7 @@ pub fn unit_disk_graph(positions: &[Point], r: f64) -> Graph {
 /// 3×3 cell block around each — `O(moved · local density)` instead of a
 /// full rebuild — and reports exactly which edges appeared and vanished
 /// as a [`TopologyDelta`], the input of every incremental consumer
-/// above (`HeadLabels::advance`, `pipeline::update_all`).
+/// above (`HeadLabels::advance`, `pipeline::update_all_after`).
 ///
 /// Cells are hashed by integer cell coordinates, so the grid covers an
 /// unbounded plane with memory proportional to *occupied* cells only —

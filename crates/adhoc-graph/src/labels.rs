@@ -268,9 +268,6 @@ pub struct HeadLabels {
     slot_of: Vec<u32>,
     /// The live rows, one per head slot.
     rows: Rows,
-    /// The rows before the last advance, kept so incremental steps
-    /// reuse their allocations.
-    prev: Rows,
     /// Shared BFS distance scratch (`n`-sized, all-`UNREACHED` between
     /// sweeps).
     scratch: Vec<u32>,
@@ -490,13 +487,15 @@ impl HeadLabels {
         let workers = par.for_work(work).workers();
         self.adopt_heads(heads);
 
-        // The old rows are kept to copy from only if some row is copied;
-        // otherwise the new rows overwrite them in place, as a rebuild
-        // does.
+        // The old rows are taken out to copy from only if some row is
+        // copied, and dropped once the new arena is built; otherwise the
+        // new rows overwrite them in place, as a rebuild does.
         let copies = swept.len() < heads.len();
-        if copies {
-            std::mem::swap(&mut self.rows, &mut self.prev);
-        }
+        let mut old_rows = if copies {
+            std::mem::take(&mut self.rows)
+        } else {
+            Rows::default()
+        };
         self.rows.clear();
         let fresh = (workers > 1).then(|| {
             let swept_heads: Vec<NodeId> = swept.iter().map(|&s| heads[s]).collect();
@@ -508,8 +507,8 @@ impl HeadLabels {
                 let mut next_fresh = 0;
                 for (&h, &old) in heads.iter().zip(&from) {
                     if old != NO_SLOT {
-                        let table = std::mem::take(&mut self.prev.tables[old as usize]);
-                        self.rows.push_row(self.prev.levels(old as usize), table);
+                        let table = std::mem::take(&mut old_rows.tables[old as usize]);
+                        self.rows.push_row(old_rows.levels(old as usize), table);
                     } else if let Some(fresh) = &fresh {
                         self.rows
                             .push_row(fresh.levels(next_fresh), OnceLock::new());
@@ -543,12 +542,10 @@ impl HeadLabels {
     /// Bytes of heap memory the labels currently hold (capacity, not
     /// logical size; the row arenas are sized exactly after every
     /// build and splice). `O(Σ ball sizes + n)`: the live rows, the
-    /// pre-splice rows an incremental step keeps warm, the head list,
-    /// and the two `n`-sized node maps.
+    /// head list, and the two `n`-sized node maps.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.rows.memory_bytes()
-            + self.prev.memory_bytes()
             + self.heads.capacity() * size_of::<NodeId>()
             + (self.slot_of.capacity() + self.scratch.capacity()) * size_of::<u32>()
     }
@@ -1072,8 +1069,9 @@ mod tests {
     /// logical size of the rows (4 bytes per ball entry, per level
     /// start and per offset, one table cell per row) plus the head list
     /// and the two node maps; the first lookups add exactly the tables
-    /// (16 bytes per ball entry), and a splice adds exactly the new
-    /// live rows (the tables move; the pre-splice rows stay warm).
+    /// (16 bytes per ball entry), and after a splice only the live rows
+    /// and the kept rows' tables count (the tables move; the pre-splice
+    /// rows are dropped).
     #[test]
     fn memory_bytes_tracks_arena_growth() {
         fn row_bytes(labels: &HeadLabels) -> usize {
@@ -1100,12 +1098,15 @@ mod tests {
             })
             .sum();
         assert_eq!(labels.memory_bytes(), lean + tables);
-        let before = labels.memory_bytes();
         let kept = [NodeId(0), NodeId(67), NodeId(99)];
         assert!(labels
             .advance(&g, &kept, 4, &[], Parallelism::serial())
             .is_empty());
-        assert_eq!(labels.memory_bytes(), before + row_bytes(&labels));
+        let kept_tables: usize = (0..kept.len()).map(|s| 16 * labels.ball(s).len()).sum();
+        assert_eq!(
+            labels.memory_bytes(),
+            row_bytes(&labels) + fixed + kept_tables
+        );
         let small = HeadLabels::build(&gen::path(4), &[NodeId(0)], 1);
         assert!(small.memory_bytes() < lean);
     }

@@ -44,12 +44,14 @@
 //!    │  eval / CDS / plan untouched   │  — the charged node-rounds
 //!    └──────────────┬────────────────-┘
 //!                   ▼   ReconcileState::Repaired
-//!    ┌─────────── PUBLISH ────────────┐  evaluation refresh, component
-//!    │  eval refreshed, component     │  labels advanced over the delta,
-//!    │  labels advanced, verdicts     │  verdicts read off their counts,
-//!    │  read, pending plan swapped in │  plan swapped atomically + epoch
-//!    │  atomically                    │  bump — no torn mix for queries
-//!    └──────────────┬────────────────-┘
+//!    ┌─────────── PUBLISH ────────────┐  one tail for every repair:
+//!    │  eval refreshed, plan patched, │  evaluation refresh, plan repair,
+//!    │  CDS adopted on a head change, │  CDS adoption on a head-set
+//!    │  component labels advanced,    │  change, component labels
+//!    │  verdicts read, pending plan   │  advanced over the delta, verdicts
+//!    │  swapped in atomically         │  read off their counts, plan
+//!    │                                │  swapped atomically + epoch bump
+//!    └──────────────┬────────────────-┘  — no torn mix for queries
 //!                   ▼   ReconcileState::Done(StepReport)
 //! ```
 //!
@@ -90,8 +92,10 @@
 //! label advance opens the new heads' rows and drops the lost ones, the
 //! evaluation re-derives its head-space stages, and the plan is
 //! repaired across the renumbering ([`RoutePlan::apply_delta`]). A
-//! re-election still runs the global `cluster()` contest, so what it
-//! publishes is exactly what a rebuild would; only the two cold paths
+//! re-election is one more such head-set patch: repair runs the global
+//! `cluster()` contest and hands publish the same summary a local
+//! repair does, at the full level and a rebuild's price, so what it
+//! publishes is exactly what a rebuild would. Only the two cold paths
 //! named above, which lack the step's dirty set, rebuild from nothing.
 //!
 //! The repair itself is built from two private primitives at the
@@ -221,12 +225,14 @@ pub struct Observation {
 }
 
 /// What the repair phase did (opaque; feed it back via
-/// [`ChurnEngine::resume`]).
+/// [`ChurnEngine::resume`]): the delta, the survivor-set change and
+/// one patch summary, whatever the repair was — publish applies all
+/// of them the same way.
 #[derive(Debug)]
 pub struct Repaired {
     delta: TopologyDelta,
     churned: Churned,
-    outcome: RepairOutcome,
+    patch: Patch,
 }
 
 /// The node a reconcile removes from or adds to the survivor set (a
@@ -237,40 +243,27 @@ struct Churned {
     arrived: Option<NodeId>,
 }
 
-/// Incremental-path repair summary carried into publish.
+/// Repair summary carried into publish: a local repair (rejoins, local
+/// elections, a departed head's removal) or a global re-election
+/// (merged heads, or stranded orphans under the movement policy).
 #[derive(Debug)]
 struct Patch {
     /// Label slots observe's advance swept.
     swept: Vec<usize>,
-    /// The head set differs from the published evaluation's: a head
-    /// departed, or stranded orphans elected new heads.
+    /// The head set may differ from the published evaluation's: a head
+    /// departed, stranded orphans elected new heads, or the clustering
+    /// was re-elected. Publish then adopts the refreshed CDS and
+    /// charges its information cost.
     heads_changed: bool,
     level: RepairLevel,
     orphans: usize,
-    /// Detected-but-unrepaired merges (nonzero only under a capped
-    /// policy; an uncapped engine escalates to re-election instead).
+    /// Merged head pairs: the pairs that triggered a re-election, or
+    /// detected-but-unrepaired merges under a capped policy.
     merged: usize,
+    /// Node-rounds charged before publish: the rejoin and election
+    /// probes of a local repair, or the survivor count of a
+    /// re-election.
     cost: usize,
-}
-
-#[derive(Debug)]
-enum RepairOutcome {
-    /// Local repair (rejoins, local elections, a departed head's
-    /// removal): publish refreshes incrementally and patches the plan,
-    /// across a head-set change too.
-    Patch(Patch),
-    /// Global re-election already performed (merged heads, or stranded
-    /// orphans under the movement policy): publish refreshes the same
-    /// way from the new head set, adopts the fresh CDS and charges the
-    /// full price.
-    Rebuilt {
-        /// Label slots observe's advance swept.
-        swept: Vec<usize>,
-        /// Orphans detected before the rebuild (report bookkeeping).
-        orphans: usize,
-        /// Merged head pairs that triggered it (0 otherwise).
-        merged: usize,
-    },
 }
 
 /// A connected k-hop clustering, its gateway CDS, and the evaluation of
@@ -590,7 +583,7 @@ impl ChurnEngine {
     /// report, or `None` if nothing was in flight.
     pub fn recover(&mut self) -> Option<StepReport> {
         self.in_flight?;
-        let report = self.full_rebuild(0, 0);
+        let report = self.full_rebuild(0);
         self.in_flight = None;
         Some(report)
     }
@@ -1093,23 +1086,18 @@ impl ChurnEngine {
             policy,
         } = obs;
 
-        let outcome = if merged_head_pairs > 0 && self.cfg.max_level >= RepairLevel::Full {
+        let patch = if merged_head_pairs > 0 && self.cfg.max_level >= RepairLevel::Full {
             // Two heads drifted within merge distance: least cluster
             // change says re-elect globally (refreshed member
             // distances are pointless — the head set is replaced).
-            self.reelect();
-            RepairOutcome::Rebuilt {
-                swept,
-                orphans: orphans.len(),
-                merged: merged_head_pairs,
-            }
+            self.reelection(swept, orphans.len(), merged_head_pairs)
         } else {
             for &(v, d) in &fresh_dist {
                 self.clustering.dist_to_head[v.index()] = d;
             }
             let mut level = RepairLevel::None;
             let mut cost = 0usize;
-            let mut rebuild = false;
+            let mut reelect = false;
             if !orphans.is_empty() && self.cfg.max_level < RepairLevel::Reaffiliate {
                 // Capped below any repair: orphans are detached, not
                 // re-homed (the plan compiler rejects stale >k
@@ -1139,12 +1127,9 @@ impl ChurnEngine {
                     }
                 } else if !stranded.is_empty() {
                     match policy {
-                        StrandedPolicy::FullRebuild => {
-                            // Coverage loss: least-cluster-change says
-                            // this is the moment to re-elect.
-                            self.reelect();
-                            rebuild = true;
-                        }
+                        // Coverage loss: least-cluster-change says this
+                        // is the moment to re-elect.
+                        StrandedPolicy::FullRebuild => reelect = true,
                         StrandedPolicy::Elect => {
                             cost += elect_orphans(
                                 &self.graph,
@@ -1156,37 +1141,55 @@ impl ChurnEngine {
                     }
                 }
             }
-            let heads_changed = self.eval.clustering.heads != self.clustering.heads;
-            if heads_changed {
-                // A head loss or a local election. The head drop itself
-                // is forced; the *elective* part (stranded members
-                // electing replacements) is what a capped policy
-                // withholds.
-                level = RepairLevel::Full.min(self.cfg.max_level);
-            }
-            if rebuild {
-                RepairOutcome::Rebuilt {
-                    swept,
-                    orphans: orphans.len(),
-                    merged: 0,
-                }
+            if reelect {
+                // The rejoin probes are not charged: a re-election pays
+                // the full price instead.
+                self.reelection(swept, orphans.len(), 0)
             } else {
-                RepairOutcome::Patch(Patch {
+                let heads_changed = self.eval.clustering.heads != self.clustering.heads;
+                if heads_changed {
+                    // A head loss or a local election. The head drop
+                    // itself is forced; the *elective* part (stranded
+                    // members electing replacements) is what a capped
+                    // policy withholds.
+                    level = RepairLevel::Full.min(self.cfg.max_level);
+                }
+                Patch {
                     swept,
                     heads_changed,
                     level,
                     orphans: orphans.len(),
                     merged: merged_head_pairs,
                     cost,
-                })
+                }
             }
         };
         self.in_flight = Some(PhaseBoundary::Repaired);
         ReconcileState::Repaired(Box::new(Repaired {
             delta,
             churned,
-            outcome,
+            patch,
         }))
+    }
+
+    /// Re-elects globally and returns the patch publish applies for it:
+    /// a head-set change at the full level, charged a rebuild's base
+    /// price (one round per survivor; publish adds the gateway phase's
+    /// information cost). It is flagged a head-set change without
+    /// comparing head sets, so the fresh CDS is always adopted and
+    /// charged. (A fresh election replaces the heads that triggered it
+    /// anyway: it places heads more than `k` apart and every survivor
+    /// within `k` of one.)
+    fn reelection(&mut self, swept: Vec<usize>, orphans: usize, merged: usize) -> Patch {
+        self.reelect();
+        Patch {
+            swept,
+            heads_changed: true,
+            level: RepairLevel::Full,
+            orphans,
+            merged,
+            cost: self.survivors(),
+        }
     }
 
     /// Publish: refresh the evaluation, recompute the validity
@@ -1199,16 +1202,9 @@ impl ChurnEngine {
         let Repaired {
             delta,
             churned,
-            outcome,
+            patch,
         } = rep;
-        let report = match outcome {
-            RepairOutcome::Rebuilt {
-                swept,
-                orphans,
-                merged,
-            } => self.publish_reelected(&delta, churned, &swept, orphans, merged),
-            RepairOutcome::Patch(patch) => self.publish_patch(&delta, churned, patch),
-        };
+        let report = self.publish_patch(&delta, churned, patch);
         self.metrics
             .add("reconcile.cost_node_rounds", report.cost as u64);
         self.metrics.record("reconcile.cost", report.cost as u64);
@@ -1221,9 +1217,10 @@ impl ChurnEngine {
         ReconcileState::Done(report)
     }
 
-    /// Publish tail of the incremental path: evaluation refresh,
-    /// pending-plan preparation, verdict reuse, escalations, atomic
-    /// swap.
+    /// Publish tail of every incremental reconcile, a re-election
+    /// included: evaluation refresh, pending-plan repair, CDS adoption
+    /// on a head-set change, component-label advance, verdicts,
+    /// escalation, atomic swap.
     fn publish_patch(
         &mut self,
         delta: &TopologyDelta,
@@ -1245,7 +1242,7 @@ impl ChurnEngine {
         // local head change too. The report counts re-swept plus opened
         // rows.
         let dirty = self.refresh_eval(delta, &swept);
-        let pending = self.patched_plan(delta, &dirty);
+        let pending = self.patched_plan(&dirty);
 
         // Backbone check: the maintained CDS must still induce a
         // connected subgraph. A departed gateway shows up here too —
@@ -1255,8 +1252,8 @@ impl ChurnEngine {
         // of labels advanced over the delta (and over the node diff of
         // an adopted CDS), so no verdict sweeps the whole graph.
         let prior = heads_changed.then(|| {
-            // A head loss or local election changed the head set, so
-            // the maintained CDS must follow it — the lazy
+            // A head loss, local election or re-election changed the
+            // head set, so the maintained CDS must follow it — the lazy
             // gateway-adoption policy only applies while the head set
             // is stable. (Before this adoption the stale CDS could not
             // dominate an elected head, and every election escalated
@@ -1308,7 +1305,7 @@ impl ChurnEngine {
             // degraded plan and reports `valid: false`.
             self.metrics.inc("reconcile.escalations");
             self.metrics.event("reconcile.escalation", self.trace_seq);
-            return self.full_rebuild(orphans, 0);
+            return self.full_rebuild(orphans);
         }
         if let Some(plan) = pending {
             self.install_plan(plan);
@@ -1353,7 +1350,7 @@ impl ChurnEngine {
             dirty.sort_unstable();
             dirty
         };
-        let (eval, _) = pipeline::update_all_after(
+        let eval = pipeline::update_all_after(
             &self.graph,
             &self.clustering,
             delta,
@@ -1367,10 +1364,10 @@ impl ChurnEngine {
 
     /// The pending plan, `None` while routing is off: a clone of the
     /// served one (sharing its inter table until a repair writes it)
-    /// patched over `delta` from the `dirty` slots of
+    /// patched from the `dirty` slots of
     /// [`Self::refresh_eval`] — across a head-set change too, which
     /// renumbers its slots by head ID instead of compiling afresh.
-    fn patched_plan(&self, delta: &TopologyDelta, dirty: &[usize]) -> Option<RoutePlan> {
+    fn patched_plan(&self, dirty: &[usize]) -> Option<RoutePlan> {
         let current = self.route_plan.as_ref()?;
         let mut plan = {
             let _copy = self.metrics.span("reconcile.copy_ns");
@@ -1380,7 +1377,6 @@ impl ChurnEngine {
             &self.graph,
             &self.clustering,
             self.scratch.labels(),
-            delta,
             dirty,
             self.eval.selected_links(self.cfg.algorithm),
             self.scratch.parallelism(),
@@ -1413,7 +1409,10 @@ impl ChurnEngine {
     /// Re-elects the clustering from scratch on the current graph and
     /// strips departed nodes (a fresh election gives each isolated
     /// departed node a singleton cluster — removed right after, which
-    /// is exactly the §3.3 outcome for switched-off nodes).
+    /// is exactly the §3.3 outcome for switched-off nodes). Every
+    /// re-election, incremental or cold, counts once here as
+    /// `reconcile.full_rebuild` with a `reconcile.rebuild` event
+    /// carrying the new head count.
     fn reelect(&mut self) {
         let _reelect = self.metrics.span("reconcile.reelect_ns");
         let mut clustering = cluster(&self.graph, self.cfg.k, &LowestId, MemberPolicy::IdBased);
@@ -1429,85 +1428,36 @@ impl ChurnEngine {
         self.clustering = clustering;
         // Every survivor has a head again.
         self.stranded.clear();
-    }
-
-    /// Publish tail of a re-election in the repair phase. Only the work
-    /// after the election shrinks to what it changed: the evaluation is
-    /// refreshed from the labels observe advanced plus the new heads'
-    /// rows ([`Self::refresh_eval`]), the verdicts from component labels
-    /// advanced over the delta and the adopted CDS's node diff, and the
-    /// plan is repaired across the renumbering. The fresh CDS and the
-    /// full-price cost are those of [`Self::publish_rebuilt`], and so is
-    /// every output; the report counts the rows swept or opened.
-    fn publish_reelected(
-        &mut self,
-        delta: &TopologyDelta,
-        churned: Churned,
-        swept: &[usize],
-        orphans: usize,
-        merged: usize,
-    ) -> StepReport {
         self.metrics.inc("reconcile.full_rebuild");
         self.metrics
             .event("reconcile.rebuild", self.clustering.heads.len() as u64);
-        let dirty = self.refresh_eval(delta, swept);
-        let pending = self.patched_plan(delta, &dirty);
-        let prior = self.adopt_cds();
-        let alive = self.departed.iter().filter(|&&d| !d).count();
-        let cost = alive + self.information_cost();
-        {
-            let _components = self.metrics.span("reconcile.components_ns");
-            let (left, arrived) = (churned.left.as_slice(), churned.arrived.as_slice());
-            self.alive.update(&self.graph, delta, left, arrived);
-            self.advance_backbone(delta, Some(&prior));
-        }
-        {
-            let _validity = self.metrics.span("reconcile.validity_ns");
-            let _backbone = self.metrics.span("reconcile.validity.backbone_ns");
-            self.last_valid = self.backbone.is_connected() && self.dominated();
-        }
-        if let Some(plan) = pending {
-            self.install_plan(plan);
-        }
-        StepReport {
-            level: RepairLevel::Full,
-            orphans,
-            merged_head_pairs: merged,
-            cost,
-            valid: self.last_valid,
-            dirty_heads: dirty.len(),
-        }
     }
 
-    /// Publish tail of a cold rebuild (crash recovery and the publish
-    /// escalation, which lack the step's dirty set): full evaluation,
-    /// fresh CDS, full-price cost accounting, fresh verdicts, plan
-    /// republication.
-    fn publish_rebuilt(&mut self, orphans: usize, merged: usize) -> StepReport {
-        self.metrics.inc("reconcile.full_rebuild");
-        self.metrics
-            .event("reconcile.rebuild", self.clustering.heads.len() as u64);
+    /// The number of surviving (non-departed) nodes: a rebuild's base
+    /// price, one round each.
+    fn survivors(&self) -> usize {
+        self.departed.iter().filter(|&&d| !d).count()
+    }
+
+    /// Cold rebuild, for crash recovery and the publish escalation,
+    /// which lack the step's dirty set: global re-election, full
+    /// evaluation, fresh CDS, full-price cost accounting, fresh
+    /// verdicts, plan republication.
+    fn full_rebuild(&mut self, orphans: usize) -> StepReport {
+        self.reelect();
         self.eval = pipeline::run_all_with(&self.graph, &self.clustering, &mut self.scratch);
         self.adopt_cds();
-        let alive = self.departed.iter().filter(|&&d| !d).count();
-        let cost = alive + self.information_cost();
+        let cost = self.survivors() + self.information_cost();
         self.refresh_validity();
         self.republish_plan();
         StepReport {
             level: RepairLevel::Full,
             orphans,
-            merged_head_pairs: merged,
+            merged_head_pairs: 0,
             cost,
             valid: self.last_valid,
             dirty_heads: self.clustering.heads.len(),
         }
-    }
-
-    /// Global re-election plus full republication (the movement
-    /// policy's `Full` level, also the crash-recovery path).
-    fn full_rebuild(&mut self, orphans: usize, merged: usize) -> StepReport {
-        self.reelect();
-        self.publish_rebuilt(orphans, merged)
     }
 
     /// Charged cost of the gateway phase: every head's `2k+1`-hop ball.
@@ -1810,8 +1760,11 @@ mod tests {
         let r = e.step_delta(&delta);
         assert_eq!(r.level, RepairLevel::Full);
         assert!(r.merged_head_pairs > 0);
-        let alive = e.departed.iter().filter(|&&d| !d).count();
-        assert_eq!(r.cost, alive + e.information_cost(), "a rebuild's cost");
+        assert_eq!(
+            r.cost,
+            e.survivors() + e.information_cost(),
+            "a rebuild's cost"
+        );
         assert!(r.dirty_heads <= e.clustering.heads.len());
         let snap = m.snapshot();
         assert_eq!(snap.counter("reconcile.full_rebuild"), Some(1));
@@ -1828,6 +1781,42 @@ mod tests {
         assert_eq!(snap.counter("plan.headset_repairs"), Some(1));
         assert_eq!(invariants::check_all(&e), vec![]);
         assert_engine_consistent(&e, "re-election");
+    }
+
+    /// A movement delta that strands an orphan no head within k can
+    /// take re-elects through the same incremental publish as a merge:
+    /// a rebuild's level and price — the failed rejoin probe is not
+    /// charged — one re-election counted, no cold sweep, no compile.
+    #[test]
+    fn stranded_reelection_publishes_without_a_cold_sweep_or_a_compile() {
+        // k=2, one cluster at head 0. Member 2 reaches 0 through 1
+        // (2-1-0); its other route 2-5-6-0 is 3 hops. Cutting 1-2
+        // strands 2 on a still connected graph.
+        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 5), (5, 6), (6, 0), (0, 4), (4, 3)]);
+        let mut e = ChurnEngine::build(&g, MovementConfig::strict(2, Algorithm::AcLmst));
+        e.enable_routing();
+        assert_eq!(e.clustering.heads, vec![NodeId(0)]);
+        let m = Metrics::enabled();
+        e.set_metrics(m.clone());
+        let mut delta = TopologyDelta::new();
+        delta.push_removed(NodeId(1), NodeId(2));
+        let r = e.step_delta(&delta);
+        assert_eq!(r.level, RepairLevel::Full);
+        assert_eq!(r.orphans, 1);
+        assert_eq!(r.merged_head_pairs, 0);
+        assert_eq!(r.cost, e.survivors() + e.information_cost(), "no probes");
+        assert!(r.valid);
+        assert_eq!(e.clustering.heads, vec![NodeId(0), NodeId(2)]);
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("reconcile.full_rebuild"), Some(1));
+        assert_eq!(snap.counter("plan.compiled"), None, "no fresh compile");
+        assert_eq!(
+            snap.histogram("labels.sweep_ns").map(|h| h.count),
+            None,
+            "no cold sweep"
+        );
+        assert_eq!(invariants::check_all(&e), vec![]);
+        assert_engine_consistent(&e, "stranded re-election");
     }
 
     /// A metered engine reports per-phase reconcile metrics and

@@ -35,7 +35,7 @@
 //! [`TopologyDelta`](adhoc_graph::delta::TopologyDelta), only the
 //! clusterheads whose `2k+1` ball the delta touched are re-swept, and
 //! the evaluation refresh reuses every clean head's labels and
-//! canonical paths (`pipeline::update_all`). This module holds the
+//! canonical paths (`pipeline::update_all_after`). This module holds the
 //! policy's configuration, levels, and report; the engine itself is
 //! [`ChurnEngine`](crate::churn::ChurnEngine).
 //!

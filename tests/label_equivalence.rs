@@ -2,7 +2,7 @@
 //! ball-indexed [`HeadLabels`] must equal a fresh per-head
 //! [`bfs::BfsScratch`] run — each distance, and the ball in BFS
 //! discovery order — through cold `pipeline::run_all` builds,
-//! delta-driven `pipeline::update_all` chains, and `HeadLabels::advance`
+//! delta-driven `pipeline::update_all_after` chains, and `HeadLabels::advance`
 //! chains that mix deltas with head gains and losses, for k ∈ 1..=4 on
 //! 1 to 3 workers. The products the pipeline derives from the rows are
 //! checked against the same oracle:
@@ -90,9 +90,9 @@ proptest! {
         assert_nc_matches_bfs(&net.graph, &c, &eval, "cold");
     }
 
-    /// Chained deltas through `update_all` (dirty-row repair) keep every
-    /// row equal to the BFS oracle on the live graph, and every
-    /// selection equal to a cold evaluation.
+    /// Chained deltas through `advance_labels` + `update_all_after`
+    /// (dirty-row repair) keep every row equal to the BFS oracle on the
+    /// live graph, and every selection equal to a cold evaluation.
     #[test]
     fn update_all_chain_dense_equals_sparse(
         seed in 0u64..1_000_000,
@@ -127,7 +127,8 @@ proptest! {
                 }
             }
             delta.normalize();
-            let (next, _) = pipeline::update_all(&g, &c, &delta, &prev, &mut scratch);
+            let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+            let next = pipeline::update_all_after(&g, &c, &delta, &swept, &prev, &mut scratch);
             let ctx = format!("step {step}");
             assert_labels_match_bfs(&g, scratch.labels(), &ctx);
             assert_nc_matches_bfs(&g, &c, &next, &ctx);
