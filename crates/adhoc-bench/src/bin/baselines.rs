@@ -5,20 +5,54 @@
 //!   experiment quantifies the head-count and CDS cost of that choice.
 //! * **border-node gateways** (k = 1 only): the classical baseline
 //!   versus A-NCR + LMSTGA.
+//! * **canonical vs per-endpoint gateway paths**: both endpoints of a
+//!   virtual link must mark the *same* gateways, which the library
+//!   guarantees by taking the lexicographically smallest shortest path.
+//!   A distributed implementation that skips that agreement has each
+//!   endpoint extract a path from its own BFS tree, and both paths'
+//!   interiors end up marked. This measures the gateway inflation
+//!   canonicalization avoids.
 //!
 //! Usage: `cargo run --release -p adhoc-bench --bin baselines [--quick]`
 
 use adhoc_bench::quick_mode;
 use adhoc_bench::stats::summarize;
+use adhoc_cluster::adjacency::NeighborRule;
 use adhoc_cluster::border;
 use adhoc_cluster::cds::Cds;
 use adhoc_cluster::clustering::{cluster, MemberPolicy};
 use adhoc_cluster::core_algorithm::{core_cluster, verify_core};
+use adhoc_cluster::gateway;
 use adhoc_cluster::pipeline::{run_on, Algorithm};
 use adhoc_cluster::priority::LowestId;
+use adhoc_cluster::virtual_graph::VirtualGraph;
+use adhoc_graph::bfs::BfsScratch;
 use adhoc_graph::gen::{self, GeometricConfig};
+use adhoc_graph::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
+
+/// Gateways when each endpoint of every realized link extracts a path
+/// from its own BFS parent tree (no cross-endpoint agreement).
+fn gateways_without_agreement(
+    g: &Graph,
+    links: &[(NodeId, NodeId)],
+    heads: &[NodeId],
+    bound: u32,
+) -> usize {
+    let mut marked: BTreeSet<NodeId> = BTreeSet::new();
+    let mut scratch = BfsScratch::new(g.len());
+    for &(a, b) in links {
+        for (src, dst) in [(a, b), (b, a)] {
+            scratch.run(g, src, bound);
+            let path = scratch.path_to(dst).expect("link endpoints reachable");
+            marked.extend(&path[1..path.len() - 1]);
+        }
+    }
+    marked.retain(|v| heads.binary_search(v).is_err());
+    marked.len()
+}
 
 fn main() {
     let reps = if quick_mode() { 5 } else { 50 };
@@ -75,6 +109,36 @@ fn main() {
             summarize(&m).mean,
             summarize(&l).mean,
             summarize(&g).mean
+        );
+    }
+
+    println!("\n== canonical vs per-endpoint gateway paths (k=2, D=6, AC-LMST) ==");
+    println!(
+        "{:>4} {:>10} {:>13} {:>10}",
+        "N", "canonical", "per-endpoint", "inflation"
+    );
+    let k = 2u32;
+    for n in [100usize, 200] {
+        let (mut canon, mut arbitrary) = (vec![], vec![]);
+        for rep in 0..reps {
+            let mut rng = StdRng::seed_from_u64(0x71EB + rep as u64 * 37 + n as u64);
+            let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
+            let cl = cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
+            let vg = VirtualGraph::build(&net.graph, &cl, NeighborRule::Adjacent);
+            let sel = gateway::lmstga(&vg, &cl);
+            let free =
+                gateways_without_agreement(&net.graph, &sel.links_used, &cl.heads, 2 * k + 1);
+            assert!(
+                free >= sel.gateway_count(),
+                "per-endpoint paths can never use fewer gateways"
+            );
+            canon.push(sel.gateway_count() as f64);
+            arbitrary.push(free as f64);
+        }
+        let (c, a) = (summarize(&canon).mean, summarize(&arbitrary).mean);
+        println!(
+            "{n:>4} {c:>10.1} {a:>13.1} {:>9.0}%",
+            100.0 * (a - c) / c.max(1.0)
         );
     }
 }

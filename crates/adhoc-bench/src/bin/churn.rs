@@ -42,7 +42,8 @@
 //! measurement), then re-reads and re-parses it. Surfaced on the CLI as
 //! `khop churn`.
 
-use adhoc_bench::{probe, quick_mode, results_dir, run_mode};
+use adhoc_bench::record::write_record;
+use adhoc_bench::{probe, quick_mode};
 use adhoc_cluster::clustering::Clustering;
 use adhoc_cluster::pipeline::{self, Algorithm, AlgorithmSet, EvalScratch, EvaluationOutput};
 use adhoc_graph::gen::{self, GeometricConfig, SpatialGrid};
@@ -55,7 +56,7 @@ use adhoc_sim::mobility::{
 use adhoc_sim::movement::MovementConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::{json, Value};
+use serde_json::json;
 use std::time::Instant;
 
 const K: u32 = 2;
@@ -269,16 +270,6 @@ fn run_rebuild(traj: &[Vec<Point>], range: f64, clusterings: &[Clustering]) -> C
     }
 }
 
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 fn main() {
     // Ten mobile nodes over a static field (data mules crossing a
     // sensor deployment) at every size — the localized-churn regime
@@ -383,26 +374,13 @@ fn main() {
         "rounds": rounds,
         "mobile_nodes": mobile_nodes,
     });
-    let doc = json!({
-        "schema": "khop-churn/v1",
-        "git": git_describe(),
-        "mode": run_mode(),
-        "quick": quick_mode(),
-        "grid": grid_run,
-        "metrics": probe::reference_metrics_section(),
-        "cells": cells,
-    });
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(if quick_mode() {
-        "BENCH_churn_quick.json"
-    } else {
-        "BENCH_churn.json"
-    });
-    std::fs::write(&path, format!("{doc:#}\n")).expect("write BENCH_churn.json");
-    let raw = std::fs::read_to_string(&path).expect("read back BENCH_churn.json");
-    let parsed: Value = serde_json::from_str(&raw).expect("BENCH_churn.json must parse");
-    assert_eq!(parsed["schema"], "khop-churn/v1");
-    assert!(!parsed["cells"].as_array().expect("cells").is_empty());
-    println!("wrote {}", path.display());
+    write_record(
+        "BENCH_churn",
+        "khop-churn/v1",
+        json!({
+            "grid": grid_run,
+            "metrics": probe::reference_metrics_section(),
+            "cells": cells,
+        }),
+    );
 }

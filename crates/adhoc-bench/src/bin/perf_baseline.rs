@@ -41,7 +41,8 @@
 //! plus one engine-only cell that carries the metered-overhead arm).
 
 use adhoc_bench::harness::CellConfig;
-use adhoc_bench::{probe, quick_mode, results_dir, run_mode};
+use adhoc_bench::record::{best_of, write_record};
+use adhoc_bench::{probe, quick_mode};
 use adhoc_cluster::clustering::{self, Clustering, MemberPolicy};
 use adhoc_cluster::gateway::GatewaySelection;
 use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch};
@@ -53,7 +54,6 @@ use adhoc_graph::Csr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
-use std::time::Instant;
 
 /// The evaluation dataflow exactly as it stood before the single-sweep
 /// engine, reproduced from the seed sources so the baseline is measured
@@ -260,7 +260,7 @@ struct Cell {
     k: u32,
     reps: usize,
     /// Timed rounds after the warmup pass (min is reported).
-    rounds: u32,
+    rounds: usize,
     /// Whether the seed and `run_on` arms run (the engine-only cells
     /// are the large ones, where both legacy arms are quadratic-plus).
     full_arms: bool,
@@ -281,7 +281,7 @@ impl Cell {
         }
     }
 
-    fn engine_only(n: usize, d: f64, k: u32, reps: usize, rounds: u32) -> Cell {
+    fn engine_only(n: usize, d: f64, k: u32, reps: usize, rounds: usize) -> Cell {
         Cell {
             n,
             d,
@@ -364,57 +364,33 @@ fn checksum(acc: &mut u64, heads: usize, sel: &GatewaySelection, cds: usize) {
     }
 }
 
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// One untimed warmup pass plus `rounds` timed passes; returns the
-/// *fastest* round and the (round-invariant) checksum. Min-time is the
-/// standard estimator on noisy shared machines — scheduler preemption
-/// only ever inflates a round, so the minimum is the most reproducible
-/// approximation of the true cost.
-fn time_arm(rounds: u32, mut pass: impl FnMut() -> u64) -> (f64, u64) {
-    let mut secs = f64::INFINITY;
+/// One pass of the engine over `inputs` with `scratch`: returns the
+/// metrics checksum.
+fn engine_pass(inputs: &[(Csr, Clustering)], scratch: &mut EvalScratch) -> u64 {
     let mut sum = 0u64;
-    for round in 0..=rounds {
-        let t = Instant::now();
-        sum = pass();
-        if round > 0 {
-            secs = secs.min(t.elapsed().as_secs_f64());
+    for (csr, clustering) in inputs {
+        let eval = pipeline::run_all_with(csr, clustering, scratch);
+        for alg in Algorithm::ALL {
+            let out = eval.of(alg);
+            checksum(
+                &mut sum,
+                clustering.head_count(),
+                &out.selection,
+                out.cds.size(),
+            );
         }
     }
-    (secs, sum)
+    sum
 }
 
 /// Times the engine over `inputs` with the given warm scratch:
 /// returns (fastest round, metrics checksum, final arena bytes).
 fn engine_arm(
     inputs: &[(Csr, Clustering)],
-    rounds: u32,
+    rounds: usize,
     mut scratch: EvalScratch,
 ) -> (f64, u64, usize) {
-    let (secs, sum) = time_arm(rounds, || {
-        let mut sum = 0u64;
-        for (csr, clustering) in inputs {
-            let eval = pipeline::run_all_with(csr, clustering, &mut scratch);
-            for alg in Algorithm::ALL {
-                let out = eval.of(alg);
-                checksum(
-                    &mut sum,
-                    clustering.head_count(),
-                    &out.selection,
-                    out.cds.size(),
-                );
-            }
-        }
-        sum
-    });
+    let (secs, sum) = best_of(rounds, None, || engine_pass(inputs, &mut scratch));
     (secs, sum, scratch.labels_memory_bytes())
 }
 
@@ -462,21 +438,24 @@ fn main() {
         }
 
         // Metrics-on overhead arm (largest grid cell only): the same
-        // serial engine with an enabled registry, interleaved with a
-        // fresh metrics-off reference so both mins see the same
+        // serial engine with an enabled registry, interleaved round by
+        // round with a fresh metrics-off reference (each round one
+        // warmed, timed window per arm) so both mins see the same
         // machine state. The disabled path is one predictable branch
         // per site; anything near the 3% acceptance bound means a hot
         // loop started touching the registry.
         if cell.n == largest_n {
-            let rounds = cell.rounds.max(3);
-            let (off_secs, off_sum, _) = engine_arm(
-                &inputs,
-                rounds,
-                EvalScratch::with_workers(Parallelism::new(1)),
-            );
-            let mut metered = EvalScratch::with_workers(Parallelism::new(1));
-            metered.set_metrics(Metrics::enabled());
-            let (on_secs, on_sum, _) = engine_arm(&inputs, rounds, metered);
+            let mut off = EvalScratch::with_workers(Parallelism::new(1));
+            let mut on = EvalScratch::with_workers(Parallelism::new(1));
+            on.set_metrics(Metrics::enabled());
+            let (mut off_secs, mut on_secs) = (f64::INFINITY, f64::INFINITY);
+            let (mut off_sum, mut on_sum) = (0, 0);
+            for _ in 0..cell.rounds.max(3) {
+                let (secs, sum) = best_of(1, None, || engine_pass(&inputs, &mut off));
+                (off_secs, off_sum) = (off_secs.min(secs), sum);
+                let (secs, sum) = best_of(1, None, || engine_pass(&inputs, &mut on));
+                (on_secs, on_sum) = (on_secs.min(secs), sum);
+            }
             assert_eq!(
                 on_sum, off_sum,
                 "metrics-on engine diverged on n={} d={} k={}",
@@ -503,7 +482,7 @@ fn main() {
         // Legacy arms: the pre-refactor dataflow and the per-algorithm
         // wrapper (skipped on the engine-only cells).
         let legacy = cell.full_arms.then(|| {
-            let (seed_secs, seed_sum) = time_arm(cell.rounds, || {
+            let (seed_secs, seed_sum) = best_of(cell.rounds, None, || {
                 let mut sum = 0u64;
                 for (csr, clustering) in &inputs {
                     for alg in Algorithm::ALL {
@@ -518,7 +497,7 @@ fn main() {
                 }
                 sum
             });
-            let (run_on_secs, run_on_sum) = time_arm(cell.rounds, || {
+            let (run_on_secs, run_on_sum) = best_of(cell.rounds, None, || {
                 let mut sum = 0u64;
                 for (csr, clustering) in &inputs {
                     for alg in Algorithm::ALL {
@@ -603,39 +582,17 @@ fn main() {
         .iter()
         .map(|c| json!({"n": c.n, "d": c.d, "k": c.k, "reps": c.reps}))
         .collect();
-    let doc = json!({
-        "schema": "khop-perf-baseline/v3",
-        "git": git_describe(),
-        "mode": run_mode(),
-        "quick": quick_mode(),
-        "large": large_mode(),
-        "grid": grid_run,
-        "host_cores": Parallelism::available().workers(),
-        "geomean_speedup_vs_seed": geomean,
-        "metrics_overhead": metrics_overhead.unwrap_or(Value::Null),
-        "metrics": probe::reference_metrics_section(),
-        "cells": cells,
-    });
-
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    // Quick runs get their own file so a CI-style smoke run can never
-    // clobber the committed full-grid trajectory record.
-    let path = dir.join(if quick_mode() {
-        "BENCH_pipeline_quick.json"
-    } else {
-        "BENCH_pipeline.json"
-    });
-    std::fs::write(&path, format!("{doc:#}\n")).expect("write BENCH_pipeline.json");
-
-    // Round-trip sanity: re-read and re-parse what was written so a
-    // serialization bug fails loudly (this is the CI check).
-    let raw = std::fs::read_to_string(&path).expect("read back BENCH_pipeline.json");
-    let parsed: Value = serde_json::from_str(&raw).expect("BENCH_pipeline.json must parse");
-    assert_eq!(parsed["schema"], "khop-perf-baseline/v3");
-    assert!(
-        !parsed["cells"].as_array().expect("cells array").is_empty(),
-        "baseline must contain at least one cell"
+    write_record(
+        "BENCH_pipeline",
+        "khop-perf-baseline/v3",
+        json!({
+            "large": large_mode(),
+            "grid": grid_run,
+            "host_cores": Parallelism::available().workers(),
+            "geomean_speedup_vs_seed": geomean,
+            "metrics_overhead": metrics_overhead.unwrap_or(Value::Null),
+            "metrics": probe::reference_metrics_section(),
+            "cells": cells,
+        }),
     );
-    println!("wrote {}", path.display());
 }

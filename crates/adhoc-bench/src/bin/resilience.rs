@@ -21,6 +21,9 @@
 //! * **stretch** — routed hops over the true alive-subgraph shortest
 //!   path, for the pairs the live plan still serves.
 //!
+//! Both plans go through [`adversary::reachability`], the probe
+//! `khop resilience` uses too.
+//!
 //! After the attack, the network *heals*: a flash-crowd arrival burst
 //! ([`adversary::heal`]) returns every victim through the stateful
 //! arrival path, and the bench records the repair latency — wall-clock
@@ -35,11 +38,13 @@
 //! measurement (quick runs write `BENCH_resilience_quick.json`, so CI
 //! can never clobber it). Surfaced on the CLI as `khop resilience`.
 
-use adhoc_bench::{probe, quick_mode, results_dir, run_mode};
+use adhoc_bench::record::write_record;
+use adhoc_bench::{probe, quick_mode};
 use adhoc_cluster::pipeline::Algorithm;
 use adhoc_cluster::routing::RoutePlan;
+use adhoc_graph::bfs::BfsScratch;
 use adhoc_graph::gen::{self, GeometricConfig};
-use adhoc_graph::graph::{Graph, NodeId};
+use adhoc_graph::graph::NodeId;
 use adhoc_graph::par::{self, Parallelism};
 use adhoc_sim::adversary::{self, AttackKind};
 use adhoc_sim::churn::ChurnEngine;
@@ -47,162 +52,34 @@ use adhoc_sim::movement::{MovementConfig, RepairLevel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
-use std::collections::VecDeque;
 use std::time::Instant;
 
 const K: u32 = 2;
 
-/// Component id per alive node (`u32::MAX` for departed), by BFS over
-/// the engine's current graph (departed nodes are isolated there, but
-/// the explicit mask keeps the denominator honest regardless).
-fn alive_components(g: &Graph, departed: &dyn Fn(NodeId) -> bool) -> Vec<u32> {
-    let n = g.len();
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = VecDeque::new();
-    for s in g.nodes() {
-        if departed(s) || comp[s.index()] != u32::MAX {
-            continue;
-        }
-        comp[s.index()] = next;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
-                if !departed(v) && comp[v.index()] == u32::MAX {
-                    comp[v.index()] = next;
-                    queue.push_back(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
-/// True shortest alive-path length, or `None` if disconnected.
-fn bfs_dist(g: &Graph, departed: &dyn Fn(NodeId) -> bool, u: NodeId, v: NodeId) -> Option<u32> {
-    if u == v {
-        return Some(0);
-    }
-    let mut dist = vec![u32::MAX; g.len()];
-    dist[u.index()] = 0;
-    let mut queue = VecDeque::from([u]);
-    while let Some(x) = queue.pop_front() {
-        for &y in g.neighbors(x) {
-            if !departed(y) && dist[y.index()] == u32::MAX {
-                dist[y.index()] = dist[x.index()] + 1;
-                if y == v {
-                    return Some(dist[y.index()]);
-                }
-                queue.push_back(y);
-            }
-        }
-    }
-    None
-}
-
-/// Routes `u -> v` on `plan` and validates the returned walk against
-/// the *current* topology: every hop alive, every step an existing
-/// edge. A stale plan fails here exactly where the attack broke it.
-fn route_ok(
-    plan: &RoutePlan,
-    g: &Graph,
-    departed: &dyn Fn(NodeId) -> bool,
-    u: NodeId,
-    v: NodeId,
-    buf: &mut Vec<NodeId>,
-) -> Option<u32> {
-    let hops = plan.route_into(u, v, buf)?;
-    for pair in buf.windows(2) {
-        if departed(pair[0]) || departed(pair[1]) || !g.neighbors(pair[0]).contains(&pair[1]) {
-            return None;
-        }
-    }
-    if buf.iter().any(|&x| departed(x)) {
-        return None;
-    }
-    Some(hops)
-}
-
-struct Reach {
-    /// Sampled pairs with both endpoints alive.
-    alive_pairs: usize,
-    /// Alive pairs the surviving topology connects at all.
-    achievable: usize,
-    /// Pairs the plan routed with a walk that verifies on the current
-    /// topology.
-    routed: usize,
-}
-
-impl Reach {
-    fn of_achievable(&self) -> f64 {
-        if self.achievable == 0 {
-            1.0
-        } else {
-            self.routed as f64 / self.achievable as f64
-        }
-    }
-
-    fn of_alive(&self) -> f64 {
-        if self.alive_pairs == 0 {
-            1.0
-        } else {
-            self.routed as f64 / self.alive_pairs as f64
-        }
-    }
-}
-
-fn measure(
-    plan: &RoutePlan,
-    g: &Graph,
-    departed: &dyn Fn(NodeId) -> bool,
-    comp: &[u32],
-    pairs: &[(NodeId, NodeId)],
-) -> Reach {
-    let mut buf = Vec::new();
-    let mut reach = Reach {
-        alive_pairs: 0,
-        achievable: 0,
-        routed: 0,
-    };
-    for &(u, v) in pairs {
-        if departed(u) || departed(v) {
-            continue;
-        }
-        reach.alive_pairs += 1;
-        if comp[u.index()] == comp[v.index()] {
-            reach.achievable += 1;
-        }
-        if route_ok(plan, g, departed, u, v, &mut buf).is_some() {
-            reach.routed += 1;
-        }
-    }
-    reach
-}
-
-/// Mean multiplicative stretch of the plan's verified walks over the
-/// true alive shortest paths, on the first `limit` routable sampled
-/// pairs (`None` when nothing routes).
+/// Mean multiplicative stretch of the plan's live walks over the true
+/// shortest paths among the survivors, on the first `limit` routable
+/// sampled pairs (`None` when nothing routes). Departed nodes are
+/// isolated in the engine's graph, so a plain BFS stays among them.
 fn mean_stretch(
     plan: &RoutePlan,
-    g: &Graph,
-    departed: &dyn Fn(NodeId) -> bool,
+    engine: &ChurnEngine,
     pairs: &[(NodeId, NodeId)],
     limit: usize,
 ) -> Option<f64> {
     let mut buf = Vec::new();
+    let mut bfs = BfsScratch::new(engine.graph().len());
     let mut sum = 0.0;
     let mut count = 0usize;
     for &(u, v) in pairs {
         if count >= limit {
             break;
         }
-        if departed(u) || departed(v) {
+        if engine.is_departed(u) || engine.is_departed(v) {
             continue;
         }
-        if let Some(hops) = route_ok(plan, g, departed, u, v, &mut buf) {
-            let true_dist =
-                bfs_dist(g, departed, u, v).expect("a verified walk implies alive connectivity");
+        if let Some(hops) = adversary::live_walk(plan, engine, u, v, &mut buf) {
+            bfs.run(engine.graph(), u, u32::MAX);
+            let true_dist = bfs.dist(v);
             if true_dist > 0 {
                 sum += f64::from(hops) / f64::from(true_dist);
                 count += 1;
@@ -212,39 +89,31 @@ fn mean_stretch(
     (count > 0).then(|| sum / count as f64)
 }
 
-/// Exhaustive (all alive pairs) verification that the live plan serves
+/// Exhaustive (all alive pairs) verification that the plan serves
 /// everything the surviving topology connects. Returns (routed,
 /// achievable). The O(alive²) probe fans the outer sources across the
 /// shared worker pool; per-chunk counts sum to the same totals for any
 /// worker count (each unordered pair is probed exactly once, from its
 /// lower-indexed endpoint).
-fn exhaustive_reach(
-    plan: &RoutePlan,
-    g: &Graph,
-    departed: &(dyn Fn(NodeId) -> bool + Sync),
-    comp: &[u32],
-    par: Parallelism,
-) -> (usize, usize) {
-    let alive: Vec<NodeId> = g.nodes().filter(|&v| !departed(v)).collect();
+fn exhaustive_reach(plan: &RoutePlan, engine: &ChurnEngine, par: Parallelism) -> (usize, usize) {
+    let alive: Vec<NodeId> = engine
+        .graph()
+        .nodes()
+        .filter(|&v| !engine.is_departed(v))
+        .collect();
     let counts = par::scoped_chunks(par.workers(), alive.len(), (), |off, take, ()| {
-        let mut buf = Vec::new();
-        let (mut routed, mut achievable) = (0usize, 0usize);
-        for (i, &u) in alive.iter().enumerate().skip(off).take(take) {
-            for &v in &alive[i + 1..] {
-                if comp[u.index()] != comp[v.index()] {
-                    continue;
-                }
-                achievable += 1;
-                if route_ok(plan, g, departed, u, v, &mut buf).is_some() {
-                    routed += 1;
-                }
-            }
-        }
-        (routed, achievable)
+        let pairs: Vec<(NodeId, NodeId)> = alive
+            .iter()
+            .enumerate()
+            .skip(off)
+            .take(take)
+            .flat_map(|(i, &u)| alive[i + 1..].iter().map(move |&v| (u, v)))
+            .collect();
+        adversary::reachability(plan, engine, &pairs)
     });
     counts
         .into_iter()
-        .fold((0, 0), |(r, a), (cr, ca)| (r + cr, a + ca))
+        .fold((0, 0), |(r, a), c| (r + c.routed, a + c.achievable))
 }
 
 fn sample_pairs(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
@@ -258,16 +127,6 @@ fn sample_pairs(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
         }
     }
     pairs
-}
-
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 struct Cell {
@@ -306,14 +165,7 @@ fn run_cell(cell: &Cell) -> Value {
     let stale_epoch = stale.epoch();
 
     let pairs = sample_pairs(n, pair_count, seed ^ 0x5A5A);
-    let departed_of = |e: &ChurnEngine| {
-        let flags: Vec<bool> = net.graph.nodes().map(|v| e.is_departed(v)).collect();
-        move |v: NodeId| flags[v.index()]
-    };
-
-    let dep0 = departed_of(&engine);
-    let comp0 = alive_components(engine.graph(), &dep0);
-    let base = measure(&stale, engine.graph(), &dep0, &comp0, &pairs);
+    let base = adversary::reachability(&stale, &engine, &pairs);
 
     let victims = adversary::select_victims(
         &engine,
@@ -337,18 +189,16 @@ fn run_cell(cell: &Cell) -> Value {
         worst_level = worst_level.max(report.level);
         let removed = i + 1;
         if removed % chunk == 0 || removed == victims.len() {
-            let dep = departed_of(&engine);
-            let comp = alive_components(engine.graph(), &dep);
-            let s = measure(&stale, engine.graph(), &dep, &comp, &pairs);
+            let s = adversary::reachability(&stale, &engine, &pairs);
             let live_plan = engine.route_plan().expect("maintained");
-            let l = measure(live_plan, engine.graph(), &dep, &comp, &pairs);
+            let l = adversary::reachability(live_plan, &engine, &pairs);
             curve.push(json!({
                 "removed": removed,
                 "stale_reachability": s.of_alive(),
                 "live_reachability": l.of_alive(),
                 "live_reachability_of_achievable": l.of_achievable(),
-                "achievable_fraction": if l.alive_pairs == 0 { 1.0 }
-                    else { l.achievable as f64 / l.alive_pairs as f64 },
+                "achievable_fraction": if l.alive == 0 { 1.0 }
+                    else { l.achievable as f64 / l.alive as f64 },
                 "live_epoch": live_plan.epoch(),
             }));
         }
@@ -356,13 +206,11 @@ fn run_cell(cell: &Cell) -> Value {
 
     // Post-attack verdicts: sampled stretch plus the exhaustive
     // achievable-ceiling check the Full cells are held to.
-    let dep = departed_of(&engine);
-    let comp = alive_components(engine.graph(), &dep);
-    let stale_post = measure(&stale, engine.graph(), &dep, &comp, &pairs);
+    let stale_post = adversary::reachability(&stale, &engine, &pairs);
     let live_plan = engine.route_plan().expect("maintained");
-    let live_post = measure(live_plan, engine.graph(), &dep, &comp, &pairs);
-    let stretch = mean_stretch(live_plan, engine.graph(), &dep, &pairs, 250);
-    let (ex_routed, ex_achievable) = exhaustive_reach(live_plan, engine.graph(), &dep, &comp, par);
+    let live_post = adversary::reachability(live_plan, &engine, &pairs);
+    let stretch = mean_stretch(live_plan, &engine, &pairs, 250);
+    let (ex_routed, ex_achievable) = exhaustive_reach(live_plan, &engine, par);
     if level == RepairLevel::Full {
         assert_eq!(
             ex_routed,
@@ -389,29 +237,19 @@ fn run_cell(cell: &Cell) -> Value {
         engine.arrive(v, &neighbors);
         heal_engine_secs += t.elapsed().as_secs_f64();
         if to_full.is_none() {
-            let dep = departed_of(&engine);
-            let comp = alive_components(engine.graph(), &dep);
-            let r = measure(
-                engine.route_plan().expect("maintained"),
-                engine.graph(),
-                &dep,
-                &comp,
-                &pairs,
-            );
+            let r =
+                adversary::reachability(engine.route_plan().expect("maintained"), &engine, &pairs);
             // "100%" means every sampled endpoint is back AND every
             // achievable sampled pair routes — stragglers still
             // departed keep the clock running, pairs the reference
             // topology never connected don't count against it.
-            if r.alive_pairs == pairs.len() && r.routed == r.achievable {
+            if r.alive == pairs.len() && r.routed == r.achievable {
                 to_full = Some((i + 1, heal_engine_secs));
             }
         }
     }
-    let dep = departed_of(&engine);
-    let comp = alive_components(engine.graph(), &dep);
     let final_plan = engine.route_plan().expect("maintained");
-    let (fin_routed, fin_achievable) =
-        exhaustive_reach(final_plan, engine.graph(), &dep, &comp, par);
+    let (fin_routed, fin_achievable) = exhaustive_reach(final_plan, &engine, par);
     let restored =
         adhoc_graph::delta::TopologyDelta::between(engine.graph(), &net.graph).is_empty();
     assert!(restored, "heal must restore the reference topology");
@@ -441,7 +279,7 @@ fn run_cell(cell: &Cell) -> Value {
         "inter_bytes": final_plan.inter_memory_bytes(),
         "baseline": json!({
             "reachability": base.of_alive(),
-            "achievable_fraction": base.achievable as f64 / base.alive_pairs.max(1) as f64,
+            "achievable_fraction": base.achievable as f64 / base.alive.max(1) as f64,
         }),
         "curve": curve,
         "post_attack": json!({
@@ -533,28 +371,15 @@ fn main() {
         "attacks": AttackKind::ALL.iter().map(|a| a.name()).collect::<Vec<_>>(),
         "repair_levels": levels.iter().map(|l| l.name()).collect::<Vec<_>>(),
     });
-    let doc = json!({
-        "schema": "khop-resilience/v1",
-        "git": git_describe(),
-        "mode": run_mode(),
-        "quick": quick_mode(),
-        "grid": grid_run,
-        "metrics": probe::reference_metrics_section(),
-        "workers": Parallelism::default().workers(),
-        "host_cores": Parallelism::available().workers(),
-        "cells": cells,
-    });
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(if quick_mode() {
-        "BENCH_resilience_quick.json"
-    } else {
-        "BENCH_resilience.json"
-    });
-    std::fs::write(&path, format!("{doc:#}\n")).expect("write BENCH_resilience.json");
-    let raw = std::fs::read_to_string(&path).expect("read back BENCH_resilience.json");
-    let parsed: Value = serde_json::from_str(&raw).expect("BENCH_resilience.json must parse");
-    assert_eq!(parsed["schema"], "khop-resilience/v1");
-    assert!(!parsed["cells"].as_array().expect("cells").is_empty());
-    println!("wrote {}", path.display());
+    write_record(
+        "BENCH_resilience",
+        "khop-resilience/v1",
+        json!({
+            "grid": grid_run,
+            "metrics": probe::reference_metrics_section(),
+            "workers": Parallelism::default().workers(),
+            "host_cores": Parallelism::available().workers(),
+            "cells": cells,
+        }),
+    );
 }

@@ -10,6 +10,13 @@
 //! * [`svg`] — Figure-4-style cluster graph snapshots.
 //! * [`plot`] — paper-style SVG line charts rendered from saved
 //!   figure JSON (`bin/plot`).
+//! * [`record`] — what the four record bins share: the
+//!   `results/BENCH_*.json` writer ([`record::write_record`]), the git
+//!   stamp and the one timer ([`record::best_of`]).
+//! * [`probe`] — the metered reference workload every record embeds.
+//!
+//! Timings live in the record bins and in the gating benchmark
+//! (`perfbench/`); there is no separate microbenchmark harness.
 //!
 //! The `src/bin` binaries regenerate each figure:
 //!
@@ -28,6 +35,8 @@
 //! | `movement` | §5 movement-sensitive maintenance vs rebuild-every-step |
 //! | `churn` | incremental delta engine vs rebuild-every-step across mobility models × N (`results/BENCH_churn.json`) |
 //! | `routing_serve` | compiled route-plan serving vs per-query-BFS routing, single- and multi-worker, checksummed-equal walks (`results/BENCH_routing.json`) |
+//! | `perf_baseline` | evaluation-engine wall clock vs the seed dataflow and `run_on`, with the metrics-overhead guard (`results/BENCH_pipeline.json`) |
+//! | `resilience` | stale vs live plan reachability under adversarial churn, and heal latency (`results/BENCH_resilience.json`) |
 //! | `scalability` | pipeline wall time out to N = 4000 at fixed density |
 //! | `quasi` | the Figure-5 comparison on quasi-UDG radios |
 //! | `claims_ext` | extension claims 1–5, checked programmatically |
@@ -40,6 +49,7 @@ pub mod figures;
 pub mod harness;
 pub mod plot;
 pub mod probe;
+pub mod record;
 pub mod stats;
 pub mod svg;
 

@@ -7,8 +7,7 @@
 //! destroy connectivity as fast as possible — so the resilience bench
 //! can measure *degradation* (how far reachability and stretch fall
 //! while the attack runs) and *recovery* (how many reconciles until
-//! the served [`RoutePlan`](adhoc_cluster::routing::RoutePlan) routes
-//! 100% of feasible pairs again).
+//! the served [`RoutePlan`] routes 100% of feasible pairs again).
 //!
 //! Four attack shapes, in decreasing order of topological insight:
 //!
@@ -29,9 +28,18 @@
 //! stress exactly the observe/repair/publish path production traffic
 //! uses, and [`heal`] doubles as the flash-crowd arrival burst (a
 //! stream of `arrive` reconciles against a degraded field).
+//!
+//! The reachability probe measures what an attack costs a reader of a
+//! route plan. [`live_walk`] validates one plan's walk against the
+//! engine's live state, and [`reachability`] counts sampled pairs
+//! whose endpoints are alive, that the surviving topology connects,
+//! and that the plan delivers. The plan may be the live one or a stale
+//! one pinned before the attack. Survivor components are read from the
+//! engine's maintained labels ([`ChurnEngine::survivor_components`]).
 
 use crate::churn::{BatchOp, ChurnEngine};
 use crate::movement::StepReport;
+use adhoc_cluster::routing::RoutePlan;
 use adhoc_graph::geom::Point;
 use adhoc_graph::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -291,12 +299,89 @@ pub fn heal(engine: &mut ChurnEngine, reference: &Graph, returnees: &[NodeId]) -
     engine.reconcile_batch(&ops)
 }
 
+/// Routes `u -> v` on `plan` into `buf` and validates the walk against
+/// the engine's live state: every node on it alive and every step a
+/// current radio edge. Returns the walk's hop count, or `None` when the
+/// plan has no route or its walk runs through a departed relay or a
+/// vanished edge (what a stale plan does once an attack has run).
+pub fn live_walk(
+    plan: &RoutePlan,
+    engine: &ChurnEngine,
+    u: NodeId,
+    v: NodeId,
+    buf: &mut Vec<NodeId>,
+) -> Option<u32> {
+    let hops = plan.route_into(u, v, buf)?;
+    let live = buf.iter().all(|&x| !engine.is_departed(x))
+        && buf
+            .windows(2)
+            .all(|step| engine.graph().neighbors(step[0]).contains(&step[1]));
+    live.then_some(hops)
+}
+
+/// Reachability of a batch of node pairs under one route plan, against
+/// the engine's live state.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Reach {
+    /// Pairs with both endpoints alive.
+    pub alive: usize,
+    /// Alive pairs in one survivor component: the pairs any plan could
+    /// route.
+    pub achievable: usize,
+    /// Achievable pairs the plan routes with a [`live_walk`].
+    pub routed: usize,
+}
+
+impl Reach {
+    /// Routed share of the alive pairs (1 when none is alive).
+    pub fn of_alive(&self) -> f64 {
+        share(self.routed, self.alive)
+    }
+
+    /// Routed share of the achievable pairs (1 when none is).
+    pub fn of_achievable(&self) -> f64 {
+        share(self.routed, self.achievable)
+    }
+}
+
+fn share(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        1.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// Counts `pairs` under `plan` against the engine's live state (see
+/// [`Reach`]). A valid walk joins its endpoints through survivors, so
+/// only achievable pairs are routed.
+pub fn reachability(plan: &RoutePlan, engine: &ChurnEngine, pairs: &[(NodeId, NodeId)]) -> Reach {
+    let components = engine.survivor_components();
+    let mut buf = Vec::new();
+    let mut reach = Reach::default();
+    for &(u, v) in pairs {
+        if engine.is_departed(u) || engine.is_departed(v) {
+            continue;
+        }
+        reach.alive += 1;
+        if !components.same_component(u, v) {
+            continue;
+        }
+        reach.achievable += 1;
+        if live_walk(plan, engine, u, v, &mut buf).is_some() {
+            reach.routed += 1;
+        }
+    }
+    reach
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::invariants;
     use crate::movement::MovementConfig;
     use adhoc_cluster::pipeline::Algorithm;
+    use adhoc_graph::connectivity::ComponentLabels;
     use adhoc_graph::delta::TopologyDelta;
     use adhoc_graph::gen::{self, GeometricConfig};
     use rand::rngs::StdRng;
@@ -417,6 +502,103 @@ mod tests {
                 "{}: engine inconsistent after heal",
                 kind.name()
             );
+        }
+    }
+    fn all_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
+        (0..n as u32)
+            .flat_map(|u| (u + 1..n as u32).map(move |v| (NodeId(u), NodeId(v))))
+            .collect()
+    }
+
+    #[test]
+    fn stale_walk_through_a_departed_relay_is_unroutable() {
+        let net = net(31, 60);
+        let mut e = ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
+        e.enable_routing();
+        let stale = e.route_plan().expect("routing enabled").clone();
+        let mut buf = Vec::new();
+        let (u, v, relay) = all_pairs(60)
+            .into_iter()
+            .find_map(|(u, v)| {
+                stale.route_into(u, v, &mut buf)?;
+                (buf.len() >= 3).then(|| (u, v, buf[1]))
+            })
+            .expect("some walk has a relay");
+        assert!(live_walk(&stale, &e, u, v, &mut buf).is_some());
+        e.depart(relay);
+        assert_eq!(live_walk(&stale, &e, u, v, &mut buf), None);
+        let reach = reachability(&stale, &e, &[(u, v)]);
+        assert_eq!((reach.alive, reach.routed), (1, 0));
+    }
+
+    #[test]
+    fn pair_split_across_survivor_components_is_alive_not_achievable() {
+        let g = gen::path(7);
+        let mut e = ChurnEngine::build(&g, MovementConfig::strict(1, Algorithm::AcLmst));
+        e.enable_routing();
+        e.depart(NodeId(3));
+        let live = e.route_plan().expect("routing enabled");
+        let split = reachability(live, &e, &[(NodeId(0), NodeId(6))]);
+        assert_eq!(
+            split,
+            Reach {
+                alive: 1,
+                achievable: 0,
+                routed: 0
+            }
+        );
+        assert_eq!(split.of_achievable(), 1.0);
+        assert_eq!(split.of_alive(), 0.0);
+        let departed = reachability(live, &e, &[(NodeId(0), NodeId(3))]);
+        assert_eq!(departed, Reach::default());
+        let joined = reachability(live, &e, &[(NodeId(0), NodeId(2)), (NodeId(4), NodeId(6))]);
+        assert_eq!(
+            joined,
+            Reach {
+                alive: 2,
+                achievable: 2,
+                routed: 2
+            }
+        );
+    }
+
+    #[test]
+    fn live_plan_at_full_routes_every_achievable_pair() {
+        let net = net(53, 80);
+        let pairs = all_pairs(80);
+        for kind in AttackKind::ALL {
+            let mut e =
+                ChurnEngine::build(&net.graph, MovementConfig::strict(2, Algorithm::AcLmst));
+            e.enable_routing();
+            let stale = e.route_plan().expect("routing enabled").clone();
+            let victims = select_victims(
+                &e,
+                kind,
+                0.2,
+                Some((net.positions.as_slice(), net.range)),
+                5,
+            );
+            execute(&mut e, &victims);
+            let live = reachability(e.route_plan().expect("routing enabled"), &e, &pairs);
+            let survivors = 80 - victims.len();
+            assert_eq!(live.alive, survivors * (survivors - 1) / 2);
+            // The achievable count is exactly the pairs a fresh
+            // labeling of the surviving topology joins.
+            let fresh = ComponentLabels::new(e.graph(), |v| !e.is_departed(v));
+            let joined = pairs
+                .iter()
+                .filter(|&&(u, v)| fresh.same_component(u, v))
+                .count();
+            assert_eq!(live.achievable, joined, "{}", kind.name());
+            assert!(live.achievable > 0);
+            assert_eq!(live.routed, live.achievable, "{}", kind.name());
+            assert_eq!(live.of_achievable(), 1.0);
+            let stale = reachability(&stale, &e, &pairs);
+            assert_eq!(
+                (stale.alive, stale.achievable),
+                (live.alive, live.achievable)
+            );
+            assert!(stale.routed <= live.routed, "{}", kind.name());
         }
     }
 }

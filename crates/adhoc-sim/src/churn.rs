@@ -570,6 +570,14 @@ impl ChurnEngine {
         self.alive.is_connected()
     }
 
+    /// Component labels of the subgraph the surviving nodes induce
+    /// (departed nodes are off the mask), as every publish advances
+    /// them: `same_component(u, v)` is whether the live topology still
+    /// connects `u` and `v`. Current once publish returns.
+    pub fn survivor_components(&self) -> &ComponentLabels {
+        &self.alive
+    }
+
     /// The boundary an interrupted reconcile stopped at, if one is in
     /// flight (a crash injected by [`FaultPlan`], or a suspended state
     /// machine whose [`ReconcileState`] the caller still holds).

@@ -756,88 +756,6 @@ fn cmd_churn(args: &Args) {
     }
 }
 
-/// Routes `u -> v` through `plan` and validates the walk hop by hop
-/// against the engine's *live* state: every node on the walk alive,
-/// every consecutive pair a current radio edge. A stale plan can emit
-/// a walk through a departed relay — that counts as unroutable, which
-/// is exactly the degradation the resilience command measures.
-fn plan_routes(
-    plan: &RoutePlan,
-    engine: &ChurnEngine,
-    u: NodeId,
-    v: NodeId,
-    buf: &mut Vec<NodeId>,
-) -> bool {
-    if plan.route_into(u, v, buf).is_none() {
-        return false;
-    }
-    for pair in buf.windows(2) {
-        if engine.is_departed(pair[0])
-            || engine.is_departed(pair[1])
-            || !engine.graph().neighbors(pair[0]).contains(&pair[1])
-        {
-            return false;
-        }
-    }
-    true
-}
-
-/// Component label per node of the engine's live alive subgraph
-/// (departed nodes get `u32::MAX`) — the "achievable" denominator:
-/// pairs in different components are unroutable for any plan.
-fn alive_component_labels(engine: &ChurnEngine) -> Vec<u32> {
-    let g = engine.graph();
-    let n = g.len();
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = std::collections::VecDeque::new();
-    for s in (0..n as u32).map(NodeId) {
-        if engine.is_departed(s) || comp[s.index()] != u32::MAX {
-            continue;
-        }
-        comp[s.index()] = next;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for &w in g.neighbors(u) {
-                if !engine.is_departed(w) && comp[w.index()] == u32::MAX {
-                    comp[w.index()] = next;
-                    queue.push_back(w);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
-/// Reachability of `pairs` under `plan` against the engine's live
-/// state: `(alive, achievable, routed)` — pairs with both endpoints
-/// alive, the subset in one component, and the subset the plan
-/// actually delivers a valid walk for.
-fn measure_reachability(
-    plan: &RoutePlan,
-    engine: &ChurnEngine,
-    pairs: &[(NodeId, NodeId)],
-) -> (usize, usize, usize) {
-    let comp = alive_component_labels(engine);
-    let mut buf = Vec::new();
-    let (mut alive, mut achievable, mut routed) = (0usize, 0usize, 0usize);
-    for &(u, v) in pairs {
-        if engine.is_departed(u) || engine.is_departed(v) {
-            continue;
-        }
-        alive += 1;
-        if comp[u.index()] != comp[v.index()] {
-            continue;
-        }
-        achievable += 1;
-        if plan_routes(plan, engine, u, v, &mut buf) {
-            routed += 1;
-        }
-    }
-    (alive, achievable, routed)
-}
-
 /// `khop resilience`: a single-cell CLI slice of `adhoc-bench`'s
 /// `resilience` bin. Builds a geometric network, pins a stale
 /// pre-attack [`RoutePlan`] at its epoch, runs one adversarial attack
@@ -919,8 +837,16 @@ fn cmd_resilience(args: &Args) {
     let attack_ms = 1e3 * t.elapsed().as_secs_f64();
 
     let live = engine.route_plan().expect("routing stays enabled").clone();
-    let (s_alive, _, s_routed) = measure_reachability(&stale, &engine, &pairs);
-    let (l_alive, l_ach, l_routed) = measure_reachability(&live, &engine, &pairs);
+    let adversary::Reach {
+        alive: s_alive,
+        routed: s_routed,
+        ..
+    } = adversary::reachability(&stale, &engine, &pairs);
+    let adversary::Reach {
+        alive: l_alive,
+        achievable: l_ach,
+        routed: l_routed,
+    } = adversary::reachability(&live, &engine, &pairs);
     let pct = |num: usize, den: usize| 100.0 * num as f64 / den.max(1) as f64;
 
     // Heal: flash-crowd arrival burst, one reconcile per returnee,
@@ -932,8 +858,8 @@ fn cmd_resilience(args: &Args) {
         adversary::heal(&mut engine, &net.graph, &[v]);
         if to_full.is_none() {
             let plan = engine.route_plan().expect("routing stays enabled");
-            let (alive, ach, routed) = measure_reachability(plan, &engine, &pairs);
-            if alive == pairs.len() && routed == ach {
+            let r = adversary::reachability(plan, &engine, &pairs);
+            if r.alive == pairs.len() && r.routed == r.achievable {
                 to_full = Some(i + 1);
             }
         }
@@ -941,7 +867,11 @@ fn cmd_resilience(args: &Args) {
     let heal_ms = 1e3 * t.elapsed().as_secs_f64();
     let restored = TopologyDelta::between(engine.graph(), &net.graph).is_empty();
     let final_plan = engine.route_plan().expect("routing stays enabled").clone();
-    let (f_alive, f_ach, f_routed) = measure_reachability(&final_plan, &engine, &pairs);
+    let adversary::Reach {
+        alive: f_alive,
+        achievable: f_ach,
+        routed: f_routed,
+    } = adversary::reachability(&final_plan, &engine, &pairs);
 
     if json {
         let post_attack = serde_json::json!({

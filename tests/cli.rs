@@ -169,6 +169,45 @@ fn route_metrics_count_each_query_once() {
 }
 
 #[test]
+fn resilience_json_full_repair_routes_every_achievable_pair() {
+    let out = khop(&[
+        "resilience",
+        "--n",
+        "80",
+        "--seed",
+        "3",
+        "--pairs",
+        "300",
+        "--json",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let v: serde_json::Value = serde_json::from_str(&stdout(&out)).expect("valid JSON");
+    assert_eq!(v["schema"], "khop-cli-resilience/v1");
+    assert_eq!(v["repair_level"], "full");
+    assert_eq!(v["sampled_pairs"], 300);
+    let post = &v["post_attack"];
+    assert!(post["achievable_pairs"].as_u64().unwrap() > 0);
+    assert_eq!(post["live_routed_pct_of_achievable"].as_f64(), Some(100.0));
+    // The stale pre-attack plan routes through departed relays, so it
+    // can never beat the live plan.
+    assert!(
+        post["stale_routed_pct_of_alive"].as_f64().unwrap()
+            <= post["live_routed_pct_of_alive"].as_f64().unwrap()
+    );
+    let heal = &v["heal"];
+    assert_eq!(heal["topology_restored"], true);
+    assert_eq!(heal["valid"], true);
+    assert_eq!(heal["final_routed_pct_of_achievable"].as_f64(), Some(100.0));
+    assert_eq!(heal["final_alive_pairs"], 300);
+    assert!(heal["arrivals_to_full"].as_u64().is_some());
+}
+
+#[test]
 fn dist_rejects_gmst() {
     let out = khop(&["dist", "--n", "50", "--alg", "g-mst"]);
     assert!(!out.status.success());
