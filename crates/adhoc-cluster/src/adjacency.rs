@@ -18,7 +18,6 @@ use adhoc_graph::bfs::Adjacency;
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::labels::HeadLabels;
-use std::borrow::Cow;
 
 /// Which neighbor clusterhead selection rule to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,37 +35,44 @@ pub enum NeighborRule {
 /// `u ∈ set(v)` (A-NCR "all the remaining connections between
 /// clusterheads are symmetric", and hop distance is symmetric for NC).
 ///
-/// Stored flat: the sorted row of head `heads[i]` is
-/// `nbrs[off[i]..off[i + 1]]`, so copying or patching a relation is a
-/// few slice copies rather than one allocation per head.
+/// Stored as one sorted row per head slot, so an incremental
+/// evaluation patches the rows a step reached in place and moves the
+/// others across a head-set change by head ID.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NeighborSets {
     heads: Vec<NodeId>,
-    off: Vec<u32>,
-    nbrs: Vec<NodeId>,
+    rows: Vec<Vec<NodeId>>,
 }
 
 impl NeighborSets {
     /// The sets over `heads` (ascending) whose slot-`i` row is `row(i)`
     /// (sorted, duplicate-free).
-    fn from_rows<R: AsRef<[NodeId]>>(heads: &[NodeId], mut row: impl FnMut(usize) -> R) -> Self {
-        let mut off = Vec::with_capacity(heads.len() + 1);
-        let mut nbrs = Vec::new();
-        off.push(0);
-        for i in 0..heads.len() {
-            nbrs.extend_from_slice(row(i).as_ref());
-            off.push(nbrs.len() as u32);
-        }
+    fn from_rows(heads: &[NodeId], row: impl FnMut(usize) -> Vec<NodeId>) -> Self {
         NeighborSets {
             heads: heads.to_vec(),
-            off,
-            nbrs,
+            rows: (0..heads.len()).map(row).collect(),
         }
     }
 
     /// The row of head slot `slot`.
-    fn row(&self, slot: usize) -> &[NodeId] {
-        &self.nbrs[self.off[slot] as usize..self.off[slot + 1] as usize]
+    pub(crate) fn row(&self, slot: usize) -> &[NodeId] {
+        &self.rows[slot]
+    }
+
+    /// The row of head slot `slot`, for an in-place patch that keeps it
+    /// sorted and duplicate-free.
+    pub(crate) fn row_mut(&mut self, slot: usize) -> &mut Vec<NodeId> {
+        &mut self.rows[slot]
+    }
+
+    /// Moves the rows to the head list `diff` leads to: a kept head
+    /// keeps its row, a lost head's row is dropped and a new head gets
+    /// an empty one.
+    pub(crate) fn rehead(&mut self, diff: &HeadDiff) {
+        if !diff.is_empty() {
+            self.heads.clone_from(&diff.heads);
+            diff.rehead(&mut self.rows);
+        }
     }
 
     /// Builds the symmetric relation holding exactly `pairs` over the
@@ -94,7 +100,10 @@ impl NeighborSets {
             row.sort_unstable();
             row.dedup();
         }
-        NeighborSets::from_rows(heads, |i| &rows[i])
+        NeighborSets {
+            heads: heads.to_vec(),
+            rows,
+        }
     }
 
     /// The sorted neighbor clusterheads of `head`.
@@ -129,7 +138,7 @@ impl NeighborSets {
 
     /// Total number of unordered pairs.
     pub fn pair_count(&self) -> usize {
-        self.nbrs.len() / 2
+        self.rows.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Verifies symmetry of the relation (used by tests).
@@ -162,7 +171,7 @@ pub fn neighbor_clusterheads<G: Adjacency>(
             let labels = HeadLabels::build(g, &clustering.heads, bound);
             nc_from_labels(clustering, &labels)
         }
-        NeighborRule::Adjacent => adjacent_rows(g, clustering, &mut AncrScratch::default(), None),
+        NeighborRule::Adjacent => adjacent_rows(g, clustering, &mut AncrScratch::default()),
     }
 }
 
@@ -187,49 +196,80 @@ pub fn nc_from_labels(clustering: &Clustering, labels: &HeadLabels) -> NeighborS
     NeighborSets::from_rows(&clustering.heads, |slot| labels.heads_within(slot, bound))
 }
 
-/// NC relation *patched* after an incremental label update: the rows of
-/// clean heads are copied from `prev` (a head-pair distance can only
-/// change if **both** endpoints' balls were touched, so a clean head's
-/// selection is provably unchanged), and only the `dirty` slots are
-/// re-derived from the refreshed labels. Produces exactly what
-/// [`nc_from_labels`] would on the new labels (pinned by tests), in
-/// `O(h + dirty · h)` instead of `O(h²)` label reads.
-///
-/// # Panics
-/// As [`nc_from_labels`], plus if `prev` was built from a different
-/// head set.
-pub fn nc_from_labels_patched(
-    clustering: &Clustering,
-    labels: &HeadLabels,
-    prev: &NeighborSets,
-    dirty: &[usize],
-) -> NeighborSets {
-    let bound = 2 * clustering.k + 1;
-    assert!(
-        labels.bound() >= bound,
-        "labels bound {} below 2k+1 = {bound}",
-        labels.bound()
-    );
-    assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
-    assert_eq!(
-        prev.heads, clustering.heads,
-        "previous relation covers a different head set"
-    );
-    // Dirty heads recompute their own row; additionally a dirty head
-    // may have entered/left a *clean* head's row — but then the pair
-    // distance changed, which dirties both ends, so clean rows really
-    // are stable and only dirty ones need touching.
-    NeighborSets::from_rows(&clustering.heads, |slot| {
-        if dirty.binary_search(&slot).is_ok() {
-            Cow::Owned(labels.heads_within(slot, bound))
-        } else {
-            Cow::Borrowed(prev.row(slot))
+/// How a head list changed between two evaluations, by head ID: each
+/// new slot's old slot, and the heads lost and gained. Slot-indexed
+/// state moves across the change with [`Self::rehead`], as the route
+/// plan's head union does.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct HeadDiff {
+    /// The old head list, ascending.
+    pub(crate) old: Vec<NodeId>,
+    /// The new head list, ascending.
+    pub(crate) heads: Vec<NodeId>,
+    /// Per new slot: its slot in the old list (`u32::MAX` if new).
+    pub(crate) from: Vec<u32>,
+    /// Heads of the old list missing from the new one, ascending.
+    pub(crate) lost: Vec<NodeId>,
+    /// Heads of the new list missing from the old one, ascending.
+    pub(crate) gained: Vec<NodeId>,
+}
+
+impl HeadDiff {
+    /// The change from `old` to `new` (both ascending), in one merge.
+    pub(crate) fn new(old: &[NodeId], new: &[NodeId]) -> Self {
+        let mut diff = HeadDiff {
+            old: old.to_vec(),
+            heads: new.to_vec(),
+            from: Vec::with_capacity(new.len()),
+            ..HeadDiff::default()
+        };
+        let mut at = 0;
+        for &h in new {
+            while at < old.len() && old[at] < h {
+                diff.lost.push(old[at]);
+                at += 1;
+            }
+            if at < old.len() && old[at] == h {
+                diff.from.push(at as u32);
+                at += 1;
+            } else {
+                diff.from.push(u32::MAX);
+                diff.gained.push(h);
+            }
         }
-    })
+        diff.lost.extend_from_slice(&old[at..]);
+        diff
+    }
+
+    /// Whether the head list is unchanged.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lost.is_empty() && self.gained.is_empty()
+    }
+
+    /// Moves slot-indexed `rows` from the old numbering to the new one:
+    /// a kept head's row moves to its new slot, a lost head's row is
+    /// dropped and a gained head gets `T::default()`.
+    pub(crate) fn rehead<T: Default>(&self, rows: &mut Vec<T>) {
+        if self.is_empty() {
+            return;
+        }
+        let mut old = std::mem::take(rows).into_iter().enumerate();
+        *rows = self
+            .from
+            .iter()
+            .map(|&o| match o {
+                u32::MAX => T::default(),
+                o => old
+                    .by_ref()
+                    .find_map(|(i, row)| (i == o as usize).then_some(row))
+                    .expect("old slots ascend with new ones"),
+            })
+            .collect();
+    }
 }
 
 /// Reusable node- and slot-indexed buffers of the A-NCR scan, so a warm
-/// scan allocates only the relation it returns.
+/// scan allocates only the rows it returns.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AncrScratch {
     /// Node-indexed head slots (`u32::MAX` for non-heads).
@@ -252,11 +292,9 @@ pub(crate) struct AncrScratch {
 /// clusters. Computed in one flat pass: a counting sort groups the
 /// members by cluster slot, then each cluster scans its members' edges,
 /// emitting each adjacent head the first time its slot's "last seen"
-/// stamp is not this cluster, and sorts only that row. With
-/// `reuse = Some((prev, rescan))` only the flagged slots are scanned;
-/// every other row is copied from `prev`. Nodes whose affiliation is
-/// the unaffiliated sentinel (any ID `>= n`, as churn leaves departed
-/// nodes) belong to no cluster.
+/// stamp is not this cluster, and sorts only that row. Nodes whose
+/// affiliation is the unaffiliated sentinel (any ID `>= n`, as churn
+/// leaves departed nodes) belong to no cluster.
 ///
 /// # Panics
 /// Panics if an affiliation names a node that is not a head.
@@ -264,7 +302,6 @@ pub(crate) fn adjacent_rows<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
     scratch: &mut AncrScratch,
-    reuse: Option<(&NeighborSets, &[bool])>,
 ) -> NeighborSets {
     let heads = &clustering.heads;
     let (n, h) = (g.node_count(), heads.len());
@@ -308,110 +345,139 @@ pub(crate) fn adjacent_rows<G: Adjacency>(
 
     seen.clear();
     seen.resize(h + 1, u32::MAX);
-    let mut rows = Vec::with_capacity(h + 1);
-    let mut nbrs = Vec::new();
-    rows.push(0);
+    let mut rows = Vec::with_capacity(h);
     for s in 0..h {
-        match reuse {
-            Some((prev, rescan)) if !rescan[s] => nbrs.extend_from_slice(prev.row(s)),
-            _ => {
-                let start = nbrs.len();
-                let stamp = s as u32;
-                seen[s] = stamp;
-                seen[h] = stamp;
-                for &u in &members[off[s] as usize..off[s + 1] as usize] {
-                    for &v in g.adj(u) {
-                        let t = cluster_of[v.index()] as usize;
-                        if seen[t] != stamp {
-                            seen[t] = stamp;
-                            nbrs.push(heads[t]);
-                        }
-                    }
+        let stamp = s as u32;
+        seen[s] = stamp;
+        seen[h] = stamp;
+        let mut row = Vec::new();
+        for &u in &members[off[s] as usize..off[s + 1] as usize] {
+            for &v in g.adj(u) {
+                let t = cluster_of[v.index()] as usize;
+                if seen[t] != stamp {
+                    seen[t] = stamp;
+                    row.push(heads[t]);
                 }
-                nbrs[start..].sort_unstable();
             }
         }
-        rows.push(nbrs.len() as u32);
+        row.sort_unstable();
+        rows.push(row);
     }
     NeighborSets {
         heads: heads.clone(),
-        off: rows,
-        nbrs,
+        rows,
     }
 }
 
-/// A-NCR relation *patched* after an edge `delta` and member
-/// re-affiliations, for an unchanged head set. `g` and `clustering` are
-/// the post-step graph and clustering; `prev` is the relation before
-/// the step and `prev_head_of` the affiliations it was computed from.
+/// A-NCR relation *patched* in place after a step: an edge `delta`,
+/// member re-affiliations, and head-set changes. `g` and `clustering`
+/// are the post-step graph and clustering, and `slot_of` maps a node to
+/// its head slot in it (`None` for a non-head or the unaffiliated
+/// sentinel). `sets` holds the relation before the step, moved to the
+/// new head list by [`NeighborSets::rehead`]; `members` holds each
+/// cluster's members before the step, moved the same way (or nothing,
+/// to be listed afresh); `moved` lists every node whose affiliation
+/// changed, with its previous head.
 ///
 /// A head's row changes only when a crossing edge of its cluster
 /// appears or disappears: the edge itself changed (it is in `delta`),
-/// or one endpoint changed cluster. So the rows that can change are
-/// those of the heads of `delta`'s endpoints, of both the old and the
-/// new head of every re-affiliated node, and of the heads of its
-/// neighbors. Only those rows are rescanned from their members' edges,
-/// by the same flat pass as [`neighbor_clusterheads`] with
-/// [`NeighborRule::Adjacent`]; every other row is copied from `prev`.
+/// or one endpoint changed cluster. A lost head's members all changed
+/// cluster and a gained head changed its own, so the rows that can
+/// change are those of the heads of `delta`'s endpoints, of both the
+/// old and the new head of every re-affiliated node, and of the heads
+/// of its neighbors. Only those rows are rescanned from their members'
+/// edges, as [`adjacent_rows`] scans them; every other row stays.
 /// Produces exactly what that full scan would (pinned by tests), in
-/// `O(n + touched clusters' edges)` instead of `O(n + m)`.
+/// `O(moved + touched clusters' edges)` once the member lists exist.
 ///
-/// Returns the relation and the ascending slots of the rescanned heads
-/// (a superset of the rows that changed).
+/// Returns the slots whose row changed, ascending, each with its row
+/// before the step.
 ///
 /// # Panics
-/// Panics if `prev` or `prev_head_of` covers a different head or node
-/// set, or an affiliation names a node that is not a head.
-pub(crate) fn adjacent_heads_patched<G: Adjacency>(
+/// Panics if `sets` covers another head list, or an affiliation names
+/// a node that is not a head.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn patch_adjacent<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
-    prev: &NeighborSets,
-    prev_head_of: &[NodeId],
+    slot_of: impl Fn(NodeId) -> Option<usize>,
+    sets: &mut NeighborSets,
+    members: &mut Vec<Vec<NodeId>>,
+    moved: &[(NodeId, NodeId)],
     delta: &TopologyDelta,
     scratch: &mut AncrScratch,
-) -> (NeighborSets, Vec<usize>) {
+) -> Vec<(usize, Vec<NodeId>)> {
     let heads = &clustering.heads;
-    let n = g.node_count();
-    assert_eq!(
-        &prev.heads, heads,
-        "previous relation covers another head set"
-    );
-    assert_eq!(
-        prev_head_of.len(),
-        n,
-        "previous affiliations cover another node set"
-    );
-    // The cluster slot of `h`, or `None` for the unaffiliated sentinel.
-    let slot = |h: NodeId| -> Option<usize> {
-        if h.index() >= n {
-            return None;
+    assert_eq!(&sets.heads, heads, "the relation covers another head list");
+    if members.len() != heads.len() {
+        members.clear();
+        members.resize(heads.len(), Vec::new());
+        for (v, &h) in clustering.head_of.iter().enumerate() {
+            if let Some(s) = slot_of(h) {
+                members[s].push(NodeId(v as u32));
+            }
         }
-        let s = heads.binary_search(&h);
-        assert!(s.is_ok(), "{h:?} is not a head");
-        s.ok()
-    };
+    } else {
+        for &(v, old) in moved {
+            if let Some(s) = slot_of(old) {
+                let at = members[s].iter().position(|&x| x == v);
+                members[s].swap_remove(at.expect("a member of its previous cluster"));
+            }
+            if let Some(s) = slot_of(clustering.head_of(v)) {
+                members[s].push(v);
+            }
+        }
+    }
     let mut touched = vec![false; heads.len()];
     let mut touch = |h: NodeId| {
-        if let Some(s) = slot(h) {
+        if let Some(s) = slot_of(h) {
             touched[s] = true;
         }
     };
     for v in delta.endpoints() {
         touch(clustering.head_of(v));
     }
-    for v in (0..n as u32).map(NodeId) {
-        let (old, new) = (prev_head_of[v.index()], clustering.head_of(v));
-        if old != new {
-            touch(old);
-            touch(new);
-            for &w in g.adj(v) {
-                touch(clustering.head_of(w));
-            }
+    for &(v, old) in moved {
+        touch(old);
+        touch(clustering.head_of(v));
+        for &w in g.adj(v) {
+            touch(clustering.head_of(w));
         }
     }
-    let sets = adjacent_rows(g, clustering, scratch, Some((prev, &touched)));
-    let rescanned = (0..heads.len()).filter(|&s| touched[s]).collect();
-    (sets, rescanned)
+    // Per slot (plus the unaffiliated slot `h`): the cluster whose scan
+    // last met it.
+    let h = heads.len();
+    let seen = &mut scratch.seen;
+    seen.clear();
+    seen.resize(h + 1, u32::MAX);
+    let mut changed = Vec::new();
+    for s in (0..h).filter(|&s| touched[s]) {
+        let stamp = s as u32;
+        seen[s] = stamp;
+        seen[h] = stamp;
+        let mut row = Vec::new();
+        for &u in &members[s] {
+            for &v in g.adj(u) {
+                let x = clustering.head_of(v);
+                let t = match slot_of(x) {
+                    Some(t) => t,
+                    None => {
+                        assert!(x.index() >= g.node_count(), "{x:?} is not a head");
+                        h
+                    }
+                };
+                if seen[t] != stamp {
+                    seen[t] = stamp;
+                    row.push(heads[t]);
+                }
+            }
+        }
+        row.sort_unstable();
+        if row != sets.rows[s] {
+            changed.push((s, std::mem::replace(&mut sets.rows[s], row)));
+        }
+    }
+    changed
 }
 
 #[cfg(test)]

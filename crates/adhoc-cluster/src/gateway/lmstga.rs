@@ -1,8 +1,11 @@
 //! LMSTGA — the paper's LMST-based gateway algorithm.
 
 use super::{GatewaySelection, NodeMarks};
+use crate::adjacency::HeadDiff;
 use crate::clustering::Clustering;
-use crate::virtual_graph::{SlotIndex, VirtualGraph};
+use crate::virtual_graph::{GraphChanges, SlotIndex, VirtualGraph};
+use adhoc_graph::graph::NodeId;
+use adhoc_graph::paths;
 
 /// LMST-based gateway selection (Algorithm `AC-LMST`, lines 7–11, also
 /// applicable to the NC relation for `NC-LMST`).
@@ -50,96 +53,77 @@ pub fn lmstga_with(
 ) -> GatewaySelection {
     let mut index = std::mem::take(&mut scratch.index);
     index.build(vg);
-    let selection = lmstga_rows(scratch, vg, &index, clustering, None).0;
+    let selection = lmstga_rows(scratch, vg, &index, clustering).0;
     scratch.index = index;
     selection
 }
 
 /// Every head's on-tree neighbors from one LMSTGA run, in head-slot
-/// order: head slot `i` kept the links to the head slots `row(i)`.
+/// order: head slot `i` kept the links to the heads `row(i)`. Rows name
+/// heads by ID, so they carry across a head-set change. Stored flat
+/// (row `i` is `nbrs[off[i]..off[i + 1]]`), so a run allocates no
+/// per-head row.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct LmstRows {
     off: Vec<u32>,
-    nbrs: Vec<u32>,
+    nbrs: Vec<NodeId>,
 }
 
 impl LmstRows {
-    /// Number of heads covered.
-    fn len(&self) -> usize {
-        self.off.len().saturating_sub(1)
+    /// No rows yet, with room for `heads` of them.
+    fn with_capacity(heads: usize) -> Self {
+        let mut off = Vec::with_capacity(heads + 1);
+        off.push(0);
+        LmstRows {
+            off,
+            nbrs: Vec::new(),
+        }
     }
 
-    /// The on-tree neighbor slots head slot `slot` kept, ascending.
-    pub(crate) fn row(&self, slot: usize) -> &[u32] {
+    /// Ends the row being filled at the end of `nbrs`.
+    fn end_row(&mut self) {
+        self.off.push(self.nbrs.len() as u32);
+    }
+
+    /// The on-tree neighbors head slot `slot` kept, ascending.
+    pub(crate) fn row(&self, slot: usize) -> &[NodeId] {
         &self.nbrs[self.off[slot] as usize..self.off[slot + 1] as usize]
+    }
+
+    /// Whether `a` keeps its link to `b` (`a` at slot `sa`).
+    fn keeps(&self, sa: usize, b: NodeId) -> bool {
+        self.row(sa).binary_search(&b).is_ok()
     }
 }
 
 /// LMSTGA over `index` (built from `vg`) that also returns every head's
-/// on-tree list, and may reuse a previous run's lists: with
-/// `reuse = Some((prev, rerun))` only heads whose slot is flagged in
-/// `rerun` run the local MST, and every other head copies `prev`'s row.
-/// That is exact whenever an unflagged head's closed one-hop
-/// neighborhood in `vg` — its neighbor set, its neighbors' sets, and
-/// the hop counts of their links — is what it was when `prev` was
-/// computed: the Li/Hou/Sha rule is a function of that neighborhood
-/// alone.
-///
-/// Returns the selection, the rows, and how many heads ran the local
-/// MST.
-///
-/// # Panics
-/// Panics if `prev` or `rerun` covers a different number of heads than
-/// `vg`.
+/// on-tree list and how many heads ran the local MST.
 pub(crate) fn lmstga_rows(
     scratch: &mut LmstgaScratch,
     vg: &VirtualGraph,
     index: &SlotIndex,
     clustering: &Clustering,
-    reuse: Option<(&LmstRows, &[bool])>,
 ) -> (GatewaySelection, LmstRows, usize) {
     let heads = vg.heads.len();
-    if let Some((prev, rerun)) = reuse {
-        assert_eq!(prev.len(), heads, "previous rows cover another head set");
-        assert_eq!(rerun.len(), heads, "rerun mask covers another head set");
-    }
     scratch.realized.clear();
     scratch.realized.resize(vg.link_count(), false);
     scratch.local_of.clear();
     scratch.local_of.resize(heads, u32::MAX);
-    let mut rows = LmstRows {
-        off: Vec::with_capacity(heads + 1),
-        nbrs: Vec::new(),
-    };
-    rows.off.push(0);
+    let mut rows = LmstRows::with_capacity(heads);
     let mut reruns = 0usize;
     for slot in 0..heads {
         let (nbrs, links) = index.row(slot);
-        match reuse {
-            Some((prev, rerun)) if !rerun[slot] => {
-                // Both lists ascend: one merge finds each kept link.
-                let mut at = 0;
-                for &t in prev.row(slot) {
-                    while nbrs[at].0 != t {
-                        at += 1;
-                    }
-                    scratch.realized[links[at] as usize] = true;
-                }
-                rows.nbrs.extend_from_slice(prev.row(slot));
-            }
-            _ if nbrs.is_empty() => {}
-            _ => {
-                reruns += 1;
-                scratch.local_mst(index, slot);
-                for (j, &(t, _)) in nbrs.iter().enumerate() {
-                    if scratch.kept[j + 1] {
-                        rows.nbrs.push(t);
-                        scratch.realized[links[j] as usize] = true;
-                    }
+        if !nbrs.is_empty() {
+            reruns += 1;
+            scratch.local_mst(index, slot);
+            for (j, &(t, _)) in nbrs.iter().enumerate() {
+                if scratch.kept[j + 1] {
+                    rows.nbrs.push(vg.heads[t as usize]);
+                    scratch.realized[links[j] as usize] = true;
                 }
             }
         }
-        rows.off.push(rows.nbrs.len() as u32);
+        rows.end_row();
     }
     // Walking the links in their ascending `(a, b)` order yields the
     // realized ones sorted, unique, and with their paths at hand.
@@ -150,6 +134,173 @@ pub(crate) fn lmstga_rows(
         clustering,
     );
     (selection, rows, reruns)
+}
+
+/// Patches an LMSTGA selection of `vg` in place after an in-place patch
+/// of the evaluation: `rows` and `selection` are the previous run's, in
+/// the previous head numbering; `rerun` names the new slots whose
+/// closed one-hop neighborhood changed (see the pipeline's rerun mask);
+/// `nc` is the patched NC graph, whose `nc_changes` list the links that
+/// took a new path and hold every link it dropped or re-pathed. Every
+/// path is an NC path (an AC link is its NC link), so a link's previous
+/// path is its dropped one, or else its current one.
+///
+/// Only the `rerun` heads run the local MST, on `index` (built from
+/// `vg`). The realized links can change only at pairs a rerun
+/// head kept before or keeps now but not both, and pairs of a lost
+/// head, and a realized link's gateways only where it took a new path;
+/// each such pair is re-decided, and the gateways follow from
+/// `through`, the count of realized links whose interior holds each
+/// node (built from the previous selection the first time). Produces exactly what
+/// [`lmstga_rows`] would (pinned by the pipeline's equivalence tests).
+///
+/// Returns how many heads ran the local MST.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn lmstga_patch(
+    scratch: &mut LmstgaScratch,
+    vg: &VirtualGraph,
+    index: &SlotIndex,
+    nc: &VirtualGraph,
+    nc_changes: &GraphChanges,
+    diff: &HeadDiff,
+    rerun: &[usize],
+    clustering: &Clustering,
+    rows: &mut LmstRows,
+    selection: &mut GatewaySelection,
+    through: &mut Vec<u32>,
+) -> usize {
+    let old_path = |a: NodeId, b: NodeId| {
+        nc_changes
+            .dropped
+            .get(a, b)
+            .or_else(|| nc.link(a, b))
+            .expect("a realized link was an NC link")
+            .path
+    };
+    if through.is_empty() {
+        through.resize(clustering.head_of.len(), 0);
+        for &(a, b) in &selection.links_used {
+            for &v in paths::interior(old_path(a, b)) {
+                through[v.index()] += 1;
+            }
+        }
+    }
+    let mut pairs: Vec<(NodeId, NodeId)> = nc_changes.repathed.clone();
+    let pair = |x: NodeId, y: NodeId| (x.min(y), x.max(y));
+    // A lost head's kept links leave with it.
+    let old = std::mem::take(rows);
+    let mut kept_slot = vec![false; diff.old.len()];
+    for &o in diff.from.iter().filter(|&&o| o != u32::MAX) {
+        kept_slot[o as usize] = true;
+    }
+    for (o, &z) in diff.old.iter().enumerate().filter(|&(o, _)| !kept_slot[o]) {
+        pairs.extend(old.row(o).iter().map(|&y| pair(z, y)));
+    }
+    // The rows in the new numbering: a rerun head's from its local MST,
+    // every other head's as it was.
+    *rows = LmstRows::with_capacity(vg.heads.len());
+    scratch.local_of.clear();
+    scratch.local_of.resize(vg.heads.len(), u32::MAX);
+    let reruns = rerun.len();
+    let mut rerun = rerun.iter().copied().peekable();
+    for (s, &o) in diff.from.iter().enumerate() {
+        let before = match o {
+            u32::MAX => &[][..],
+            o => old.row(o as usize),
+        };
+        if rerun.next_if_eq(&s).is_none() {
+            rows.nbrs.extend_from_slice(before);
+            rows.end_row();
+            continue;
+        }
+        let (nbrs, _) = index.row(s);
+        if !nbrs.is_empty() {
+            scratch.local_mst(index, s);
+            for (j, &(t, _)) in nbrs.iter().enumerate() {
+                if scratch.kept[j + 1] {
+                    rows.nbrs.push(vg.heads[t as usize]);
+                }
+            }
+        }
+        rows.end_row();
+        // A link the head keeps both before and after stays realized.
+        let (x, now) = (vg.heads[s], rows.row(s));
+        let only = |a: &[NodeId], b: &[NodeId]| -> Vec<NodeId> {
+            a.iter()
+                .copied()
+                .filter(|y| b.binary_search(y).is_err())
+                .collect()
+        };
+        for y in only(before, now).into_iter().chain(only(now, before)) {
+            pairs.push(pair(x, y));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+
+    // Re-decide each pair, moving its interior counts.
+    let slot = |x: NodeId| vg.heads.binary_search(&x).ok();
+    let mut touched: Vec<NodeId> = [&diff.lost[..], &diff.gained[..]].concat();
+    let (mut flipped, mut realized) = (Vec::new(), Vec::new());
+    for &(a, b) in &pairs {
+        let was = selection.links_used.binary_search(&(a, b)).is_ok();
+        let is = match (slot(a), slot(b)) {
+            (Some(sa), Some(sb)) => rows.keeps(sa, b) || rows.keeps(sb, a),
+            _ => false,
+        };
+        if was {
+            for &v in paths::interior(old_path(a, b)) {
+                through[v.index()] -= 1;
+                touched.push(v);
+            }
+        }
+        if is {
+            let link = vg.link(a, b).expect("a kept link is in the graph");
+            for &v in link.interior() {
+                through[v.index()] += 1;
+                touched.push(v);
+            }
+        }
+        if was != is {
+            flipped.push((a, b));
+            realized.push(is);
+        }
+    }
+    if !flipped.is_empty() {
+        selection.links_used = merge_decided(&selection.links_used, &flipped, &realized);
+    }
+    touched.sort_unstable();
+    touched.dedup();
+    let gateway: Vec<bool> = touched
+        .iter()
+        .map(|&v| through[v.index()] > 0 && !clustering.is_head(v))
+        .collect();
+    let moved = touched
+        .iter()
+        .zip(&gateway)
+        .any(|(v, &g)| selection.gateways.binary_search(v).is_ok() != g);
+    if moved {
+        selection.gateways = merge_decided(&selection.gateways, &touched, &gateway);
+    }
+    reruns
+}
+
+/// The ascending `list` with each of the ascending `decided` items put
+/// in (where `keep` says so) or taken out.
+fn merge_decided<T: Copy + Ord>(list: &[T], decided: &[T], keep: &[bool]) -> Vec<T> {
+    let mut out = Vec::with_capacity(list.len() + decided.len());
+    let mut rest = list.iter().copied().peekable();
+    for (&x, &k) in decided.iter().zip(keep) {
+        while let Some(y) = rest.next_if(|&y| y < x) {
+            out.push(y);
+        }
+        rest.next_if_eq(&x);
+        if k {
+            out.push(x);
+        }
+    }
+    out.extend(rest);
+    out
 }
 
 impl LmstgaScratch {

@@ -22,7 +22,7 @@ mod weighted;
 pub(crate) use gmst::gmst_via_index;
 pub use gmst::{gmst, gmst_from_labels, gmst_via_nc};
 pub use lmstga::{lmstga, lmstga_with, LmstgaScratch};
-pub(crate) use lmstga::{lmstga_rows, LmstRows};
+pub(crate) use lmstga::{lmstga_patch, lmstga_rows, LmstRows};
 pub use mesh::mesh;
 pub use weighted::{lmstga_weighted, selection_relay_cost};
 

@@ -63,17 +63,11 @@ fn assert_ancr(sets: &NeighborSets, reference: &[Vec<NodeId>], ctx: &str) {
 fn assert_lmstga(vg: &VirtualGraph, c: &Clustering, ctx: &str) {
     let mut index = SlotIndex::default();
     index.build(vg);
-    let (selection, rows, _) =
-        gateway::lmstga_rows(&mut LmstgaScratch::default(), vg, &index, c, None);
+    let (selection, rows, _) = gateway::lmstga_rows(&mut LmstgaScratch::default(), vg, &index, c);
     let mut links = BTreeSet::new();
     for (slot, (h, partners)) in vg.neighbor_sets.iter().enumerate() {
         let want = lmst::on_tree_neighbors(h, partners, |a, b| vg.weight(a, b));
-        let got: Vec<NodeId> = rows
-            .row(slot)
-            .iter()
-            .map(|&t| vg.heads[t as usize])
-            .collect();
-        assert_eq!(got, want, "{ctx}: LMST row of {h:?}");
+        assert_eq!(rows.row(slot), want, "{ctx}: LMST row of {h:?}");
         links.extend(want.iter().map(|&o| (h.min(o), h.max(o))));
     }
     let gateways: BTreeSet<NodeId> = links
@@ -139,11 +133,19 @@ proptest! {
         let reference = ancr_reference(&g, &stranded);
         let scanned = adjacency::neighbor_clusterheads(&g, &stranded, NeighborRule::Adjacent);
         assert_ancr(&scanned, &reference, &format!("{ctx} stranded"));
-        let (patched, _) = adjacency::adjacent_heads_patched(
+        let moved: Vec<(NodeId, NodeId)> = g
+            .nodes()
+            .filter(|v| c.head_of(*v) != stranded.head_of(*v))
+            .map(|v| (v, c.head_of(v)))
+            .collect();
+        let mut patched = full.clone();
+        adjacency::patch_adjacent(
             &g,
             &stranded,
-            &full,
-            &c.head_of,
+            |h| stranded.heads.binary_search(&h).ok(),
+            &mut patched,
+            &mut Vec::new(),
+            &moved,
             &TopologyDelta::new(),
             &mut AncrScratch::default(),
         );

@@ -18,12 +18,12 @@
 //!   churn engine** in two phases: given the previous evaluation, its
 //!   warm [`EvalScratch`], and a [`TopologyDelta`], advance only the
 //!   label rows the changed edges (or a head-set change) reached, then
-//!   refresh only the virtual links and selections those rows can have
-//!   affected. A maintenance policy reads the advanced labels and
-//!   repairs the clustering between the two. Output is bit-for-bit
-//!   identical to a from-scratch [`run_all`] on the new graph (enforced
-//!   by the delta-chain tests below and the `label_equivalence` and
-//!   `churn_equivalence` proptests).
+//!   patch the evaluation in place, by head ID, where those rows and
+//!   the delta can have changed it. A maintenance policy reads the
+//!   advanced labels and repairs the clustering between the two. Output
+//!   is bit-for-bit identical to a from-scratch [`run_all`] on the new
+//!   graph (enforced by the edit-chain proptest below and the
+//!   `label_equivalence` and `churn_equivalence` proptests).
 //!
 //! Both engines evaluate the [`EvalScratch`]'s [`AlgorithmSet`]: all
 //! five by default, or — for a caller that consumes one algorithm, like
@@ -32,14 +32,15 @@
 //! entry in an all-five evaluation (pinned by the `scoped_equivalence`
 //! proptest).
 
-use crate::adjacency::{self, AncrScratch, NeighborRule};
+use crate::adjacency::{self, AncrScratch, HeadDiff, NeighborRule, NeighborSets};
 use crate::cds::Cds;
 use crate::clustering::{self, Clustering, MemberPolicy};
-use crate::gateway::{self, GatewaySelection, NodeMarks};
+use crate::gateway::{self, GatewaySelection, LmstRows, NodeMarks};
 use crate::priority::LowestId;
-use crate::virtual_graph::{SlotIndex, VirtualGraph};
+use crate::virtual_graph::{GraphChanges, NodeFlags, SlotIndex, VirtualGraph, AC_ROW};
 use adhoc_graph::bfs::Adjacency;
 use adhoc_graph::delta::TopologyDelta;
+use adhoc_graph::graph::NodeId;
 use adhoc_graph::obs::Metrics;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -291,6 +292,8 @@ pub struct EvalScratch {
     ac_index: SlotIndex,
     lmstga: gateway::LmstgaScratch,
     marks: NodeMarks,
+    /// The in-place patch's node marks.
+    flags: NodeFlags,
     metrics: Metrics,
 }
 
@@ -376,7 +379,11 @@ pub struct AlgorithmOutput {
     /// Every head's local-MST choice (the LMST algorithms only), so the
     /// next incremental refresh re-runs only the heads whose
     /// neighborhood changed.
-    lmst_rows: Option<gateway::LmstRows>,
+    lmst_rows: Option<LmstRows>,
+    /// Per node: how many realized links hold it in their interior (the
+    /// LMST algorithms only, from their first incremental refresh on),
+    /// so a refresh moves the gateways by the links it re-decided.
+    through: Vec<u32>,
 }
 
 /// Everything [`run_all`] produced: the algorithms of the scratch's
@@ -396,6 +403,10 @@ pub struct EvaluationOutput {
     pub ac_graph: Arc<VirtualGraph>,
     /// Per-algorithm selections and CDSs, one per evaluated algorithm.
     pub outputs: BTreeMap<Algorithm, AlgorithmOutput>,
+    /// Per head slot: its cluster's members, which an incremental
+    /// refresh rescans for A-NCR rows (listed on the first refresh that
+    /// needs them, then patched).
+    members: Vec<Vec<NodeId>>,
 }
 
 impl EvaluationOutput {
@@ -495,38 +506,115 @@ pub fn run_all_with<G: Adjacency + Sync>(
         VirtualGraph::from_labels(g, clustering, nc_sets, labels)
     };
     let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
-    eval_from_nc(g, clustering, nc_graph, scratch, None)
+    eval_from_nc(g, clustering, nc_graph, scratch)
 }
 
-/// What an incremental refresh knows about its step, which lets the
-/// eval tail patch state instead of recomputing it.
-struct Step<'a> {
-    /// The evaluation being refreshed; it has the current head set.
-    prev: &'a EvaluationOutput,
-    /// The edge delta applied to the graph since `prev`.
-    delta: &'a TopologyDelta,
-    /// The label slots the advance swept.
-    dirty: &'a [usize],
-}
-
-/// Shared tail of [`run_all_with`] and the incremental updates:
-/// everything downstream of the NC virtual graph (A-NCR relation, AC
-/// restriction, the selections of the scratch's [`AlgorithmSet`], CDS
-/// assembly). Stages no requested algorithm needs are skipped. With a
-/// `step`, the A-NCR relation is patched from the delta and the
-/// affiliation changes, and the LMST selections re-run the local MST
-/// only at heads within one virtual hop of a changed row or link.
+/// The cold tail of [`run_all_with`]: everything downstream of the NC
+/// virtual graph (A-NCR relation, AC restriction, the selections of the
+/// scratch's [`AlgorithmSet`], CDS assembly), built from scratch.
+/// Stages no requested algorithm needs are skipped.
+/// [`update_all_after`] patches this evaluation in place instead.
 fn eval_from_nc<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
     nc_graph: VirtualGraph,
     scratch: &mut EvalScratch,
-    step: Option<Step<'_>>,
 ) -> EvaluationOutput {
+    let nc_graph = Arc::new(nc_graph);
+    let (ac_graph, ac_is_nc) = if scratch.algorithms.needs_ac() {
+        let _span = scratch.metrics.span("pipeline.ac_relation_ns");
+        let ac_sets = adjacency::adjacent_rows(g, clustering, &mut scratch.ancr);
+        check_theorem1(&ac_sets, clustering, &scratch.labels);
+        restrict(&nc_graph, ac_sets, None)
+    } else {
+        (Arc::default(), false)
+    };
+    let outputs = select(g, clustering, &nc_graph, &ac_graph, ac_is_nc, scratch, None);
+    EvaluationOutput {
+        clustering: clustering.clone(),
+        nc_graph,
+        ac_graph,
+        outputs,
+        members: Vec::new(),
+    }
+}
+
+/// The AC graph of the A-NCR relation `ac_sets`, and whether it is the
+/// NC graph. On dense deployments every pair of nearby clusters often
+/// touches, making the AC relation literally equal to NC — then the AC
+/// graph is the NC graph (shared, not copied) and both AC selections
+/// are the NC ones. Otherwise `own` — the previous AC graph with
+/// `ac_sets` as its relation, patched by
+/// [`VirtualGraph::patch_restriction`] — is used when given, and a
+/// fresh restriction of `nc_graph` is built when not.
+fn restrict(
+    nc_graph: &Arc<VirtualGraph>,
+    ac_sets: NeighborSets,
+    own: Option<(VirtualGraph, PatchedRelation<'_>)>,
+) -> (Arc<VirtualGraph>, bool) {
+    if ac_sets == nc_graph.neighbor_sets {
+        return (Arc::clone(nc_graph), true);
+    }
+    let ac_graph = match own {
+        Some((mut ac, (rows, nc_changes, flags))) => {
+            ac.neighbor_sets = ac_sets;
+            ac.patch_restriction(nc_graph, rows, nc_changes, flags);
+            ac
+        }
+        None => nc_graph.restricted_to(ac_sets),
+    };
+    (Arc::new(ac_graph), false)
+}
+
+/// What [`VirtualGraph::patch_restriction`] reads: the A-NCR rows that
+/// changed, the NC graph's changes and the patch's node marks.
+type PatchedRelation<'a> = (&'a [(usize, Vec<NodeId>)], &'a GraphChanges, &'a NodeFlags);
+
+/// Theorem 1's upper bound on every A-NCR pair, in debug builds. (The
+/// k+1 lower bound holds for fresh elections but not for *maintained*
+/// clusterings, whose heads may legally drift within k hops between
+/// re-elections.)
+fn check_theorem1(ac_sets: &NeighborSets, clustering: &Clustering, labels: &HeadLabels) {
+    #[cfg(debug_assertions)]
+    for (u, v) in ac_sets.pairs() {
+        let d = labels.head_dist(u, v);
+        debug_assert!(
+            d <= 2 * clustering.k + 1,
+            "A-NCR pair {u:?},{v:?} at distance {d} contradicts Theorem 1 (k={})",
+            clustering.k
+        );
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = (ac_sets, clustering, labels);
+}
+
+/// What a patched evaluation's selections may reuse: the previous
+/// outputs (taken out of the evaluation, patched and put back), the
+/// head-list change, and what changed in the NC graph and — when it was
+/// patched rather than built afresh — the AC graph.
+struct Reuse<'a> {
+    prev: BTreeMap<Algorithm, AlgorithmOutput>,
+    diff: &'a HeadDiff,
+    nc: &'a GraphChanges,
+    ac: Option<&'a GraphChanges>,
+}
+
+/// The selections and CDSs of the scratch's [`AlgorithmSet`] on the NC
+/// and AC graphs. With `reuse`, each LMST selection whose previous
+/// output and graph changes are at hand is patched in place
+/// ([`gateway::lmstga_patch`]): only the heads of [`rerun_mask`] run
+/// the local MST. The meshes and G-MST are derived afresh.
+fn select<G: Adjacency>(
+    g: &G,
+    clustering: &Clustering,
+    nc_graph: &VirtualGraph,
+    ac_graph: &VirtualGraph,
+    ac_is_nc: bool,
+    scratch: &mut EvalScratch,
+    mut reuse: Option<Reuse<'_>>,
+) -> BTreeMap<Algorithm, AlgorithmOutput> {
     let EvalScratch {
-        labels,
         algorithms,
-        ancr,
         nc_index,
         ac_index,
         lmstga,
@@ -535,211 +623,155 @@ fn eval_from_nc<G: Adjacency>(
         ..
     } = scratch;
     let wants = |a: Algorithm| algorithms.contains(a);
-    let nc_graph = Arc::new(nc_graph);
-
-    // Slots whose A-NCR row was rescanned from the delta, when the
-    // relation was patched rather than scanned in full.
-    let mut ac_rescanned = None;
-    let (ac_graph, ac_is_nc) = if algorithms.needs_ac() {
-        let _span = metrics.span("pipeline.ac_relation_ns");
-        let ac_sets = match &step {
-            Some(s) if s.prev.algorithms().needs_ac() => {
-                let (sets, rescanned) = adjacency::adjacent_heads_patched(
-                    g,
-                    clustering,
-                    &s.prev.ac_graph.neighbor_sets,
-                    &s.prev.clustering.head_of,
-                    s.delta,
-                    ancr,
-                );
-                ac_rescanned = Some(rescanned);
-                sets
-            }
-            _ => adjacency::adjacent_rows(g, clustering, ancr, None),
-        };
-        #[cfg(debug_assertions)]
-        for (u, v) in ac_sets.pairs() {
-            let d = labels.head_dist(u, v);
-            // Theorem 1's upper bound. (The k+1 lower bound holds for
-            // fresh elections but not for *maintained* clusterings,
-            // whose heads may legally drift within k hops between
-            // re-elections.)
-            debug_assert!(
-                d <= 2 * clustering.k + 1,
-                "A-NCR pair {u:?},{v:?} at distance {d} contradicts Theorem 1 (k={})",
-                clustering.k
-            );
-        }
-        // On dense deployments every pair of nearby clusters often
-        // touches, making the AC relation literally equal to NC — then
-        // the AC graph is the NC graph (shared, not copied) and both AC
-        // selections are the NC ones.
-        let ac_is_nc = ac_sets == nc_graph.neighbor_sets;
-        let ac_graph = if ac_is_nc {
-            Arc::clone(&nc_graph)
-        } else {
-            Arc::new(nc_graph.restricted_to(ac_sets))
-        };
-        (ac_graph, ac_is_nc)
-    } else {
-        (Arc::default(), false)
-    };
-    #[cfg(not(debug_assertions))]
-    let _ = labels;
-
     let _select = metrics.span("pipeline.select_ns");
-    let (nc_mesh, ac_mesh) = if wants(Algorithm::NcMesh) || wants(Algorithm::AcMesh) {
-        let _mesh = metrics.span("pipeline.mesh_ns");
-        // A mesh realizes every link of its graph.
-        let mut mesh =
-            |vg: &VirtualGraph| GatewaySelection::from_links_with(marks, vg.links(), clustering);
-        let nc_mesh = wants(Algorithm::NcMesh).then(|| mesh(&nc_graph));
-        let ac_mesh = match &nc_mesh {
-            Some(nc) if ac_is_nc && wants(Algorithm::AcMesh) => Some(nc.clone()),
-            _ => wants(Algorithm::AcMesh).then(|| mesh(&ac_graph)),
-        };
-        (nc_mesh, ac_mesh)
-    } else {
-        (None, None)
-    };
-
-    // A clean NC row or link implies a clean label row, so only the
-    // label-dirty slots can change NC-LMST; AC rows also change with
-    // the A-NCR rescans. `None` asks for a comparison at every head.
-    let nc_candidates = step.as_ref().map(|s| s.dirty);
-    let ac_candidates = step
-        .as_ref()
-        .zip(ac_rescanned.as_deref())
-        .map(|(s, rescanned)| {
-            let mut slots = [s.dirty, rescanned].concat();
-            slots.sort_unstable();
-            slots.dedup();
-            slots
-        });
-    let mut lmst =
-        |alg: Algorithm, graph: &VirtualGraph, index: &SlotIndex, candidates: Option<&[usize]>| {
-            let reuse = step.as_ref().and_then(|s| {
-                let rows = s.prev.get(alg)?.lmst_rows.as_ref()?;
-                let prev_graph = match alg {
-                    Algorithm::AcLmst => &s.prev.ac_graph,
-                    _ => &s.prev.nc_graph,
-                };
-                Some((rows, lmst_rerun_mask(prev_graph, graph, candidates)))
-            });
-            let (selection, rows, reruns) = gateway::lmstga_rows(
-                lmstga,
-                graph,
-                index,
-                clustering,
-                reuse.as_ref().map(|(rows, mask)| (*rows, &mask[..])),
-            );
-            metrics.add("pipeline.lmst_heads_rerun", reruns as u64);
-            (selection, Some(rows))
-        };
-    // NC-LMST and G-MST share one index of the NC graph.
-    let mut nc_indexed = false;
-    let (nc_lmst, ac_lmst) = if wants(Algorithm::NcLmst) || wants(Algorithm::AcLmst) {
-        let _lmst = metrics.span("pipeline.lmst_ns");
-        let nc_lmst = if wants(Algorithm::NcLmst) {
-            nc_index.build(&nc_graph);
-            nc_indexed = true;
-            Some(lmst(Algorithm::NcLmst, &nc_graph, nc_index, nc_candidates))
-        } else {
-            None
-        };
-        let ac_lmst = match &nc_lmst {
-            Some(nc) if ac_is_nc && wants(Algorithm::AcLmst) => Some(nc.clone()),
-            _ if wants(Algorithm::AcLmst) => {
-                ac_index.build(&ac_graph);
-                Some(lmst(
-                    Algorithm::AcLmst,
-                    &ac_graph,
-                    ac_index,
-                    ac_candidates.as_deref(),
-                ))
-            }
-            _ => None,
-        };
-        (nc_lmst, ac_lmst)
-    } else {
-        (None, None)
-    };
-    let g_mst = wants(Algorithm::GMst).then(|| {
-        let _gmst = metrics.span("pipeline.gmst_ns");
-        if !nc_indexed {
-            nc_index.build(&nc_graph);
-        }
-        (
-            gateway::gmst_via_index(g, &nc_graph, nc_index, clustering, marks),
-            None,
-        )
-    });
-    let nc_mesh = nc_mesh.map(|sel| (sel, None));
-    let ac_mesh = ac_mesh.map(|sel| (sel, None));
-
     let mut outputs = BTreeMap::new();
-    for (alg, selected) in [
-        (Algorithm::NcMesh, nc_mesh),
-        (Algorithm::AcMesh, ac_mesh),
-        (Algorithm::NcLmst, nc_lmst),
-        (Algorithm::AcLmst, ac_lmst),
-        (Algorithm::GMst, g_mst),
-    ] {
-        if let Some((selection, lmst_rows)) = selected {
+    let mut put =
+        |alg: Algorithm, selection: GatewaySelection, lmst: Option<(LmstRows, Vec<u32>)>| {
             let cds = Cds::assemble(clustering, &selection);
+            let (lmst_rows, through) =
+                lmst.map_or((None, Vec::new()), |(rows, through)| (Some(rows), through));
             outputs.insert(
                 alg,
                 AlgorithmOutput {
                     selection,
                     cds,
                     lmst_rows,
+                    through,
                 },
             );
-        }
-    }
-    EvaluationOutput {
-        clustering: clustering.clone(),
-        nc_graph,
-        ac_graph,
-        outputs,
-    }
-}
-
-/// Head slots whose local MST can differ between `prev` and `next`
-/// (two virtual graphs over the same head set). A head's LMST choice is
-/// a function of its closed one-hop neighborhood: its neighbor set, its
-/// neighbors' sets, and the hop counts of the links among them. So a
-/// head is *changed* when its row or the hop count of an incident link
-/// differs, and every changed head and each of its old and new
-/// neighbors must re-run. Only `candidates` are compared (`None`
-/// compares every head); they must include every head whose row or
-/// incident link hops can have changed.
-fn lmst_rerun_mask(
-    prev: &VirtualGraph,
-    next: &VirtualGraph,
-    candidates: Option<&[usize]>,
-) -> Vec<bool> {
-    let heads = &next.heads;
-    let mut mask = vec![false; heads.len()];
-    let mut mark = |x: usize| {
-        let hx = heads[x];
-        let (old, new) = (prev.neighbor_sets.of(hx), next.neighbor_sets.of(hx));
-        if old != new
-            || new
-                .iter()
-                .any(|&y| prev.weight(hx, y) != next.weight(hx, y))
-        {
-            mask[x] = true;
-            for y in old.iter().chain(new) {
-                mask[heads.binary_search(y).expect("neighbors are heads")] = true;
+        };
+    if wants(Algorithm::NcMesh) || wants(Algorithm::AcMesh) {
+        let _mesh = metrics.span("pipeline.mesh_ns");
+        // A mesh realizes every link of its graph.
+        let mut mesh =
+            |vg: &VirtualGraph| GatewaySelection::from_links_with(marks, vg.links(), clustering);
+        let nc_mesh = wants(Algorithm::NcMesh).then(|| mesh(nc_graph));
+        let ac_mesh = match &nc_mesh {
+            Some(nc) if ac_is_nc && wants(Algorithm::AcMesh) => Some(nc.clone()),
+            _ => wants(Algorithm::AcMesh).then(|| mesh(ac_graph)),
+        };
+        for (alg, selection) in [(Algorithm::NcMesh, nc_mesh), (Algorithm::AcMesh, ac_mesh)] {
+            if let Some(selection) = selection {
+                put(alg, selection, None);
             }
         }
-    };
-    match candidates {
-        Some(slots) => slots.iter().for_each(|&x| mark(x)),
-        None => (0..heads.len()).for_each(mark),
     }
-    mask
+
+    let nc_changes = reuse.as_ref().map(|r| r.nc);
+    let ac_changes = reuse.as_ref().and_then(|r| r.ac);
+    // One LMST selection on a fresh index of `graph`: patched from the
+    // previous one when it and the graph's changes are at hand, else
+    // built from scratch.
+    let mut lmst = |alg: Algorithm,
+                    graph: &VirtualGraph,
+                    index: &mut SlotIndex,
+                    changes: Option<&GraphChanges>| {
+        index.build(graph);
+        let prev = reuse.as_mut().zip(changes).and_then(|(r, changes)| {
+            let out = r.prev.remove(&alg).filter(|o| o.lmst_rows.is_some())?;
+            Some((out, changes, r.diff, r.nc))
+        });
+        let (selection, lmst, reruns) = match prev {
+            Some((mut out, changes, diff, nc_changes)) => {
+                let mut rows = out.lmst_rows.take().expect("an LMST output");
+                let rerun = rerun_mask(graph, changes);
+                let reruns = gateway::lmstga_patch(
+                    lmstga,
+                    graph,
+                    index,
+                    nc_graph,
+                    nc_changes,
+                    diff,
+                    &rerun,
+                    clustering,
+                    &mut rows,
+                    &mut out.selection,
+                    &mut out.through,
+                );
+                (out.selection, (rows, out.through), reruns)
+            }
+            None => {
+                let (selection, rows, reruns) =
+                    gateway::lmstga_rows(lmstga, graph, index, clustering);
+                (selection, (rows, Vec::new()), reruns)
+            }
+        };
+        metrics.add("pipeline.lmst_heads_rerun", reruns as u64);
+        (selection, lmst)
+    };
+    // NC-LMST and G-MST share one index of the NC graph.
+    let nc_indexed = wants(Algorithm::NcLmst);
+    if wants(Algorithm::NcLmst) || wants(Algorithm::AcLmst) {
+        let _lmst = metrics.span("pipeline.lmst_ns");
+        let nc_lmst = wants(Algorithm::NcLmst)
+            .then(|| lmst(Algorithm::NcLmst, nc_graph, nc_index, nc_changes));
+        let ac_lmst = match &nc_lmst {
+            Some(nc) if ac_is_nc && wants(Algorithm::AcLmst) => Some(nc.clone()),
+            _ if wants(Algorithm::AcLmst) => {
+                Some(lmst(Algorithm::AcLmst, ac_graph, ac_index, ac_changes))
+            }
+            _ => None,
+        };
+        for (alg, out) in [(Algorithm::NcLmst, nc_lmst), (Algorithm::AcLmst, ac_lmst)] {
+            if let Some((selection, lmst)) = out {
+                put(alg, selection, Some(lmst));
+            }
+        }
+    }
+    if wants(Algorithm::GMst) {
+        let _gmst = metrics.span("pipeline.gmst_ns");
+        if !nc_indexed {
+            nc_index.build(nc_graph);
+        }
+        let selection = gateway::gmst_via_index(g, nc_graph, nc_index, clustering, marks);
+        put(Algorithm::GMst, selection, None);
+    }
+    outputs
+}
+
+/// Head slots whose local MST can differ after a patch that made
+/// `changes` to `vg`, ascending. A head's LMST choice is a function of
+/// its closed one-hop neighborhood: its neighbor set, its neighbors'
+/// sets, and the hop counts of the links among them. So every head
+/// whose row or an incident link's hop count changed must re-run, and
+/// so must each of its neighbors. A neighbor the change removed needs
+/// no mark of its own: the relation is symmetric, so its row changed
+/// too.
+fn rerun_mask(vg: &VirtualGraph, changes: &GraphChanges) -> Vec<usize> {
+    let heads = &vg.heads;
+    let mut mask = vec![false; heads.len()];
+    let mut mark = |s: usize| {
+        mask[s] = true;
+        for y in vg.neighbor_sets.row(s) {
+            mask[heads.binary_search(y).expect("neighbors are heads")] = true;
+        }
+    };
+    for &(s, _) in &changes.rows {
+        mark(s);
+    }
+    for &(a, b) in &changes.hops {
+        for x in [a, b] {
+            mark(heads.binary_search(&x).expect("a head"));
+        }
+    }
+    (0..heads.len()).filter(|&s| mask[s]).collect()
+}
+
+/// Brings `prev` up to `next` in place, writing only the affiliations
+/// that changed, and returns every node whose head changed with its
+/// previous head.
+fn sync_clustering(prev: &mut Clustering, next: &Clustering) -> Vec<(NodeId, NodeId)> {
+    prev.heads.clone_from(&next.heads);
+    prev.rounds = next.rounds;
+    prev.dist_to_head.copy_from_slice(&next.dist_to_head);
+    let mut moved = Vec::new();
+    for (v, (old, &new)) in prev.head_of.iter_mut().zip(&next.head_of).enumerate() {
+        if *old != new {
+            moved.push((NodeId(v as u32), *old));
+            *old = new;
+        }
+    }
+    moved
 }
 
 /// Phase 1 of an incremental refresh: advances `scratch`'s label arena
@@ -787,23 +819,41 @@ pub fn advance_labels<G: Adjacency + Sync>(
     swept
 }
 
-/// Phase 2 of an incremental refresh: derives the evaluation of the
-/// scratch's [`AlgorithmSet`] from labels already advanced by
-/// [`advance_labels`] to `clustering`'s head set, which swept the label
-/// slots `swept`. `prev` must be the evaluation of the pre-delta graph,
-/// and `delta` the edge change since then. `clustering` may carry
-/// promoted or demoted heads and repaired member affiliations (they feed only the A-NCR
-/// relation, whose rows are rescanned for every re-affiliated node). On
-/// `prev`'s head set, `prev`'s NC rows and canonical paths are reused
-/// for every clean head, its A-NCR rows for every cluster the delta and
-/// the re-affiliations left alone, and its local-MST choices for every
-/// head whose one-hop neighborhood kept its rows and hop counts. A
-/// changed head set renumbers every slot, so the NC relation, virtual
-/// graphs and selections are re-derived in full — that stage lives in
-/// head space and is cheap next to the label sweeps. Either way the
-/// output is **bit-for-bit identical** to a from-scratch [`run_all`] on
-/// `g` (pinned by the delta-chain tests and the `label_equivalence`
-/// and `churn_equivalence` proptests).
+/// Phase 2 of an incremental refresh: patches `eval`, the evaluation of
+/// the pre-step graph and clustering, **in place** into the evaluation
+/// of the scratch's [`AlgorithmSet`] on `g` and `clustering`, from
+/// labels already advanced by [`advance_labels`] to `clustering`'s head
+/// set. `swept` names the label slots swept or opened since `eval` (new
+/// numbering), and `delta` is the edge change since then. `clustering`
+/// may carry promoted or demoted heads and repaired member
+/// affiliations.
+///
+/// There is one patch path, for an unchanged head set and a changed
+/// one alike: every slot-indexed stage moves across a head-set change
+/// by head ID (as [`RoutePlan::apply_delta`] does), then patches only
+/// what the step reached.
+///
+/// * A swept label row whose sweep changed it
+///   ([`HeadLabels::sweep_reproduced`]) re-derives its NC row and
+///   re-walks its links; a reproduced row re-walks only the links whose
+///   path the delta met; a lost or gained head leaves or joins its
+///   neighbors' rows, and each new pair is walked. Every other link
+///   keeps its entry and path bytes.
+/// * The A-NCR rows of the clusters the delta and the re-affiliations
+///   touched are rescanned, and the AC graph keeps every link whose
+///   pair and NC path stayed.
+/// * The clustering copy is written only where an affiliation changed.
+/// * Each LMST selection re-runs the local MST only at heads within
+///   one virtual hop of a changed row or link hop count.
+///
+/// Meshes and G-MST are re-derived from the patched graphs. An
+/// evaluation for another `k` or node count is rebuilt instead. Either
+/// way the result is **bit-for-bit identical** to a from-scratch
+/// [`run_all`] on `g` (pinned by the delta-chain tests and the
+/// `label_equivalence`, `churn_equivalence` and `scoped_equivalence`
+/// proptests, across head-set changes too).
+///
+/// [`RoutePlan::apply_delta`]: crate::routing::RoutePlan::apply_delta
 ///
 /// # Panics
 /// Panics if the scratch labels do not match `clustering`'s head set.
@@ -812,9 +862,9 @@ pub fn update_all_after<G: Adjacency>(
     clustering: &Clustering,
     delta: &TopologyDelta,
     swept: &[usize],
-    prev: &EvaluationOutput,
+    eval: &mut EvaluationOutput,
     scratch: &mut EvalScratch,
-) -> EvaluationOutput {
+) {
     assert_eq!(
         scratch.labels.heads(),
         &clustering.heads[..],
@@ -822,39 +872,131 @@ pub fn update_all_after<G: Adjacency>(
     );
     scratch.metrics.inc("pipeline.update_all");
     let _tail = scratch.metrics.span("pipeline.eval_tail_ns");
-    let same_heads = prev.clustering.heads == clustering.heads;
-    let labels = &scratch.labels;
-    let nc_span = scratch.metrics.span("pipeline.nc_graph_ns");
-    let nc_graph = if same_heads {
-        let nc_sets = adjacency::nc_from_labels_patched(
-            clustering,
-            labels,
-            &prev.nc_graph.neighbor_sets,
-            swept,
-        );
-        let mut dirty_mask = vec![false; clustering.heads.len()];
-        for &slot in swept {
-            dirty_mask[slot] = true;
+    if eval.clustering.k != clustering.k
+        || eval.clustering.head_of.len() != clustering.head_of.len()
+    {
+        let nc_graph = {
+            let _nc = scratch.metrics.span("pipeline.nc_graph_ns");
+            let nc_sets = adjacency::nc_from_labels(clustering, &scratch.labels);
+            VirtualGraph::from_labels(g, clustering, nc_sets, &scratch.labels)
+        };
+        *eval = eval_from_nc(g, clustering, nc_graph, scratch);
+        return;
+    }
+    let diff = HeadDiff::new(&eval.clustering.heads, &clustering.heads);
+    scratch
+        .metrics
+        .add("pipeline.headset_patches", u64::from(!diff.is_empty()));
+    let moved = sync_clustering(&mut eval.clustering, clustering);
+    // The member lists stay only if the A-NCR patch below keeps them.
+    let mut members = std::mem::take(&mut eval.members);
+    // The previous AC graph, taken out before the NC graph is patched
+    // so the two never share an allocation then; a previous AC graph
+    // that was the NC graph lends only its relation.
+    let wants_ac = scratch.algorithms.needs_ac();
+    let prev_ac = std::mem::take(&mut eval.ac_graph);
+    let prev_ac = (wants_ac && eval.algorithms().needs_ac()).then(|| {
+        if Arc::ptr_eq(&prev_ac, &eval.nc_graph) {
+            (None, eval.nc_graph.neighbor_sets.clone())
+        } else {
+            let mut ac = Arc::unwrap_or_clone(prev_ac);
+            let sets = std::mem::take(&mut ac.neighbor_sets);
+            (Some(ac), sets)
         }
-        VirtualGraph::from_labels_patched(
+    });
+    let nc_changes = {
+        let _nc = scratch.metrics.span("pipeline.nc_graph_ns");
+        Arc::make_mut(&mut eval.nc_graph).patch_nc(
             g,
             clustering,
-            nc_sets,
-            labels,
-            &prev.nc_graph,
-            &dirty_mask,
+            &scratch.labels,
+            &diff,
+            swept,
+            delta,
+            &mut scratch.flags,
         )
-    } else {
-        let nc_sets = adjacency::nc_from_labels(clustering, labels);
-        VirtualGraph::from_labels(g, clustering, nc_sets, labels)
     };
-    drop(nc_span);
-    let step = same_heads.then_some(Step {
-        prev,
-        delta,
-        dirty: swept,
-    });
-    eval_from_nc(g, clustering, nc_graph, scratch, step)
+    scratch
+        .metrics
+        .add("pipeline.nc_links_rewalked", nc_changes.walked as u64);
+
+    let mut ac_changes = None;
+    let ac_is_nc = if wants_ac {
+        let _span = scratch.metrics.span("pipeline.ac_relation_ns");
+        let (ac_graph, ac_is_nc) = match prev_ac {
+            Some((own, mut sets)) => {
+                sets.rehead(&diff);
+                if !members.is_empty() {
+                    diff.rehead(&mut members);
+                }
+                let labels = &scratch.labels;
+                let rows = adjacency::patch_adjacent(
+                    g,
+                    clustering,
+                    |h| labels.slot(h),
+                    &mut sets,
+                    &mut members,
+                    &moved,
+                    delta,
+                    &mut scratch.ancr,
+                );
+                eval.members = members;
+                check_theorem1(&sets, clustering, &scratch.labels);
+                for &(s, _) in &rows {
+                    scratch.flags.mark(clustering.heads[s], AC_ROW);
+                }
+                let (ac_graph, ac_is_nc) = restrict(
+                    &eval.nc_graph,
+                    sets,
+                    own.map(|ac| (ac, (&rows[..], &nc_changes, &scratch.flags))),
+                );
+                // An AC link is its NC link: its hop count changed iff
+                // the NC one did and the pair stayed selected.
+                let sets = &ac_graph.neighbor_sets;
+                let hops = nc_changes
+                    .hops
+                    .iter()
+                    .copied()
+                    .filter(|&(a, b)| {
+                        let s = clustering.heads.binary_search(&a).expect("a head");
+                        sets.row(s).binary_search(&b).is_ok()
+                    })
+                    .collect();
+                ac_changes = Some(GraphChanges {
+                    rows,
+                    hops,
+                    ..GraphChanges::default()
+                });
+                (ac_graph, ac_is_nc)
+            }
+            None => {
+                let ac_sets = adjacency::adjacent_rows(g, clustering, &mut scratch.ancr);
+                check_theorem1(&ac_sets, clustering, &scratch.labels);
+                restrict(&eval.nc_graph, ac_sets, None)
+            }
+        };
+        eval.ac_graph = ac_graph;
+        ac_is_nc
+    } else {
+        false
+    };
+
+    scratch.flags.clear();
+    let reuse = Reuse {
+        prev: std::mem::take(&mut eval.outputs),
+        diff: &diff,
+        nc: &nc_changes,
+        ac: ac_changes.as_ref(),
+    };
+    eval.outputs = select(
+        g,
+        clustering,
+        &eval.nc_graph,
+        &eval.ac_graph,
+        ac_is_nc,
+        scratch,
+        Some(reuse),
+    );
 }
 
 #[cfg(test)]
@@ -862,18 +1004,18 @@ mod tests {
     use super::*;
     use adhoc_graph::gen;
 
-    /// One incremental refresh, both phases: the evaluation and the
-    /// slots the label advance swept.
+    /// One incremental refresh, both phases: patches `eval` in place and
+    /// returns the slots the label advance swept.
     fn refresh<G: Adjacency + Sync>(
         g: &G,
         clustering: &Clustering,
         delta: &TopologyDelta,
-        prev: &EvaluationOutput,
+        eval: &mut EvaluationOutput,
         scratch: &mut EvalScratch,
-    ) -> (EvaluationOutput, Vec<usize>) {
+    ) -> Vec<usize> {
         let swept = advance_labels(g, clustering, delta, scratch);
-        let out = update_all_after(g, clustering, delta, &swept, prev, scratch);
-        (out, swept)
+        update_all_after(g, clustering, delta, &swept, eval, scratch);
+        swept
     }
 
     #[test]
@@ -953,6 +1095,10 @@ mod tests {
     pub(crate) fn assert_evals_equal(a: &EvaluationOutput, b: &EvaluationOutput, ctx: &str) {
         assert_eq!(a.clustering.heads, b.clustering.heads, "{ctx}: heads");
         assert_eq!(a.clustering.head_of, b.clustering.head_of, "{ctx}: head_of");
+        assert_eq!(
+            a.clustering.dist_to_head, b.clustering.dist_to_head,
+            "{ctx}: dist_to_head"
+        );
         for (x, y, name) in [
             (&a.nc_graph, &b.nc_graph, "nc"),
             (&a.ac_graph, &b.ac_graph, "ac"),
@@ -964,9 +1110,17 @@ mod tests {
                 assert_eq!(l.path, r.path, "{ctx}: {name} path {:?}-{:?}", l.a, l.b);
             }
         }
-        for alg in Algorithm::ALL {
-            assert_eq!(a.of(alg).selection, b.of(alg).selection, "{ctx}: {alg}");
-            assert_eq!(a.of(alg).cds, b.of(alg).cds, "{ctx}: {alg} cds");
+        assert_eq!(
+            Arc::ptr_eq(&a.nc_graph, &a.ac_graph),
+            Arc::ptr_eq(&b.nc_graph, &b.ac_graph),
+            "{ctx}: AC graph shares the NC one"
+        );
+        assert_eq!(a.algorithms(), b.algorithms(), "{ctx}: algorithms");
+        for alg in a.algorithms().iter() {
+            let (x, y) = (a.of(alg), b.of(alg));
+            assert_eq!(x.selection, y.selection, "{ctx}: {alg}");
+            assert_eq!(x.cds, y.cds, "{ctx}: {alg} cds");
+            assert_eq!(x.lmst_rows, y.lmst_rows, "{ctx}: {alg} LMST rows");
         }
     }
 
@@ -1009,16 +1163,15 @@ mod tests {
                     }
                 }
                 delta.normalize();
-                let (next, swept) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+                let swept = refresh(&g, &clustering, &delta, &mut prev, &mut scratch);
                 assert!(swept.len() <= clustering.heads.len());
                 let fresh = run_all(&g, &clustering);
-                assert_evals_equal(&next, &fresh, &format!("k={k} step={step}"));
+                assert_evals_equal(&prev, &fresh, &format!("k={k} step={step}"));
                 // The warm labels equal a cold rebuild too.
                 let cold = adhoc_graph::labels::HeadLabels::build(&g, &clustering.heads, 2 * k + 1);
                 for slot in 0..clustering.heads.len() {
                     assert_eq!(scratch.labels().ball(slot), cold.ball(slot));
                 }
-                prev = next;
             }
         }
     }
@@ -1032,7 +1185,7 @@ mod tests {
         let g0 = gen::path(20);
         let clustering = crate::clustering::cluster(&g0, 1, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::new();
-        let prev = run_all_with(&g0, &clustering, &mut scratch);
+        let mut eval = run_all_with(&g0, &clustering, &mut scratch);
         // Add a hub touching everything: every head's 3-ball changes.
         let mut g = g0.clone();
         let mut delta = adhoc_graph::delta::TopologyDelta::new();
@@ -1044,10 +1197,10 @@ mod tests {
         }
         delta.normalize();
         let rebuilds = scratch.labels().rebuild_count();
-        let (next, swept) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+        let swept = refresh(&g, &clustering, &delta, &mut eval, &mut scratch);
         assert_eq!(swept.len(), clustering.heads.len(), "every row swept");
         assert_eq!(scratch.labels().rebuild_count(), rebuilds, "no rebuild");
-        assert_evals_equal(&next, &run_all(&g, &clustering), "every row dirty");
+        assert_evals_equal(&eval, &run_all(&g, &clustering), "every row dirty");
     }
 
     /// Every evaluation times its NC stage once: the cold build, a
@@ -1060,13 +1213,13 @@ mod tests {
         let metrics = Metrics::enabled();
         let mut scratch = EvalScratch::new();
         scratch.set_metrics(metrics.clone());
-        let prev = run_all_with(&g0, &clustering, &mut scratch);
+        let mut eval = run_all_with(&g0, &clustering, &mut scratch);
         let mut g = g0.clone();
         let mut delta = adhoc_graph::delta::TopologyDelta::new();
         g.add_edge(NodeId(1), NodeId(3));
         delta.push_added(NodeId(1), NodeId(3));
         delta.normalize();
-        let (prev, patched) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+        let patched = refresh(&g, &clustering, &delta, &mut eval, &mut scratch);
         assert!(patched.len() < clustering.heads.len());
         let mut hub = adhoc_graph::delta::TopologyDelta::new();
         for v in 3..20u32 {
@@ -1074,7 +1227,7 @@ mod tests {
             hub.push_added(NodeId(0), NodeId(v));
         }
         hub.normalize();
-        let (_, saturated) = refresh(&g, &clustering, &hub, &prev, &mut scratch);
+        let saturated = refresh(&g, &clustering, &hub, &mut eval, &mut scratch);
         assert_eq!(saturated.len(), clustering.heads.len());
         let snap = metrics.snapshot();
         let span = snap
@@ -1095,13 +1248,13 @@ mod tests {
         let metrics = Metrics::enabled();
         let mut scratch = EvalScratch::new();
         scratch.set_metrics(metrics.clone());
-        let prev = run_all_with(&g0, &clustering, &mut scratch);
+        let mut eval = run_all_with(&g0, &clustering, &mut scratch);
         let mut g = g0.clone();
         let mut delta = adhoc_graph::delta::TopologyDelta::new();
         g.add_edge(NodeId(1), NodeId(3));
         delta.push_added(NodeId(1), NodeId(3));
         delta.normalize();
-        let (prev, patched) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+        let patched = refresh(&g, &clustering, &delta, &mut eval, &mut scratch);
         assert!(patched.len() < clustering.heads.len());
         let mut hub = adhoc_graph::delta::TopologyDelta::new();
         for v in 3..20u32 {
@@ -1109,7 +1262,7 @@ mod tests {
             hub.push_added(NodeId(0), NodeId(v));
         }
         hub.normalize();
-        let (_, saturated) = refresh(&g, &clustering, &hub, &prev, &mut scratch);
+        let saturated = refresh(&g, &clustering, &hub, &mut eval, &mut scratch);
         assert_eq!(saturated.len(), clustering.heads.len());
         scratch.set_algorithms(AlgorithmSet::only(Algorithm::AcLmst));
         run_all_with(&g, &clustering, &mut scratch);
@@ -1146,7 +1299,7 @@ mod tests {
                 }
             }
             delta.normalize();
-            let (next, _) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+            refresh(&g, &clustering, &delta, &mut prev, &mut scratch);
             let labels = scratch.labels();
             for (slot, &h) in clustering.heads.iter().enumerate() {
                 bfs.run(&g, h, 5);
@@ -1158,7 +1311,6 @@ mod tests {
                     );
                 }
             }
-            prev = next;
         }
     }
 
@@ -1193,9 +1345,8 @@ mod tests {
                 [pos],
                 "promotion of {v:?} must sweep exactly its own row"
             );
-            let out = update_all_after(&g, &clustering, &none, &swept, &prev, &mut scratch);
-            assert_evals_equal(&out, &run_all(&g, &clustering), &format!("+{v:?}"));
-            prev = out;
+            update_all_after(&g, &clustering, &none, &swept, &mut prev, &mut scratch);
+            assert_evals_equal(&prev, &run_all(&g, &clustering), &format!("+{v:?}"));
         }
 
         // Demote one of them again: a row removal dirties nothing.
@@ -1209,8 +1360,8 @@ mod tests {
             swept.is_empty(),
             "demotion must sweep no rows, got {swept:?}"
         );
-        let out = update_all_after(&g, &clustering, &none, &swept, &prev, &mut scratch);
-        assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{v:?}"));
+        update_all_after(&g, &clustering, &none, &swept, &mut prev, &mut scratch);
+        assert_evals_equal(&prev, &run_all(&g, &clustering), &format!("-{v:?}"));
 
         // A head-set change combined with an edge delta in one
         // advance stays exact.
@@ -1226,8 +1377,8 @@ mod tests {
             delta.push_added(a, b);
         }
         delta.normalize();
-        let (out, _) = refresh(&g, &clustering, &delta, &out, &mut scratch);
-        assert_evals_equal(&out, &run_all(&g, &clustering), &format!("-{w:?}+edge"));
+        refresh(&g, &clustering, &delta, &mut prev, &mut scratch);
+        assert_evals_equal(&prev, &run_all(&g, &clustering), &format!("-{w:?}+edge"));
         assert_eq!(
             scratch.labels().rebuild_count(),
             rebuilds,
@@ -1244,7 +1395,7 @@ mod tests {
         let k1 = crate::clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
         let k2 = crate::clustering::cluster(&g, 2, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::new();
-        let prev = run_all_with(&g, &k1, &mut scratch);
+        let mut eval = run_all_with(&g, &k1, &mut scratch);
         let none = adhoc_graph::delta::TopologyDelta::new();
         let rebuilds = scratch.labels().rebuild_count();
         let swept = advance_labels(&g, &k2, &none, &mut scratch);
@@ -1254,8 +1405,8 @@ mod tests {
             "bound changed"
         );
         assert_eq!(scratch.labels().rebuild_count(), rebuilds + 1);
-        let out = update_all_after(&g, &k2, &none, &swept, &prev, &mut scratch);
-        assert_evals_equal(&out, &run_all(&g, &k2), "rebuild on a new bound");
+        update_all_after(&g, &k2, &none, &swept, &mut eval, &mut scratch);
+        assert_evals_equal(&eval, &run_all(&g, &k2), "rebuild on a new bound");
     }
 
     /// An empty delta is a no-op refresh with zero dirty heads.
@@ -1265,9 +1416,169 @@ mod tests {
         let clustering = crate::clustering::cluster(&g, 2, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::new();
         let prev = run_all_with(&g, &clustering, &mut scratch);
+        let mut next = prev.clone();
         let delta = adhoc_graph::delta::TopologyDelta::new();
-        let (next, swept) = refresh(&g, &clustering, &delta, &prev, &mut scratch);
+        let swept = refresh(&g, &clustering, &delta, &mut next, &mut scratch);
         assert!(swept.is_empty());
         assert_evals_equal(&next, &prev, "no-op");
+    }
+
+    /// Re-homes every node that is not a head and whose head is gone or
+    /// beyond `k` to the nearest head within `k` (distance, then ID),
+    /// and promotes it when none is in range (§3.3 join-or-elect);
+    /// every kept member's distance is refreshed.
+    fn repair_coverage(
+        g: &adhoc_graph::graph::Graph,
+        c: &mut Clustering,
+        bfs: &mut adhoc_graph::bfs::BfsScratch,
+    ) {
+        let listed = |c: &Clustering, v: NodeId| c.heads.binary_search(&v).is_ok();
+        for v in g.nodes() {
+            if listed(c, v) {
+                continue;
+            }
+            bfs.run(g, v, c.k);
+            let own = c.head_of[v.index()];
+            let (d, h) = if listed(c, own) && bfs.dist(own) <= c.k {
+                (bfs.dist(own), own)
+            } else {
+                let nearest = bfs
+                    .visited()
+                    .iter()
+                    .filter(|&&h| listed(c, h))
+                    .map(|&h| (bfs.dist(h), h))
+                    .min();
+                nearest.unwrap_or_else(|| {
+                    let at = c.heads.binary_search(&v).unwrap_err();
+                    c.heads.insert(at, v);
+                    (0, v)
+                })
+            };
+            c.head_of[v.index()] = h;
+            c.dist_to_head[v.index()] = d;
+        }
+    }
+
+    /// The body of the head-set patch proptest: a geometric network of
+    /// `n` nodes clustered at `k`, evaluated for all five algorithms or
+    /// for AC-LMST alone (as the churn engine asks), then `edits` edits
+    /// — a member promoted, a head demoted, a head swapped for one of
+    /// its members, a global `cluster()` of a perturbed graph, or one to
+    /// four edge flips whose broken coverage is repaired locally. After
+    /// every edit the evaluation patched in place equals a cold
+    /// `run_all_with` field by field.
+    fn check_headset_patch_chain(seed: u64, n: usize, k: u32, edits: usize, scoped: bool) {
+        use adhoc_graph::bfs::BfsScratch;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = gen::geometric(&gen::GeometricConfig::new(n, 100.0, 7.0), &mut rng);
+        let mut g = net.graph.clone();
+        let mut bfs = BfsScratch::new(n);
+        let mut c = crate::clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
+        let algorithms = if scoped {
+            AlgorithmSet::only(Algorithm::AcLmst)
+        } else {
+            AlgorithmSet::ALL
+        };
+        let mut scratch = EvalScratch::new();
+        scratch.set_algorithms(algorithms);
+        let mut eval = run_all_with(&g, &c, &mut scratch);
+        let demote = |g: &adhoc_graph::graph::Graph, c: &mut Clustering, h, bfs: &mut _| {
+            let at = c.heads.binary_search(&h).expect("a head");
+            c.heads.remove(at);
+            repair_coverage(g, c, bfs);
+        };
+        for edit in 0..edits {
+            let mut delta = TopologyDelta::new();
+            let members: Vec<NodeId> = g.nodes().filter(|&v| !c.is_head(v)).collect();
+            let promote = |c: &mut Clustering, m: NodeId| {
+                let at = c.heads.binary_search(&m).unwrap_err();
+                c.heads.insert(at, m);
+                c.head_of[m.index()] = m;
+                c.dist_to_head[m.index()] = 0;
+            };
+            match rng.gen_range(0..5) {
+                0 if !members.is_empty() => {
+                    promote(&mut c, members[rng.gen_range(0..members.len())]);
+                    repair_coverage(&g, &mut c, &mut bfs);
+                }
+                1 if c.heads.len() > 1 => {
+                    let h = c.heads[rng.gen_range(0..c.heads.len())];
+                    demote(&g, &mut c, h, &mut bfs);
+                }
+                2 if !members.is_empty() => {
+                    let m = members[rng.gen_range(0..members.len())];
+                    let h = c.head_of[m.index()];
+                    promote(&mut c, m);
+                    demote(&g, &mut c, h, &mut bfs);
+                }
+                choice => {
+                    for _ in 0..rng.gen_range(1..=4) {
+                        let a = NodeId(rng.gen_range(0..n as u32));
+                        let b = NodeId(rng.gen_range(0..n as u32));
+                        if a == b {
+                            continue;
+                        }
+                        if g.has_edge(a, b) {
+                            g.remove_edge(a, b);
+                            delta.push_removed(a, b);
+                        } else {
+                            g.add_edge(a, b);
+                            delta.push_added(a, b);
+                        }
+                    }
+                    delta.normalize();
+                    if choice == 3 {
+                        c = crate::clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
+                    } else {
+                        repair_coverage(&g, &mut c, &mut bfs);
+                    }
+                }
+            }
+            let swept = advance_labels(&g, &c, &delta, &mut scratch);
+            update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
+            let mut cold = EvalScratch::new();
+            cold.set_algorithms(algorithms);
+            let fresh = run_all_with(&g, &c, &mut cold);
+            assert_evals_equal(&eval, &fresh, &format!("seed={seed} edit={edit}"));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Edge deltas mixed with promotions, demotions, swaps and global
+        /// re-elections: the evaluation `update_all_after` patches in
+        /// place equals a cold `run_all_with` after every edit — LMST
+        /// rows, link order and the AC/NC sharing included — for all
+        /// five algorithms and for AC-LMST alone.
+        #[test]
+        fn headset_patch_matches_run_all_through_edit_chains(
+            seed in 0u64..1_000_000,
+            n in 40usize..=300,
+            k in 1u32..=3,
+            edits in 1usize..=8,
+            scoped in 0usize..2,
+        ) {
+            check_headset_patch_chain(seed, n, k, edits, scoped == 1);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// The long tier of the head-set patch proptest (run with
+        /// `--ignored`, in release).
+        #[test]
+        #[ignore = "long tier: cargo test --release -- --ignored"]
+        fn headset_patch_matches_run_all_through_edit_chains_long(
+            seed in 0u64..1_000_000,
+            n in 40usize..=300,
+            k in 1u32..=3,
+            edits in 1usize..=8,
+            scoped in 0usize..2,
+        ) {
+            check_headset_patch_chain(seed, n, k, edits, scoped == 1);
+        }
     }
 }

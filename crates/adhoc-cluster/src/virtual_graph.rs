@@ -21,9 +21,10 @@
 //! Construction reads per-head distance labels ([`HeadLabels`]) so one
 //! BFS sweep per head serves every consumer.
 
-use crate::adjacency::{self, NeighborRule, NeighborSets};
+use crate::adjacency::{self, HeadDiff, NeighborRule, NeighborSets};
 use crate::clustering::Clustering;
 use adhoc_graph::bfs::{self, Adjacency};
+use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::graph::NodeId;
 use adhoc_graph::labels::HeadLabels;
 use adhoc_graph::lmst::TieWeight;
@@ -126,6 +127,8 @@ struct LinkEntry {
 pub struct LinkStore {
     entries: Vec<LinkEntry>,
     arena: Vec<NodeId>,
+    /// Arena nodes no entry points at any more (left by patches).
+    dead: usize,
 }
 
 impl LinkStore {
@@ -139,29 +142,136 @@ impl LinkStore {
         b: NodeId,
         labels: &L,
     ) -> bool {
-        let off = self.arena.len();
-        if !bfs::lexico_path_append(g, a, b, labels, &mut self.arena) {
-            return false;
+        match self.walk(g, a, b, labels) {
+            Some(e) => {
+                self.entries.push(e);
+                true
+            }
+            None => false,
         }
-        self.entries.push(LinkEntry {
+    }
+
+    /// Walks the canonical path `a ⇝ b` into the arena, as
+    /// [`Self::push_walk`], and returns its entry without indexing it.
+    fn walk<G: Adjacency, L: bfs::DistLabels>(
+        &mut self,
+        g: &G,
+        a: NodeId,
+        b: NodeId,
+        labels: &L,
+    ) -> Option<LinkEntry> {
+        let off = self.arena.len();
+        bfs::lexico_path_append(g, a, b, labels, &mut self.arena).then(|| LinkEntry {
             a,
             b,
             off: off as u32,
             len: (self.arena.len() - off) as u32,
-        });
-        true
+        })
     }
 
-    /// Copies one link (entry + path bytes) from another store.
-    fn push_copy(&mut self, link: LinkRef<'_>) {
+    /// Copies one link's path into the arena and returns its entry
+    /// without indexing it.
+    fn copy(&mut self, link: LinkRef<'_>) -> LinkEntry {
         let off = self.arena.len() as u32;
         self.arena.extend_from_slice(link.path);
-        self.entries.push(LinkEntry {
+        LinkEntry {
             a: link.a,
             b: link.b,
             off,
             len: link.path.len() as u32,
-        });
+        }
+    }
+
+    /// Copies one link (entry + path bytes) from another store.
+    fn push_copy(&mut self, link: LinkRef<'_>) {
+        let e = self.copy(link);
+        self.entries.push(e);
+    }
+
+    /// Splices a patch into the index in one merge pass: each entry
+    /// `keep` rejects (given the entry and its path) leaves, and the
+    /// `fresh` entries (paths already in the arena) join in `(a, b)`
+    /// order. A kept entry is neither looked up, copied nor re-sorted,
+    /// and a rejected entry whose fresh walk reproduced its path stays
+    /// as it was. Records what changed in `changes`
+    /// ([`GraphChanges::repathed`], [`GraphChanges::hops`],
+    /// [`GraphChanges::dropped`]).
+    fn splice(
+        &mut self,
+        mut keep: impl FnMut(&LinkEntry, &[NodeId]) -> bool,
+        mut fresh: Vec<LinkEntry>,
+        changes: &mut GraphChanges,
+    ) {
+        fresh.sort_unstable_by_key(|e| (e.a, e.b));
+        let mut fresh = fresh.into_iter().peekable();
+        let old = std::mem::take(&mut self.entries);
+        self.entries.reserve(old.len() + fresh.len());
+        for e in old {
+            while let Some(f) = fresh.next_if(|f| (f.a, f.b) < (e.a, e.b)) {
+                self.entries.push(f);
+            }
+            if keep(&e, self.path(&e)) {
+                self.entries.push(e);
+                continue;
+            }
+            let f = fresh.next_if(|f| (f.a, f.b) == (e.a, e.b));
+            let stays = f.is_some();
+            let kept = self.settle(e, f, changes);
+            if stays {
+                self.entries.push(kept);
+            }
+        }
+        self.entries.extend(fresh);
+        self.compact();
+    }
+
+    /// The entry that stands for `old`'s pair once `fresh` (its new
+    /// walk, if the pair stays) is in: `old` when the walk reproduced
+    /// its path, else `fresh`, recording the change. (With no `fresh`
+    /// the returned `old` is a placeholder the caller drops.)
+    fn settle(
+        &mut self,
+        old: LinkEntry,
+        fresh: Option<LinkEntry>,
+        changes: &mut GraphChanges,
+    ) -> LinkEntry {
+        match fresh {
+            Some(f) if self.path(&f) == self.path(&old) => {
+                self.dead += f.len as usize;
+                old
+            }
+            fresh => {
+                changes.dropped.push_copy(self.view(&old));
+                self.dead += old.len as usize;
+                if let Some(f) = fresh {
+                    changes.repathed.push((old.a, old.b));
+                    if f.len != old.len {
+                        changes.hops.push((old.a, old.b));
+                    }
+                }
+                fresh.unwrap_or(old)
+            }
+        }
+    }
+
+    /// The path bytes of `e`.
+    fn path(&self, e: &LinkEntry) -> &[NodeId] {
+        &self.arena[e.off as usize..(e.off + e.len) as usize]
+    }
+
+    /// Rewrites the arena without its dead paths once they make up half
+    /// of it.
+    fn compact(&mut self) {
+        if 2 * self.dead > self.arena.len() + 1024 {
+            let arena = std::mem::take(&mut self.arena);
+            self.arena.reserve(arena.len() - self.dead);
+            for e in &mut self.entries {
+                let path = &arena[e.off as usize..(e.off + e.len) as usize];
+                e.off = self.arena.len() as u32;
+                self.arena.extend_from_slice(path);
+            }
+            self.dead = 0;
+        }
     }
 
     /// Sorts the index by `(a, b)` (paths stay where they are — the
@@ -201,6 +311,76 @@ impl LinkStore {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// Node-indexed bit flags for one in-place patch: [`LOST`], [`FRESH`],
+/// [`REPRODUCED`], [`ENDPOINT`], [`AC_ROW`]. Clearing resets only the
+/// nodes marked since the last clear.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NodeFlags {
+    bits: Vec<u8>,
+    marked: Vec<NodeId>,
+}
+
+/// A head that left the head list.
+pub(crate) const LOST: u8 = 1;
+/// A head whose label row was re-derived (swept and changed, or new).
+pub(crate) const FRESH: u8 = 2;
+/// A head whose label row was swept and reproduced byte for byte.
+pub(crate) const REPRODUCED: u8 = 4;
+/// An endpoint of a changed edge.
+pub(crate) const ENDPOINT: u8 = 8;
+/// A head whose A-NCR row changed.
+pub(crate) const AC_ROW: u8 = 16;
+
+impl NodeFlags {
+    /// Sets `bit` on `v`.
+    pub(crate) fn mark(&mut self, v: NodeId, bit: u8) {
+        if self.bits.len() <= v.index() {
+            self.bits.resize(v.index() + 1, 0);
+        }
+        if self.bits[v.index()] == 0 {
+            self.marked.push(v);
+        }
+        self.bits[v.index()] |= bit;
+    }
+
+    /// The bits set on `v`.
+    pub(crate) fn get(&self, v: NodeId) -> u8 {
+        self.bits.get(v.index()).copied().unwrap_or(0)
+    }
+
+    /// Whether `v` carries any of `bits`.
+    pub(crate) fn has(&self, v: NodeId, bits: u8) -> bool {
+        self.get(v) & bits != 0
+    }
+
+    /// Clears every mark.
+    pub(crate) fn clear(&mut self) {
+        for v in self.marked.drain(..) {
+            self.bits[v.index()] = 0;
+        }
+    }
+}
+
+/// What an in-place patch of a [`VirtualGraph`] changed, in the new
+/// head numbering, for the selections downstream.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct GraphChanges {
+    /// Slots whose row changed, each with its previous row where the
+    /// patch had it at hand (empty where a lost head only left the row
+    /// or a gained head only joined it).
+    pub(crate) rows: Vec<(usize, Vec<NodeId>)>,
+    /// Pairs that kept their link but changed its hop count (a subset
+    /// of `repathed`), ascending.
+    pub(crate) hops: Vec<(NodeId, NodeId)>,
+    /// Pairs that kept their link but changed its path, ascending.
+    pub(crate) repathed: Vec<(NodeId, NodeId)>,
+    /// Every link the patch dropped or gave a new path, with its
+    /// previous path.
+    pub(crate) dropped: LinkStore,
+    /// How many links were walked afresh.
+    pub(crate) walked: usize,
 }
 
 /// The virtual graph over clusterheads under a neighbor rule. The
@@ -269,59 +449,229 @@ impl VirtualGraph {
         }
     }
 
-    /// As [`Self::from_labels`], but after an **incremental** label
-    /// update ([`HeadLabels::advance`]): links owned by a clean
-    /// larger endpoint are copied byte-for-byte from `prev` (the
-    /// canonical walk reads only that endpoint's distance row and the
-    /// adjacency of nodes inside its ball, both provably untouched when
-    /// the head is clean), and only links owned by `dirty` slots are
-    /// re-walked. Produces exactly what [`Self::from_labels`] would on
-    /// the new labels (pinned by tests).
+    /// Patches this NC graph in place from the graph and clustering of
+    /// its last evaluation to `clustering` on `g`, given `labels`
+    /// already advanced to `clustering`'s head list, `diff`, the
+    /// head-list change, the label slots the advance swept or opened
+    /// (`swept`, new numbering) and the edge `delta` since then.
+    /// Patches by head ID:
+    ///
+    /// * a swept row whose sweep did not reproduce it
+    ///   ([`HeadLabels::sweep_reproduced`]), and a gained head's row,
+    ///   is re-derived from the labels and all its links are re-walked;
+    /// * every other row can change only by head-set change, since its
+    ///   distances are as before: a lost head leaves it and a gained
+    ///   head within `2k+1` hops joins it (the relation is symmetric,
+    ///   so the gained head's fresh row names exactly those), and each
+    ///   new pair is walked;
+    /// * a link owned by a reproduced row is re-walked only if a delta
+    ///   endpoint lies on its path before the owner: the canonical walk
+    ///   toward the owner reads only the owner's distances and the
+    ///   adjacency of those path nodes;
+    /// * a link with a lost endpoint is dropped, and every other link
+    ///   keeps its entry and path bytes: it is not looked up, copied or
+    ///   re-sorted.
+    ///
+    /// Produces exactly what [`Self::from_labels`] would on the new
+    /// labels (pinned by tests). Marks `flags` as it goes ([`LOST`],
+    /// [`FRESH`], [`REPRODUCED`], [`ENDPOINT`]); the caller clears them.
     ///
     /// # Panics
-    /// As [`Self::from_labels`], plus if a clean pair of the relation
-    /// is missing from `prev` (which would mean the dirty set was
-    /// unsound).
-    pub fn from_labels_patched<G: Adjacency>(
+    /// As [`Self::from_labels`], plus if `labels` do not carry
+    /// `clustering`'s head list.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn patch_nc<G: Adjacency>(
+        &mut self,
         g: &G,
         clustering: &Clustering,
-        neighbor_sets: NeighborSets,
         labels: &HeadLabels,
-        prev: &VirtualGraph,
-        dirty_slots: &[bool],
-    ) -> Self {
+        diff: &HeadDiff,
+        swept: &[usize],
+        delta: &TopologyDelta,
+        flags: &mut NodeFlags,
+    ) -> GraphChanges {
+        let bound = 2 * clustering.k + 1;
         assert!(
-            labels.bound() > 2 * clustering.k,
+            labels.bound() >= bound,
             "labels too shallow for the 2k+1 link bound"
         );
-        let mut store = LinkStore::default();
-        let mut row = labels.expanded();
-        for (b, partners) in neighbor_sets.iter() {
-            if !partners.iter().any(|&a| a < b) {
-                continue;
-            }
-            let slot = labels.slot(b).expect("selected head is labeled");
-            if dirty_slots[slot] {
-                let row = row.load(slot);
-                for &a in partners.iter().filter(|&&a| a < b) {
-                    let ok = store.push_walk(g, a, b, row);
-                    assert!(ok, "selected neighbor heads are within 2k+1 hops");
-                }
+        let heads = &clustering.heads;
+        assert_eq!(labels.heads(), &heads[..], "head set mismatch");
+        let slot = |x: NodeId| labels.slot(x).expect("a head");
+        for &s in swept {
+            let bit = if labels.sweep_reproduced(s) {
+                REPRODUCED
             } else {
-                for &a in partners.iter().filter(|&&a| a < b) {
-                    let link = prev
-                        .link(a, b)
-                        .expect("clean head's links persist across the delta");
-                    store.push_copy(link);
+                FRESH
+            };
+            flags.mark(heads[s], bit);
+        }
+        for &y in &diff.gained {
+            flags.mark(y, FRESH);
+        }
+        for &z in &diff.lost {
+            flags.mark(z, LOST);
+        }
+        for v in delta.endpoints() {
+            flags.mark(v, ENDPOINT);
+        }
+        let fresh = |flags: &NodeFlags, x: NodeId| flags.has(x, FRESH);
+        let mut changes = GraphChanges::default();
+        // The rows of lost heads name the rows they leave.
+        let lost_rows: Vec<(NodeId, Vec<NodeId>)> = diff
+            .lost
+            .iter()
+            .map(|&z| {
+                let old = self.heads.binary_search(&z).expect("a previous head");
+                (z, std::mem::take(self.neighbor_sets.row_mut(old)))
+            })
+            .collect();
+        self.neighbor_sets.rehead(diff);
+        self.heads.clone_from(heads);
+        let sets = &mut self.neighbor_sets;
+        for (z, row) in &lost_rows {
+            for &x in row.iter().filter(|&&x| !flags.has(x, LOST | FRESH)) {
+                let s = slot(x);
+                let row = sets.row_mut(s);
+                row.remove(row.binary_search(z).expect("the relation is symmetric"));
+                changes.rows.push((s, Vec::new()));
+            }
+        }
+        // Fresh rows are re-derived, and all their links re-walked.
+        let mut walks: Vec<(usize, NodeId)> = Vec::new();
+        for s in (0..heads.len()).filter(|&s| fresh(flags, heads[s])) {
+            let row = labels.heads_within(s, bound);
+            if row != sets.row(s) {
+                changes
+                    .rows
+                    .push((s, std::mem::replace(sets.row_mut(s), row)));
+            }
+            let b = heads[s];
+            walks.extend(sets.row(s).iter().take_while(|&&a| a < b).map(|&a| (s, a)));
+        }
+        // Gained heads join the other rows; each such new pair owned by
+        // the other side is walked from its row.
+        for &y in &diff.gained {
+            for i in 0..sets.row(slot(y)).len() {
+                let x = sets.row(slot(y))[i];
+                if !fresh(flags, x) {
+                    let s = slot(x);
+                    let row = sets.row_mut(s);
+                    let at = row.binary_search(&y).expect_err("a new pair");
+                    row.insert(at, y);
+                    changes.rows.push((s, Vec::new()));
+                    if y < x {
+                        walks.push((s, y));
+                    }
                 }
             }
         }
-        store.finish();
-        VirtualGraph {
-            heads: clustering.heads.clone(),
-            neighbor_sets,
-            store,
+        // A reproduced row's link is re-walked when the delta changed
+        // the adjacency of a node its walk reads.
+        let meets_delta = |flags: &NodeFlags, path: &[NodeId]| {
+            path[..path.len() - 1]
+                .iter()
+                .any(|&v| flags.has(v, ENDPOINT))
+        };
+        for &s in swept {
+            let b = heads[s];
+            if flags.has(b, REPRODUCED) && !fresh(flags, b) {
+                for &a in sets.row(s).iter().take_while(|&&a| a < b) {
+                    if let Some(link) = self.store.get(a, b) {
+                        if meets_delta(flags, link.path) {
+                            walks.push((s, a));
+                        }
+                    }
+                }
+            }
         }
+        walks.sort_unstable();
+
+        let mut row = labels.expanded();
+        let fresh_links: Vec<LinkEntry> = walks
+            .iter()
+            .map(|&(s, a)| {
+                let e = self.store.walk(g, a, heads[s], row.load(s));
+                e.expect("selected neighbor heads are within 2k+1 hops")
+            })
+            .collect();
+        changes.walked = fresh_links.len();
+        self.store.splice(
+            |e, path| {
+                let either = flags.get(e.a) | flags.get(e.b);
+                either == 0
+                    || (either & LOST == 0
+                        && !fresh(flags, e.b)
+                        && !(flags.has(e.b, REPRODUCED) && meets_delta(flags, path)))
+            },
+            fresh_links,
+            &mut changes,
+        );
+        changes
+    }
+
+    /// Patches this restriction of the NC graph (see
+    /// [`Self::restricted_to`]) in place after `nc` was patched
+    /// ([`Self::patch_nc`] returned `nc_changes` and marked `flags`) and
+    /// this graph's relation was patched to the new one (`rows` lists
+    /// its changed slots with their previous rows, and their heads carry
+    /// [`AC_ROW`]). An entry stays unless an endpoint was lost, the pair
+    /// left the relation or its NC link took a new path; a pair that
+    /// joined the relation or kept it over a new NC path copies that
+    /// path. An entry with no flagged endpoint is kept without a lookup.
+    /// Produces exactly what [`Self::restricted_to`] would (pinned by
+    /// tests).
+    ///
+    /// # Panics
+    /// Panics if the relation selects a pair `nc` lacks.
+    pub(crate) fn patch_restriction(
+        &mut self,
+        nc: &VirtualGraph,
+        rows: &[(usize, Vec<NodeId>)],
+        nc_changes: &GraphChanges,
+        flags: &NodeFlags,
+    ) {
+        self.heads.clone_from(&nc.heads);
+        if rows.is_empty() && nc_changes.repathed.is_empty() {
+            return;
+        }
+        let sets = &self.neighbor_sets;
+        let heads = &self.heads;
+        let slot = |x: NodeId| heads.binary_search(&x).expect("a head");
+        let selects = |(a, b): (NodeId, NodeId)| sets.row(slot(a)).binary_search(&b).is_ok();
+        let mut pairs = Vec::new();
+        for (s, old) in rows {
+            let x = heads[*s];
+            for &y in sets.row(*s) {
+                if old.binary_search(&y).is_err() {
+                    pairs.push((x.min(y), x.max(y)));
+                }
+            }
+        }
+        let repathed = &nc_changes.repathed;
+        pairs.extend(repathed.iter().copied().filter(|&p| selects(p)));
+        pairs.sort_unstable();
+        pairs.dedup();
+        let fresh = pairs
+            .into_iter()
+            .map(|(a, b)| {
+                let link = nc
+                    .link(a, b)
+                    .expect("restricted relation is a subset of this graph");
+                self.store.copy(link)
+            })
+            .collect();
+        self.store.splice(
+            |e, _| {
+                let either = flags.get(e.a) | flags.get(e.b);
+                either == 0
+                    || (either & LOST == 0
+                        && repathed.binary_search(&(e.a, e.b)).is_err()
+                        && (!flags.has(e.a, AC_ROW) || selects((e.a, e.b))))
+            },
+            fresh,
+            &mut GraphChanges::default(),
+        );
     }
 
     /// Derives the sub-virtual-graph induced by a coarser neighbor
@@ -338,6 +688,7 @@ impl VirtualGraph {
         let mut store = LinkStore {
             entries: Vec::with_capacity(neighbor_sets.pair_count()),
             arena: Vec::with_capacity(self.store.arena.len()),
+            dead: 0,
         };
         let mut links = self.store.entries.iter();
         for (a, row) in neighbor_sets.iter() {

@@ -129,8 +129,7 @@ proptest! {
             } else {
                 delta.normalize();
                 let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-                let next = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
-                eval = next;
+                pipeline::update_all_after(&g, &c, &delta, &dirty, &mut eval, &mut scratch);
                 dirty
             };
             let hub_report = hub.apply_delta(

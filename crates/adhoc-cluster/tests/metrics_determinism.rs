@@ -4,7 +4,9 @@
 //! repair chain has to be identical for any worker count. Only the
 //! `_ns` span timings may differ — and those
 //! are excluded from [`MetricsSnapshot::deterministic_fingerprint`],
-//! which is exactly the surface these proptests pin.
+//! which is exactly the surface these proptests pin. It includes the
+//! eval tail's boundary counters, `pipeline.nc_links_rewalked` and
+//! `pipeline.headset_patches`.
 //!
 //! The contract matters because bench records and CI smoke runs embed
 //! the fingerprint: if a counter were incremented from a racy branch
@@ -120,22 +122,29 @@ proptest! {
                 let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
                 // The advance's swept slots, in the new head numbering.
                 let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
-                let next = pipeline::update_all_after(g, &c, delta, &dirty, &prev, &mut scratch);
+                pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
                 plan.apply_delta_metered(
                     g,
                     &c,
                     scratch.labels(),
                     &dirty,
-                    next.ac_graph.links(),
+                    prev.ac_graph.links(),
                     par,
                     &metrics,
                 );
-                prev = next;
             }
             count_rows(&metrics.snapshot())
         };
 
         let (base_fp, base_rows) = run_arm(Parallelism::serial());
+        // The eval tail's boundary counters are part of the pinned
+        // surface: links walked afresh and head-set patches.
+        for name in ["pipeline.nc_links_rewalked", "pipeline.headset_patches"] {
+            prop_assert!(
+                base_rows.iter().any(|r| r.starts_with(&format!("counter {name} = "))),
+                "{} missing from the snapshot", name
+            );
+        }
         for w in WORKER_GRID {
             let (fp, rows) = run_arm(Parallelism::new(w));
             prop_assert_eq!(

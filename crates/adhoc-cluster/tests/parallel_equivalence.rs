@@ -194,18 +194,17 @@ proptest! {
                 let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
                 // The advance's swept slots, in the new head numbering.
                 let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
-                let next = pipeline::update_all_after(g, &c, delta, &dirty, &prev, &mut scratch);
+                pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
                 plan.apply_delta_tuned(
                     g,
                     &c,
                     scratch.labels(),
                     &dirty,
-                    next.ac_graph.links(),
+                    prev.ac_graph.links(),
                     par,
                 );
                 rows.push(label_rows(scratch.labels()));
                 plans.push(plan.clone());
-                prev = next;
             }
             (prev, rows, plans)
         };
@@ -552,9 +551,9 @@ proptest! {
         let mut g = scaled_net(n, &mut StdRng::seed_from_u64(seed));
         let c0 = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::with_workers(Parallelism::serial());
-        let eval0 = pipeline::run_all_with(&g, &c0, &mut scratch);
+        let mut eval = pipeline::run_all_with(&g, &c0, &mut scratch);
         let compiled = RoutePlan::compile_with(
-            &g, &c0, scratch.labels(), eval0.selected_links(Algorithm::AcLmst),
+            &g, &c0, scratch.labels(), eval.selected_links(Algorithm::AcLmst),
             InterMode::Dense,
         );
         let mut hubs: Vec<usize> = (0..c0.heads.len()).collect();
@@ -568,7 +567,7 @@ proptest! {
         delta.normalize();
         let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
         let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-        let eval = pipeline::update_all_after(&g, &c, &delta, &swept, &eval0, &mut scratch);
+        pipeline::update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
         let links = eval.selected_links(Algorithm::AcLmst);
         let arms: Vec<_> = FANNED_GRID
             .iter()

@@ -145,8 +145,7 @@ fn check_headset_chain(seed: u64, n: usize, k: u32, edits: usize) {
             }
         }
         let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-        let next = pipeline::update_all_after(&g, &c, &delta, &swept, &eval, &mut scratch);
-        eval = next;
+        pipeline::update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
         for (plan, mode) in plans.iter_mut().zip(modes) {
             let links = eval.selected_links(Algorithm::AcLmst);
             let update = plan.apply_delta(&g, &c, scratch.labels(), &swept, links);
@@ -300,8 +299,7 @@ proptest! {
             // Advance labels + evaluation the way the churn engine does,
             // then repair the plan off the dirty slots.
             let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-            let next = pipeline::update_all_after(&g, &c, &delta, &dirty, &eval, &mut scratch);
-            eval = next;
+            pipeline::update_all_after(&g, &c, &delta, &dirty, &mut eval, &mut scratch);
             let report = plan.apply_delta(
                 &g, &c, scratch.labels(), &dirty,
                 eval.selected_links(Algorithm::AcLmst),

@@ -182,9 +182,8 @@ proptest! {
             if !splice {
                 reaffiliate(&mut c, &g0_labels, &base.heads, rng.gen_range(0..4), &mut rng);
             }
-            let next = pipeline::update_all_after(&g, &c, &delta, &swept, &prev, &mut scratch);
-            assert_scoped_matches(&g, &c, alg, &next, &ctx);
-            prev = next;
+            pipeline::update_all_after(&g, &c, &delta, &swept, &mut prev, &mut scratch);
+            assert_scoped_matches(&g, &c, alg, &prev, &ctx);
         }
     }
 }

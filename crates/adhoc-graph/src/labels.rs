@@ -281,6 +281,11 @@ pub struct HeadLabels {
     /// deltas and head-set changes stay off the rebuild path by
     /// watching this.
     rebuilds: u64,
+    /// Per slot: whether the row's last sweep in an [`Self::advance`]
+    /// reproduced the row it replaced byte for byte (see
+    /// [`Self::sweep_reproduced`]). Empty after a rebuild, where every
+    /// row reports `false`.
+    reproduced: Vec<bool>,
 }
 
 impl HeadLabels {
@@ -329,6 +334,7 @@ impl HeadLabels {
     fn prepare_rebuild(&mut self, n: usize, heads: &[NodeId], bound: u32, stop_at_heads: bool) {
         self.rebuilds += 1;
         self.rows.clear();
+        self.reproduced = Vec::new();
         self.n = n;
         self.bound = bound;
         self.stopped_at_heads = stop_at_heads;
@@ -469,10 +475,12 @@ impl HeadLabels {
             assert!(s < stale.len(), "dirty slot out of range");
             stale[s] = true;
         }
-        // The row each new slot copies (`NO_SLOT`: swept).
-        let from: Vec<u32> = heads
+        // Each new slot's old slot (`NO_SLOT`: a new head), and the row
+        // it copies (`NO_SLOT`: swept).
+        let old_slot: Vec<u32> = heads.iter().map(|h| self.slot_of[h.index()]).collect();
+        let from: Vec<u32> = old_slot
             .iter()
-            .map(|h| match self.slot_of[h.index()] {
+            .map(|&old| match old {
                 old if old != NO_SLOT && !stale[old as usize] => old,
                 _ => NO_SLOT,
             })
@@ -527,6 +535,20 @@ impl HeadLabels {
             }
         }
         self.rows.fit();
+        // A copied row keeps its flag; a re-swept one is compared with
+        // the row it replaced while that is still at hand.
+        self.reproduced = (0..heads.len())
+            .map(|s| match (from[s], old_slot[s]) {
+                (NO_SLOT, NO_SLOT) => false,
+                (NO_SLOT, old) => {
+                    copies && {
+                        let (was, now) = (old_rows.levels(old as usize), self.rows.levels(s));
+                        was.ball == now.ball && was.ends == now.ends
+                    }
+                }
+                (kept, _) => self.sweep_reproduced(kept as usize),
+            })
+            .collect();
         swept
     }
 
@@ -542,12 +564,28 @@ impl HeadLabels {
     /// Bytes of heap memory the labels currently hold (capacity, not
     /// logical size; the row arenas are sized exactly after every
     /// build and splice). `O(Σ ball sizes + n)`: the live rows, the
-    /// head list, and the two `n`-sized node maps.
+    /// head list, the per-slot sweep flags an advance leaves (see
+    /// [`Self::sweep_reproduced`]; none after a rebuild), and the two
+    /// `n`-sized node maps.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.rows.memory_bytes()
             + self.heads.capacity() * size_of::<NodeId>()
+            + self.reproduced.capacity()
             + (self.slot_of.capacity() + self.scratch.capacity()) * size_of::<u32>()
+    }
+
+    /// Whether the last sweep of `slot`'s row, in an [`Self::advance`],
+    /// reproduced the row it replaced byte for byte: the same ball in
+    /// the same order with the same level bounds, so every distance of
+    /// the row is what it was before that sweep. A row the advance
+    /// copied keeps its flag; a new head's row and every row of a
+    /// rebuild report `false`. A consumer that derived state from the
+    /// row before the sweep may keep whatever depends only on its
+    /// distances.
+    #[inline]
+    pub fn sweep_reproduced(&self, slot: usize) -> bool {
+        self.reproduced.get(slot).copied().unwrap_or(false)
     }
 
     /// The heads the labels were built from, in slot order.
@@ -1103,9 +1141,10 @@ mod tests {
             .advance(&g, &kept, 4, &[], Parallelism::serial())
             .is_empty());
         let kept_tables: usize = (0..kept.len()).map(|s| 16 * labels.ball(s).len()).sum();
+        // The advance also leaves one sweep flag per slot.
         assert_eq!(
             labels.memory_bytes(),
-            row_bytes(&labels) + fixed + kept_tables
+            row_bytes(&labels) + fixed + kept_tables + kept.len()
         );
         let small = HeadLabels::build(&gen::path(4), &[NodeId(0)], 1);
         assert!(small.memory_bytes() < lean);

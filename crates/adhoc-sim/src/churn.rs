@@ -1358,15 +1358,14 @@ impl ChurnEngine {
             dirty.sort_unstable();
             dirty
         };
-        let eval = pipeline::update_all_after(
+        pipeline::update_all_after(
             &self.graph,
             &self.clustering,
             delta,
             &dirty,
-            &self.eval,
+            &mut self.eval,
             &mut self.scratch,
         );
-        self.eval = eval;
         dirty
     }
 
