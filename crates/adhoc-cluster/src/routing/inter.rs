@@ -35,11 +35,22 @@
 //! and realize a shortest backbone route for any mix of sources: each
 //! step moves to a node strictly closer to `t`.
 //!
+//! # One advance
+//!
+//! [`InterTable::advance`] carries a table from the backbone it was
+//! built for to a new one; nothing else builds or repairs it. An empty
+//! table has nothing to keep, so it builds: a plan's compile is the
+//! advance from the empty table. It also builds when the layout policy
+//! picks the other layout, and when a hub table crosses a head-set
+//! change. Otherwise a dense table is repaired link by link, as below,
+//! and a hub table re-sweeps its dirty hubs, building when its order
+//! check declines ([`HubIndex`]).
+//!
 //! # Dense repair: a local change gets a local repair
 //!
 //! The matrix holds exact distances, so a backbone change is repaired
-//! link by link from the diff of the old and new link lists
-//! ([`InterTable::repair_with`]), in this order:
+//! link by link from the diff of the old and new link lists, in this
+//! order:
 //!
 //! 1. **Insertions, on the exact old matrix.** For every added or
 //!    re-weighted link `(x, y, w)` of the new backbone, a route can only
@@ -88,8 +99,7 @@
 //! # Dense repair across a head-set change
 //!
 //! A head gain or loss renumbers the slots, so the repair runs in the
-//! **union** of the old and new head sets, both numbered by head ID
-//! ([`InterTable::rehead_with`]):
+//! **union** of the old and new head sets, both numbered by head ID:
 //!
 //! 1. **Lift.** The old matrix is copied into the union's slots. A
 //!    lost head stays a vertex, so the old matrix is exact for the old
@@ -109,6 +119,7 @@
 //! backbone cell for cell.
 
 use super::hub::HubIndex;
+use adhoc_graph::obs::Metrics;
 use adhoc_graph::par::{self, Parallelism, Strided};
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -489,22 +500,12 @@ fn sweep_rows(
     }
 }
 
-/// The exact all-pairs distance matrix, row-major `h × h`
-/// (`matrix[s * h + t] = dist(s, t)`, [`FAR`] when unreachable): one
-/// bucket-queue sweep per source, fanned out as [`sweep_rows`] says.
-fn all_pairs_dist_with(csr: CsrView<'_>, scratch: &mut InterScratch, par: Parallelism) -> Vec<u32> {
-    let h = csr.head_count();
-    let mut matrix = vec![FAR; h * h];
-    sweep_rows(csr, &[], h, |s| s, &mut matrix, &mut scratch.buckets, par);
-    matrix
-}
-
 /// Repairs the exact distance matrix `dist` of the `old` backbone into
 /// the matrix of `new`, as the module docs' "Dense repair" describes;
 /// `changed` holds every slot whose CSR row differs. Returns the rows
 /// re-swept (`h` more when it fell back to a fresh build). Bit-identical
-/// to [`all_pairs_dist_with`] on `new` for any worker count: every step
-/// leaves the matrix exact.
+/// to a fresh build on `new` for any worker count: every step leaves
+/// the matrix exact.
 fn repair_dense(
     dist: &mut [u32],
     changed: &[u32],
@@ -804,7 +805,7 @@ impl std::str::FromStr for InterMode {
     }
 }
 
-/// What an inter-head repair did — surfaced through
+/// What an inter-head table advance did — surfaced through
 /// [`PlanUpdate`](super::plan::PlanUpdate) so benches and tests can
 /// pin how much of the table a backbone change touched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -820,8 +821,9 @@ pub enum InterRepair {
         /// the repair fell back to a fresh build).
         rows_swept: usize,
     },
-    /// Dense layout: the matrix was built fresh, because a head-set
-    /// change turned a hub table dense under [`InterMode::Auto`].
+    /// Dense layout: the matrix was built fresh, because the table was
+    /// empty or a head-set change turned a hub table dense under
+    /// [`InterMode::Auto`].
     DenseRebuilt,
     /// Hub layout: only the labels of hubs whose trees touched a
     /// changed edge were re-swept.
@@ -829,9 +831,9 @@ pub enum InterRepair {
         /// Hubs re-swept (out of `h`).
         dirty_hubs: usize,
     },
-    /// Hub layout: the importance order itself changed, or the head
-    /// set did (a head-set change builds a fresh index), so the index
-    /// was rebuilt.
+    /// Hub layout: the index was built fresh, because the table was
+    /// empty, the head set changed (a head-set change builds a fresh
+    /// index), or the importance order itself changed.
     HubRebuilt,
 }
 
@@ -852,35 +854,34 @@ pub enum InterTable {
 }
 
 impl InterTable {
-    /// Serial [`Self::build_with`] (test convenience).
-    #[cfg(test)]
-    pub(crate) fn build(
-        mode: InterMode,
-        csr: CsrView<'_>,
-        scratch: &mut InterScratch,
-    ) -> InterTable {
-        InterTable::build_with(mode, csr, scratch, Parallelism::serial())
-    }
+    /// The table with no heads: what a plan starts from before its
+    /// compile advances it.
+    pub(crate) const EMPTY: InterTable = InterTable::Dense {
+        h: 0,
+        dist: Vec::new(),
+    };
 
-    /// Builds the representation `mode` selects for this backbone over
-    /// a worker pool — parallel distance rows for the dense layout,
-    /// parallel pruned hub sweeps for the hub layout. Bit-identical
-    /// for any worker count; jobs below the fan-out gate run inline.
-    pub(crate) fn build_with(
-        mode: InterMode,
-        csr: CsrView<'_>,
-        scratch: &mut InterScratch,
-        par: Parallelism,
-    ) -> InterTable {
-        let h = csr.head_count();
-        if mode.wants_hub(h) {
-            InterTable::Hub(HubIndex::build_with(csr, scratch, par))
-        } else {
-            InterTable::Dense {
-                h,
-                dist: all_pairs_dist_with(csr, scratch, par),
-            }
-        }
+    /// A fresh table for `csr` under `mode`: the advance from the empty
+    /// table (test convenience).
+    #[cfg(test)]
+    pub(crate) fn build(mode: InterMode, csr: CsrView<'_>) -> InterTable {
+        let mut table = Arc::new(InterTable::EMPTY);
+        let empty = CsrView {
+            off: &[0],
+            to: &[],
+            hops: &[],
+        };
+        let heads = (0..csr.head_count() as u32).collect::<Vec<_>>();
+        InterTable::advance(
+            &mut table,
+            mode,
+            Some((&[], &heads, heads.len())),
+            empty,
+            csr,
+            Parallelism::serial(),
+            &Metrics::disabled(),
+        );
+        Arc::unwrap_or_clone(table)
     }
 
     /// Walks the canonical route `s ⇝ t`, calling `hop(i)` with the CSR
@@ -932,116 +933,119 @@ impl InterTable {
         }
     }
 
-    /// Repairs a shared table after the backbone changed from `old` to
-    /// `csr` over the same heads. When no CSR row differs (no link was
-    /// added, removed, or re-weighted) this is a no-op that keeps the
-    /// table shared; otherwise the table is copied on write first
-    /// (a plan cloned to be patched never touches the one it shares).
-    /// The dense matrix is repaired link by link (module docs), the hub
-    /// index re-sweeps its dirty hubs. Both fan their sweeps out across
-    /// `par`, bit-identical to serial for any worker count (jobs below
-    /// the fan-out gate run inline), and both leave the table equal to a
-    /// fresh build on `csr`.
-    pub(crate) fn repair_with(
-        table: &mut Arc<InterTable>,
-        old: CsrView<'_>,
-        csr: CsrView<'_>,
-        scratch: &mut InterScratch,
-        par: Parallelism,
-    ) -> InterRepair {
-        let changed = changed_rows(old, csr);
-        if changed.is_empty() {
-            return InterRepair::Unchanged;
-        }
-        match Arc::make_mut(table) {
-            InterTable::Dense { h, dist } => {
-                debug_assert_eq!(*h, csr.head_count());
-                let rows_swept = repair_dense(dist, &changed, old, csr, scratch, par);
-                InterRepair::DenseRepaired { rows_swept }
-            }
-            InterTable::Hub(hub) => match hub.repair_with(&changed, csr, scratch, par) {
-                Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
-                None => {
-                    *hub = HubIndex::build_with(csr, scratch, par);
-                    InterRepair::HubRebuilt
-                }
-            },
-        }
-    }
-
-    /// Carries a table across a head-set change: `old` is the backbone
-    /// the table was built for, `csr` the new one over a different head
-    /// set, and `old_slots` / `new_slots` map each old and new slot to
+    /// Advances a shared table from the backbone `old` it was built
+    /// for to `csr` under `mode`, building or repairing as the module
+    /// docs' "One advance" says. `heads` is `None` over one head set;
+    /// across a head-set change it maps each old and each new slot to
     /// its place in the union of the two head sets (ascending, so both
-    /// maps are increasing), which has `union` slots. A dense table that
-    /// stays dense is lifted into the union, repaired there and
-    /// compacted onto the new slots (module docs, "Dense repair across
-    /// a head-set change"); any other case — `mode` resolving to the hub
-    /// layout for the new head count, or a hub table turning dense —
-    /// builds fresh. Either way the table equals a fresh
-    /// [`Self::build_with`] on `csr` under `mode`, bytes included, for
-    /// any worker count.
-    pub(crate) fn rehead_with(
+    /// maps are increasing), which has `union` slots. When no CSR row
+    /// changed over one head set it returns [`InterRepair::Unchanged`]
+    /// and keeps the table shared; a repair in place copies it on write
+    /// first, so a plan cloned to be patched never touches the one it
+    /// shares. A build opens `hub.build_ns` or `inter.dense_build_ns`,
+    /// by the layout it builds; any other advance `hub.repair_ns` or
+    /// `inter.dense_repair_ns`, by the layout it holds. The table ends
+    /// equal to a fresh build on `csr` under `mode`, bytes included,
+    /// for any worker count.
+    pub(crate) fn advance(
         table: &mut Arc<InterTable>,
         mode: InterMode,
-        (old_slots, new_slots, union): (&[u32], &[u32], usize),
+        heads: Option<(&[u32], &[u32], usize)>,
         old: CsrView<'_>,
         csr: CsrView<'_>,
-        scratch: &mut InterScratch,
         par: Parallelism,
+        metrics: &Metrics,
     ) -> InterRepair {
         let h = csr.head_count();
-        debug_assert_eq!((old_slots.len(), new_slots.len()), (old.head_count(), h));
-        let repaired = match &**table {
-            InterTable::Dense { h: old_h, dist } if !mode.wants_hub(h) => {
-                let (old_off, old_to, old_hops) = lift_csr(old, old_slots, union);
-                let (new_off, new_to, new_hops) = lift_csr(csr, new_slots, union);
-                let old_u = CsrView {
-                    off: &old_off,
-                    to: &old_to,
-                    hops: &old_hops,
+        let hub = mode.wants_hub(h);
+        let holds_hub = matches!(**table, InterTable::Hub(_));
+        let build = old.head_count() == 0 || hub != holds_hub || (holds_hub && heads.is_some());
+        let _span = metrics.span(match (build, hub, holds_hub) {
+            (true, true, _) => "hub.build_ns",
+            (true, false, _) => "inter.dense_build_ns",
+            (false, _, true) => "hub.repair_ns",
+            (false, _, false) => "inter.dense_repair_ns",
+        });
+        InterScratch::with_local(|scratch| {
+            if build {
+                let (fresh, repair) = if hub {
+                    let index = HubIndex::build_with(csr, scratch, par);
+                    (InterTable::Hub(index), InterRepair::HubRebuilt)
+                } else {
+                    // One distance row per source, fanned out as
+                    // `sweep_rows` says.
+                    let mut dist = vec![FAR; h * h];
+                    sweep_rows(csr, &[], h, |s| s, &mut dist, &mut scratch.buckets, par);
+                    (InterTable::Dense { h, dist }, InterRepair::DenseRebuilt)
                 };
-                let new_u = CsrView {
-                    off: &new_off,
-                    to: &new_to,
-                    hops: &new_hops,
-                };
-                let changed = changed_rows(old_u, new_u);
-                let mut lifted = vec![FAR; union * union];
-                for x in 0..union {
-                    lifted[x * union + x] = 0;
-                }
-                for (row, &x) in dist.chunks_exact((*old_h).max(1)).zip(old_slots) {
-                    let to = &mut lifted[x as usize * union..(x as usize + 1) * union];
-                    for (&d, &y) in row.iter().zip(old_slots) {
-                        to[y as usize] = d;
+                *table = Arc::new(fresh);
+                return repair;
+            }
+            fn view((off, to, hops): &(Vec<u32>, Vec<u32>, Vec<u32>)) -> CsrView<'_> {
+                CsrView { off, to, hops }
+            }
+            let lifted = heads.map(|(old_slots, new_slots, union)| {
+                (
+                    lift_csr(old, old_slots, union),
+                    lift_csr(csr, new_slots, union),
+                )
+            });
+            let (old_u, new_u) = match &lifted {
+                Some((old_u, new_u)) => (view(old_u), view(new_u)),
+                None => (old, csr),
+            };
+            let changed = changed_rows(old_u, new_u);
+            if changed.is_empty() && heads.is_none() {
+                return InterRepair::Unchanged;
+            }
+            let mut union_dist = Vec::new();
+            let dist = match heads {
+                None => match Arc::make_mut(table) {
+                    InterTable::Dense { dist, .. } => dist,
+                    InterTable::Hub(index) => {
+                        return match index.repair_with(&changed, csr, scratch, par) {
+                            Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
+                            None => {
+                                *index = HubIndex::build_with(csr, scratch, par);
+                                InterRepair::HubRebuilt
+                            }
+                        };
                     }
+                },
+                // Lift: the old matrix in the union's slots, a new head
+                // isolated.
+                Some((old_slots, _, union)) => {
+                    let InterTable::Dense { h: old_h, dist } = &**table else {
+                        unreachable!("a hub table crossing a head-set change builds")
+                    };
+                    union_dist = vec![FAR; union * union];
+                    for x in 0..union {
+                        union_dist[x * union + x] = 0;
+                    }
+                    for (row, &x) in dist.chunks_exact((*old_h).max(1)).zip(old_slots) {
+                        let to = &mut union_dist[x as usize * union..(x as usize + 1) * union];
+                        for (&d, &y) in row.iter().zip(old_slots) {
+                            to[y as usize] = d;
+                        }
+                    }
+                    &mut union_dist
                 }
-                let rows_swept = repair_dense(&mut lifted, &changed, old_u, new_u, scratch, par);
+            };
+            let rows_swept = repair_dense(dist, &changed, old_u, new_u, scratch, par);
+            // Compact: the new heads' rows and columns, in exactly `h²`
+            // cells.
+            if let Some((_, new_slots, union)) = heads {
                 let mut dist = vec![FAR; h * h];
                 for (row, &x) in dist.chunks_exact_mut(h.max(1)).zip(new_slots) {
-                    let from = &lifted[x as usize * union..(x as usize + 1) * union];
+                    let from = &union_dist[x as usize * union..(x as usize + 1) * union];
                     for (d, &y) in row.iter_mut().zip(new_slots) {
                         *d = from[y as usize];
                     }
                 }
-                Some((InterTable::Dense { h, dist }, rows_swept))
+                *table = Arc::new(InterTable::Dense { h, dist });
             }
-            _ => None,
-        };
-        match repaired {
-            Some((dense, rows_swept)) => {
-                *table = Arc::new(dense);
-                InterRepair::DenseRepaired { rows_swept }
-            }
-            None => {
-                *table = Arc::new(InterTable::build_with(mode, csr, scratch, par));
-                match **table {
-                    InterTable::Dense { .. } => InterRepair::DenseRebuilt,
-                    InterTable::Hub(_) => InterRepair::HubRebuilt,
-                }
-            }
-        }
+            InterRepair::DenseRepaired { rows_swept }
+        })
     }
 
     /// Estimated label entries a walk of `head_hops` hops reads, in
@@ -1229,8 +1233,8 @@ mod tests {
                 hops: &hops,
             };
             let table = all_pairs_next_hops(csr, &mut scratch);
-            let dense = InterTable::build(InterMode::Dense, csr, &mut scratch);
-            let hub = InterTable::build(InterMode::Hub, csr, &mut scratch);
+            let dense = InterTable::build(InterMode::Dense, csr);
+            let hub = InterTable::build(InterMode::Hub, csr);
             for s in 0..h {
                 for t in 0..h {
                     let want = table_walk(&table, h, s, t);
@@ -1274,7 +1278,7 @@ mod tests {
             .map(|(off, to, hops)| {
                 let csr = CsrView { off, to, hops };
                 let table = all_pairs_next_hops(csr, &mut scratch);
-                let hub = InterTable::build(InterMode::Hub, csr, &mut scratch);
+                let hub = InterTable::build(InterMode::Hub, csr);
                 (csr, table, hub)
             })
             .collect();
@@ -1370,6 +1374,74 @@ mod tests {
         assert!(InterMode::Hub.wants_hub(2));
         assert_eq!("hub".parse::<InterMode>().unwrap(), InterMode::Hub);
         assert!("matrix".parse::<InterMode>().is_err());
+    }
+
+    /// Under [`InterMode::Auto`] a head-set change can flip the layout:
+    /// at 1024 heads the projected table is exactly 4 MiB, so it stays
+    /// dense; one more head turns it hub, and losing that head turns it
+    /// dense again. Each advance equals a fresh build, bytes included.
+    #[test]
+    fn auto_layout_flips_across_a_head_set_change() {
+        let side = 32usize;
+        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); side * side];
+        for a in 0..side * side {
+            if a % side + 1 < side {
+                set_link(&mut adj, a, a + 1, Some(1 + (a % 3) as u32));
+            }
+            if a + side < side * side {
+                set_link(&mut adj, a, a + side, Some(1 + (a / side % 2) as u32));
+            }
+        }
+        assert_eq!(projected_dense_bytes(adj.len()), AUTO_HUB_THRESHOLD_BYTES);
+        let ids: Vec<u32> = (0..adj.len() as u32).map(|i| 2 * i).collect();
+        // Head 1001 lands at slot 501, between heads 1000 and 1002.
+        let mut gained_ids = ids.clone();
+        gained_ids.insert(501, 1001);
+        let mut gained: Vec<Vec<(u32, u32)>> = adj
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&(t, w)| (t + u32::from(t >= 501), w))
+                    .collect()
+            })
+            .collect();
+        gained.insert(501, Vec::new());
+        set_link(&mut gained, 501, 500, Some(2));
+        set_link(&mut gained, 501, 502, Some(1));
+        let (off, to, hops) = to_csr(&adj);
+        let grid = CsrView {
+            off: &off,
+            to: &to,
+            hops: &hops,
+        };
+        let (off, to, hops) = to_csr(&gained);
+        let plus_one = CsrView {
+            off: &off,
+            to: &to,
+            hops: &hops,
+        };
+        let mut table = Arc::new(InterTable::build(InterMode::Auto, grid));
+        assert_eq!(table.layout_name(), "dense");
+        for (from, to, from_ids, to_ids, want) in [
+            (grid, plus_one, &ids, &gained_ids, InterRepair::HubRebuilt),
+            (plus_one, grid, &gained_ids, &ids, InterRepair::DenseRebuilt),
+        ] {
+            let (old_slots, new_slots, union) = union_slots(from_ids, to_ids);
+            let repair = InterTable::advance(
+                &mut table,
+                InterMode::Auto,
+                Some((&old_slots, &new_slots, union)),
+                from,
+                to,
+                Parallelism::serial(),
+                &Metrics::disabled(),
+            );
+            assert_eq!(repair, want);
+            let fresh = InterTable::build(InterMode::Auto, to);
+            assert_eq!(&*table, &fresh, "{want:?}: advanced table diverged");
+            assert_eq!(table.memory_bytes(), fresh.memory_bytes(), "{want:?}");
+        }
+        assert_eq!(table.layout_name(), "dense");
     }
 
     /// Sets (`Some(w)`) or removes (`None`) the link `a`–`b` in both
@@ -1605,9 +1677,7 @@ mod tests {
                 to: &to,
                 hops: &hops,
             };
-            let InterTable::Dense { dist, .. } =
-                InterTable::build(InterMode::Dense, csr, &mut InterScratch::new())
-            else {
+            let InterTable::Dense { dist, .. } = InterTable::build(InterMode::Dense, csr) else {
                 unreachable!("dense mode builds the matrix")
             };
             let d = |a: usize, b: usize| dist[a * h + b];
@@ -1663,7 +1733,7 @@ mod tests {
             to: &to,
             hops: &hops,
         };
-        let mut table = Arc::new(InterTable::build(InterMode::Dense, csr, &mut scratch));
+        let mut table = Arc::new(InterTable::build(InterMode::Dense, csr));
         for edit in 0..edits {
             let (before, before_ids) = (adj.clone(), ids.clone());
             if rng.gen_range(0..4) == 0 {
@@ -1684,40 +1754,29 @@ mod tests {
                 to: &to,
                 hops: &hops,
             };
-            let (repair, expected) = if ids == before_ids {
-                let repair = InterTable::repair_with(
-                    &mut table,
-                    old,
-                    csr,
-                    &mut scratch,
-                    Parallelism::serial(),
-                );
-                let expected = if links(&before) == links(&adj) {
-                    InterRepair::Unchanged
-                } else {
-                    InterRepair::DenseRepaired {
-                        rows_swept: expected_rows_swept(&before, &adj),
-                    }
-                };
-                (repair, expected)
-            } else {
-                let (old_slots, new_slots, union) = union_slots(&before_ids, &ids);
-                let repair = InterTable::rehead_with(
-                    &mut table,
-                    InterMode::Dense,
-                    (&old_slots, &new_slots, union),
-                    old,
-                    csr,
-                    &mut scratch,
-                    Parallelism::serial(),
-                );
-                let rows_swept = expected_rows_swept(
-                    &lift_adj(&before, &old_slots, union),
-                    &lift_adj(&adj, &new_slots, union),
-                );
-                (repair, InterRepair::DenseRepaired { rows_swept })
+            let heads = (ids != before_ids).then(|| union_slots(&before_ids, &ids));
+            let repair = InterTable::advance(
+                &mut table,
+                InterMode::Dense,
+                heads.as_ref().map(|(o, n, union)| (&o[..], &n[..], *union)),
+                old,
+                csr,
+                Parallelism::serial(),
+                &Metrics::disabled(),
+            );
+            let expected = match &heads {
+                None if links(&before) == links(&adj) => InterRepair::Unchanged,
+                None => InterRepair::DenseRepaired {
+                    rows_swept: expected_rows_swept(&before, &adj),
+                },
+                Some((old_slots, new_slots, union)) => InterRepair::DenseRepaired {
+                    rows_swept: expected_rows_swept(
+                        &lift_adj(&before, old_slots, *union),
+                        &lift_adj(&adj, new_slots, *union),
+                    ),
+                },
             };
-            let fresh = InterTable::build(InterMode::Dense, csr, &mut scratch);
+            let fresh = InterTable::build(InterMode::Dense, csr);
             assert_eq!(&*table, &fresh, "edit {edit}: repaired matrix diverged");
             assert_eq!(
                 table.memory_bytes(),

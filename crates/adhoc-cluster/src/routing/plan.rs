@@ -53,9 +53,14 @@
 //! dirty hubs. A head-set change takes the same path: clean nodes'
 //! slots are remapped by head ID and the dense matrix is repaired in
 //! the union of the old and new head sets.
+//!
+//! A compile is that update from the empty plan (no heads, every node
+//! unaffiliated): every affiliated node gains a head, so every one
+//! walks its ascent, and the empty inter table has nothing to keep,
+//! so it builds. Compiles and repairs share one code path.
 
 use crate::clustering::Clustering;
-use crate::routing::inter::{self, CsrView, InterMode, InterRepair, InterScratch, InterTable};
+use crate::routing::inter::{self, CsrView, InterMode, InterRepair, InterTable};
 use crate::virtual_graph::LinkRef;
 use adhoc_graph::bfs::{self, Adjacency, DistLabels, UNREACHED};
 use adhoc_graph::graph::NodeId;
@@ -91,17 +96,8 @@ pub struct RoutePlan {
     /// path `u → … → head(u)` inclusive (empty for unrouted nodes).
     up_off: Vec<u32>,
     up_arena: Vec<NodeId>,
-    /// CSR offsets (`heads.len() + 1`) into the three link arrays.
-    link_off: Vec<u32>,
-    /// Directed backbone links: neighbor head slot...
-    link_to: Vec<u32>,
-    /// ...virtual-link weight in hops...
-    link_hops: Vec<u32>,
-    /// ...and the oriented (source-first) realized path as an
-    /// `offset/len` slice of `path_arena`.
-    link_path_off: Vec<u32>,
-    link_path_len: Vec<u32>,
-    path_arena: Vec<NodeId>,
+    /// The backbone `G''` over the head slots, in directed CSR form.
+    backbone: Backbone,
     /// Inter-head first hops, dense matrix or hub-label index (see the
     /// module docs). Both answer the identical canonical rule. Shared,
     /// so the clone a maintainer patches into its next plan copies no
@@ -126,12 +122,7 @@ impl PartialEq for RoutePlan {
             && self.dist_head == other.dist_head
             && self.up_off == other.up_off
             && self.up_arena == other.up_arena
-            && self.link_off == other.link_off
-            && self.link_to == other.link_to
-            && self.link_hops == other.link_hops
-            && self.link_path_off == other.link_path_off
-            && self.link_path_len == other.link_path_len
-            && self.path_arena == other.path_arena
+            && self.backbone == other.backbone
             && self.inter == other.inter
     }
 }
@@ -148,11 +139,9 @@ pub struct PlanUpdate {
     /// Nodes whose affiliation/ascent entries were re-derived (clean
     /// nodes' ascent paths are copied, not re-walked).
     pub resweeped_nodes: usize,
-    /// Whether the inter-head table changed at all (the backbone's
-    /// weighted link set changed).
-    pub next_recomputed: bool,
-    /// What the inter-head repair actually did: dense rows re-swept,
-    /// hub labels re-swept, or a rebuild.
+    /// What the inter-head repair did: nothing (the backbone's weighted
+    /// link set did not change), dense rows re-swept, hub labels
+    /// re-swept, or a rebuild.
     pub inter: InterRepair,
 }
 
@@ -160,7 +149,8 @@ impl PlanUpdate {
     /// Reports this update's repair scope into `metrics` — the
     /// counters behind the serving layer's `plan.*` / `inter.*` /
     /// `hub.*` metric families. `plan.headset_repairs` counts head-set
-    /// changes repaired in place, `inter.dense_recomputed` updates
+    /// changes repaired in place, `plan.next_recomputed` updates whose
+    /// inter-head table changed, `inter.dense_recomputed` updates
     /// whose dense matrix changed (a repair or a rebuild; the name
     /// predates the repair), `inter.dense_rows_swept` the rows the
     /// repairs re-swept. All values are exact update facts, so the
@@ -170,7 +160,7 @@ impl PlanUpdate {
             metrics.inc("plan.headset_repairs");
         }
         metrics.add("plan.resweeped_nodes", self.resweeped_nodes as u64);
-        if self.next_recomputed {
+        if self.inter != InterRepair::Unchanged {
             metrics.inc("plan.next_recomputed");
         }
         match self.inter {
@@ -189,12 +179,17 @@ impl PlanUpdate {
     }
 }
 
-/// The directed-CSR backbone arrays, grouped so compilation and delta
-/// repair share one builder.
+/// The directed-CSR backbone arrays.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Backbone {
+    /// CSR offsets (`heads.len() + 1`) into the three link arrays.
     link_off: Vec<u32>,
+    /// Directed backbone links: neighbor head slot...
     link_to: Vec<u32>,
+    /// ...virtual-link weight in hops...
     link_hops: Vec<u32>,
+    /// ...and the oriented (source-first) realized path as an
+    /// `offset/len` slice of `path_arena`.
     link_path_off: Vec<u32>,
     link_path_len: Vec<u32>,
     path_arena: Vec<NodeId>,
@@ -344,6 +339,10 @@ impl RoutePlan {
     /// `inter.dense_build_ns`). With [`Metrics::disabled`] every report
     /// is a single-branch no-op — which is exactly what
     /// [`Self::compile_tuned`] passes.
+    ///
+    /// A compile is the update from the empty plan: every affiliated
+    /// node gains a head, so every one walks its ascent, and the empty
+    /// inter table has nothing to keep, so it builds.
     #[allow(clippy::too_many_arguments)]
     pub fn compile_metered<'a, G: Adjacency + Sync>(
         g: &G,
@@ -356,62 +355,41 @@ impl RoutePlan {
     ) -> RoutePlan {
         let _compile = metrics.span("plan.compile_ns");
         metrics.inc("plan.compiled");
-        let n = g.node_count();
-        assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
-        assert_eq!(labels.node_count(), n, "labels describe a different graph");
-        assert!(
-            labels.bound() >= clustering.k,
-            "labels too shallow for ascents"
-        );
-        let mut plan = RoutePlan {
-            epoch: 0,
-            k: clustering.k,
-            n,
-            heads: clustering.heads.clone(),
-            head_slot: Vec::new(),
-            dist_head: Vec::new(),
-            up_off: Vec::new(),
-            up_arena: Vec::new(),
-            link_off: Vec::new(),
-            link_to: Vec::new(),
-            link_hops: Vec::new(),
-            link_path_off: Vec::new(),
-            link_path_len: Vec::new(),
-            path_arena: Vec::new(),
-            inter: Arc::new(InterTable::Dense {
-                h: 0,
-                dist: Vec::new(),
-            }),
-            inter_mode: mode,
-        };
-        {
-            let _ascents = metrics.span("plan.ascents_ns");
-            plan.build_ascents(g, clustering, labels, None, par);
-        }
-        let bb = Backbone::build(&plan.heads, links);
-        {
-            // Resolve the layout up front so the build lands in the
-            // span that names it.
-            let span = if mode.wants_hub(bb.csr().head_count()) {
-                "hub.build_ns"
-            } else {
-                "inter.dense_build_ns"
-            };
-            let _build = metrics.span(span);
-            let inter = InterScratch::with_local(|scratch| {
-                InterTable::build_with(mode, bb.csr(), scratch, par)
-            });
-            plan.inter = Arc::new(inter);
-        }
-        plan.adopt_backbone(bb);
+        let mut plan = RoutePlan::empty(g.node_count(), clustering.k, mode);
+        plan.update(g, clustering, labels, &[], links, par, metrics);
         plan
     }
 
+    /// The plan over `n` nodes with no heads: every node unaffiliated
+    /// with an empty ascent, no links, and the empty inter table.
+    fn empty(n: usize, k: u32, mode: InterMode) -> RoutePlan {
+        // `resize`, not `vec!`: it rounds a tiny capacity up (to 4),
+        // and `memory_bytes` counts capacity, pinned for every `n`.
+        let (mut head_slot, mut dist_head) = (Vec::new(), Vec::new());
+        head_slot.resize(n, NO_SLOT);
+        dist_head.resize(n, 0);
+        RoutePlan {
+            epoch: 0,
+            k,
+            n,
+            heads: Vec::new(),
+            head_slot,
+            dist_head,
+            up_off: vec![0; n + 1],
+            up_arena: Vec::new(),
+            backbone: Backbone {
+                link_off: vec![0],
+                ..Backbone::default()
+            },
+            inter: Arc::new(InterTable::EMPTY),
+            inter_mode: mode,
+        }
+    }
+
     /// (Re)derives the per-node affiliation arrays and the ascent-path
-    /// arena. With `rewalk = None` every node is walked fresh; with a
-    /// mask, clean nodes' entries are copied from the previous arena
-    /// segment-wise and only flagged nodes re-walk their canonical
-    /// path off the labels.
+    /// arena: clean nodes' entries are copied from the previous arena
+    /// segment-wise and only the nodes `rewalk` flags re-walk their
+    /// canonical path off the labels.
     ///
     /// The node range is chunked across `par` workers: each writes its
     /// own disjoint slice of the affiliation arrays and appends ascent
@@ -426,7 +404,7 @@ impl RoutePlan {
         g: &G,
         clustering: &Clustering,
         labels: &HeadLabels,
-        rewalk: Option<&[bool]>,
+        rewalk: &[bool],
         par: Parallelism,
     ) {
         let n = self.n;
@@ -434,9 +412,7 @@ impl RoutePlan {
         let prev_arena = std::mem::take(&mut self.up_arena);
         let mut head_slot = std::mem::take(&mut self.head_slot);
         let mut dist_head = std::mem::take(&mut self.dist_head);
-        head_slot.resize(n, NO_SLOT);
-        dist_head.resize(n, 0);
-        let walked = rewalk.map_or(n, |mask| mask.iter().filter(|&&w| w).count());
+        let walked = rewalk.iter().filter(|&&w| w).count();
         let workers = par
             .for_work(par::work::ascents(walked, clustering.k))
             .workers();
@@ -449,8 +425,7 @@ impl RoutePlan {
                 let mut arena: Vec<NodeId> = Vec::new();
                 for i in 0..take {
                     let u = NodeId((off + i) as u32);
-                    let copy_clean = matches!(rewalk, Some(mask) if !mask[u.index()]);
-                    if copy_clean {
+                    if !rewalk[u.index()] {
                         let (lo, hi) = (
                             prev_off[u.index()] as usize,
                             prev_off[u.index() + 1] as usize,
@@ -512,15 +487,6 @@ impl RoutePlan {
         self.dist_head = dist_head;
         self.up_off = up_off;
         self.up_arena = up_arena;
-    }
-
-    fn adopt_backbone(&mut self, bb: Backbone) {
-        self.link_off = bb.link_off;
-        self.link_to = bb.link_to;
-        self.link_hops = bb.link_hops;
-        self.link_path_off = bb.link_path_off;
-        self.link_path_len = bb.link_path_len;
-        self.path_arena = bb.path_arena;
     }
 
     /// Repairs the plan after a topology delta, given the post-delta
@@ -603,8 +569,9 @@ impl RoutePlan {
 
     /// [`Self::apply_delta_tuned`] reporting into an observability
     /// handle: an overall `plan.apply_delta_ns` span, a
-    /// layout-specific inter-head repair span (`hub.repair_ns` /
-    /// `inter.dense_repair_ns`), and the repair-scope counters of
+    /// layout-specific inter-head span (`hub.repair_ns` /
+    /// `inter.dense_repair_ns`, or the build span when the table
+    /// builds), and the repair-scope counters of
     /// [`PlanUpdate::record_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn apply_delta_metered<'a, G: Adjacency + Sync>(
@@ -618,8 +585,36 @@ impl RoutePlan {
         metrics: &Metrics,
     ) -> PlanUpdate {
         let _apply = metrics.span("plan.apply_delta_ns");
+        let update = self.update(g, clustering, labels, dirty_slots, links, par, metrics);
+        update.record_into(metrics);
+        update
+    }
+
+    /// The one way a plan changes: a compile runs it on the empty plan,
+    /// a repair on the plan it patches (see [`Self::apply_delta`] for
+    /// the arguments and why the localized repair is exact).
+    #[allow(clippy::too_many_arguments)]
+    fn update<'a, G: Adjacency + Sync>(
+        &mut self,
+        g: &G,
+        clustering: &Clustering,
+        labels: &HeadLabels,
+        dirty_slots: &[usize],
+        links: impl IntoIterator<Item = LinkRef<'a>>,
+        par: Parallelism,
+        metrics: &Metrics,
+    ) -> PlanUpdate {
         assert_eq!(self.n, g.node_count(), "node count changed");
         assert_eq!(labels.heads(), &clustering.heads[..], "head set mismatch");
+        assert_eq!(
+            labels.node_count(),
+            self.n,
+            "labels describe a different graph"
+        );
+        assert!(
+            labels.bound() >= clustering.k,
+            "labels too shallow for ascents"
+        );
         let heads_changed = self.heads != clustering.heads;
         let mut dirty = vec![false; clustering.heads.len()];
         for &s in dirty_slots {
@@ -665,44 +660,25 @@ impl RoutePlan {
         }
         {
             let _ascents = metrics.span("plan.ascents_ns");
-            self.build_ascents(g, clustering, labels, Some(&rewalk), par);
+            self.build_ascents(g, clustering, labels, &rewalk, par);
         }
         let bb = Backbone::build(&self.heads, links);
-        let inter = {
-            let span = match (&*self.inter, lift.is_some()) {
-                (_, true) if self.inter_mode.wants_hub(self.heads.len()) => "hub.build_ns",
-                (InterTable::Hub(_), true) => "inter.dense_build_ns",
-                (InterTable::Hub(_), false) => "hub.repair_ns",
-                (InterTable::Dense { .. }, _) => "inter.dense_repair_ns",
-            };
-            let _repair = metrics.span(span);
-            let old = CsrView {
-                off: &self.link_off,
-                to: &self.link_to,
-                hops: &self.link_hops,
-            };
-            InterScratch::with_local(|scratch| match &lift {
-                None => InterTable::repair_with(&mut self.inter, old, bb.csr(), scratch, par),
-                Some((old_slots, new_slots, union)) => InterTable::rehead_with(
-                    &mut self.inter,
-                    self.inter_mode,
-                    (old_slots, new_slots, *union),
-                    old,
-                    bb.csr(),
-                    scratch,
-                    par,
-                ),
-            })
-        };
-        self.adopt_backbone(bb);
-        let update = PlanUpdate {
+        let inter = InterTable::advance(
+            &mut self.inter,
+            self.inter_mode,
+            lift.as_ref()
+                .map(|(old_slots, new_slots, union)| (&old_slots[..], &new_slots[..], *union)),
+            self.backbone.csr(),
+            bb.csr(),
+            par,
+            metrics,
+        );
+        self.backbone = bb;
+        PlanUpdate {
             heads_changed,
             resweeped_nodes: resweeped,
-            next_recomputed: inter != InterRepair::Unchanged,
             inter,
-        };
-        update.record_into(metrics);
-        update
+        }
     }
 
     /// Routes `u ⇝ v` into `out` (cleared first; the caller reuses the
@@ -728,10 +704,11 @@ impl RoutePlan {
         out.extend_from_slice(self.ascent(u));
         // Across: the inter-head walk hands back each link's CSR
         // position; append that link's oriented path.
-        let reached = self.inter.walk(su as usize, sv as usize, self.csr(), |i| {
-            let off = self.link_path_off[i] as usize;
-            let len = self.link_path_len[i] as usize;
-            out.extend_from_slice(&self.path_arena[off + 1..off + len]);
+        let bb = &self.backbone;
+        let reached = self.inter.walk(su as usize, sv as usize, bb.csr(), |i| {
+            let off = bb.link_path_off[i] as usize;
+            let len = bb.link_path_len[i] as usize;
+            out.extend_from_slice(&bb.path_arena[off + 1..off + len]);
         });
         if !reached {
             return None;
@@ -747,15 +724,6 @@ impl RoutePlan {
     pub fn route(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
         let mut out = Vec::new();
         self.route_into(u, v, &mut out).map(|_| out)
-    }
-
-    /// Borrowed weighted-CSR view of the compiled backbone.
-    fn csr(&self) -> CsrView<'_> {
-        CsrView {
-            off: &self.link_off,
-            to: &self.link_to,
-            hops: &self.link_hops,
-        }
     }
 
     /// `u`'s stored canonical ascent path (inclusive of `u` and its
@@ -785,7 +753,7 @@ impl RoutePlan {
 
     /// Number of undirected backbone links.
     pub fn link_count(&self) -> usize {
-        self.link_to.len() / 2
+        self.backbone.link_to.len() / 2
     }
 
     /// `u`'s affiliation: `(head slot, hops to head)`, or `None` for
@@ -799,11 +767,9 @@ impl RoutePlan {
 
     /// The backbone neighbor slots of the head in `slot`, ascending.
     pub fn backbone_neighbors(&self, slot: usize) -> &[u32] {
-        let (lo, hi) = (
-            self.link_off[slot] as usize,
-            self.link_off[slot + 1] as usize,
-        );
-        &self.link_to[lo..hi]
+        let bb = &self.backbone;
+        let (lo, hi) = (bb.link_off[slot] as usize, bb.link_off[slot + 1] as usize);
+        &bb.link_to[lo..hi]
     }
 
     /// The publication epoch the maintainer stamped this plan with
@@ -857,7 +823,8 @@ impl RoutePlan {
     pub fn query_work(&self) -> usize {
         let head_hops = self.heads.len().isqrt() + 1;
         let ascent = self.up_arena.len() / self.n.max(1);
-        let link = self.path_arena.len() / self.link_to.len().max(1);
+        let bb = &self.backbone;
+        let link = bb.path_arena.len() / bb.link_to.len().max(1);
         2 * ascent + head_hops * link + self.inter.walk_work(head_hops)
     }
 
@@ -869,13 +836,15 @@ impl RoutePlan {
         (self.head_slot.capacity()
             + self.dist_head.capacity()
             + self.up_off.capacity()
-            + self.link_off.capacity()
-            + self.link_to.capacity()
-            + self.link_hops.capacity()
-            + self.link_path_off.capacity()
-            + self.link_path_len.capacity())
+            + self.backbone.link_off.capacity()
+            + self.backbone.link_to.capacity()
+            + self.backbone.link_hops.capacity()
+            + self.backbone.link_path_off.capacity()
+            + self.backbone.link_path_len.capacity())
             * size_of::<u32>()
-            + (self.heads.capacity() + self.up_arena.capacity() + self.path_arena.capacity())
+            + (self.heads.capacity()
+                + self.up_arena.capacity()
+                + self.backbone.path_arena.capacity())
                 * size_of::<NodeId>()
             + self.inter.memory_bytes()
     }
@@ -1065,7 +1034,11 @@ mod tests {
             assert!(Arc::ptr_eq(&plan.inter, &pending.inter), "{mode:?}: shared");
             let update =
                 pending.apply_delta(&g2, &c, scratch2.labels(), &all, eval2.ac_graph.links());
-            assert!(update.next_recomputed, "{mode:?}: the backbone changed");
+            assert_ne!(
+                update.inter,
+                InterRepair::Unchanged,
+                "{mode:?}: the backbone changed"
+            );
             assert!(
                 !Arc::ptr_eq(&plan.inter, &pending.inter),
                 "{mode:?}: own table"

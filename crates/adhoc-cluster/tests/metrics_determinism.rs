@@ -159,3 +159,83 @@ proptest! {
         }
     }
 }
+
+/// The plan's metrics contract. A compile records `plan.compiled` once
+/// and one sample each of `plan.compile_ns`, `plan.ascents_ns` and its
+/// layout's build span, and nothing an update records; each
+/// `apply_delta_metered` call records one `plan.apply_delta_ns` sample
+/// and nothing a compile records. The churn-serve attribution sums
+/// `plan.compile_ns` and `plan.apply_delta_ns`, so a compile recorded
+/// under both would count twice.
+#[test]
+fn plan_compile_and_apply_delta_record_disjoint_metrics() {
+    let n = 60usize;
+    let k = 2;
+    let mut rng = StdRng::seed_from_u64(31);
+    let net = gen::geometric(&GeometricConfig::new(n, 100.0, 6.0), &mut rng);
+    let steps = trajectory(&net.graph, n, 31);
+    let spans = |snap: &MetricsSnapshot, name: &str| snap.histogram(name).map(|h| h.count);
+    for (mode, build) in [
+        (InterMode::Dense, "inter.dense_build_ns"),
+        (InterMode::Hub, "hub.build_ns"),
+    ] {
+        let c0 = clustering::cluster(&net.graph, k, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::new();
+        let mut prev = pipeline::run_all_with(&net.graph, &c0, &mut scratch);
+        let metrics = Metrics::enabled();
+        let mut plan = RoutePlan::compile_metered(
+            &net.graph,
+            &c0,
+            scratch.labels(),
+            prev.ac_graph.links(),
+            mode,
+            Parallelism::serial(),
+            &metrics,
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("plan.compiled"), Some(1), "{mode:?}");
+        for span in ["plan.compile_ns", "plan.ascents_ns", build] {
+            assert_eq!(spans(&snap, span), Some(1), "{mode:?}: {span}");
+        }
+        for name in [
+            "plan.apply_delta_ns",
+            "plan.headset_repairs",
+            "plan.resweeped_nodes",
+            "plan.next_recomputed",
+            "inter.dense_recomputed",
+            "inter.dense_repair_ns",
+            "hub.repair_ns",
+        ] {
+            assert!(
+                snap.counter(name).is_none() && snap.histogram(name).is_none(),
+                "{mode:?}: a compile recorded {name}"
+            );
+        }
+        let metrics = Metrics::enabled();
+        for (g, delta) in &steps {
+            let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
+            let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
+            pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
+            plan.apply_delta_metered(
+                g,
+                &c,
+                scratch.labels(),
+                &dirty,
+                prev.ac_graph.links(),
+                Parallelism::serial(),
+                &metrics,
+            );
+        }
+        let snap = metrics.snapshot();
+        let calls = Some(steps.len() as u64);
+        assert_eq!(spans(&snap, "plan.apply_delta_ns"), calls, "{mode:?}");
+        assert_eq!(spans(&snap, "plan.ascents_ns"), calls, "{mode:?}");
+        assert!(snap.counter("plan.resweeped_nodes").is_some(), "{mode:?}");
+        for name in ["plan.compile_ns", "plan.compiled"] {
+            assert!(
+                snap.counter(name).is_none() && snap.histogram(name).is_none(),
+                "{mode:?}: an update recorded {name}"
+            );
+        }
+    }
+}

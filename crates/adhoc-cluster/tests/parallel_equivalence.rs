@@ -457,7 +457,7 @@ proptest! {
                 .collect();
             let (compiled, _, update) = &arms[0];
             prop_assert_eq!(compiled.inter_layout(), mode.name());
-            prop_assert!(!update.heads_changed && update.next_recomputed);
+            prop_assert!(!update.heads_changed && update.inter != InterRepair::Unchanged);
             match (mode, update.inter) {
                 (InterMode::Dense, InterRepair::DenseRepaired { rows_swept }) => {
                     assert_fans_out(

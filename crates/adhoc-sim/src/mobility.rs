@@ -377,14 +377,6 @@ impl Mobility for GaussMarkov {
     }
 }
 
-/// Compares two unit-disk snapshots edge by edge (convenience alias of
-/// [`TopologyDelta::between`], kept for callers that only hold
-/// snapshots; [`MobileNetwork::step`] produces the delta incrementally
-/// without any diffing).
-pub fn topology_delta(before: &Graph, after: &Graph) -> TopologyDelta {
-    TopologyDelta::between(before, after)
-}
-
 /// A mobile network: positions, a fixed transmission range, and the
 /// induced unit-disk topology, advanced by a [`Mobility`] model
 /// (random waypoint by default).
@@ -536,11 +528,11 @@ mod tests {
         use adhoc_graph::graph::NodeId;
         let a = Graph::from_edges(4, &[(0, 1), (1, 2)]);
         let b = Graph::from_edges(4, &[(1, 2), (2, 3)]);
-        let d = topology_delta(&a, &b);
+        let d = TopologyDelta::between(&a, &b);
         assert_eq!(d.added, vec![(NodeId(2), NodeId(3))]);
         assert_eq!(d.removed, vec![(NodeId(0), NodeId(1))]);
         assert_eq!(d.churn(), 2);
-        assert_eq!(topology_delta(&a, &a).churn(), 0);
+        assert_eq!(TopologyDelta::between(&a, &a).churn(), 0);
     }
 
     /// The incrementally maintained mobile topology equals a from-
@@ -566,7 +558,7 @@ mod tests {
                 net.graph().edges().collect::<Vec<_>>(),
                 oracle.edges().collect::<Vec<_>>()
             );
-            assert_eq!(delta, topology_delta(&before, &oracle));
+            assert_eq!(delta, TopologyDelta::between(&before, &oracle));
         }
     }
 
