@@ -32,8 +32,8 @@
 //! must come out hub-labeled below 10% of the projected dense `h × h`
 //! table; a repair micro-bench re-weights one virtual link and cuts
 //! another, and times the hub layout's dirty-hub re-sweeps and the
-//! dense layout's link-by-link repair (with the cut's side re-sweeps)
-//! against a cold build of the dense matrix, then drops one head and
+//! dense layout's cell-grain repair (settling the cells the cut can
+//! lengthen) against a cold build of the dense matrix, then drops one head and
 //! promotes one member and times the dense plan's repair across the
 //! renumbering against a fresh compile. Writes
 //! `results/BENCH_routing.json` (quick runs write
@@ -399,8 +399,8 @@ fn run_engine_cell(
 
 /// Times the maintained plan's reaction to one backbone weight change
 /// at scale: the same delta is applied to a hub-layout clone (dirty-hub
-/// re-sweeps) and a dense-layout clone (unavoidable all-pairs
-/// recompute). Uses the AC-Mesh backbone — its link set is pure
+/// re-sweeps) and a dense-layout clone (the cells the delta can
+/// change). Uses the AC-Mesh backbone — its link set is pure
 /// cluster adjacency, so shortening one inter-head path changes a
 /// weight without reshaping the link set (degrees, and with them the
 /// hub order, survive; the clustering is held fixed the way the
@@ -433,10 +433,10 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
     // Two link changes in one delta. A weight drop: wire the endpoints
     // of the longest link directly, so it re-realizes at 1 hop. And a
     // removal: cut the middle edge of another long link's path, so that
-    // link is dropped or re-realized longer — the removal whose side
-    // re-sweeps the dense rows. A cut that strands a member, or whose
-    // rows a witness clears entirely, is skipped for the next longest
-    // link.
+    // link is dropped or re-realized longer — the removal whose marked
+    // cells the dense repair settles. A cut that strands a member, or
+    // whose sources a witness clears entirely, is skipped for the next
+    // longest link.
     let mut by_hops: Vec<_> = links
         .iter()
         .map(|l| {
@@ -483,10 +483,10 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
                 &dirty,
                 eval.selected_links(Algorithm::AcMesh),
             );
-            matches!(update.inter, InterRepair::DenseRepaired { rows_swept } if rows_swept > 0)
+            matches!(update.inter, InterRepair::DenseRepaired { rows_swept, .. } if rows_swept > 0)
                 .then_some((g, scratch, eval, dirty))
         })
-        .unwrap_or_else(|| panic!("N={n}: no link cut among the 256 longest re-sweeps a row"));
+        .unwrap_or_else(|| panic!("N={n}: no link cut among the 256 longest settles a cell"));
     let new_links = eval.selected_links(Algorithm::AcMesh);
     let mut hub_par = hub.clone();
     let mut dense_par = dense.clone();
@@ -571,13 +571,17 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
             None
         }
     };
-    let InterRepair::DenseRepaired { rows_swept } = dense_report.inter else {
+    let InterRepair::DenseRepaired {
+        rows_swept,
+        cells_settled,
+    } = dense_report.inter
+    else {
         panic!(
             "N={n}: the injected delta must repair the dense matrix, got {:?}",
             dense_report.inter
         );
     };
-    assert!(rows_swept > 0, "N={n}: the removal must re-sweep rows");
+    assert!(rows_swept > 0, "N={n}: the removal must settle cells");
     if strict {
         assert!(
             hub_secs < dense_build_secs,
@@ -600,7 +604,8 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
     };
     println!(
         "\nrepair (N={n}, k={k}, AC-Mesh, 1 link re-weighted + 1 cut): {hub_arm}, \
-         dense {:.2} ms ({rows_swept} rows re-swept) vs a cold dense build {:.2} ms \
+         dense {:.2} ms ({rows_swept} rows, {cells_settled} cells settled) vs a cold \
+         dense build {:.2} ms \
          — {:.1}x for hub",
         1e3 * dense_secs,
         1e3 * dense_build_secs,
@@ -620,6 +625,7 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         "repair_workers": workers,
         "dirty_hubs": dirty_hubs,
         "dense_rows_swept": rows_swept,
+        "dense_cells_settled": cells_settled,
         "speedup": dense_build_secs / hub_secs.max(1e-12),
         "headset": headset,
     })
@@ -702,7 +708,11 @@ fn headset_bench(
         dense, fresh,
         "N={n}: head-set repair diverged from a fresh compile"
     );
-    let InterRepair::DenseRepaired { rows_swept } = update.inter else {
+    let InterRepair::DenseRepaired {
+        rows_swept,
+        cells_settled,
+    } = update.inter
+    else {
         panic!(
             "N={n}: a head-set change must repair the dense matrix, got {:?}",
             update.inter
@@ -710,7 +720,8 @@ fn headset_bench(
     };
     println!(
         "head-set repair (N={n}, head {dropped:?} dropped, {promoted:?} promoted): \
-         dense {:.2} ms ({rows_swept} rows re-swept, {} ascents re-walked) vs a \
+         dense {:.2} ms ({rows_swept} rows, {cells_settled} cells settled, {} ascents \
+         re-walked) vs a \
          fresh compile {:.2} ms — {:.1}x",
         1e3 * repair_secs,
         update.resweeped_nodes,
@@ -721,6 +732,7 @@ fn headset_bench(
         "repair_ms": 1e3 * repair_secs,
         "compile_ms": 1e3 * compile_secs,
         "rows_swept": rows_swept,
+        "cells_settled": cells_settled,
         "resweeped_nodes": update.resweeped_nodes,
         "speedup": compile_secs / repair_secs.max(1e-12),
     })

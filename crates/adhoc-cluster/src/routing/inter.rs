@@ -42,37 +42,57 @@
 //! table has nothing to keep, so it builds: a plan's compile is the
 //! advance from the empty table. It also builds when the layout policy
 //! picks the other layout, and when a hub table crosses a head-set
-//! change. Otherwise a dense table is repaired link by link, as below,
+//! change. Otherwise a dense table is repaired cell by cell, as below,
 //! and a hub table re-sweeps its dirty hubs, building when its order
 //! check declines ([`HubIndex`]).
 //!
-//! # Dense repair: a local change gets a local repair
+//! # Dense repair: a local change repairs the cells it can change
 //!
 //! The matrix holds exact distances, so a backbone change is repaired
-//! link by link from the diff of the old and new link lists, in this
-//! order:
+//! from the diff of the old and new link lists, in this order:
 //!
 //! 1. **Insertions, on the exact old matrix.** For every added or
 //!    re-weighted link `(x, y, w)` of the new backbone, a route can only
 //!    shorten by crossing it once, so `dist'(s, t) = min(dist(s, t),
 //!    dist(s, x) + w + dist(y, t))` or the mirror. Only a row with
-//!    `dist(s, x) + w < dist(s, y)` (or the mirror) can shorten, so only
-//!    those rows get a min-pass over their cells.
-//! 2. **Removals, one at a time.** Every removed link or superseded
-//!    weight `(u, v, w)` is taken out of a matrix that is exact for the
-//!    backbone still holding it. A pair whose distance grows had every
-//!    shortest route through the link; with `u` before `v` on it, the
-//!    source lies in `S_u = {s : dist(u, s) + w = dist(v, s)}` and the
-//!    target in `S_v` (its mirror), both read off two contiguous rows.
-//!    Every changed pair therefore has one endpoint on each side. A
-//!    **witness** then thins both sides: `s` leaves `S_u` when some
-//!    other link `(x, v, w_x)` — of the new backbone or a removal not
-//!    yet taken out — has `dist(s, x) + w_x = dist(s, v)`, and `S_v`
-//!    loses its sources by the mirror rule. Re-sweeping the rows of the
-//!    **smaller** thinned side and mirroring each into its column
-//!    repairs every changed pair. The sweep runs on the new backbone
-//!    plus the removed links not yet taken out, so the matrix is exact
-//!    again before the next removal reads it.
+//!    `dist(s, x) + w < dist(s, y)` can shorten across `x → y`, and in
+//!    it only the columns `T_y = {t : w + dist(y, t) < dist(x, t)}`: an
+//!    improved cell has `dist(s, x) + w + dist(y, t) < dist(s, t) ≤
+//!    dist(s, x) + dist(x, t)`. By symmetry those rows are `T_x`, so the
+//!    min-pass covers `T_x × T_y` and its mirror `T_y × T_x` alone. The
+//!    first link of a new, isolated head `z` has `T_z = {z}`, so it
+//!    touches `z`'s row and `z`'s column, `O(h)` cells.
+//! 2. **Removals, one at a time, at cell grain.** Every removed link or
+//!    superseded weight is taken out of a matrix that is exact for the
+//!    backbone still holding it (the new one plus the removals still
+//!    **pending**). For a removal with **centre** `c`, only cells with
+//!    `dist(s, c) + dist(c, t) = dist(s, t)` can grow: the **marked**
+//!    cells. Each kept source `s` (below) is repaired on its marked
+//!    targets alone. A marked `t` is **seeded** with `min dist(s, x) +
+//!    w(x, t)` over its unmarked neighbours `x` in the new backbone plus
+//!    the pending removals, and the marked set is **settled** by the
+//!    bucket-queue Dijkstra the build uses. The new cells are written to
+//!    row `s` and, by symmetry, column `s`. Every source of one removal
+//!    is computed against the pre-removal matrix and buffered, then
+//!    written, so no source reads a cell this removal rewrote.
+//!
+//! Why an unmarked cell keeps its value: none of its shortest routes
+//! crosses the removal, so one of them survives it, and no route got
+//! shorter. Why the settle is exact: the unmarked cells are exact, and a
+//! shortest new `s ⇝ t` route to a marked `t` leaves the unmarked cells
+//! for good at some last unmarked `x`, whose link into the marked set
+//! seeds the settle.
+//!
+//! **A removed link** `(u, v, w)` is one removal. A pair whose distance
+//! grows had every shortest route through the link; with `u` before `v`
+//! on it, the source lies in `S_u = {s : dist(u, s) + w = dist(v, s)}`
+//! and the target in `S_v` (its mirror), both read off two contiguous
+//! rows. A **witness** then thins both sides: `s` leaves `S_u` when some
+//! other link `(x, v, w_x)` — of the new backbone or a pending removal —
+//! has `dist(s, x) + w_x = dist(s, v)`, and `S_v` loses its sources by
+//! the mirror rule. The sources are the **smaller** thinned side, say
+//! `S_u`; the centre is `v`, and every marked target lies in `S_v`
+//! before thinning, so only that side is scanned.
 //!
 //! Why a witnessed source keeps its row. `dist(s, x) < dist(s, v)`,
 //! and every `s ⇝ x` route through `v` is at least `dist(s, v)` long,
@@ -89,12 +109,26 @@
 //! a witnessed one, and every changed pair keeps one endpoint in each
 //! thinned side.
 //!
+//! **A lost head** `ℓ` (across a head-set change) is one **vertex
+//! removal**: all its remaining links go at once, with centre `ℓ`.
+//! Each head `s` of `ℓ`'s component enters `ℓ` over some of its links,
+//! the ones `(y, w_y)` with `dist(s, y) + w_y = dist(s, ℓ)`. Two heads
+//! that share an entry link `y` have `dist(s, t) ≤ dist(s, y) + dist(y,
+//! t) < dist(s, ℓ) + dist(ℓ, t)`, so only heads with disjoint entry sets
+//! can be marked. The heads are grouped by entry set; the groups kept
+//! out of the sources pairwise share an entry (the largest groups
+//! first), so every marked pair has a source end. A lost leaf has one
+//! link and settles nothing; a transit head of degree two settles its
+//! smaller side. `ℓ`'s own row and column are never repaired: `ℓ` ends
+//! isolated, and its row and column are simply cleared to [`FAR`].
+//!
 //! Each step needs the matrix exact for the backbone it starts from.
-//! Insertions come first because the removals' sweeps run on the new
+//! Insertions come first because the removals' settles run on the new
 //! backbone, which already holds the inserted links: the other way
-//! round, a removal would read sides off a matrix that lacks links its
-//! sweeps use. A repair never sweeps more rows than a build: once the
-//! next side would take it past `h` rows, it builds the matrix fresh.
+//! round, a removal would mark cells off a matrix that lacks links its
+//! settles use. A repair never settles more cells than a build fills:
+//! once the next removal's marked cells would take it past `h²`, it
+//! builds the matrix fresh, fanned out as a build is.
 //!
 //! # Dense repair across a head-set change
 //!
@@ -109,7 +143,9 @@
 //! 2. **Repair.** The old and new backbones, both lifted into the
 //!    union, differ by every link of a lost head (all removed), every
 //!    link of a new head (all inserted), and whatever changed among the
-//!    survivors. The dense repair above takes them in its usual order.
+//!    survivors. The dense repair above takes them in its usual order:
+//!    the insertions, then each lost head as one vertex removal, then
+//!    the survivors' removed links.
 //! 3. **Compact.** The new heads' rows and columns are copied out of
 //!    the union matrix into a fresh allocation of exactly `h²` cells,
 //!    so the table's bytes equal a fresh build's.
@@ -203,20 +239,38 @@ pub(crate) struct InterScratch {
     inserted: Vec<Link>,
     /// Dense repair: links of the old backbone missing from the new
     /// (removed, or carrying a superseded weight), one orientation
-    /// each, in repair order.
+    /// each, in repair order: each lost head's links, then the rest.
     removed: Vec<Link>,
     /// Dense repair: the removed links not yet taken out, both
-    /// orientations, sorted — the extra links a removal's re-sweeps run
+    /// orientations, sorted — the extra links a removal's settles run
     /// over.
     pending: Vec<Link>,
-    /// Dense repair: the two sides `S_u`, `S_v` of the removed link.
+    /// Dense repair: the two sides `S_u`, `S_v` of the removed link,
+    /// each thinned by its witnesses to the prefix `kept` counts.
     sides: [Vec<u32>; 2],
     /// Dense repair: the other links `(x, w_x)` at `v` and at `u` that
-    /// can witness a source off `S_u` and `S_v`.
+    /// can witness a source off `S_u` and `S_v`, or a lost head's links.
     witnesses: [Vec<(u32, u32)>; 2],
+    /// Dense repair: a lost head's component as `(entry set, head)`,
+    /// sorted, and its entry groups `(entry set, start, end, source)`.
+    entries: Vec<(u64, u32)>,
+    groups: Vec<(u64, usize, usize, bool)>,
+    /// Dense repair: the marked targets of one removal, source by
+    /// source, and each source with the end of its targets.
+    marked: Vec<u32>,
+    marked_rows: Vec<(u32, u32)>,
+    /// Dense repair: a source's settle — the marked flags and tentative
+    /// distances by head, and the seeded targets with a marked neighbour.
+    in_set: Vec<bool>,
+    tent: Vec<u32>,
+    queue: Vec<u32>,
+    /// Dense repair: the new cells `(s, t, dist)` of one removal,
+    /// buffered until every source is settled.
+    cells: Vec<(u32, u32, u32)>,
     /// Dense repair: snapshots of the rows an insertion reads, and the
-    /// rows a removal re-sweeps.
+    /// columns `T_y`, `T_x` it can shorten.
     rows: Vec<u32>,
+    cols: [Vec<u32>; 2],
 }
 
 thread_local! {
@@ -395,21 +449,13 @@ pub(crate) fn all_pairs_next_hops(csr: CsrView<'_>, scratch: &mut InterScratch) 
 }
 
 /// Writes `s`'s exact distance row into `row` ([`FAR`] for heads `s`
-/// cannot reach): a bucket-queue Dijkstra over `csr` plus the directed
-/// `extra` links (sorted by source; a repair's not-yet-removed links).
-/// `max_w` must be at least every link's weight. As in
-/// [`next_hop_row`], every queued distance lies within `max_w` of the
-/// one being settled, so a ring of `max_w + 1` buckets holds them all;
-/// `row` doubles as the distance array, so a bucket entry whose
-/// distance has since fallen is skipped when its bucket drains.
-fn dist_row(
-    csr: CsrView<'_>,
-    extra: &[Link],
-    s: usize,
-    max_w: u32,
-    row: &mut [u32],
-    buckets: &mut Vec<Vec<u32>>,
-) {
+/// cannot reach): a bucket-queue Dijkstra over `csr`. `max_w` must be
+/// at least every link's weight. As in [`next_hop_row`], every queued
+/// distance lies within `max_w` of the one being settled, so a ring of
+/// `max_w + 1` buckets holds them all; `row` doubles as the distance
+/// array, so a bucket entry whose distance has since fallen is skipped
+/// when its bucket drains.
+fn dist_row(csr: CsrView<'_>, s: usize, max_w: u32, row: &mut [u32], buckets: &mut Vec<Vec<u32>>) {
     let ring = max_w as usize + 1;
     if buckets.len() < ring {
         buckets.resize_with(ring, Vec::new);
@@ -427,12 +473,7 @@ fn dist_row(
             if row[u as usize] != d {
                 continue; // settled at a shorter distance
             }
-            let first = extra.partition_point(|l| l.0 < u);
-            let extra_row = extra[first..]
-                .iter()
-                .take_while(|l| l.0 == u)
-                .map(|&(_, t, w)| (t, w));
-            for (t, w) in csr.row(u as usize).chain(extra_row) {
+            for (t, w) in csr.row(u as usize) {
                 debug_assert!((1..=max_w).contains(&w), "weight {w} outside 1..={max_w}");
                 let nd = d + w;
                 if nd < row[t as usize] {
@@ -450,70 +491,73 @@ fn dist_row(
     }
 }
 
-/// Sweeps the distance rows of `count` sources (`source(i)` is the
-/// `i`-th) over `csr` plus `extra` into `out`, row `i` at
-/// `out[i * h..]`. Every row is a pure function of its source and the
-/// links, so the rows are bit-identical for any worker count: below one
-/// thread spawn's worth of work ([`par::work::dense_rows`], gated by
-/// [`Parallelism::for_work`]) they are swept inline on the caller's
-/// warm buckets; above it the sources are chunked across workers, each
-/// writing its own contiguous rows.
-fn sweep_rows(
-    csr: CsrView<'_>,
-    extra: &[Link],
-    count: usize,
-    source: impl Fn(usize) -> usize + Sync,
-    out: &mut [u32],
-    buckets: &mut Vec<Vec<u32>>,
-    par: Parallelism,
-) {
+/// Builds the whole matrix: one distance row per source over `csr`
+/// into `out`, row `s` at `out[s * h..]`. Every row is a pure function
+/// of its source and the links, so the rows are bit-identical for any
+/// worker count: below one thread spawn's worth of work
+/// ([`par::work::dense_rows`], gated by [`Parallelism::for_work`]) they
+/// are swept inline on the caller's warm buckets; above it the sources
+/// are chunked across workers, each writing its own contiguous rows.
+fn sweep_rows(csr: CsrView<'_>, out: &mut [u32], buckets: &mut Vec<Vec<u32>>, par: Parallelism) {
     let h = csr.head_count();
-    debug_assert_eq!(out.len(), count * h);
-    let max_w = extra.iter().map(|l| l.2).fold(csr.max_weight(), u32::max);
+    debug_assert_eq!(out.len(), h * h);
+    let max_w = csr.max_weight();
     let workers = par
-        .for_work(par::work::dense_rows(count, h, csr.to.len() + extra.len()))
+        .for_work(par::work::dense_rows(h, h, csr.to.len()))
         .workers();
     if workers == 1 {
-        for i in 0..count {
-            dist_row(
-                csr,
-                extra,
-                source(i),
-                max_w,
-                &mut out[i * h..(i + 1) * h],
-                buckets,
-            );
+        for (s, row) in out.chunks_exact_mut(h.max(1)).enumerate() {
+            dist_row(csr, s, max_w, row, buckets);
         }
     } else {
         par::scoped_chunks(
             workers,
-            count,
+            h,
             Strided::new(out, h),
             |off, take, chunk: Strided<&mut [u32]>| {
                 let mut local = Vec::new();
                 for i in 0..take {
                     let row = &mut chunk.data[i * h..(i + 1) * h];
-                    dist_row(csr, extra, source(off + i), max_w, row, &mut local);
+                    dist_row(csr, off + i, max_w, row, &mut local);
                 }
             },
         );
     }
 }
 
+/// `u`'s links `(neighbor, weight)` in the backbone a removal runs on:
+/// its row of `csr`, then its `pending` links (sorted by source).
+fn links_at<'a>(
+    csr: CsrView<'a>,
+    pending: &'a [Link],
+    u: usize,
+) -> impl Iterator<Item = (u32, u32)> + 'a {
+    let first = pending.partition_point(|l| (l.0 as usize) < u);
+    csr.row(u).chain(
+        pending[first..]
+            .iter()
+            .take_while(move |l| l.0 as usize == u)
+            .map(|&(_, t, w)| (t, w)),
+    )
+}
+
 /// Repairs the exact distance matrix `dist` of the `old` backbone into
 /// the matrix of `new`, as the module docs' "Dense repair" describes;
-/// `changed` holds every slot whose CSR row differs. Returns the rows
-/// re-swept (`h` more when it fell back to a fresh build). Bit-identical
-/// to a fresh build on `new` for any worker count: every step leaves
-/// the matrix exact.
+/// `changed` holds every slot whose CSR row differs, and `lost` the
+/// slots (ascending) of heads that leave, each taken out as one vertex
+/// removal. Returns the rows with at least one settled cell and the
+/// cells settled (`h` and `h²` more when it fell back to a fresh
+/// build). Bit-identical to a fresh build on `new` for any worker
+/// count: every step leaves the matrix exact.
 fn repair_dense(
     dist: &mut [u32],
     changed: &[u32],
+    lost: &[u32],
     old: CsrView<'_>,
     new: CsrView<'_>,
     scratch: &mut InterScratch,
     par: Parallelism,
-) -> usize {
+) -> (usize, usize) {
     let h = new.head_count();
     let InterScratch {
         buckets,
@@ -522,49 +566,323 @@ fn repair_dense(
         pending,
         sides,
         witnesses,
+        entries,
+        groups,
+        marked,
+        marked_rows,
+        in_set,
+        tent,
+        queue,
+        cells,
         rows,
+        cols,
         ..
     } = scratch;
     link_diff(changed, old, new, inserted, removed);
     for &(x, y, w) in inserted.iter() {
-        insert_link(dist, h, x as usize, y as usize, w, rows);
+        insert_link(dist, h, x as usize, y as usize, w, rows, cols);
     }
-    let mut swept = 0usize;
-    for (j, &(u, v, w)) in removed.iter().enumerate() {
+    // A lost head's links go with the first lost head they touch; the
+    // rest one by one.
+    let lost_end = |&(a, b, _): &Link| {
+        [a, b]
+            .into_iter()
+            .find(|x| lost.binary_search(x).is_ok())
+            .unwrap_or(u32::MAX)
+    };
+    removed.sort_unstable_by_key(|l| (lost_end(l), *l));
+    in_set.clear();
+    in_set.resize(h, false);
+    tent.resize(h, FAR);
+    let (mut swept, mut settled) = (0usize, 0usize);
+    let mut j = 0;
+    while j < removed.len() {
+        let vertex = lost_end(&removed[j]);
+        let end = if vertex == u32::MAX {
+            j + 1
+        } else {
+            j + removed[j..]
+                .iter()
+                .take_while(|l| lost_end(l) == vertex)
+                .count()
+        };
         pending.clear();
-        for &(a, b, w) in &removed[j + 1..] {
+        for &(a, b, w) in &removed[end..] {
             pending.extend([(a, b, w), (b, a, w)]);
         }
         pending.sort_unstable();
-        let side = smaller_side(dist, h, (u, v, w), new, pending, sides, witnesses);
-        if side.is_empty() {
-            continue; // the link was on no shortest route
+        marked.clear();
+        marked_rows.clear();
+        if vertex == u32::MAX {
+            mark_link(
+                dist,
+                h,
+                removed[j],
+                new,
+                pending,
+                sides,
+                witnesses,
+                marked,
+                marked_rows,
+            );
+        } else {
+            let [ends, _] = &mut *witnesses;
+            ends.clear();
+            ends.extend(
+                removed[j..end]
+                    .iter()
+                    .map(|&(a, b, w)| (if a == vertex { b } else { a }, w)),
+            );
+            mark_vertex(
+                dist,
+                h,
+                vertex as usize,
+                ends,
+                entries,
+                groups,
+                marked,
+                marked_rows,
+            );
         }
-        if swept + side.len() > h {
-            sweep_rows(new, &[], h, |s| s, dist, buckets, par);
-            return swept + h;
+        if settled + marked.len() > h * h {
+            sweep_rows(new, dist, buckets, par);
+            return (swept + h, settled + h * h);
         }
-        rows.clear();
-        rows.resize(side.len() * h, FAR);
-        sweep_rows(
-            new,
-            pending,
-            side.len(),
-            |i| side[i] as usize,
-            rows,
-            buckets,
-            par,
+        cells.clear();
+        let mut from = 0;
+        for &(s, to) in marked_rows.iter() {
+            let targets = &marked[from..to as usize];
+            settle_row(
+                dist, h, s as usize, targets, new, pending, in_set, tent, queue, buckets, cells,
+            );
+            from = to as usize;
+        }
+        for &(s, t, d) in cells.iter() {
+            let (s, t) = (s as usize, t as usize);
+            dist[s * h + t] = d;
+            dist[t * h + s] = d;
+        }
+        if vertex != u32::MAX {
+            // The lost head ends isolated.
+            let l = vertex as usize;
+            dist[l * h..(l + 1) * h].fill(FAR);
+            for t in 0..h {
+                dist[t * h + l] = FAR;
+            }
+            dist[l * h + l] = 0;
+        }
+        swept += marked_rows.len();
+        settled += marked.len();
+        j = end;
+    }
+    (swept, settled)
+}
+
+/// Marks, for the removed link `(u, v, w)`, the cells it may lengthen:
+/// for each source of the smaller witness-thinned side ([`link_sides`]),
+/// the targets `t` of the other side, before thinning, with
+/// `dist(s, c) + dist(c, t) = dist(s, t)` for the side's far end `c`.
+/// Appends the targets to `marked` and `(source, end)` to
+/// `marked_rows`, for each source with a marked target.
+#[allow(clippy::too_many_arguments)]
+fn mark_link(
+    dist: &[u32],
+    h: usize,
+    link: Link,
+    new: CsrView<'_>,
+    pending: &[Link],
+    sides: &mut [Vec<u32>; 2],
+    witnesses: &mut [Vec<(u32, u32)>; 2],
+    marked: &mut Vec<u32>,
+    marked_rows: &mut Vec<(u32, u32)>,
+) {
+    let (sources, targets, c) = link_sides(dist, h, link, new, pending, sides, witnesses);
+    for &s in sources {
+        mark_row(
+            dist,
+            h,
+            s as usize,
+            c,
+            targets.iter().copied(),
+            marked,
+            marked_rows,
         );
-        for (&s, row) in side.iter().zip(rows.chunks_exact(h)) {
-            let s = s as usize;
-            dist[s * h..(s + 1) * h].copy_from_slice(row);
-            for (t, &d) in row.iter().enumerate() {
-                dist[t * h + s] = d;
+    }
+}
+
+/// Marks, for the vertex removal of lost head `l` whose remaining links
+/// go to `ends` as `(y, w_y)`, the cells it may lengthen (module docs,
+/// "Dense repair"): `s` and `t` of `l`'s component with disjoint entry
+/// sets and `dist(s, l) + dist(l, t) = dist(s, t)`, for each source of
+/// the groups that the pairwise-sharing ones leave. Fewer than two
+/// links lie on no shortest route through `l`, so mark nothing.
+#[allow(clippy::too_many_arguments)]
+fn mark_vertex(
+    dist: &[u32],
+    h: usize,
+    l: usize,
+    ends: &[(u32, u32)],
+    entries: &mut Vec<(u64, u32)>,
+    groups: &mut Vec<(u64, usize, usize, bool)>,
+    marked: &mut Vec<u32>,
+    marked_rows: &mut Vec<(u32, u32)>,
+) {
+    if ends.len() < 2 {
+        return;
+    }
+    // Entry sets as bit masks; past 64 links every head gets the empty
+    // set, which shares nothing and so filters nothing.
+    let from_l = &dist[l * h..(l + 1) * h];
+    entries.clear();
+    for (t, &dl) in from_l.iter().enumerate() {
+        if t == l || dl == FAR {
+            continue;
+        }
+        let mut set = 0u64;
+        if ends.len() <= 64 {
+            for (i, &(y, w)) in ends.iter().enumerate() {
+                if dist[y as usize * h + t] + w == dl {
+                    set |= 1 << i;
+                }
             }
         }
-        swept += side.len();
+        entries.push((set, t as u32));
     }
-    swept
+    entries.sort_unstable();
+    groups.clear();
+    for (i, &(set, _)) in entries.iter().enumerate() {
+        match groups.last_mut() {
+            Some(g) if g.0 == set => g.2 = i + 1,
+            _ => groups.push((set, i, i + 1, true)),
+        }
+    }
+    // The largest groups first, each kept out of the sources when it
+    // shares an entry with itself and with every group already kept out.
+    groups.sort_unstable_by_key(|&(set, lo, hi, _)| (Reverse(hi - lo), set));
+    for g in 0..groups.len() {
+        let set = groups[g].0;
+        let shares = set != 0 && groups[..g].iter().all(|o| o.3 || o.0 & set != 0);
+        groups[g].3 = !shares;
+    }
+    for &(set, lo, hi, source) in groups.iter() {
+        if !source {
+            continue;
+        }
+        for &(_, s) in &entries[lo..hi] {
+            let targets = groups
+                .iter()
+                .filter(|g| g.0 & set == 0)
+                .flat_map(|g| entries[g.1..g.2].iter().map(|&(_, t)| t));
+            mark_row(dist, h, s as usize, l, targets, marked, marked_rows);
+        }
+    }
+}
+
+/// Appends to `marked` the `targets` with `dist(s, c) + dist(c, t) =
+/// dist(s, t)` — every one reaches `c` — and `(s, end)` to
+/// `marked_rows` if there was one.
+fn mark_row(
+    dist: &[u32],
+    h: usize,
+    s: usize,
+    c: usize,
+    targets: impl Iterator<Item = u32>,
+    marked: &mut Vec<u32>,
+    marked_rows: &mut Vec<(u32, u32)>,
+) {
+    let (from_s, from_c) = (&dist[s * h..(s + 1) * h], &dist[c * h..(c + 1) * h]);
+    let via = from_s[c];
+    let start = marked.len();
+    marked.extend(targets.filter(|&t| via + from_c[t as usize] == from_s[t as usize]));
+    if marked.len() > start {
+        marked_rows.push((s as u32, marked.len() as u32));
+    }
+}
+
+/// Settles source `s`'s marked `targets` on the backbone `new` plus
+/// `pending` (module docs, "Dense repair"), reading the pre-removal
+/// matrix `dist`, and appends the new cells `(s, t, dist)` to `cells`.
+/// Each target is seeded from its unmarked neighbours, then the marked
+/// set alone runs a bucket-queue Dijkstra whose bucket `i` holds
+/// distance `lo + i`, `lo` the smallest seed: the seeds go straight
+/// into their buckets, unsorted. `in_set` is all `false` and every
+/// bucket empty between calls.
+#[allow(clippy::too_many_arguments)]
+fn settle_row(
+    dist: &[u32],
+    h: usize,
+    s: usize,
+    targets: &[u32],
+    new: CsrView<'_>,
+    pending: &[Link],
+    in_set: &mut [bool],
+    tent: &mut [u32],
+    queue: &mut Vec<u32>,
+    buckets: &mut Vec<Vec<u32>>,
+    cells: &mut Vec<(u32, u32, u32)>,
+) {
+    let from_s = &dist[s * h..(s + 1) * h];
+    for &t in targets {
+        in_set[t as usize] = true;
+    }
+    // A target with no marked neighbour is final at its seed: no
+    // relaxation reaches it and it relaxes none, so it is not queued.
+    let mut lo = FAR;
+    queue.clear();
+    for &t in targets {
+        let (mut seed, mut inner) = (FAR, false);
+        links_at(new, pending, t as usize).for_each(|(x, w)| {
+            if in_set[x as usize] {
+                inner = true;
+            } else {
+                seed = seed.min(from_s[x as usize].saturating_add(w));
+            }
+        });
+        tent[t as usize] = seed;
+        if inner && seed != FAR {
+            queue.push(t);
+            lo = lo.min(seed);
+        }
+    }
+    let push = |buckets: &mut Vec<Vec<u32>>, d: u32, t: u32| {
+        let i = (d - lo) as usize;
+        if i >= buckets.len() {
+            buckets.resize_with(i + 1, Vec::new);
+        }
+        buckets[i].push(t);
+    };
+    let mut queued = queue.len();
+    for &t in queue.iter() {
+        push(buckets, tent[t as usize], t);
+    }
+    let mut i = 0;
+    while queued > 0 {
+        // Relaxations from bucket `i` land in later buckets, so it can
+        // be taken out while it drains.
+        let mut bucket = std::mem::take(&mut buckets[i]);
+        queued -= bucket.len();
+        let d = lo + i as u32;
+        for &u in &bucket {
+            if tent[u as usize] != d {
+                continue; // settled at a shorter distance
+            }
+            links_at(new, pending, u as usize).for_each(|(x, w)| {
+                let nd = d + w;
+                if in_set[x as usize] && nd < tent[x as usize] {
+                    tent[x as usize] = nd;
+                    push(buckets, nd, x);
+                    queued += 1;
+                }
+            });
+        }
+        bucket.clear();
+        buckets[i] = bucket;
+        i += 1;
+    }
+    for &t in targets {
+        in_set[t as usize] = false;
+        cells.push((s as u32, t, tent[t as usize]));
+    }
 }
 
 /// The weighted link diff between two backbones over the same heads:
@@ -618,9 +936,29 @@ fn link_diff(
 /// same heads: both endpoints of every added, removed, or re-weighted
 /// link.
 fn changed_rows(old: CsrView<'_>, new: CsrView<'_>) -> Vec<u32> {
-    (0..new.head_count() as u32)
-        .filter(|&s| old.row(s as usize).ne(new.row(s as usize)))
+    let span = |csr: CsrView<'_>, s: usize| csr.off[s] as usize..csr.off[s + 1] as usize;
+    (0..new.head_count())
+        .filter(|&s| {
+            let (a, b) = (span(old, s), span(new, s));
+            old.to[a.clone()] != new.to[b.clone()] || old.hops[a] != new.hops[b]
+        })
+        .map(|s| s as u32)
         .collect()
+}
+
+/// The maximal runs `(i, slots[i], len)` of consecutive slots in the
+/// increasing slot map `slots`: `slots[i + j] = slots[i] + j` for `j <
+/// len`. A head-set change gains or loses a few heads, so a few runs
+/// copy a whole matrix row.
+fn slot_runs(slots: &[u32]) -> Vec<(usize, usize, usize)> {
+    let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+    for (i, &y) in slots.iter().enumerate() {
+        match runs.last_mut() {
+            Some((_, start, len)) if *start + *len == y as usize => *len += 1,
+            _ => runs.push((i, y as usize, 1)),
+        }
+    }
+    runs
 }
 
 /// `csr` relabelled into a slot space of `union` slots, slot `s`
@@ -648,38 +986,63 @@ fn lift_csr(csr: CsrView<'_>, to_union: &[u32], union: usize) -> (Vec<u32>, Vec<
 }
 
 /// Adds link `(x, y, w)` to the exact matrix `dist`: each row that the
-/// link shortens (`dist(s, x) + w < dist(s, y)` or the mirror) takes
-/// the minimum with the route across it, read off snapshots of rows `x`
-/// and `y` (`snap` holds them).
-fn insert_link(dist: &mut [u32], h: usize, x: usize, y: usize, w: u32, snap: &mut Vec<u32>) {
+/// link shortens across `x → y` takes the minimum with the route across
+/// it, on the columns `T_y = {t : w + dist(y, t) < dist(x, t)}` alone,
+/// and the mirror. By symmetry the rows shortened across `x → y`, those
+/// with `dist(s, x) + w < dist(s, y)`, are `T_x` itself, so only the
+/// cells of `T_x × T_y` and `T_y × T_x` are read, off snapshots of rows
+/// `x` and `y` (`snap` holds them, `cols` the two sets). Returns the
+/// cells it min-passed.
+fn insert_link(
+    dist: &mut [u32],
+    h: usize,
+    x: usize,
+    y: usize,
+    w: u32,
+    snap: &mut Vec<u32>,
+    cols: &mut [Vec<u32>; 2],
+) -> usize {
     snap.clear();
     snap.extend_from_slice(&dist[x * h..(x + 1) * h]);
     snap.extend_from_slice(&dist[y * h..(y + 1) * h]);
     let (from_x, from_y) = snap.split_at(h);
-    for (s, row) in dist.chunks_exact_mut(h).enumerate() {
-        let (dx, dy) = (from_x[s].saturating_add(w), from_y[s].saturating_add(w));
-        let (via, beyond) = if dx < from_y[s] {
-            (dx, from_y)
-        } else if dy < from_x[s] {
-            (dy, from_x)
-        } else {
-            continue;
-        };
-        for (cell, &d) in row.iter_mut().zip(beyond) {
-            *cell = (*cell).min(via.saturating_add(d));
+    let [to_y, to_x] = cols;
+    to_y.clear();
+    to_x.clear();
+    for (t, (&a, &b)) in from_x.iter().zip(from_y).enumerate() {
+        if b.saturating_add(w) < a {
+            to_y.push(t as u32);
+        } else if a.saturating_add(w) < b {
+            to_x.push(t as u32);
         }
     }
+    for (rows, near, far, cols) in [
+        (&*to_x, from_x, from_y, &*to_y),
+        (to_y, from_y, from_x, to_x),
+    ] {
+        for &s in rows {
+            let (s, via) = (s as usize, near[s as usize] + w);
+            let row = &mut dist[s * h..(s + 1) * h];
+            for &t in cols {
+                let t = t as usize;
+                row[t] = row[t].min(via + far[t]);
+            }
+        }
+    }
+    2 * to_x.len() * to_y.len()
 }
 
-/// The smaller of removed link `(u, v, w)`'s two thinned sides in the
-/// exact matrix `dist` — `S_u = {s : dist(u, s) + w = dist(v, s)}`
-/// (sources whose shortest routes to `v` may end across the link) less
-/// the sources a witness clears, or its mirror `S_v`, `S_u` on a tie —
-/// collected into `sides` (module docs, "Dense repair"). A witness of
-/// `s ∈ S_u` is another link `(x, v, w_x)` of `new` or of the removals
-/// still `pending` with `dist(x, s) + w_x = dist(v, s)`. Both sides are
-/// empty when the link lies on no shortest route.
-fn smaller_side<'s>(
+/// The sources, the targets to scan and the centre of removed link
+/// `(u, v, w)` in the exact matrix `dist` (module docs, "Dense
+/// repair"). `S_u = {s : dist(u, s) + w = dist(v, s)}` (sources whose
+/// shortest routes to `v` may end across the link) less the sources a
+/// witness clears, or its mirror `S_v`, `S_u` on a tie, are the
+/// sources; the other side before thinning holds every target, and the
+/// centre is the sources' far end. A witness of `s ∈ S_u` is another
+/// link `(x, v, w_x)` of `new` or of the removals still `pending` with
+/// `dist(x, s) + w_x = dist(v, s)`. Both sides are empty when the link
+/// lies on no shortest route.
+fn link_sides<'s>(
     dist: &[u32],
     h: usize,
     (u, v, w): Link,
@@ -687,7 +1050,7 @@ fn smaller_side<'s>(
     pending: &[Link],
     sides: &'s mut [Vec<u32>; 2],
     witnesses: &mut [Vec<(u32, u32)>; 2],
-) -> &'s [u32] {
+) -> (&'s [u32], &'s [u32], usize) {
     let (u, v) = (u as usize, v as usize);
     let [side_u, side_v] = sides;
     side_u.clear();
@@ -705,39 +1068,36 @@ fn smaller_side<'s>(
         }
     }
     // The links still at `end` once `(u, v)` is out: its row of the new
-    // backbone and its pending removals (sorted by source). The removed
-    // link is in neither.
-    let links_at = |end: usize, out: &mut Vec<(u32, u32)>| {
-        out.clear();
-        out.extend(new.row(end));
-        let first = pending.partition_point(|l| (l.0 as usize) < end);
-        out.extend(
-            pending[first..]
-                .iter()
-                .take_while(|l| l.0 as usize == end)
-                .map(|&(_, x, w)| (x, w)),
-        );
-    };
+    // backbone and its pending removals. The removed link is in neither.
     let [at_v, at_u] = witnesses;
-    links_at(v, at_v);
-    links_at(u, at_u);
-    // `s` keeps its side unless some link `(x, w_x)` at the side's far
-    // end `e` has `dist(x, s) + w_x = dist(e, s)`.
+    at_v.clear();
+    at_v.extend(links_at(new, pending, v));
+    at_u.clear();
+    at_u.extend(links_at(new, pending, u));
+    // `s` is kept unless some link `(x, w_x)` at the side's far end `e`
+    // has `dist(x, s) + w_x = dist(e, s)`: the kept sources move to the
+    // front, and their count is returned.
     let thin = |side: &mut Vec<u32>, links: &[(u32, u32)], far_end: &[u32]| {
-        side.retain(|&s| {
-            let s = s as usize;
-            !links.iter().any(|&(x, wx)| {
+        let mut kept = 0;
+        for i in 0..side.len() {
+            let s = side[i] as usize;
+            let witnessed = links.iter().any(|&(x, wx)| {
                 let d = dist[x as usize * h + s];
                 d != FAR && d + wx == far_end[s]
-            })
-        });
+            });
+            if !witnessed {
+                side.swap(kept, i);
+                kept += 1;
+            }
+        }
+        kept
     };
-    thin(side_u, at_v, from_v);
-    thin(side_v, at_u, from_u);
-    if side_u.len() <= side_v.len() {
-        side_u
+    let kept_u = thin(side_u, at_v, from_v);
+    let kept_v = thin(side_v, at_u, from_u);
+    if kept_u <= kept_v {
+        (&side_u[..kept_u], &side_v[..], v)
     } else {
-        side_v
+        (&side_v[..kept_v], &side_u[..], u)
     }
 }
 
@@ -812,14 +1172,19 @@ impl std::str::FromStr for InterMode {
 pub enum InterRepair {
     /// The backbone's weighted link set did not change; nothing to do.
     Unchanged,
-    /// Dense layout: the distance matrix was repaired link by link (see
+    /// Dense layout: the distance matrix was repaired cell by cell (see
     /// the `inter` module's "Dense repair"), across a head-set change
     /// in the union of the old and new head sets.
     DenseRepaired {
-        /// Rows re-swept for removed links (out of `h`, or out of the
-        /// union's size across a head-set change; that many more when
-        /// the repair fell back to a fresh build).
+        /// Sources with at least one settled cell, summed over the
+        /// removals (out of `h` each, or out of the union's size across
+        /// a head-set change; `h` more when the repair fell back to a
+        /// fresh build).
         rows_swept: usize,
+        /// Cells the removals settled: marked cells, each re-derived
+        /// from its unmarked neighbours (`h²` more when the repair fell
+        /// back to a fresh build, which it does before passing `h²`).
+        cells_settled: usize,
     },
     /// Dense layout: the matrix was built fresh, because the table was
     /// empty or a head-set change turned a hub table dense under
@@ -844,7 +1209,7 @@ pub enum InterRepair {
 pub enum InterTable {
     /// The exact, symmetric all-pairs backbone distance matrix,
     /// row-major `h × h` ([`FAR`] when unreachable) — one row read per
-    /// walk, `O(h²)` memory, repaired link by link on a backbone change.
+    /// walk, `O(h²)` memory, repaired cell by cell on a backbone change.
     Dense { h: usize, dist: Vec<u32> },
     /// Hub-label (2-level landmark) index — one target-row expansion
     /// per walk, then each hop proved by exact checks (mostly one
@@ -975,7 +1340,7 @@ impl InterTable {
                     // One distance row per source, fanned out as
                     // `sweep_rows` says.
                     let mut dist = vec![FAR; h * h];
-                    sweep_rows(csr, &[], h, |s| s, &mut dist, &mut scratch.buckets, par);
+                    sweep_rows(csr, &mut dist, &mut scratch.buckets, par);
                     (InterTable::Dense { h, dist }, InterRepair::DenseRebuilt)
                 };
                 *table = Arc::new(fresh);
@@ -1018,33 +1383,58 @@ impl InterTable {
                     let InterTable::Dense { h: old_h, dist } = &**table else {
                         unreachable!("a hub table crossing a head-set change builds")
                     };
-                    union_dist = vec![FAR; union * union];
+                    let runs = slot_runs(old_slots);
+                    let mut rows = dist.chunks_exact((*old_h).max(1));
+                    union_dist.reserve_exact(union * union);
+                    let mut next = old_slots.iter().peekable();
                     for x in 0..union {
-                        union_dist[x * union + x] = 0;
-                    }
-                    for (row, &x) in dist.chunks_exact((*old_h).max(1)).zip(old_slots) {
-                        let to = &mut union_dist[x as usize * union..(x as usize + 1) * union];
-                        for (&d, &y) in row.iter().zip(old_slots) {
-                            to[y as usize] = d;
+                        if next.next_if_eq(&&(x as u32)).is_none() {
+                            let row = union_dist.len();
+                            union_dist.resize(row + union, FAR);
+                            union_dist[row + x] = 0;
+                            continue;
                         }
+                        let row = rows.next().expect("one row per old slot");
+                        for &(i, y, len) in &runs {
+                            union_dist.resize(x * union + y, FAR);
+                            union_dist.extend_from_slice(&row[i..i + len]);
+                        }
+                        union_dist.resize((x + 1) * union, FAR);
                     }
                     &mut union_dist
                 }
             };
-            let rows_swept = repair_dense(dist, &changed, old_u, new_u, scratch, par);
+            let lost: Vec<u32> = heads.map_or(Vec::new(), |(old_slots, new_slots, _)| {
+                old_slots
+                    .iter()
+                    .copied()
+                    .filter(|x| new_slots.binary_search(x).is_err())
+                    .collect()
+            });
+            let (rows_swept, cells_settled) =
+                repair_dense(dist, &changed, &lost, old_u, new_u, scratch, par);
             // Compact: the new heads' rows and columns, in exactly `h²`
-            // cells.
+            // cells. With no head lost the union is the new head set.
             if let Some((_, new_slots, union)) = heads {
-                let mut dist = vec![FAR; h * h];
-                for (row, &x) in dist.chunks_exact_mut(h.max(1)).zip(new_slots) {
-                    let from = &union_dist[x as usize * union..(x as usize + 1) * union];
-                    for (d, &y) in row.iter_mut().zip(new_slots) {
-                        *d = from[y as usize];
+                let dist = if lost.is_empty() {
+                    union_dist
+                } else {
+                    let runs = slot_runs(new_slots);
+                    let mut dist = Vec::with_capacity(h * h);
+                    for &x in new_slots {
+                        let from = &union_dist[x as usize * union..(x as usize + 1) * union];
+                        for &(_, y, len) in &runs {
+                            dist.extend_from_slice(&from[y..y + len]);
+                        }
                     }
-                }
+                    dist
+                };
                 *table = Arc::new(InterTable::Dense { h, dist });
             }
-            InterRepair::DenseRepaired { rows_swept }
+            InterRepair::DenseRepaired {
+                rows_swept,
+                cells_settled,
+            }
         })
     }
 
@@ -1593,15 +1983,7 @@ mod tests {
     ) {
         let h = ids.len();
         if h > 1 && rng.gen_bool(0.5) {
-            let gone = rng.gen_range(0..h);
-            ids.remove(gone);
-            adj.remove(gone);
-            for row in adj.iter_mut() {
-                row.retain(|&(t, _)| t as usize != gone);
-                for (t, _) in row.iter_mut() {
-                    *t -= u32::from(*t as usize > gone);
-                }
-            }
+            remove_head(ids, adj, rng.gen_range(0..h));
             return;
         }
         let id = loop {
@@ -1622,6 +2004,19 @@ mod tests {
             let b = rng.gen_range(0..h + 1);
             if b != at {
                 set_link(adj, at, b, Some(rng.gen_range(1..=max_w)));
+            }
+        }
+    }
+
+    /// Removes the head at slot `gone` with its links from `ids` and
+    /// `adj`, renumbering the slots above it.
+    fn remove_head(ids: &mut Vec<u32>, adj: &mut Vec<Vec<(u32, u32)>>, gone: usize) {
+        ids.remove(gone);
+        adj.remove(gone);
+        for row in adj.iter_mut() {
+            row.retain(|&(t, _)| t as usize != gone);
+            for (t, _) in row.iter_mut() {
+                *t -= u32::from(*t as usize > gone);
             }
         }
     }
@@ -1649,76 +2044,172 @@ mod tests {
         out
     }
 
-    /// The rows a dense repair from `before` to `after` must re-sweep,
-    /// worked out independently: per removed link `(u, v, w)` in repair
-    /// order (ascending), the smaller witness-thinned side in a fresh
-    /// matrix of the backbone that still holds it and every later
-    /// removed link — `s` with `dist(u, s) + w = dist(v, s)` and no
-    /// other link `(x, v, w_x)` of `after` or a later removal with
-    /// `dist(x, s) + w_x = dist(v, s)`, or the mirror — until the next
-    /// side would take the total past `h`, then a build's `h` more.
-    fn expected_rows_swept(before: &[Vec<(u32, u32)>], after: &[Vec<(u32, u32)>]) -> usize {
+    /// The exact distance matrix of `adj`, by a fresh build.
+    fn fresh_dist(adj: &[Vec<(u32, u32)>]) -> Vec<u32> {
+        let (off, to, hops) = to_csr(adj);
+        let csr = CsrView {
+            off: &off,
+            to: &to,
+            hops: &hops,
+        };
+        let InterTable::Dense { dist, .. } = InterTable::build(InterMode::Dense, csr) else {
+            unreachable!("dense mode builds the matrix")
+        };
+        dist
+    }
+
+    /// The `(rows_swept, cells_settled)` a dense repair from `before` to
+    /// `after` must report, worked out independently, each removal on a
+    /// fresh matrix of the backbone that still holds it and every later
+    /// one. Removals go in repair order: the links of each `lost` head
+    /// (ascending), taken out at once, then every other removed link
+    /// (ascending). Every target `t` is scanned, so the model also
+    /// checks that the repair's scan filters drop no marked cell.
+    ///
+    /// - A link `(u, v, w)`: the sources are the smaller witness-thinned
+    ///   side — `s` with `dist(u, s) + w = dist(v, s)` and no other link
+    ///   `(x, v, w_x)` of `after` or a later removal with `dist(x, s) +
+    ///   w_x = dist(v, s)`, or the mirror, `S_u` on a tie — and the
+    ///   centre `c` is the sources' far end.
+    /// - A lost head `ℓ` with two or more links: the centre is `ℓ`. Each
+    ///   head of its component has the set of links `(y, w_y)` with
+    ///   `dist(s, y) + w_y = dist(s, ℓ)`; the groups of equal sets,
+    ///   largest first (then by set), are kept out of the sources while
+    ///   each shares a link with itself and with every group kept out.
+    ///
+    /// Each source counts its targets `t` with `dist(s, c) + dist(c, t)
+    /// = dist(s, t)`, and is a row when it has one; once the next
+    /// removal would take the cells past `h²`, a build's `h` rows and
+    /// `h²` cells more.
+    fn expected_repair(
+        before: &[Vec<(u32, u32)>],
+        after: &[Vec<(u32, u32)>],
+        lost: &[usize],
+    ) -> InterRepair {
         let h = after.len();
         let new = links(after);
-        let removed: Vec<_> = links(before)
+        let lost_end = |&(a, b, _): &(usize, usize, u32)| {
+            [a, b]
+                .into_iter()
+                .find(|x| lost.contains(x))
+                .unwrap_or(usize::MAX)
+        };
+        let mut removed: Vec<_> = links(before)
             .into_iter()
             .filter(|l| !new.contains(l))
             .collect();
-        let mut swept = 0;
-        for (j, &(u, v, w)) in removed.iter().enumerate() {
+        removed.sort_by_key(|l| (lost_end(l), *l));
+        let (mut rows, mut cells) = (0, 0);
+        let mut j = 0;
+        while j < removed.len() {
+            let vertex = lost_end(&removed[j]);
+            let end = if vertex == usize::MAX {
+                j + 1
+            } else {
+                j + removed[j..]
+                    .iter()
+                    .take_while(|l| lost_end(l) == vertex)
+                    .count()
+            };
             let mut adj = after.to_vec();
             for &(a, b, x) in &removed[j..] {
                 adj[a].push((b as u32, x));
                 adj[b].push((a as u32, x));
             }
-            let (off, to, hops) = to_csr(&adj);
-            let csr = CsrView {
-                off: &off,
-                to: &to,
-                hops: &hops,
-            };
-            let InterTable::Dense { dist, .. } = InterTable::build(InterMode::Dense, csr) else {
-                unreachable!("dense mode builds the matrix")
-            };
+            let dist = fresh_dist(&adj);
             let d = |a: usize, b: usize| dist[a * h + b];
-            // The links at `end` once `(u, v, w)` is out.
-            let links_at = |end: usize| {
-                let mut at: Vec<(usize, u32)> =
-                    after[end].iter().map(|&(x, wx)| (x as usize, wx)).collect();
-                for &(a, b, x) in &removed[j + 1..] {
-                    if a == end {
-                        at.push((b, x));
-                    } else if b == end {
-                        at.push((a, x));
+            let (sources, c): (Vec<usize>, usize) = if vertex == usize::MAX {
+                let (u, v, w) = removed[j];
+                // The links at `end` once `(u, v, w)` is out.
+                let links_at = |end: usize| {
+                    let mut at: Vec<(usize, u32)> =
+                        after[end].iter().map(|&(x, wx)| (x as usize, wx)).collect();
+                    for &(a, b, x) in &removed[j + 1..] {
+                        if a == end {
+                            at.push((b, x));
+                        } else if b == end {
+                            at.push((a, x));
+                        }
+                    }
+                    at
+                };
+                let side = |near: usize, far: usize| {
+                    let witnesses = links_at(far);
+                    (0..h)
+                        .filter(|&s| d(near, s) != FAR && d(near, s) + w == d(far, s))
+                        .filter(|&s| {
+                            !witnesses
+                                .iter()
+                                .any(|&(x, wx)| d(x, s) != FAR && d(x, s) + wx == d(far, s))
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let (side_u, side_v) = (side(u, v), side(v, u));
+                if side_u.len() <= side_v.len() {
+                    (side_u, v)
+                } else {
+                    (side_v, u)
+                }
+            } else if end - j < 2 {
+                (Vec::new(), vertex)
+            } else {
+                let l = vertex;
+                let ends: Vec<(usize, u32)> = removed[j..end]
+                    .iter()
+                    .map(|&(a, b, w)| (if a == l { b } else { a }, w))
+                    .collect();
+                let mut groups = std::collections::BTreeMap::<u64, Vec<usize>>::new();
+                for t in (0..h).filter(|&t| t != l && d(l, t) != FAR) {
+                    let set = (0..ends.len())
+                        .filter(|&i| ends.len() <= 64 && d(ends[i].0, t) + ends[i].1 == d(l, t))
+                        .fold(0u64, |set, i| set | 1 << i);
+                    groups.entry(set).or_default().push(t);
+                }
+                let mut order: Vec<(u64, Vec<usize>)> = groups.into_iter().collect();
+                order.sort_by_key(|(set, heads)| (std::cmp::Reverse(heads.len()), *set));
+                let mut kept_out: Vec<u64> = Vec::new();
+                let mut sources = Vec::new();
+                for (set, heads) in order {
+                    if set != 0 && kept_out.iter().all(|o| o & set != 0) {
+                        kept_out.push(set);
+                    } else {
+                        sources.extend(heads);
                     }
                 }
-                at
+                (sources, l)
             };
-            let side = |near: usize, far: usize| {
-                let witnesses = links_at(far);
-                (0..h)
-                    .filter(|&s| d(near, s) != FAR && d(near, s) + w == d(far, s))
-                    .filter(|&s| {
-                        !witnesses
-                            .iter()
-                            .any(|&(x, wx)| d(x, s) != FAR && d(x, s) + wx == d(far, s))
-                    })
-                    .count()
-            };
-            let smaller = side(u, v).min(side(v, u));
-            if swept + smaller > h {
-                return swept + h;
+            let marked: Vec<usize> = sources
+                .iter()
+                .map(|&s| {
+                    (0..h)
+                        .filter(|&t| vertex == usize::MAX || t != vertex)
+                        .filter(|&t| {
+                            d(s, c) != FAR && d(c, t) != FAR && d(s, c) + d(c, t) == d(s, t)
+                        })
+                        .count()
+                })
+                .collect();
+            let settled: usize = marked.iter().sum();
+            if cells + settled > h * h {
+                rows += h;
+                cells += h * h;
+                break;
             }
-            swept += smaller;
+            rows += marked.iter().filter(|&&m| m > 0).count();
+            cells += settled;
+            j = end;
         }
-        swept
+        InterRepair::DenseRepaired {
+            rows_swept: rows,
+            cells_settled: cells,
+        }
     }
 
     /// The body of the edit-chain proptest: a random backbone of `h`
     /// heads, then `edits` edits of every kind — the seven link edits
     /// of [`random_edit`] and, one time in four, a head gained or lost
     /// ([`random_head_edit`]) — each repaired in place and checked
-    /// against a fresh build, the walk oracle and the row count.
+    /// against a fresh build, the walk oracle and the rows and cells model.
     fn check_edit_chain(seed: u64, h: usize, k: u32, edits: usize) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1766,15 +2257,19 @@ mod tests {
             );
             let expected = match &heads {
                 None if links(&before) == links(&adj) => InterRepair::Unchanged,
-                None => InterRepair::DenseRepaired {
-                    rows_swept: expected_rows_swept(&before, &adj),
-                },
-                Some((old_slots, new_slots, union)) => InterRepair::DenseRepaired {
-                    rows_swept: expected_rows_swept(
+                None => expected_repair(&before, &adj, &[]),
+                Some((old_slots, new_slots, union)) => {
+                    let lost: Vec<usize> = old_slots
+                        .iter()
+                        .filter(|x| !new_slots.contains(x))
+                        .map(|&x| x as usize)
+                        .collect();
+                    expected_repair(
                         &lift_adj(&before, old_slots, *union),
                         &lift_adj(&adj, new_slots, *union),
-                    ),
-                },
+                        &lost,
+                    )
+                }
             };
             let fresh = InterTable::build(InterMode::Dense, csr);
             assert_eq!(&*table, &fresh, "edit {edit}: repaired matrix diverged");
@@ -1793,7 +2288,152 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(repair, expected, "edit {edit}: rows swept");
+            assert_eq!(
+                repair, expected,
+                "edit {edit}: rows swept and cells settled"
+            );
+        }
+    }
+
+    /// A backbone of `h` heads with the links `(a, b, w)`.
+    fn backbone(h: usize, with: &[(usize, usize, u32)]) -> Vec<Vec<(u32, u32)>> {
+        let mut adj = vec![Vec::new(); h];
+        for &(a, b, w) in with {
+            set_link(&mut adj, a, b, Some(w));
+        }
+        adj
+    }
+
+    /// Advances a dense table built on `before` (heads `ids`) to `after`
+    /// (heads `new_ids`), checks it against a fresh build, bytes
+    /// included, and returns it with what the repair reports.
+    fn advance_dense(
+        before: &[Vec<(u32, u32)>],
+        ids: &[u32],
+        after: &[Vec<(u32, u32)>],
+        new_ids: &[u32],
+    ) -> (InterTable, InterRepair) {
+        let (old_off, old_to, old_hops) = to_csr(before);
+        let (off, to, hops) = to_csr(after);
+        let old = CsrView {
+            off: &old_off,
+            to: &old_to,
+            hops: &old_hops,
+        };
+        let csr = CsrView {
+            off: &off,
+            to: &to,
+            hops: &hops,
+        };
+        let mut table = Arc::new(InterTable::build(InterMode::Dense, old));
+        let heads = (ids != new_ids).then(|| union_slots(ids, new_ids));
+        let repair = InterTable::advance(
+            &mut table,
+            InterMode::Dense,
+            heads.as_ref().map(|(o, n, union)| (&o[..], &n[..], *union)),
+            old,
+            csr,
+            Parallelism::serial(),
+            &Metrics::disabled(),
+        );
+        let fresh = InterTable::build(InterMode::Dense, csr);
+        assert_eq!(*table, fresh, "repaired matrix diverged");
+        assert_eq!(table.memory_bytes(), fresh.memory_bytes());
+        (Arc::unwrap_or_clone(table), repair)
+    }
+
+    fn repaired(rows_swept: usize, cells_settled: usize) -> InterRepair {
+        InterRepair::DenseRepaired {
+            rows_swept,
+            cells_settled,
+        }
+    }
+
+    /// `0 – 2` (weight 2) ties with `0 – 1 – 2`: each side of the link
+    /// is witnessed by the other route, so taking it out settles no cell.
+    #[test]
+    fn tied_link_removal_settles_no_cell() {
+        let before = backbone(3, &[(0, 1, 1), (1, 2, 1), (0, 2, 2)]);
+        let after = backbone(3, &[(0, 1, 1), (1, 2, 1)]);
+        let ids = [0, 1, 2];
+        let (_, repair) = advance_dense(&before, &ids, &after, &ids);
+        assert_eq!(repair, repaired(0, 0));
+    }
+
+    /// Cutting the bridge of `0 – 1 – 2 – 3` settles the two sources of
+    /// the `{0, 1}` side against both targets of `{2, 3}`, and every
+    /// cell across the cut, in both orientations, ends [`FAR`].
+    #[test]
+    fn bridge_removal_sends_both_sides_far() {
+        let before = backbone(4, &[(0, 1, 1), (1, 2, 2), (2, 3, 1)]);
+        let after = backbone(4, &[(0, 1, 1), (2, 3, 1)]);
+        let ids = [0, 1, 2, 3];
+        let (table, repair) = advance_dense(&before, &ids, &after, &ids);
+        assert_eq!(repair, repaired(2, 4));
+        let InterTable::Dense { h, dist } = table else {
+            unreachable!("a dense repair keeps the dense layout")
+        };
+        for (s, t) in [(0, 2), (0, 3), (1, 2), (1, 3)] {
+            assert_eq!(dist[s * h + t], FAR, "{s} -> {t}");
+            assert_eq!(dist[t * h + s], FAR, "{t} -> {s}");
+        }
+        assert_eq!(
+            (dist[1], dist[2 * h + 3]),
+            (1, 1),
+            "each side keeps its link"
+        );
+    }
+
+    /// A lost leaf head lies inside no shortest route: its vertex
+    /// removal settles nothing, and its row is never repaired.
+    #[test]
+    fn lost_leaf_head_settles_nothing() {
+        let ids = vec![0, 2, 4, 6];
+        let before = backbone(4, &[(0, 1, 1), (1, 2, 2), (1, 3, 3)]);
+        let (mut new_ids, mut after) = (ids.clone(), before.clone());
+        remove_head(&mut new_ids, &mut after, 3);
+        let (_, repair) = advance_dense(&before, &ids, &after, &new_ids);
+        assert_eq!(repair, repaired(0, 0));
+    }
+
+    /// Losing the transit head 1 of `0 – 1 – 2` beside the detour
+    /// `0 – 3 – 4 – 2`: the component splits into the heads entering 1
+    /// from 0 (`{0, 3}`) and from 2 (`{2, 4}`); ties go to the lower
+    /// entry set, so `{2, 4}` are the sources, and only `(2, 0)` routed
+    /// across 1. One cell is settled, to the detour's 3 hops.
+    #[test]
+    fn lost_transit_head_settles_its_smaller_side() {
+        let ids = vec![0, 2, 4, 6, 8];
+        let before = backbone(5, &[(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (4, 2, 1)]);
+        let (mut new_ids, mut after) = (ids.clone(), before.clone());
+        remove_head(&mut new_ids, &mut after, 1);
+        let (table, repair) = advance_dense(&before, &ids, &after, &new_ids);
+        assert_eq!(repair, repaired(1, 1));
+        let InterTable::Dense { h, dist } = table else {
+            unreachable!("a dense repair keeps the dense layout")
+        };
+        // Old heads 0 and 2 are new slots 0 and 1.
+        assert_eq!((dist[1], dist[h]), (3, 3));
+    }
+
+    /// A new head starts isolated, so its first link shortens only its
+    /// own row (across the link) and its own column (from the other
+    /// side): `O(h)` cells, not `h²`. A second, shorter link to the
+    /// next head again shortens only the new head's row and column.
+    /// Each insertion leaves the matrix exact.
+    #[test]
+    fn new_isolated_head_insertions_touch_linear_cells() {
+        let h = 41;
+        let path: Vec<_> = (0..h - 2).map(|a| (a, a + 1, 1)).collect();
+        let mut adj = backbone(h, &path);
+        let mut dist = fresh_dist(&adj);
+        let (mut snap, mut cols) = (Vec::new(), [Vec::new(), Vec::new()]);
+        let z = h - 1;
+        for (y, w) in [(0, 2), (1, 1)] {
+            let touched = insert_link(&mut dist, h, z, y, w, &mut snap, &mut cols);
+            set_link(&mut adj, z, y, Some(w));
+            assert_eq!(dist, fresh_dist(&adj), "link {z} - {y}");
+            assert!(touched <= 2 * h, "link {z} - {y} touched {touched} cells");
         }
     }
 
@@ -1808,9 +2448,9 @@ mod tests {
         /// (small weights tie often), the repaired matrix equals a
         /// fresh build's (`PartialEq`, and its bytes) after every edit,
         /// every `(s, t)` walk over it equals the next-hop table
-        /// oracle's, and it re-swept exactly the rows
-        /// [`expected_rows_swept`] names — in the union of both head
-        /// sets after a head gain or loss.
+        /// oracle's, and it settled exactly the rows and cells
+        /// [`expected_repair`] names — in the union of both head sets
+        /// after a head gain or loss.
         #[test]
         fn dense_repair_matches_fresh_build_through_edit_chains(
             seed in 0u64..1_000_000,

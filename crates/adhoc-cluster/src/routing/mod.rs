@@ -23,9 +23,10 @@
 //!   nor the labels at serve time. [`RoutePlan::apply_delta`] repairs
 //!   the plan after topology churn from the pipeline's dirty-slot
 //!   information instead of rebuilding it, also across a head-set
-//!   change; a backbone change re-sweeps only the smaller side of each
-//!   removed link under the dense layout and only dirty hubs under the
-//!   hub layout, instead of recomputing all pairs.
+//!   change; a backbone change settles only the matrix cells a removed
+//!   link or lost head can lengthen under the dense layout and
+//!   re-sweeps only dirty hubs under the hub layout, instead of
+//!   recomputing all pairs.
 //! * [`hub`] — the hub-labeling (2-level landmark) index over `G''`:
 //!   rank-restricted pruned sweeps, flat CSR label arena, sound
 //!   dirty-hub repair ([`InterMode`] picks the layout per compile).

@@ -48,11 +48,12 @@
 //! dirty or newly opened heads (and re-affiliated nodes) re-walk their
 //! ascents (clean rows are copied arena-segment-wise, the same trick
 //! the label store uses), and the inter-head table is repaired only
-//! from the links that actually changed — the dense matrix re-sweeps
-//! only the smaller side of each removed link, the hub layout only its
-//! dirty hubs. A head-set change takes the same path: clean nodes'
-//! slots are remapped by head ID and the dense matrix is repaired in
-//! the union of the old and new head sets.
+//! from the links that actually changed — the dense matrix settles
+//! only the cells a removed link or lost head can lengthen and
+//! min-passes only the cells an inserted link can shorten, the hub
+//! layout re-sweeps only its dirty hubs. A head-set change takes the
+//! same path: clean nodes' slots are remapped by head ID and the dense
+//! matrix is repaired in the union of the old and new head sets.
 //!
 //! A compile is that update from the empty plan (no heads, every node
 //! unaffiliated): every affiliated node gains a head, so every one
@@ -140,7 +141,7 @@ pub struct PlanUpdate {
     /// nodes' ascent paths are copied, not re-walked).
     pub resweeped_nodes: usize,
     /// What the inter-head repair did: nothing (the backbone's weighted
-    /// link set did not change), dense rows re-swept, hub labels
+    /// link set did not change), dense cells settled, hub labels
     /// re-swept, or a rebuild.
     pub inter: InterRepair,
 }
@@ -152,9 +153,10 @@ impl PlanUpdate {
     /// changes repaired in place, `plan.next_recomputed` updates whose
     /// inter-head table changed, `inter.dense_recomputed` updates
     /// whose dense matrix changed (a repair or a rebuild; the name
-    /// predates the repair), `inter.dense_rows_swept` the rows the
-    /// repairs re-swept. All values are exact update facts, so the
-    /// counts are deterministic for any worker count.
+    /// predates the repair), `inter.dense_rows_swept` the sources with
+    /// at least one settled cell and `inter.dense_cells_settled` the
+    /// cells the repairs settled. All values are exact update facts, so
+    /// the counts are deterministic for any worker count.
     pub fn record_into(&self, metrics: &Metrics) {
         if self.heads_changed {
             metrics.inc("plan.headset_repairs");
@@ -165,9 +167,13 @@ impl PlanUpdate {
         }
         match self.inter {
             InterRepair::Unchanged => metrics.inc("inter.unchanged"),
-            InterRepair::DenseRepaired { rows_swept } => {
+            InterRepair::DenseRepaired {
+                rows_swept,
+                cells_settled,
+            } => {
                 metrics.inc("inter.dense_recomputed");
                 metrics.add("inter.dense_rows_swept", rows_swept as u64);
+                metrics.add("inter.dense_cells_settled", cells_settled as u64);
             }
             InterRepair::DenseRebuilt => metrics.inc("inter.dense_recomputed"),
             InterRepair::HubRepaired { dirty_hubs } => {
@@ -513,10 +519,12 @@ impl RoutePlan {
     /// (pinned by the `route_equivalence` proptests); every other node
     /// keeps its arena segment, its slot mapped from its head's old
     /// place to its new one. The inter-head table is repaired only from
-    /// the links that changed — the dense matrix re-sweeps the smaller
-    /// witness-thinned side of each removed link, across a head-set
-    /// change in the union of both head sets (pinned against a fresh
-    /// build by the `inter` proptests), the hub layout its dirty hubs
+    /// the links that changed — the dense matrix settles the cells each
+    /// removed link or lost head can lengthen, from the smaller
+    /// witness-thinned side of a link, and min-passes the cells each
+    /// inserted link can shorten, across a head-set change in the union
+    /// of both head sets (pinned against a fresh build by the `inter`
+    /// proptests), the hub layout its dirty hubs
     /// (pinned against a fresh compile by the `hub_equivalence`
     /// proptests) and a fresh index across a head-set change.
     ///
@@ -543,9 +551,9 @@ impl RoutePlan {
     }
 
     /// [`Self::apply_delta`] over a worker pool: the dirty-node ascent
-    /// re-walks and the inter-head repair (dense row or dirty-hub
-    /// re-sweeps) fan out across `par` workers, bit-identical to the
-    /// serial repair for any worker count.
+    /// re-walks and the inter-head repair (dirty-hub re-sweeps, or a
+    /// dense repair's fallback build) fan out across `par` workers,
+    /// bit-identical to the serial repair for any worker count.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_delta_tuned<'a, G: Adjacency + Sync>(
         &mut self,

@@ -6,7 +6,8 @@
 //! are excluded from [`MetricsSnapshot::deterministic_fingerprint`],
 //! which is exactly the surface these proptests pin. It includes the
 //! eval tail's boundary counters, `pipeline.nc_links_rewalked` and
-//! `pipeline.headset_patches`.
+//! `pipeline.headset_patches`, and the dense repair's grain,
+//! `inter.dense_rows_swept` and `inter.dense_cells_settled`.
 //!
 //! The contract matters because bench records and CI smoke runs embed
 //! the fingerprint: if a counter were incremented from a racy branch
@@ -138,8 +139,15 @@ proptest! {
 
         let (base_fp, base_rows) = run_arm(Parallelism::serial());
         // The eval tail's boundary counters are part of the pinned
-        // surface: links walked afresh and head-set patches.
-        for name in ["pipeline.nc_links_rewalked", "pipeline.headset_patches"] {
+        // surface: links walked afresh and head-set patches. So are the
+        // dense repair's grain counters: sources with a settled cell, and
+        // the cells settled.
+        for name in [
+            "pipeline.nc_links_rewalked",
+            "pipeline.headset_patches",
+            "inter.dense_rows_swept",
+            "inter.dense_cells_settled",
+        ] {
             prop_assert!(
                 base_rows.iter().any(|r| r.starts_with(&format!("counter {name} = "))),
                 "{} missing from the snapshot", name

@@ -459,7 +459,7 @@ proptest! {
             prop_assert_eq!(compiled.inter_layout(), mode.name());
             prop_assert!(!update.heads_changed && update.inter != InterRepair::Unchanged);
             match (mode, update.inter) {
-                (InterMode::Dense, InterRepair::DenseRepaired { rows_swept }) => {
+                (InterMode::Dense, InterRepair::DenseRepaired { rows_swept, .. }) => {
                     assert_fans_out(
                         work::dense_rows(h, h, 2 * compiled.link_count()), "dense build",
                     );
@@ -482,9 +482,11 @@ proptest! {
         }
     }
 
-    /// Dense repairs above the gate: one link taken out of a ~200-head
-    /// AC-LMST backbone, the one whose smaller side is largest, so a
-    /// single removal re-sweeps enough rows to fan out. Every arm must
+    /// Dense repairs above the gate. A dense repair settles its cells
+    /// inline, so what fans out is its fallback: a cut of a ~200-head
+    /// AC-LMST backbone, the links whose lone removal settles the most
+    /// cells first, grown until the repair would settle more than the
+    /// `h²` cells a build fills and builds fresh instead. Every arm must
     /// equal the serial one and a fresh compile.
     #[test]
     fn fanned_out_dense_repairs_are_worker_count_invariant(
@@ -497,36 +499,55 @@ proptest! {
         let eval = pipeline::run_all_with(&g, &c, &mut scratch);
         let labels = scratch.labels();
         let links = eval.selected_links(Algorithm::AcLmst);
+        let h = c.heads.len();
         let compiled = RoutePlan::compile_with(
             &g, &c, labels, links.iter().copied(), InterMode::Dense,
         );
-        let without = |drop: usize| links.iter().enumerate().filter(move |&(i, _)| i != drop);
-        let repair = |drop: usize, par: Parallelism| {
+        let without = |cut: &[usize]| {
+            links
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !cut.contains(i))
+                .map(|(_, &l)| l)
+                .collect::<Vec<_>>()
+        };
+        let repair = |cut: &[usize], par: Parallelism| {
             let mut plan = compiled.clone();
             let update = plan.apply_delta_tuned(
-                &g, &c, labels, &[],
-                without(drop).map(|(_, &l)| l), par,
+                &g, &c, labels, &[], without(cut).into_iter(), par,
             );
             (plan, update)
         };
-        let swept = |update: &PlanUpdate| match update.inter {
-            InterRepair::DenseRepaired { rows_swept } => rows_swept,
+        let settled = |update: &PlanUpdate| match update.inter {
+            InterRepair::DenseRepaired { cells_settled, .. } => cells_settled,
             other => panic!("a removed link must repair the dense matrix, got {other:?}"),
         };
-        let drop = (0..links.len())
-            .max_by_key(|&i| (swept(&repair(i, Parallelism::serial()).1), std::cmp::Reverse(i)))
-            .expect("the backbone has links");
+        let mut ranked: Vec<usize> = (0..links.len()).collect();
+        ranked.sort_by_cached_key(|&i| {
+            (std::cmp::Reverse(settled(&repair(&[i], Parallelism::serial()).1)), i)
+        });
+        let mut cut = Vec::new();
+        for &i in &ranked {
+            cut.push(i);
+            if settled(&repair(&cut, Parallelism::serial()).1) > h * h {
+                break;
+            }
+        }
         let arms: Vec<_> = FANNED_GRID
             .iter()
-            .map(|&w| repair(drop, Parallelism::new(w)))
+            .map(|&w| repair(&cut, Parallelism::new(w)))
             .collect();
         let (repaired, update) = &arms[0];
+        prop_assert!(
+            settled(update) > h * h,
+            "cutting {} links settled {} cells of {}: no fallback build", cut.len(), settled(update), h * h
+        );
         assert_fans_out(
-            work::dense_rows(swept(update), c.heads.len(), 2 * repaired.link_count()),
-            "dense repair",
+            work::dense_rows(h, h, 2 * repaired.link_count()),
+            "fallback build",
         );
         let fresh = RoutePlan::compile_with(
-            &g, &c, labels, without(drop).map(|(_, &l)| l), InterMode::Dense,
+            &g, &c, labels, without(&cut).into_iter(), InterMode::Dense,
         );
         prop_assert_eq!(repaired, &fresh, "repaired plan diverged from a fresh compile");
         for (w, arm) in FANNED_GRID.iter().zip(&arms).skip(1) {
@@ -535,69 +556,81 @@ proptest! {
         }
     }
 
-    /// Head-set repairs above the gate: the eight best-linked heads of a
-    /// ~200-head AC-LMST plan are cut off (every edge of them removed)
-    /// and the graph re-clustered by a global `cluster()`, as a
-    /// movement re-election does. The dense repair across the
-    /// renumbering then re-sweeps more rows than the union of the two
-    /// head sets holds, so it ends in a full sweep of the union, which
-    /// fans out. Every worker count must give the serial plan and
-    /// update, equal to a fresh compile, bytes included.
+    /// Head-set repairs above the gate: the best-linked heads of a
+    /// ~200-head AC-LMST plan are cut off (every edge of them removed),
+    /// eight more at a time, and the graph re-clustered by a global
+    /// `cluster()`, as a movement re-election does, until the dense
+    /// repair across the renumbering would settle more cells than the
+    /// union of the two head sets holds, so it ends in a full build of
+    /// the union, which fans out. Every worker count must give the
+    /// serial plan and update, equal to a fresh compile, bytes included.
     #[test]
     fn fanned_out_headset_repairs_are_worker_count_invariant(
         seed in 0u64..1_000_000,
         n in 900usize..=950,
     ) {
-        let mut g = scaled_net(n, &mut StdRng::seed_from_u64(seed));
-        let c0 = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
-        let mut scratch = EvalScratch::with_workers(Parallelism::serial());
-        let mut eval = pipeline::run_all_with(&g, &c0, &mut scratch);
+        let g0 = scaled_net(n, &mut StdRng::seed_from_u64(seed));
+        let c0 = clustering::cluster(&g0, 1, &LowestId, MemberPolicy::IdBased);
+        let mut scratch0 = EvalScratch::with_workers(Parallelism::serial());
+        let eval0 = pipeline::run_all_with(&g0, &c0, &mut scratch0);
         let compiled = RoutePlan::compile_with(
-            &g, &c0, scratch.labels(), eval.selected_links(Algorithm::AcLmst),
+            &g0, &c0, scratch0.labels(), eval0.selected_links(Algorithm::AcLmst),
             InterMode::Dense,
         );
         let mut hubs: Vec<usize> = (0..c0.heads.len()).collect();
         hubs.sort_by_key(|&s| (std::cmp::Reverse(compiled.backbone_neighbors(s).len()), s));
-        let mut delta = TopologyDelta::new();
-        for &slot in &hubs[..8] {
-            let cut = TopologyDelta::isolating(&g, c0.heads[slot]);
-            cut.apply_to(&mut g);
-            delta.removed.extend(cut.removed);
-        }
-        delta.normalize();
-        let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
-        let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-        pipeline::update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
-        let links = eval.selected_links(Algorithm::AcLmst);
-        let arms: Vec<_> = FANNED_GRID
-            .iter()
-            .map(|&w| {
-                let mut plan = compiled.clone();
-                let update = plan.apply_delta_tuned(
-                    &g, &c, scratch.labels(), &swept, links.iter().copied(),
-                    Parallelism::new(w),
-                );
-                (plan, update)
-            })
-            .collect();
+        let settled = |update: &PlanUpdate| match update.inter {
+            InterRepair::DenseRepaired { cells_settled, .. } => cells_settled,
+            other => panic!("a head-set change repaired the matrix by {other:?}"),
+        };
+        let mut cut = 0;
+        let (g, c, scratch, eval, u, arms) = loop {
+            cut += 8;
+            let mut g = g0.clone();
+            let mut delta = TopologyDelta::new();
+            for &slot in &hubs[..cut] {
+                let edges = TopologyDelta::isolating(&g, c0.heads[slot]);
+                edges.apply_to(&mut g);
+                delta.removed.extend(edges.removed);
+            }
+            delta.normalize();
+            let c = clustering::cluster(&g, 1, &LowestId, MemberPolicy::IdBased);
+            let mut scratch = scratch0.clone();
+            let mut eval = eval0.clone();
+            let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
+            pipeline::update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
+            let links = eval.selected_links(Algorithm::AcLmst);
+            let arms: Vec<_> = FANNED_GRID
+                .iter()
+                .map(|&w| {
+                    let mut plan = compiled.clone();
+                    let update = plan.apply_delta_tuned(
+                        &g, &c, scratch.labels(), &swept, links.iter().copied(),
+                        Parallelism::new(w),
+                    );
+                    (plan, update)
+                })
+                .collect();
+            let mut union = [&c0.heads[..], &c.heads[..]].concat();
+            union.sort_unstable();
+            union.dedup();
+            let u = union.len();
+            if settled(&arms[0].1) > u * u || cut + 8 > hubs.len() {
+                break (g, c, scratch, eval, u, arms);
+            }
+        };
         let (repaired, update) = &arms[0];
         prop_assert!(update.heads_changed);
-        let mut union = [&c0.heads[..], &c.heads[..]].concat();
-        union.sort_unstable();
-        union.dedup();
-        let u = union.len();
-        match update.inter {
-            InterRepair::DenseRepaired { rows_swept } => prop_assert!(
-                rows_swept > u, "{} rows swept of {} did not end in a full sweep", rows_swept, u
-            ),
-            other => prop_assert!(false, "a head-set change repaired the matrix by {:?}", other),
-        }
+        prop_assert!(
+            settled(update) > u * u,
+            "cutting {} heads settled {} cells of {}: no full build", cut, settled(update), u * u
+        );
         assert_fans_out(
             work::dense_rows(u, u, 2 * repaired.link_count()),
-            "full union sweep",
+            "full union build",
         );
         let fresh = RoutePlan::compile_with(
-            &g, &c, scratch.labels(), links.iter().copied(), InterMode::Dense,
+            &g, &c, scratch.labels(), eval.selected_links(Algorithm::AcLmst), InterMode::Dense,
         );
         prop_assert_eq!(repaired, &fresh, "head-set repair diverged from a fresh compile");
         prop_assert_eq!(repaired.memory_bytes(), fresh.memory_bytes());

@@ -308,9 +308,9 @@ pub mod work {
     }
 
     /// `rows` dense distance rows of an `h`-head backbone with
-    /// `directed_links` CSR entries (`rows = h` for a build, a removed
-    /// link's smaller side for a repair): each sweep relaxes every
-    /// directed link and fills one `h`-cell row.
+    /// `directed_links` CSR entries (`rows = h`: a build, or a repair
+    /// that fell back to one): each sweep relaxes every directed link
+    /// and fills one `h`-cell row.
     pub fn dense_rows(rows: usize, h: usize, directed_links: usize) -> usize {
         rows.saturating_mul(directed_links.saturating_add(h))
     }
@@ -486,7 +486,7 @@ mod tests {
         // The paper's grid: at most ~12k label units per build.
         assert_eq!(gated(work::label_rebuild(60, 200)), 1);
         assert_eq!(gated(work::dense_rows(40, 40, 120)), 1);
-        // A localized dense repair on ~260 heads re-sweeps ~28 rows.
+        // 28 dense rows of a ~260-head backbone.
         assert_eq!(gated(work::dense_rows(28, 261, 600)), 1);
         // Cold builds, full sweeps and the dense build of a ~250-head
         // backbone — fanned out.

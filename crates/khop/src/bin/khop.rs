@@ -793,6 +793,9 @@ fn cmd_resilience(args: &Args) {
     if !(fraction > 0.0 && fraction < 1.0) {
         die(&format!("--fraction must be in (0, 1) (got {fraction})"));
     }
+    if pair_count == 0 {
+        die("--pairs must be at least 1");
+    }
     if n < 4 {
         die("--n must be at least 4");
     }

@@ -218,7 +218,8 @@ fn dist_rejects_gmst() {
 fn bad_flags_exit_2_without_panicking() {
     // Out-of-range `--k`, `--cw`, `--workers`, `--budget`, `--steps`,
     // `--d` (an infinite degree once built a complete graph) or
-    // `--speed` (zero, negative or NaN once panicked `maintain`), flags a
+    // `--speed` (zero, negative or NaN once panicked `maintain`), `--pairs
+    // 0` (once reported 100% restored over no sampled pair), flags a
     // subcommand does not read (`--labels` included: there is one label
     // layout), a value flag given bare and a switch given a value: each
     // is refused with usage, never a panic or a silently ignored flag.
@@ -252,6 +253,7 @@ fn bad_flags_exit_2_without_panicking() {
         &["maintain", "--n", "40", "--speed", "nan"][..],
         &["maintain", "--n", "40", "--speed", "inf"][..],
         &["churn", "--n", "40", "--speed", "inf"][..],
+        &["resilience", "--n", "60", "--pairs", "0"][..],
     ] {
         let out = khop(args);
         let err = String::from_utf8_lossy(&out.stderr);
