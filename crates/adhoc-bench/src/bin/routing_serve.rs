@@ -31,11 +31,10 @@
 //! must undercut dense bytes), the 10⁵ cell compiles under `Auto` and
 //! must come out hub-labeled below 10% of the projected dense `h × h`
 //! table; a repair micro-bench re-weights one virtual link and cuts
-//! another, and times the hub layout's dirty-hub re-sweeps and the
-//! dense layout's cell-grain repair (settling the cells the cut can
-//! lengthen) against a cold build of the dense matrix, then drops one head and
-//! promotes one member and times the dense plan's repair across the
-//! renumbering against a fresh compile. Writes
+//! another, and times the dense layout's cell-grain repair (settling
+//! the cells the cut can lengthen) against a cold build of the dense
+//! matrix, then drops one head and promotes one member and times the
+//! dense plan's repair across the renumbering against a fresh compile. Writes
 //! `results/BENCH_routing.json` (quick runs write
 //! `BENCH_routing_quick.json`, so CI can never clobber the committed
 //! measurement), then re-reads and re-parses it. Surfaced on the CLI
@@ -397,15 +396,15 @@ fn run_engine_cell(
     })
 }
 
-/// Times the maintained plan's reaction to one backbone weight change
-/// at scale: the same delta is applied to a hub-layout clone (dirty-hub
-/// re-sweeps) and a dense-layout clone (the cells the delta can
-/// change). Uses the AC-Mesh backbone — its link set is pure
-/// cluster adjacency, so shortening one inter-head path changes a
-/// weight without reshaping the link set (degrees, and with them the
-/// hub order, survive; the clustering is held fixed the way the
-/// `route_equivalence` delta chains hold it).
-fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict: bool) -> Value {
+/// Times the maintained dense plan's reaction to one backbone change at
+/// scale: the repair settles the cells the delta can change, and is
+/// timed against a cold dense build. Uses the AC-Mesh backbone — its
+/// link set is pure cluster adjacency, so shortening one inter-head
+/// path changes a weight without reshaping the link set (the
+/// clustering is held fixed the way the `route_equivalence` delta
+/// chains hold it). A hub plan has no repair to time: it builds fresh
+/// on any backbone change.
+fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize) -> Value {
     use adhoc_cluster::routing::{InterMode, InterRepair};
     use adhoc_graph::delta::TopologyDelta;
     let side = 100.0 * (n as f64 / grid_n as f64).sqrt();
@@ -416,13 +415,6 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
     let mut scratch0 = EvalScratch::new();
     let eval0 = pipeline::run_all_with(&g0, &c, &mut scratch0);
     let links = eval0.selected_links(Algorithm::AcMesh);
-    let mut hub = RoutePlan::compile_with(
-        &g0,
-        &c,
-        scratch0.labels(),
-        links.iter().copied(),
-        InterMode::Hub,
-    );
     let mut dense = RoutePlan::compile_with(
         &g0,
         &c,
@@ -488,30 +480,16 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         })
         .unwrap_or_else(|| panic!("N={n}: no link cut among the 256 longest settles a cell"));
     let new_links = eval.selected_links(Algorithm::AcMesh);
-    let mut hub_par = hub.clone();
     let mut dense_par = dense.clone();
 
-    let t = Instant::now();
-    let hub_report = hub.apply_delta(&g, &c, scratch.labels(), &dirty, new_links.iter().copied());
-    let hub_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let dense_report =
         dense.apply_delta(&g, &c, scratch.labels(), &dirty, new_links.iter().copied());
     let dense_secs = t.elapsed().as_secs_f64();
 
-    // Same repairs on the `workers`-wide pool; the repaired plans must
-    // be indistinguishable from the serial ones.
+    // Same repair on the `workers`-wide pool; the repaired plan must be
+    // indistinguishable from the serial one.
     let par = Parallelism::new(workers);
-    let t = Instant::now();
-    hub_par.apply_delta_tuned(
-        &g,
-        &c,
-        scratch.labels(),
-        &dirty,
-        new_links.iter().copied(),
-        par,
-    );
-    let hub_par_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     dense_par.apply_delta_tuned(
         &g,
@@ -546,31 +524,10 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         "N={n}: repaired dense plan diverged from a fresh compile"
     );
     assert_eq!(
-        hub_par, hub,
-        "N={n}: parallel hub repair diverged from serial"
-    );
-    assert_eq!(
         dense_par, dense,
         "N={n}: parallel dense repair diverged from serial"
     );
 
-    assert!(
-        hub_report.inter != InterRepair::Unchanged && dense_report.inter != InterRepair::Unchanged,
-        "N={n}: the injected delta must change the backbone"
-    );
-    // `None` when the hub layout declined the repair and rebuilt its
-    // index (the delta reordered the hubs): allowed in quick mode only,
-    // and then the arm is reported as the rebuild it was.
-    let dirty_hubs = match hub_report.inter {
-        InterRepair::HubRepaired { dirty_hubs } => Some(dirty_hubs),
-        other => {
-            assert!(
-                !strict && matches!(other, InterRepair::HubRebuilt),
-                "N={n}: the injected delta must take the dirty-hub path, got {other:?}"
-            );
-            None
-        }
-    };
     let InterRepair::DenseRepaired {
         rows_swept,
         cells_settled,
@@ -582,34 +539,13 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         );
     };
     assert!(rows_swept > 0, "N={n}: the removal must settle cells");
-    if strict {
-        assert!(
-            hub_secs < dense_build_secs,
-            "N={n}: dirty-hub repair ({:.1} ms) must beat a cold dense \
-             build ({:.1} ms)",
-            1e3 * hub_secs,
-            1e3 * dense_build_secs,
-        );
-    }
-    let hub_arm = match dirty_hubs {
-        Some(dirty) => format!(
-            "hub {:.2} ms ({dirty}/{} hubs re-swept)",
-            1e3 * hub_secs,
-            c.heads.len()
-        ),
-        None => format!(
-            "hub declined the repair and rebuilt its index in {:.2} ms",
-            1e3 * hub_secs
-        ),
-    };
     println!(
-        "\nrepair (N={n}, k={k}, AC-Mesh, 1 link re-weighted + 1 cut): {hub_arm}, \
+        "\nrepair (N={n}, k={k}, AC-Mesh, 1 link re-weighted + 1 cut): \
          dense {:.2} ms ({rows_swept} rows, {cells_settled} cells settled) vs a cold \
-         dense build {:.2} ms \
-         — {:.1}x for hub",
+         dense build {:.2} ms — {:.1}x",
         1e3 * dense_secs,
         1e3 * dense_build_secs,
-        dense_build_secs / hub_secs.max(1e-12),
+        dense_build_secs / dense_secs.max(1e-12),
     );
     let headset = headset_bench(&g, &c, scratch, &eval, dense, n);
     json!({
@@ -617,16 +553,13 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         "k": k,
         "alg": Algorithm::AcMesh.name(),
         "heads": c.heads.len(),
-        "hub_repair_ms": 1e3 * hub_secs,
         "dense_repair_ms": 1e3 * dense_secs,
         "dense_build_ms": 1e3 * dense_build_secs,
-        "hub_repair_par_ms": 1e3 * hub_par_secs,
         "dense_repair_par_ms": 1e3 * dense_par_secs,
         "repair_workers": workers,
-        "dirty_hubs": dirty_hubs,
         "dense_rows_swept": rows_swept,
         "dense_cells_settled": cells_settled,
-        "speedup": dense_build_secs / hub_secs.max(1e-12),
+        "speedup": dense_build_secs / dense_secs.max(1e-12),
         "headset": headset,
     })
 }
@@ -911,46 +844,10 @@ fn main() {
         );
     }
 
-    // Incremental backbone repairs of both layouts vs a cold dense
-    // build, on one re-weighted and one cut virtual link, then a
-    // head-set repair vs a fresh compile.
-    let repair = repair_bench(
-        if quick { 4_000 } else { 10_000 },
-        grid_n,
-        d,
-        2,
-        workers,
-        !quick,
-    );
-
-    // Thread-scaling can only be demonstrated where threads can run in
-    // parallel: on a single-CPU box the ceiling is 1.0x by physics
-    // (the record then documents the overhead honestly). On multi-core
-    // hosts the gate guards against real regressions (accidental
-    // serialization or per-chunk contention would crater the ratio)
-    // with a 0.9x tolerance so an oversubscribed shared CI runner
-    // cannot flake an otherwise healthy build. Checked after every
-    // other cell and the repair bench have run and printed, so a trip
-    // on a loaded host still leaves their numbers on screen.
-    if cpus > 1 {
-        assert!(
-            headline.scaling > 0.9,
-            "multi-worker serving collapsed versus single-worker on {cpus} cpus: {:.2}x",
-            headline.scaling
-        );
-        if headline.scaling <= 1.0 {
-            println!(
-                "warning: multi-worker scaling {:.2}x <= 1x on {cpus} cpus — \
-                 check runner load before trusting this record",
-                headline.scaling
-            );
-        }
-    } else {
-        println!(
-            "note: single-CPU host — multi-worker scaling ceiling is 1.0x; \
-             the scaling gate binds on multi-core machines (e.g. CI runners)"
-        );
-    }
+    // Incremental dense backbone repair vs a cold dense build, on one
+    // re-weighted and one cut virtual link, then a head-set repair vs a
+    // fresh compile.
+    let repair = repair_bench(if quick { 4_000 } else { 10_000 }, grid_n, d, 2, workers);
 
     let largest_cell = json!({
         "n": largest_n,
@@ -999,4 +896,32 @@ fn main() {
             "summary": summary,
         }),
     );
+    // Thread-scaling can only be demonstrated where threads can run in
+    // parallel: on a single-CPU box the ceiling is 1.0x by physics
+    // (the record then documents the overhead honestly). On multi-core
+    // hosts the gate guards against real regressions (accidental
+    // serialization or per-chunk contention would crater the ratio)
+    // with a 0.9x tolerance so an oversubscribed shared CI runner
+    // cannot flake an otherwise healthy build. Checked last, after the
+    // record is written, so a trip on a loaded host still leaves every
+    // number on screen and on disk.
+    if cpus > 1 {
+        assert!(
+            headline.scaling > 0.9,
+            "multi-worker serving collapsed versus single-worker on {cpus} cpus: {:.2}x",
+            headline.scaling
+        );
+        if headline.scaling <= 1.0 {
+            println!(
+                "warning: multi-worker scaling {:.2}x <= 1x on {cpus} cpus — \
+                 check runner load before trusting this record",
+                headline.scaling
+            );
+        }
+    } else {
+        println!(
+            "note: single-CPU host — multi-worker scaling ceiling is 1.0x; \
+             the scaling gate binds on multi-core machines (e.g. CI runners)"
+        );
+    }
 }

@@ -99,33 +99,16 @@
 //! unwinding), so walks over different plans — of any `h` — on one
 //! thread never see each other's entries.
 //!
-//! # Why repair is possible at all
+//! # A changed backbone builds a fresh index
 //!
-//! Pruning depends only on the **static rank order** — never on other
-//! hubs' labels — so each hub's entry set is a pure function of
-//! `(backbone, order)` and hubs can be re-swept independently without
-//! the cascades query-pruned labelings (PLL) suffer. A hub `c` can
-//! only be affected by a changed edge `(x, y)` if some affected
-//! restricted path crosses that edge, which forces `x` (or `y`) to be
-//! `c` itself or an interior/terminal head ranking below `c` — and in
-//! either case `x` holds an entry for `c` in the **old** labels (for
-//! additions, apply the argument to the first changed edge along the
-//! new path: its near endpoint is reached via old edges only). That
-//! yields the sound dirty test mirroring `HeadLabels::dirty_slots`:
-//!
-//! > hub `c` is dirty ⟺ some changed-edge endpoint's old label row
-//! > contains `c`.
-//!
-//! Clean hubs' entry sets are untouched, so re-sweeping exactly the
-//! dirty hubs and splicing rows segment-wise reproduces a fresh build
-//! **structurally** (`PartialEq`) — provided the importance order
-//! itself survived, which `HubIndex::repair` verifies by
-//! recomputing it (the order reads only the link *adjacency*, so
-//! weight-only churn always takes the cheap path). The landmark
-//! distances are unrestricted, so any changed link may move them: a
-//! repair recomputes them whole (`LANDMARKS + 1` sweeps, a sliver of
-//! the hub re-sweeps), which keeps a repaired index equal to a fresh
-//! build.
+//! The index has one construction path: `InterTable::advance` keeps it
+//! while the backbone's links are unchanged and builds it anew
+//! otherwise. A repair that re-swept only the hubs a change touched
+//! would need the importance order to survive the change, but the order
+//! reads the link adjacency, and under churn the backbone changes
+//! structurally — or its head set changes — on almost every reconcile
+//! that touches it: at N = 20000 no such repair applied in 110
+//! same-head-set changes out of 500 reconciles.
 
 use super::inter::{CsrView, InterScratch, FAR};
 use adhoc_graph::par::{self, Parallelism};
@@ -139,16 +122,11 @@ const LANDMARKS: usize = 4;
 
 /// Flat-arena hub-label index: per-head rows of `(hub, dist)` entries,
 /// CSR-packed and sorted by hub slot so queries are two-pointer
-/// merges. Structural equality (`PartialEq`) is meaningful: a repaired
-/// index equals a freshly built one entry-for-entry.
+/// merges. Structural equality (`PartialEq`) compares the arenas
+/// entry for entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HubIndex {
     h: usize,
-    /// Head slots in importance order (separator decomposition,
-    /// coarsest band first — see [`hub_order`]).
-    order: Vec<u32>,
-    /// `rank[slot]` = position of `slot` in `order` (0 = most important).
-    rank: Vec<u32>,
     /// Row offsets, `h + 1` entries.
     label_off: Vec<u32>,
     /// Hub slots per row, ascending.
@@ -196,11 +174,6 @@ const SEPARATOR_LEAF: usize = 8;
 ///    slot within the group);
 /// 2. removing them splits the part; the remainders recurse,
 ///    breadth-first so sibling separators share a coarseness tier.
-///
-/// The decomposition reads only the **link adjacency**, never the
-/// weights, so weight-only churn recomputes the identical order and
-/// [`HubIndex::repair`] keeps its cheap path (the order check mirrors
-/// how degree-based ranks survived weight changes).
 fn hub_order(csr: CsrView<'_>) -> Vec<u32> {
     const UNSEEN: u32 = u32::MAX;
     const DONE: u32 = u32::MAX - 1;
@@ -348,11 +321,12 @@ impl HubIndex {
     /// most important first, entries packed into the CSR arena.
     ///
     /// Over a worker pool: hubs are chunked in rank
-    /// order and swept with per-worker scratch. Each hub's entry set is
-    /// a pure function of `(backbone, order)` — the same independence
-    /// that makes repair possible — and the entry sort key `(node, hub)`
-    /// is unique per entry, so the normalizing `sort_unstable` makes
-    /// the packed arena bit-identical for any worker count.
+    /// order and swept with per-worker scratch. Pruning reads only the
+    /// rank order, never other hubs' labels, so each hub's entry set is
+    /// a pure function of `(backbone, order)`; the entry sort key
+    /// `(node, hub)` is unique per entry, so the normalizing
+    /// `sort_unstable` makes the packed arena bit-identical for any
+    /// worker count.
     pub(crate) fn build_with(
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
@@ -367,8 +341,6 @@ impl HubIndex {
         let entries = sweep_hubs(csr, &order, &rank, scratch, par);
         let mut index = HubIndex {
             h,
-            order,
-            rank,
             label_off: Vec::new(),
             label_hub: Vec::new(),
             label_dist: Vec::new(),
@@ -516,119 +488,6 @@ impl HubIndex {
         })
     }
 
-    /// Incremental repair after the backbone changed: `changed` holds
-    /// the head slots whose CSR rows differ (both endpoints of every
-    /// added/removed/re-weighted link) and `csr` is the new backbone.
-    ///
-    /// Returns `Some(dirty hubs re-swept)` on success. Returns `None`
-    /// — caller must rebuild — only when the importance order itself
-    /// changed (repair could no longer equal a fresh build).
-    #[cfg(test)]
-    pub(crate) fn repair(
-        &mut self,
-        changed: &[u32],
-        csr: CsrView<'_>,
-        scratch: &mut InterScratch,
-    ) -> Option<usize> {
-        self.repair_with(changed, csr, scratch, Parallelism::serial())
-    }
-
-    /// As the serial repair, but the dirty-hub re-sweeps fan out across
-    /// `par` (see [`Self::build_with`] for why the result is
-    /// bit-identical); the dirty test, order check, and segment-wise
-    /// splice stay serial.
-    pub(crate) fn repair_with(
-        &mut self,
-        changed: &[u32],
-        csr: CsrView<'_>,
-        scratch: &mut InterScratch,
-        par: Parallelism,
-    ) -> Option<usize> {
-        debug_assert_eq!(self.h, csr.head_count());
-        if hub_order(csr) != self.order {
-            return None;
-        }
-        let mut dirty = vec![false; self.h];
-        let mut dirty_count = 0usize;
-        for &x in changed {
-            let (lo, hi) = self.row(x as usize);
-            for &c in &self.label_hub[lo..hi] {
-                if !dirty[c as usize] {
-                    dirty[c as usize] = true;
-                    dirty_count += 1;
-                }
-            }
-        }
-        if dirty_count == 0 {
-            return Some(0);
-        }
-        // Re-sweep exactly the dirty hubs against the new backbone.
-        let dirty_hubs: Vec<u32> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&c| dirty[c as usize])
-            .collect();
-        let fresh = sweep_hubs(csr, &dirty_hubs, &self.rank, scratch, par);
-        self.landmark = landmark_table(csr, scratch);
-        if dirty_count == self.h {
-            // Every hub re-swept: `fresh` is the whole arena, as in a
-            // build.
-            self.fill_arena(&fresh);
-            return Some(dirty_count);
-        }
-        // Segment-wise splice: per row, drop old dirty-hub entries and
-        // merge in the fresh ones (both sides hub-ascending), leaving
-        // clean entries byte-identical — the labels.rs clean-row-copy
-        // idiom.
-        // Sized exactly, so the index holds the bytes a fresh build does.
-        let kept = self
-            .label_hub
-            .iter()
-            .filter(|&&hub| !dirty[hub as usize])
-            .count();
-        let mut off = Vec::with_capacity(self.h + 1);
-        let mut hubs = Vec::with_capacity(kept + fresh.len());
-        let mut dists = Vec::with_capacity(kept + fresh.len());
-        off.push(0u32);
-        let mut fi = 0usize;
-        for v in 0..self.h {
-            let (lo, hi) = self.row(v);
-            let mut oi = lo;
-            let fstart = fi;
-            while fi < fresh.len() && fresh[fi].0 as usize == v {
-                fi += 1;
-            }
-            let mut fj = fstart;
-            loop {
-                while oi < hi && dirty[self.label_hub[oi] as usize] {
-                    oi += 1;
-                }
-                let take_old = match (oi < hi, fj < fi) {
-                    (false, false) => break,
-                    (true, false) => true,
-                    (false, true) => false,
-                    (true, true) => self.label_hub[oi] < fresh[fj].1,
-                };
-                if take_old {
-                    hubs.push(self.label_hub[oi]);
-                    dists.push(self.label_dist[oi]);
-                    oi += 1;
-                } else {
-                    hubs.push(fresh[fj].1);
-                    dists.push(fresh[fj].2);
-                    fj += 1;
-                }
-            }
-            off.push(hubs.len() as u32);
-        }
-        debug_assert_eq!(fi, fresh.len());
-        self.label_off = off;
-        self.label_hub = hubs;
-        self.label_dist = dists;
-        Some(dirty_count)
-    }
-
     /// Number of heads the index covers.
     pub fn head_count(&self) -> usize {
         self.h
@@ -642,9 +501,7 @@ impl HubIndex {
 
     /// Heap bytes of the arenas and the landmark distances.
     pub fn memory_bytes(&self) -> usize {
-        let u32s = self.order.capacity()
-            + self.rank.capacity()
-            + self.label_off.capacity()
+        let u32s = self.label_off.capacity()
             + self.label_hub.capacity()
             + self.label_dist.capacity()
             + self.landmark.capacity();
@@ -736,15 +593,14 @@ impl Drop for TargetRow<'_> {
 }
 
 /// Sweeps every hub in `hubs` and returns the combined entry list,
-/// sorted by `(node, hub)` — ready for [`HubIndex::fill_arena`] or the
-/// repair splice. Below one thread spawn's worth of work
-/// ([`par::work::hub_sweeps`], gated by [`Parallelism::for_work`]) the
-/// caller's warm scratch is reused inline; otherwise `hubs` is chunked
-/// across scoped workers, each with a fresh [`InterScratch`], and the
-/// fragments are concatenated in chunk order before the normalizing
-/// sort. Entry keys are unique per `(node, hub)` pair, so the sorted
-/// list — and the arena packed from it — is bit-identical for any
-/// worker count.
+/// sorted by `(node, hub)` — ready for [`HubIndex::fill_arena`]. Below
+/// one thread spawn's worth of work ([`par::work::hub_build`], gated
+/// by [`Parallelism::for_work`]) the caller's warm scratch is reused
+/// inline; otherwise `hubs` is chunked across scoped workers, each with
+/// a fresh [`InterScratch`], and the fragments are concatenated in
+/// chunk order before the normalizing sort. Entry keys are unique per
+/// `(node, hub)` pair, so the sorted list — and the arena packed from
+/// it — is bit-identical for any worker count.
 fn sweep_hubs(
     csr: CsrView<'_>,
     hubs: &[u32],
@@ -753,7 +609,7 @@ fn sweep_hubs(
     par: Parallelism,
 ) -> Vec<(u32, u32, u32)> {
     let workers = par
-        .for_work(par::work::hub_sweeps(hubs.len(), csr.head_count()))
+        .for_work(par::work::hub_build(csr.head_count()))
         .workers();
     let mut entries: Vec<(u32, u32, u32)> = if workers == 1 {
         let mut entries = Vec::new();
@@ -805,8 +661,7 @@ fn sweep_hub(
 /// head of that component farthest from every landmark so far. A
 /// component with fewer heads than [`LANDMARKS`] leaves the remaining
 /// columns [`FAR`], as does every head outside the component. A pure
-/// function of the backbone, so a repaired index's table equals a
-/// fresh build's.
+/// function of the backbone.
 fn landmark_table(csr: CsrView<'_>, scratch: &mut InterScratch) -> Vec<u32> {
     let h = csr.head_count();
     let mut table = vec![FAR; h * LANDMARKS];
@@ -933,9 +788,8 @@ mod tests {
             Backbone::from_adj(adj)
         }
 
-        /// Changes one existing undirected edge's weight; returns the
-        /// flagged endpoints, or `None` if the graph has no edges.
-        fn perturb(&mut self, rng: &mut StdRng) -> Option<Vec<u32>> {
+        /// Changes one existing undirected edge's weight.
+        fn perturb(&mut self, rng: &mut StdRng) {
             let edges: Vec<(usize, usize)> = self
                 .adj
                 .iter()
@@ -946,9 +800,7 @@ mod tests {
                         .map(move |&(b, _)| (a, b as usize))
                 })
                 .collect();
-            if edges.is_empty() {
-                return None;
-            }
+            assert!(!edges.is_empty(), "the backbone has links");
             let (a, b) = edges[rng.gen_range(0..edges.len())];
             let w = rng.gen_range(1..9u32);
             for &(x, y) in &[(a, b), (b, a)] {
@@ -958,9 +810,7 @@ mod tests {
                     }
                 }
             }
-            let rebuilt = Backbone::from_adj(std::mem::take(&mut self.adj));
-            *self = rebuilt;
-            Some(vec![a as u32, b as u32])
+            *self = Backbone::from_adj(std::mem::take(&mut self.adj));
         }
     }
 
@@ -1016,7 +866,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let h = 200;
         let bb = Backbone::random(&mut rng, h, 0.02);
-        assert!(fans_out(par::work::hub_sweeps(h, h)));
+        assert!(fans_out(par::work::hub_build(h)));
         let a = HubIndex::build(bb.csr(), &mut InterScratch::new());
         let b = HubIndex::build(bb.csr(), &mut InterScratch::new());
         assert_eq!(a, b);
@@ -1028,99 +878,6 @@ mod tests {
             );
             assert_eq!(a, par, "{workers}-worker build diverged from serial");
         }
-    }
-
-    /// Weight changes on a 300-head backbone, accumulated until the
-    /// dirty hubs' re-sweeps sit above the fan-out gate; every round
-    /// on the way is checked too.
-    #[test]
-    fn parallel_repair_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut scratch = InterScratch::new();
-        let h = 300;
-        let mut bb = Backbone::random(&mut rng, h, 0.015);
-        let baseline = HubIndex::build(bb.csr(), &mut scratch);
-        let mut changed = Vec::new();
-        let mut fanned_out = false;
-        for round in 0..40 {
-            changed.extend(bb.perturb(&mut rng).expect("the backbone has links"));
-            changed.sort_unstable();
-            changed.dedup();
-            let mut serial = baseline.clone();
-            let want = serial.repair(&changed, bb.csr(), &mut scratch);
-            for workers in [2usize, 3, 8] {
-                let mut par = baseline.clone();
-                let got =
-                    par.repair_with(&changed, bb.csr(), &mut scratch, Parallelism::new(workers));
-                assert_eq!(got, want, "round {round}: {workers}-worker repair verdict");
-                if want.is_some() {
-                    assert_eq!(par, serial, "round {round}: {workers}-worker repair arena");
-                }
-            }
-            match want {
-                Some(dirty) if fans_out(par::work::hub_sweeps(dirty, h)) => {
-                    fanned_out = true;
-                    break;
-                }
-                Some(_) => {}
-                None => break,
-            }
-        }
-        assert!(fanned_out, "no repair reached the fan-out gate");
-    }
-
-    #[test]
-    fn repair_equals_rebuild_after_weight_changes() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut scratch = InterScratch::new();
-        for round in 0..25 {
-            let h = rng.gen_range(3..16usize);
-            let mut bb = Backbone::random(&mut rng, h, 0.35);
-            let mut hub = HubIndex::build(bb.csr(), &mut scratch);
-            for step in 0..4 {
-                let Some(changed) = bb.perturb(&mut rng) else {
-                    break;
-                };
-                match hub.repair(&changed, bb.csr(), &mut scratch) {
-                    Some(_) => {}
-                    None => hub = HubIndex::build(bb.csr(), &mut scratch),
-                }
-                let fresh = HubIndex::build(bb.csr(), &mut scratch);
-                assert_eq!(hub, fresh, "round {round} step {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn repair_declines_when_order_changes() {
-        // Removing an edge reshapes the link adjacency — here it even
-        // splits the backbone — so the separator decomposition moves
-        // and repair must hand back a rebuild rather than splice
-        // against a stale order.
-        let h = 10usize;
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); h];
-        for a in 0..h - 1 {
-            adj[a].push((a as u32 + 1, 1));
-            adj[a + 1].push((a as u32, 1));
-        }
-        let bb = Backbone::from_adj(adj.clone());
-        let mut scratch = InterScratch::new();
-        let mut hub = HubIndex::build(bb.csr(), &mut scratch);
-        adj[0].retain(|e| e.0 != 1);
-        adj[1].retain(|e| e.0 != 0);
-        let split = Backbone::from_adj(adj);
-        assert_eq!(hub.repair(&[0, 1], split.csr(), &mut scratch), None);
-    }
-
-    #[test]
-    fn empty_change_set_is_noop() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let bb = Backbone::random(&mut rng, 8, 0.4);
-        let mut scratch = InterScratch::new();
-        let mut hub = HubIndex::build(bb.csr(), &mut scratch);
-        let before = hub.clone();
-        assert_eq!(hub.repair(&[], bb.csr(), &mut scratch), Some(0));
-        assert_eq!(hub, before);
     }
 
     /// The heads a hub walk visits after `s`, or `None` when it
@@ -1183,40 +940,6 @@ mod tests {
         assert_eq!(walk_heads(&hub, 3, 0, bb.csr()), Some(vec![2, 1, 0]));
     }
 
-    #[test]
-    fn localized_change_dirties_few_hubs() {
-        // A long path graph: a weight change at one end must not
-        // re-sweep hubs whose restricted trees never cross it.
-        let h = 40usize;
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); h];
-        for a in 0..h - 1 {
-            adj[a].push((a as u32 + 1, 1));
-            adj[a + 1].push((a as u32, 1));
-        }
-        let mut bb = Backbone::from_adj(adj);
-        let mut scratch = InterScratch::new();
-        let mut hub = HubIndex::build(bb.csr(), &mut scratch);
-        // Re-weight the last edge (degrees unchanged).
-        for e in &mut bb.adj[h - 2] {
-            if e.0 as usize == h - 1 {
-                e.1 = 3;
-            }
-        }
-        for e in &mut bb.adj[h - 1] {
-            if e.0 as usize == h - 2 {
-                e.1 = 3;
-            }
-        }
-        let rebuilt = Backbone::from_adj(std::mem::take(&mut bb.adj));
-        bb = rebuilt;
-        let dirty = hub
-            .repair(&[h as u32 - 2, h as u32 - 1], bb.csr(), &mut scratch)
-            .expect("weight-only change repairs in place");
-        assert!(dirty > 0);
-        assert!(dirty < h / 2, "only a tail of hubs re-swept, got {dirty}");
-        assert_eq!(hub, HubIndex::build(bb.csr(), &mut scratch));
-    }
-
     /// The thread's walk-check tallies since the last call.
     fn take_checks() -> [u64; 4] {
         CHECKS.with(|c| c.replace([0; 4]))
@@ -1271,9 +994,8 @@ mod tests {
     /// geometric backbones of 150–400 heads — 150 well-linked heads with
     /// unit weights (ties everywhere), 250 with weights 1–3, and 400
     /// sparse unit-weight heads in many components — for every
-    /// `(s, t)`, also after chains of weight changes repaired in place
-    /// (where the repaired landmark distances must equal a fresh
-    /// build's). Every one of the walk's four checks must fire.
+    /// `(s, t)`, also on the index built after a chain of weight
+    /// changes. Every one of the walk's four checks must fire.
     #[test]
     fn proving_walk_matches_dense_table_on_every_pair() {
         let mut rng = StdRng::seed_from_u64(31);
@@ -1282,26 +1004,16 @@ mod tests {
         let mut unreachable = 0usize;
         for (h, radius, max_w) in [(150, 0.15, 1), (250, 0.1, 3), (400, 0.055, 1)] {
             let mut bb = Backbone::geometric(&mut rng, h, radius, max_w);
-            let mut hub = HubIndex::build(bb.csr(), &mut scratch);
+            let hub = HubIndex::build(bb.csr(), &mut scratch);
             let ctx = format!("h = {h}, r = {radius}");
             assert_landmarks_exact(&hub, &bb, &ctx);
             unreachable += assert_walks_match_table(&hub, &bb, &ctx);
-            let mut repaired = 0usize;
-            for step in 0..6 {
-                let changed = bb.perturb(&mut rng).expect("the backbone has links");
-                match hub.repair(&changed, bb.csr(), &mut scratch) {
-                    Some(_) => repaired += 1,
-                    None => hub = HubIndex::build(bb.csr(), &mut scratch),
-                }
-                assert_eq!(
-                    hub,
-                    HubIndex::build(bb.csr(), &mut scratch),
-                    "{ctx}: step {step}"
-                );
+            for _ in 0..6 {
+                bb.perturb(&mut rng);
             }
-            assert!(repaired > 0, "{ctx}: no step repaired in place");
+            let hub = HubIndex::build(bb.csr(), &mut scratch);
             assert_landmarks_exact(&hub, &bb, &ctx);
-            unreachable += assert_walks_match_table(&hub, &bb, &format!("{ctx}, repaired"));
+            unreachable += assert_walks_match_table(&hub, &bb, &format!("{ctx}, perturbed"));
         }
         assert!(unreachable > 0, "some backbone must be disconnected");
         let [skip, reject, accept, scan] = take_checks();

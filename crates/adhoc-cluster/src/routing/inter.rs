@@ -41,10 +41,10 @@
 //! built for to a new one; nothing else builds or repairs it. An empty
 //! table has nothing to keep, so it builds: a plan's compile is the
 //! advance from the empty table. It also builds when the layout policy
-//! picks the other layout, and when a hub table crosses a head-set
-//! change. Otherwise a dense table is repaired cell by cell, as below,
-//! and a hub table re-sweeps its dirty hubs, building when its order
-//! check declines ([`HubIndex`]).
+//! picks the other layout. Otherwise each layout has one rule. A hub
+//! table is kept when no CSR row changed over one head set and built
+//! fresh otherwise ([`HubIndex`]). A dense table is repaired cell by
+//! cell, as below.
 //!
 //! # Dense repair: a local change repairs the cells it can change
 //!
@@ -176,7 +176,7 @@ const UNSEEN: u64 = u64::MAX;
 /// (both orientations of every undirected link). The plan and the
 /// legacy router own these arrays; the inter-head machinery only ever
 /// borrows them.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct CsrView<'a> {
     pub off: &'a [u32],
     pub to: &'a [u32],
@@ -1190,15 +1190,9 @@ pub enum InterRepair {
     /// empty or a head-set change turned a hub table dense under
     /// [`InterMode::Auto`].
     DenseRebuilt,
-    /// Hub layout: only the labels of hubs whose trees touched a
-    /// changed edge were re-swept.
-    HubRepaired {
-        /// Hubs re-swept (out of `h`).
-        dirty_hubs: usize,
-    },
     /// Hub layout: the index was built fresh, because the table was
-    /// empty, the head set changed (a head-set change builds a fresh
-    /// index), or the importance order itself changed.
+    /// empty, was dense, or its backbone changed (a hub table is never
+    /// repaired in place).
     HubRebuilt,
 }
 
@@ -1214,7 +1208,8 @@ pub enum InterTable {
     /// Hub-label (2-level landmark) index — one target-row expansion
     /// per walk, then each hop proved by exact checks (mostly one
     /// binary search, a full row scan only when no check settles a
-    /// neighbor), empirically sub-quadratic memory, dirty-hub repair.
+    /// neighbor), empirically sub-quadratic memory, built fresh on a
+    /// backbone change.
     Hub(HubIndex),
 }
 
@@ -1305,13 +1300,12 @@ impl InterTable {
     /// its place in the union of the two head sets (ascending, so both
     /// maps are increasing), which has `union` slots. When no CSR row
     /// changed over one head set it returns [`InterRepair::Unchanged`]
-    /// and keeps the table shared; a repair in place copies it on write
-    /// first, so a plan cloned to be patched never touches the one it
-    /// shares. A build opens `hub.build_ns` or `inter.dense_build_ns`,
-    /// by the layout it builds; any other advance `hub.repair_ns` or
-    /// `inter.dense_repair_ns`, by the layout it holds. The table ends
-    /// equal to a fresh build on `csr` under `mode`, bytes included,
-    /// for any worker count.
+    /// and keeps the table shared; a dense repair in place copies it on
+    /// write first, so a plan cloned to be patched never touches the one
+    /// it shares. A build opens `hub.build_ns` or `inter.dense_build_ns`,
+    /// by the layout it builds; a dense repair `inter.dense_repair_ns`.
+    /// The table ends equal to a fresh build on `csr` under `mode`,
+    /// bytes included, for any worker count.
     pub(crate) fn advance(
         table: &mut Arc<InterTable>,
         mode: InterMode,
@@ -1324,12 +1318,17 @@ impl InterTable {
         let h = csr.head_count();
         let hub = mode.wants_hub(h);
         let holds_hub = matches!(**table, InterTable::Hub(_));
-        let build = old.head_count() == 0 || hub != holds_hub || (holds_hub && heads.is_some());
-        let _span = metrics.span(match (build, hub, holds_hub) {
-            (true, true, _) => "hub.build_ns",
-            (true, false, _) => "inter.dense_build_ns",
-            (false, _, true) => "hub.repair_ns",
-            (false, _, false) => "inter.dense_repair_ns",
+        let fresh = old.head_count() == 0 || hub != holds_hub;
+        if holds_hub && !fresh && heads.is_none() && old == csr {
+            return InterRepair::Unchanged;
+        }
+        // Only a dense table is repaired: a hub table that was not kept
+        // builds.
+        let build = fresh || hub;
+        let _span = metrics.span(match (build, hub) {
+            (true, true) => "hub.build_ns",
+            (true, false) => "inter.dense_build_ns",
+            (false, _) => "inter.dense_repair_ns",
         });
         InterScratch::with_local(|scratch| {
             if build {
@@ -1365,23 +1364,17 @@ impl InterTable {
             }
             let mut union_dist = Vec::new();
             let dist = match heads {
-                None => match Arc::make_mut(table) {
-                    InterTable::Dense { dist, .. } => dist,
-                    InterTable::Hub(index) => {
-                        return match index.repair_with(&changed, csr, scratch, par) {
-                            Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
-                            None => {
-                                *index = HubIndex::build_with(csr, scratch, par);
-                                InterRepair::HubRebuilt
-                            }
-                        };
-                    }
-                },
+                None => {
+                    let InterTable::Dense { dist, .. } = Arc::make_mut(table) else {
+                        unreachable!("a hub table is never repaired")
+                    };
+                    dist
+                }
                 // Lift: the old matrix in the union's slots, a new head
                 // isolated.
                 Some((old_slots, _, union)) => {
                     let InterTable::Dense { h: old_h, dist } = &**table else {
-                        unreachable!("a hub table crossing a head-set change builds")
+                        unreachable!("a hub table is never repaired")
                     };
                     let runs = slot_runs(old_slots);
                     let mut rows = dist.chunks_exact((*old_h).max(1));

@@ -23,13 +23,13 @@
 //!   nor the labels at serve time. [`RoutePlan::apply_delta`] repairs
 //!   the plan after topology churn from the pipeline's dirty-slot
 //!   information instead of rebuilding it, also across a head-set
-//!   change; a backbone change settles only the matrix cells a removed
-//!   link or lost head can lengthen under the dense layout and
-//!   re-sweeps only dirty hubs under the hub layout, instead of
-//!   recomputing all pairs.
+//!   change; under the dense layout a backbone change settles only the
+//!   matrix cells a removed link or lost head can lengthen instead of
+//!   recomputing all pairs, and the hub layout builds a fresh index.
 //! * [`hub`] — the hub-labeling (2-level landmark) index over `G''`:
-//!   rank-restricted pruned sweeps, flat CSR label arena, sound
-//!   dirty-hub repair ([`InterMode`] picks the layout per compile).
+//!   rank-restricted pruned sweeps and a flat CSR label arena, built
+//!   fresh whenever the backbone changes ([`InterMode`] picks the
+//!   layout per compile).
 //! * [`engine`] — the concurrent [`QueryEngine`]: batched
 //!   [`route_many`](QueryEngine::route_many) over `std::thread::scope`
 //!   workers with per-worker scratch, deterministic (bit-identical

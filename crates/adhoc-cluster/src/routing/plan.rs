@@ -47,13 +47,14 @@
 //! churn using the pipeline's dirty-slot information: only members of
 //! dirty or newly opened heads (and re-affiliated nodes) re-walk their
 //! ascents (clean rows are copied arena-segment-wise, the same trick
-//! the label store uses), and the inter-head table is repaired only
-//! from the links that actually changed — the dense matrix settles
-//! only the cells a removed link or lost head can lengthen and
-//! min-passes only the cells an inserted link can shorten, the hub
-//! layout re-sweeps only its dirty hubs. A head-set change takes the
-//! same path: clean nodes' slots are remapped by head ID and the dense
-//! matrix is repaired in the union of the old and new head sets.
+//! the label store uses), and the dense inter-head matrix is repaired
+//! only from the links that actually changed: it settles only the
+//! cells a removed link or lost head can lengthen and min-passes only
+//! the cells an inserted link can shorten. The hub layout is kept while
+//! the backbone is unchanged and built fresh when it changed. A
+//! head-set change takes the same path: clean nodes' slots are remapped
+//! by head ID and the dense matrix is repaired in the union of the old
+//! and new head sets.
 //!
 //! A compile is that update from the empty plan (no heads, every node
 //! unaffiliated): every affiliated node gains a head, so every one
@@ -140,9 +141,8 @@ pub struct PlanUpdate {
     /// Nodes whose affiliation/ascent entries were re-derived (clean
     /// nodes' ascent paths are copied, not re-walked).
     pub resweeped_nodes: usize,
-    /// What the inter-head repair did: nothing (the backbone's weighted
-    /// link set did not change), dense cells settled, hub labels
-    /// re-swept, or a rebuild.
+    /// What the inter-head advance did: nothing (the backbone's weighted
+    /// link set did not change), dense cells settled, or a rebuild.
     pub inter: InterRepair,
 }
 
@@ -154,9 +154,11 @@ impl PlanUpdate {
     /// inter-head table changed, `inter.dense_recomputed` updates
     /// whose dense matrix changed (a repair or a rebuild; the name
     /// predates the repair), `inter.dense_rows_swept` the sources with
-    /// at least one settled cell and `inter.dense_cells_settled` the
-    /// cells the repairs settled. All values are exact update facts, so
-    /// the counts are deterministic for any worker count.
+    /// at least one settled cell, `inter.dense_cells_settled` the
+    /// cells the repairs settled and `hub.rebuilt` the updates that
+    /// built a fresh hub index (a hub index is never repaired). All
+    /// values are exact update facts, so the counts are deterministic
+    /// for any worker count.
     pub fn record_into(&self, metrics: &Metrics) {
         if self.heads_changed {
             metrics.inc("plan.headset_repairs");
@@ -176,10 +178,6 @@ impl PlanUpdate {
                 metrics.add("inter.dense_cells_settled", cells_settled as u64);
             }
             InterRepair::DenseRebuilt => metrics.inc("inter.dense_recomputed"),
-            InterRepair::HubRepaired { dirty_hubs } => {
-                metrics.inc("hub.repaired");
-                metrics.add("hub.dirty_hubs", dirty_hubs as u64);
-            }
             InterRepair::HubRebuilt => metrics.inc("hub.rebuilt"),
         }
     }
@@ -518,15 +516,15 @@ impl RoutePlan {
     /// nodes whose head ID changed reproduces a full recompile exactly
     /// (pinned by the `route_equivalence` proptests); every other node
     /// keeps its arena segment, its slot mapped from its head's old
-    /// place to its new one. The inter-head table is repaired only from
-    /// the links that changed — the dense matrix settles the cells each
-    /// removed link or lost head can lengthen, from the smaller
-    /// witness-thinned side of a link, and min-passes the cells each
-    /// inserted link can shorten, across a head-set change in the union
-    /// of both head sets (pinned against a fresh build by the `inter`
-    /// proptests), the hub layout its dirty hubs
-    /// (pinned against a fresh compile by the `hub_equivalence`
-    /// proptests) and a fresh index across a head-set change.
+    /// place to its new one. The dense inter-head matrix is repaired only
+    /// from the links that changed: it settles the cells each removed
+    /// link or lost head can lengthen, from the smaller witness-thinned
+    /// side of a link, and min-passes the cells each inserted link can
+    /// shorten, across a head-set change in the union of both head sets
+    /// (pinned against a fresh build by the `inter` proptests). A hub
+    /// index is kept when no backbone link changed and built fresh
+    /// otherwise (pinned against a fresh compile by the
+    /// `hub_equivalence` proptests).
     ///
     /// # Panics
     /// Panics if `g`'s node count differs from the plan's (a maintained
@@ -551,8 +549,8 @@ impl RoutePlan {
     }
 
     /// [`Self::apply_delta`] over a worker pool: the dirty-node ascent
-    /// re-walks and the inter-head repair (dirty-hub re-sweeps, or a
-    /// dense repair's fallback build) fan out across `par` workers,
+    /// re-walks and the inter-head builds (a hub index, or a dense
+    /// repair's fallback build) fan out across `par` workers,
     /// bit-identical to the serial repair for any worker count.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_delta_tuned<'a, G: Adjacency + Sync>(
@@ -576,10 +574,10 @@ impl RoutePlan {
     }
 
     /// [`Self::apply_delta_tuned`] reporting into an observability
-    /// handle: an overall `plan.apply_delta_ns` span, a
-    /// layout-specific inter-head span (`hub.repair_ns` /
-    /// `inter.dense_repair_ns`, or the build span when the table
-    /// builds), and the repair-scope counters of
+    /// handle: an overall `plan.apply_delta_ns` span, an inter-head
+    /// span (`inter.dense_repair_ns` for a dense repair, the layout's
+    /// build span when the table builds, none when a hub table is
+    /// kept), and the repair-scope counters of
     /// [`PlanUpdate::record_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn apply_delta_metered<'a, G: Adjacency + Sync>(

@@ -2,11 +2,12 @@
 //! compiled with `InterMode::Hub` produces walks **node-for-node
 //! identical** to the dense `h × h` table — same validity, endpoints,
 //! hop counts, and checksums — for every algorithm's backbone, every
-//! and k ∈ 1..=4. And the hub layout's
-//! incremental repair must be a pure optimization of recompiling:
-//! through `apply_delta` chains with weight changes and head-set
-//! changes, the repaired plan stays **equal** (structural `Eq`, hub
-//! arena included) to one compiled from scratch.
+//! and k ∈ 1..=4. And a hub plan maintained by `apply_delta` must be
+//! a pure optimization of recompiling: through chains with weight
+//! changes and head-set changes (its index kept when the backbone did
+//! not change, built fresh when it did), the repaired plan stays
+//! **equal** (structural `Eq`, hub arena included) to one compiled
+//! from scratch.
 
 use adhoc_cluster::clustering::{self, MemberPolicy};
 use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch};
@@ -75,7 +76,7 @@ proptest! {
         }
     }
 
-    /// Hub repair ≡ recompile through delta chains that change link
+    /// Hub plan repair ≡ recompile through delta chains that change link
     /// weights (edge churn re-realizes backbone paths) and the head
     /// set itself (periodic recluster → the head-set repair), with the
     /// dense plan maintained in lockstep as the serving reference.
@@ -147,9 +148,6 @@ proptest! {
                 dense_report.inter != InterRepair::Unchanged,
                 "step {}: layouts disagree on backbone change", step
             );
-            if let InterRepair::HubRepaired { dirty_hubs } = hub_report.inter {
-                prop_assert!(dirty_hubs <= c.heads.len());
-            }
             let fresh_hub = RoutePlan::compile_with(
                 &g, &c, scratch.labels(), eval.selected_links(Algorithm::AcLmst), InterMode::Hub,
             );

@@ -15,9 +15,9 @@
 //! on different machines would stop being comparable.
 
 use adhoc_cluster::clustering::{self, MemberPolicy};
-use adhoc_cluster::pipeline::{self, EvalScratch, Parallelism};
+use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch, Parallelism};
 use adhoc_cluster::priority::LowestId;
-use adhoc_cluster::routing::{InterMode, RoutePlan};
+use adhoc_cluster::routing::{InterMode, InterRepair, RoutePlan};
 use adhoc_graph::delta::TopologyDelta;
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::graph::{Graph, NodeId};
@@ -212,7 +212,7 @@ fn plan_compile_and_apply_delta_record_disjoint_metrics() {
             "plan.next_recomputed",
             "inter.dense_recomputed",
             "inter.dense_repair_ns",
-            "hub.repair_ns",
+            "hub.rebuilt",
         ] {
             assert!(
                 snap.counter(name).is_none() && snap.histogram(name).is_none(),
@@ -246,4 +246,72 @@ fn plan_compile_and_apply_delta_record_disjoint_metrics() {
             );
         }
     }
+}
+
+/// A hub table is never repaired in place. A forced-hub plan whose
+/// backbone changes over one head set (AC-LMST links swapped for
+/// G-MST's) builds a fresh index: `hub.rebuilt` and one `hub.build_ns`
+/// sample, and no other `hub.*` metric. Re-applying the same backbone
+/// keeps the index and records no hub metric at all.
+#[test]
+fn hub_backbone_change_over_one_head_set_builds_fresh_index() {
+    let n = 200usize;
+    let mut rng = StdRng::seed_from_u64(41);
+    let net = gen::geometric(&GeometricConfig::new(n, 100.0, 7.0), &mut rng);
+    let g = &net.graph;
+    let c = clustering::cluster(g, 1, &LowestId, MemberPolicy::IdBased);
+    let mut scratch = EvalScratch::new();
+    let eval = pipeline::run_all_with(g, &c, &mut scratch);
+    let labels = scratch.labels();
+    let hub_rows = |snap: &MetricsSnapshot| -> Vec<String> {
+        let counters = snap.counters.iter().map(|c| &c.name);
+        let histograms = snap.histograms.iter().map(|h| &h.name);
+        counters
+            .chain(histograms)
+            .filter(|name| name.starts_with("hub."))
+            .cloned()
+            .collect()
+    };
+    let mut plan = RoutePlan::compile_with(
+        g,
+        &c,
+        labels,
+        eval.selected_links(Algorithm::AcLmst),
+        InterMode::Hub,
+    );
+    let gmst = eval.selected_links(Algorithm::GMst);
+    let metrics = Metrics::enabled();
+    let update = plan.apply_delta_metered(
+        g,
+        &c,
+        labels,
+        &[],
+        gmst.iter().copied(),
+        Parallelism::serial(),
+        &metrics,
+    );
+    assert!(!update.heads_changed);
+    assert_eq!(update.inter, InterRepair::HubRebuilt);
+    let fresh = RoutePlan::compile_with(g, &c, labels, gmst.iter().copied(), InterMode::Hub);
+    assert_eq!(plan, fresh, "the rebuilt plan equals a fresh compile");
+    assert_eq!(plan.memory_bytes(), fresh.memory_bytes());
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("hub.rebuilt"), Some(1));
+    assert_eq!(snap.histogram("hub.build_ns").map(|h| h.count), Some(1));
+    assert_eq!(hub_rows(&snap), ["hub.rebuilt", "hub.build_ns"]);
+
+    let metrics = Metrics::enabled();
+    let update = plan.apply_delta_metered(
+        g,
+        &c,
+        labels,
+        &[],
+        gmst.iter().copied(),
+        Parallelism::serial(),
+        &metrics,
+    );
+    assert_eq!(update.inter, InterRepair::Unchanged);
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("inter.unchanged"), Some(1));
+    assert!(hub_rows(&snap).is_empty(), "{:?}", hub_rows(&snap));
 }

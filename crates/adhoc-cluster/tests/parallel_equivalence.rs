@@ -427,7 +427,7 @@ proptest! {
 
     /// Inter-head tables above the gate, both layouts: a ~200-head plan
     /// compiled over the AC-LMST backbone, then repaired onto the
-    /// G-MST backbone — a dense repair, and a hub repair or rebuild.
+    /// G-MST backbone — a dense repair, and a hub rebuild.
     #[test]
     fn fanned_out_inter_builds_and_repairs_are_worker_count_invariant(
         seed in 0u64..1_000_000,
@@ -466,11 +466,7 @@ proptest! {
                     prop_assert!(rows_swept > 0, "the G-MST backbone drops AC-LMST links");
                 }
                 (InterMode::Hub, InterRepair::HubRebuilt) => {
-                    assert_fans_out(work::hub_sweeps(h, h), "hub build and rebuild");
-                }
-                (InterMode::Hub, InterRepair::HubRepaired { dirty_hubs }) => {
-                    assert_fans_out(work::hub_sweeps(h, h), "hub build");
-                    assert_fans_out(work::hub_sweeps(dirty_hubs, h), "hub repair");
+                    assert_fans_out(work::hub_build(h), "hub build and rebuild");
                 }
                 (mode, other) => prop_assert!(false, "{:?} repair did {:?}", mode, other),
             }

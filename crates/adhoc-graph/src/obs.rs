@@ -322,7 +322,7 @@ impl Drop for Span {
 // ---------------------------------------------------------------------
 
 /// One structured event in the bounded ring: a name plus one integer
-/// payload (e.g. `("reconcile.escalation", seq)`).
+/// payload (e.g. `("plan.publish", epoch)`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Dotted event name.

@@ -315,10 +315,10 @@ pub mod work {
         rows.saturating_mul(directed_links.saturating_add(h))
     }
 
-    /// `hubs` rank-restricted hub sweeps over an `h`-head backbone, each
-    /// settling at most `h` heads.
-    pub fn hub_sweeps(hubs: usize, h: usize) -> usize {
-        hubs.saturating_mul(h)
+    /// A hub-label build over an `h`-head backbone: one rank-restricted
+    /// sweep per head, each settling at most `h` heads.
+    pub fn hub_build(h: usize) -> usize {
+        h.saturating_mul(h)
     }
 
     /// A batch of `queries` served walks, each costing about
@@ -477,12 +477,12 @@ mod tests {
     fn work_estimates_straddle_the_gate() {
         let gated = |work: usize| Parallelism::new(2).for_work(work).workers();
         // A localized reconcile at N = 2000 (k = 2, ~250 heads): 22
-        // dirty rows of ~60 nodes, ~200 re-walked ascents, 64 dirty
-        // hubs — inline.
+        // dirty rows of ~60 nodes, ~200 re-walked ascents; and the hub
+        // build of a 150-head backbone — inline.
         assert_eq!(gated(work::label_repair([60; 22])), 1);
         assert_eq!(gated(work::ascents(200, 2)), 1);
         assert_eq!(gated(work::ascents(2000, 2)), 1);
-        assert_eq!(gated(work::hub_sweeps(64, 262)), 1);
+        assert_eq!(gated(work::hub_build(150)), 1);
         // The paper's grid: at most ~12k label units per build.
         assert_eq!(gated(work::label_rebuild(60, 200)), 1);
         assert_eq!(gated(work::dense_rows(40, 40, 120)), 1);
@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(gated(work::label_repair([90; 1800])), 2);
         assert_eq!(gated(work::ascents(20_000, 2)), 2);
         assert_eq!(gated(work::dense_rows(250, 250, 600)), 2);
-        assert_eq!(gated(work::hub_sweeps(1800, 1800)), 2);
+        assert_eq!(gated(work::hub_build(1800)), 2);
         // Exactly at the threshold, and saturating instead of wrapping.
         assert_eq!(gated(work::label_repair([FAN_OUT_MIN_WORK - 1])), 1);
         assert_eq!(gated(work::label_repair([FAN_OUT_MIN_WORK])), 2);

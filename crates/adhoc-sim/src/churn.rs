@@ -104,10 +104,7 @@
 //! with no head in range).
 
 use crate::invariants;
-use crate::message::MessageKind;
 use crate::movement::{MovementConfig, RepairLevel, StepReport};
-use crate::stats::Phase;
-use crate::trace::{Trace, TraceEvent};
 use adhoc_cluster::cds::Cds;
 use adhoc_cluster::clustering::{cluster, Clustering, MemberPolicy};
 use adhoc_cluster::pipeline::{self, AlgorithmSet, EvalScratch, EvaluationOutput};
@@ -337,13 +334,6 @@ pub struct ChurnEngine {
     /// scratch so the pipeline's label/eval metrics land in the same
     /// registry.
     metrics: Metrics,
-    /// Attached trace, if any: reconcile phase transitions are
-    /// recorded into it as [`Phase::Reconcile`] events alongside
-    /// whatever protocol traffic the caller already logged.
-    trace: Option<Trace>,
-    /// Reconcile sequence number, the "time" stamped onto traced phase
-    /// transitions (the engine has no simulated clock).
-    trace_seq: u64,
 }
 
 impl ChurnEngine {
@@ -377,8 +367,6 @@ impl ChurnEngine {
             plan_epoch: 0,
             in_flight: None,
             metrics: Metrics::disabled(),
-            trace: None,
-            trace_seq: 0,
         };
         engine.refresh_validity();
         engine
@@ -458,46 +446,6 @@ impl ChurnEngine {
     /// [`Self::set_metrics`] installed a live one).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Attaches a bounded [`Trace`]: each reconcile phase start is
-    /// recorded as a [`Phase::Reconcile`] event
-    /// ([`MessageKind::ReconcileObserve`] / `ReconcileRepair` /
-    /// `ReconcilePublish`), stamped with the reconcile sequence number
-    /// as its time and the `NodeId(u32::MAX)` sentinel as its origin
-    /// (a phase transition has no single transmitting node). Replaces
-    /// any prior trace.
-    pub fn attach_trace(&mut self, trace: Trace) {
-        self.trace = Some(trace);
-    }
-
-    /// The attached trace, if any.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Detaches and returns the trace (e.g. to serialize it after a
-    /// run).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
-    /// Records a reconcile phase transition into the attached trace
-    /// (no-op without one). Observe transitions open a new reconcile,
-    /// advancing the sequence stamp.
-    fn trace_phase(&mut self, kind: MessageKind) {
-        if kind == MessageKind::ReconcileObserve {
-            self.trace_seq += 1;
-        }
-        let seq = self.trace_seq;
-        if let Some(t) = self.trace.as_mut() {
-            t.record(TraceEvent {
-                time: seq,
-                phase: Phase::Reconcile,
-                kind,
-                from: GONE,
-            });
-        }
     }
 
     /// Atomically publishes `plan`: bumps the epoch, stamps it, swaps
@@ -934,7 +882,6 @@ impl ChurnEngine {
                 dirty_heads: 0,
             });
         }
-        self.trace_phase(MessageKind::ReconcileObserve);
         let _observe = self.metrics.span("reconcile.observe_ns");
         self.metrics.inc("reconcile.count");
 
@@ -1082,7 +1029,6 @@ impl ChurnEngine {
     /// ones, re-elect globally on merges. The evaluation, CDS,
     /// verdicts, and route plan stay pre-step.
     fn repair(&mut self, obs: Observation) -> ReconcileState {
-        self.trace_phase(MessageKind::ReconcileRepair);
         let _repair = self.metrics.span("reconcile.repair_ns");
         let Observation {
             delta,
@@ -1205,7 +1151,6 @@ impl ChurnEngine {
     /// plan in atomically with an epoch bump. Until that swap, queries
     /// keep reading the pre-step plan.
     fn publish(&mut self, rep: Repaired) -> ReconcileState {
-        self.trace_phase(MessageKind::ReconcilePublish);
         let _publish = self.metrics.span("reconcile.publish_ns");
         let Repaired {
             delta,
@@ -1312,7 +1257,7 @@ impl ChurnEngine {
             // entitled to the escalation: it keeps serving the
             // degraded plan and reports `valid: false`.
             self.metrics.inc("reconcile.escalations");
-            self.metrics.event("reconcile.escalation", self.trace_seq);
+            self.metrics.event("reconcile.escalation", orphans as u64);
             return self.full_rebuild(orphans);
         }
         if let Some(plan) = pending {
@@ -1826,9 +1771,9 @@ mod tests {
         assert_engine_consistent(&e, "stranded re-election");
     }
 
-    /// A metered engine reports per-phase reconcile metrics and
-    /// records phase transitions into an attached trace; count-type
-    /// metrics are exact reconcile facts.
+    /// A metered engine traces each reconcile phase with one
+    /// `reconcile.{observe,repair,publish}_ns` span; count-type metrics
+    /// are exact reconcile facts.
     #[test]
     fn metered_reconcile_reports_phases_and_traces() {
         let net = geometric(91, 50, 8.0);
@@ -1836,7 +1781,6 @@ mod tests {
         e.enable_routing();
         let m = Metrics::enabled();
         e.set_metrics(m.clone());
-        e.attach_trace(Trace::with_capacity(64));
         let steps = [NodeId(7), NodeId(21), NodeId(33)];
         for &u in &steps {
             e.depart(u);
@@ -1855,16 +1799,6 @@ mod tests {
             assert_eq!(hist.count, steps.len() as u64, "{h}");
         }
         assert!(snap.events.iter().any(|ev| ev.name == "plan.publish"));
-        let trace = e.take_trace().expect("trace attached");
-        assert_eq!(trace.len(), 3 * steps.len(), "3 phase marks per reconcile");
-        assert!(trace
-            .events()
-            .iter()
-            .all(|ev| ev.phase == Phase::Reconcile && ev.from == GONE));
-        assert_eq!(
-            trace.phase_span(Phase::Reconcile),
-            Some((1, steps.len() as u64))
-        );
         assert_engine_consistent(&e, "metered departures");
     }
 

@@ -148,18 +148,11 @@ pub enum MessageKind {
     SetInfo,
     MarkRequest,
     MarkToken,
-    /// Reconcile-loop phase transition: observe started (traced by the
-    /// churn engine, not a radio transmission).
-    ReconcileObserve,
-    /// Reconcile-loop phase transition: repair started.
-    ReconcileRepair,
-    /// Reconcile-loop phase transition: publish started.
-    ReconcilePublish,
 }
 
 impl MessageKind {
     /// All kinds, for iteration in reports.
-    pub const ALL: [MessageKind; 13] = [
+    pub const ALL: [MessageKind; 10] = [
         MessageKind::Hello,
         MessageKind::Contend,
         MessageKind::Declare,
@@ -170,9 +163,6 @@ impl MessageKind {
         MessageKind::SetInfo,
         MessageKind::MarkRequest,
         MessageKind::MarkToken,
-        MessageKind::ReconcileObserve,
-        MessageKind::ReconcileRepair,
-        MessageKind::ReconcilePublish,
     ];
 
     /// Display name.
@@ -188,9 +178,6 @@ impl MessageKind {
             MessageKind::SetInfo => "set-info",
             MessageKind::MarkRequest => "mark-request",
             MessageKind::MarkToken => "mark-token",
-            MessageKind::ReconcileObserve => "reconcile-observe",
-            MessageKind::ReconcileRepair => "reconcile-repair",
-            MessageKind::ReconcilePublish => "reconcile-publish",
         }
     }
 }
@@ -247,9 +234,7 @@ mod tests {
             },
         ];
         let kinds: Vec<_> = msgs.iter().map(Message::kind).collect();
-        // The Reconcile* kinds are trace-only markers, not wire
-        // messages — every *wire* kind maps one-to-one.
-        assert_eq!(kinds.as_slice(), &MessageKind::ALL[..msgs.len()]);
+        assert_eq!(kinds, MessageKind::ALL);
         for k in MessageKind::ALL {
             assert!(!k.name().is_empty());
         }

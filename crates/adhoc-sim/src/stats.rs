@@ -17,15 +17,11 @@ pub enum Phase {
     Adjacency,
     SetExchange,
     GatewayMarking,
-    /// Post-protocol maintenance: the churn engine's
-    /// observe/repair/publish reconcile loop (traced, never part of
-    /// the distributed protocol's message rounds).
-    Reconcile,
 }
 
 impl Phase {
     /// All phases in order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; 8] = [
         Phase::NeighborDiscovery,
         Phase::Clustering,
         Phase::ClusterHello,
@@ -34,7 +30,6 @@ impl Phase {
         Phase::Adjacency,
         Phase::SetExchange,
         Phase::GatewayMarking,
-        Phase::Reconcile,
     ];
 
     /// Display name.
@@ -48,7 +43,6 @@ impl Phase {
             Phase::Adjacency => "adjacency",
             Phase::SetExchange => "set-exchange",
             Phase::GatewayMarking => "gateway-marking",
-            Phase::Reconcile => "reconcile",
         }
     }
 }

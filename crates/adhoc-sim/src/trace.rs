@@ -7,14 +7,10 @@
 //!
 //! The capacity-bounded storage is [`adhoc_graph::obs::Ring`] — the
 //! same bounded event log the observability core uses — so the
-//! capacity/dropped bookkeeping lives in exactly one place. Beyond the
-//! original message events, the churn engine records **reconcile phase
-//! transitions** ([`Phase::Reconcile`] with the
-//! `MessageKind::Reconcile*` kinds) into an attached trace, so one log
-//! interleaves protocol traffic with the maintenance loop's
-//! observe/repair/publish activity.
-//!
-//! [`Phase::Reconcile`]: crate::stats::Phase::Reconcile
+//! capacity/dropped bookkeeping lives in exactly one place. The churn
+//! engine's reconcile loop is not traced here: its
+//! `reconcile.{observe,repair,publish}_ns` metric spans time each
+//! phase.
 
 use crate::engine::Time;
 use crate::message::MessageKind;

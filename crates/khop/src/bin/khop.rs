@@ -651,6 +651,9 @@ fn cmd_churn(args: &Args) {
     let speed: f64 = args.get("speed", 2.0);
     let par = parse_workers(args);
     let sink = parse_metrics(args);
+    if n < 2 {
+        die(&format!("--n must be at least 2 (got {n})"));
+    }
     if movers == 0 || movers > n {
         die(&format!("--movers must be in 1..={n} (got {movers})"));
     }

@@ -254,6 +254,7 @@ fn bad_flags_exit_2_without_panicking() {
         &["maintain", "--n", "40", "--speed", "inf"][..],
         &["churn", "--n", "40", "--speed", "inf"][..],
         &["resilience", "--n", "60", "--pairs", "0"][..],
+        &["churn", "--n", "0"][..],
     ] {
         let out = khop(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -261,6 +262,15 @@ fn bad_flags_exit_2_without_panicking() {
         assert!(!err.contains("panicked"), "{args:?}: {err}");
         assert!(err.contains("usage:"), "{args:?}: {err}");
     }
+    // `--n` bounds `--movers`, so it is checked first: a network too
+    // small to generate is refused by name, not as a bad `--movers`.
+    let out = khop(&["churn", "--n", "0"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        err.lines().next(),
+        Some("khop: --n must be at least 2 (got 0)"),
+        "{err}"
+    );
 }
 
 #[test]
