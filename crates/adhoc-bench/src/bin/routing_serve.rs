@@ -442,7 +442,7 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize) -> Valu
         !g0.has_edge(a, b),
         "longest link endpoints already adjacent"
     );
-    let (g, scratch, eval, dirty) = by_hops[1..]
+    let (g, scratch, eval, delta, dirty, moved) = by_hops[1..]
         .iter()
         .take(256)
         .find_map(|&(_, _, _, (x, y))| {
@@ -466,25 +466,34 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize) -> Valu
                 return None;
             }
             let mut eval = eval0.clone();
-            pipeline::update_all_after(&g, &c, &delta, &dirty, &mut eval, &mut scratch);
+            let moved = pipeline::update_all_after(&g, &c, &delta, &dirty, &mut eval, &mut scratch);
             let mut trial = dense.clone();
             let update = trial.apply_delta(
                 &g,
                 &c,
                 scratch.labels(),
+                &delta,
                 &dirty,
+                &moved,
                 eval.selected_links(Algorithm::AcMesh),
             );
             matches!(update.inter, InterRepair::DenseRepaired { rows_swept, .. } if rows_swept > 0)
-                .then_some((g, scratch, eval, dirty))
+                .then_some((g, scratch, eval, delta, dirty, moved))
         })
         .unwrap_or_else(|| panic!("N={n}: no link cut among the 256 longest settles a cell"));
     let new_links = eval.selected_links(Algorithm::AcMesh);
     let mut dense_par = dense.clone();
 
     let t = Instant::now();
-    let dense_report =
-        dense.apply_delta(&g, &c, scratch.labels(), &dirty, new_links.iter().copied());
+    let dense_report = dense.apply_delta(
+        &g,
+        &c,
+        scratch.labels(),
+        &delta,
+        &dirty,
+        &moved,
+        new_links.iter().copied(),
+    );
     let dense_secs = t.elapsed().as_secs_f64();
 
     // Same repair on the `workers`-wide pool; the repaired plan must be
@@ -495,7 +504,9 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize) -> Valu
         &g,
         &c,
         scratch.labels(),
+        &delta,
         &dirty,
+        &moved,
         new_links.iter().copied(),
         par,
     );
@@ -622,10 +633,18 @@ fn headset_bench(
     let none = TopologyDelta::new();
     let dirty = pipeline::advance_labels(g, &next, &none, &mut scratch);
     let mut eval = eval.clone();
-    pipeline::update_all_after(g, &next, &none, &dirty, &mut eval, &mut scratch);
+    let moved = pipeline::update_all_after(g, &next, &none, &dirty, &mut eval, &mut scratch);
     let links = eval.selected_links(Algorithm::AcMesh);
     let t = Instant::now();
-    let update = dense.apply_delta(g, &next, scratch.labels(), &dirty, links.iter().copied());
+    let update = dense.apply_delta(
+        g,
+        &next,
+        scratch.labels(),
+        &none,
+        &dirty,
+        &moved,
+        links.iter().copied(),
+    );
     let repair_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let fresh = RoutePlan::compile_with(

@@ -454,12 +454,14 @@ impl EvaluationOutput {
             Algorithm::AcMesh | Algorithm::AcLmst => &self.ac_graph,
             Algorithm::NcMesh | Algorithm::NcLmst | Algorithm::GMst => &self.nc_graph,
         };
-        self.of(algorithm)
-            .selection
-            .links_used
-            .iter()
+        // Both lists ascend by `(a, b)`: one merge resolves every link.
+        let used = &self.of(algorithm).selection.links_used;
+        debug_assert!(used.is_sorted(), "a selection lists its links ascending");
+        let mut store = graph.links().peekable();
+        used.iter()
             .map(|&(a, b)| {
-                graph.link(a, b).unwrap_or_else(|| {
+                while store.next_if(|l| (l.a, l.b) < (a, b)).is_some() {}
+                store.next_if(|l| (l.a, l.b) == (a, b)).unwrap_or_else(|| {
                     panic!("{algorithm} selected {a:?}-{b:?} outside the 2k+1 link bound")
                 })
             })
@@ -853,6 +855,11 @@ pub fn advance_labels<G: Adjacency + Sync>(
 /// `label_equivalence`, `churn_equivalence` and `scoped_equivalence`
 /// proptests, across head-set changes too).
 ///
+/// Returns every node whose head changed since `eval` (ascending;
+/// every node when the evaluation was rebuilt), which is what a route
+/// plan patched alongside needs besides `swept` and `delta`
+/// ([`RoutePlan::apply_delta`]).
+///
 /// [`RoutePlan::apply_delta`]: crate::routing::RoutePlan::apply_delta
 ///
 /// # Panics
@@ -864,7 +871,7 @@ pub fn update_all_after<G: Adjacency>(
     swept: &[usize],
     eval: &mut EvaluationOutput,
     scratch: &mut EvalScratch,
-) {
+) -> Vec<NodeId> {
     assert_eq!(
         scratch.labels.heads(),
         &clustering.heads[..],
@@ -881,7 +888,7 @@ pub fn update_all_after<G: Adjacency>(
             VirtualGraph::from_labels(g, clustering, nc_sets, &scratch.labels)
         };
         *eval = eval_from_nc(g, clustering, nc_graph, scratch);
-        return;
+        return (0..g.node_count() as u32).map(NodeId).collect();
     }
     let diff = HeadDiff::new(&eval.clustering.heads, &clustering.heads);
     scratch
@@ -997,6 +1004,7 @@ pub fn update_all_after<G: Adjacency>(
         scratch,
         Some(reuse),
     );
+    moved.into_iter().map(|(v, _)| v).collect()
 }
 
 #[cfg(test)]

@@ -38,18 +38,21 @@
 //! # One advance
 //!
 //! [`InterTable::advance`] carries a table from the backbone it was
-//! built for to a new one; nothing else builds or repairs it. An empty
-//! table has nothing to keep, so it builds: a plan's compile is the
-//! advance from the empty table. It also builds when the layout policy
-//! picks the other layout. Otherwise each layout has one rule. A hub
-//! table is kept when no CSR row changed over one head set and built
-//! fresh otherwise ([`HubIndex`]). A dense table is repaired cell by
-//! cell, as below.
+//! built for to a new one; nothing else builds or repairs it. It takes
+//! the change as the plan found it: the weighted links inserted and
+//! removed ([`LinkDiff`], from the plan's own one-pass merge of its
+//! backbone against the new selection), so no CSR row is compared and
+//! no link list re-diffed here. An empty table has nothing to keep, so
+//! it builds: a plan's compile is the advance from the empty table. It
+//! also builds when the layout policy picks the other layout. Otherwise
+//! an empty diff over one head set keeps either layout as it is, and
+//! each layout has one rule for a change. A hub table is built fresh
+//! ([`HubIndex`]). A dense table is repaired cell by cell, as below.
 //!
 //! # Dense repair: a local change repairs the cells it can change
 //!
 //! The matrix holds exact distances, so a backbone change is repaired
-//! from the diff of the old and new link lists, in this order:
+//! from the link diff, in this order:
 //!
 //! 1. **Insertions, on the exact old matrix.** For every added or
 //!    re-weighted link `(x, y, w)` of the new backbone, a route can only
@@ -176,7 +179,7 @@ const UNSEEN: u64 = u64::MAX;
 /// (both orientations of every undirected link). The plan and the
 /// legacy router own these arrays; the inter-head machinery only ever
 /// borrows them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct CsrView<'a> {
     pub off: &'a [u32],
     pub to: &'a [u32],
@@ -211,7 +214,29 @@ impl<'a> CsrView<'a> {
 }
 
 /// A directed backbone link `(from, to, weight)`.
-type Link = (u32, u32, u32);
+pub(crate) type Link = (u32, u32, u32);
+
+/// The weighted link changes [`InterTable::advance`] carries a table
+/// across, one orientation `(s, t, w)` with `s < t` each, in the slot
+/// space the advance runs in (the union of the old and new head sets
+/// across a head-set change). A re-weighted link is in both lists; a
+/// link re-pathed at the same weight is in neither.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct LinkDiff {
+    /// Links of the new backbone missing from the old (added, or
+    /// carrying a new weight).
+    pub inserted: Vec<Link>,
+    /// Links of the old backbone missing from the new (removed, or
+    /// carrying a superseded weight).
+    pub removed: Vec<Link>,
+}
+
+impl LinkDiff {
+    /// Whether the backbone's weighted link set is unchanged.
+    pub fn is_empty(&self) -> bool {
+        self.inserted.is_empty() && self.removed.is_empty()
+    }
+}
 
 /// Reusable sweep and repair state shared by the dense build and
 /// repair, the legacy next-hop table and the hub index's pruned sweeps —
@@ -234,12 +259,8 @@ pub(crate) struct InterScratch {
     /// The bucket ring of [`next_hop_row`]'s and [`dist_row`]'s queue;
     /// every bucket is empty between sweeps.
     buckets: Vec<Vec<u32>>,
-    /// Dense repair: links of the new backbone missing from the old
-    /// (added, or carrying a new weight), one orientation each.
-    inserted: Vec<Link>,
-    /// Dense repair: links of the old backbone missing from the new
-    /// (removed, or carrying a superseded weight), one orientation
-    /// each, in repair order: each lost head's links, then the rest.
+    /// Dense repair: the removed links of the diff in repair order:
+    /// each lost head's links, then the rest.
     removed: Vec<Link>,
     /// Dense repair: the removed links not yet taken out, both
     /// orientations, sorted — the extra links a removal's settles run
@@ -541,19 +562,18 @@ fn links_at<'a>(
     )
 }
 
-/// Repairs the exact distance matrix `dist` of the `old` backbone into
-/// the matrix of `new`, as the module docs' "Dense repair" describes;
-/// `changed` holds every slot whose CSR row differs, and `lost` the
-/// slots (ascending) of heads that leave, each taken out as one vertex
-/// removal. Returns the rows with at least one settled cell and the
-/// cells settled (`h` and `h²` more when it fell back to a fresh
-/// build). Bit-identical to a fresh build on `new` for any worker
-/// count: every step leaves the matrix exact.
+/// Repairs the exact distance matrix `dist` of the old backbone into
+/// the matrix of `new`, which differs from it by `diff`, as the module
+/// docs' "Dense repair" describes; `lost` holds the slots (ascending)
+/// of heads that leave, each taken out as one vertex removal. Returns
+/// the rows with at least one settled cell and the cells settled (`h`
+/// and `h²` more when it fell back to a fresh build). Bit-identical to
+/// a fresh build on `new` for any worker count: every step leaves the
+/// matrix exact.
 fn repair_dense(
     dist: &mut [u32],
-    changed: &[u32],
+    diff: &LinkDiff,
     lost: &[u32],
-    old: CsrView<'_>,
     new: CsrView<'_>,
     scratch: &mut InterScratch,
     par: Parallelism,
@@ -561,7 +581,6 @@ fn repair_dense(
     let h = new.head_count();
     let InterScratch {
         buckets,
-        inserted,
         removed,
         pending,
         sides,
@@ -578,8 +597,7 @@ fn repair_dense(
         cols,
         ..
     } = scratch;
-    link_diff(changed, old, new, inserted, removed);
-    for &(x, y, w) in inserted.iter() {
+    for &(x, y, w) in &diff.inserted {
         insert_link(dist, h, x as usize, y as usize, w, rows, cols);
     }
     // A lost head's links go with the first lost head they touch; the
@@ -590,6 +608,7 @@ fn repair_dense(
             .find(|x| lost.binary_search(x).is_ok())
             .unwrap_or(u32::MAX)
     };
+    removed.clone_from(&diff.removed);
     removed.sort_unstable_by_key(|l| (lost_end(l), *l));
     in_set.clear();
     in_set.resize(h, false);
@@ -885,67 +904,6 @@ fn settle_row(
     }
 }
 
-/// The weighted link diff between two backbones over the same heads:
-/// each `(s, t, w)` with `s < t` present in `new` but not `old` goes to
-/// `inserted`, present in `old` but not `new` to `removed` (a
-/// re-weighted link lands in both). Only the `changed` rows can differ,
-/// and a changed link flags both its endpoints, so reading each changed
-/// row's links to higher slots finds every link once.
-fn link_diff(
-    changed: &[u32],
-    old: CsrView<'_>,
-    new: CsrView<'_>,
-    inserted: &mut Vec<Link>,
-    removed: &mut Vec<Link>,
-) {
-    use std::cmp::Ordering;
-    inserted.clear();
-    removed.clear();
-    for &s in changed {
-        let higher = |&(t, _): &(u32, u32)| t > s;
-        let mut a = old.row(s as usize).filter(higher).peekable();
-        let mut b = new.row(s as usize).filter(higher).peekable();
-        // Rows are slot-ascending with one link per neighbor, so a
-        // merge on `(slot, weight)` walks the symmetric difference.
-        loop {
-            let order = match (a.peek(), b.peek()) {
-                (None, None) => break,
-                (Some(x), Some(y)) => x.cmp(y),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-            };
-            match order {
-                Ordering::Less => {
-                    let (t, w) = a.next().expect("peeked");
-                    removed.push((s, t, w));
-                }
-                Ordering::Greater => {
-                    let (t, w) = b.next().expect("peeked");
-                    inserted.push((s, t, w));
-                }
-                Ordering::Equal => {
-                    a.next();
-                    b.next();
-                }
-            }
-        }
-    }
-}
-
-/// The slots (ascending) whose rows differ between two backbones over the
-/// same heads: both endpoints of every added, removed, or re-weighted
-/// link.
-fn changed_rows(old: CsrView<'_>, new: CsrView<'_>) -> Vec<u32> {
-    let span = |csr: CsrView<'_>, s: usize| csr.off[s] as usize..csr.off[s + 1] as usize;
-    (0..new.head_count())
-        .filter(|&s| {
-            let (a, b) = (span(old, s), span(new, s));
-            old.to[a.clone()] != new.to[b.clone()] || old.hops[a] != new.hops[b]
-        })
-        .map(|s| s as u32)
-        .collect()
-}
-
 /// The maximal runs `(i, slots[i], len)` of consecutive slots in the
 /// increasing slot map `slots`: `slots[i + j] = slots[i] + j` for `j <
 /// len`. A head-set change gains or loses a few heads, so a few runs
@@ -1226,17 +1184,12 @@ impl InterTable {
     #[cfg(test)]
     pub(crate) fn build(mode: InterMode, csr: CsrView<'_>) -> InterTable {
         let mut table = Arc::new(InterTable::EMPTY);
-        let empty = CsrView {
-            off: &[0],
-            to: &[],
-            hops: &[],
-        };
         let heads = (0..csr.head_count() as u32).collect::<Vec<_>>();
         InterTable::advance(
             &mut table,
             mode,
             Some((&[], &heads, heads.len())),
-            empty,
+            &LinkDiff::default(),
             csr,
             Parallelism::serial(),
             &Metrics::disabled(),
@@ -1293,24 +1246,25 @@ impl InterTable {
         }
     }
 
-    /// Advances a shared table from the backbone `old` it was built
-    /// for to `csr` under `mode`, building or repairing as the module
-    /// docs' "One advance" says. `heads` is `None` over one head set;
-    /// across a head-set change it maps each old and each new slot to
-    /// its place in the union of the two head sets (ascending, so both
-    /// maps are increasing), which has `union` slots. When no CSR row
-    /// changed over one head set it returns [`InterRepair::Unchanged`]
-    /// and keeps the table shared; a dense repair in place copies it on
-    /// write first, so a plan cloned to be patched never touches the one
-    /// it shares. A build opens `hub.build_ns` or `inter.dense_build_ns`,
-    /// by the layout it builds; a dense repair `inter.dense_repair_ns`.
-    /// The table ends equal to a fresh build on `csr` under `mode`,
-    /// bytes included, for any worker count.
+    /// Advances a shared table from the backbone it was built for to
+    /// `csr`, which differs from it by `diff`, under `mode`, building or
+    /// repairing as the module docs' "One advance" says. `heads` is
+    /// `None` over one head set; across a head-set change it maps each
+    /// old and each new slot to its place in the union of the two head
+    /// sets (ascending, so both maps are increasing), which has `union`
+    /// slots, and `diff` is in the union's slots. Over one head set with
+    /// an empty diff it returns [`InterRepair::Unchanged`] and keeps the
+    /// table shared; a dense repair in place copies it on write first,
+    /// so a plan cloned to be patched never touches the one it shares.
+    /// A build opens `hub.build_ns` or `inter.dense_build_ns`, by the
+    /// layout it builds; a dense repair `inter.dense_repair_ns`. The
+    /// table ends equal to a fresh build on `csr` under `mode`, bytes
+    /// included, for any worker count.
     pub(crate) fn advance(
         table: &mut Arc<InterTable>,
         mode: InterMode,
         heads: Option<(&[u32], &[u32], usize)>,
-        old: CsrView<'_>,
+        diff: &LinkDiff,
         csr: CsrView<'_>,
         par: Parallelism,
         metrics: &Metrics,
@@ -1318,8 +1272,8 @@ impl InterTable {
         let h = csr.head_count();
         let hub = mode.wants_hub(h);
         let holds_hub = matches!(**table, InterTable::Hub(_));
-        let fresh = old.head_count() == 0 || hub != holds_hub;
-        if holds_hub && !fresh && heads.is_none() && old == csr {
+        let fresh = matches!(**table, InterTable::Dense { h: 0, .. }) || hub != holds_hub;
+        if !fresh && heads.is_none() && diff.is_empty() {
             return InterRepair::Unchanged;
         }
         // Only a dense table is repaired: a hub table that was not kept
@@ -1345,23 +1299,11 @@ impl InterTable {
                 *table = Arc::new(fresh);
                 return repair;
             }
-            fn view((off, to, hops): &(Vec<u32>, Vec<u32>, Vec<u32>)) -> CsrView<'_> {
-                CsrView { off, to, hops }
-            }
-            let lifted = heads.map(|(old_slots, new_slots, union)| {
-                (
-                    lift_csr(old, old_slots, union),
-                    lift_csr(csr, new_slots, union),
-                )
-            });
-            let (old_u, new_u) = match &lifted {
-                Some((old_u, new_u)) => (view(old_u), view(new_u)),
-                None => (old, csr),
+            let lifted = heads.map(|(_, new_slots, union)| lift_csr(csr, new_slots, union));
+            let new = match &lifted {
+                Some((off, to, hops)) => CsrView { off, to, hops },
+                None => csr,
             };
-            let changed = changed_rows(old_u, new_u);
-            if changed.is_empty() && heads.is_none() {
-                return InterRepair::Unchanged;
-            }
             let mut union_dist = Vec::new();
             let dist = match heads {
                 None => {
@@ -1404,8 +1346,7 @@ impl InterTable {
                     .filter(|x| new_slots.binary_search(x).is_err())
                     .collect()
             });
-            let (rows_swept, cells_settled) =
-                repair_dense(dist, &changed, &lost, old_u, new_u, scratch, par);
+            let (rows_swept, cells_settled) = repair_dense(dist, diff, &lost, new, scratch, par);
             // Compact: the new heads' rows and columns, in exactly `h²`
             // cells. With no head lost the union is the new head set.
             if let Some((_, new_slots, union)) = heads {
@@ -1805,16 +1746,17 @@ mod tests {
         };
         let mut table = Arc::new(InterTable::build(InterMode::Auto, grid));
         assert_eq!(table.layout_name(), "dense");
-        for (from, to, from_ids, to_ids, want) in [
-            (grid, plus_one, &ids, &gained_ids, InterRepair::HubRebuilt),
-            (plus_one, grid, &gained_ids, &ids, InterRepair::DenseRebuilt),
+        // Both advances flip the layout, so each builds and reads no diff.
+        for (to, from_ids, to_ids, want) in [
+            (plus_one, &ids, &gained_ids, InterRepair::HubRebuilt),
+            (grid, &gained_ids, &ids, InterRepair::DenseRebuilt),
         ] {
             let (old_slots, new_slots, union) = union_slots(from_ids, to_ids);
             let repair = InterTable::advance(
                 &mut table,
                 InterMode::Auto,
                 Some((&old_slots, &new_slots, union)),
-                from,
+                &LinkDiff::default(),
                 to,
                 Parallelism::serial(),
                 &Metrics::disabled(),
@@ -2037,6 +1979,33 @@ mod tests {
         out
     }
 
+    /// The link diff from `before` to `after` in the slot space an
+    /// advance runs in: both lifted into the union when `heads` maps
+    /// them there.
+    fn diff_of(
+        before: &[Vec<(u32, u32)>],
+        after: &[Vec<(u32, u32)>],
+        heads: Option<&(Vec<u32>, Vec<u32>, usize)>,
+    ) -> LinkDiff {
+        let (old, new) = match heads {
+            Some((o, n, union)) => (
+                links(&lift_adj(before, o, *union)),
+                links(&lift_adj(after, n, *union)),
+            ),
+            None => (links(before), links(after)),
+        };
+        let missing = |from: &[(usize, usize, u32)], to: &[(usize, usize, u32)]| {
+            from.iter()
+                .filter(|l| to.binary_search(l).is_err())
+                .map(|&(a, b, w)| (a as u32, b as u32, w))
+                .collect()
+        };
+        LinkDiff {
+            inserted: missing(&new, &old),
+            removed: missing(&old, &new),
+        }
+    }
+
     /// The exact distance matrix of `adj`, by a fresh build.
     fn fresh_dist(adj: &[Vec<(u32, u32)>]) -> Vec<u32> {
         let (off, to, hops) = to_csr(adj);
@@ -2226,13 +2195,7 @@ mod tests {
                 random_edit(&mut rng, &mut adj, max_w);
             }
             let h = adj.len();
-            let (old_off, old_to, old_hops) = to_csr(&before);
             let (off, to, hops) = to_csr(&adj);
-            let old = CsrView {
-                off: &old_off,
-                to: &old_to,
-                hops: &old_hops,
-            };
             let csr = CsrView {
                 off: &off,
                 to: &to,
@@ -2243,7 +2206,7 @@ mod tests {
                 &mut table,
                 InterMode::Dense,
                 heads.as_ref().map(|(o, n, union)| (&o[..], &n[..], *union)),
-                old,
+                &diff_of(&before, &adj, heads.as_ref()),
                 csr,
                 Parallelism::serial(),
                 &Metrics::disabled(),
@@ -2324,7 +2287,7 @@ mod tests {
             &mut table,
             InterMode::Dense,
             heads.as_ref().map(|(o, n, union)| (&o[..], &n[..], *union)),
-            old,
+            &diff_of(before, after, heads.as_ref()),
             csr,
             Parallelism::serial(),
             &Metrics::disabled(),

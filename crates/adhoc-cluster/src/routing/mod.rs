@@ -20,10 +20,11 @@
 //!   evaluation engine's head labels (`pipeline::EvalScratch`) and a
 //!   backbone link set; queries are pure pointer chasing — **zero per-query
 //!   BFS, `O(route length)` per query** — and need neither the graph
-//!   nor the labels at serve time. [`RoutePlan::apply_delta`] repairs
-//!   the plan after topology churn from the pipeline's dirty-slot
-//!   information instead of rebuilding it, also across a head-set
-//!   change; under the dense layout a backbone change settles only the
+//!   nor the labels at serve time. [`RoutePlan::apply_delta`] patches
+//!   the plan in place after topology churn from the step itself (the
+//!   edge delta, the swept label rows, the nodes whose head changed)
+//!   and its own backbone link diff instead of rebuilding it, also
+//!   across a head-set change; under the dense layout a backbone change settles only the
 //!   matrix cells a removed link or lost head can lengthen instead of
 //!   recomputing all pairs, and the hub layout builds a fresh index.
 //! * [`hub`] — the hub-labeling (2-level landmark) index over `G''`:

@@ -259,19 +259,10 @@ impl LinkStore {
         &self.arena[e.off as usize..(e.off + e.len) as usize]
     }
 
-    /// Rewrites the arena without its dead paths once they make up half
-    /// of it.
+    /// Rewrites the arena without its dead paths ([`compact_arena`]).
     fn compact(&mut self) {
-        if 2 * self.dead > self.arena.len() + 1024 {
-            let arena = std::mem::take(&mut self.arena);
-            self.arena.reserve(arena.len() - self.dead);
-            for e in &mut self.entries {
-                let path = &arena[e.off as usize..(e.off + e.len) as usize];
-                e.off = self.arena.len() as u32;
-                self.arena.extend_from_slice(path);
-            }
-            self.dead = 0;
-        }
+        let slices = self.entries.iter_mut().map(|e| (&mut e.off, e.len));
+        compact_arena(&mut self.arena, &mut self.dead, slices);
     }
 
     /// Sorts the index by `(a, b)` (paths stay where they are — the
@@ -311,6 +302,32 @@ impl LinkStore {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// Rewrites a node arena that patches append to without its `dead`
+/// nodes once they make up half of it (past a slack of 1024 nodes):
+/// each live slice `(offset, len)` of `slices` is copied, in the order
+/// given, into an exactly sized arena and its offset rewritten. The one
+/// compaction rule of every patched arena (the link store's paths, the
+/// route plan's ascents and backbone paths). Returns whether it
+/// compacted.
+pub(crate) fn compact_arena<'s>(
+    arena: &mut Vec<NodeId>,
+    dead: &mut usize,
+    slices: impl IntoIterator<Item = (&'s mut u32, u32)>,
+) -> bool {
+    if 2 * *dead <= arena.len() + 1024 {
+        return false;
+    }
+    let old = std::mem::take(arena);
+    arena.reserve(old.len() - *dead);
+    for (off, len) in slices {
+        let slice = &old[*off as usize..(*off + len) as usize];
+        *off = arena.len() as u32;
+        arena.extend_from_slice(slice);
+    }
+    *dead = 0;
+    true
 }
 
 /// Node-indexed bit flags for one in-place patch: [`LOST`], [`FRESH`],

@@ -101,12 +101,17 @@ proptest! {
         let mut extras: Vec<(NodeId, NodeId)> = Vec::new();
         for step in 0..8 {
             let mut delta = adhoc_graph::delta::TopologyDelta::new();
+            let mut moved = Vec::new();
             if step == 5 {
                 // Head-set change: re-cluster the current graph from
                 // scratch. Both plans must repair across the
                 // renumbering and still equal fresh compiles (layout
                 // policy preserved).
-                c = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
+                let prev = std::mem::replace(
+                    &mut c,
+                    clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased),
+                );
+                moved = g.nodes().filter(|v| prev.head_of(*v) != c.head_of(*v)).collect();
                 eval = pipeline::run_all_with(&g, &c, &mut scratch);
             } else if step % 3 == 2 && !extras.is_empty() {
                 for _ in 0..rng.gen_range(1..=extras.len()) {
@@ -130,15 +135,15 @@ proptest! {
             } else {
                 delta.normalize();
                 let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-                pipeline::update_all_after(&g, &c, &delta, &dirty, &mut eval, &mut scratch);
+                moved = pipeline::update_all_after(&g, &c, &delta, &dirty, &mut eval, &mut scratch);
                 dirty
             };
             let hub_report = hub.apply_delta(
-                &g, &c, scratch.labels(), &dirty,
+                &g, &c, scratch.labels(), &delta, &dirty, &moved,
                 eval.selected_links(Algorithm::AcLmst),
             );
             let dense_report = dense.apply_delta(
-                &g, &c, scratch.labels(), &dirty,
+                &g, &c, scratch.labels(), &delta, &dirty, &moved,
                 eval.selected_links(Algorithm::AcLmst),
             );
             // The two layouts must agree on *whether* the backbone

@@ -6,8 +6,10 @@
 //! are excluded from [`MetricsSnapshot::deterministic_fingerprint`],
 //! which is exactly the surface these proptests pin. It includes the
 //! eval tail's boundary counters, `pipeline.nc_links_rewalked` and
-//! `pipeline.headset_patches`, and the dense repair's grain,
-//! `inter.dense_rows_swept` and `inter.dense_cells_settled`.
+//! `pipeline.headset_patches`, the dense repair's grain,
+//! `inter.dense_rows_swept` and `inter.dense_cells_settled`, and the
+//! plan patch's `plan.links_{inserted,removed,repathed}`,
+//! `plan.ascents_kept_reproduced` and `plan.arena_compactions`.
 //!
 //! The contract matters because bench records and CI smoke runs embed
 //! the fingerprint: if a counter were incremented from a racy branch
@@ -123,12 +125,15 @@ proptest! {
                 let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
                 // The advance's swept slots, in the new head numbering.
                 let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
-                pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
+                let moved =
+                    pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
                 plan.apply_delta_metered(
                     g,
                     &c,
                     scratch.labels(),
+                    delta,
                     &dirty,
+                    &moved,
                     prev.ac_graph.links(),
                     par,
                     &metrics,
@@ -141,12 +146,18 @@ proptest! {
         // The eval tail's boundary counters are part of the pinned
         // surface: links walked afresh and head-set patches. So are the
         // dense repair's grain counters: sources with a settled cell, and
-        // the cells settled.
+        // the cells settled; and the plan patch's: the backbone link
+        // diff, the ascents a reproduced row kept, the arena compactions.
         for name in [
             "pipeline.nc_links_rewalked",
             "pipeline.headset_patches",
             "inter.dense_rows_swept",
             "inter.dense_cells_settled",
+            "plan.links_inserted",
+            "plan.links_removed",
+            "plan.links_repathed",
+            "plan.ascents_kept_reproduced",
+            "plan.arena_compactions",
         ] {
             prop_assert!(
                 base_rows.iter().any(|r| r.starts_with(&format!("counter {name} = "))),
@@ -169,10 +180,11 @@ proptest! {
 }
 
 /// The plan's metrics contract. A compile records `plan.compiled` once
-/// and one sample each of `plan.compile_ns`, `plan.ascents_ns` and its
-/// layout's build span, and nothing an update records; each
-/// `apply_delta_metered` call records one `plan.apply_delta_ns` sample
-/// and nothing a compile records. The churn-serve attribution sums
+/// and one sample each of `plan.compile_ns`, `plan.ascents_ns`,
+/// `plan.backbone_ns` and its layout's build span, and nothing an
+/// update records; each `apply_delta_metered` call records one sample
+/// each of `plan.apply_delta_ns`, `plan.ascents_ns` and
+/// `plan.backbone_ns`, and nothing a compile records. The churn-serve attribution sums
 /// `plan.compile_ns` and `plan.apply_delta_ns`, so a compile recorded
 /// under both would count twice.
 #[test]
@@ -202,13 +214,20 @@ fn plan_compile_and_apply_delta_record_disjoint_metrics() {
         );
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("plan.compiled"), Some(1), "{mode:?}");
-        for span in ["plan.compile_ns", "plan.ascents_ns", build] {
+        for span in [
+            "plan.compile_ns",
+            "plan.ascents_ns",
+            "plan.backbone_ns",
+            build,
+        ] {
             assert_eq!(spans(&snap, span), Some(1), "{mode:?}: {span}");
         }
         for name in [
             "plan.apply_delta_ns",
             "plan.headset_repairs",
             "plan.resweeped_nodes",
+            "plan.links_inserted",
+            "plan.arena_compactions",
             "plan.next_recomputed",
             "inter.dense_recomputed",
             "inter.dense_repair_ns",
@@ -223,12 +242,14 @@ fn plan_compile_and_apply_delta_record_disjoint_metrics() {
         for (g, delta) in &steps {
             let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
             let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
-            pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
+            let moved = pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
             plan.apply_delta_metered(
                 g,
                 &c,
                 scratch.labels(),
+                delta,
                 &dirty,
+                &moved,
                 prev.ac_graph.links(),
                 Parallelism::serial(),
                 &metrics,
@@ -238,6 +259,7 @@ fn plan_compile_and_apply_delta_record_disjoint_metrics() {
         let calls = Some(steps.len() as u64);
         assert_eq!(spans(&snap, "plan.apply_delta_ns"), calls, "{mode:?}");
         assert_eq!(spans(&snap, "plan.ascents_ns"), calls, "{mode:?}");
+        assert_eq!(spans(&snap, "plan.backbone_ns"), calls, "{mode:?}");
         assert!(snap.counter("plan.resweeped_nodes").is_some(), "{mode:?}");
         for name in ["plan.compile_ns", "plan.compiled"] {
             assert!(
@@ -285,6 +307,8 @@ fn hub_backbone_change_over_one_head_set_builds_fresh_index() {
         g,
         &c,
         labels,
+        &TopologyDelta::new(),
+        &[],
         &[],
         gmst.iter().copied(),
         Parallelism::serial(),
@@ -305,6 +329,8 @@ fn hub_backbone_change_over_one_head_set_builds_fresh_index() {
         g,
         &c,
         labels,
+        &TopologyDelta::new(),
+        &[],
         &[],
         gmst.iter().copied(),
         Parallelism::serial(),

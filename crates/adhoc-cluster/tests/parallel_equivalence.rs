@@ -194,12 +194,15 @@ proptest! {
                 let c = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
                 // The advance's swept slots, in the new head numbering.
                 let dirty = pipeline::advance_labels(g, &c, delta, &mut scratch);
-                pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
+                let moved =
+                    pipeline::update_all_after(g, &c, delta, &dirty, &mut prev, &mut scratch);
                 plan.apply_delta_tuned(
                     g,
                     &c,
                     scratch.labels(),
+                    delta,
                     &dirty,
+                    &moved,
                     prev.ac_graph.links(),
                     par,
                 );
@@ -398,7 +401,7 @@ proptest! {
                 );
                 let mut repaired = compiled.clone();
                 let update = repaired.apply_delta_tuned(
-                    &g, &c, &labels, &all,
+                    &g, &c, &labels, &TopologyDelta::new(), &all, &[],
                     std::iter::empty(), par,
                 );
                 (compiled, repaired, update)
@@ -412,8 +415,8 @@ proptest! {
             prop_assert_eq!(&arm.0, &arms[0].0, "{} workers: compiled plan diverged", w);
             prop_assert_eq!(&arm.1, &arms[0].1, "{} workers: repaired plan diverged", w);
             prop_assert_eq!(&arm.2, &arms[0].2, "{} workers: repair verdict diverged", w);
-            // `memory_bytes` counts capacities, which `Eq` ignores: the
-            // ascent arena must be reserved once, not per fragment.
+            // `memory_bytes` counts live arena nodes, which `Eq` does not
+            // compare: the fragments must land whole, none twice.
             prop_assert_eq!(
                 arm.0.memory_bytes(), arms[0].0.memory_bytes(),
                 "{} workers: compiled plan bytes diverged", w
@@ -449,7 +452,7 @@ proptest! {
                     );
                     let mut repaired = compiled.clone();
                     let update = repaired.apply_delta_tuned(
-                        &g, &c, labels, &[],
+                        &g, &c, labels, &TopologyDelta::new(), &[], &[],
                         eval.selected_links(Algorithm::GMst), par,
                     );
                     (compiled, repaired, update)
@@ -510,7 +513,7 @@ proptest! {
         let repair = |cut: &[usize], par: Parallelism| {
             let mut plan = compiled.clone();
             let update = plan.apply_delta_tuned(
-                &g, &c, labels, &[], without(cut).into_iter(), par,
+                &g, &c, labels, &TopologyDelta::new(), &[], &[], without(cut).into_iter(), par,
             );
             (plan, update)
         };
@@ -594,14 +597,14 @@ proptest! {
             let mut scratch = scratch0.clone();
             let mut eval = eval0.clone();
             let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-            pipeline::update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
+            let moved = pipeline::update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
             let links = eval.selected_links(Algorithm::AcLmst);
             let arms: Vec<_> = FANNED_GRID
                 .iter()
                 .map(|&w| {
                     let mut plan = compiled.clone();
                     let update = plan.apply_delta_tuned(
-                        &g, &c, scratch.labels(), &swept, links.iter().copied(),
+                        &g, &c, scratch.labels(), &delta, &swept, &moved, links.iter().copied(),
                         Parallelism::new(w),
                     );
                     (plan, update)

@@ -77,6 +77,10 @@ fn perturb(g: &mut Graph, rng: &mut StdRng) -> TopologyDelta {
     delta
 }
 
+/// The dead bytes the two arenas of a plan may hold beyond its live
+/// ones: 1024 nodes each before the compaction rule fires.
+const SLACK_BYTES: usize = 2 * 1024 * std::mem::size_of::<NodeId>();
+
 /// Drops head `h`: it and its members re-home ([`repair_coverage`]).
 fn demote(g: &Graph, c: &mut Clustering, h: NodeId, bfs: &mut BfsScratch) {
     let at = c.heads.binary_search(&h).expect("a head");
@@ -84,15 +88,24 @@ fn demote(g: &Graph, c: &mut Clustering, h: NodeId, bfs: &mut BfsScratch) {
     repair_coverage(g, c, bfs);
 }
 
-/// The body of the head-set proptest: a geometric network of `n` nodes
-/// clustered at `k`, both inter layouts compiled, then `edits` edits —
-/// a member promoted, a head demoted, a head swapped for one of its
-/// members, a global `cluster()` of a perturbed graph, or an edge delta
-/// whose broken coverage is repaired locally. The labels and evaluation
-/// advance as the churn engine advances them, each plan is repaired in
-/// place, and after every edit each plan equals a fresh compile, bytes
-/// included.
-fn check_headset_chain(seed: u64, n: usize, k: u32, edits: usize) {
+/// The body of the head-set proptests: a geometric network of `n`
+/// nodes clustered at `k`, both inter layouts compiled, then `edits`
+/// edits — a member promoted, a head demoted, a head swapped for one of
+/// its members, a global `cluster()` of a perturbed graph, or an edge
+/// delta whose broken coverage is repaired locally. The labels and
+/// evaluation advance as the churn engine advances them, each plan is
+/// patched in place onto the backbone of `backbones[edit % len]`, and
+/// after every edit each plan equals a fresh compile, bytes included,
+/// and its dead arena bytes never outweigh its live ones by more than
+/// the compaction slack ([`SLACK_BYTES`]). Returns the arena
+/// compactions of each layout's chain.
+fn check_headset_chain(
+    seed: u64,
+    n: usize,
+    k: u32,
+    edits: usize,
+    backbones: &[Algorithm],
+) -> [usize; 2] {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = gen::geometric(&GeometricConfig::new(n, 100.0, 7.0), &mut rng);
     let mut g = net.graph.clone();
@@ -106,10 +119,11 @@ fn check_headset_chain(seed: u64, n: usize, k: u32, edits: usize) {
             &g,
             &c,
             scratch.labels(),
-            eval.selected_links(Algorithm::AcLmst),
+            eval.selected_links(backbones[0]),
             mode,
         )
     });
+    let mut compactions = [0; 2];
     for edit in 0..edits {
         let before = c.heads.clone();
         let mut delta = TopologyDelta::new();
@@ -145,10 +159,12 @@ fn check_headset_chain(seed: u64, n: usize, k: u32, edits: usize) {
             }
         }
         let swept = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-        pipeline::update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
-        for (plan, mode) in plans.iter_mut().zip(modes) {
-            let links = eval.selected_links(Algorithm::AcLmst);
-            let update = plan.apply_delta(&g, &c, scratch.labels(), &swept, links);
+        let moved = pipeline::update_all_after(&g, &c, &delta, &swept, &mut eval, &mut scratch);
+        for ((plan, mode), compacted) in plans.iter_mut().zip(modes).zip(&mut compactions) {
+            let links = eval.selected_links(backbones[(edit + 1) % backbones.len()]);
+            let labels = scratch.labels();
+            let update = plan.apply_delta(&g, &c, labels, &delta, &swept, &moved, links);
+            *compacted += update.arena_compactions;
             assert_eq!(
                 update.heads_changed,
                 before != c.heads,
@@ -158,7 +174,7 @@ fn check_headset_chain(seed: u64, n: usize, k: u32, edits: usize) {
                 &g,
                 &c,
                 scratch.labels(),
-                eval.selected_links(Algorithm::AcLmst),
+                eval.selected_links(backbones[(edit + 1) % backbones.len()]),
                 mode,
             );
             assert_eq!(*plan, fresh, "edit {edit}: {mode:?} repaired plan diverged");
@@ -169,8 +185,17 @@ fn check_headset_chain(seed: u64, n: usize, k: u32, edits: usize) {
                 plan.inter_memory_bytes(),
                 fresh.inter_memory_bytes()
             );
+            // Each arena compacts once its dead nodes outnumber its live
+            // ones plus a slack of 1024 nodes.
+            assert!(
+                plan.dead_bytes() <= plan.memory_bytes() + SLACK_BYTES,
+                "edit {edit}: {mode:?} {} dead bytes over {} live",
+                plan.dead_bytes(),
+                plan.memory_bytes()
+            );
         }
     }
+    compactions
 }
 
 proptest! {
@@ -188,7 +213,24 @@ proptest! {
         k in 1u32..=3,
         edits in 1usize..=6,
     ) {
-        check_headset_chain(seed, n, k, edits);
+        check_headset_chain(seed, n, k, edits, &[Algorithm::AcLmst]);
+    }
+
+    /// Long edit chains fill both arenas with the segments re-walks and
+    /// dropped links leave behind, until they compact: the backbone
+    /// alternates between AC-LMST's links and AC-Mesh's superset, so
+    /// every edit drops or adds links besides the edit's own. The
+    /// compacted plans still equal fresh compiles, bytes included,
+    /// under both inter layouts.
+    #[test]
+    fn compacted_arenas_match_fresh_compile(
+        seed in 0u64..1_000_000,
+        n in 200usize..=400,
+        k in 1u32..=2,
+    ) {
+        let backbones = [Algorithm::AcLmst, Algorithm::AcMesh];
+        let compactions = check_headset_chain(seed, n, k, 40, &backbones);
+        prop_assert!(compactions.iter().all(|&c| c > 0), "no arena compacted: {:?}", compactions);
     }
 }
 
@@ -205,7 +247,21 @@ proptest! {
         k in 1u32..=3,
         edits in 1usize..=6,
     ) {
-        check_headset_chain(seed, n, k, edits);
+        check_headset_chain(seed, n, k, edits, &[Algorithm::AcLmst]);
+    }
+
+    /// The long tier of the compaction proptest (run with `--ignored`,
+    /// in release).
+    #[test]
+    #[ignore = "long tier: cargo test --release -- --ignored"]
+    fn compacted_arenas_match_fresh_compile_long(
+        seed in 0u64..1_000_000,
+        n in 200usize..=400,
+        k in 1u32..=2,
+    ) {
+        let backbones = [Algorithm::AcLmst, Algorithm::AcMesh];
+        let compactions = check_headset_chain(seed, n, k, 40, &backbones);
+        prop_assert!(compactions.iter().all(|&c| c > 0), "no arena compacted: {:?}", compactions);
     }
 }
 
@@ -299,9 +355,9 @@ proptest! {
             // Advance labels + evaluation the way the churn engine does,
             // then repair the plan off the dirty slots.
             let dirty = pipeline::advance_labels(&g, &c, &delta, &mut scratch);
-            pipeline::update_all_after(&g, &c, &delta, &dirty, &mut eval, &mut scratch);
+            let moved = pipeline::update_all_after(&g, &c, &delta, &dirty, &mut eval, &mut scratch);
             let report = plan.apply_delta(
-                &g, &c, scratch.labels(), &dirty,
+                &g, &c, scratch.labels(), &delta, &dirty, &moved,
                 eval.selected_links(Algorithm::AcLmst),
             );
             prop_assert!(!report.heads_changed, "head set never changes in this chain");

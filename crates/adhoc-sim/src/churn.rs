@@ -1191,11 +1191,11 @@ impl ChurnEngine {
 
         // Refresh the maintained evaluation, then prepare the pending
         // plan without touching the served one: a clone's ascent rows
-        // and backbone tables are patched off the dirty slots, across a
-        // local head change too. The report counts re-swept plus opened
-        // rows.
-        let dirty = self.refresh_eval(delta, &swept);
-        let pending = self.patched_plan(&dirty);
+        // and backbone tables are patched off the delta, the dirty slots
+        // and the re-affiliated nodes, across a local head change too.
+        // The report counts re-swept plus opened rows.
+        let (dirty, moved) = self.refresh_eval(delta, &swept);
+        let pending = self.patched_plan(delta, &dirty, &moved);
 
         // Backbone check: the maintained CDS must still induce a
         // connected subgraph. A departed gateway shows up here too —
@@ -1281,8 +1281,12 @@ impl ChurnEngine {
     /// is never rebuilt wholesale for a head change. Returns the dirty
     /// slots in the current numbering: the rows observe `swept` that
     /// survive, named by head ID across the renumbering, and the rows
-    /// just opened.
-    fn refresh_eval(&mut self, delta: &TopologyDelta, swept: &[usize]) -> Vec<usize> {
+    /// just opened; and the nodes whose head changed.
+    fn refresh_eval(
+        &mut self,
+        delta: &TopologyDelta,
+        swept: &[usize],
+    ) -> (Vec<usize>, Vec<NodeId>) {
         let dirty = if self.scratch.labels().heads() == &self.clustering.heads[..] {
             swept.to_vec()
         } else {
@@ -1303,7 +1307,7 @@ impl ChurnEngine {
             dirty.sort_unstable();
             dirty
         };
-        pipeline::update_all_after(
+        let moved = pipeline::update_all_after(
             &self.graph,
             &self.clustering,
             delta,
@@ -1311,15 +1315,21 @@ impl ChurnEngine {
             &mut self.eval,
             &mut self.scratch,
         );
-        dirty
+        (dirty, moved)
     }
 
     /// The pending plan, `None` while routing is off: a clone of the
     /// served one (sharing its inter table until a repair writes it)
-    /// patched from the `dirty` slots of
-    /// [`Self::refresh_eval`] — across a head-set change too, which
-    /// renumbers its slots by head ID instead of compiling afresh.
-    fn patched_plan(&self, dirty: &[usize]) -> Option<RoutePlan> {
+    /// patched from the step's `delta` and the `dirty` slots and
+    /// `moved` nodes of [`Self::refresh_eval`] — across a head-set
+    /// change too, which renumbers its slots by head ID instead of
+    /// compiling afresh.
+    fn patched_plan(
+        &self,
+        delta: &TopologyDelta,
+        dirty: &[usize],
+        moved: &[NodeId],
+    ) -> Option<RoutePlan> {
         let current = self.route_plan.as_ref()?;
         let mut plan = {
             let _copy = self.metrics.span("reconcile.copy_ns");
@@ -1329,7 +1339,9 @@ impl ChurnEngine {
             &self.graph,
             &self.clustering,
             self.scratch.labels(),
+            delta,
             dirty,
+            moved,
             self.eval.selected_links(self.cfg.algorithm),
             self.scratch.parallelism(),
             &self.metrics,
